@@ -24,6 +24,7 @@ from .base import ClosureResult, ClosureStatistics
 from .chain import ChainIndex, strongly_connected_components
 from .kernels import (
     array_dijkstra,
+    bitset_diameter,
     bitset_levels,
     bitset_reachable,
     compact_closure,
@@ -84,6 +85,7 @@ __all__ = [
     "strongly_connected_components",
     "bfs_closure",
     "bill_of_materials",
+    "bitset_diameter",
     "bitset_levels",
     "bitset_reachable",
     "compact_closure",

@@ -108,6 +108,44 @@ def bitset_levels(graph: CompactGraph, source_id: int) -> Dict[int, int]:
     return levels
 
 
+def bitset_diameter(rows: Sequence[Sequence[int]]) -> int:
+    """Return the longest hop distance over reachable pairs, all sources at once.
+
+    ``rows[i]`` lists the ids row ``i`` has an edge to (for an undirected
+    diameter, pass symmetric rows).  Row ``i`` accumulates the bitset of ids
+    reachable from ``i``; a level-synchronous round ORs into it what each of
+    its neighbours gained in the previous round, so one big-int operation
+    advances every source together and the bits a row gains in round ``k``
+    are exactly the ids ``k`` hops away.  BFS layers are contiguous — a row
+    that gains nothing has its whole reach set — so a round only touches the
+    rows that grew in the previous one, and the number of rounds that still
+    add a bit is the diameter (0 for an empty or edgeless graph).
+
+    Memory is one ``len(rows)``-bit int per row.
+    """
+    reach = [1 << row_id for row_id in range(len(rows))]
+    gained = list(reach)
+    growing: Sequence[int] = range(len(rows))
+    rounds = 0
+    while True:
+        next_gained = [0] * len(rows)
+        still_growing: List[int] = []
+        for row_id in growing:
+            fresh = 0
+            for target_id in rows[row_id]:
+                fresh |= gained[target_id]
+            fresh &= ~reach[row_id]
+            if fresh:
+                reach[row_id] |= fresh
+                next_gained[row_id] = fresh
+                still_growing.append(row_id)
+        if not still_growing:
+            return rounds
+        rounds += 1
+        gained = next_gained
+        growing = still_growing
+
+
 def mask_to_ids(mask: int) -> List[int]:
     """Expand an int-as-bitset into the list of set bit positions."""
     ids: List[int] = []

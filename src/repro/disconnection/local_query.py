@@ -32,7 +32,7 @@ from ..closure import (
     reachability_rows,
     shortest_path_semiring,
 )
-from ..graph import DiGraph, bfs_levels, dijkstra, hop_diameter
+from ..graph import DiGraph, bfs_levels, dijkstra
 from .catalog import CompactFragmentSite, FragmentSite
 from .planner import LocalQuerySpec
 
@@ -227,7 +227,7 @@ class LocalQueryEvaluator:
         result.backend = "dict"
         entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
         exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
-        result.estimated_iterations = hop_diameter(site.subgraph) + 1
+        result.estimated_iterations = site.local_iterations()
         if not entry_nodes or not exit_nodes:
             return result
         if self._semiring.name == "shortest_path":

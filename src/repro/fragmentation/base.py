@@ -15,6 +15,7 @@ simulator) reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import FragmentationError, InvalidFragmentationError
@@ -43,9 +44,9 @@ class Fragment:
     fragment_id: FragmentId
     edges: FrozenSet[Edge]
 
-    @property
+    @cached_property
     def nodes(self) -> FrozenSet[Node]:
-        """The nodes incident to at least one edge of the fragment."""
+        """The nodes incident to at least one edge of the fragment (built once)."""
         incident: Set[Node] = set()
         for source, target in self.edges:
             incident.add(source)
@@ -187,13 +188,29 @@ class Fragmentation:
 
     # -------------------------------------------------------------- mappings
 
+    # The owner indexes are built on first use: every write derives a fresh
+    # Fragmentation, and most of those are never asked who owns what.
+
+    @cached_property
+    def _node_owners(self) -> Dict[Node, List[FragmentId]]:
+        """node -> ids of the fragments containing it, ascending."""
+        owners: Dict[Node, List[FragmentId]] = {}
+        for fragment in self._fragments:
+            for node in fragment.nodes:
+                owners.setdefault(node, []).append(fragment.fragment_id)
+        return owners
+
+    @cached_property
+    def _edge_owner(self) -> Dict[Edge, FragmentId]:
+        """edge -> id of the (lowest) fragment holding it."""
+        owner: Dict[Edge, FragmentId] = {}
+        for fragment in reversed(self._fragments):
+            owner.update(dict.fromkeys(fragment.edges, fragment.fragment_id))
+        return owner
+
     def fragments_of_node(self, node: Node) -> List[FragmentId]:
         """Return the ids of every fragment containing ``node``."""
-        return [
-            fragment.fragment_id
-            for fragment in self._fragments
-            if node in fragment.nodes
-        ]
+        return list(self._node_owners.get(node, ()))
 
     def home_fragment(self, node: Node) -> FragmentId:
         """Return one fragment containing ``node`` (the lowest id).
@@ -202,7 +219,7 @@ class Fragmentation:
             FragmentationError: if the node belongs to no fragment (isolated
                 nodes are not covered by an edge partition).
         """
-        owners = self.fragments_of_node(node)
+        owners = self._node_owners.get(node)
         if not owners:
             raise FragmentationError(f"node {node!r} is not covered by any fragment")
         return owners[0]
@@ -213,10 +230,10 @@ class Fragmentation:
         Raises:
             FragmentationError: if no fragment owns the edge.
         """
-        for fragment in self._fragments:
-            if (source, target) in fragment.edges:
-                return fragment.fragment_id
-        raise FragmentationError(f"edge ({source!r}, {target!r}) is not covered by any fragment")
+        owner = self._edge_owner.get((source, target))
+        if owner is None:
+            raise FragmentationError(f"edge ({source!r}, {target!r}) is not covered by any fragment")
+        return owner
 
     def fragment_subgraph(self, fragment_id: FragmentId) -> DiGraph:
         """Materialise the subgraph of one fragment (weights from the base graph)."""

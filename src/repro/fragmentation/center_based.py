@@ -159,53 +159,61 @@ class CenterBasedFragmenter(Fragmenter):
         """Greedy farthest-first selection using hop distances instead of coordinates."""
         from ..graph import bfs_levels
 
-        selected: List[Node] = [candidates[0]]
+        unreachable = graph.node_count() + 1
+        newest = candidates[0]
+        selected: List[Node] = [newest]
+        chosen: Set[Node] = {newest}
+        # Hops from every candidate to its nearest selected center, refreshed
+        # with one BFS from the newest center per pick.
+        nearest: Dict[Node, int] = {node: unreachable for node in candidates}
         while len(selected) < count:
-            # Distance from every candidate to the nearest already-selected center.
-            distance_to_selected: Dict[Node, int] = {}
-            for center in selected:
-                levels = bfs_levels(graph, center, undirected=True)
-                for node in candidates:
-                    hops = levels.get(node, graph.node_count() + 1)
-                    if node not in distance_to_selected or hops < distance_to_selected[node]:
-                        distance_to_selected[node] = hops
-            remaining = [node for node in candidates if node not in selected]
+            levels = bfs_levels(graph, newest, undirected=True)
+            for node in candidates:
+                hops = levels.get(node, unreachable)
+                if hops < nearest[node]:
+                    nearest[node] = hops
+            remaining = [node for node in candidates if node not in chosen]
             if not remaining:
                 break
-            best = max(remaining, key=lambda node: (distance_to_selected.get(node, 0), repr(node)))
-            selected.append(best)
+            newest = max(remaining, key=lambda node: (nearest[node], repr(node)))
+            selected.append(newest)
+            chosen.add(newest)
         return selected
 
     # ---------------------------------------------------------------- growth
 
     def _grow_fragments(self, graph: DiGraph, centers: List[Node]) -> List[Set[Edge]]:
-        """Grow fragments from the centers until every edge is assigned (Fig. 4)."""
+        """Grow fragments from the centers until every edge is assigned (Fig. 4).
+
+        An expansion takes *every* unassigned edge at the nodes it looks at,
+        so a node that has been looked at once never has an unassigned edge
+        again.  Each fragment therefore keeps only a frontier — the nodes its
+        previous expansion added — and every (fragment, node) pair is scanned
+        once: the growth is linear in the edges, not nodes x rounds.
+        """
         count = len(centers)
         fragment_nodes: List[Set[Node]] = [set() for _ in range(count)]
         fragment_edges: List[Set[Edge]] = [set() for _ in range(count)]
+        frontiers: List[List[Node]] = [[] for _ in range(count)]
         unassigned: Set[Edge] = set(graph.edges())
 
         # Initialisation: each fragment takes its center and the edges adjacent to it.
         for index, center in enumerate(centers):
             fragment_nodes[index].add(center)
-            adjacent = {
-                edge
-                for edge in self._incident_edges(graph, center)
-                if edge in unassigned
-            }
-            fragment_edges[index] |= adjacent
-            unassigned -= adjacent
-            for source, target in adjacent:
-                fragment_nodes[index].add(source)
-                fragment_nodes[index].add(target)
+            frontiers[index] = self._expand_once(
+                graph, [center], fragment_nodes[index], fragment_edges[index], unassigned
+            )
 
         stalled_rounds = 0
         while unassigned:
             order = self._expansion_order(fragment_edges)
             progress = False
             for index in order:
-                added = self._expand_once(graph, fragment_nodes[index], fragment_edges[index], unassigned)
-                if added:
+                before = len(fragment_edges[index])
+                frontiers[index] = self._expand_once(
+                    graph, frontiers[index], fragment_nodes[index], fragment_edges[index], unassigned
+                )
+                if len(fragment_edges[index]) > before:
                     progress = True
                     if self.balance == BALANCE_BY_SIZE:
                         # Re-evaluate which fragment is smallest after every expansion.
@@ -216,7 +224,7 @@ class CenterBasedFragmenter(Fragmenter):
                 # component): seed them into the currently smallest fragment so
                 # the partition still covers the whole relation.
                 if stalled_rounds > 1 or not self._seed_disconnected_edge(
-                    graph, fragment_nodes, fragment_edges, unassigned
+                    fragment_nodes, fragment_edges, frontiers, unassigned
                 ):
                     break
             else:
@@ -232,30 +240,29 @@ class CenterBasedFragmenter(Fragmenter):
     def _expand_once(
         self,
         graph: DiGraph,
+        frontier: List[Node],
         nodes: Set[Node],
         edges: Set[Edge],
         unassigned: Set[Edge],
-    ) -> bool:
-        """Add every still-unassigned edge touching the fragment's node set."""
-        frontier_edges: Set[Edge] = set()
-        for node in nodes:
+    ) -> List[Node]:
+        """Add every still-unassigned edge touching ``frontier``; return the nodes that joined."""
+        joined: List[Node] = []
+        for node in frontier:
             for edge in self._incident_edges(graph, node):
                 if edge in unassigned:
-                    frontier_edges.add(edge)
-        if not frontier_edges:
-            return False
-        edges |= frontier_edges
-        unassigned -= frontier_edges
-        for source, target in frontier_edges:
-            nodes.add(source)
-            nodes.add(target)
-        return True
+                    unassigned.discard(edge)
+                    edges.add(edge)
+                    for endpoint in edge:
+                        if endpoint not in nodes:
+                            nodes.add(endpoint)
+                            joined.append(endpoint)
+        return joined
 
+    @staticmethod
     def _seed_disconnected_edge(
-        self,
-        graph: DiGraph,
         fragment_nodes: List[Set[Node]],
         fragment_edges: List[Set[Edge]],
+        frontiers: List[List[Node]],
         unassigned: Set[Edge],
     ) -> bool:
         """Assign one unreachable edge to the smallest fragment to restart growth."""
@@ -265,8 +272,10 @@ class CenterBasedFragmenter(Fragmenter):
         edge = min(unassigned, key=repr)
         unassigned.discard(edge)
         fragment_edges[smallest].add(edge)
-        fragment_nodes[smallest].add(edge[0])
-        fragment_nodes[smallest].add(edge[1])
+        for endpoint in edge:
+            if endpoint not in fragment_nodes[smallest]:
+                fragment_nodes[smallest].add(endpoint)
+                frontiers[smallest].append(endpoint)
         return True
 
     @staticmethod

@@ -153,21 +153,21 @@ def spread_out_selection(
         raise MissingCoordinatesError(
             f"cannot spread out centers: {len(missing)} candidate(s) have no coordinates, e.g. {missing[0]!r}"
         )
-    pool = list(candidates)
-    center_of_mass = centroid(coordinates[node] for node in pool)
+    points = [coordinates[node] for node in candidates]
+    center_of_mass = centroid(points)
+    remaining = list(range(len(points)))
     # Farthest from the centroid first, preferring earlier candidates on ties.
-    first = max(
-        range(len(pool)),
-        key=lambda idx: (coordinates[pool[idx]].distance_to(center_of_mass), -idx),
-    )
-    selected = [pool.pop(first)]
-    while pool and len(selected) < count:
-        best_idx = max(
-            range(len(pool)),
-            key=lambda idx: (
-                min(coordinates[pool[idx]].distance_to(coordinates[s]) for s in selected),
-                -idx,
-            ),
-        )
-        selected.append(pool.pop(best_idx))
-    return selected
+    pick = max(remaining, key=lambda idx: (points[idx].distance_to(center_of_mass), -idx))
+    # Distance from each candidate to its nearest selected center, refreshed
+    # against the newest center only.
+    nearest = [math.inf] * len(points)
+    selected = []
+    while True:
+        selected.append(candidates[pick])
+        remaining.remove(pick)
+        if not remaining or len(selected) >= count:
+            return selected
+        newest = points[pick]
+        for idx in remaining:
+            nearest[idx] = min(nearest[idx], points[idx].distance_to(newest))
+        pick = max(remaining, key=lambda idx: (nearest[idx], -idx))

@@ -238,9 +238,13 @@ def hop_diameter(graph: DiGraph, *, undirected: bool = True) -> int:
     """Return the diameter in hops over reachable pairs (0 for empty graphs).
 
     Unreachable pairs are ignored, matching the intuition that the diameter of
-    a fragment is the longest path *within* the fragment.
+    a fragment is the longest path *within* the fragment.  All sources are
+    swept together by the bit-parallel kernel
+    :func:`repro.closure.kernels.bitset_diameter`.
     """
-    best = 0
-    for node in graph.nodes():
-        best = max(best, eccentricity(graph, node, undirected=undirected))
-    return best
+    # Imported here: the closure package is built on top of this one.
+    from ..closure.kernels import bitset_diameter
+
+    ids = {node: index for index, node in enumerate(graph)}
+    adjacent = graph.neighbors if undirected else graph.successors
+    return bitset_diameter([[ids[other] for other in adjacent(node)] for node in ids])

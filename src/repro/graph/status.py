@@ -14,10 +14,10 @@ as the default but allow a configurable radius.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from collections import deque
+from typing import Callable, Dict, Hashable, List, Sequence
 
 from .digraph import DiGraph
-from .traversal import bfs_levels
 
 Node = Hashable
 
@@ -33,6 +33,39 @@ def grade(graph: DiGraph, node: Node) -> int:
     symmetric pair counts once.
     """
     return graph.undirected_degree(node)
+
+
+def _ring_weights(attenuation: float, radius: int) -> List[float]:
+    """Return ``[a^0 .. a^radius]``, the weight of each ring of neighbours."""
+    return [attenuation ** distance for distance in range(max(radius, 0) + 1)]
+
+
+def _ball_score(
+    node: Node,
+    neighbours: Callable[[Node], Sequence[Node]],
+    weights: Sequence[float],
+) -> float:
+    """Score ``node`` from a breadth-first search that stops after ``len(weights) - 1`` rings.
+
+    Nodes are visited in plain BFS discovery order and the terms are added in
+    that order, so the float sum is the one a whole-graph BFS followed by a
+    distance filter produces — only the work beyond the ball is skipped.
+    """
+    score = float(len(neighbours(node)))
+    levels: Dict[Node, int] = {node: 0}
+    queue: deque = deque([node])
+    while queue:
+        current = queue.popleft()
+        distance = levels[current] + 1
+        if distance >= len(weights):
+            break
+        weight = weights[distance]
+        for other in neighbours(current):
+            if other not in levels:
+                levels[other] = distance
+                score += weight * len(neighbours(other))
+                queue.append(other)
+    return score
 
 
 def status_score(
@@ -54,13 +87,7 @@ def status_score(
     Returns:
         The weighted sum of neighbourhood grades.
     """
-    levels = bfs_levels(graph, node, undirected=True)
-    score = float(grade(graph, node))
-    for other, distance in levels.items():
-        if other == node or distance > radius:
-            continue
-        score += (attenuation ** distance) * grade(graph, other)
-    return score
+    return _ball_score(node, graph.neighbors, _ring_weights(attenuation, radius))
 
 
 def status_scores(
@@ -69,11 +96,15 @@ def status_scores(
     attenuation: float = DEFAULT_ATTENUATION,
     radius: int = DEFAULT_RADIUS,
 ) -> Dict[Node, float]:
-    """Return the center score of every node in the graph."""
-    return {
-        node: status_score(graph, node, attenuation=attenuation, radius=radius)
-        for node in graph.nodes()
-    }
+    """Return the center score of every node in the graph.
+
+    Every node's neighbour list (and with it its grade) is read once, so the
+    cost is the summed size of the radius-``radius`` balls, not ``n`` whole
+    graph traversals.
+    """
+    neighbours = {node: graph.neighbors(node) for node in graph.nodes()}
+    weights = _ring_weights(attenuation, radius)
+    return {node: _ball_score(node, neighbours.__getitem__, weights) for node in neighbours}
 
 
 def rank_by_status(

@@ -2,8 +2,8 @@
 
 These are the building blocks the fragmentation algorithms and the metrics
 module use: fragment growth is a breadth-first expansion from seed nodes, the
-fragmentation graph's cycle analysis needs connected components, and fragment
-diameters are computed with per-source BFS.
+fragmentation graph's cycle analysis needs connected components, and
+eccentricities come from a per-source BFS.
 """
 
 from __future__ import annotations

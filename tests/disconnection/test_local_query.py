@@ -4,9 +4,11 @@ import pytest
 
 from repro.closure import reachability_semiring, widest_path_semiring
 from repro.disconnection import DistributedCatalog, LocalQueryEvaluator
+from repro.disconnection import catalog as catalog_module
 from repro.disconnection.planner import LocalQuerySpec
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
+from repro.graph import hop_diameter
 
 
 @pytest.fixture
@@ -42,6 +44,22 @@ class TestShortestPathEvaluation:
         result = LocalQueryEvaluator().evaluate(site, spec)
         assert result.estimated_iterations >= 1
         assert result.statistics.tuples_produced >= 1
+
+    def test_dict_path_reads_the_sites_cached_iteration_estimate(self, catalog, monkeypatch):
+        diameters = []
+
+        def counted(graph, **options):
+            diameters.append(hop_diameter(graph, **options))
+            return diameters[-1]
+
+        monkeypatch.setattr(catalog_module, "hop_diameter", counted)
+        site = catalog.site(0)
+        spec = LocalQuerySpec(fragment_id=0, entry_nodes=frozenset([0]), exit_nodes=frozenset([3]))
+        evaluator = LocalQueryEvaluator(use_compact=False)
+        results = [evaluator.evaluate(site, spec) for _ in range(4)]
+        assert len(diameters) == 1  # derived once per site, not once per evaluation
+        assert {result.estimated_iterations for result in results} == {diameters[0] + 1}
+        assert results[0].backend == "dict"
 
     def test_exit_values_best_per_exit(self, catalog):
         site = catalog.site(0)

@@ -106,6 +106,44 @@ class TestFragmentation:
             foreign.validate()
 
 
+class TestOwnerIndexes:
+    """The cached node set and the owner indexes answer exactly what a scan would."""
+
+    def test_node_set_is_built_once_and_leaves_value_semantics_alone(self):
+        fragment = Fragment(0, frozenset({("a", "b"), ("b", "c")}))
+        twin = Fragment(0, frozenset({("a", "b"), ("b", "c")}))
+        assert fragment.nodes is fragment.nodes
+        assert fragment == twin and hash(fragment) == hash(twin)
+
+    def test_returned_owner_list_is_a_copy(self, bridge_fragmentation):
+        bridge_fragmentation.fragments_of_node("d").append(99)
+        assert bridge_fragmentation.fragments_of_node("d") == [0, 1]
+        assert bridge_fragmentation.fragments_of_node("ghost") == []
+
+    def test_doubly_assigned_edge_resolves_to_the_lowest_fragment(self, bridge_graph):
+        all_edges = bridge_graph.edges()
+        duplicated = Fragmentation(bridge_graph, [[all_edges[3]], all_edges, [all_edges[3]]])
+        assert duplicated.edge_fragment(*all_edges[3]) == 0
+        assert duplicated.edge_fragment(*all_edges[0]) == 1
+
+    def test_indexes_match_a_scan_over_the_fragments(self):
+        graph = two_cluster_dumbbell(5, bridge_nodes=2)
+        edges = graph.edges()
+        fragmentation = Fragmentation(graph, [edges[0::3], edges[1::3], edges[2::3]])
+        for node in graph.nodes() + ["ghost"]:
+            scanned = [f.fragment_id for f in fragmentation.fragments if node in f.nodes]
+            assert fragmentation.fragments_of_node(node) == scanned
+            if scanned:
+                assert fragmentation.home_fragment(node) == scanned[0]
+        for source, target in edges:
+            (owner,) = [f.fragment_id for f in fragmentation.fragments if (source, target) in f.edges]
+            assert fragmentation.edge_fragment(source, target) == owner
+        for fragment in fragmentation.fragments:
+            assert fragmentation.interior_nodes(fragment.fragment_id) == (
+                fragment.nodes - fragmentation.border_nodes(fragment.fragment_id)
+            )
+
+
 class TestNodeBlockFragmentation:
     def test_blocks_become_fragments_with_shared_border(self):
         graph = two_cluster_dumbbell(4, bridge_nodes=1)
