@@ -89,6 +89,13 @@ class CompactFragmentSite:
         """Return the precomputed semi-naive iteration estimate."""
         return self.estimated_iterations
 
+    def derive(self, *, compact: bool = True, use_shortcuts: bool = True) -> bool:
+        """Rebuild the graph from the shipped state if needed; return whether it was."""
+        missing = compact and self._graph is None
+        if missing:
+            self.compact(use_shortcuts=use_shortcuts)
+        return missing
+
     def apply_delta(self, delta: CompactDelta, estimated_iterations: int) -> None:
         """Apply an edge delta to the pinned compact graph in place.
 
@@ -140,11 +147,23 @@ class FragmentSite:
     """Everything one site (processor) stores.
 
     The mutable ``DiGraph`` subgraph stays the front-end representation; the
-    first kernel evaluation builds (and caches) the fragment's immutable
-    :class:`~repro.graph.compact.CompactGraph` form via :meth:`compact`.  A
-    site is rebuilt from scratch whenever the catalog is (the lazy
-    ``FragmentedDatabase`` rebuild after an update), so the caches can never
-    serve a stale fragment.
+    first kernel evaluation builds (and caches) the fragment's
+    :class:`~repro.graph.compact.CompactGraph` form via :meth:`compact`.
+
+    A site outlives writes.  :meth:`apply_update` patches the cached
+    augmented compact graph in place with the exact edge delta between the
+    old and the new augmented adjacency (fragment edges *and* complementary
+    shortcuts, so a repair caused by a write in a neighbouring fragment
+    arrives as a delta too), and ``CompactGraph.apply_delta`` drops every
+    derived structure that has no ``patch_rows`` hook.  Anything cached in
+    that graph's derived store — the kernels' indexes, the local-query
+    evaluator's transit table — therefore never survives a change of the
+    adjacency it was computed from, and survives untouched when the delta is
+    empty.  The plain (no-shortcut) compact form and the iteration estimate
+    are not patched: a write discards them and the next reader re-derives
+    them (:meth:`derive`).  Only a full catalog rebuild or a scoped
+    refragmentation replaces the site object, and the replacement starts
+    with no cached state at all.
 
     Attributes:
         fragment_id: the fragment / site identifier.
@@ -198,8 +217,9 @@ class FragmentSite:
 
         With ``use_shortcuts`` the compact graph is built from
         :meth:`augmented_subgraph`, so the kernels see exactly the adjacency
-        the dict-based evaluator would.  Both forms are built at most once
-        per site lifetime.
+        the dict-based evaluator would.  The augmented form is built once
+        and patched by :meth:`apply_update`; the plain form is rebuilt after
+        a write.
         """
         if use_shortcuts:
             if self._compact_augmented is None:
@@ -214,6 +234,23 @@ class FragmentSite:
         if self._local_iterations is None:
             self._local_iterations = hop_diameter(self.subgraph) + 1
         return self._local_iterations
+
+    def derive(self, *, compact: bool = True, use_shortcuts: bool = True) -> bool:
+        """Build the lazy state an evaluation reads; return whether any was missing.
+
+        That state is the iteration estimate (discarded by every
+        :meth:`apply_update`) and, with ``compact``, the compact graph
+        (absent on a fresh or rebuilt site).  Callers that time kernels call
+        this first, so a re-derivation after a write is never booked as
+        kernel time.
+        """
+        graph = self._compact_augmented if use_shortcuts else self._compact_plain
+        missing = self._local_iterations is None or (compact and graph is None)
+        if missing:
+            self.local_iterations()
+            if compact:
+                self.compact(use_shortcuts=use_shortcuts)
+        return missing
 
     def to_compact_site(self) -> CompactFragmentSite:
         """Return the plain-data form shipped to workers and snapshots."""

@@ -16,6 +16,14 @@ dict-based searches (``use_compact=False``, the benchmark baseline) or to a
 restricted semi-naive fixpoint for custom semirings.  The work counters it
 returns (iterations ≈ fragment diameter, tuples produced) feed the parallel
 cost model.
+
+Of the three kinds of subquery a chain splits into (Sec. 2.1) the middle one
+— border to border inside an intermediate fragment — depends on the fragment
+and its disconnection sets only, never on the query.  The compact path
+remembers those results in a :class:`TransitTable` kept in the derived store
+of the site's compact graph, so a cold query searches only its two endpoint
+fragments; ``CompactGraph.apply_delta`` drops the table with every other
+derived structure, which is the whole invalidation protocol.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from ..closure import (
     ClosureStatistics,
@@ -32,7 +40,7 @@ from ..closure import (
     reachability_rows,
     shortest_path_semiring,
 )
-from ..graph import DiGraph, bfs_levels, dijkstra
+from ..graph import CompactGraph, DiGraph, bfs_levels, dijkstra
 from .catalog import CompactFragmentSite, FragmentSite
 from .planner import LocalQuerySpec
 
@@ -40,6 +48,40 @@ Node = Hashable
 PathValue = object
 
 COMPACT_SEMIRINGS = ("shortest_path", "reachability")
+
+# Derived-store key of a site graph's transit table.
+TRANSIT_KEY = "transit_table"
+
+# (entry nodes, exit nodes, semiring name, pinned backend or None)
+TransitKey = Tuple[frozenset, frozenset, str, Optional[str]]
+
+
+class TransitEntry(NamedTuple):
+    """What one border-to-border evaluation produced, as a hit replays it."""
+
+    values: Dict[Tuple[Node, Node], PathValue]
+    iterations: int
+    tuples_produced: int
+    delta_sizes: Tuple[int, ...]
+    backend: Optional[str]
+
+
+class TransitTable(Dict[TransitKey, TransitEntry]):
+    """The remembered border-to-border results of one site graph.
+
+    Filled lazily, one entry per distinct ``(entry set, exit set)`` a plan
+    asks for, so its size is bounded by the layout: entry and exit sets are
+    disconnection sets or single border nodes, at most
+    ``(#disconnection sets + #border nodes)²`` pairs per fragment.  There is
+    no capacity and no eviction; the graph's ``apply_delta`` drops the whole
+    table whenever the adjacency it was computed from changes.
+    """
+
+    __slots__ = ()
+
+    def to_state(self) -> None:
+        """Process-local: never part of a graph state, payload or snapshot."""
+        return None
 
 
 @dataclass
@@ -62,6 +104,9 @@ class LocalQueryResult:
         overlay: whether the site's compact graph carried an uncompacted
             delta overlay at evaluation time — the kernels read straight
             through it; surfaces in worker payloads and trace spans.
+        memoized: whether the values were replayed from the site's transit
+            table instead of searched for; the work counters are then those
+            of the original evaluation, ``elapsed_seconds`` is the lookup's.
     """
 
     fragment_id: int
@@ -71,6 +116,7 @@ class LocalQueryResult:
     semiring: Optional[Semiring] = field(default=None, repr=False, compare=False)
     backend: Optional[str] = field(default=None, compare=False)
     overlay: bool = field(default=False, compare=False)
+    memoized: bool = field(default=False, compare=False)
 
     def exit_values(self, semiring: Optional[Semiring] = None) -> Dict[Node, PathValue]:
         """Return the best value per exit node over all entry nodes (for reporting).
@@ -116,6 +162,13 @@ class LocalQueryEvaluator:
     The evaluator accepts either a full :class:`FragmentSite` or the
     plain-data :class:`CompactFragmentSite` a resident worker holds; the
     latter supports compact evaluation only.
+
+    On the compact path a subquery whose entry and exit sets both consist of
+    the :class:`FragmentSite`'s border nodes is answered from the site's
+    :class:`TransitTable` once it has been evaluated; ``transit_hits`` and
+    ``transit_misses`` count those lookups.  The dict evaluators, custom
+    semirings and plain-data sites (which do not know their borders) never
+    touch the table.
     """
 
     def __init__(
@@ -130,6 +183,8 @@ class LocalQueryEvaluator:
         self._use_shortcuts = use_shortcuts
         self._use_compact = use_compact
         self._backend = backend
+        self.transit_hits = 0
+        self.transit_misses = 0
 
     @property
     def semiring(self) -> Semiring:
@@ -144,21 +199,131 @@ class LocalQueryEvaluator:
         The returned statistics carry ``elapsed_seconds``, timed here so the
         measurement happens in whichever process runs the kernel — a worker's
         in-process timing ships back with the result, needing no clock
-        agreement with the coordinator.
+        agreement with the coordinator.  The clock covers the kernel (or the
+        transit-table lookup) only: the site's lazy state is forced first.
         """
+        compact = self._runs_compact(site)
+        site.derive(compact=compact, use_shortcuts=self._use_shortcuts)
         started = perf_counter()
         result = LocalQueryResult(fragment_id=site.fragment_id, semiring=self._semiring)
-        compact_only = isinstance(site, CompactFragmentSite)
-        if compact_only and self._semiring.name not in COMPACT_SEMIRINGS:
-            raise ValueError(
-                f"a compact fragment site only supports the {COMPACT_SEMIRINGS} semirings"
-            )
-        if (self._use_compact or compact_only) and self._semiring.name in COMPACT_SEMIRINGS:
-            result = self._evaluate_compact(site, spec, result)
+        if compact:
+            self._evaluate_compact(site, spec, result)
         else:
-            result = self._evaluate_dict(site, spec, result)
+            self._evaluate_dict(site, spec, result)
         result.statistics.elapsed_seconds = perf_counter() - started
         return result
+
+    def prepare(self, site: FragmentSite | CompactFragmentSite) -> bool:
+        """Force the lazy site state :meth:`evaluate` reads; return whether any was missing.
+
+        A caller that wants the re-derivation after a write timed apart from
+        the kernels calls this around its own clock before :meth:`evaluate`.
+        """
+        return site.derive(
+            compact=self._runs_compact(site), use_shortcuts=self._use_shortcuts
+        )
+
+    def _runs_compact(self, site: FragmentSite | CompactFragmentSite) -> bool:
+        standard = self._semiring.name in COMPACT_SEMIRINGS
+        if isinstance(site, CompactFragmentSite):
+            if not standard:
+                raise ValueError(
+                    f"a compact fragment site only supports the {COMPACT_SEMIRINGS} semirings"
+                )
+            return True
+        return self._use_compact and standard
+
+    # --------------------------------------------------------- transit table
+
+    def recall(self, site: FragmentSite, spec: LocalQuerySpec) -> Optional[LocalQueryResult]:
+        """Answer ``spec`` from the site's transit table, or return ``None``.
+
+        ``None`` means the subquery is not border-to-border, has not been
+        evaluated since the site graph last changed, or this evaluator does
+        not run the compact kernels.  The coordinator of a worker pool asks
+        this before it routes a task.
+        """
+        key = self._transit_key(site, spec)
+        if key is None or not self._runs_compact(site):
+            return None
+        started = perf_counter()
+        result = LocalQueryResult(fragment_id=site.fragment_id, semiring=self._semiring)
+        graph = site.compact(use_shortcuts=self._use_shortcuts)
+        if not self._replay(site, graph, key, result):
+            return None
+        result.statistics.elapsed_seconds = perf_counter() - started
+        return result
+
+    def remember(self, site: FragmentSite, spec: LocalQuerySpec, result: LocalQueryResult) -> None:
+        """File a result evaluated elsewhere (a pool worker's reply) in the site's table.
+
+        The caller vouches that ``result`` was computed on a replica of the
+        site's current compact graph.  Not a border-to-border subquery, or
+        not a compact evaluator: nothing is filed.
+        """
+        if self._runs_compact(site):
+            graph = site.compact(use_shortcuts=self._use_shortcuts)
+            self._file(graph, self._transit_key(site, spec), result)
+
+    def _transit_key(
+        self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
+    ) -> Optional[TransitKey]:
+        """The table key of a border-to-border subquery, ``None`` for any other."""
+        border = getattr(site, "border_nodes", None)
+        if border is None or not (spec.entry_nodes <= border and spec.exit_nodes <= border):
+            return None
+        return (spec.entry_nodes, spec.exit_nodes, self._semiring.name, self._backend)
+
+    def _replay(
+        self,
+        site: FragmentSite | CompactFragmentSite,
+        graph: CompactGraph,
+        key: Optional[TransitKey],
+        result: LocalQueryResult,
+    ) -> bool:
+        """Fill ``result`` from the table entry under ``key``; ``False`` when there is none.
+
+        The values and work counters are the original evaluation's (the
+        parallel cost model must not see a difference); the iteration
+        estimate and the overlay flag are read from the site now — a write
+        masked by a shortcut leaves the graph, and so the table, untouched
+        but may still move the diameter.
+        """
+        if key is None:
+            return False
+        table = graph.derived_get(TRANSIT_KEY)
+        entry = table.get(key) if table is not None else None
+        if entry is None:
+            return False
+        self.transit_hits += 1
+        result.values = dict(entry.values)
+        result.statistics.iterations = entry.iterations
+        result.statistics.tuples_produced = entry.tuples_produced
+        result.statistics.delta_sizes = list(entry.delta_sizes)
+        result.backend = entry.backend
+        result.overlay = graph.has_overlay()
+        result.estimated_iterations = site.local_iterations()
+        result.memoized = True
+        return True
+
+    def _file(
+        self, graph: CompactGraph, key: Optional[TransitKey], result: LocalQueryResult
+    ) -> None:
+        if key is None:
+            return
+        self.transit_misses += 1
+        table = graph.derived_get(TRANSIT_KEY)
+        if table is None:
+            table = TransitTable()
+            graph.derived_set(TRANSIT_KEY, table)
+        statistics = result.statistics
+        table[key] = TransitEntry(
+            values=dict(result.values),
+            iterations=statistics.iterations,
+            tuples_produced=statistics.tuples_produced,
+            delta_sizes=tuple(statistics.delta_sizes),
+            backend=result.backend,
+        )
 
     # ----------------------------------------------------------- kernel path
 
@@ -167,10 +332,19 @@ class LocalQueryEvaluator:
         site: FragmentSite | CompactFragmentSite,
         spec: LocalQuerySpec,
         result: LocalQueryResult,
-    ) -> LocalQueryResult:
+    ) -> None:
         graph = site.compact(use_shortcuts=self._use_shortcuts)
+        key = self._transit_key(site, spec)
+        if self._replay(site, graph, key, result):
+            return
         result.overlay = graph.has_overlay()
         result.estimated_iterations = site.local_iterations()
+        self._run_kernel(graph, spec, result)
+        self._file(graph, key, result)
+
+    def _run_kernel(
+        self, graph: CompactGraph, spec: LocalQuerySpec, result: LocalQueryResult
+    ) -> None:
         entries = [
             (node, node_id)
             for node in spec.entry_nodes
@@ -184,7 +358,7 @@ class LocalQueryEvaluator:
             if node_id >= 0
         ]
         if not entries or not exits:
-            return result
+            return
         if self._semiring.name == "reachability":
             exit_mask = 0
             for _, exit_id in exits:
@@ -216,27 +390,25 @@ class LocalQueryEvaluator:
                         result.values[(entry, exit_node)] = distances[exit_id]
                         produced += 1
                 result.statistics.record_round(settled, produced)
-        return result
 
     # ------------------------------------------------- dict-based strategies
 
     def _evaluate_dict(
         self, site: FragmentSite, spec: LocalQuerySpec, result: LocalQueryResult
-    ) -> LocalQueryResult:
+    ) -> None:
         graph = site.augmented_subgraph() if self._use_shortcuts else site.subgraph
         result.backend = "dict"
         entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
         exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
         result.estimated_iterations = site.local_iterations()
         if not entry_nodes or not exit_nodes:
-            return result
+            return
         if self._semiring.name == "shortest_path":
             self._evaluate_shortest_path(graph, entry_nodes, exit_nodes, result)
         elif self._semiring.name == "reachability":
             self._evaluate_reachability(graph, entry_nodes, exit_nodes, result)
         else:
             self._evaluate_generic(graph, entry_nodes, exit_nodes, result)
-        return result
 
     def _evaluate_shortest_path(
         self,

@@ -535,7 +535,10 @@ class CompactGraph:
 
         The value persists through :meth:`state` — via its ``to_state()``
         when it has one, verbatim when it is already plain data — so warm
-        reloads skip the derivation.
+        reloads skip the derivation.  A ``to_state()`` returning ``None``
+        keeps the value process-local: it is cached here and dropped by
+        :meth:`apply_delta` like any other, but never written into a state,
+        a worker payload or a snapshot.
         """
         self._derived[key] = value
         self._derived_states.pop(key, None)
@@ -582,7 +585,9 @@ class CompactGraph:
         derived: Dict[str, object] = dict(self._derived_states)
         for key, value in self._derived.items():
             to_state = getattr(value, "to_state", None)
-            derived[key] = to_state() if callable(to_state) else value
+            plain = to_state() if callable(to_state) else value
+            if plain is not None:
+                derived[key] = plain
         if derived:
             state["derived"] = derived
         return state

@@ -1299,14 +1299,38 @@ class QueryService:
     ) -> Dict[TaskKey, LocalQueryResult]:
         engine = self._current_engine
         assert engine is not None
+        catalog = engine.catalog
+        evaluator = self._evaluator
+        hits_before = evaluator.transit_hits
+        misses_before = evaluator.transit_misses
+        # What was actually sent to a site: everything in-process, in pooled
+        # mode only what the coordinator's transit tables could not answer.
+        dispatched = tasks
         with self._tracer.span("evaluate", tasks=len(tasks)) as espan:
             if self._workers:
                 pool = self._ensure_pool()
+                # Border-to-border tasks the coordinator's own sites remember
+                # never cross the queues; the rest is routed as before.
+                specs = {key: LocalQuerySpec(*key) for key in tasks}
+                served: Dict[TaskKey, LocalQueryResult] = {}
+                for key, spec in specs.items():
+                    remembered = evaluator.recall(catalog.site(key[0]), spec)
+                    if remembered is not None:
+                        served[key] = remembered
+                if served:
+                    espan.set("memoized", len(served))
+                    dispatched = [key for key in tasks if key not in served]
+                    if owner_groups is not None:
+                        owner_groups = {
+                            worker: kept
+                            for worker, keys in owner_groups.items()
+                            if (kept := [key for key in keys if key not in served])
+                        }
                 if isinstance(pool, PlacedWorkerPool):
                     espan.set("pool", "placed")
                     refreshes_before = pool.replica_refreshes
                     results = pool.evaluate(
-                        tasks,
+                        dispatched,
                         owner_groups=owner_groups,
                         trace_id=self._tracer.current_trace_id,
                     )
@@ -1360,7 +1384,7 @@ class QueryService:
                             )
                 else:
                     espan.set("pool", "replicated")
-                    results = pool.evaluate(tasks)
+                    results = pool.evaluate(dispatched)
                     # Replicated workers keep no persistent registry, so
                     # their dispatch decisions are re-counted here from the
                     # backend each payload reports (exactly one kernel
@@ -1370,7 +1394,7 @@ class QueryService:
                         "Closure kernel backend selections by dispatch context.",
                         labelnames=("backend", "context"),
                     )
-                    for key in tasks:
+                    for key in dispatched:
                         if results[key].backend in KERNEL_BACKENDS:
                             selections.inc(
                                 backend=results[key].backend, context="local_query"
@@ -1382,6 +1406,11 @@ class QueryService:
                             backend=results[key].backend,
                             overlay=results[key].overlay,
                         )
+                # The workers evaluated on replicas of the coordinator's site
+                # graphs: their border-to-border replies fill its tables.
+                for key, result in results.items():
+                    evaluator.remember(catalog.site(key[0]), specs[key], result)
+                results.update(served)
             else:
                 espan.set("pool", "in-process")
                 results = {}
@@ -1392,8 +1421,10 @@ class QueryService:
                 tracing = self._tracer.current_span is not None
                 kernel_seconds: Dict[int, float] = {}
                 kernel_tasks: Dict[int, int] = {}
+                kernel_memoized: Dict[int, int] = {}
                 kernel_backends: Dict[int, Optional[str]] = {}
                 kernel_overlays: Dict[int, bool] = {}
+                rederive_seconds: Dict[int, float] = {}
                 for key in tasks:
                     fragment_id, entry_nodes, exit_nodes = key
                     spec = LocalQuerySpec(
@@ -1401,9 +1432,17 @@ class QueryService:
                         entry_nodes=entry_nodes,
                         exit_nodes=exit_nodes,
                     )
-                    result = self._evaluator.evaluate(
-                        engine.catalog.site(fragment_id), spec
-                    )
+                    site = catalog.site(fragment_id)
+                    if tracing:
+                        # The first evaluation on a written (or rebuilt) site
+                        # re-derives its lazy state: its own span, not kernel
+                        # time.  Untraced, evaluate() forces it just the same.
+                        started = time.perf_counter()
+                        if evaluator.prepare(site):
+                            rederive_seconds[fragment_id] = (
+                                time.perf_counter() - started
+                            )
+                    result = evaluator.evaluate(site, spec)
                     results[key] = result
                     if tracing:
                         kernel_seconds[fragment_id] = (
@@ -1413,18 +1452,24 @@ class QueryService:
                         kernel_tasks[fragment_id] = (
                             kernel_tasks.get(fragment_id, 0) + 1
                         )
+                        kernel_memoized[fragment_id] = (
+                            kernel_memoized.get(fragment_id, 0) + result.memoized
+                        )
                         kernel_backends[fragment_id] = result.backend
                         kernel_overlays[fragment_id] = (
                             kernel_overlays.get(fragment_id, False) or result.overlay
                         )
                 if tracing:
                     attach = self._tracer.attach_span
+                    for fragment_id, seconds in rederive_seconds.items():
+                        attach("site_rederive", seconds, fragment=fragment_id)
                     for fragment_id, seconds in kernel_seconds.items():
                         attach(
                             "kernel",
                             seconds,
                             fragment=fragment_id,
                             tasks=kernel_tasks[fragment_id],
+                            memoized=kernel_memoized[fragment_id],
                             backend=kernel_backends[fragment_id],
                             overlay=kernel_overlays[fragment_id],
                         )
@@ -1433,8 +1478,12 @@ class QueryService:
                 # between queries stay fresh.
                 merge_selection_metrics(self._registry)
                 merge_overlay_metrics(self._registry)
+        self._stats.record_transit_lookups(
+            hits=evaluator.transit_hits - hits_before,
+            misses=evaluator.transit_misses - misses_before,
+        )
         # One dispatch per *task*: a batch of n shared subqueries records n
         # site dispatches, never one per batch.
-        for key in tasks:
+        for key in dispatched:
             self._stats.record_dispatch(key[0])
         return results

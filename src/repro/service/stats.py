@@ -86,6 +86,7 @@ _INT_GAUGES = frozenset(
 LATENCY_HISTOGRAM = "repro_query_latency_seconds"
 SITE_DISPATCH_COUNTER = "repro_site_dispatch_total"
 OWNER_DISPATCH_COUNTER = "repro_owner_dispatch_total"
+TRANSIT_LOOKUPS_COUNTER = "repro_transit_lookups_total"
 
 # as_dict keys that are derived (recomputed on read) and ignored by from_dict.
 _DERIVED_KEYS = frozenset(
@@ -226,6 +227,15 @@ class ServiceStatistics:
                 "worker",
             ),
         )
+        object.__setattr__(
+            self,
+            "_transit_lookups",
+            reg.counter(
+                TRANSIT_LOOKUPS_COUNTER,
+                "Border-to-border subqueries looked up in a fragment's transit table.",
+                labelnames=("outcome",),
+            ),
+        )
 
     # ----------------------------------------------------- attribute routing
 
@@ -296,6 +306,20 @@ class ServiceStatistics:
         """
         self.local_evaluations += count
         self.per_site_load[fragment_id] = self.per_site_load.get(fragment_id, 0) + count
+
+    def record_transit_lookups(self, *, hits: int, misses: int) -> None:
+        """Record transit-table outcomes: ``hits`` replayed, ``misses`` searched and filed."""
+        if hits:
+            self._transit_lookups.inc(hits, outcome="hit")
+        if misses:
+            self._transit_lookups.inc(misses, outcome="miss")
+
+    def transit_lookups(self) -> Dict[str, int]:
+        """Return the transit-table lookups so far, by outcome."""
+        return {
+            outcome: int(self._transit_lookups.value(outcome=outcome))
+            for outcome in ("hit", "miss")
+        }
 
     def observe_owner_queues(
         self,
@@ -388,6 +412,7 @@ class ServiceStatistics:
             "replayed_records": self.replayed_records,
             "snapshots_saved": self.snapshots_saved,
             "snapshots_loaded": self.snapshots_loaded,
+            "transit_lookups": self.transit_lookups(),
             "per_site_load": dict(sorted(self.per_site_load.items())),
             "per_owner_dispatch": dict(sorted(self.per_owner_dispatch.items())),
             "owner_count": self.owner_count,
@@ -433,6 +458,11 @@ class ServiceStatistics:
         for field in list(_INT_COUNTERS) + list(_FLOAT_COUNTERS) + list(_GAUGES):
             if field in data and field not in _DERIVED_KEYS:
                 setattr(stats, field, data[field])
+        lookups = data.get("transit_lookups")
+        if isinstance(lookups, Mapping):
+            stats.record_transit_lookups(
+                hits=int(lookups.get("hit", 0)), misses=int(lookups.get("miss", 0))
+            )
         for field in ("per_site_load", "per_owner_dispatch"):
             mapping = data.get(field)
             if isinstance(mapping, Mapping):

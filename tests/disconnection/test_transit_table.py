@@ -1,0 +1,227 @@
+"""The per-fragment transit table: what fills it, what reads it, what drops it.
+
+A border-to-border local subquery depends on the fragment and its
+disconnection sets only, so ``LocalQueryEvaluator`` remembers its result in
+the derived store of the site's compact graph.  These tests pin the contract
+from below: the table lives and dies with the graph's adjacency, never leaves
+the process, and a replayed result is indistinguishable from an evaluated one
+apart from ``memoized`` and ``elapsed_seconds``.
+"""
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.closure import Semiring, reachability_semiring, shortest_path_semiring
+from repro.disconnection import DisconnectionSetEngine, LocalQueryEvaluator
+from repro.disconnection.local_query import TRANSIT_KEY, TransitTable
+from repro.disconnection.planner import LocalQuerySpec
+from repro.graph import CompactDelta
+
+from tests.transit_layouts import chain_layout, interior, ring_layout
+
+
+def table_of(site):
+    return site.compact().derived_get(TRANSIT_KEY)
+
+
+def transit_spec(engine, fragment_id):
+    """The clockwise border-to-border subquery of a ring fragment."""
+    fragmentation = engine.catalog.fragmentation
+    count = fragmentation.fragment_count()
+    return LocalQuerySpec(
+        fragment_id=fragment_id,
+        entry_nodes=fragmentation.disconnection_set((fragment_id - 1) % count, fragment_id),
+        exit_nodes=fragmentation.disconnection_set(fragment_id, (fragment_id + 1) % count),
+    )
+
+
+def endpoint_spec(engine, layout, fragment_id):
+    fragmentation = engine.catalog.fragmentation
+    count = fragmentation.fragment_count()
+    return LocalQuerySpec(
+        fragment_id=fragment_id,
+        entry_nodes=frozenset([interior(layout, fragment_id)[0]]),
+        exit_nodes=fragmentation.disconnection_set(fragment_id, (fragment_id + 1) % count),
+    )
+
+
+@pytest.fixture
+def ring_engine():
+    fragmentation, layout = ring_layout()
+    return DisconnectionSetEngine(fragmentation), layout
+
+
+class TestFillAndReplay:
+    def test_second_evaluation_is_a_replay_with_the_original_counters(self, ring_engine):
+        engine, _ = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site = engine.catalog.site(2)
+        spec = transit_spec(engine, 2)
+        first = evaluator.evaluate(site, spec)
+        second = evaluator.evaluate(site, spec)
+        assert not first.memoized and second.memoized
+        assert (evaluator.transit_hits, evaluator.transit_misses) == (1, 1)
+        assert second.values == first.values and first.values
+        assert second.backend == first.backend == "dijkstra"
+        assert second.estimated_iterations == first.estimated_iterations
+        assert replace(second.statistics, elapsed_seconds=0.0) == replace(
+            first.statistics, elapsed_seconds=0.0
+        )
+        assert first.statistics.iterations == len(spec.entry_nodes)
+        assert isinstance(table_of(site), TransitTable) and len(table_of(site)) == 1
+
+    def test_a_replayed_result_does_not_alias_the_table(self, ring_engine):
+        engine, _ = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        expected = dict(evaluator.evaluate(site, spec).values)
+        replayed = evaluator.evaluate(site, spec)
+        replayed.values.clear()
+        replayed.statistics.delta_sizes.append(99)
+        again = evaluator.evaluate(site, spec)
+        assert again.values == expected
+        assert 99 not in again.statistics.delta_sizes
+
+    def test_endpoint_subqueries_are_never_remembered(self, ring_engine):
+        engine, layout = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site = engine.catalog.site(2)
+        spec = endpoint_spec(engine, layout, 2)
+        assert not evaluator.evaluate(site, spec).memoized
+        assert not evaluator.evaluate(site, spec).memoized
+        assert table_of(site) is None
+        assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 0)
+
+    def test_engine_query_twice_reports_the_same_work(self, ring_engine):
+        engine, layout = ring_engine
+        source, target = interior(layout, 0)[0], interior(layout, 3)[0]
+        first = engine.query(source, target)
+        second = engine.query(source, target)
+        assert (second.value, second.chain) == (first.value, first.chain)
+        assert second.report == first.report
+
+    def test_both_standard_semirings_keep_their_own_entries(self):
+        fragmentation, _ = ring_layout()
+        engine = DisconnectionSetEngine(fragmentation)
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        shortest = LocalQueryEvaluator(semiring=shortest_path_semiring())
+        reach = LocalQueryEvaluator(semiring=reachability_semiring())
+        distances = shortest.evaluate(site, spec).values
+        flags = reach.evaluate(site, spec).values
+        assert set(flags.values()) == {True} and True not in set(distances.values())
+        assert shortest.evaluate(site, spec).values == distances
+        assert reach.evaluate(site, spec).values == flags
+        assert len(table_of(site)) == 2
+
+    def test_pinned_backends_still_reach_their_backend(self):
+        fragmentation, _ = chain_layout()
+        engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
+        fragments = engine.catalog.fragmentation
+        site = engine.catalog.site(2)
+        spec = LocalQuerySpec(
+            fragment_id=2,
+            entry_nodes=fragments.disconnection_set(1, 2),
+            exit_nodes=fragments.disconnection_set(2, 3),
+        )
+        answers = []
+        for backend in ("bigint", "chain", "bigint"):
+            evaluator = LocalQueryEvaluator(semiring=reachability_semiring(), backend=backend)
+            result = evaluator.evaluate(site, spec)
+            assert result.backend == backend
+            answers.append((result.values, result.memoized))
+        assert [memoized for _, memoized in answers] == [False, False, True]
+        assert answers[0][0] == answers[1][0] == answers[2][0]
+
+
+class TestWhoStaysOut:
+    def test_dict_evaluators_neither_read_nor_fill(self, ring_engine):
+        engine, _ = ring_engine
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        oracle = LocalQueryEvaluator(use_compact=False)
+        assert not oracle.evaluate(site, spec).memoized
+        assert not oracle.evaluate(site, spec).memoized
+        assert site._compact_augmented is None, "the dict path must not build a compact graph"
+        # A poisoned table must not leak into the oracle either.
+        compact = LocalQueryEvaluator()
+        honest = compact.evaluate(site, spec).values
+        (key,) = table_of(site)
+        table_of(site)[key] = table_of(site)[key]._replace(values={})
+        assert compact.evaluate(site, spec).values == {}
+        assert oracle.evaluate(site, spec).values == honest
+
+    def test_custom_semirings_neither_read_nor_fill(self, ring_engine):
+        engine, _ = ring_engine
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        widest = Semiring(
+            name="widest_path", zero=0.0, one=float("inf"), plus=max, times=min
+        )
+        evaluator = LocalQueryEvaluator(semiring=widest)
+        evaluator.evaluate(site, spec)
+        evaluator.evaluate(site, spec)
+        assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 0)
+
+    def test_plain_data_sites_have_no_table(self, ring_engine):
+        engine, _ = ring_engine
+        spec = transit_spec(engine, 2)
+        shipped = engine.catalog.site(2).to_compact_site()
+        evaluator = LocalQueryEvaluator()
+        assert not evaluator.evaluate(shipped, spec).memoized
+        assert not evaluator.evaluate(shipped, spec).memoized
+        assert shipped.compact().derived_get(TRANSIT_KEY) is None
+
+    def test_the_table_never_leaves_the_process(self, ring_engine):
+        engine, layout = ring_engine
+        site = engine.catalog.site(2)
+        site.derive()
+        state_before = site.compact().state()
+        shipped_before = site.to_compact_site()
+        pickled_before = pickle.dumps(site)
+        for target_block in (3, 4, 5):
+            engine.query(interior(layout, 0)[0], interior(layout, target_block)[0])
+            engine.query(interior(layout, target_block)[0], interior(layout, 0)[0])
+        assert table_of(site)
+        assert site.compact().state() == state_before
+        assert "derived" not in site.compact().state()
+        assert site.to_compact_site() == shipped_before
+        assert pickle.dumps(site) == pickled_before
+        assert table_of(pickle.loads(pickled_before)) is None
+
+
+class TestWhatDropsIt:
+    def test_a_graph_delta_drops_the_table_and_an_empty_one_does_not(self, ring_engine):
+        engine, layout = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        evaluator.evaluate(site, spec)
+        table = table_of(site)
+        site.compact().apply_delta(CompactDelta())
+        assert table_of(site) is table
+        a, b = interior(layout, 2)[:2]
+        site.compact().apply_delta(CompactDelta(reweights=((a, b, 1.0),)))
+        assert table_of(site) is None
+        assert not evaluator.evaluate(site, spec).memoized
+
+    def test_compaction_keeps_the_table(self, ring_engine):
+        engine, layout = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        a, b = interior(layout, 2)[:2]
+        site.compact().apply_delta(CompactDelta(reweights=((a, b, 1.0),)))
+        through_overlay = evaluator.evaluate(site, spec)
+        assert through_overlay.overlay
+        site.compact().compact_now()
+        replayed = evaluator.evaluate(site, spec)
+        assert replayed.memoized and not replayed.overlay
+        assert replayed.values == through_overlay.values
+
+    def test_prepare_reports_the_rederivation_once(self, ring_engine):
+        engine, _ = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site = engine.catalog.site(2)
+        assert evaluator.prepare(site)
+        assert not evaluator.prepare(site)
+        site._local_iterations = None  # what apply_update leaves behind
+        assert evaluator.prepare(site)
+        assert not evaluator.prepare(site)

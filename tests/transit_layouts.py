@@ -1,0 +1,88 @@
+"""Small ring and chain layouts with two-node disconnection sets.
+
+Shared by the transit-table tests.  Every block is ``size`` nodes on a path
+(with a few chords when symmetric); consecutive blocks are joined by two connecting edges, so
+every disconnection set has two nodes and an intermediate fragment's
+border-to-border subquery runs two searches.  Weights are small integers:
+path sums are exact and ``==`` is a legitimate comparison.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Optional, Sequence, Tuple
+
+from repro.closure import Semiring
+from repro.fragmentation import Fragmentation, GroundTruthFragmenter
+from repro.graph import DiGraph
+from repro.service import QueryService
+
+Blocks = List[List[int]]
+
+
+def node_blocks(blocks: int, size: int) -> Blocks:
+    return [list(range(index * size, (index + 1) * size)) for index in range(blocks)]
+
+
+def layout_graph(
+    blocks: int, size: int, *, ring: bool, directed: bool, seed: int = 0
+) -> Tuple[DiGraph, Blocks]:
+    """``blocks`` clusters in a ring (or a line); one-way edges when ``directed``."""
+    rng = random.Random(seed)
+    graph = DiGraph()
+
+    def connect(a: int, b: int) -> None:
+        weight = float(rng.randint(1, 9))
+        graph.add_edge(a, b, weight)
+        if not directed:
+            graph.add_edge(b, a, weight)
+
+    layout = node_blocks(blocks, size)
+    for block in layout:
+        for a, b in zip(block, block[1:]):
+            connect(a, b)
+        if not directed:  # a one-way block stays a bare path: any deleted edge cuts it
+            for offset in range(0, size - 2, 2):
+                connect(block[offset], block[offset + 2])
+    joins = blocks if ring else blocks - 1
+    for index in range(joins):
+        left, right = layout[index], layout[(index + 1) % blocks]
+        connect(left[-1], right[0])
+        connect(left[-2], right[1])
+    return graph, layout
+
+
+def fragment(graph: DiGraph, layout: Sequence[Sequence[int]]) -> Fragmentation:
+    return GroundTruthFragmenter([set(block) for block in layout]).fragment(graph)
+
+
+def ring_layout(blocks: int = 6, size: int = 6, seed: int = 0) -> Tuple[Fragmentation, Blocks]:
+    """A symmetric ring: two chains per query, every fragment has two neighbours."""
+    graph, layout = layout_graph(blocks, size, ring=True, directed=False, seed=seed)
+    return fragment(graph, layout), layout
+
+
+def chain_layout(blocks: int = 5, size: int = 6, seed: int = 0) -> Tuple[Fragmentation, Blocks]:
+    """A one-way line: one chain per query, reachable only towards higher blocks."""
+    graph, layout = layout_graph(blocks, size, ring=False, directed=True, seed=seed)
+    return fragment(graph, layout), layout
+
+
+def interior(layout: Blocks, block: int) -> List[int]:
+    """Nodes of ``block`` that no connecting edge touches (never border nodes)."""
+    return layout[block][2:-2]
+
+
+def oracle_service(
+    service: QueryService, layout: Sequence[Sequence[int]], semiring: Optional[Semiring]
+) -> QueryService:
+    """A fresh dict-evaluator service over ``service``'s current edge list."""
+    current = service.database.graph
+    graph = DiGraph(list(current.weighted_edges()))
+    return QueryService(fragment(graph, layout), semiring=semiring, use_compact=False)
+
+
+def is_transit(site, task) -> bool:
+    """Whether a ``(fragment, entry set, exit set)`` task is border-to-border at ``site``."""
+    _, entry_nodes, exit_nodes = task
+    return entry_nodes <= site.border_nodes and exit_nodes <= site.border_nodes
