@@ -104,6 +104,7 @@ def bench_locality(fragmentation, queries):
     compact_before = {fid: catalog.site(fid).compact() for fid in fragment_ids}
     offsets_before = {fid: compact_before[fid].forward_csr[0] for fid in fragment_ids}
     edges_before = {fid: compact_before[fid].edge_count() for fid in fragment_ids}
+    fragments_before = service.database.fragmentation().fragments
 
     owner, a, b = _interior_non_edge(fragmentation)
     # A query confined to a *different* fragment: its cached answer depends
@@ -134,6 +135,13 @@ def bench_locality(fragmentation, queries):
         else:
             untouched_identical = untouched_identical and same_site and same_compact and same_arrays
     assert untouched_identical, "untouched fragments' compact states must be object-identical"
+    fragments_after = service.database.fragmentation().fragments
+    reused = [fid for fid in fragment_ids if fragments_after[fid] is fragments_before[fid]]
+    assert reused == [fid for fid in fragment_ids if fid != owner], (
+        "the derived Fragmentation must reuse every untouched Fragment object, "
+        f"reused {reused} with owner {owner}"
+    )
+    assert service.database.statistics.incremental_fallbacks == 0
 
     cache_entries_after = len(service.cache)
     evicted = service.stats.cache_entries_evicted
@@ -145,6 +153,7 @@ def bench_locality(fragmentation, queries):
         "dirty_fragments": list(event_dirty),
         "fragments": len(fragment_ids),
         "untouched_object_identical": untouched_identical,
+        "fragment_objects_reused": len(reused),
         "cache_entries_before": cache_entries_before,
         "cache_entries_after": cache_entries_after,
         "cache_entries_evicted": evicted,
@@ -307,6 +316,7 @@ def _mixed_run(fragmentation, queries, update_edges, rounds: int, *, incremental
         "update_seconds": update_seconds,
         "updates_applied": service.stats.updates_applied,
         "incremental_updates": database.statistics.incremental_updates,
+        "incremental_fallbacks": database.statistics.incremental_fallbacks,
         "engine_rebuilds": database.statistics.engine_rebuilds,
         "rows_recomputed": database.statistics.rows_recomputed,
         "cache_entries_evicted": service.stats.cache_entries_evicted,
@@ -329,6 +339,10 @@ def bench_mixed_workload(fragmentation, queries, rounds: int):
     )
     assert incremental_answers == full_answers, (
         "incremental and full-invalidate services must return identical answers"
+    )
+    assert incremental["incremental_fallbacks"] == 0, (
+        "every update of the mixed stream must be absorbed in place, "
+        f"{incremental['incremental_fallbacks']} fell back to the full rebuild"
     )
     return {
         "rounds": rounds,

@@ -243,6 +243,7 @@ def array_dijkstra(
     *,
     target_ids: Optional[Iterable[int]] = None,
     backward: bool = False,
+    limit: float = inf,
 ) -> Tuple[List[float], List[int], int]:
     """Run Dijkstra over dense ids with flat distance/predecessor arrays.
 
@@ -256,6 +257,12 @@ def array_dijkstra(
             shortest distance *from* id ``i`` *to* ``source_id`` (the
             delta-repair question "how far is every border node from the
             changed edge?").
+        limit: search radius.  The search stops at the first id farther
+            than ``limit`` and reports every id it did not settle exactly
+            like an unreached one (``inf``, ``-1``) — a label that was only
+            tentative when the search stopped is withdrawn, never returned.
+            The test runs once per settled id, so an unbounded caller pays
+            nothing per edge for it.
 
     Returns:
         ``(distances, predecessors, settled)`` where ``distances[i]`` is the
@@ -277,6 +284,9 @@ def array_dijkstra(
         distance, node_id = heapq.heappop(heap)
         if done[node_id]:
             continue
+        if distance > limit:
+            heap.append((distance, node_id))  # withdrawn below with the rest of the queue
+            break
         done[node_id] = 1
         settled += 1
         if remaining is not None:
@@ -305,6 +315,11 @@ def array_dijkstra(
                 dist[target_id] = candidate
                 pred[target_id] = node_id
                 heapq.heappush(heap, (candidate, target_id))
+    if limit != inf:
+        for _, node_id in heap:
+            if not done[node_id]:
+                dist[node_id] = inf
+                pred[node_id] = -1
     return dist, pred, settled
 
 

@@ -15,7 +15,7 @@ executor hands each :class:`FragmentSite` to a separate worker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..closure import Semiring, shortest_path_semiring
 from ..fragmentation import Fragmentation, FragmentationGraph
@@ -23,7 +23,11 @@ from ..graph import CompactDelta, CompactGraph, DiGraph, hop_diameter
 from ..relational import Relation, edge_relation
 from .complementary import ComplementaryInformation, precompute_complementary_information
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..incremental.delta import EdgeChange
+
 Node = Hashable
+FragmentPair = Tuple[int, int]
 
 
 class CompactFragmentSite:
@@ -142,6 +146,24 @@ class CompactFragmentSite:
         self._graph = None
 
 
+@dataclass(frozen=True)
+class SiteBorders:
+    """What a site knows about its disconnection sets (all of it derived).
+
+    Attributes:
+        border_nodes: nodes shared with at least one other fragment.
+        shortcuts: complementary-information shortcut edges
+            ``(border, border, value)`` stored at the site.
+        neighbours: adjacent fragment ids (nonempty disconnection sets).
+        disconnection_sets: for each neighbour, the shared node set.
+    """
+
+    border_nodes: FrozenSet[Node]
+    shortcuts: List[Tuple[Node, Node, object]]
+    neighbours: List[int]
+    disconnection_sets: Dict[int, FrozenSet[Node]]
+
+
 @dataclass
 class FragmentSite:
     """Everything one site (processor) stores.
@@ -150,20 +172,21 @@ class FragmentSite:
     first kernel evaluation builds (and caches) the fragment's
     :class:`~repro.graph.compact.CompactGraph` form via :meth:`compact`.
 
-    A site outlives writes.  :meth:`apply_update` patches the cached
-    augmented compact graph in place with the exact edge delta between the
-    old and the new augmented adjacency (fragment edges *and* complementary
-    shortcuts, so a repair caused by a write in a neighbouring fragment
-    arrives as a delta too), and ``CompactGraph.apply_delta`` drops every
-    derived structure that has no ``patch_rows`` hook.  Anything cached in
-    that graph's derived store — the kernels' indexes, the local-query
+    A site outlives writes.  :meth:`apply_update` patches ``subgraph`` and
+    the cached augmented compact graph in place, with the exact edge delta
+    between the old and the new augmented adjacency (fragment edges *and*
+    complementary shortcuts, so a repair caused by a write in a neighbouring
+    fragment arrives as a delta too), and ``CompactGraph.apply_delta`` drops
+    every derived structure that has no ``patch_rows`` hook.  Anything cached
+    in that graph's derived store — the kernels' indexes, the local-query
     evaluator's transit table — therefore never survives a change of the
     adjacency it was computed from, and survives untouched when the delta is
-    empty.  The plain (no-shortcut) compact form and the iteration estimate
-    are not patched: a write discards them and the next reader re-derives
-    them (:meth:`derive`).  Only a full catalog rebuild or a scoped
-    refragmentation replaces the site object, and the replacement starts
-    with no cached state at all.
+    empty.  The plain (no-shortcut) compact form is not patched: a write to
+    the fragment's own edges discards it, and one that adds or removes an
+    edge discards the iteration estimate with it (a hop diameter does not
+    see weights); the next reader re-derives them (:meth:`derive`).  Only a
+    full catalog rebuild or a scoped refragmentation replaces the site
+    object, and the replacement starts with no cached state at all.
 
     Attributes:
         fragment_id: the fragment / site identifier.
@@ -203,14 +226,19 @@ class FragmentSite:
         only uses the adjacency anyway.
         """
         augmented = self.subgraph.copy()
-        for source, target, value in self.shortcuts:
-            weight = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else 0.0
-            if augmented.has_edge(source, target):
-                if weight < augmented.edge_weight(source, target):
-                    augmented.add_edge(source, target, weight)
-            else:
+        for (source, target), weight in self._shortcut_weights().items():
+            if not augmented.has_edge(source, target) or weight < augmented.edge_weight(source, target):
                 augmented.add_edge(source, target, weight)
         return augmented
+
+    def _shortcut_weights(self) -> Dict[Tuple[Node, Node], float]:
+        """Return the edge weight each shortcut key contributes (the lowest, if stored twice)."""
+        weights: Dict[Tuple[Node, Node], float] = {}
+        for source, target, value in self.shortcuts:
+            weight = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else 0.0
+            if weight < weights.get((source, target), weight + 1.0):
+                weights[(source, target)] = weight
+        return weights
 
     def compact(self, *, use_shortcuts: bool = True) -> CompactGraph:
         """Return (and cache) the fragment's immutable compact form.
@@ -238,9 +266,10 @@ class FragmentSite:
     def derive(self, *, compact: bool = True, use_shortcuts: bool = True) -> bool:
         """Build the lazy state an evaluation reads; return whether any was missing.
 
-        That state is the iteration estimate (discarded by every
-        :meth:`apply_update`) and, with ``compact``, the compact graph
-        (absent on a fresh or rebuilt site).  Callers that time kernels call
+        That state is the iteration estimate (discarded by an
+        :meth:`apply_update` that adds or removes an edge) and, with
+        ``compact``, the compact graph (absent on a fresh or rebuilt site,
+        and in its plain form after any own write).  Callers that time kernels call
         this first, so a re-derivation after a write is never booked as
         kernel time.
         """
@@ -267,62 +296,91 @@ class FragmentSite:
 
     def apply_update(
         self,
+        changes: Sequence["EdgeChange"],
         *,
-        subgraph: DiGraph,
-        border_nodes: FrozenSet[Node],
-        shortcuts: List[Tuple[Node, Node, object]],
-        neighbours: List[int],
-        disconnection_sets: Dict[int, FrozenSet[Node]],
+        coordinates: DiGraph,
+        borders: Optional["SiteBorders"] = None,
     ) -> Optional[CompactDelta]:
         """Absorb an incremental update in place; returns the compact delta.
 
-        Replaces the site's mutable state (fragment subgraph, borders,
-        shortcuts, neighbourhood) and patches the cached augmented compact
-        graph with exactly the edge delta between the old and new augmented
-        adjacency — only this fragment's CSR arrays are rebuilt.  The
+        ``changes`` are the edge changes this fragment owns, in the order
+        they were applied to the base graph: ``subgraph`` is patched with
+        exactly those (an endpoint new to the fragment brings its coordinate
+        from ``coordinates``, one that lost its last edge leaves).
+        ``borders`` is given when a disconnection set of this fragment was
+        repaired or changed membership, and replaces the border nodes,
+        shortcuts and neighbourhood wholesale.
+
+        The cached augmented compact graph is patched with the delta of the
+        only edges that can have moved — the changed edges, and with
+        ``borders`` the old and new shortcut keys — each compared between
+        what the compact graph holds and what :meth:`augmented_subgraph`
+        would now say; the cost follows the change, not the fragment.  The
         returned delta is what the resident worker pool ships to its workers
         so they can patch their pinned replica the same way; ``None`` means
         no compact form existed yet (nothing to patch, the next evaluation
         builds it lazily).
 
-        The iteration estimate and the plain compact form are invalidated
-        and recomputed on demand.
+        The plain compact form is dropped when the fragment's own edges
+        changed, the iteration estimate only when an edge came or went.
         """
-        old_augmented: Optional[Dict[Tuple[Node, Node], float]] = None
-        if self._compact_augmented is not None:
-            old_augmented = {
-                (source, target): weight
-                for source, target, weight in self._compact_augmented.weighted_edges()
-            }
-        self.subgraph = subgraph
-        self.border_nodes = border_nodes
-        self.shortcuts = list(shortcuts)
-        self.neighbours = list(neighbours)
-        self.disconnection_sets = dict(disconnection_sets)
-        self._compact_plain = None
-        self._local_iterations = None
-        if old_augmented is None:
+        touched = [(change.source, change.target) for change in changes]
+        subgraph = self.subgraph
+        for change in changes:
+            if change.op == "delete":
+                subgraph.remove_edge(change.source, change.target)
+                for node in (change.source, change.target):
+                    if subgraph.has_node(node) and not subgraph.degree(node):
+                        subgraph.remove_node(node)
+                continue
+            for node in (change.source, change.target):
+                if not subgraph.has_node(node):
+                    subgraph.add_node(node)
+                    point = coordinates.coordinate(node)
+                    if point is not None:
+                        subgraph.set_coordinate(node, point)
+            subgraph.add_edge(change.source, change.target, change.weight)
+        if changes:
+            self._compact_plain = None
+            if any(change.op != "reweight" for change in changes):
+                self._local_iterations = None
+        if borders is not None:
+            touched += [(source, target) for source, target, _ in self.shortcuts]
+            self.border_nodes = borders.border_nodes
+            self.shortcuts = borders.shortcuts
+            self.neighbours = borders.neighbours
+            self.disconnection_sets = borders.disconnection_sets
+            touched += [(source, target) for source, target, _ in self.shortcuts]
+        compact = self._compact_augmented
+        if compact is None:
             return None
-        new_augmented = {
-            (source, target): weight
-            for source, target, weight in self.augmented_subgraph().weighted_edges()
-        }
+        # A shortcut joins two border nodes: nothing else needs the table.
+        border = self.border_nodes
+        shortcut_weights = (
+            self._shortcut_weights()
+            if any(source in border and target in border for source, target in touched)
+            else {}
+        )
         inserts: List[Tuple[Node, Node, float]] = []
         reweights: List[Tuple[Node, Node, float]] = []
         deletes: List[Tuple[Node, Node]] = []
-        for (source, target), weight in new_augmented.items():
-            old_weight = old_augmented.get((source, target))
-            if old_weight is None:
+        for source, target in dict.fromkeys(touched):
+            weight = shortcut_weights.get((source, target))
+            if subgraph.has_edge(source, target):
+                own = subgraph.edge_weight(source, target)
+                weight = own if weight is None else min(own, weight)
+            old_weight = compact.edge_weight(source, target)
+            if weight is None:
+                if old_weight is not None:
+                    deletes.append((source, target))
+            elif old_weight is None:
                 inserts.append((source, target, weight))
             elif old_weight != weight:
                 reweights.append((source, target, weight))
-        for source, target in old_augmented:
-            if (source, target) not in new_augmented:
-                deletes.append((source, target))
         delta = CompactDelta(
             inserts=tuple(inserts), deletes=tuple(deletes), reweights=tuple(reweights)
         )
-        self._compact_augmented.apply_delta(delta)
+        compact.apply_delta(delta)
         return delta
 
     def stores_node(self, node: Node) -> bool:
@@ -373,10 +431,19 @@ class DistributedCatalog:
         it, so a freshly-redrawn site can never diverge from a freshly-built
         one.
         """
-        neighbours = fragmentation.adjacent_fragments(fragment_id)
+        borders = self._site_borders(fragment_id, fragmentation)
         return FragmentSite(
             fragment_id=fragment_id,
             subgraph=fragmentation.fragment_subgraph(fragment_id),
+            border_nodes=borders.border_nodes,
+            shortcuts=borders.shortcuts,
+            neighbours=borders.neighbours,
+            disconnection_sets=borders.disconnection_sets,
+        )
+
+    def _site_borders(self, fragment_id: int, fragmentation: Fragmentation) -> SiteBorders:
+        neighbours = fragmentation.adjacent_fragments(fragment_id)
+        return SiteBorders(
             border_nodes=fragmentation.border_nodes(fragment_id),
             shortcuts=self._complementary.shortcut_edges(fragment_id, fragmentation),
             neighbours=neighbours,
@@ -432,35 +499,42 @@ class DistributedCatalog:
             self._sites[fragment_id] = self._build_site(fragment_id, fragmentation)
 
     def apply_incremental_update(
-        self, fragmentation: Fragmentation, *, dirty_fragments: List[int]
+        self,
+        fragmentation: Fragmentation,
+        *,
+        dirty_fragments: List[int],
+        changes: Sequence["EdgeChange"],
+        pairs_changed: Iterable[FragmentPair],
     ) -> Dict[int, Optional[CompactDelta]]:
         """Refresh the dirty sites in place after an incremental update.
 
         The caller (the incremental maintainer) has already repaired the
-        complementary information and knows exactly which fragments' state
-        moved; this method swaps in the new fragmentation metadata, rebuilds
-        only the dirty sites' subgraph/shortcut/compact state, and leaves
-        every other :class:`FragmentSite` object — including its cached
-        compact form — untouched and object-identical.
+        complementary information and knows exactly what moved: the edge
+        ``changes`` (each names its owning fragment) and the disconnection
+        sets whose values or membership changed (``pairs_changed``).  This
+        method swaps in the new fragmentation metadata and hands every dirty
+        site its own changes, plus fresh borders when one of its pairs is
+        among the changed ones; every other :class:`FragmentSite` object —
+        including its cached compact form — stays untouched and
+        object-identical.
 
         Returns each dirty fragment's compact delta (``None`` when the site
         had no compact form yet), which the worker pool re-pins with.
         """
-        self._fragmentation = fragmentation
-        self._fragmentation_graph = FragmentationGraph(fragmentation)
+        if fragmentation is not self._fragmentation:
+            self._fragmentation = fragmentation
+            self._fragmentation_graph = FragmentationGraph(fragmentation)
+        repaired = {fragment_id for pair in pairs_changed for fragment_id in pair}
         site_deltas: Dict[int, Optional[CompactDelta]] = {}
         for fragment_id in dirty_fragments:
-            site = self._sites[fragment_id]
-            neighbours = fragmentation.adjacent_fragments(fragment_id)
-            site_deltas[fragment_id] = site.apply_update(
-                subgraph=fragmentation.fragment_subgraph(fragment_id),
-                border_nodes=fragmentation.border_nodes(fragment_id),
-                shortcuts=self._complementary.shortcut_edges(fragment_id, fragmentation),
-                neighbours=neighbours,
-                disconnection_sets={
-                    neighbour: fragmentation.disconnection_set(fragment_id, neighbour)
-                    for neighbour in neighbours
-                },
+            site_deltas[fragment_id] = self._sites[fragment_id].apply_update(
+                [change for change in changes if change.fragment_id == fragment_id],
+                coordinates=fragmentation.graph,
+                borders=(
+                    self._site_borders(fragment_id, fragmentation)
+                    if fragment_id in repaired
+                    else None
+                ),
             )
         return site_deltas
 

@@ -19,7 +19,7 @@ physical execution vehicle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..closure import Semiring, reachability_semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
@@ -29,6 +29,9 @@ from .catalog import CompactFragmentSite, DistributedCatalog
 from .complementary import ComplementaryInformation
 from .local_query import LocalQueryEvaluator, LocalQueryResult
 from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..incremental.delta import EdgeChange
 
 Node = Hashable
 
@@ -160,21 +163,30 @@ class DisconnectionSetEngine:
     # ------------------------------------------------------------- updates
 
     def apply_incremental_update(
-        self, fragmentation: "Fragmentation", *, dirty_fragments: List[int]
+        self,
+        fragmentation: "Fragmentation",
+        *,
+        dirty_fragments: List[int],
+        changes: Sequence["EdgeChange"],
+        pairs_changed: Iterable[Tuple[int, int]],
     ) -> Dict[int, object]:
         """Absorb an already-repaired update without rebuilding the engine.
 
         The incremental maintainer calls this after patching the catalog's
         complementary information in place: the engine keeps its identity (so
         a serving layer neither re-plans from scratch nor restarts its worker
-        pool), the catalog refreshes only the dirty fragments' sites, and the
-        planner picks up the new fragmentation on its next ``plan`` call
-        because it reads the catalog live.
+        pool), the catalog patches only the dirty fragments' sites — with
+        the edge ``changes`` each owns and the ``pairs_changed`` it takes
+        part in — and the planner picks up the new fragmentation on its next
+        ``plan`` call because it reads the catalog live.
 
         Returns the per-fragment compact deltas the catalog produced.
         """
         return self._catalog.apply_incremental_update(
-            fragmentation, dirty_fragments=dirty_fragments
+            fragmentation,
+            dirty_fragments=dirty_fragments,
+            changes=changes,
+            pairs_changed=pairs_changed,
         )
 
     def apply_refragmentation(

@@ -36,7 +36,7 @@ across the reorganisation instead of resnapshotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, KeysView, List, Optional, Set, Tuple
 
 from ..closure import Semiring, shortest_path_semiring
 from ..exceptions import FragmentationError
@@ -72,6 +72,12 @@ class UpdateEvent:
         incremental: ``True`` when the change was absorbed in place (the
             engine object survived); ``False`` means the engine will be
             rebuilt and listeners should invalidate globally.
+        fallback: why an incremental database did *not* absorb the change in
+            place — the stage that gave up (``"unsupported"``: no live
+            engine or a custom semiring; ``"begin"``: the pre-change probe
+            raised; ``"complete"``: the repair raised, expectedly or not).
+            ``None`` when the change was absorbed, and always on a database
+            that was not asked to maintain incrementally.
     """
 
     kind: str
@@ -80,6 +86,7 @@ class UpdateEvent:
     fragment_id: Optional[int] = None
     dirty_fragments: Tuple[int, ...] = ()
     incremental: bool = False
+    fallback: Optional[str] = None
 
 
 @dataclass
@@ -92,6 +99,7 @@ class UpdateStatistics:
     affected_fragment_pairs: int = 0
     engine_rebuilds: int = 0
     incremental_updates: int = 0
+    incremental_fallbacks: int = 0
     pairs_repaired: int = 0
     rows_recomputed: int = 0
     refragments: int = 0
@@ -106,11 +114,48 @@ class UpdateStatistics:
             "affected_fragment_pairs": self.affected_fragment_pairs,
             "engine_rebuilds": self.engine_rebuilds,
             "incremental_updates": self.incremental_updates,
+            "incremental_fallbacks": self.incremental_fallbacks,
             "pairs_repaired": self.pairs_repaired,
             "rows_recomputed": self.rows_recomputed,
             "refragments": self.refragments,
             "scoped_refragments": self.scoped_refragments,
         }
+
+
+class _OwnerIndex:
+    """Who owns what, kept per edge change instead of recomputed per write.
+
+    ``edge_owner`` maps an edge to its fragment (the lowest id, should a
+    layout ever list an edge twice); ``fragments_at`` answers which fragments
+    a node is incident to, from a per-node count of incident edges per
+    fragment — so a delete knows when a fragment lost a node without looking
+    at the fragment's other edges.
+    """
+
+    def __init__(self, fragment_edges: List[Set[Edge]]) -> None:
+        self.edge_owner: Dict[Edge, int] = {}
+        self._incident: Dict[Node, Dict[int, int]] = {}
+        for fragment_id in range(len(fragment_edges) - 1, -1, -1):
+            for edge in fragment_edges[fragment_id]:
+                self.add(edge, fragment_id)
+
+    def add(self, edge: Edge, fragment_id: int) -> None:
+        self.edge_owner[edge] = fragment_id
+        for node in edge:
+            counts = self._incident.setdefault(node, {})
+            counts[fragment_id] = counts.get(fragment_id, 0) + 1
+
+    def remove(self, edge: Edge, fragment_id: int) -> None:
+        del self.edge_owner[edge]
+        for node in edge:
+            counts = self._incident[node]
+            counts[fragment_id] -= 1
+            if not counts[fragment_id]:
+                del counts[fragment_id]
+
+    def fragments_at(self, node: Node) -> KeysView[int]:
+        """Return the ids of the fragments holding an edge at ``node`` (a set-like view)."""
+        return self._incident.get(node, {}).keys()
 
 
 class FragmentedDatabase:
@@ -148,9 +193,7 @@ class FragmentedDatabase:
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._graph = fragmentation.graph.copy()
-        self._fragment_edges: List[Set[Edge]] = [
-            set(fragment.edges) for fragment in fragmentation.fragments
-        ]
+        self._adopt_layout([set(fragment.edges) for fragment in fragmentation.fragments])
         self._algorithm = fragmentation.algorithm
         self._stale = True
         self._engine: Optional[DisconnectionSetEngine] = None
@@ -199,9 +242,31 @@ class FragmentedDatabase:
         return self._incremental
 
     def fragmentation(self) -> Fragmentation:
-        """Return the current fragmentation as an immutable snapshot."""
-        populated = [edges for edges in self._fragment_edges if edges]
-        return Fragmentation(self._graph, populated, algorithm=self._algorithm)
+        """Return the current fragmentation as an immutable snapshot.
+
+        The first call builds it; after that each snapshot is derived from
+        the previous one (:meth:`Fragmentation.replacing`) by replacing only
+        the fragments whose edge set moved since, and a call with nothing
+        moved returns the previous object.  Emptied fragments are left out,
+        which renumbers the ones after them — such a snapshot is built from
+        scratch and nothing is derived from it.
+        """
+        snapshot = self._snapshot
+        reshaped = self._reshaped
+        if snapshot is not None and not reshaped:
+            return snapshot
+        if snapshot is not None and all(self._fragment_edges[index] for index in reshaped):
+            snapshot = snapshot.replacing(
+                {index: self._fragment_edges[index] for index in reshaped}
+            )
+        else:
+            populated = [edges for edges in self._fragment_edges if edges]
+            snapshot = Fragmentation(self._graph, populated, algorithm=self._algorithm)
+            if len(populated) != len(self._fragment_edges):
+                return snapshot
+        self._snapshot = snapshot
+        self._reshaped = set()
+        return snapshot
 
     def current_engine(self) -> Optional[DisconnectionSetEngine]:
         """Return the live engine if one exists and is fresh (no rebuild)."""
@@ -278,20 +343,9 @@ class FragmentedDatabase:
         changes = [self._insert_change(source, target, weight)]
         if symmetric:
             changes.append(self._insert_change(target, source, weight))
-        owner = changes[0].fragment_id
         self.statistics.edges_inserted += len(changes)
-        dirty, incremental = self._apply_changes("insert", changes)
-        self._notify(
-            UpdateEvent(
-                kind="insert",
-                source=source,
-                target=target,
-                fragment_id=owner,
-                dirty_fragments=dirty,
-                incremental=incremental,
-            )
-        )
-        return owner
+        self._apply_changes("insert", changes)
+        return changes[0].fragment_id
 
     def delete_edge(self, source: Node, target: Node, *, symmetric: bool = False) -> int:
         """Delete an edge and return the fragment id it was removed from.
@@ -324,17 +378,7 @@ class FragmentedDatabase:
                     )
                 )
         self.statistics.edges_deleted += len(changes)
-        dirty, incremental = self._apply_changes("delete", changes)
-        self._notify(
-            UpdateEvent(
-                kind="delete",
-                source=source,
-                target=target,
-                fragment_id=owner,
-                dirty_fragments=dirty,
-                incremental=incremental,
-            )
-        )
+        self._apply_changes("delete", changes)
         return owner
 
     def update_edge_weight(self, source: Node, target: Node, weight: float) -> int:
@@ -352,17 +396,7 @@ class FragmentedDatabase:
                 fragment_id=owner,
             )
         ]
-        dirty, incremental = self._apply_changes("reweight", changes)
-        self._notify(
-            UpdateEvent(
-                kind="reweight",
-                source=source,
-                target=target,
-                fragment_id=owner,
-                dirty_fragments=dirty,
-                incremental=incremental,
-            )
-        )
+        self._apply_changes("reweight", changes)
         return owner
 
     def replay_record(self, record: "DeltaRecord") -> Tuple[int, ...]:
@@ -413,19 +447,7 @@ class FragmentedDatabase:
                 self.statistics.edges_inserted += 1
             elif change.op == "delete":
                 self.statistics.edges_deleted += 1
-        dirty, incremental = self._apply_changes(record.kind, changes)
-        first = changes[0]
-        self._notify(
-            UpdateEvent(
-                kind=record.kind,
-                source=first.source,
-                target=first.target,
-                fragment_id=first.fragment_id,
-                dirty_fragments=dirty,
-                incremental=incremental,
-            )
-        )
-        return dirty
+        return self._apply_changes(record.kind, changes)
 
     def refragment(
         self,
@@ -481,7 +503,7 @@ class FragmentedDatabase:
         result = self._refragment_in_place(new_layout, new_algorithm)
         if result is not None:
             dirty = result.dirty_fragments
-            self._fragment_edges = [set(edges) for edges in new_layout]
+            self._adopt_layout([set(edges) for edges in new_layout])
             self._algorithm = new_algorithm
             self.last_delta = None
             self.last_refragment = result
@@ -507,7 +529,7 @@ class FragmentedDatabase:
             return self.fragmentation()
 
         # Classic path: everything is stale, the next engine() call rebuilds.
-        self._fragment_edges = [set(edges) for edges in new_layout]
+        self._adopt_layout([set(edges) for edges in new_layout])
         self._algorithm = new_algorithm
         self._stale = True
         self._maintainer = None
@@ -567,30 +589,34 @@ class FragmentedDatabase:
             op="insert", source=source, target=target, weight=float(weight), fragment_id=owner
         )
 
-    def _apply_changes(
-        self, kind: str, changes: List[EdgeChange]
-    ) -> Tuple[Tuple[int, ...], bool]:
-        """Mutate the base state for ``changes``, incrementally when possible.
+    def _apply_changes(self, kind: str, changes: List[EdgeChange]) -> Tuple[int, ...]:
+        """Mutate the base state for ``changes`` and tell the listeners.
 
-        Returns the dirty fragment ids and whether the live engine absorbed
-        the update in place.
+        The live engine absorbs the update in place when it can; every way
+        it cannot is named (``UpdateEvent.fallback``) and counted
+        (``statistics.incremental_fallbacks``) before the classic rebuild
+        takes over — the answers stay right either way, so nothing else
+        would show that the in-place path had stopped running.  The event's
+        edge and owner are those of the first change.
+
+        Returns the dirty fragment ids.
         """
         maintainer = self._ensure_maintainer()
-        began = False
+        fallback = "unsupported" if maintainer is None and self._incremental else None
         if maintainer is not None:
             try:
                 maintainer.begin(changes)
-                began = True
             except Exception:
                 # Any pre-mutation failure (expected fallback or not) simply
                 # routes this update through the classic rebuild.
+                fallback = "begin"
                 maintainer = None
                 self._maintainer = None
         for change in changes:
             self._mutate(change)
         self._sync_mirror(changes)
         applied = None
-        if maintainer is not None and began:
+        if maintainer is not None:
             try:
                 applied = maintainer.complete(kind, changes)
             except Exception:
@@ -599,6 +625,7 @@ class FragmentedDatabase:
                 # mid-repair — must never leave the old engine live.  The
                 # classic path below marks it stale, and the rebuild discards
                 # any half-patched complementary state.
+                fallback = "complete"
                 self._maintainer = None
         if applied is not None:
             dirty = applied.dirty_fragments
@@ -616,36 +643,77 @@ class FragmentedDatabase:
                 versions={fid: self.version_vector.version_of(fid) for fid in dirty},
                 epoch=self.version_vector.epoch,
             )
-            return dirty, True
-        # Classic path: mark everything stale and let engine() rebuild.
-        dirty = tuple(sorted({change.fragment_id for change in changes}))
-        if any(not edges for edges in self._fragment_edges):
-            # A fragment emptied out.  fragmentation() renumbers the
-            # surviving fragments densely, so the raw edge-set list must be
-            # compacted the same way — otherwise every later owner lookup
-            # would hand out indices the rebuilt catalog does not have.
-            self._fragment_edges = [edges for edges in self._fragment_edges if edges]
-        for fragment_id in dirty:
-            self._mark_affected(fragment_id)
-        self.last_delta = None
-        self.version_vector.advance_epoch()
-        self.delta_log.append(
-            kind,
-            changes=tuple(changes),
-            dirty_fragments=dirty,
-            incremental=False,
-            epoch=self.version_vector.epoch,
+        else:
+            # Classic path: mark everything stale and let engine() rebuild.
+            if fallback is not None:
+                self.statistics.incremental_fallbacks += 1
+            dirty = tuple(sorted({change.fragment_id for change in changes}))
+            if any(not edges for edges in self._fragment_edges):
+                # A fragment emptied out.  fragmentation() renumbers the
+                # surviving fragments densely, so the raw edge-set list must
+                # be compacted the same way — otherwise every later owner
+                # lookup would hand out indices the rebuilt catalog does not
+                # have.
+                self._adopt_layout([edges for edges in self._fragment_edges if edges])
+            for fragment_id in dirty:
+                self._mark_affected(fragment_id)
+            self.last_delta = None
+            self.version_vector.advance_epoch()
+            self.delta_log.append(
+                kind,
+                changes=tuple(changes),
+                dirty_fragments=dirty,
+                incremental=False,
+                epoch=self.version_vector.epoch,
+            )
+        first = changes[0]
+        self._notify(
+            UpdateEvent(
+                kind=kind,
+                source=first.source,
+                target=first.target,
+                fragment_id=first.fragment_id,
+                dirty_fragments=dirty,
+                incremental=applied is not None,
+                fallback=fallback,
+            )
         )
-        return dirty, False
+        return dirty
+
+    def _adopt_layout(self, fragment_edges: List[Set[Edge]]) -> None:
+        """Install a whole new list of fragment edge sets.
+
+        Everything kept per layout starts over: the owner index is rebuilt on
+        its next use and the next :meth:`fragmentation` is built from scratch.
+        """
+        self._fragment_edges = fragment_edges
+        self._owners: Optional[_OwnerIndex] = None
+        self._snapshot: Optional[Fragmentation] = None
+        self._reshaped: Set[int] = set()  # fragments whose edge set moved since _snapshot
+
+    def _owner_index(self) -> "_OwnerIndex":
+        if self._owners is None:
+            self._owners = _OwnerIndex(self._fragment_edges)
+        return self._owners
 
     def _mutate(self, change: EdgeChange) -> None:
         """Apply one elementary change to the graph and fragment edge sets."""
+        edge = (change.source, change.target)
+        edges = self._fragment_edges[change.fragment_id]
         if change.op == "delete":
-            self._fragment_edges[change.fragment_id].discard((change.source, change.target))
+            if edge in edges:
+                edges.discard(edge)
+                self._reshaped.add(change.fragment_id)
+                if self._owners is not None:
+                    self._owners.remove(edge, change.fragment_id)
             self._graph.remove_edge(change.source, change.target)
         else:  # insert or reweight: DiGraph.add_edge upserts the weight
             self._graph.add_edge(change.source, change.target, change.weight)
-            self._fragment_edges[change.fragment_id].add((change.source, change.target))
+            if edge not in edges:
+                edges.add(edge)
+                self._reshaped.add(change.fragment_id)
+                if self._owners is not None:
+                    self._owners.add(edge, change.fragment_id)
 
     def _ensure_maintainer(self):
         """Return a maintainer bound to the live engine, or ``None``."""
@@ -661,27 +729,21 @@ class FragmentedDatabase:
         return self._maintainer
 
     def _choose_owner(self, source: Node, target: Node) -> int:
-        both: List[int] = []
-        either: List[int] = []
-        for index, edges in enumerate(self._fragment_edges):
-            nodes = {node for edge in edges for node in edge}
-            has_source = source in nodes
-            has_target = target in nodes
-            if has_source and has_target:
-                both.append(index)
-            elif has_source or has_target:
-                either.append(index)
-        if both:
-            return both[0]
-        if either:
-            return either[0]
+        """Pick the fragment a new edge joins.
+
+        The lowest id holding both endpoints, else the lowest holding either,
+        else the fragment with the fewest edges (the lowest id among equals).
+        """
+        owners = self._owner_index()
+        at_source = owners.fragments_at(source)
+        at_target = owners.fragments_at(target)
+        candidates = (at_source & at_target) or (at_source | at_target)
+        if candidates:
+            return min(candidates)
         return min(range(len(self._fragment_edges)), key=lambda index: len(self._fragment_edges[index]))
 
     def _owner_of_edge(self, source: Node, target: Node) -> Optional[int]:
-        for index, edges in enumerate(self._fragment_edges):
-            if (source, target) in edges:
-                return index
-        return None
+        return self._owner_index().edge_owner.get((source, target))
 
     def _mark_affected(self, fragment_id: int) -> None:
         """Record that the disconnection sets of ``fragment_id`` need refreshing."""

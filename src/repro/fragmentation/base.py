@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import FragmentationError, InvalidFragmentationError
@@ -47,11 +48,7 @@ class Fragment:
     @cached_property
     def nodes(self) -> FrozenSet[Node]:
         """The nodes incident to at least one edge of the fragment (built once)."""
-        incident: Set[Node] = set()
-        for source, target in self.edges:
-            incident.add(source)
-            incident.add(target)
-        return frozenset(incident)
+        return frozenset(chain.from_iterable(self.edges))
 
     def edge_count(self) -> int:
         """Return the number of directed edges in the fragment."""
@@ -108,6 +105,44 @@ class Fragmentation:
         self._metadata: Dict[str, object] = dict(metadata or {})
         self._disconnection_sets = self._compute_disconnection_sets()
 
+    def replacing(self, fragment_edges: Mapping[FragmentId, Iterable[Edge]]) -> "Fragmentation":
+        """Return this fragmentation with the given fragments' edge sets replaced.
+
+        The write path's constructor: one edge change moves one fragment, so
+        everything else is shared with ``self`` rather than rebuilt — the
+        other :class:`Fragment` objects (and their cached node sets) are the
+        same objects, and a disconnection set is recomputed only when one of
+        its two fragments' *node set* moved.  The result equals
+        ``Fragmentation(graph, <all edge sets>)`` in every observable,
+        including the key order of :meth:`disconnection_sets`.  Fragment ids
+        do not shift, so a replacement must not be empty.
+
+        Raises:
+            FragmentationError: for an unknown fragment id or an empty
+                replacement.
+        """
+        fragments = list(self._fragments)
+        moved: Set[FragmentId] = set()
+        for fragment_id, edges in fragment_edges.items():
+            previous = self.fragment(fragment_id)
+            fragment = Fragment(fragment_id=fragment_id, edges=frozenset(edges))
+            if not fragment.edges:
+                raise FragmentationError(f"fragment {fragment_id} cannot be replaced by nothing")
+            fragments[fragment_id] = fragment
+            if fragment.nodes != previous.nodes:
+                moved.add(fragment_id)
+        derived = Fragmentation.__new__(Fragmentation)
+        derived._graph = self._graph
+        derived._fragments = tuple(fragments)
+        derived._algorithm = self._algorithm
+        derived._metadata = self._metadata
+        derived._disconnection_sets = (
+            derived._disconnection_sets_after(moved, self._disconnection_sets)
+            if moved
+            else self._disconnection_sets
+        )
+        return derived
+
     # ------------------------------------------------------------ properties
 
     @property
@@ -155,6 +190,28 @@ class Fragmentation:
                 if overlap:
                     sets[(i, j)] = frozenset(overlap)
         return sets
+
+    def _disconnection_sets_after(
+        self,
+        moved: Set[FragmentId],
+        previous: Mapping[Tuple[FragmentId, FragmentId], FrozenSet[Node]],
+    ) -> Dict[Tuple[FragmentId, FragmentId], FrozenSet[Node]]:
+        """Carry ``previous`` over, recomputing the pairs a ``moved`` fragment is in."""
+        sets = {
+            pair: nodes
+            for pair, nodes in previous.items()
+            if pair[0] not in moved and pair[1] not in moved
+        }
+        for fragment_id in moved:
+            nodes = self._fragments[fragment_id].nodes
+            for other in self._fragments:
+                if other.fragment_id == fragment_id:
+                    continue
+                overlap = nodes & other.nodes
+                if overlap:
+                    sets[_canonical_pair(fragment_id, other.fragment_id)] = overlap
+        # The constructor's nested loops emit keys in ascending (i, j) order.
+        return dict(sorted(sets.items()))
 
     def disconnection_sets(self) -> Dict[Tuple[FragmentId, FragmentId], FrozenSet[Node]]:
         """Return all nonempty disconnection sets, keyed by the fragment-id pair."""

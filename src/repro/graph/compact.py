@@ -425,6 +425,17 @@ class CompactGraph:
         for index in range(start, stop):
             yield sources[index], weights[index]
 
+    def edge_weight(self, source: Node, target: Node) -> Optional[float]:
+        """Return the weight of ``source -> target`` (the lowest of parallel entries), if any."""
+        source_id = self._ids.get(source, -1)
+        target_id = self._ids.get(target, -1)
+        if source_id < 0 or target_id < 0:
+            return None
+        return min(
+            (weight for entry_id, weight in self.successor_ids(source_id) if entry_id == target_id),
+            default=None,
+        )
+
     def out_degree_of_id(self, node_id: int) -> int:
         """Return the number of outgoing entries of ``node_id``."""
         row = self._fwd_over.get(node_id) if self._fwd_over else None

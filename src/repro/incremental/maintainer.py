@@ -9,16 +9,20 @@ the disconnection sets it borders:
 
 1. **before** the base graph mutates, it probes the *old* graph for the
    stored border-to-border values whose optimal paths ran through the changed
-   edge (the only values a delete or weight increase can degrade),
+   edge (the only values a delete or weight increase can degrade); the
+   probe searches only as far from the edge as the largest stored value
+   reaches,
 2. the database's resident whole-graph compact mirror absorbs the edge delta
    as an O(delta) overlay splice (the same mirror backs precompute and live
    refragmentation),
 3. disconnection sets whose *membership* changed (a fragment gained or lost a
    node) are recomputed wholesale; for everything else only the probed rows
    plus the rows an insert provably improves are re-searched,
-4. the engine's catalog swaps in the refreshed sites for exactly the dirty
-   fragments — every other site object, including its compact kernels, stays
-   identical,
+4. the engine's catalog hands each dirty fragment's site the edge changes it
+   owns (and fresh borders when one of its disconnection sets was repaired)
+   to patch itself with — every other site object, including its compact
+   kernels, stays identical, and so does every other ``Fragment`` of the
+   derived post-write :class:`~repro.fragmentation.Fragmentation`,
 5. the caller receives an :class:`AppliedDelta` naming the dirty fragments
    and their compact deltas, which drives per-fragment version bumps, scoped
    cache eviction, and worker re-pinning upstream.
@@ -62,7 +66,7 @@ class AppliedDelta:
         kind: the high-level update kind (``insert`` / ``delete`` /
             ``reweight``).
         changes: the elementary edge changes applied.
-        dirty_fragments: fragments whose site state was rebuilt (sorted).
+        dirty_fragments: fragments whose site state was patched (sorted).
         pairs_changed: disconnection-set pairs whose complementary values or
             membership changed.
         site_deltas: per dirty fragment, the compact delta its augmented
@@ -206,7 +210,10 @@ class IncrementalMaintainer:
             dirty.add(j)
         dirty_sorted = sorted(dirty)
         site_deltas = self._engine.apply_incremental_update(
-            new_fragmentation, dirty_fragments=dirty_sorted
+            new_fragmentation,
+            dirty_fragments=dirty_sorted,
+            changes=changes,
+            pairs_changed=report.pairs_changed,
         )
         self._fragmentation = new_fragmentation
         return AppliedDelta(

@@ -16,6 +16,14 @@ for the two standard semirings:
 * for a **delete** (or a weight increase), a stored value can only degrade
   when its optimal path ran through the edge, i.e. when the same composite
   (in the *old* graph, at the *old* weight) attains the stored value,
+* both searches are **radius-bounded**: with non-negative weights the
+  composite can only come within tolerance of a stored value ``(a, b)`` when
+  each of its two legs does, so neither search needs to look farther from
+  the changed edge than the largest stored value of the pairs under test —
+  a border node beyond that radius is cleared exactly as an unreached one
+  is.  Only a tested pair with *no* stored value (one an insert may make
+  reachable for the first time) has no such radius, and the improvement
+  probe then searches without one,
 * the affected **rows** (one border source of one disconnection set) are then
   recomputed with exactly the
   :func:`~repro.disconnection.complementary.border_values_from` kernel the
@@ -77,12 +85,19 @@ class RepairReport:
         pairs_changed: disconnection-set pairs whose stored values actually
             changed (their fragments' shortcut sets are stale).
         rows_recomputed: border-source rows re-searched.
-        searches: whole-graph kernel searches run (suspect probes + rows).
+        searches: kernel searches run (suspect probes + rows).
+        probe_limit: the largest radius a probe search was given (``inf``
+            for an unbounded one, ``0.0`` when no probe ran) — the input the
+            probes' cost follows.
+        probe_settled: nodes the probe searches settled (visited, for
+            reachability), i.e. what that radius cost.
     """
 
     pairs_changed: Set[FragmentPair] = field(default_factory=set)
     rows_recomputed: int = 0
     searches: int = 0
+    probe_limit: float = 0.0
+    probe_settled: int = 0
 
 
 class ComplementaryRepairer:
@@ -121,6 +136,9 @@ class ComplementaryRepairer:
         optimal paths, which only the old graph can witness.
         """
         suspects: Dict[FragmentPair, Set[Node]] = {}
+        # Only pairs with a stored value are tested below, so the largest
+        # stored value always bounds this probe.
+        limit = self._stored_radius(info, border_sets, every_pair=False)
         for change in changes:
             if change.op == "insert":
                 continue
@@ -132,7 +150,9 @@ class ComplementaryRepairer:
                 edge_weight = change.old_weight
             else:
                 edge_weight = change.old_weight if change.old_weight is not None else 0.0
-            probe = self._probe(old_graph, change.source, change.target, border_sets, report)
+            probe = self._probe(
+                old_graph, change.source, change.target, border_sets, report, limit
+            )
             if probe is None:
                 continue
             for pair, border in border_sets.items():
@@ -178,6 +198,9 @@ class ComplementaryRepairer:
         optimum.
         """
         improved: Dict[FragmentPair, Set[Node]] = {}
+        # A tested pair without a stored value is marked as soon as both of
+        # its legs exist at any distance: that case has no radius.
+        limit = self._stored_radius(info, border_sets, every_pair=True)
         for change in changes:
             if change.op == "delete":
                 continue
@@ -186,7 +209,9 @@ class ComplementaryRepairer:
                     continue
                 if change.old_weight is not None and change.weight >= change.old_weight:
                     continue  # an increase was handled by the suspect probe
-            probe = self._probe(new_graph, change.source, change.target, border_sets, report)
+            probe = self._probe(
+                new_graph, change.source, change.target, border_sets, report, limit
+            )
             if probe is None:
                 continue
             for pair, border in border_sets.items():
@@ -348,6 +373,31 @@ class ComplementaryRepairer:
 
     # -------------------------------------------------------------- internals
 
+    def _stored_radius(
+        self, info: ComplementaryInformation, border_sets: BorderSets, *, every_pair: bool
+    ) -> float:
+        """Return how far from a changed edge a probe has to search.
+
+        ``dist(a, u) + w + dist(v, b)`` is a sum of non-negative terms, so it
+        can only come within tolerance of a stored ``(a, b)`` when each leg
+        is within that value: the largest stored value of ``border_sets``
+        (plus its tolerance) is a radius beyond which no stored pair can be
+        marked.  With ``every_pair`` the radius must also hold for border
+        pairs that have *no* stored value; those are marked at any distance,
+        so one missing pair makes the radius infinite.  Reachability probes
+        carry no distances and are never bounded.
+        """
+        if self._semiring.name == "reachability":
+            return inf
+        largest = 0.0
+        for pair, border in border_sets.items():
+            stored = info.values.get(pair, {})
+            if every_pair and len(stored) < len(border) * (len(border) - 1):
+                return inf
+            if stored:
+                largest = max(largest, float(max(stored.values())))
+        return largest + _tolerance(largest)
+
     def _probe(
         self,
         graph: CompactGraph,
@@ -355,8 +405,9 @@ class ComplementaryRepairer:
         target: Node,
         border_sets: BorderSets,
         report: Optional[RepairReport],
+        limit: float,
     ) -> Optional["_EdgeProbe"]:
-        """Run the two whole-graph searches anchored at one changed edge."""
+        """Run the two searches anchored at one changed edge, out to ``limit``."""
         source_id = graph.try_node_id(source)
         target_id = graph.try_node_id(target)
         if source_id < 0 or target_id < 0:
@@ -368,16 +419,26 @@ class ComplementaryRepairer:
             for node_id in (graph.try_node_id(node),)
             if node_id >= 0
         }
-        if report is not None:
-            report.searches += 2
         if self._semiring.name == "reachability":
             border_mask = ids_to_mask(border_ids)
             reaches_edge = bitset_reachable(graph, source_id, stop_mask=border_mask, backward=True)
             reached_from_edge = bitset_reachable(graph, target_id, stop_mask=border_mask)
-            return _EdgeProbe(reaches_edge=reaches_edge, reached_from_edge=reached_from_edge)
-        to_edge, _, _ = array_dijkstra(graph, source_id, target_ids=border_ids, backward=True)
-        from_edge, _, _ = array_dijkstra(graph, target_id, target_ids=border_ids)
-        return _EdgeProbe(to_edge_dist=to_edge, from_edge_dist=from_edge)
+            settled = reaches_edge.bit_count() + reached_from_edge.bit_count()
+            probe = _EdgeProbe(reaches_edge=reaches_edge, reached_from_edge=reached_from_edge)
+        else:
+            to_edge, _, settled_to = array_dijkstra(
+                graph, source_id, target_ids=border_ids, backward=True, limit=limit
+            )
+            from_edge, _, settled_from = array_dijkstra(
+                graph, target_id, target_ids=border_ids, limit=limit
+            )
+            settled = settled_to + settled_from
+            probe = _EdgeProbe(to_edge_dist=to_edge, from_edge_dist=from_edge)
+        if report is not None:
+            report.searches += 2
+            report.probe_limit = max(report.probe_limit, limit)
+            report.probe_settled += settled
+        return probe
 
 
 @dataclass

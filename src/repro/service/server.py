@@ -1129,6 +1129,8 @@ class QueryService:
             self._on_refragment(event)
             return
         self._stats.updates_applied += 1
+        if event.fallback is not None:
+            self._stats.record_update_fallback(event.fallback)
         if event.incremental and event.dirty_fragments:
             # Scoped invalidation: the maintainer absorbed the change in
             # place and named exactly the fragments whose state moved — only

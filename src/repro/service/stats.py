@@ -87,6 +87,8 @@ LATENCY_HISTOGRAM = "repro_query_latency_seconds"
 SITE_DISPATCH_COUNTER = "repro_site_dispatch_total"
 OWNER_DISPATCH_COUNTER = "repro_owner_dispatch_total"
 TRANSIT_LOOKUPS_COUNTER = "repro_transit_lookups_total"
+UPDATE_FALLBACKS_COUNTER = "repro_update_fallbacks_total"
+UPDATE_FALLBACK_STAGES = ("begin", "complete", "unsupported")
 
 # as_dict keys that are derived (recomputed on read) and ignored by from_dict.
 _DERIVED_KEYS = frozenset(
@@ -236,6 +238,15 @@ class ServiceStatistics:
                 labelnames=("outcome",),
             ),
         )
+        object.__setattr__(
+            self,
+            "_update_fallbacks",
+            reg.counter(
+                UPDATE_FALLBACKS_COUNTER,
+                "Updates an incremental database rebuilt for instead of absorbing in place.",
+                labelnames=("stage",),
+            ),
+        )
 
     # ----------------------------------------------------- attribute routing
 
@@ -319,6 +330,18 @@ class ServiceStatistics:
         return {
             outcome: int(self._transit_lookups.value(outcome=outcome))
             for outcome in ("hit", "miss")
+        }
+
+    def record_update_fallback(self, stage: str, count: int = 1) -> None:
+        """Record ``count`` updates that took the full rebuild, by the stage that gave up."""
+        if count:
+            self._update_fallbacks.inc(count, stage=stage)
+
+    def update_fallbacks(self) -> Dict[str, int]:
+        """Return the updates that were not absorbed in place so far, by stage."""
+        return {
+            stage: int(self._update_fallbacks.value(stage=stage))
+            for stage in UPDATE_FALLBACK_STAGES
         }
 
     def observe_owner_queues(
@@ -413,6 +436,7 @@ class ServiceStatistics:
             "snapshots_saved": self.snapshots_saved,
             "snapshots_loaded": self.snapshots_loaded,
             "transit_lookups": self.transit_lookups(),
+            "update_fallbacks": self.update_fallbacks(),
             "per_site_load": dict(sorted(self.per_site_load.items())),
             "per_owner_dispatch": dict(sorted(self.per_owner_dispatch.items())),
             "owner_count": self.owner_count,
@@ -463,6 +487,10 @@ class ServiceStatistics:
             stats.record_transit_lookups(
                 hits=int(lookups.get("hit", 0)), misses=int(lookups.get("miss", 0))
             )
+        fallbacks = data.get("update_fallbacks")
+        if isinstance(fallbacks, Mapping):
+            for stage in UPDATE_FALLBACK_STAGES:
+                stats.record_update_fallback(stage, int(fallbacks.get(stage, 0)))
         for field in ("per_site_load", "per_owner_dispatch"):
             mapping = data.get(field)
             if isinstance(mapping, Mapping):

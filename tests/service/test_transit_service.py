@@ -238,7 +238,8 @@ class TestDecisionRecords:
         service = QueryService(fragmentation)
         warm_ring(service, layout)
         a, b = interior(layout, 3)[:2]
-        service.update_edge(a, b, 50.0)
+        assert service.database.graph.has_edge(a, b)
+        service.update_edge(a, b, delete=True)
         dirty = set(service.database.delta_log.last().dirty_fragments)
         source, target = interior(layout, 0)[1], interior(layout, 3)[1]
         service.query(source, target)
@@ -246,6 +247,17 @@ class TestDecisionRecords:
         rederived = {s.attributes["fragment"] for s in spans if s.name == "site_rederive"}
         assert rederived == dirty
         service.query(target, source)
+        assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
+
+    def test_a_reweight_leaves_nothing_to_rederive(self):
+        fragmentation, layout = ring_layout(BLOCKS)
+        service = QueryService(fragmentation)
+        warm_ring(service, layout)
+        a, b = interior(layout, 3)[:2]
+        assert service.database.graph.has_edge(a, b)
+        service.update_edge(a, b, 50.0)
+        assert service.database.delta_log.last().dirty_fragments == (3,)
+        service.query(interior(layout, 0)[1], interior(layout, 3)[1])
         assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
 
     def test_the_dict_service_stays_an_independent_oracle(self):

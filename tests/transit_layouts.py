@@ -73,6 +73,37 @@ def interior(layout: Blocks, block: int) -> List[int]:
     return layout[block][2:-2]
 
 
+def pairs_at(
+    fragmentation: Fragmentation, layout: Blocks, where: str, *, ring: bool
+) -> Tuple[dict, List[Tuple[int, int]]]:
+    """Node pairs of one location class, in the order a one-way chain allows.
+
+    ``where`` is ``"inside"`` (one block, neither node a border node),
+    ``"border"`` (one block, a border node at either end) or ``"connecting"``
+    (adjacent blocks).  Returns ``(block of each node, pairs)``.
+    """
+    border = set()
+    for fragment in fragmentation.fragments:
+        border |= fragmentation.border_nodes(fragment.fragment_id)
+    block_of = {node: index for index, block in enumerate(layout) for node in block}
+    nodes = sorted(block_of)
+    pairs = []
+    for a in nodes:
+        for b in nodes:
+            if a == b or (not ring and a > b):
+                continue
+            gap = block_of[b] - block_of[a]
+            adjacent = gap in (1, -1) or (ring and abs(gap) == len(layout) - 1)
+            touches_border = a in border or b in border
+            if (
+                (where == "connecting" and adjacent)
+                or (where == "border" and gap == 0 and touches_border)
+                or (where == "inside" and gap == 0 and not touches_border)
+            ):
+                pairs.append((a, b))
+    return block_of, pairs
+
+
 def oracle_service(
     service: QueryService, layout: Sequence[Sequence[int]], semiring: Optional[Semiring]
 ) -> QueryService:
