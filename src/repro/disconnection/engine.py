@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequ
 from ..closure import Semiring, reachability_semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
 from ..fragmentation import Fragmentation
-from .assembly import AssemblyResult, assemble_chain, best_over_chains
+from .assembly import AssemblyResult, assemble_chain, best_over_chains, collect_task_keys
 from .catalog import CompactFragmentSite, DistributedCatalog
 from .complementary import ComplementaryInformation
 from .local_query import LocalQueryEvaluator, LocalQueryResult
@@ -229,18 +229,18 @@ class DisconnectionSetEngine:
         """Execute a previously computed :class:`QueryPlan`."""
         report = ExecutionReport()
         report.planned_fragments = len(plan.fragments_involved())
-        local_cache: Dict[Tuple[int, frozenset, frozenset], LocalQueryResult] = {}
+        # The distinct subqueries of all chains are one task set: chains
+        # share identical subqueries, endpoint subqueries share searches.
+        tasks, _ = collect_task_keys([plan])
+        evaluated = self._evaluator.evaluate_many(
+            self._catalog.site, [LocalQuerySpec(*task) for task in tasks]
+        )
+        for local_result in evaluated:
+            report.record_local(local_result)
+        local_results = dict(zip(tasks, evaluated))
         assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
         for chain_plan in plan.chains:
-            results: List[LocalQueryResult] = []
-            for spec in chain_plan.local_queries:
-                key = spec.key()
-                if key not in local_cache:
-                    site = self._catalog.site(spec.fragment_id)
-                    local_result = self._evaluator.evaluate(site, spec)
-                    local_cache[key] = local_result
-                    report.record_local(local_result)
-                results.append(local_cache[key])
+            results = [local_results[spec.key()] for spec in chain_plan.local_queries]
             assembly = assemble_chain(chain_plan, results, semiring=self._semiring)
             report.record_assembly(assembly)
             assemblies.append((chain_plan, assembly))

@@ -214,12 +214,14 @@ class HierarchicalEngine:
         )
         report = ExecutionReport()
         report.planned_fragments = 3
-        results = []
-        for spec in specs:
-            site = self._backbone_site if spec.fragment_id == -1 else self._catalog.site(spec.fragment_id)
-            local = self._evaluator.evaluate(site, spec)
+        results = self._evaluator.evaluate_many(
+            lambda fragment_id: (
+                self._backbone_site if fragment_id == -1 else self._catalog.site(fragment_id)
+            ),
+            specs,
+        )
+        for local in results:
             report.record_local(local)
-            results.append(local)
         assembly = assemble_chain(plan, results, semiring=self._semiring)
         report.record_assembly(assembly)
         return QueryAnswer(

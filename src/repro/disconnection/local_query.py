@@ -24,6 +24,12 @@ remembers those results in a :class:`TransitTable` kept in the derived store
 of the site's compact graph, so a cold query searches only its two endpoint
 fragments; ``CompactGraph.apply_delta`` drops the table with every other
 derived structure, which is the whole invalidation protocol.
+
+The other two kinds — source to first disconnection set, last disconnection
+set to destination — are searched for, once per endpoint: a shortest-path
+subquery roots its searches at whichever of its two node sets is smaller
+(against the edges when that is the exit set), and the subqueries of one task
+set that start at the same node of the same fragment read one search.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from time import perf_counter
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..closure import (
     ClosureStatistics,
@@ -107,6 +113,11 @@ class LocalQueryResult:
         memoized: whether the values were replayed from the site's transit
             table instead of searched for; the work counters are then those
             of the original evaluation, ``elapsed_seconds`` is the lookup's.
+        searches: the shortest-path searches this result ran itself — 0 when
+            it was replayed, or read a search another result of its task set
+            ran (whose settled count and time are on that result alone).
+        backward: whether the shortest-path searches were rooted at the exit
+            nodes and run against the edges (fewer exits than entries).
     """
 
     fragment_id: int
@@ -117,6 +128,8 @@ class LocalQueryResult:
     backend: Optional[str] = field(default=None, compare=False)
     overlay: bool = field(default=False, compare=False)
     memoized: bool = field(default=False, compare=False)
+    searches: int = field(default=0, compare=False)
+    backward: bool = field(default=False, compare=False)
 
     def exit_values(self, semiring: Optional[Semiring] = None) -> Dict[Node, PathValue]:
         """Return the best value per exit node over all entry nodes (for reporting).
@@ -141,6 +154,22 @@ class LocalQueryResult:
     def is_empty(self) -> bool:
         """Return ``True`` when no entry node reaches any exit node."""
         return not self.values
+
+
+# What the subqueries of one task set share a search by: (fragment, root id,
+# backward, transit key).  The last is ``None`` for every subquery that is
+# not border-to-border, so those share; a border-to-border one has its own.
+_SearchKey = Tuple[int, int, bool, Optional[TransitKey]]
+
+
+class _Search(NamedTuple):
+    """A shortest-path subquery whose searches are still to be run."""
+
+    graph: CompactGraph
+    key: Optional[TransitKey]
+    roots: List[Tuple[Node, int]]  # the smaller side, one search each
+    targets: List[Tuple[Node, int]]
+    result: LocalQueryResult
 
 
 class LocalQueryEvaluator:
@@ -169,6 +198,10 @@ class LocalQueryEvaluator:
     ``transit_misses`` count those lookups.  The dict evaluators, custom
     semirings and plain-data sites (which do not know their borders) never
     touch the table.
+
+    Callers that hold several subqueries at once — the chains of a query, a
+    batch, one routed message — hand them to :meth:`evaluate_many` together,
+    so the shortest-path subqueries among them share their searches.
     """
 
     def __init__(
@@ -194,24 +227,65 @@ class LocalQueryEvaluator:
     def evaluate(
         self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
     ) -> LocalQueryResult:
-        """Evaluate ``spec`` on ``site`` and return the entry-to-exit path values.
+        """Evaluate ``spec`` on ``site``: the one-task case of :meth:`evaluate_many`."""
+        return self.evaluate_many(lambda _fragment_id: site, (spec,))[0]
 
-        The returned statistics carry ``elapsed_seconds``, timed here so the
-        measurement happens in whichever process runs the kernel — a worker's
-        in-process timing ships back with the result, needing no clock
-        agreement with the coordinator.  The clock covers the kernel (or the
-        transit-table lookup) only: the site's lazy state is forced first.
+    def evaluate_many(
+        self,
+        site_of: Callable[[int], FragmentSite | CompactFragmentSite],
+        specs: Sequence[LocalQuerySpec],
+    ) -> List[LocalQueryResult]:
+        """Evaluate one task set and return its results in the order of ``specs``.
+
+        ``site_of`` maps a fragment id to the site that evaluates it (a
+        catalog's ``site``, a worker's pinned sites).  Within the set,
+        shortest-path subqueries on one fragment that start their search at
+        the same node in the same direction read one search (see
+        :meth:`_run_searches`); a subquery's values never depend on what it
+        was grouped with.
+
+        Every result's statistics carry ``elapsed_seconds``, timed here so
+        the measurement happens in whichever process runs the kernel — a
+        worker's in-process timing ships back with the result, needing no
+        clock agreement with the coordinator.  The clock covers the kernel
+        (or the transit-table lookup) only: a site's lazy state is forced
+        first.  A shared search is on the clock, and in the work counters, of
+        the first subquery that needs it and of no other.
         """
-        compact = self._runs_compact(site)
-        site.derive(compact=compact, use_shortcuts=self._use_shortcuts)
-        started = perf_counter()
-        result = LocalQueryResult(fragment_id=site.fragment_id, semiring=self._semiring)
-        if compact:
-            self._evaluate_compact(site, spec, result)
-        else:
-            self._evaluate_dict(site, spec, result)
-        result.statistics.elapsed_seconds = perf_counter() - started
-        return result
+        results: List[LocalQueryResult] = []
+        resolved: Dict[int, Tuple[FragmentSite | CompactFragmentSite, Optional[CompactGraph]]] = {}
+        searching: List[_Search] = []
+        wanted: Dict[_SearchKey, Set[int]] = {}  # the ids every reader of a search needs settled
+        for spec in specs:
+            fragment_id = spec.fragment_id
+            known = resolved.get(fragment_id)
+            if known is None:
+                site = site_of(fragment_id)
+                compact = self._runs_compact(site)
+                site.derive(compact=compact, use_shortcuts=self._use_shortcuts)
+                known = resolved[fragment_id] = (
+                    site,
+                    site.compact(use_shortcuts=self._use_shortcuts) if compact else None,
+                )
+            site, graph = known
+            started = perf_counter()
+            result = LocalQueryResult(fragment_id=fragment_id, semiring=self._semiring)
+            results.append(result)
+            if graph is None:
+                self._evaluate_dict(site, spec, result)
+            else:
+                search = self._evaluate_compact(site, graph, spec, result)
+                if search is not None:
+                    searching.append(search)
+                    target_ids = [target_id for _, target_id in search.targets]
+                    for _, root_id in search.roots:
+                        wanted.setdefault(
+                            (fragment_id, root_id, result.backward, search.key), set()
+                        ).update(target_ids)
+            result.statistics.elapsed_seconds = perf_counter() - started
+        if searching:
+            self._run_searches(searching, wanted)
+        return results
 
     def prepare(self, site: FragmentSite | CompactFragmentSite) -> bool:
         """Force the lazy site state :meth:`evaluate` reads; return whether any was missing.
@@ -330,21 +404,24 @@ class LocalQueryEvaluator:
     def _evaluate_compact(
         self,
         site: FragmentSite | CompactFragmentSite,
+        graph: CompactGraph,
         spec: LocalQuerySpec,
         result: LocalQueryResult,
-    ) -> None:
-        graph = site.compact(use_shortcuts=self._use_shortcuts)
+    ) -> Optional[_Search]:
+        """Answer ``spec`` from the transit table or a reachability kernel.
+
+        Returns the shortest-path search still to be run for it, if any.
+        """
+        shortest = self._semiring.name == "shortest_path"
+        # Root the searches at the smaller side: one backward search per exit
+        # when there are fewer exits than entries.  A function of the spec
+        # alone, so a replayed result reports the direction it was found in.
+        result.backward = shortest and len(spec.exit_nodes) < len(spec.entry_nodes)
         key = self._transit_key(site, spec)
         if self._replay(site, graph, key, result):
-            return
+            return None
         result.overlay = graph.has_overlay()
         result.estimated_iterations = site.local_iterations()
-        self._run_kernel(graph, spec, result)
-        self._file(graph, key, result)
-
-    def _run_kernel(
-        self, graph: CompactGraph, spec: LocalQuerySpec, result: LocalQueryResult
-    ) -> None:
         entries = [
             (node, node_id)
             for node in spec.entry_nodes
@@ -357,39 +434,82 @@ class LocalQueryEvaluator:
             for node_id in (graph.try_node_id(node),)
             if node_id >= 0
         ]
-        if not entries or not exits:
-            return
-        if self._semiring.name == "reachability":
-            exit_mask = 0
-            for _, exit_id in exits:
-                exit_mask |= 1 << exit_id
-            rows, chosen = reachability_rows(
-                graph,
-                [entry_id for _, entry_id in entries],
-                backend=self._backend,
-                context="local_query",
-                stop_mask=exit_mask,
-            )
-            result.backend = chosen
-            for entry, entry_id in entries:
-                visited = rows[entry_id]
+        if entries and exits:
+            if shortest:
+                result.backend = "dijkstra"
+                roots, targets = (exits, entries) if result.backward else (entries, exits)
+                return _Search(graph, key, roots, targets, result)
+            self._run_reachability(graph, entries, exits, result)
+        self._file(graph, key, result)
+        return None
+
+    def _run_reachability(
+        self,
+        graph: CompactGraph,
+        entries: List[Tuple[Node, int]],
+        exits: List[Tuple[Node, int]],
+        result: LocalQueryResult,
+    ) -> None:
+        exit_mask = 0
+        for _, exit_id in exits:
+            exit_mask |= 1 << exit_id
+        rows, chosen = reachability_rows(
+            graph,
+            [entry_id for _, entry_id in entries],
+            backend=self._backend,
+            context="local_query",
+            stop_mask=exit_mask,
+        )
+        result.backend = chosen
+        for entry, entry_id in entries:
+            visited = rows[entry_id]
+            produced = 0
+            for exit_node, exit_id in exits:
+                if (visited >> exit_id) & 1:
+                    result.values[(entry, exit_node)] = True
+                    produced += 1
+            result.statistics.record_round(visited.bit_count(), produced)
+
+    def _run_searches(
+        self, searching: List[_Search], wanted: Dict[_SearchKey, Set[int]]
+    ) -> None:
+        """Run the shortest-path searches of one task set, each at most once.
+
+        Per root, a subquery reads the one search its :data:`_SearchKey` names
+        in the set, whose targets are the union in ``wanted``.  Dijkstra
+        settles ids in an order the targets do not influence — they only
+        decide where it stops — so a distance read from a wider search is the
+        very float the subquery's own search would have produced.  The
+        transit key is part of the search key, so border-to-border subqueries
+        share with nobody: what the transit table files is their work alone.
+        (A plain-data site does not know its border nodes; there every
+        subquery may share.)
+        """
+        ran: Dict[_SearchKey, List[float]] = {}
+        for graph, key, roots, targets, result in searching:
+            started = perf_counter()
+            backward = result.backward
+            values = result.values
+            statistics = result.statistics
+            for root, root_id in roots:
+                shared = (result.fragment_id, root_id, backward, key)
+                distances = ran.get(shared)
+                settled = 0
+                if distances is None:
+                    distances, _, settled = array_dijkstra(
+                        graph, root_id, target_ids=wanted[shared], backward=backward
+                    )
+                    ran[shared] = distances
+                    result.searches += 1
                 produced = 0
-                for exit_node, exit_id in exits:
-                    if (visited >> exit_id) & 1:
-                        result.values[(entry, exit_node)] = True
+                for target, target_id in targets:
+                    distance = distances[target_id]
+                    if distance != inf:
+                        values[(target, root) if backward else (root, target)] = distance
                         produced += 1
-                result.statistics.record_round(visited.bit_count(), produced)
-        else:
-            result.backend = "dijkstra"
-            target_ids = [exit_id for _, exit_id in exits]
-            for entry, entry_id in entries:
-                distances, _, settled = array_dijkstra(graph, entry_id, target_ids=target_ids)
-                produced = 0
-                for exit_node, exit_id in exits:
-                    if distances[exit_id] != inf:
-                        result.values[(entry, exit_node)] = distances[exit_id]
-                        produced += 1
-                result.statistics.record_round(settled, produced)
+                statistics.record_round(settled, produced)
+            self._file(graph, key, result)
+            statistics.elapsed_seconds += perf_counter() - started
 
     # ------------------------------------------------- dict-based strategies
 

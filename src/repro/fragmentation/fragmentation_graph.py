@@ -32,6 +32,7 @@ class FragmentationGraph:
             self._graph.add_node(fragment.fragment_id)
         for (i, j) in fragmentation.disconnection_sets():
             self._graph.add_symmetric_edge(i, j, 1.0)
+        self._cycle_count: Optional[int] = None
 
     @property
     def graph(self) -> DiGraph:
@@ -60,8 +61,14 @@ class FragmentationGraph:
     # --------------------------------------------------------------- shape
 
     def cycle_count(self) -> int:
-        """Return the circuit rank of the fragmentation graph (0 when acyclic)."""
-        return undirected_cycle_count(self._graph)
+        """Return the circuit rank of the fragmentation graph (0 when acyclic).
+
+        Computed once: the graph is fixed at construction, and the planner
+        asks on every query.
+        """
+        if self._cycle_count is None:
+            self._cycle_count = undirected_cycle_count(self._graph)
+        return self._cycle_count
 
     def is_loosely_connected(self) -> bool:
         """Return ``True`` when the fragmentation graph is acyclic.

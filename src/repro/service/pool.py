@@ -186,19 +186,26 @@ def _worker_repin(updates: Sequence[PinUpdate]) -> int:
 
 def _worker_evaluate(task: TaskKey) -> Tuple[TaskKey, Dict]:
     """Evaluate one local query spec inside a worker process."""
-    fragment_id, entry_nodes, exit_nodes = task
-    spec = LocalQuerySpec(fragment_id=fragment_id, entry_nodes=entry_nodes, exit_nodes=exit_nodes)
+    spec = LocalQuerySpec(*task)
     assert _WORKER_EVALUATOR is not None
-    result = _WORKER_EVALUATOR.evaluate(_WORKER_SITES[fragment_id], spec)
-    # Ship back a plain dict; LocalQueryResult contains only picklable data but
-    # keeping the wire format explicit makes the message size obvious.
-    return task, {
+    return task, result_payload(_WORKER_EVALUATOR.evaluate(_WORKER_SITES[spec.fragment_id], spec))
+
+
+def result_payload(result: LocalQueryResult) -> Dict:
+    """A worker's wire form of one result.
+
+    A plain dict: LocalQueryResult contains only picklable data but keeping
+    the wire format explicit makes the message size obvious.
+    """
+    return {
         "values": dict(result.values),
         "iterations": result.estimated_iterations,
         "tuples": result.statistics.tuples_produced,
         "elapsed": result.statistics.elapsed_seconds,
         "backend": result.backend,
         "overlay": result.overlay,
+        "searches": result.searches,
+        "backward": result.backward,
     }
 
 
@@ -221,6 +228,8 @@ def result_from_payload(
         semiring=semiring,
         backend=payload.get("backend"),
         overlay=payload.get("overlay", False),
+        searches=payload.get("searches", 0),
+        backward=payload.get("backward", False),
     )
 
 
@@ -423,6 +432,15 @@ def _routed_worker_loop(
         "Tuples produced by routed kernel executions.",
         labelnames=("worker", "fragment"),
     )
+
+    def pinned_site(fragment_id: int) -> CompactFragmentSite:
+        try:
+            return sites[fragment_id]
+        except KeyError:
+            raise KeyError(
+                f"fragment {fragment_id} is not pinned on worker {worker_index}"
+            ) from None
+
     while True:
         message = task_queue.get()
         kind = message[0]
@@ -437,40 +455,23 @@ def _routed_worker_loop(
                 # worker echoes it back so the coordinator can prove which
                 # trace each worker's kernel spans were timed under.
                 trace_id = message[3] if len(message) > 3 else None
+                # One message is one task set: the endpoint subqueries of a
+                # query's chains arrive together and share their searches.
+                specs = [LocalQuerySpec(*task) for task in tasks]
+                results = evaluator.evaluate_many(pinned_site, specs)
                 payloads = []
-                for task in tasks:
-                    fragment_id, entry_nodes, exit_nodes = task
-                    if fragment_id not in sites:
-                        raise KeyError(
-                            f"fragment {fragment_id} is not pinned on worker {worker_index}"
-                        )
-                    spec = LocalQuerySpec(
-                        fragment_id=fragment_id, entry_nodes=entry_nodes, exit_nodes=exit_nodes
-                    )
-                    result = evaluator.evaluate(sites[fragment_id], spec)
+                for task, result in zip(tasks, results):
                     kernel_seconds.observe(
                         result.statistics.elapsed_seconds,
                         worker=worker_index,
-                        fragment=fragment_id,
+                        fragment=task[0],
                     )
                     kernel_tuples.inc(
                         result.statistics.tuples_produced,
                         worker=worker_index,
-                        fragment=fragment_id,
+                        fragment=task[0],
                     )
-                    payloads.append(
-                        (
-                            task,
-                            {
-                                "values": dict(result.values),
-                                "iterations": result.estimated_iterations,
-                                "tuples": result.statistics.tuples_produced,
-                                "elapsed": result.statistics.elapsed_seconds,
-                                "backend": result.backend,
-                                "overlay": result.overlay,
-                            },
-                        )
-                    )
+                    payloads.append((task, result_payload(result)))
                 # Fold this worker's kernel-selection and overlay counters
                 # into its local registry so the drained delta carries them
                 # to the coordinator alongside the timing series.

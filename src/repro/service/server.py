@@ -1344,9 +1344,7 @@ class QueryService:
                     # respawned worker ran a task), accumulated here so it
                     # survives pool restarts.
                     for worker, count in pool.last_route_counts.items():
-                        self._stats.per_owner_dispatch[worker] = (
-                            self._stats.per_owner_dispatch.get(worker, 0) + count
-                        )
+                        self._stats.per_owner_dispatch.inc(worker, count)
                     self._stats.observe_owner_queues(
                         owner_count=pool.worker_count,
                         queue_depth_peak=pool.queue_depth_peak,
@@ -1383,6 +1381,7 @@ class QueryService:
                                 fragment=key[0],
                                 backend=results[key].backend,
                                 overlay=results[key].overlay,
+                                searches=results[key].searches,
                             )
                 else:
                     espan.set("pool", "replicated")
@@ -1407,7 +1406,9 @@ class QueryService:
                             fragment=key[0],
                             backend=results[key].backend,
                             overlay=results[key].overlay,
+                            searches=results[key].searches,
                         )
+                espan.set("searches", sum(r.searches for r in results.values()))
                 # The workers evaluated on replicas of the coordinator's site
                 # graphs: their border-to-border replies fill its tables.
                 for key, result in results.items():
@@ -1415,65 +1416,52 @@ class QueryService:
                 results.update(served)
             else:
                 espan.set("pool", "in-process")
-                results = {}
-                # The evaluator already timed each kernel; aggregate the
-                # durations per fragment and attach one kernel span per
-                # fragment, so trace size (and hot-path span cost) is
-                # bounded by the layout rather than the batch's task count.
+                specs = [LocalQuerySpec(*key) for key in tasks]
                 tracing = self._tracer.current_span is not None
-                kernel_seconds: Dict[int, float] = {}
-                kernel_tasks: Dict[int, int] = {}
-                kernel_memoized: Dict[int, int] = {}
-                kernel_backends: Dict[int, Optional[str]] = {}
-                kernel_overlays: Dict[int, bool] = {}
-                rederive_seconds: Dict[int, float] = {}
-                for key in tasks:
-                    fragment_id, entry_nodes, exit_nodes = key
-                    spec = LocalQuerySpec(
-                        fragment_id=fragment_id,
-                        entry_nodes=entry_nodes,
-                        exit_nodes=exit_nodes,
-                    )
-                    site = catalog.site(fragment_id)
-                    if tracing:
-                        # The first evaluation on a written (or rebuilt) site
-                        # re-derives its lazy state: its own span, not kernel
-                        # time.  Untraced, evaluate() forces it just the same.
-                        started = time.perf_counter()
-                        if evaluator.prepare(site):
-                            rederive_seconds[fragment_id] = (
-                                time.perf_counter() - started
-                            )
-                    result = evaluator.evaluate(site, spec)
-                    results[key] = result
-                    if tracing:
-                        kernel_seconds[fragment_id] = (
-                            kernel_seconds.get(fragment_id, 0.0)
-                            + result.statistics.elapsed_seconds
-                        )
-                        kernel_tasks[fragment_id] = (
-                            kernel_tasks.get(fragment_id, 0) + 1
-                        )
-                        kernel_memoized[fragment_id] = (
-                            kernel_memoized.get(fragment_id, 0) + result.memoized
-                        )
-                        kernel_backends[fragment_id] = result.backend
-                        kernel_overlays[fragment_id] = (
-                            kernel_overlays.get(fragment_id, False) or result.overlay
-                        )
                 if tracing:
+                    # The first evaluation on a written (or rebuilt) site
+                    # re-derives its lazy state: its own span, not kernel
+                    # time.  Untraced, evaluate_many forces it just the same.
+                    for fragment_id in dict.fromkeys(key[0] for key in tasks):
+                        started = time.perf_counter()
+                        if evaluator.prepare(catalog.site(fragment_id)):
+                            self._tracer.attach_span(
+                                "site_rederive",
+                                time.perf_counter() - started,
+                                fragment=fragment_id,
+                            )
+                # One task set, one call: the endpoint subqueries of a
+                # query's chains share their searches.
+                results = dict(zip(tasks, evaluator.evaluate_many(catalog.site, specs)))
+                if tracing:
+                    # The evaluator already timed each kernel; aggregate per
+                    # fragment and attach one kernel span per fragment, so
+                    # trace size (and hot-path span cost) is bounded by the
+                    # layout rather than the batch's task count.
+                    # fragment -> [seconds, tasks, memoized, searches, backend, overlay]
+                    kernels: Dict[int, list] = {}
+                    for key, result in results.items():
+                        totals = kernels.get(key[0])
+                        if totals is None:
+                            totals = kernels[key[0]] = [0.0, 0, 0, 0, None, False]
+                        totals[0] += result.statistics.elapsed_seconds
+                        totals[1] += 1
+                        totals[2] += result.memoized
+                        totals[3] += result.searches
+                        totals[4] = result.backend
+                        totals[5] = totals[5] or result.overlay
                     attach = self._tracer.attach_span
-                    for fragment_id, seconds in rederive_seconds.items():
-                        attach("site_rederive", seconds, fragment=fragment_id)
-                    for fragment_id, seconds in kernel_seconds.items():
+                    for fragment_id, totals in kernels.items():
+                        seconds, count, memoized, searches, backend, overlay = totals
                         attach(
                             "kernel",
                             seconds,
                             fragment=fragment_id,
-                            tasks=kernel_tasks[fragment_id],
-                            memoized=kernel_memoized[fragment_id],
-                            backend=kernel_backends[fragment_id],
-                            overlay=kernel_overlays[fragment_id],
+                            tasks=count,
+                            memoized=memoized,
+                            searches=searches,
+                            backend=backend,
+                            overlay=overlay,
                         )
                 # In-process selections and overlay counters land on the
                 # module-level registries; fold the deltas here so scrapes
@@ -1486,6 +1474,9 @@ class QueryService:
         )
         # One dispatch per *task*: a batch of n shared subqueries records n
         # site dispatches, never one per batch.
+        per_fragment: Dict[int, int] = {}
         for key in dispatched:
-            self._stats.record_dispatch(key[0])
+            per_fragment[key[0]] = per_fragment.get(key[0], 0) + 1
+        for fragment_id, count in per_fragment.items():
+            self._stats.record_dispatch(fragment_id, count)
         return results

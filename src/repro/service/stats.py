@@ -126,6 +126,10 @@ class _LabeledCounterDict:
     def __setitem__(self, key: int, value: int) -> None:
         self._counter.set_value(float(value), **{self._label: key})
 
+    def inc(self, key: int, amount: int = 1) -> None:
+        """Add ``amount`` to one series without reading the others."""
+        self._counter.inc(amount, **{self._label: key})
+
     def get(self, key: int, default: int = 0) -> int:
         snapshot = self._snapshot()
         return snapshot.get(int(key), default)
@@ -315,8 +319,8 @@ class ServiceStatistics:
         which attribute tasks to the worker that really ran them (a replica
         or a respawned owner, not necessarily the plan's owner).
         """
-        self.local_evaluations += count
-        self.per_site_load[fragment_id] = self.per_site_load.get(fragment_id, 0) + count
+        self._metrics["local_evaluations"].inc(count)
+        self.per_site_load.inc(fragment_id, count)
 
     def record_transit_lookups(self, *, hits: int, misses: int) -> None:
         """Record transit-table outcomes: ``hits`` replayed, ``misses`` searched and filed."""

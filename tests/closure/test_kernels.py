@@ -115,7 +115,14 @@ class TestLocalQueryEquivalence:
                     site = catalog.site(spec.fragment_id)
                     dict_result = dict_eval.evaluate(site, spec)
                     kernel_result = kernel_eval.evaluate(site, spec)
-                    assert kernel_result.values == dict_result.values
+                    if semiring.name == "shortest_path":
+                        # A search rooted at the exits adds the same edge
+                        # weights in the opposite order.
+                        assert kernel_result.values == pytest.approx(
+                            dict_result.values, rel=1e-9, abs=1e-12
+                        )
+                    else:
+                        assert kernel_result.values == dict_result.values
                     assert (
                         kernel_result.estimated_iterations
                         == dict_result.estimated_iterations

@@ -51,6 +51,20 @@ class TestStructure:
         assert fg.cycle_count() == 1
         assert not fg.is_loosely_connected()
 
+    def test_cycle_count_is_computed_once_per_graph(self, monkeypatch):
+        import repro.fragmentation.fragmentation_graph as module
+
+        sweeps = []
+        real = module.undirected_cycle_count
+        monkeypatch.setattr(
+            module, "undirected_cycle_count", lambda graph: sweeps.append(1) or real(graph)
+        )
+        fg = FragmentationGraph(_cyclic_fragmentation())
+        assert [fg.cycle_count(), fg.is_loosely_connected(), fg.cycle_count()] == [1, False, 1]
+        assert len(sweeps) == 1  # the planner asks on every query
+        assert FragmentationGraph(_chain_fragmentation(3)).cycle_count() == 0  # its own sweep
+        assert len(sweeps) == 2
+
     def test_degree_histogram(self):
         fg = FragmentationGraph(_chain_fragmentation(4))
         assert fg.degree_histogram() == {1: 2, 2: 2}

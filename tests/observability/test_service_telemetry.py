@@ -237,6 +237,21 @@ class TestStatisticsCompatibilityView:
         restored = ServiceStatistics.from_dict(snapshot)
         assert dict(restored.per_site_load) == dict(service.stats.per_site_load)
 
+    def test_record_dispatch_adds_to_one_series_and_every_view_reads_it(self):
+        stats = ServiceStatistics()
+        stats.record_dispatch(3, 2)
+        stats.record_dispatch(5)
+        stats.record_dispatch(3, 4)
+        assert dict(stats.per_site_load) == {3: 6, 5: 1}
+        assert stats.local_evaluations == 7
+        stats.per_owner_dispatch.inc(0, 6)
+        stats.per_owner_dispatch.inc(1)
+        assert stats.dispatch_skew() == pytest.approx(6 / 3.5)
+        assert stats.as_dict()["per_site_load"] == {3: 6, 5: 1}
+        restored = ServiceStatistics.from_dict(stats.as_dict())
+        assert dict(restored.per_site_load) == {3: 6, 5: 1}
+        assert restored.local_evaluations == 7
+
     def test_cached_and_evaluated_latency_series_are_split(self):
         service = QueryService(clique_line_fragmentation())
         service.query(0, 11)  # evaluated

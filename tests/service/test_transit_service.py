@@ -55,20 +55,15 @@ class TestWorkCountGuards:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(local_query_module, "array_dijkstra", counting)
-        widest_set = max(
-            len(nodes)
-            for site in service.engine().catalog.sites()
-            for nodes in site.disconnection_sets.values()
-        )
-        assert widest_set == 2
         for source, target in cold_pairs(layout):
             calls.clear()
             answer = service.query(source, target)
             assert not answer.cached
             assert answer.value == shortest_path_cost(service.database.graph, source, target)
-            # Two chains round the ring: source -> first set is one search,
-            # last set -> target one per set node.  Nothing in between.
-            assert 0 < len(calls) <= 2 + 2 * widest_set
+            # Two chains round the ring: both leave the source through one
+            # forward search and reach the target through one backward
+            # search, whatever the width of the sets.  Nothing in between.
+            assert len(calls) == 2
 
     def test_a_pooled_batch_ships_no_border_to_border_task(self):
         fragmentation, layout = ring_layout(BLOCKS)
@@ -216,8 +211,24 @@ class TestDecisionRecords:
             attributes = span.attributes
             if attributes["fragment"] in endpoint_fragments:
                 assert attributes["memoized"] < attributes["tasks"]
+                # Both chains' subqueries at this end read one search.
+                assert attributes["searches"] == 1
             else:
                 assert attributes["memoized"] == attributes["tasks"] > 0
+                assert attributes["searches"] == 0
+
+    def test_pooled_spans_say_how_many_searches_the_workers_ran(self):
+        fragmentation, layout = ring_layout(BLOCKS)
+        with QueryService(fragmentation, workers=2, placement="cost_balanced") as service:
+            warm_ring(service, layout)
+            service.query(*cold_pairs(layout)[0])
+            trace = service.tracer.recent(1)[0]
+            (evaluate,) = trace.find("evaluate")
+            kernels = trace.find("kernel")
+            assert kernels and evaluate.attributes["memoized"] > 0
+            # Each end's two subqueries reach their owner in one message.
+            assert evaluate.attributes["searches"] == 2
+            assert sum(span.attributes["searches"] for span in kernels) == 2
 
     def test_the_lookup_counter_is_exported_and_round_trips(self):
         fragmentation, layout = ring_layout(BLOCKS)
