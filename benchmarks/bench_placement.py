@@ -1,16 +1,14 @@
-"""Shared-nothing placement vs replicated workers: the placement subsystem's receipts.
+"""Shared-nothing placement: the placement subsystem's receipts.
 
 Four claims are measured and asserted on the sample transportation workload:
 
-* **Equivalence** — the owner-routed pool returns exactly the replicated
-  pool's (and the in-process evaluator's) answers on the same query stream.
+* **Equivalence** — the owner-routed pool returns exactly the in-process
+  evaluator's answers on the same query stream.
 * **Memory** — each routed worker pins only the fragments it owns: the
   per-worker pinned-site count is at most ``ceil(fragments / workers) +
-  replication`` and the per-worker resident payload drops by ~the worker
-  count versus the replicated pool's full-catalog copies.
+  replication`` and no worker's resident payload is the whole catalog.
 * **Scoped re-pins** — a single-fragment update travels to that fragment's
-  owner(s) only (one routed message), not to every worker via a barrier
-  broadcast.
+  owner(s) only (one routed message), not to every worker.
 * **Rebalancing** — a deliberately skewed plan (every fragment parked on one
   worker) is repaired by ``RebalanceAdvisor`` migrations on the live pool:
   the worker processes keep their PIDs (no restart) and answers stay
@@ -82,23 +80,20 @@ def _timed_answers(service, queries, rounds):
 
 
 def bench_routing_equivalence(fragmentation, queries, rounds):
-    """Identical answers in-process vs replicated pool vs owner-routed pool."""
+    """Identical answers in-process vs owner-routed pool."""
     in_process = QueryService(fragmentation)
     baseline_answers, baseline_seconds = _timed_answers(in_process, queries, rounds)
-    with QueryService(fragmentation, workers=WORKERS) as replicated:
-        replicated_answers, replicated_seconds = _timed_answers(replicated, queries, rounds)
     with QueryService(fragmentation, placement="cost_balanced", workers=WORKERS) as placed:
         placed_answers, placed_seconds = _timed_answers(placed, queries, rounds)
         owner_dispatch = dict(placed.stats.per_owner_dispatch)
         dispatch_skew = placed.stats.dispatch_skew()
-    assert placed_answers == replicated_answers == baseline_answers, (
-        "owner-routed, replicated and in-process answers must be identical"
+    assert placed_answers == baseline_answers, (
+        "owner-routed and in-process answers must be identical"
     )
     return {
         "identical_answers": True,
         "rounds": rounds,
         "in_process_seconds": baseline_seconds,
-        "replicated_seconds": replicated_seconds,
         "placed_seconds": placed_seconds,
         "per_owner_dispatch": owner_dispatch,
         "dispatch_skew": round(dispatch_skew, 4),
@@ -106,7 +101,7 @@ def bench_routing_equivalence(fragmentation, queries, rounds):
 
 
 def bench_memory(fragmentation):
-    """Per-worker resident state: O(fragments / workers) vs O(fragments)."""
+    """Per-worker resident state: O(fragments / workers) of the catalog."""
     with QueryService(fragmentation, placement="cost_balanced", workers=WORKERS) as placed:
         engine = placed.engine()
         catalog = engine.catalog
@@ -115,7 +110,7 @@ def bench_memory(fragmentation):
             fragment_id: len(pickle.dumps(site, protocol=pickle.HIGHEST_PROTOCOL))
             for fragment_id, site in sites.items()
         }
-        placed._require_placed_pool()  # start the routed pool
+        placed._require_pool()  # start the routed pool
         census = placed._pool.pinned_census()
         plan = placed.placement_plan
         fragments = len(sites)
@@ -128,15 +123,13 @@ def bench_memory(fragmentation):
         placed_bytes = {
             worker: sum(site_bytes[f] for f in pinned) for worker, pinned in census.items()
         }
-        replicated_per_worker = sum(site_bytes.values())
-        reduction = replicated_per_worker / max(max(placed_bytes.values()), 1)
+        reduction = sum(site_bytes.values()) / max(max(placed_bytes.values()), 1)
     return {
         "fragments": fragments,
         "workers": plan.worker_count,
         "pinned_per_worker": per_worker_counts,
         "pinned_bound": bound,
         "bytes_per_worker_placed": placed_bytes,
-        "bytes_per_worker_replicated": replicated_per_worker,
         "max_worker_reduction": round(reduction, 2),
     }
 
@@ -247,7 +240,7 @@ def run_placement_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
         f"{fragmentation.fragment_count()} fragments on {WORKERS} owner workers, "
         f"{len(queries)} queries x {rounds} rounds",
         "",
-        "answers: owner-routed == replicated == in-process on every query",
+        "answers: owner-routed == in-process on every query",
         "",
         f"{'per-worker resident state':<30} {'pinned sites':>13} {'payload bytes':>14}",
         *(
@@ -255,10 +248,8 @@ def run_placement_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
             f"{memory['bytes_per_worker_placed'][worker]:>14}"
             for worker in sorted(memory["pinned_per_worker"])
         ),
-        f"{'any worker (replicated)':<30} {memory['fragments']:>13} "
-        f"{memory['bytes_per_worker_replicated']:>14}",
-        f"pinned bound ceil(F/W)+r = {memory['pinned_bound']}, "
-        f"max-worker memory reduction {memory['max_worker_reduction']}x",
+        f"pinned bound ceil(F/W)+r = {memory['pinned_bound']}, whole catalog / "
+        f"largest worker = {memory['max_worker_reduction']}x",
         "",
         f"single-fragment update re-pinned workers {repin['repin_workers']} only "
         f"({repin['repin_messages']} message(s) for a {repin['worker_count']}-worker pool)",
@@ -269,7 +260,7 @@ def run_placement_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
         "",
         f"figures written to {output}",
     ]
-    print_report("Shared-nothing placement vs replicated workers", "\n".join(lines))
+    print_report("Shared-nothing placement", "\n".join(lines))
     return report
 
 

@@ -43,13 +43,13 @@ def test_update_cost_report(deployed):
     database.insert_edge(nodes[1], "new-station", 2.0, symmetric=True)
     database.update_edge_weight(nodes[0], nodes[5], 4.0)
     database.delete_edge(nodes[0], nodes[5], symmetric=True)
-    engine = database.engine()  # triggers the lazy refresh
+    engine = database.engine()  # the live engine absorbed the batch in place
     query = cross_cluster_queries(network.clusters, 1, seed=3, minimum_cluster_distance=3)[0]
     answer = engine.shortest_path_cost(query.source, query.target)
     stats = database.statistics.as_dict()
     body = "\n".join(f"{key}: {value}" for key, value in stats.items())
     print_report("Update maintenance cost (Sec. 2.1 amortisation argument)", body)
-    assert stats["engine_rebuilds"] == 2
+    assert stats["engine_rebuilds"] == 1 and stats["incremental_fallbacks"] == 0
     assert answer == pytest.approx(shortest_path_cost(database.graph, query.source, query.target))
 
 

@@ -109,7 +109,6 @@ from .service import (
     LRUCache,
     PlacedWorkerPool,
     QueryService,
-    ResidentWorkerPool,
     ServiceAnswer,
     ServiceStatistics,
     SnapshotStore,
@@ -168,7 +167,6 @@ __all__ = [
     "RefragmentationAdvisor",
     "Relation",
     "ReproError",
-    "ResidentWorkerPool",
     "Semiring",
     "ServiceAnswer",
     "ServiceStatistics",

@@ -190,9 +190,9 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         options["refragment_cadence"] = args.refragment_cadence
     placement = getattr(args, "placement", None)
     if placement is not None:
-        # An explicit "none" forces the replicated pool even when a snapshot
-        # persisted a placement plan; leaving the flag off keeps whatever
-        # the snapshot (or the service default) says.
+        # An explicit "none" ignores the snapshot's persisted plan; leaving
+        # the flag off keeps whatever the snapshot (or the service default)
+        # says.
         options["placement"] = (
             None if placement == "none" else placement.replace("-", "_")
         )
@@ -365,10 +365,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _print_placement(service: QueryService) -> None:
     plan = service.placement_plan
+    mode = service.pool_health()["mode"]
     if plan is None:
-        print("placement: replicated (every worker pins every fragment)")
+        print(f"placement: {mode} (no worker pool)")
         return
-    print(f"placement: policy {plan.policy}, {plan.worker_count} workers")
+    print(f"placement: {mode}, policy {plan.policy}, {plan.worker_count} workers")
     for worker in range(plan.worker_count):
         owned = plan.owned_by(worker)
         replicated = sorted(set(plan.fragments_on(worker)) - set(owned))
@@ -667,14 +668,15 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument("--semiring", choices=SEMIRINGS, default="shortest-path")
         subparser.add_argument("--cache-size", type=int, default=1024)
         subparser.add_argument("--workers", type=int, default=None,
-                               help="resident worker processes (default: in-process evaluation)")
+                               help="worker processes, cost-balanced placement unless "
+                                    "--placement says otherwise (default: in-process "
+                                    "evaluation)")
         subparser.add_argument(
             "--placement",
             choices=("none", "round-robin", "cost-balanced", "workload-aware"),
             default=None,
-            help="shared-nothing placement: route each fragment to a dedicated "
-                 "owner worker instead of replicating every fragment everywhere; "
-                 "'none' forces the replicated pool even over a snapshot's "
+            help="shared-nothing placement policy: which owner worker each "
+                 "fragment is routed to; 'none' ignores the snapshot's "
                  "persisted plan (default: the snapshot's plan, if any)",
         )
         subparser.add_argument(

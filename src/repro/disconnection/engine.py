@@ -120,8 +120,6 @@ class DisconnectionSetEngine:
         use_shortcuts: disable to measure the effect of dropping the
             complementary information (the ablation benchmarks use this; the
             engine then only sees paths that stay inside the fragment chain).
-        use_compact: evaluate local subqueries with the compact kernels
-            (default); disable to run the original dict-based searches.
         max_chains: cap on the number of fragment chains examined per query.
     """
 
@@ -133,7 +131,6 @@ class DisconnectionSetEngine:
         complementary: Optional[ComplementaryInformation] = None,
         compact_sites: Optional[Dict[int, "CompactFragmentSite"]] = None,
         use_shortcuts: bool = True,
-        use_compact: bool = True,
         max_chains: Optional[int] = 32,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
@@ -145,7 +142,7 @@ class DisconnectionSetEngine:
         )
         self._planner = QueryPlanner(self._catalog, max_chains=max_chains)
         self._evaluator = LocalQueryEvaluator(
-            semiring=self._semiring, use_shortcuts=use_shortcuts, use_compact=use_compact
+            semiring=self._semiring, use_shortcuts=use_shortcuts
         )
 
     # ------------------------------------------------------------ accessors

@@ -11,15 +11,14 @@ Any single-processor algorithm may be used for this step (Sec. 2.1).  For the
 two standard semirings the evaluator runs the compact kernels of
 :mod:`repro.closure.kernels` over the site's cached
 :class:`~repro.graph.compact.CompactGraph` — bitset BFS for reachability,
-array-heap Dijkstra for shortest paths — and falls back to the original
-dict-based searches (``use_compact=False``, the benchmark baseline) or to a
-restricted semi-naive fixpoint for custom semirings.  The work counters it
+array-heap Dijkstra for shortest paths — and a custom semiring runs a
+restricted semi-naive fixpoint over the dict subgraph.  The work counters it
 returns (iterations ≈ fragment diameter, tuples produced) feed the parallel
 cost model.
 
 Of the three kinds of subquery a chain splits into (Sec. 2.1) the middle one
 — border to border inside an intermediate fragment — depends on the fragment
-and its disconnection sets only, never on the query.  The compact path
+and its disconnection sets only, never on the query.  The kernel path
 remembers those results in a :class:`TransitTable` kept in the derived store
 of the site's compact graph, so a cold query searches only its two endpoint
 fragments; ``CompactGraph.apply_delta`` drops the table with every other
@@ -46,7 +45,7 @@ from ..closure import (
     reachability_rows,
     shortest_path_semiring,
 )
-from ..graph import CompactGraph, DiGraph, bfs_levels, dijkstra
+from ..graph import CompactGraph
 from .catalog import CompactFragmentSite, FragmentSite
 from .planner import LocalQuerySpec
 
@@ -105,8 +104,9 @@ class LocalQueryResult:
             ``plus`` into :meth:`exit_values` (set by the evaluator, absent
             on hand-built results).
         backend: which kernel backend served the evaluation (``bigint``,
-            ``numpy``, ``chain``, or ``dijkstra``/``dict`` for the non-bitset
-            paths); surfaces in worker payloads and trace spans.
+            ``numpy``, ``chain``, or ``dijkstra``/``dict`` for the shortest-path
+            kernel and the custom-semiring fixpoint); surfaces in worker
+            payloads and trace spans.
         overlay: whether the site's compact graph carried an uncompacted
             delta overlay at evaluation time — the kernels read straight
             through it; surfaces in worker payloads and trace spans.
@@ -179,25 +179,21 @@ class LocalQueryEvaluator:
         semiring: the path problem (defaults to shortest paths).
         use_shortcuts: disable to evaluate on the bare fragment subgraph
             (ablation runs).
-        use_compact: evaluate the two standard semirings with the compact
-            kernels over the site's cached ``CompactGraph`` (the default).
-            ``False`` forces the original dict-based per-source searches —
-            kept as the benchmark baseline and for sites without a compact
-            form.  Custom semirings always use the dict-based fixpoint.
         backend: pin a reachability kernel backend (``bigint``, ``numpy`` or
             ``chain``) instead of letting :func:`repro.closure.select_kernel`
             choose by shape; answers are identical either way.
 
+    The two standard semirings run the compact kernels over the site's
+    cached ``CompactGraph``; a custom semiring runs the dict-based fixpoint.
     The evaluator accepts either a full :class:`FragmentSite` or the
-    plain-data :class:`CompactFragmentSite` a resident worker holds; the
-    latter supports compact evaluation only.
+    plain-data :class:`CompactFragmentSite` a pool worker holds; the latter
+    supports the standard semirings only.
 
-    On the compact path a subquery whose entry and exit sets both consist of
+    On the kernel path a subquery whose entry and exit sets both consist of
     the :class:`FragmentSite`'s border nodes is answered from the site's
     :class:`TransitTable` once it has been evaluated; ``transit_hits`` and
-    ``transit_misses`` count those lookups.  The dict evaluators, custom
-    semirings and plain-data sites (which do not know their borders) never
-    touch the table.
+    ``transit_misses`` count those lookups.  Custom semirings and plain-data
+    sites (which do not know their borders) never touch the table.
 
     Callers that hold several subqueries at once — the chains of a query, a
     batch, one routed message — hand them to :meth:`evaluate_many` together,
@@ -209,12 +205,10 @@ class LocalQueryEvaluator:
         *,
         semiring: Optional[Semiring] = None,
         use_shortcuts: bool = True,
-        use_compact: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._use_shortcuts = use_shortcuts
-        self._use_compact = use_compact
         self._backend = backend
         self.transit_hits = 0
         self.transit_misses = 0
@@ -272,7 +266,7 @@ class LocalQueryEvaluator:
             result = LocalQueryResult(fragment_id=fragment_id, semiring=self._semiring)
             results.append(result)
             if graph is None:
-                self._evaluate_dict(site, spec, result)
+                self._evaluate_generic(site, spec, result)
             else:
                 search = self._evaluate_compact(site, graph, spec, result)
                 if search is not None:
@@ -299,13 +293,11 @@ class LocalQueryEvaluator:
 
     def _runs_compact(self, site: FragmentSite | CompactFragmentSite) -> bool:
         standard = self._semiring.name in COMPACT_SEMIRINGS
-        if isinstance(site, CompactFragmentSite):
-            if not standard:
-                raise ValueError(
-                    f"a compact fragment site only supports the {COMPACT_SEMIRINGS} semirings"
-                )
-            return True
-        return self._use_compact and standard
+        if isinstance(site, CompactFragmentSite) and not standard:
+            raise ValueError(
+                f"a compact fragment site only supports the {COMPACT_SEMIRINGS} semirings"
+            )
+        return standard
 
     # --------------------------------------------------------- transit table
 
@@ -313,8 +305,8 @@ class LocalQueryEvaluator:
         """Answer ``spec`` from the site's transit table, or return ``None``.
 
         ``None`` means the subquery is not border-to-border, has not been
-        evaluated since the site graph last changed, or this evaluator does
-        not run the compact kernels.  The coordinator of a worker pool asks
+        evaluated since the site graph last changed, or the semiring is a
+        custom one.  The coordinator of a worker pool asks
         this before it routes a task.
         """
         key = self._transit_key(site, spec)
@@ -332,8 +324,8 @@ class LocalQueryEvaluator:
         """File a result evaluated elsewhere (a pool worker's reply) in the site's table.
 
         The caller vouches that ``result`` was computed on a replica of the
-        site's current compact graph.  Not a border-to-border subquery, or
-        not a compact evaluator: nothing is filed.
+        site's current compact graph.  Not a border-to-border subquery, or a
+        custom semiring: nothing is filed.
         """
         if self._runs_compact(site):
             graph = site.compact(use_shortcuts=self._use_shortcuts)
@@ -511,11 +503,14 @@ class LocalQueryEvaluator:
             self._file(graph, key, result)
             statistics.elapsed_seconds += perf_counter() - started
 
-    # ------------------------------------------------- dict-based strategies
+    # ------------------------------------------------------ custom semirings
 
-    def _evaluate_dict(
+    def _evaluate_generic(
         self, site: FragmentSite, spec: LocalQuerySpec, result: LocalQueryResult
     ) -> None:
+        """Restricted semi-naive fixpoint over the site's dict subgraph."""
+        from ..closure import seminaive_transitive_closure
+
         graph = site.augmented_subgraph() if self._use_shortcuts else site.subgraph
         result.backend = "dict"
         entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
@@ -523,54 +518,6 @@ class LocalQueryEvaluator:
         result.estimated_iterations = site.local_iterations()
         if not entry_nodes or not exit_nodes:
             return
-        if self._semiring.name == "shortest_path":
-            self._evaluate_shortest_path(graph, entry_nodes, exit_nodes, result)
-        elif self._semiring.name == "reachability":
-            self._evaluate_reachability(graph, entry_nodes, exit_nodes, result)
-        else:
-            self._evaluate_generic(graph, entry_nodes, exit_nodes, result)
-
-    def _evaluate_shortest_path(
-        self,
-        graph: DiGraph,
-        entry_nodes: List[Node],
-        exit_nodes: set,
-        result: LocalQueryResult,
-    ) -> None:
-        for entry in entry_nodes:
-            distances, _ = dijkstra(graph, entry, targets=set(exit_nodes))
-            produced = 0
-            for exit_node in exit_nodes:
-                if exit_node in distances:
-                    result.values[(entry, exit_node)] = distances[exit_node]
-                    produced += 1
-            result.statistics.record_round(len(distances), produced)
-
-    def _evaluate_reachability(
-        self,
-        graph: DiGraph,
-        entry_nodes: List[Node],
-        exit_nodes: set,
-        result: LocalQueryResult,
-    ) -> None:
-        for entry in entry_nodes:
-            levels = bfs_levels(graph, entry)
-            produced = 0
-            for exit_node in exit_nodes:
-                if exit_node in levels:
-                    result.values[(entry, exit_node)] = True
-                    produced += 1
-            result.statistics.record_round(len(levels), produced)
-
-    def _evaluate_generic(
-        self,
-        graph: DiGraph,
-        entry_nodes: List[Node],
-        exit_nodes: set,
-        result: LocalQueryResult,
-    ) -> None:
-        from ..closure import seminaive_transitive_closure
-
         closure = seminaive_transitive_closure(graph, semiring=self._semiring, sources=entry_nodes)
         result.statistics = closure.statistics
         for (source, target), value in closure.values.items():

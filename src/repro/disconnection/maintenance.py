@@ -11,15 +11,16 @@ updates are not too frequent, this cost is amortised over many queries.
 * edge insertions are routed to the fragment owning (or adjacent to) the
   endpoints; brand-new nodes extend the fragment chosen by locality,
 * edge deletions are routed to the owning fragment,
-* with ``incremental=True`` (the serving default) a live engine is maintained
+* a live engine inside the incremental envelope (built, standard semiring —
+  :func:`~repro.incremental.maintainer.supports_incremental`) is maintained
   **in place** by the :mod:`repro.incremental` subsystem: only the dirty
   fragment's compact state is rebuilt, only the border rows an edge change
   can provably affect are re-searched, and the per-fragment
   :class:`~repro.incremental.versions.VersionVector` plus
   :class:`~repro.incremental.delta.DeltaLog` record exactly what moved,
-* otherwise (or when an update falls outside the incremental envelope) the
-  engine is rebuilt lazily and the complementary information recomputed —
-  the classic full-invalidation path, still the correctness baseline.
+* an update outside that envelope is a counted fallback: the engine is
+  rebuilt lazily and the complementary information recomputed — the classic
+  full-invalidation path, kept as the safety path.
 
 The class deliberately does not re-run the fragmentation algorithm on every
 update: the paper treats fragmentation design as an offline decision, and
@@ -72,12 +73,11 @@ class UpdateEvent:
         incremental: ``True`` when the change was absorbed in place (the
             engine object survived); ``False`` means the engine will be
             rebuilt and listeners should invalidate globally.
-        fallback: why an incremental database did *not* absorb the change in
-            place — the stage that gave up (``"unsupported"``: no live
-            engine or a custom semiring; ``"begin"``: the pre-change probe
-            raised; ``"complete"``: the repair raised, expectedly or not).
-            ``None`` when the change was absorbed, and always on a database
-            that was not asked to maintain incrementally.
+        fallback: why the database did *not* absorb the change in place —
+            the stage that gave up (``"unsupported"``: no live engine or a
+            custom semiring; ``"begin"``: the pre-change probe raised;
+            ``"complete"``: the repair raised, expectedly or not).  ``None``
+            when the change was absorbed.
     """
 
     kind: str
@@ -173,10 +173,6 @@ class FragmentedDatabase:
             compact kernel graphs (snapshot reload); after an update the
             rebuilt engine re-derives only the affected fragments' compact
             forms lazily.
-        incremental: maintain a live engine in place on update (scoped
-            complementary repair + per-fragment compact rebuilds) instead of
-            tearing it down.  Updates outside the incremental envelope fall
-            back to the classic rebuild automatically.
         version_vector: seed the per-fragment version vector (snapshot
             reload, so a restored service resumes mid-stream).
     """
@@ -188,7 +184,6 @@ class FragmentedDatabase:
         semiring: Optional[Semiring] = None,
         complementary: Optional[ComplementaryInformation] = None,
         compact_sites: Optional[Dict[int, "CompactFragmentSite"]] = None,
-        incremental: bool = False,
         version_vector: Optional[VersionVector] = None,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
@@ -199,7 +194,6 @@ class FragmentedDatabase:
         self._engine: Optional[DisconnectionSetEngine] = None
         self._listeners: List[Callable[[UpdateEvent], None]] = []
         self.statistics = UpdateStatistics()
-        self._incremental = incremental
         self._maintainer = None  # lazily bound to the live engine generation
         self._mirror: Optional[CompactGraph] = None  # resident whole-graph compact mirror
         self.version_vector = version_vector.copy() if version_vector else VersionVector()
@@ -235,11 +229,6 @@ class FragmentedDatabase:
     def graph(self) -> DiGraph:
         """The current base graph (a live object; mutate only through this class)."""
         return self._graph
-
-    @property
-    def incremental(self) -> bool:
-        """Whether updates maintain a live engine in place when possible."""
-        return self._incremental
 
     def fragmentation(self) -> Fragmentation:
         """Return the current fragmentation as an immutable snapshot.
@@ -469,7 +458,7 @@ class FragmentedDatabase:
         fragment ids are aligned to the deployed layout by edge overlap, only
         the fragments whose edges or neighbourhood moved are rebuilt, the
         complementary information is repaired per disconnection set, and
-        listeners receive a scoped, ``incremental=True`` event naming exactly
+        listeners receive a scoped (``event.incremental``) event naming exactly
         the dirty fragments.  Outside that envelope the classic full rebuild
         applies (everything stale, epoch advanced).
 
@@ -550,7 +539,7 @@ class FragmentedDatabase:
         self, new_layout: List[Set[Edge]], algorithm: str
     ) -> Optional["RefragmentResult"]:
         """Try the scoped redraw against the live engine; ``None`` means fall back."""
-        if not self._incremental or self._stale or self._engine is None:
+        if self._stale or self._engine is None:
             return None
         if any(not edges for edges in new_layout):
             return None  # an empty slot would violate the Fragmentation contract
@@ -602,7 +591,7 @@ class FragmentedDatabase:
         Returns the dirty fragment ids.
         """
         maintainer = self._ensure_maintainer()
-        fallback = "unsupported" if maintainer is None and self._incremental else None
+        fallback = "unsupported" if maintainer is None else None
         if maintainer is not None:
             try:
                 maintainer.begin(changes)
@@ -645,8 +634,7 @@ class FragmentedDatabase:
             )
         else:
             # Classic path: mark everything stale and let engine() rebuild.
-            if fallback is not None:
-                self.statistics.incremental_fallbacks += 1
+            self.statistics.incremental_fallbacks += 1
             dirty = tuple(sorted({change.fragment_id for change in changes}))
             if any(not edges for edges in self._fragment_edges):
                 # A fragment emptied out.  fragmentation() renumbers the
@@ -717,8 +705,6 @@ class FragmentedDatabase:
 
     def _ensure_maintainer(self):
         """Return a maintainer bound to the live engine, or ``None``."""
-        if not self._incremental:
-            return None
         from ..incremental.maintainer import IncrementalMaintainer, supports_incremental
 
         if not supports_incremental(self):

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..closure import array_dijkstra, reconstruct_id_path
 from ..exceptions import DisconnectedError, NoChainError
 from ..fragmentation import Fragmentation
-from ..graph import DiGraph, dijkstra, reconstruct_path
+from ..graph import DiGraph
 from .catalog import DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation, precompute_complementary_information
 from .planner import ChainPlan, LocalQuerySpec, QueryPlanner
@@ -74,10 +74,6 @@ class RouteReconstructingEngine:
             have been precomputed with ``store_paths=True`` (the constructor
             recomputes it with paths otherwise).
         max_chains: cap on the number of fragment chains examined per query.
-        use_compact: run the per-fragment predecessor-tracking Dijkstra on
-            the site's cached compact (CSR) graph via the array kernel (the
-            default); ``False`` restores the dict-based walk over the
-            augmented subgraph — kept as the equivalence baseline.
     """
 
     def __init__(
@@ -86,14 +82,12 @@ class RouteReconstructingEngine:
         *,
         complementary: Optional[ComplementaryInformation] = None,
         max_chains: Optional[int] = 32,
-        use_compact: bool = True,
     ) -> None:
         if complementary is None or not complementary.paths:
             complementary = precompute_complementary_information(fragmentation, store_paths=True)
         self._complementary = complementary
         self._catalog = DistributedCatalog(fragmentation, complementary=complementary)
         self._planner = QueryPlanner(self._catalog, max_chains=max_chains)
-        self._use_compact = use_compact
 
     @property
     def catalog(self) -> DistributedCatalog:
@@ -165,29 +159,11 @@ class RouteReconstructingEngine:
         return self._catalog.site(spec.fragment_id)
 
     def _evaluate_local(self, site: FragmentSite, spec: LocalQuerySpec) -> _LocalRoutes:
-        """Per-fragment Dijkstra with predecessor tracking (compact kernel by default)."""
-        if self._use_compact:
-            return self._evaluate_local_compact(site, spec)
-        graph = site.augmented_subgraph()
-        result = _LocalRoutes()
-        exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
-        for entry in spec.entry_nodes:
-            if not graph.has_node(entry) or not exit_nodes:
-                continue
-            distances, predecessors = dijkstra(graph, entry, targets=set(exit_nodes))
-            for exit_node in exit_nodes:
-                if exit_node not in distances:
-                    continue
-                result.values[(entry, exit_node)] = distances[exit_node]
-                result.paths[(entry, exit_node)] = reconstruct_path(predecessors, entry, exit_node)
-        return result
+        """Per-fragment Dijkstra with predecessor tracking on the site's cached CSR graph.
 
-    def _evaluate_local_compact(self, site: FragmentSite, spec: LocalQuerySpec) -> _LocalRoutes:
-        """The same search on the site's cached CSR graph via ``array_dijkstra``.
-
-        The kernel's flat predecessor array replaces the dict predecessor
-        map; ids are translated back through the interner when a path is
-        materialised, so downstream shortcut expansion sees original nodes.
+        ``array_dijkstra`` returns a flat predecessor array; ids are
+        translated back through the interner when a path is materialised, so
+        downstream shortcut expansion sees original nodes.
         """
         graph = site.compact()
         result = _LocalRoutes()

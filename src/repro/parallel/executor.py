@@ -7,10 +7,11 @@ first phase" property with real OS-level parallelism.  Processes are used
 instead of threads because CPython's GIL would serialise pure-Python closure
 computations in a thread pool.
 
-The workers come from the :class:`~repro.service.pool.ResidentWorkerPool`:
-they are started once, receive the fragment sites once — as compact
-(CSR-array) fragments whose plain-data buffers pickle far cheaper than
-dict-of-dicts subgraphs — and stay resident across queries, so repeated
+The workers come from the :class:`~repro.service.pool.PlacedWorkerPool`
+under a ``cost_balanced`` :class:`~repro.placement.plan.PlacementPlan`:
+they are started once, each receives the fragment sites it owns once — as
+compact (CSR-array) fragments whose plain-data buffers pickle far cheaper
+than dict-of-dicts subgraphs — and stay resident across queries, so repeated
 queries pay only for the query specs going out and the per-fragment path
 relations coming back, which is what the paper's final joins consume.  Local
 evaluation inside a worker runs the bitset/array kernels of
@@ -32,7 +33,8 @@ from ..disconnection import (
 )
 from ..disconnection.catalog import DistributedCatalog
 from ..fragmentation import Fragmentation
-from ..service.pool import PICKLABLE_SEMIRINGS, ResidentWorkerPool
+from ..placement import plan_placement
+from ..service.pool import PICKLABLE_SEMIRINGS, PlacedWorkerPool
 
 Node = Hashable
 
@@ -80,7 +82,7 @@ class MultiprocessQueryExecutor:
         self._planner = QueryPlanner(self._catalog)
         default_processes = min(fragmentation.fragment_count(), multiprocessing.cpu_count())
         self._processes = max(1, processes if processes is not None else default_processes)
-        self._pool: Optional[ResidentWorkerPool] = None
+        self._pool: Optional[PlacedWorkerPool] = None
 
     def query(self, source: Node, target: Node) -> ParallelAnswer:
         """Answer a query by fanning the local subqueries out to the resident workers."""
@@ -110,7 +112,14 @@ class MultiprocessQueryExecutor:
 
     # ------------------------------------------------------------- internals
 
-    def _ensure_pool(self) -> ResidentWorkerPool:
+    def _ensure_pool(self) -> PlacedWorkerPool:
         if self._pool is None:
-            self._pool = ResidentWorkerPool(self._catalog, processes=self._processes)
+            plan = plan_placement(
+                "cost_balanced",
+                self._processes,
+                fragment_costs={
+                    site.fragment_id: float(site.edge_count()) for site in self._catalog.sites()
+                },
+            )
+            self._pool = PlacedWorkerPool(self._catalog, plan)
         return self._pool

@@ -6,9 +6,8 @@ local work — only pay off when the prepared catalog outlives a single query.
 This package provides the serving layer that makes that true in practice:
 
 * :mod:`~repro.service.snapshot` — persist/reload prepared catalogs,
-* :mod:`~repro.service.pool` — resident worker processes pinning the sites:
-  replicated (:class:`ResidentWorkerPool`) or routed shared-nothing
-  (:class:`PlacedWorkerPool`, executing a
+* :mod:`~repro.service.pool` — resident worker processes pinning the sites
+  shared-nothing (:class:`PlacedWorkerPool`, executing a
   :class:`~repro.placement.plan.PlacementPlan`),
 * :mod:`~repro.service.cache` — a bounded LRU cache of query answers,
 * :mod:`~repro.service.batch` — shared-subquery batch planning,
@@ -22,7 +21,6 @@ from .cache import CachedAnswer, CacheKey, LRUCache
 from .pool import (
     PinUpdate,
     PlacedWorkerPool,
-    ResidentWorkerPool,
     WorkerPoolError,
     result_from_payload,
     semiring_from_name,
@@ -49,7 +47,6 @@ __all__ = [
     "PinUpdate",
     "PlacedWorkerPool",
     "QueryService",
-    "ResidentWorkerPool",
     "WorkerPoolError",
     "ServiceAnswer",
     "ServiceStatistics",

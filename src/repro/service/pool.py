@@ -1,10 +1,10 @@
-"""Resident worker pool: fragment sites pinned in long-lived processes.
+"""Placed worker pool: fragment sites pinned in long-lived owner processes.
 
 The per-query executor of :mod:`repro.parallel.executor` originally spawned a
 fresh ``multiprocessing.Pool`` for every query, re-shipping every fragment
 site each time; for a serving workload that start-up cost dwarfs the local
-evaluation the paper parallelises.  :class:`ResidentWorkerPool` keeps the
-workers alive for the lifetime of the service: each worker receives the
+evaluation the paper parallelises.  :class:`PlacedWorkerPool` keeps the
+workers alive for the lifetime of the service: each worker receives its
 fragment sites exactly once at start-up — in their *compact* form
 (:class:`~repro.disconnection.catalog.CompactFragmentSite`: augmented CSR
 arrays plus the interned node list, which pickle as flat buffers instead of
@@ -14,24 +14,18 @@ back, which is what the paper's final joins consume.  Workers evaluate
 directly with the compact kernels; no ``DiGraph`` is ever rebuilt inside a
 worker.
 
-Two pools implement two placement disciplines:
-
-* :class:`ResidentWorkerPool` — every worker pins a *replica* of all sites,
-  so any worker can evaluate any fragment's spec (simple work-stealing
-  scheduling, at the cost of catalog-size x workers resident memory and
-  broadcast re-pins).
-* :class:`PlacedWorkerPool` — the paper's true shared-nothing placement: a
-  :class:`~repro.placement.plan.PlacementPlan` names one *owner* worker per
-  fragment (plus optional hot-fragment replicas), each worker pins **only**
-  the fragments placed on it, every worker has its own routed task queue,
-  re-pins go to the dirty fragment's owner(s) only, and
-  :meth:`PlacedWorkerPool.migrate` moves a fragment's compact state between
-  live workers without a restart.  Per-worker resident memory drops from
-  ``O(fragments)`` to ``O(fragments / workers)``.
+The pool is the paper's shared-nothing placement: a
+:class:`~repro.placement.plan.PlacementPlan` names one *owner* worker per
+fragment (plus optional replicas — full replication is one allocation a plan
+can express, not a second runtime), each worker pins **only** the fragments
+placed on it, every worker has its own routed task queue, re-pins go to the
+dirty fragment's owner only, and :meth:`PlacedWorkerPool.migrate` moves a
+fragment's compact state between live workers without a restart.  Per-worker
+resident memory is ``O(fragments / workers)``.
 
 Only the two standard semirings are supported because semiring callables do
-not pickle; the sequential fallback of the service handles arbitrary
-semirings in-process.
+not pickle; the in-process evaluation of the service handles arbitrary
+semirings.
 """
 
 from __future__ import annotations
@@ -67,15 +61,10 @@ PICKLABLE_SEMIRINGS = ("shortest_path", "reachability")
 WORKER_KERNEL_HISTOGRAM = "repro_worker_kernel_seconds"
 WORKER_TUPLES_COUNTER = "repro_worker_kernel_tuples_total"
 
-REPIN_TIMEOUT_SECONDS = 30.0
+# Seconds to wait for a routed worker's reply before declaring the request
+# failed (dead workers are detected and respawned much sooner).
 ROUTED_REPLY_TIMEOUT_SECONDS = 60.0
 _POLL_SECONDS = 0.2
-
-# Module-level worker state, initialised once per worker process.
-_WORKER_SITES: Dict[int, CompactFragmentSite] = {}
-_WORKER_EVALUATOR: Optional[LocalQueryEvaluator] = None
-_WORKER_BARRIER: Optional[multiprocessing.synchronize.Barrier] = None
-
 
 @dataclass(frozen=True)
 class PinUpdate:
@@ -126,8 +115,7 @@ def apply_pin_updates(
 ) -> int:
     """Apply pin updates to a worker's pinned-site map; returns the count refreshed.
 
-    The single worker-side interpretation of the delta-vs-payload protocol,
-    shared by the replicated and the routed pool.
+    The worker-side interpretation of the delta-vs-payload protocol.
     """
     refreshed = 0
     for update in updates:
@@ -157,38 +145,6 @@ def semiring_from_name(name: str) -> Semiring:
     raise ValueError(
         f"semiring {name!r} is not one of the standard semirings {PICKLABLE_SEMIRINGS}"
     )
-
-
-def _worker_init(
-    sites: List[CompactFragmentSite],
-    semiring_name: str,
-    barrier: Optional["multiprocessing.synchronize.Barrier"] = None,
-) -> None:
-    """Initialise a worker process with its pinned compact sites and evaluator."""
-    global _WORKER_SITES, _WORKER_EVALUATOR, _WORKER_BARRIER
-    _WORKER_SITES = {site.fragment_id: site for site in sites}
-    _WORKER_EVALUATOR = LocalQueryEvaluator(semiring=semiring_from_name(semiring_name))
-    _WORKER_BARRIER = barrier
-
-
-def _worker_repin(updates: Sequence[PinUpdate]) -> int:
-    """Apply pin updates inside one worker; returns the fragments refreshed.
-
-    The coordinator submits exactly one copy of this task per worker
-    (chunksize 1) and every copy blocks on the shared barrier before
-    returning, which guarantees each worker takes exactly one copy — a
-    broadcast over a work-stealing pool.
-    """
-    assert _WORKER_BARRIER is not None
-    _WORKER_BARRIER.wait(timeout=REPIN_TIMEOUT_SECONDS)
-    return apply_pin_updates(_WORKER_SITES, updates)
-
-
-def _worker_evaluate(task: TaskKey) -> Tuple[TaskKey, Dict]:
-    """Evaluate one local query spec inside a worker process."""
-    spec = LocalQuerySpec(*task)
-    assert _WORKER_EVALUATOR is not None
-    return task, result_payload(_WORKER_EVALUATOR.evaluate(_WORKER_SITES[spec.fragment_id], spec))
 
 
 def result_payload(result: LocalQueryResult) -> Dict:
@@ -231,170 +187,6 @@ def result_from_payload(
         searches=payload.get("searches", 0),
         backward=payload.get("backward", False),
     )
-
-
-class ResidentWorkerPool:
-    """A persistent pool of worker processes holding the fragment sites.
-
-    Args:
-        catalog: the distributed catalog whose sites the workers pin.
-        processes: number of worker processes (defaults to the fragment
-            count, capped at the CPU count).
-
-    The pool is started eagerly so the site shipping cost is paid at
-    construction, not on the first query.  Use :meth:`close` (or a ``with``
-    block) to release the workers; :meth:`restart` re-pins the sites of a new
-    catalog after the base relation changed.
-    """
-
-    def __init__(self, catalog: DistributedCatalog, *, processes: Optional[int] = None) -> None:
-        if catalog.semiring.name not in PICKLABLE_SEMIRINGS:
-            raise ValueError(
-                "the resident worker pool supports the "
-                f"{' and '.join(PICKLABLE_SEMIRINGS)} semirings only"
-            )
-        default_processes = min(catalog.site_count(), multiprocessing.cpu_count())
-        self._processes = max(1, processes if processes is not None else default_processes)
-        self._semiring_name = catalog.semiring.name
-        self._semiring = semiring_from_name(self._semiring_name)
-        self.dispatch_counts: Dict[int, int] = {}
-        self.repins = 0
-        self.repinned_fragments = 0
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._barrier: Optional[multiprocessing.synchronize.Barrier] = None
-        self._start(catalog)
-
-    def _start(self, catalog: DistributedCatalog) -> None:
-        # The pinned list is shared with the Pool's respawn machinery: a
-        # worker that dies is re-initialised from these initargs, so repin()
-        # must keep the list current or a respawned worker would silently
-        # serve the state captured at pool start.
-        self._pinned_sites = list(catalog.compact_sites().values())
-        self._barrier = multiprocessing.Barrier(self._processes)
-        self._pool = multiprocessing.Pool(
-            processes=self._processes,
-            initializer=_worker_init,
-            initargs=(self._pinned_sites, self._semiring_name, self._barrier),
-        )
-
-    # ------------------------------------------------------------ accessors
-
-    @property
-    def worker_count(self) -> int:
-        """The number of resident worker processes."""
-        return self._processes
-
-    def is_running(self) -> bool:
-        """Return ``True`` while the workers are alive."""
-        return self._pool is not None
-
-    def alive_workers(self) -> int:
-        """Count the pool's live worker processes (0 when closed).
-
-        ``multiprocessing.Pool`` hides its process list behind ``_pool``;
-        the health probe only needs a count, so a missing attribute (future
-        stdlib reshuffle) degrades to "all alive" rather than crashing the
-        probe.
-        """
-        if self._pool is None:
-            return 0
-        processes = getattr(self._pool, "_pool", None)
-        if processes is None:
-            return self._processes
-        return sum(1 for process in processes if process.is_alive())
-
-    # ------------------------------------------------------------ operations
-
-    def evaluate(self, tasks: Sequence[TaskKey]) -> Dict[TaskKey, LocalQueryResult]:
-        """Evaluate the (already deduplicated) tasks across the resident workers.
-
-        Returns a mapping from task key to the per-fragment path relation.
-
-        Raises:
-            RuntimeError: if the pool was closed.
-        """
-        if self._pool is None:
-            raise RuntimeError("the resident worker pool has been closed")
-        results: Dict[TaskKey, LocalQueryResult] = {}
-        if not tasks:
-            return results
-        for key, payload in self._pool.map(_worker_evaluate, tasks):
-            results[key] = result_from_payload(key, payload, semiring=self._semiring)
-            self.dispatch_counts[key[0]] = self.dispatch_counts.get(key[0], 0) + 1
-        return results
-
-    def repin(self, updates: Sequence[PinUpdate]) -> None:
-        """Refresh only the given fragments in every worker, without a restart.
-
-        The broadcast submits one repin task per worker; a shared barrier
-        makes each worker take exactly one, so after this call returns every
-        worker's replica of the dirty fragments matches the coordinator —
-        all other pinned fragments (and the processes themselves, with their
-        warm state) are untouched.  This is the scoped counterpart of
-        :meth:`restart`, whose full re-ship is only needed when the whole
-        catalog changed.
-
-        Raises:
-            RuntimeError: if the pool was closed.
-        """
-        if self._pool is None:
-            raise RuntimeError("the resident worker pool has been closed")
-        if not updates:
-            return
-        wire_updates = [update.wire() for update in updates]
-        self._pool.map(_worker_repin, [wire_updates] * self._processes, 1)
-        for update in updates:
-            if update.remove:
-                self._pinned_sites = [
-                    pinned
-                    for pinned in self._pinned_sites
-                    if pinned.fragment_id != update.fragment_id
-                ]
-                continue
-            if update.payload is None:
-                continue
-            for index, pinned in enumerate(self._pinned_sites):
-                if pinned.fragment_id == update.fragment_id:
-                    self._pinned_sites[index] = update.payload
-                    break
-            else:
-                self._pinned_sites.append(update.payload)
-        self.repins += 1
-        self.repinned_fragments += len(updates)
-
-    def restart(self, catalog: DistributedCatalog) -> None:
-        """Replace the pinned sites with those of ``catalog`` (after an update)."""
-        if catalog.semiring.name != self._semiring_name:
-            raise ValueError(
-                f"cannot restart a {self._semiring_name} pool with a "
-                f"{catalog.semiring.name} catalog"
-            )
-        self.close()
-        self._start(catalog)
-
-    def close(self) -> None:
-        """Terminate the worker processes (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    # --------------------------------------------------------------- context
-
-    def __enter__(self) -> "ResidentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# --------------------------------------------------------------- routed pool
 
 
 def _routed_worker_loop(
@@ -540,26 +332,16 @@ class PlacedWorkerPool:
         catalog: the distributed catalog whose sites the workers pin.
         plan: the fragment -> owner-worker placement to execute; every
             fragment of the catalog must be placed.
-        reply_timeout: seconds to wait for a routed worker's reply before
-            declaring the request failed (dead workers are detected and
-            respawned much sooner).
 
-    Unlike :class:`ResidentWorkerPool` (one replicated ``multiprocessing.Pool``
-    with work stealing), each worker here is a dedicated process draining its
-    own queue and pinning only the fragments the plan places on it.
-    ``evaluate`` routes every task to its fragment's owner — falling back to
-    a live replica (and respawning the owner) when the owner process died —
-    so the coordinator, not the OS scheduler, decides where data-dependent
-    work runs; that is what makes scoped re-pins and live migration possible.
+    Each worker is a dedicated process draining its own queue and pinning
+    only the fragments the plan places on it.  ``evaluate`` routes every
+    task to its fragment's owner — falling back to a live replica (and
+    respawning the owner) when the owner process died — so the coordinator,
+    not the OS scheduler, decides where data-dependent work runs; that is
+    what makes scoped re-pins and live migration possible.
     """
 
-    def __init__(
-        self,
-        catalog: DistributedCatalog,
-        plan: PlacementPlan,
-        *,
-        reply_timeout: float = ROUTED_REPLY_TIMEOUT_SECONDS,
-    ) -> None:
+    def __init__(self, catalog: DistributedCatalog, plan: PlacementPlan) -> None:
         if catalog.semiring.name not in PICKLABLE_SEMIRINGS:
             raise ValueError(
                 "the placed worker pool supports the "
@@ -567,7 +349,6 @@ class PlacedWorkerPool:
             )
         self._semiring_name = catalog.semiring.name
         self._semiring = semiring_from_name(self._semiring_name)
-        self._reply_timeout = reply_timeout
         self._context = multiprocessing.get_context()
         self._next_request_id = 0
         self._running = False
@@ -669,13 +450,14 @@ class PlacedWorkerPool:
         return handle
 
     def restart(self, catalog: DistributedCatalog) -> None:
-        """Replace every pinned site with ``catalog``'s under a fresh plan.
+        """Replace every pinned site with ``catalog``'s under the remapped plan.
 
         Kept for the full-rebuild path (refragmentation, incremental
         fallback), where the fragment set itself may have changed; scoped
         updates go through :meth:`repin` and skew through :meth:`migrate`
-        instead.  The plan is recomputed with the same policy when the
-        catalog's fragments no longer match the old plan.
+        instead.  When the catalog's fragments no longer match the plan it is
+        remapped (:meth:`PlacementPlan.remap`): surviving fragments keep
+        their owners, new ids land on the least-loaded workers.
         """
         if catalog.semiring.name != self._semiring_name:
             raise ValueError(
@@ -685,16 +467,7 @@ class PlacedWorkerPool:
         plan = self._plan
         fragment_ids = {site.fragment_id for site in catalog.sites()}
         if fragment_ids != set(plan.owner_of):
-            from ..placement import plan_placement  # local import to keep startup light
-
-            plan = plan_placement(
-                plan.policy,
-                plan.worker_count,
-                fragment_ids=sorted(fragment_ids),
-                fragment_costs={
-                    site.fragment_id: float(site.edge_count()) for site in catalog.sites()
-                },
-            )
+            plan = plan.remap(fragment_ids)
         self.close()
         self._start(catalog, plan)
 
@@ -860,11 +633,10 @@ class PlacedWorkerPool:
     def repin(self, updates: Sequence[PinUpdate]) -> None:
         """Refresh dirty fragments on their owner only — replicas are fenced.
 
-        This is the shared-nothing counterpart of
-        :meth:`ResidentWorkerPool.repin`: instead of a barrier broadcast to
-        every worker, each update travels eagerly only to the fragment's
-        *owner* — the worker every read routes to — so a hot fragment's
-        update cost stays O(1) however widely it is replicated.  Replica
+        Instead of a broadcast to every worker holding a copy, each update
+        travels eagerly only to the fragment's *owner* — the worker every
+        read routes to — so a hot fragment's update cost stays O(1) however
+        widely it is replicated.  Replica
         processes keep serving their old version behind a fence: the
         coordinator mirror records the new payload, the replica is marked
         stale, and the first routed read that actually falls back to it
@@ -1163,12 +935,12 @@ class PlacedWorkerPool:
         """
         outstanding = set(workers)
         replies: Dict[int, object] = {}
-        deadline = time.monotonic() + self._reply_timeout
+        deadline = time.monotonic() + ROUTED_REPLY_TIMEOUT_SECONDS
         while outstanding:
             if time.monotonic() > deadline:
                 raise WorkerPoolError(
                     f"workers {sorted(outstanding)} did not reply within "
-                    f"{self._reply_timeout:.0f}s"
+                    f"{ROUTED_REPLY_TIMEOUT_SECONDS:.0f}s"
                 )
             reader_of = {self._workers[w].reader: w for w in outstanding}
             ready = multiprocessing.connection.wait(

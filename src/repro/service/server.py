@@ -7,23 +7,23 @@ pieces of this package:
 * a :class:`~repro.service.cache.LRUCache` of answers addressed by a typed
   :class:`~repro.service.cache.CacheKey`, each entry recording the
   per-fragment versions it depends on,
-* an optional worker pool that keeps the fragment sites pinned in
-  persistent worker processes — replicated
-  (:class:`~repro.service.pool.ResidentWorkerPool`) or shared-nothing
-  (:class:`~repro.service.pool.PlacedWorkerPool`, selected with
-  ``placement=...``: a :class:`~repro.placement.plan.PlacementPlan` routes
-  every fragment's subqueries and re-pins to its owner worker, and
+* an optional shared-nothing worker pool
+  (:class:`~repro.service.pool.PlacedWorkerPool`) that keeps the fragment
+  sites pinned in persistent worker processes: a
+  :class:`~repro.placement.plan.PlacementPlan` (``placement=...``, or the
+  ``cost_balanced`` default of ``workers=N``) routes every fragment's
+  subqueries and re-pins to its owner worker, and
   :meth:`QueryService.migrate` / :meth:`QueryService.rebalance` move
-  fragments between live workers),
+  fragments between live workers,
 * the :class:`~repro.service.batch.BatchPlanner` that evaluates a batch's
   shared local subqueries once,
 * the update hooks of
-  :class:`~repro.disconnection.maintenance.FragmentedDatabase`: with the
-  default ``incremental=True`` an update is absorbed in place by the
-  :mod:`repro.incremental` subsystem — only the dirty fragments' versions
-  move, only the answers depending on them are evicted, and only their
-  payloads are re-pinned into the workers; a fall-back full rebuild flushes
-  everything (the pre-incremental behaviour, kept as ``incremental=False``),
+  :class:`~repro.disconnection.maintenance.FragmentedDatabase`: an update is
+  absorbed in place by the :mod:`repro.incremental` subsystem — only the
+  dirty fragments' versions move, only the answers depending on them are
+  evicted, and only their payloads are re-pinned into the workers; an update
+  outside that envelope is a counted fallback (``stats.update_fallbacks``)
+  into the classic full rebuild, which flushes everything,
 * :class:`~repro.service.stats.ServiceStatistics` making hit rates, latency
   and per-site load observable — backed by a shared
   :class:`~repro.observability.MetricsRegistry`, alongside a
@@ -48,13 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from ..closure import (
-    KERNEL_BACKENDS,
-    KERNEL_SELECTIONS_COUNTER,
-    Semiring,
-    merge_selection_metrics,
-    shortest_path_semiring,
-)
+from ..closure import Semiring, merge_selection_metrics, shortest_path_semiring
 from ..disconnection import (
     CompactFragmentSite,
     ComplementaryInformation,
@@ -94,20 +88,13 @@ from ..refragmentation import (
 )
 from .batch import BatchPlanner
 from .cache import CachedAnswer, CacheKey, LRUCache
-from .pool import (
-    PICKLABLE_SEMIRINGS,
-    PinUpdate,
-    PlacedWorkerPool,
-    ResidentWorkerPool,
-    TaskKey,
-)
+from .pool import PICKLABLE_SEMIRINGS, PinUpdate, PlacedWorkerPool, TaskKey
 from .snapshot import SnapshotManifest, load_snapshot, save_snapshot
 from .stats import ServiceStatistics
 
 Node = Hashable
 Query = Tuple[Node, Node]
 PathLike = Union[str, Path]
-WorkerPool = Union[ResidentWorkerPool, PlacedWorkerPool]
 
 # After the advisor's recommendation fails the worthwhile bar, skip this many
 # check intervals before paying for trial-run recommendations again.
@@ -150,34 +137,27 @@ class QueryService:
         complementary: reuse already-precomputed complementary information
             (e.g. from a snapshot) so construction costs no search work.
         cache_size: capacity of the LRU result cache.
-        workers: when set (> 0), evaluate local subqueries on a resident
-            pool of that many worker processes; when ``None`` the service
-            evaluates them in-process (still sharing subqueries and caching
-            results — the right choice for small fragments, where process
-            messaging would dominate).
-        placement: shared-nothing placement of fragments onto the workers.
-            ``None`` (default) keeps the replicated pool: every worker pins
-            every fragment.  A policy name (``"round_robin"``,
-            ``"cost_balanced"``, ``"workload_aware"``) or an explicit
-            :class:`~repro.placement.plan.PlacementPlan` switches to the
-            routed :class:`~repro.service.pool.PlacedWorkerPool`: each
-            worker pins only the fragments it owns, subqueries are routed
-            to owners, re-pins reach only the dirty fragment's owner(s),
+        workers: when set (> 0), evaluate local subqueries on a
+            :class:`~repro.service.pool.PlacedWorkerPool` of that many
+            worker processes; when ``None`` (and no ``placement``) the
+            service evaluates them in-process (still sharing subqueries and
+            caching results — the right choice for small fragments, where
+            process messaging would dominate).
+        placement: shared-nothing placement of fragments onto the workers:
+            each worker pins only the fragments it owns, subqueries are
+            routed to owners, re-pins reach only the dirty fragment's owner,
             and :meth:`migrate` / :meth:`rebalance` move fragments between
-            live workers.  Implies pooled evaluation (``workers`` defaults
-            to the plan's worker count, or the fragment count capped at the
-            CPU count for a policy name).
+            live workers.  A policy name (``"round_robin"``,
+            ``"cost_balanced"``, ``"workload_aware"``) or an explicit
+            :class:`~repro.placement.plan.PlacementPlan`; implies pooled
+            evaluation (``workers`` defaults to the plan's worker count, or
+            the fragment count capped at the CPU count for a policy name).
+            ``None`` (default) with ``workers`` set means
+            ``"cost_balanced"``; passed explicitly to :meth:`from_snapshot`
+            it ignores the snapshot's persisted plan.
         compact_sites: seed the per-fragment compact kernel graphs (snapshot
             reload fast path; ``from_snapshot`` wires this automatically).
-        use_compact: evaluate local subqueries with the compact kernels
-            (default); ``False`` restores the dict-based evaluation — kept
-            for the kernel benchmarks.
         max_chains: cap on fragment chains examined per query.
-        incremental: absorb updates in place (scoped complementary repair,
-            per-fragment cache eviction, worker re-pinning) — the default.
-            ``False`` restores the full-invalidation behaviour: every update
-            tears the engine down and flushes the whole cache (kept as the
-            update benchmark's baseline).
         version_vector: seed the per-fragment version vector (wired by
             ``from_snapshot`` so a restored service resumes mid-stream).
         delta_sequence: seed the delta log's numbering (wired by
@@ -219,9 +199,7 @@ class QueryService:
         workers: Optional[int] = None,
         placement: Optional[Union[str, PlacementPlan]] = None,
         compact_sites: Optional[Dict[int, CompactFragmentSite]] = None,
-        use_compact: bool = True,
         max_chains: Optional[int] = 32,
-        incremental: bool = True,
         version_vector: Optional[VersionVector] = None,
         delta_sequence: int = 0,
         auto_refragment: Union[bool, RefragmentationAdvisor] = False,
@@ -247,6 +225,8 @@ class QueryService:
                 f"worker_count={placement.worker_count}; drop one or pass a "
                 "policy name to recompute the plan for the requested workers"
             )
+        if workers and placement is None:
+            placement = "cost_balanced"
         if placement is not None and not workers:
             # Placement implies pooled evaluation: an explicit plan fixes the
             # worker count, a policy name defaults to one worker per
@@ -268,7 +248,6 @@ class QueryService:
             semiring=self._semiring,
             complementary=complementary,
             compact_sites=compact_sites,
-            incremental=incremental,
             version_vector=version_vector,
         )
         self._database.add_update_listener(self._on_update)
@@ -290,8 +269,8 @@ class QueryService:
         self._workers = workers
         self._placement = placement
         self._max_chains = max_chains
-        self._pool: Optional[WorkerPool] = None
-        self._evaluator = LocalQueryEvaluator(semiring=self._semiring, use_compact=use_compact)
+        self._pool: Optional[PlacedWorkerPool] = None
+        self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
         self._base_version = "live"
         self._current_engine: Optional[DisconnectionSetEngine] = None
         self._planner: Optional[QueryPlanner] = None
@@ -336,10 +315,10 @@ class QueryService:
         The snapshot's persisted compact fragments seed the kernel caches, so
         the restored service serves its first query without ever rebuilding
         adjacency.  A persisted placement plan is re-adopted the same way —
-        pass ``placement=...`` to override it (including an explicit
-        ``placement=None`` to force the replicated pool), or a different
-        ``workers=`` count to recompute the plan with the persisted policy
-        for the new pool shape.
+        pass ``placement=...`` to override it (an explicit
+        ``placement=None`` ignores the snapshot's persisted plan), or a
+        different ``workers=`` count to recompute the plan with the
+        persisted policy for the new pool shape.
 
         ``replay_log`` catches the restored service up with a *live*
         database: the snapshot records the delta sequence it was taken at,
@@ -520,20 +499,17 @@ class QueryService:
 
     @property
     def placement_plan(self) -> Optional[PlacementPlan]:
-        """The live fragment -> owner-worker plan (``None`` outside placement mode).
+        """The live fragment -> owner-worker plan (``None`` for an in-process service).
 
-        Once the routed pool runs this is its live plan, migrations
-        included.  Before that, a policy name is materialised into a
-        concrete plan here (and pinned, so the pool later starts with
-        exactly this plan) — a service configured with ``placement=...``
-        therefore always reports and persists its placement, even before
-        the first query forces the pool up.
+        Once the pool runs this is its live plan, migrations included.
+        Before that, a policy name is materialised into a concrete plan here
+        (and pinned, so the pool later starts with exactly this plan) — a
+        pooled service therefore always reports and persists its placement,
+        even before the first query forces the pool up.
         """
-        if isinstance(self._pool, PlacedWorkerPool):
+        if self._pool is not None:
             return self._pool.plan
-        if self._placement is None:
-            return None
-        if isinstance(self._placement, PlacementPlan):
+        if self._placement is None or isinstance(self._placement, PlacementPlan):
             return self._placement
         engine = self._refresh_engine()
         catalog = engine.catalog
@@ -684,7 +660,7 @@ class QueryService:
                 self._planning_hist.observe(batch.planning_seconds)
                 if batch.owner_groups:
                     # Placement-aware batch: the planner grouped the whole
-                    # batch's tasks per owner, so the routed pool ships exactly
+                    # batch's tasks per owner, so the pool ships exactly
                     # one message round per owner instead of re-deriving routes.
                     self._stats.placement_aware_batches += 1
                     self._stats.batch_owner_rounds += batch.owner_rounds()
@@ -810,7 +786,7 @@ class QueryService:
         recommended layout.  With a live engine and a standard semiring the
         redraw is scoped: fragment ids are aligned so surviving fragments
         keep their sites, only changed fragments are rebuilt and re-pinned,
-        a routed pool keeps its workers (unchanged fragments stay pinned on
+        the pool keeps its workers (unchanged fragments stay pinned on
         the same PIDs) under a remapped plan, and the delta log records the
         layout so replicas can replay across it.  Outside that envelope the
         classic full rebuild applies.
@@ -937,10 +913,10 @@ class QueryService:
         Returns ``False`` when the fragment already lives there.
 
         Raises:
-            PlacementError: when the service runs without a placement plan,
-                the fragment is unplaced, or the worker index is invalid.
+            PlacementError: when the service evaluates in-process, the
+                fragment is unplaced, or the worker index is invalid.
         """
-        pool = self._require_placed_pool()
+        pool = self._require_pool()
         moved = pool.migrate(fragment_id, to_worker)
         if moved:
             self._stats.migrations += 1
@@ -962,9 +938,9 @@ class QueryService:
         live pool.
 
         Raises:
-            PlacementError: when the service runs without a placement plan.
+            PlacementError: when the service evaluates in-process.
         """
-        pool = self._require_placed_pool()
+        pool = self._require_pool()
         advisor = advisor or RebalanceAdvisor()
         migrations = advisor.recommend(
             pool.plan,
@@ -978,22 +954,20 @@ class QueryService:
                     self._stats.migrations += 1
         return migrations
 
-    def _require_placed_pool(self) -> PlacedWorkerPool:
+    def _require_pool(self) -> PlacedWorkerPool:
         if self._placement is None:
             raise PlacementError(
-                "this service runs the replicated pool; construct it with "
-                "placement=... to route fragments to owner workers"
+                "this service evaluates in-process; construct it with "
+                "workers=... or placement=... to place fragments on workers"
             )
         self._refresh_engine()
-        pool = self._ensure_pool()
-        assert isinstance(pool, PlacedWorkerPool)
-        return pool
+        return self._ensure_pool()
 
     def pool_health(self) -> Dict[str, object]:
         """Worker-pool liveness, as the health endpoints report it.
 
         A dead owner worker is only *observed* when something looks — the
-        routed pool respawns crashed workers lazily on the next evaluate —
+        pool respawns crashed workers lazily on the next evaluate —
         so the liveness probe checks the processes directly; a worker killed
         while idle flips ``healthy`` before any query fails.
         """
@@ -1009,22 +983,14 @@ class QueryService:
                 "alive": self._workers,
                 "healthy": True,
             }
-        if isinstance(pool, PlacedWorkerPool):
-            liveness = pool.liveness()
-            alive = sum(1 for is_alive in liveness.values() if is_alive)
-            return {
-                "mode": "placed",
-                "workers": len(liveness),
-                "alive": alive,
-                "healthy": alive == len(liveness),
-                "per_worker": {str(worker): bool(is_alive) for worker, is_alive in sorted(liveness.items())},
-            }
-        alive = pool.alive_workers()
+        liveness = pool.liveness()
+        alive = sum(1 for is_alive in liveness.values() if is_alive)
         return {
-            "mode": "replicated",
-            "workers": self._workers,
+            "mode": "placed",
+            "workers": len(liveness),
             "alive": alive,
-            "healthy": alive == self._workers,
+            "healthy": alive == len(liveness),
+            "per_worker": {str(worker): bool(is_alive) for worker, is_alive in sorted(liveness.items())},
         }
 
     # -------------------------------------------------------------- snapshot
@@ -1051,7 +1017,7 @@ class QueryService:
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release the resident worker pool (idempotent)."""
+        """Release the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -1135,7 +1101,7 @@ class QueryService:
             # Scoped invalidation: the maintainer absorbed the change in
             # place and named exactly the fragments whose state moved — only
             # answers depending on them are dropped, and only their payloads
-            # are re-pinned into the resident workers.
+            # are re-pinned into their owner workers.
             dirty = set(event.dirty_fragments)
             evicted = self._cache.evict_where(
                 lambda key, entry: entry.depends_on(dirty)  # type: ignore[union-attr]
@@ -1210,20 +1176,17 @@ class QueryService:
                 PinUpdate(fragment_id=fragment_id, estimated_iterations=0, remove=True)
             )
         try:
-            if isinstance(self._pool, PlacedWorkerPool):
-                new_plan = self._pool.plan.remap(surviving)
-                self._pool.apply_refragmentation(updates, new_plan)
-                if isinstance(self._placement, PlacementPlan):
-                    self._placement = new_plan
-            else:
-                self._pool.repin(updates)
+            new_plan = self._pool.plan.remap(surviving)
+            self._pool.apply_refragmentation(updates, new_plan)
+            if isinstance(self._placement, PlacementPlan):
+                self._placement = new_plan
         except Exception:
-            # A broken apply (dead worker mid-redraw, barrier timeout) must
-            # not leave half-reorganised replicas behind.
+            # A broken apply (worker error mid-redraw, reply timeout) must
+            # not leave half-reorganised workers behind.
             self._pool.restart(engine.catalog)
 
     def _repin_dirty(self, dirty_fragments: List[int]) -> None:
-        """Push the dirty fragments' new state into the resident workers."""
+        """Push the dirty fragments' new state to their owner workers."""
         if self._pool is None:
             return
         engine = self._current_engine
@@ -1244,53 +1207,41 @@ class QueryService:
                     payload=site.to_compact_site(),
                 )
             )
-        placed = isinstance(self._pool, PlacedWorkerPool)
-        deferred_before = self._pool.replica_repins_deferred if placed else 0
+        deferred_before = self._pool.replica_repins_deferred
         try:
             self._pool.repin(updates)
-            if placed:
-                self._stats.replica_repins_deferred += (
-                    self._pool.replica_repins_deferred - deferred_before
-                )
+            self._stats.replica_repins_deferred += (
+                self._pool.replica_repins_deferred - deferred_before
+            )
         except Exception:
-            # A broken broadcast (dead worker, barrier timeout) must not
-            # leave stale replicas behind: fall back to a full restart.
+            # A broken re-pin (worker error, reply timeout) must not leave
+            # stale pinned state behind: fall back to a full restart.
             self._pool.restart(engine.catalog)
-
-    def _live_placement_plan(self) -> Optional[PlacementPlan]:
-        """The batch planner's view of the current placement (``None`` = blind)."""
-        if self._placement is None or not self._workers:
-            # In-process evaluation never consumes owner groups: planning
-            # them (and reporting placement-aware batches) would be noise.
-            return None
-        if isinstance(self._pool, PlacedWorkerPool):
-            return self._pool.plan
-        return self.placement_plan
 
     def _refresh_engine(self) -> DisconnectionSetEngine:
         engine = self._database.engine()
         if engine is not self._current_engine:
+            if self._pool is not None:
+                # Restart first: if it fails the engine is not adopted, so
+                # the next call raises again instead of answering from
+                # workers that still pin the previous layout.
+                self._pool.restart(engine.catalog)
             self._current_engine = engine
             self._planner = QueryPlanner(engine.catalog, max_chains=self._max_chains)
+            # The batch planner's view of the placement: None (in-process)
+            # plans placement-blind.
             self._batch_planner = BatchPlanner(
-                self._planner, placement_provider=self._live_placement_plan
+                self._planner, placement_provider=lambda: self.placement_plan
             )
-            if self._pool is not None:
-                self._pool.restart(engine.catalog)
         return engine
 
-    def _ensure_pool(self) -> WorkerPool:
+    def _ensure_pool(self) -> PlacedWorkerPool:
         """Return the worker pool, building it (and its plan) on first use."""
-        if self._pool is not None:
-            return self._pool
-        engine = self._current_engine
-        assert engine is not None
-        if self._placement is None:
-            self._pool = ResidentWorkerPool(engine.catalog, processes=self._workers)
-            return self._pool
-        plan = self.placement_plan
-        assert plan is not None
-        self._pool = PlacedWorkerPool(engine.catalog, plan)
+        if self._pool is None:
+            engine = self._current_engine
+            plan = self.placement_plan
+            assert engine is not None and plan is not None
+            self._pool = PlacedWorkerPool(engine.catalog, plan)
         return self._pool
 
     def _evaluate_tasks(
@@ -1328,81 +1279,55 @@ class QueryService:
                             for worker, keys in owner_groups.items()
                             if (kept := [key for key in keys if key not in served])
                         }
-                if isinstance(pool, PlacedWorkerPool):
-                    espan.set("pool", "placed")
-                    refreshes_before = pool.replica_refreshes
-                    results = pool.evaluate(
-                        dispatched,
-                        owner_groups=owner_groups,
-                        trace_id=self._tracer.current_trace_id,
+                espan.set("pool", "placed")
+                refreshes_before = pool.replica_refreshes
+                results = pool.evaluate(
+                    dispatched,
+                    owner_groups=owner_groups,
+                    trace_id=self._tracer.current_trace_id,
+                )
+                self._stats.replica_refreshes += (
+                    pool.replica_refreshes - refreshes_before
+                )
+                # Per-owner load comes from the pool's actual routing
+                # (which may differ from plan ownership when a replica or
+                # respawned worker ran a task), accumulated here so it
+                # survives pool restarts.
+                for worker, count in pool.last_route_counts.items():
+                    self._stats.per_owner_dispatch.inc(worker, count)
+                self._stats.observe_owner_queues(
+                    owner_count=pool.worker_count,
+                    queue_depth_peak=pool.queue_depth_peak,
+                    queue_depth=pool.queue_depth,
+                )
+                # Fold the workers' drained in-process registries into the
+                # service registry (kernel time/tuples per worker+fragment)
+                # and attach worker-side spans: one worker_evaluate span
+                # per owner that ran tasks, parenting one kernel span per
+                # task it evaluated.  Durations were timed inside the
+                # worker processes and shipped back with the results.
+                for payload in pool.last_worker_metrics:
+                    self._registry.merge_dict(payload)
+                by_worker: Dict[int, List[TaskKey]] = {}
+                for key, worker in pool.last_task_workers.items():
+                    by_worker.setdefault(worker, []).append(key)
+                for worker, keys in sorted(by_worker.items()):
+                    worker_span = self._tracer.remote_span(
+                        "worker_evaluate",
+                        sum(results[k].statistics.elapsed_seconds for k in keys),
+                        worker=worker,
+                        tasks=len(keys),
+                        # The trace id the worker echoed back over its
+                        # result channel: proof the client's context
+                        # actually crossed the task queue.
+                        trace_echo=pool.last_trace_ids.get(worker),
                     )
-                    self._stats.replica_refreshes += (
-                        pool.replica_refreshes - refreshes_before
-                    )
-                    # Per-owner load comes from the pool's actual routing
-                    # (which may differ from plan ownership when a replica or
-                    # respawned worker ran a task), accumulated here so it
-                    # survives pool restarts.
-                    for worker, count in pool.last_route_counts.items():
-                        self._stats.per_owner_dispatch.inc(worker, count)
-                    self._stats.observe_owner_queues(
-                        owner_count=pool.worker_count,
-                        queue_depth_peak=pool.queue_depth_peak,
-                        queue_depth=pool.queue_depth,
-                    )
-                    # Fold the workers' drained in-process registries into the
-                    # service registry (kernel time/tuples per worker+fragment)
-                    # and attach worker-side spans: one worker_evaluate span
-                    # per owner that ran tasks, parenting one kernel span per
-                    # task it evaluated.  Durations were timed inside the
-                    # worker processes and shipped back with the results.
-                    for payload in pool.last_worker_metrics:
-                        self._registry.merge_dict(payload)
-                    by_worker: Dict[int, List[TaskKey]] = {}
-                    for key, worker in pool.last_task_workers.items():
-                        by_worker.setdefault(worker, []).append(key)
-                    for worker, keys in sorted(by_worker.items()):
-                        worker_span = self._tracer.remote_span(
-                            "worker_evaluate",
-                            sum(results[k].statistics.elapsed_seconds for k in keys),
-                            worker=worker,
-                            tasks=len(keys),
-                            # The trace id the worker echoed back over its
-                            # result channel: proof the client's context
-                            # actually crossed the task queue.
-                            trace_echo=pool.last_trace_ids.get(worker),
-                        )
-                        for key in keys:
-                            self._tracer.remote_span(
-                                "kernel",
-                                results[key].statistics.elapsed_seconds,
-                                parent=worker_span,
-                                worker=worker,
-                                fragment=key[0],
-                                backend=results[key].backend,
-                                overlay=results[key].overlay,
-                                searches=results[key].searches,
-                            )
-                else:
-                    espan.set("pool", "replicated")
-                    results = pool.evaluate(dispatched)
-                    # Replicated workers keep no persistent registry, so
-                    # their dispatch decisions are re-counted here from the
-                    # backend each payload reports (exactly one kernel
-                    # selection happens per reachability task).
-                    selections = self._registry.counter(
-                        KERNEL_SELECTIONS_COUNTER,
-                        "Closure kernel backend selections by dispatch context.",
-                        labelnames=("backend", "context"),
-                    )
-                    for key in dispatched:
-                        if results[key].backend in KERNEL_BACKENDS:
-                            selections.inc(
-                                backend=results[key].backend, context="local_query"
-                            )
+                    for key in keys:
                         self._tracer.remote_span(
                             "kernel",
                             results[key].statistics.elapsed_seconds,
+                            parent=worker_span,
+                            worker=worker,
                             fragment=key[0],
                             backend=results[key].backend,
                             overlay=results[key].overlay,

@@ -651,8 +651,9 @@ class ClosureServer:
         service = self.service
         if op == "placement":
             plan = service.placement_plan
+            mode = service.pool_health()["mode"]
             if plan is None:
-                return {"ok": True, "placement": None, "mode": "replicated"}
+                return {"ok": True, "placement": None, "mode": mode}
             workers = {}
             for worker in range(plan.worker_count):
                 owned = plan.owned_by(worker)
@@ -660,7 +661,7 @@ class ClosureServer:
                 workers[str(worker)] = {"owns": list(owned), "replicas": replicas}
             return {
                 "ok": True,
-                "mode": "placed",
+                "mode": mode,
                 "placement": {"policy": plan.policy, "workers": workers},
             }
         if op == "migrate":

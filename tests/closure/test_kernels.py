@@ -33,6 +33,8 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.graph import CompactGraph, DiGraph
 from repro.service.snapshot import load_snapshot, save_snapshot
 
+from tests.local_query_oracles import dict_local_query
+
 
 def random_digraph(seed: int, *, nodes: int = 18, edge_probability: float = 0.14) -> DiGraph:
     """A reproducible random weighted digraph (node keys are strings on purpose)."""
@@ -104,8 +106,7 @@ class TestLocalQueryEquivalence:
         graph, fragmentation = random_two_block_fragmentation(seed)
         catalog = DistributedCatalog(fragmentation, semiring=semiring)
         planner = QueryPlanner(catalog)
-        dict_eval = LocalQueryEvaluator(semiring=semiring, use_compact=False)
-        kernel_eval = LocalQueryEvaluator(semiring=semiring, use_compact=True)
+        kernel_eval = LocalQueryEvaluator(semiring=semiring)
         rng = random.Random(seed + 1000)
         nodes = graph.nodes()
         for _ in range(6):
@@ -113,7 +114,7 @@ class TestLocalQueryEquivalence:
             for chain_plan in planner.plan(source, target).chains:
                 for spec in chain_plan.local_queries:
                     site = catalog.site(spec.fragment_id)
-                    dict_result = dict_eval.evaluate(site, spec)
+                    dict_result = dict_local_query(site, spec, semiring)
                     kernel_result = kernel_eval.evaluate(site, spec)
                     if semiring.name == "shortest_path":
                         # A search rooted at the exits adds the same edge

@@ -28,6 +28,7 @@ from repro.graph import DiGraph
 from repro.service import QueryService
 from repro.service.pool import _routed_worker_loop, result_from_payload
 
+from tests.local_query_oracles import dict_local_query
 from tests.transit_layouts import fragment, interior, is_transit, layout_graph
 
 BLOCKS, SIZE = 5, 6
@@ -164,13 +165,12 @@ class TestGroupingChangesNoValue:
                 single_evaluator.evaluate(single_site(spec.fragment_id), spec) for spec in specs
             ]
 
-        oracle = LocalQueryEvaluator(use_compact=False)
         for spec, together, alone in zip(specs, grouped, single):
             assert together.values == alone.values  # the identical floats
             assert together.backward == alone.backward == (
                 len(spec.exit_nodes) < len(spec.entry_nodes)
             )
-            expected = oracle.evaluate(single_site(spec.fragment_id), spec)
+            expected = dict_local_query(single_site(spec.fragment_id), spec)
             assert alone.values == pytest.approx(expected.values, rel=1e-9, abs=1e-12)
             if not alone.backward:
                 assert alone.values == forward_search_values(
@@ -196,11 +196,10 @@ class TestGroupingChangesNoValue:
             grouped_service.engine().catalog.site, specs
         )
         evaluator = LocalQueryEvaluator(semiring=semiring)
-        oracle = LocalQueryEvaluator(semiring=semiring, use_compact=False)
         for spec, together in zip(specs, grouped):
             site = single_service.engine().catalog.site(spec.fragment_id)
             assert together.values == evaluator.evaluate(site, spec).values
-            assert together.values == oracle.evaluate(site, spec).values
+            assert together.values == dict_local_query(site, spec, semiring).values
             assert together.searches == 0 and not together.backward
 
     def test_a_write_leaves_overlay_rows_the_searches_read_through(self):
@@ -214,7 +213,7 @@ class TestGroupingChangesNoValue:
         )
         result = LocalQueryEvaluator().evaluate(site, spec)
         assert result.backward and result.overlay and result.searches == 1
-        expected = LocalQueryEvaluator(use_compact=False).evaluate(site, spec)
+        expected = dict_local_query(site, spec)
         assert result.values == pytest.approx(expected.values, rel=1e-9, abs=1e-12)
 
 

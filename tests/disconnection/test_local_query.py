@@ -10,6 +10,8 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.graph import hop_diameter
 
+from tests.local_query_oracles import dict_local_query
+
 
 @pytest.fixture
 def catalog():
@@ -25,6 +27,7 @@ class TestShortestPathEvaluation:
         result = LocalQueryEvaluator().evaluate(site, spec)
         assert result.values[(2, 0)] == 1.0
         assert result.values[(2, 1)] == 1.0
+        assert result.values == dict_local_query(site, spec).values
 
     def test_entry_equals_exit_gives_zero(self, catalog):
         site = catalog.site(0)
@@ -45,7 +48,7 @@ class TestShortestPathEvaluation:
         assert result.estimated_iterations >= 1
         assert result.statistics.tuples_produced >= 1
 
-    def test_dict_path_reads_the_sites_cached_iteration_estimate(self, catalog, monkeypatch):
+    def test_custom_semiring_reads_the_sites_cached_iteration_estimate(self, catalog, monkeypatch):
         diameters = []
 
         def counted(graph, **options):
@@ -55,7 +58,7 @@ class TestShortestPathEvaluation:
         monkeypatch.setattr(catalog_module, "hop_diameter", counted)
         site = catalog.site(0)
         spec = LocalQuerySpec(fragment_id=0, entry_nodes=frozenset([0]), exit_nodes=frozenset([3]))
-        evaluator = LocalQueryEvaluator(use_compact=False)
+        evaluator = LocalQueryEvaluator(semiring=widest_path_semiring())
         results = [evaluator.evaluate(site, spec) for _ in range(4)]
         assert len(diameters) == 1  # derived once per site, not once per evaluation
         assert {result.estimated_iterations for result in results} == {diameters[0] + 1}

@@ -42,13 +42,14 @@ class TestInsertions:
         assert after == pytest.approx(0.5)
         assert after < before
 
-    def test_engine_is_cached_until_an_update(self, database):
+    def test_a_live_engine_absorbs_an_update_in_place(self, database):
         first = database.engine()
-        second = database.engine()
-        assert first is second
-        database.insert_edge(0, 2, 1.0)
-        assert database.engine() is not first
-        assert database.statistics.engine_rebuilds == 2
+        assert database.engine() is first
+        database.insert_edge(0, 2, 0.25)
+        assert database.engine() is first
+        assert database.statistics.engine_rebuilds == 1
+        assert database.statistics.incremental_updates == 1
+        assert first.shortest_path_cost(0, 2) == pytest.approx(0.25)
 
 
 class TestDeletionsAndWeightChanges:

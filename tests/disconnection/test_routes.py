@@ -3,11 +3,17 @@
 import pytest
 
 from repro.closure import shortest_path_cost
-from repro.disconnection import RouteReconstructingEngine, precompute_complementary_information
+from repro.disconnection import (
+    QueryPlanner,
+    RouteReconstructingEngine,
+    precompute_complementary_information,
+)
 from repro.exceptions import DisconnectedError, NoChainError
 from repro.fragmentation import GroundTruthFragmenter, LinearFragmenter
 from repro.generators import cross_cluster_queries, european_railway_example, two_cluster_dumbbell
 from repro.graph import shortest_path
+
+from tests.local_query_oracles import dict_local_routes
 
 
 def _route_cost(graph, route):
@@ -110,6 +116,22 @@ class TestGeneratedNetworkRoutes:
             assert _route_cost(graph, answer.route) == pytest.approx(answer.cost)
 
 
+def assert_local_routes_match_the_dict_walk(engine, source, target):
+    """Every per-fragment search of the query's plan agrees with the dict oracle."""
+    catalog = engine.catalog
+    for chain_plan in QueryPlanner(catalog).plan(source, target).chains:
+        for spec in chain_plan.local_queries:
+            site = catalog.site(spec.fragment_id)
+            local = engine._evaluate_local(site, spec)
+            values, paths = dict_local_routes(site, spec)
+            assert local.values == pytest.approx(values)
+            assert set(local.paths) == set(paths)
+            augmented = site.augmented_subgraph()
+            for pair, path in local.paths.items():
+                assert path[0] == pair[0] and path[-1] == pair[1]
+                assert _route_cost(augmented, path) == pytest.approx(values[pair])
+
+
 class TestCompactKernelEquivalence:
     """The array-kernel local search must agree with the dict-based walk."""
 
@@ -118,24 +140,17 @@ class TestCompactKernelEquivalence:
         graph = two_cluster_dumbbell(4, bridge_nodes=2)
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
         info = precompute_complementary_information(fragmentation, store_paths=True)
-        return (
-            graph,
-            RouteReconstructingEngine(fragmentation, complementary=info, use_compact=False),
-            RouteReconstructingEngine(fragmentation, complementary=info, use_compact=True),
-        )
+        return graph, RouteReconstructingEngine(fragmentation, complementary=info)
 
-    def test_costs_agree_on_every_pair(self, engines):
-        graph, dict_engine, kernel_engine = engines
+    def test_local_searches_agree_on_every_pair(self, engines):
+        graph, kernel_engine = engines
         for source in range(8):
             for target in range(8):
-                if source == target:
-                    continue
-                dict_answer = dict_engine.shortest_path(source, target)
-                kernel_answer = kernel_engine.shortest_path(source, target)
-                assert kernel_answer.cost == pytest.approx(dict_answer.cost)
+                if source != target:
+                    assert_local_routes_match_the_dict_walk(kernel_engine, source, target)
 
     def test_kernel_routes_are_valid_walks_at_the_optimal_cost(self, engines):
-        graph, _, kernel_engine = engines
+        graph, kernel_engine = engines
         for source, target in [(0, 7), (2, 5), (6, 1), (3, 4)]:
             answer = kernel_engine.shortest_path(source, target)
             assert answer.route[0] == source and answer.route[-1] == target
@@ -148,14 +163,13 @@ class TestCompactKernelEquivalence:
         network = small_transportation_network
         fragmentation = LinearFragmenter(4).fragment(network.graph)
         info = precompute_complementary_information(fragmentation, store_paths=True)
-        dict_engine = RouteReconstructingEngine(
-            fragmentation, complementary=info, use_compact=False
-        )
         kernel_engine = RouteReconstructingEngine(fragmentation, complementary=info)
         for query in cross_cluster_queries(network.clusters, 6, seed=3):
-            dict_answer = dict_engine.shortest_path(query.source, query.target)
+            assert_local_routes_match_the_dict_walk(kernel_engine, query.source, query.target)
             kernel_answer = kernel_engine.shortest_path(query.source, query.target)
-            assert kernel_answer.cost == pytest.approx(dict_answer.cost)
+            assert kernel_answer.cost == pytest.approx(
+                shortest_path_cost(network.graph, query.source, query.target)
+            )
             assert _route_cost(network.graph, kernel_answer.route) == pytest.approx(
                 kernel_answer.cost
             )

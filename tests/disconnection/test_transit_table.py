@@ -19,6 +19,7 @@ from repro.disconnection.local_query import TRANSIT_KEY, TransitTable
 from repro.disconnection.planner import LocalQuerySpec
 from repro.graph import CompactDelta
 
+from tests.local_query_oracles import dict_local_query
 from tests.transit_layouts import chain_layout, interior, ring_layout
 
 
@@ -136,20 +137,18 @@ class TestFillAndReplay:
 
 
 class TestWhoStaysOut:
-    def test_dict_evaluators_neither_read_nor_fill(self, ring_engine):
+    def test_the_dict_oracle_neither_reads_nor_fills(self, ring_engine):
         engine, _ = ring_engine
         site, spec = engine.catalog.site(2), transit_spec(engine, 2)
-        oracle = LocalQueryEvaluator(use_compact=False)
-        assert not oracle.evaluate(site, spec).memoized
-        assert not oracle.evaluate(site, spec).memoized
-        assert site._compact_augmented is None, "the dict path must not build a compact graph"
-        # A poisoned table must not leak into the oracle either.
+        assert not dict_local_query(site, spec).memoized
+        assert site._compact_augmented is None, "the oracle must not build a compact graph"
+        # A poisoned table is replayed by the evaluator and invisible to the oracle.
         compact = LocalQueryEvaluator()
         honest = compact.evaluate(site, spec).values
         (key,) = table_of(site)
         table_of(site)[key] = table_of(site)[key]._replace(values={})
         assert compact.evaluate(site, spec).values == {}
-        assert oracle.evaluate(site, spec).values == honest
+        assert dict_local_query(site, spec).values == honest
 
     def test_custom_semirings_neither_read_nor_fill(self, ring_engine):
         engine, _ = ring_engine

@@ -91,7 +91,7 @@ class TestBitParallelDiameter:
         rng = random.Random(seed)
         graph = two_cluster_dumbbell(6, bridge_nodes=2)
         fragmentation = GroundTruthFragmenter([set(range(6)), set(range(6, 12))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         database.engine()
         for _ in range(12):
             if rng.random() < 0.5:

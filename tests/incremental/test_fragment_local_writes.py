@@ -53,7 +53,7 @@ def deploy(layout_name, semiring_name, *, store_paths=False, warm=True, blocks=B
         fragmentation, semiring=semiring, store_paths=store_paths
     )
     database = FragmentedDatabase(
-        fragmentation, semiring=semiring, complementary=info, incremental=True
+        fragmentation, semiring=semiring, complementary=info
     )
     if warm:  # a site without a compact form has nothing to patch
         for site in database.engine().catalog.sites():

@@ -37,7 +37,7 @@ def _random_database(seed, semiring, *, blocks=3, nodes_per_block=4):
         if a != b and not graph.has_edge(a, b):
             graph.add_edge(a, b, float(rng.randint(1, 9)))
     fragmentation = GroundTruthFragmenter([set(block) for block in node_blocks]).fragment(graph)
-    database = FragmentedDatabase(fragmentation, semiring=semiring, incremental=True)
+    database = FragmentedDatabase(fragmentation, semiring=semiring)
     database.engine()  # bind the live engine the maintainer patches
     return rng, database
 
@@ -117,7 +117,7 @@ class TestScoping:
     def database(self):
         graph = two_cluster_dumbbell(4, bridge_nodes=1)
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         database.engine()
         return database
 
@@ -143,7 +143,7 @@ class TestScoping:
     def test_border_value_repair_dirties_both_pair_fragments(self):
         graph = two_cluster_dumbbell(4, bridge_nodes=2)  # DS(0, 1) = {4, 5}
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         engine = database.engine()
         assert engine.catalog.complementary.for_pair(0, 1)[(4, 5)] == 1.0
         # Up-weighting the direct 4 -> 5 edge degrades the stored whole-graph
@@ -180,7 +180,7 @@ class TestFallbacks:
         graph = two_cluster_dumbbell(3, bridge_nodes=1)
         fragmentation = GroundTruthFragmenter([set(range(3)), set(range(3, 6))]).fragment(graph)
         database = FragmentedDatabase(
-            fragmentation, semiring=widest_path_semiring(), incremental=True
+            fragmentation, semiring=widest_path_semiring()
         )
         first = database.engine()
         database.insert_edge(0, 2, 5.0)
@@ -201,7 +201,7 @@ class TestFallbacks:
         )
         fragmentation = GroundTruthFragmenter([{"a", "b"}, {"c", "d"}]).fragment(graph)
         assert fragmentation.fragment_count() == 2
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         engine = database.engine()
         epoch_before = database.version_vector.epoch
         database.delete_edge("c", "d")
@@ -213,7 +213,7 @@ class TestFallbacks:
     def test_classic_updates_advance_the_epoch(self):
         graph = two_cluster_dumbbell(3, bridge_nodes=1)
         fragmentation = GroundTruthFragmenter([set(range(3)), set(range(3, 6))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation)  # incremental off
+        database = FragmentedDatabase(fragmentation)  # no engine built yet
         epoch = database.version_vector.epoch
         database.insert_edge(0, 2, 1.0)
         assert database.version_vector.epoch == epoch + 1
@@ -224,7 +224,7 @@ class TestFallbacks:
 
         graph = two_cluster_dumbbell(4, bridge_nodes=1)
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         engine = database.engine()
         epoch = database.version_vector.epoch
         database.refragment(CenterBasedFragmenter(2, center_selection="distributed"))
@@ -242,8 +242,7 @@ class TestFallbacks:
 
         graph = two_cluster_dumbbell(4, bridge_nodes=1)
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
-        database = FragmentedDatabase(fragmentation)  # incremental off
-        database.engine()
+        database = FragmentedDatabase(fragmentation)  # no engine built yet
         epoch = database.version_vector.epoch
         database.refragment(CenterBasedFragmenter(2, center_selection="distributed"))
         assert database.version_vector.epoch == epoch + 1
@@ -265,7 +264,7 @@ class TestStoredPathRepair:
             fragmentation, store_paths=True
         )
         database = FragmentedDatabase(
-            fragmentation, complementary=complementary, incremental=True
+            fragmentation, complementary=complementary
         )
         database.engine()
         return database
@@ -319,7 +318,7 @@ class TestStoredPathRepair:
             fragmentation, semiring=semiring, store_paths=True
         )
         database = FragmentedDatabase(
-            fragmentation, semiring=semiring, complementary=complementary, incremental=True
+            fragmentation, semiring=semiring, complementary=complementary
         )
         first = database.engine()
         assert not supports_incremental(database)
@@ -353,7 +352,7 @@ class TestPostEmptyConsistency:
             [{"a", "b"}, {"c", "d"}, {"e", "f"}]
         ).fragment(graph)
         assert fragmentation.fragment_count() == 3
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         database.engine()
         return database
 

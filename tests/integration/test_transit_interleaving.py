@@ -5,9 +5,9 @@ Hypothesis draws a sequence of ``query`` / ``query_batch`` / ``update_edge``
 connecting edge) / ``refragment`` / snapshot→restore steps and runs it
 against one long-lived ``QueryService`` — in-process and behind a placed pool
 of two workers, for shortest paths on a ring and reachability on a one-way
-chain.  After every step each answer must equal that of a fresh
-``QueryService(use_compact=False)`` built from the current edge list: the
-dict evaluators never touch a transit table, so a table that outlived the
+chain.  After every step each answer must equal a whole-graph search over
+the service's current edge list (``transit_layouts.oracle_value``), which
+knows nothing of fragments or transit tables, so a table that outlived the
 adjacency it was computed from shows up as a wrong answer here.
 """
 
@@ -23,7 +23,7 @@ from repro.exceptions import NoChainError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.service import QueryService
 
-from tests.transit_layouts import chain_layout, oracle_service, pairs_at, ring_layout
+from tests.transit_layouts import chain_layout, oracle_value, pairs_at, ring_layout
 
 BLOCKS, SIZE = 5, 6
 PICK = st.integers(min_value=0, max_value=10**6)
@@ -48,7 +48,7 @@ STEPS = st.lists(STEP, min_size=3, max_size=12)
 
 
 class Deployment:
-    """One service under test, its current node blocks, and its oracle."""
+    """One service under test and its current node blocks."""
 
     def __init__(self, kind, **service_options):
         self.ring = kind == "ring"
@@ -56,46 +56,39 @@ class Deployment:
         fragmentation, layout = (
             ring_layout(BLOCKS, SIZE) if self.ring else chain_layout(BLOCKS, SIZE)
         )
-        self.layout = layout  # the oracle's partition: never redrawn
+        self.layout = layout  # the initial partition: never redrawn
         self.blocks = [list(block) for block in layout]  # the service's, redrawn live
         self.options = service_options
         self.service = QueryService(
             fragmentation, semiring=self.semiring_factory(), **service_options
         )
         self.nodes = sorted(self.service.database.graph.nodes())
-        self.oracle = None
-        self.refresh_oracle()
 
     def close(self):
         self.service.close()
-
-    def refresh_oracle(self):
-        self.oracle = oracle_service(self.service, self.layout, self.semiring_factory())
 
     # ------------------------------------------------------------- answers
 
     def node(self, pick):
         return self.nodes[pick % len(self.nodes)]
 
-    @staticmethod
-    def ask(service, source, target):
+    def ask(self, source, target):
         """The answer's value; ``None`` is "no path", however the service says it.
 
-        The live service files an inserted edge under the lowest fragment
-        holding both endpoints, the oracle's layout under its block, so after
-        deletes have parted two fragments one of them may see a disconnection
-        set where the other sees no chain at all.  Either way there is no path.
+        After deletes have parted two fragments the service may see no chain
+        at all where a path merely does not exist.  Either way there is no path.
         """
         try:
-            return service.query(source, target).value
+            return self.service.query(source, target).value
         except NoChainError:
             return None
 
     def check(self, pairs):
         for source, target in pairs:
-            assert self.ask(self.service, source, target) == self.ask(
-                self.oracle, source, target
-            ), (source, target)
+            assert self.ask(source, target) == oracle_value(self.service, source, target), (
+                source,
+                target,
+            )
 
     def probes(self):
         first, last = self.layout[0], self.layout[-1]
@@ -118,7 +111,7 @@ class Deployment:
         elif kind == "batch":
             pairs = [(self.node(a), self.node(b)) for a, b in step[1]]
             for (source, target), answer in zip(pairs, self.service.query_batch(pairs)):
-                expected = self.ask(self.oracle, source, target)
+                expected = oracle_value(self.service, source, target)
                 assert (None if answer.error else answer.value) == expected
         elif kind == "update":
             self.update(*step[1:])
@@ -151,7 +144,6 @@ class Deployment:
             return
         source, target = pairs[pick % len(pairs)]
         self.service.update_edge(source, target, float(weight), delete=action == "delete")
-        self.refresh_oracle()
 
     @staticmethod
     def deletable(graph, block_of, source, target):
@@ -203,12 +195,12 @@ def run_interleaving(kind, steps, **service_options):
 @pytest.mark.parametrize("kind", ["ring", "chain"])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
-def test_in_process_answers_match_a_fresh_dict_service(kind, steps):
+def test_in_process_answers_match_the_whole_graph_oracle(kind, steps):
     run_interleaving(kind, steps)
 
 
 @pytest.mark.parametrize("kind", ["ring", "chain"])
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
-def test_pooled_answers_match_a_fresh_dict_service(kind, steps):
-    run_interleaving(kind, steps, workers=2, placement="cost_balanced")
+def test_pooled_answers_match_the_whole_graph_oracle(kind, steps):
+    run_interleaving(kind, steps, workers=2)

@@ -1,0 +1,72 @@
+"""The dict-based per-source local evaluators, kept as reference implementations.
+
+These are what ``LocalQueryEvaluator`` and ``RouteReconstructingEngine`` ran
+per fragment before the compact kernels: one ``dijkstra`` / ``bfs_levels``
+over the site's dict subgraph per entry node.  They define the answers; the
+kernel path must reproduce them (exactly for reachability, to rounding for
+shortest paths whose backward searches add the weights in the other order).
+They never build a compact graph and never touch a transit table.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Hashable, List, Optional, Tuple
+
+from repro.closure import Semiring, shortest_path_semiring
+from repro.disconnection.catalog import FragmentSite
+from repro.disconnection.local_query import LocalQueryResult
+from repro.disconnection.planner import LocalQuerySpec
+from repro.graph import bfs_levels, dijkstra, reconstruct_path
+
+Node = Hashable
+
+
+def dict_local_query(
+    site: FragmentSite,
+    spec: LocalQuerySpec,
+    semiring: Optional[Semiring] = None,
+    *,
+    use_shortcuts: bool = True,
+) -> LocalQueryResult:
+    """Evaluate ``spec`` with one dict search per entry node (standard semirings)."""
+    semiring = semiring or shortest_path_semiring()
+    graph = site.augmented_subgraph() if use_shortcuts else site.subgraph
+    result = LocalQueryResult(fragment_id=spec.fragment_id, semiring=semiring, backend="dict")
+    result.estimated_iterations = site.local_iterations()
+    entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
+    exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
+    if not entry_nodes or not exit_nodes:
+        return result
+    for entry in entry_nodes:
+        if semiring.name == "shortest_path":
+            reached, _ = dijkstra(graph, entry, targets=set(exit_nodes))
+        elif semiring.name == "reachability":
+            reached = dict.fromkeys(bfs_levels(graph, entry), True)
+        else:
+            raise ValueError(f"no dict oracle for the {semiring.name!r} semiring")
+        produced = 0
+        for exit_node in exit_nodes:
+            if exit_node in reached:
+                result.values[(entry, exit_node)] = reached[exit_node]
+                produced += 1
+        result.statistics.record_round(len(reached), produced)
+    return result
+
+
+def dict_local_routes(
+    site: FragmentSite, spec: LocalQuerySpec
+) -> Tuple[Dict[Tuple[Node, Node], float], Dict[Tuple[Node, Node], List[Node]]]:
+    """Per-fragment Dijkstra with a dict predecessor map: ``(values, paths)``."""
+    graph = site.augmented_subgraph()
+    values: Dict[Tuple[Node, Node], float] = {}
+    paths: Dict[Tuple[Node, Node], List[Node]] = {}
+    exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
+    for entry in spec.entry_nodes:
+        if not graph.has_node(entry) or not exit_nodes:
+            continue
+        distances, predecessors = dijkstra(graph, entry, targets=set(exit_nodes))
+        for exit_node in exit_nodes:
+            if exit_node in distances:
+                values[(entry, exit_node)] = distances[exit_node]
+                paths[(entry, exit_node)] = reconstruct_path(predecessors, entry, exit_node)
+    return values, paths

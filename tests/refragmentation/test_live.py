@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.closure import Semiring, shortest_path_cost
+from repro.closure import Semiring, shortest_path_cost, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine, FragmentedDatabase
 from repro.disconnection.complementary import precompute_complementary_information
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
@@ -195,7 +195,7 @@ class TestDatabaseRefragment:
     def test_scoped_refragment_keeps_the_engine_alive(self):
         graph, blocks = clique_line()
         fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         engine = database.engine()
         new_blocks = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | {12}, set(blocks[3]) - {12}]
         database.refragment(GroundTruthFragmenter(new_blocks))
@@ -208,7 +208,7 @@ class TestDatabaseRefragment:
     def test_layout_replaces_fragmenter(self):
         graph, blocks = clique_line(blocks=2)
         fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
-        database = FragmentedDatabase(fragmentation, incremental=True)
+        database = FragmentedDatabase(fragmentation)
         database.engine()
         layout = [list(f.edges) for f in fragmentation.fragments]
         database.refragment(layout=layout)
@@ -218,10 +218,10 @@ class TestDatabaseRefragment:
         with pytest.raises(ValueError):
             database.refragment()
 
-    def test_non_incremental_database_takes_the_classic_path(self):
+    def test_a_custom_semiring_takes_the_classic_path(self):
         graph, blocks = clique_line(blocks=2)
         fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
-        database = FragmentedDatabase(fragmentation)
+        database = FragmentedDatabase(fragmentation, semiring=widest_path_semiring())
         engine = database.engine()
         epoch = database.version_vector.epoch
         database.refragment(GroundTruthFragmenter([set(blocks[0]) | {4}, set(blocks[1]) - {4}]))

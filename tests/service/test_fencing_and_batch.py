@@ -163,11 +163,10 @@ class TestPlacementAwareBatches:
                     )
                 )
 
-    def test_replicated_pool_batches_stay_placement_blind(self):
-        fragmentation = clique_line()
-        with QueryService(fragmentation, workers=2) as service:
-            service.query_batch([(0, 11), (4, 9)])
-            assert service.stats.placement_aware_batches == 0
+    def test_in_process_batches_stay_placement_blind(self):
+        service = QueryService(clique_line())
+        service.query_batch([(0, 11), (4, 9)])
+        assert service.stats.placement_aware_batches == 0
 
     def test_batches_regroup_after_a_migration(self):
         fragmentation = clique_line()

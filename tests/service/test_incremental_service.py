@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.closure import shortest_path_cost
+from repro.closure import shortest_path_cost, widest_path_semiring
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.graph import DiGraph
@@ -50,13 +50,16 @@ class TestScopedInvalidation:
         assert service.stats.cache_entries_evicted == 1  # only the fragment-0 answer
         assert len(service.cache) == 1
 
-    def test_full_invalidate_mode_flushes_everything(self):
-        service = QueryService(three_fragment_line(), incremental=False)
+    def test_an_update_outside_the_envelope_flushes_everything(self):
+        # A custom semiring has no in-place repair: every update is a
+        # counted fallback into the classic rebuild.
+        service = QueryService(three_fragment_line(), semiring=widest_path_semiring())
         service.query(9, 11)
         service.query(1, 3)
         service.update_edge(0, 2, 0.5)
         assert len(service.cache) == 0
         assert service.stats.scoped_invalidations == 0
+        assert service.stats.update_fallbacks()["unsupported"] == 1
         assert not service.query(9, 11).cached
 
     def test_version_vector_moves_only_for_dirty_fragments(self):
@@ -177,37 +180,20 @@ class TestPoolRepin:
             assert service._pool.repins >= 2
 
 
-class TestRespawnInitargs:
-    def test_repin_refreshes_the_pool_pinned_list(self):
-        """A worker respawned after a crash re-initialises from the pool's
-        pinned list; repin must keep that list current or the respawn would
-        silently serve pre-update state."""
-        import multiprocessing
-
-        from repro.disconnection.planner import LocalQuerySpec
-        from repro.service import pool as pool_module
-
+class TestRespawnAfterRepin:
+    def test_a_respawned_worker_serves_the_repinned_state(self):
+        """A worker respawned after a crash re-pins the pool's mirror; repin
+        must keep that mirror current or the respawn would silently serve
+        pre-update state."""
         graph = two_cluster_dumbbell(4, bridge_nodes=2)
         fragmentation = GroundTruthFragmenter([set(range(4)), set(range(4, 8))]).fragment(graph)
         with QueryService(fragmentation, workers=2) as service:
             service.query(0, 7)
-            stale = {site.fragment_id: site for site in service._pool._pinned_sites}
             service.update_edge(0, 4, 0.25)
-            refreshed = {site.fragment_id: site for site in service._pool._pinned_sites}
-            assert refreshed[0] is not stale[0]
-            # Simulate the respawn path: _worker_init from the current list.
-            pool_module._worker_init(
-                service._pool._pinned_sites, "shortest_path", multiprocessing.Barrier(1)
-            )
-            try:
-                spec = LocalQuerySpec(
-                    fragment_id=0, entry_nodes=frozenset([0]), exit_nodes=frozenset([4])
-                )
-                result = pool_module._WORKER_EVALUATOR.evaluate(
-                    pool_module._WORKER_SITES[0], spec
-                )
-                assert result.values[(0, 4)] == 0.25
-            finally:
-                pool_module._WORKER_SITES = {}
-                pool_module._WORKER_EVALUATOR = None
-                pool_module._WORKER_BARRIER = None
+            pool = service._pool
+            for handle in pool._workers:
+                handle.process.terminate()
+                handle.process.join(timeout=5)
+                assert not handle.process.is_alive()
+            assert service.query(0, 4).value == 0.25
+            assert pool.respawns >= 1

@@ -258,20 +258,20 @@ class TestWorkerDeathRecovery:
             )
 
     @pytest.mark.parametrize("seed", [11, 29])
-    def test_randomized_kills_match_replicated_baseline(self, seed):
+    def test_randomized_kills_match_in_process_baseline(self, seed):
         fragmentation = clique_line_fragmentation(seed=seed)
         rng = random.Random(seed)
         probes = probe_queries(fragmentation, 10, seed=seed)
-        with QueryService(fragmentation, workers=2) as replicated:
-            with QueryService(fragmentation, placement="round_robin", workers=3) as placed:
-                for index, (source, target) in enumerate(probes):
-                    if index and index % 3 == 0:
-                        victim = rng.randrange(3)
-                        placed._pool._workers[victim].process.terminate()
-                        placed._pool._workers[victim].process.join()
-                    assert placed.query(source, target).value == pytest.approx(
-                        replicated.query(source, target).value
-                    )
+        baseline = QueryService(fragmentation)
+        with QueryService(fragmentation, placement="round_robin", workers=3) as placed:
+            for index, (source, target) in enumerate(probes):
+                if index and index % 3 == 0:
+                    victim = rng.randrange(3)
+                    placed._pool._workers[victim].process.terminate()
+                    placed._pool._workers[victim].process.join()
+                assert placed.query(source, target).value == pytest.approx(
+                    baseline.query(source, target).value
+                )
 
 
 class TestPlacementSnapshots:
@@ -340,7 +340,7 @@ class TestPlacementSnapshots:
         finally:
             restored.close()
 
-    def test_snapshot_without_plan_restores_replicated_service(self, tmp_path):
+    def test_snapshot_without_plan_restores_in_process_service(self, tmp_path):
         graph = two_cluster_dumbbell(4, bridge_nodes=2)
         fragmentation = GroundTruthFragmenter(
             [set(range(4)), set(range(4, 8))]
@@ -348,6 +348,66 @@ class TestPlacementSnapshots:
         QueryService(fragmentation).snapshot(tmp_path / "snap")
         restored = QueryService.from_snapshot(tmp_path / "snap")
         assert restored.placement_plan is None
+
+
+class TestDefaultPlan:
+    """``workers=N`` alone is the placed pool under a ``cost_balanced`` plan."""
+
+    def test_workers_alone_answers_like_an_explicit_cost_balanced_service(self):
+        fragmentation = clique_line_fragmentation(seed=7)
+        probes = probe_queries(fragmentation, 8, seed=7)
+        with QueryService(fragmentation, workers=2) as default:
+            with QueryService(fragmentation, placement="cost_balanced", workers=2) as named:
+                assert default.placement_plan.policy == "cost_balanced"
+                assert default.placement_plan.owner_of == named.placement_plan.owner_of
+                for source, target in probes:
+                    assert default.query(source, target) == named.query(source, target)
+                assert default.pool_health()["mode"] == "placed"
+
+    def test_the_default_plan_round_trips_through_a_snapshot(self, tmp_path):
+        fragmentation = clique_line_fragmentation()
+        with QueryService(fragmentation, workers=2) as service:
+            plan = service.placement_plan
+            service.query(0, 11)
+            service.snapshot(tmp_path / "snap")
+        with QueryService.from_snapshot(tmp_path / "snap") as restored:
+            assert restored.placement_plan.owner_of == plan.owner_of
+            assert restored.pool_health()["workers"] == 2
+            assert restored.query(0, 11).value == pytest.approx(
+                shortest_path_cost(restored.database.graph, 0, 11)
+            )
+
+    def test_migrate_works_on_the_default_plan(self):
+        fragmentation = clique_line_fragmentation()
+        with QueryService(fragmentation, workers=2) as service:
+            service.query(0, 11)
+            destination = 1 - service.placement_plan.owner(0)
+            assert service.migrate(0, destination)
+            assert service.placement_plan.owner(0) == destination
+            service.cache.clear()
+            assert service.query(0, 11).value == pytest.approx(
+                shortest_path_cost(service.database.graph, 0, 11)
+            )
+
+    def test_a_killed_worker_is_respawned_and_the_answer_still_matches(self):
+        fragmentation = clique_line_fragmentation()
+        with QueryService(fragmentation, workers=2) as service:
+            expected = service.query(0, 11).value
+            pool = service._pool
+            victim = pool._workers[service.placement_plan.owner(0)]
+            victim.process.terminate()
+            victim.process.join(timeout=5)
+            assert service.pool_health()["healthy"] is False
+            service.cache.clear()
+            assert service.query(0, 11).value == expected
+            assert pool.respawns >= 1 and service.pool_health()["healthy"]
+
+    def test_an_in_process_service_has_no_pool_to_migrate_on(self):
+        service = QueryService(clique_line_fragmentation())
+        assert service.placement_plan is None
+        assert service.pool_health()["mode"] == "in-process"
+        with pytest.raises(PlacementError, match="in-process"):
+            service.migrate(0, 0)
 
 
 class TestPlacedPoolContract:

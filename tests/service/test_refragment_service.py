@@ -12,10 +12,14 @@ import random
 import pytest
 
 from repro.closure import shortest_path_cost
-from repro.fragmentation import GroundTruthFragmenter, HashFragmenter
+from repro.fragmentation import CenterBasedFragmenter, GroundTruthFragmenter, HashFragmenter
 from repro.graph import DiGraph
-from repro.refragmentation import RefragmentationAdvisor
-from repro.service import PlacedWorkerPool, QueryService
+from repro.incremental.maintainer import IncrementalFallback
+from repro.placement import PlacementPlan
+from repro.refragmentation import LiveRefragmenter, RefragmentationAdvisor
+from repro.service import PlacedWorkerPool, QueryService, WorkerPoolError
+
+from tests.transit_layouts import ring_layout
 
 
 def clique_line(blocks=4, size=4, seed=None):
@@ -34,6 +38,15 @@ def clique_line(blocks=4, size=4, seed=None):
         graph.add_edge(left, right, weight)
         graph.add_edge(right, left, weight)
     return graph, node_blocks
+
+
+def force_full_rebuild(monkeypatch):
+    """Make the scoped redraw give up, so ``refragment`` takes the classic rebuild."""
+
+    def give_up(self, new_fragmentation):
+        raise IncrementalFallback("forced by the test")
+
+    monkeypatch.setattr(LiveRefragmenter, "apply", give_up)
 
 
 def shifted_blocks(node_blocks):
@@ -135,17 +148,15 @@ class TestLiveRefragmentUnderPlacedPool:
                 worker: plan.fragments_on(worker) for worker in range(plan.worker_count)
             }
 
-    def test_full_rebuild_redraw_remaps_a_pinned_plan_before_pool_start(self):
-        # Outside the scoped envelope (incremental=False) the full rebuild
-        # runs; an explicit plan pinned before the pool ever started must
-        # still follow the new fragment ids or the first query cannot build
-        # the pool.
-        from repro.placement import PlacementPlan
-
+    def test_full_rebuild_redraw_remaps_a_pinned_plan_before_pool_start(self, monkeypatch):
+        # When the scoped redraw falls back, the full rebuild runs; an
+        # explicit plan pinned before the pool ever started must still follow
+        # the new fragment ids or the first query cannot build the pool.
+        force_full_rebuild(monkeypatch)
         graph, node_blocks = clique_line(blocks=3)
         fragmentation = GroundTruthFragmenter([set(b) for b in node_blocks]).fragment(graph)
         plan = PlacementPlan(owner_of={0: 0, 1: 1, 2: 0}, worker_count=2)
-        with QueryService(fragmentation, placement=plan, incremental=False) as service:
+        with QueryService(fragmentation, placement=plan) as service:
             assert service.refragment("hash", fragment_count=4) is None
             remapped = service.placement_plan
             assert sorted(remapped.owner_of) == [0, 1, 2, 3]
@@ -154,17 +165,54 @@ class TestLiveRefragmentUnderPlacedPool:
                 shortest_path_cost(service.database.graph, 0, 11)
             )
 
-    def test_replicated_pool_absorbs_a_redraw_without_restart(self):
+    def test_a_full_rebuild_restart_follows_a_hand_made_plan(self, monkeypatch):
+        # PlacementPlan.policy is a free string: a restart onto new fragment
+        # ids must remap the live plan, not look the policy name up.
+        force_full_rebuild(monkeypatch)
+        fragmentation, _ = ring_layout(4, 6)
+        plan = PlacementPlan({0: 0, 1: 1, 2: 0, 3: 1}, 2, policy="manual")
+        with QueryService(fragmentation, placement=plan) as service:
+            service.query(0, 12)  # starts the pool on the four-fragment layout
+            assert service.refragment(CenterBasedFragmenter(3, center_selection="distributed")) is None
+            remapped = service.placement_plan
+            assert remapped.policy == "manual" and sorted(remapped.owner_of) == [0, 1, 2]
+            for source, target in [(0, 12), (3, 20), (14, 1), (23, 9)]:
+                assert service.query(source, target).value == shortest_path_cost(
+                    service.database.graph, source, target
+                )
+
+    def test_a_failed_restart_raises_again_instead_of_answering_stale(self, monkeypatch):
+        force_full_rebuild(monkeypatch)
+        fragmentation, _ = ring_layout(4, 6)
+        with QueryService(fragmentation, workers=2) as service:
+            service.query(0, 12)
+            restart = PlacedWorkerPool.restart
+
+            def broken(self, catalog):
+                raise WorkerPoolError("restart failed")
+
+            monkeypatch.setattr(PlacedWorkerPool, "restart", broken)
+            with pytest.raises(WorkerPoolError):
+                service.refragment(CenterBasedFragmenter(3, center_selection="distributed"))
+            with pytest.raises(WorkerPoolError):
+                service.query(3, 20)  # the workers still pin the old layout
+            monkeypatch.setattr(PlacedWorkerPool, "restart", restart)
+            assert service.query(3, 20).value == shortest_path_cost(
+                service.database.graph, 3, 20
+            )
+
+    def test_default_plan_pool_absorbs_a_redraw_without_restart(self):
         graph, node_blocks = clique_line(blocks=3)
         fragmentation = GroundTruthFragmenter([set(b) for b in node_blocks]).fragment(graph)
         with QueryService(fragmentation, workers=2) as service:
             service.query(0, 11)
             pool = service._pool
+            pids_before = pool.worker_pids()
             result = service.refragment(
                 GroundTruthFragmenter(shifted_blocks(node_blocks))
             )
             assert result is not None
-            assert pool is service._pool
+            assert pool is service._pool and pool.worker_pids() == pids_before
             for source, target in [(0, 11), (5, 9)]:
                 assert service.query(source, target).value == pytest.approx(
                     shortest_path_cost(service.database.graph, source, target)

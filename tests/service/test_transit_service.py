@@ -99,7 +99,7 @@ class TestWorkCountGuards:
 
     def test_worker_replies_fill_the_coordinators_tables(self):
         fragmentation, layout = ring_layout(BLOCKS)
-        with QueryService(fragmentation, workers=2) as service:  # replicated pool
+        with QueryService(fragmentation, workers=2) as service:  # default cost_balanced plan
             assert not any(tables(service).values())
             warm_ring(service, layout)
             assert all(tables(service).values())
@@ -271,10 +271,3 @@ class TestDecisionRecords:
         service.query(interior(layout, 0)[1], interior(layout, 3)[1])
         assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
 
-    def test_the_dict_service_stays_an_independent_oracle(self):
-        fragmentation, layout = ring_layout(BLOCKS)
-        service = QueryService(fragmentation, use_compact=False)
-        warm_ring(service, layout)
-        assert service.stats.transit_lookups() == {"hit": 0, "miss": 0}
-        for site in service.engine().catalog.sites():
-            assert site._compact_augmented is None

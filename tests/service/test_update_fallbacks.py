@@ -37,7 +37,7 @@ def events_of(database):
 
 class TestDatabase:
     def test_an_absorbed_update_reports_no_fallback(self):
-        database = FragmentedDatabase(three_pairs(), incremental=True)
+        database = FragmentedDatabase(three_pairs())
         database.engine()
         events = events_of(database)
         database.update_edge_weight("a", "b", 3.0)
@@ -48,7 +48,7 @@ class TestDatabase:
         assert database.statistics.as_dict()["incremental_fallbacks"] == 0
 
     def test_an_emptied_fragment_falls_back_in_complete(self):
-        database = FragmentedDatabase(three_pairs(), incremental=True)
+        database = FragmentedDatabase(three_pairs())
         database.engine()
         events = events_of(database)
         database.delete_edge("c", "d")
@@ -57,7 +57,7 @@ class TestDatabase:
         assert database.statistics.incremental_fallbacks == 1
 
     def test_a_write_without_a_live_engine_is_unsupported(self):
-        database = FragmentedDatabase(three_pairs(), incremental=True)
+        database = FragmentedDatabase(three_pairs())
         events = events_of(database)  # engine() was never called
         database.update_edge_weight("a", "b", 3.0)
         assert events[0].fallback == "unsupported" and not events[0].incremental
@@ -65,7 +65,7 @@ class TestDatabase:
 
     def test_a_custom_semiring_is_unsupported(self):
         database = FragmentedDatabase(
-            three_pairs(), semiring=widest_path_semiring(), incremental=True
+            three_pairs(), semiring=widest_path_semiring()
         )
         database.engine()
         events = events_of(database)
@@ -73,7 +73,7 @@ class TestDatabase:
         assert events[0].fallback == "unsupported"
 
     def test_a_failing_probe_falls_back_in_begin(self, monkeypatch):
-        database = FragmentedDatabase(three_pairs(), incremental=True)
+        database = FragmentedDatabase(three_pairs())
         database.engine()
         events = events_of(database)
 
@@ -84,14 +84,6 @@ class TestDatabase:
         database.update_edge_weight("a", "b", 3.0)
         assert events[0].fallback == "begin"
         assert database.engine().query("a", "b").value == 3.0
-
-    def test_a_database_that_was_not_asked_to_is_not_falling_back(self):
-        database = FragmentedDatabase(three_pairs(), incremental=False)
-        database.engine()
-        events = events_of(database)
-        database.update_edge_weight("a", "b", 3.0)
-        assert events[0].fallback is None and not events[0].incremental
-        assert database.statistics.incremental_fallbacks == 0
 
 
 class TestService:

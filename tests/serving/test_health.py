@@ -55,6 +55,22 @@ class TestHealthyBaseline:
 
         asyncio.run(scenario())
 
+    def test_placement_reports_the_mode_the_health_probe_reports(self):
+        async def scenario(service):
+            async with ClosureServer(service, tiny_config()) as server:
+                async with Client(*server.address) as client:
+                    return await client.rpc(op="placement")
+
+        in_process = asyncio.run(scenario(make_service()))
+        assert in_process["mode"] == "in-process" and in_process["placement"] is None
+        with QueryService(clique_line_fragmentation(), workers=2) as service:
+            unstarted = asyncio.run(scenario(service))
+            service.query_batch(cross_fragment_queries())
+            placed = asyncio.run(scenario(service))
+        assert unstarted["mode"] == "unstarted" and placed["mode"] == "placed"
+        assert placed["placement"] == unstarted["placement"]
+        assert placed["placement"]["policy"] == "cost_balanced"
+
     def test_stats_response_carries_the_slo_section(self):
         async def scenario():
             service = make_service()

@@ -182,6 +182,14 @@ class TestServeCommand:
         assert exit_code == 0
         assert (target / "manifest.json").is_file()
 
+    def test_serve_placement_names_an_in_process_service_for_what_it_is(
+        self, snapshot_dir, monkeypatch, capsys
+    ):
+        exit_code, captured = self._serve(monkeypatch, capsys, snapshot_dir, "placement\nquit\n")
+        assert exit_code == 0
+        assert "placement: in-process" in captured.out
+        assert "replicated" not in captured.out
+
     def test_serve_reports_bad_commands(self, snapshot_dir, monkeypatch, capsys):
         # Bad lines (unknown commands, bad weights, unknown nodes) must not
         # take the long-lived server down.

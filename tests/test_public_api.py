@@ -36,6 +36,13 @@ class TestPublicExports:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.__all__ lists {name} but it is not importable"
 
+    def test_there_is_one_worker_pool(self):
+        import repro.service
+
+        assert repro.PlacedWorkerPool is repro.service.PlacedWorkerPool
+        assert not hasattr(repro, "ResidentWorkerPool")
+        assert not hasattr(repro.service, "ResidentWorkerPool")
+
     def test_readme_quickstart_symbols_exist(self):
         # The classes/functions the README quickstart relies on.
         for name in (

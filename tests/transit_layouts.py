@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.closure import Semiring
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
 from repro.graph import DiGraph
+from repro.graph.shortest_path import dijkstra
+from repro.graph.traversal import bfs_levels
 from repro.service import QueryService
 
 Blocks = List[List[int]]
@@ -104,13 +105,19 @@ def pairs_at(
     return block_of, pairs
 
 
-def oracle_service(
-    service: QueryService, layout: Sequence[Sequence[int]], semiring: Optional[Semiring]
-) -> QueryService:
-    """A fresh dict-evaluator service over ``service``'s current edge list."""
-    current = service.database.graph
-    graph = DiGraph(list(current.weighted_edges()))
-    return QueryService(fragment(graph, layout), semiring=semiring, use_compact=False)
+def oracle_value(service: QueryService, source: int, target: int) -> Optional[object]:
+    """The whole-graph answer over ``service``'s live base graph (``None``: no path).
+
+    One ``dijkstra`` / ``bfs_levels`` over the whole graph: no fragmentation,
+    no complementary information, no kernel, no table.
+    """
+    graph = service.database.graph
+    if not (graph.has_node(source) and graph.has_node(target)):
+        return None
+    if service.semiring.name == "reachability":
+        return True if target in bfs_levels(graph, source) else None
+    distances, _ = dijkstra(graph, source, targets=[target])
+    return distances.get(target)
 
 
 def is_transit(site, task) -> bool:
