@@ -48,9 +48,14 @@ class CompactFragmentSite:
     Attributes:
         fragment_id: the fragment / site identifier.
         estimated_iterations: the site's cached ``hop_diameter + 1`` figure.
+        border_nodes: the owning :class:`FragmentSite`'s border nodes, so the
+            local-query evaluator memoizes here exactly what it memoizes
+            there; ``None`` (a hand-built or reloaded site) means "unknown,
+            search as before".  A hint only: what it selects is a pure
+            function of the graph, so a stale set costs time, never answers.
     """
 
-    __slots__ = ("fragment_id", "estimated_iterations", "_state", "_graph")
+    __slots__ = ("fragment_id", "estimated_iterations", "border_nodes", "_state", "_graph")
 
     def __init__(
         self,
@@ -60,6 +65,7 @@ class CompactFragmentSite:
     ) -> None:
         self.fragment_id = fragment_id
         self.estimated_iterations = estimated_iterations
+        self.border_nodes: Optional[FrozenSet[Node]] = None
         self._state: Optional[Dict[str, object]] = state
         self._graph: Optional[CompactGraph] = None
 
@@ -93,6 +99,14 @@ class CompactFragmentSite:
         """Return the precomputed semi-naive iteration estimate."""
         return self.estimated_iterations
 
+    def derived_get(self, key: str) -> Optional[object]:
+        """Return what the compact graph's derived store holds under ``key``.
+
+        ``None`` when nothing does or the graph has not been rebuilt from the
+        shipped state yet; a census read, it never builds anything.
+        """
+        return self._graph.derived_get(key) if self._graph is not None else None
+
     def derive(self, *, compact: bool = True, use_shortcuts: bool = True) -> bool:
         """Rebuild the graph from the shipped state if needed; return whether it was."""
         missing = compact and self._graph is None
@@ -100,7 +114,12 @@ class CompactFragmentSite:
             self.compact(use_shortcuts=use_shortcuts)
         return missing
 
-    def apply_delta(self, delta: CompactDelta, estimated_iterations: int) -> None:
+    def apply_delta(
+        self,
+        delta: CompactDelta,
+        estimated_iterations: int,
+        border_nodes: Optional[FrozenSet[Node]] = None,
+    ) -> None:
         """Apply an edge delta to the pinned compact graph in place.
 
         This is how a resident worker (or a snapshot-seeded site) absorbs an
@@ -108,13 +127,17 @@ class CompactFragmentSite:
         of this fragment's compact graph (O(delta), no CSR rebuild), the
         captured plain-data ``state`` is marked stale and re-captured on the
         next read, and the iteration estimate is replaced by the
-        coordinator's new figure.  Shipping a delta is the scoped
-        alternative to re-shipping the whole fragment payload.
+        coordinator's new figure — as is the border hint, when the write
+        moved a disconnection set (``None`` keeps the current one).  Shipping
+        a delta is the scoped alternative to re-shipping the whole fragment
+        payload.
         """
         graph = self.compact()
         graph.apply_delta(delta)
         self._state = None
         self.estimated_iterations = estimated_iterations
+        if border_nodes is not None:
+            self.border_nodes = border_nodes
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompactFragmentSite):
@@ -137,11 +160,13 @@ class CompactFragmentSite:
             "fragment_id": self.fragment_id,
             "state": self.state,
             "estimated_iterations": self.estimated_iterations,
+            "border_nodes": self.border_nodes,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.fragment_id = state["fragment_id"]  # type: ignore[assignment]
         self.estimated_iterations = state["estimated_iterations"]  # type: ignore[assignment]
+        self.border_nodes = state.get("border_nodes")  # type: ignore[assignment]
         self._state = state["state"]
         self._graph = None
 
@@ -179,9 +204,9 @@ class FragmentSite:
     fragment arrives as a delta too), and ``CompactGraph.apply_delta`` drops
     every derived structure that has no ``patch_rows`` hook.  Anything cached
     in that graph's derived store — the kernels' indexes, the local-query
-    evaluator's transit table — therefore never survives a change of the
-    adjacency it was computed from, and survives untouched when the delta is
-    empty.  The plain (no-shortcut) compact form is not patched: a write to
+    evaluator's transit table and border rows — therefore never survives a
+    change of the adjacency it was computed from, and survives untouched when
+    the delta is empty.  The plain (no-shortcut) compact form is not patched: a write to
     the fragment's own edges discards it, and one that adds or removes an
     edge discards the iteration estimate with it (a hop diameter does not
     see weights); the next reader re-derives them (:meth:`derive`).  Only a
@@ -257,6 +282,15 @@ class FragmentSite:
             self._compact_plain = CompactGraph.from_digraph(self.subgraph)
         return self._compact_plain
 
+    def derived_get(self, key: str) -> Optional[object]:
+        """Return what the augmented compact graph's derived store holds under ``key``.
+
+        ``None`` when nothing does or no compact form exists yet; a census
+        read, it never builds anything.
+        """
+        graph = self._compact_augmented
+        return graph.derived_get(key) if graph is not None else None
+
     def local_iterations(self) -> int:
         """Return (and cache) the semi-naive iteration estimate (diameter + 1)."""
         if self._local_iterations is None:
@@ -283,11 +317,13 @@ class FragmentSite:
 
     def to_compact_site(self) -> CompactFragmentSite:
         """Return the plain-data form shipped to workers and snapshots."""
-        return CompactFragmentSite(
+        compact_site = CompactFragmentSite(
             fragment_id=self.fragment_id,
             state=self.compact().state(),
             estimated_iterations=self.local_iterations(),
         )
+        compact_site.border_nodes = self.border_nodes
+        return compact_site
 
     def seed_compact(self, compact_site: CompactFragmentSite) -> None:
         """Adopt a previously built compact form (snapshot reload fast path)."""

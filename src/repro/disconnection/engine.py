@@ -227,7 +227,7 @@ class DisconnectionSetEngine:
         report = ExecutionReport()
         report.planned_fragments = len(plan.fragments_involved())
         # The distinct subqueries of all chains are one task set: chains
-        # share identical subqueries, endpoint subqueries share searches.
+        # share identical subqueries.
         tasks, _ = collect_task_keys([plan])
         evaluated = self._evaluator.evaluate_many(
             self._catalog.site, [LocalQuerySpec(*task) for task in tasks]

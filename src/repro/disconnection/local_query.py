@@ -16,27 +16,33 @@ restricted semi-naive fixpoint over the dict subgraph.  The work counters it
 returns (iterations ≈ fragment diameter, tuples produced) feed the parallel
 cost model.
 
-Of the three kinds of subquery a chain splits into (Sec. 2.1) the middle one
-— border to border inside an intermediate fragment — depends on the fragment
-and its disconnection sets only, never on the query.  The kernel path
-remembers those results in a :class:`TransitTable` kept in the derived store
-of the site's compact graph, so a cold query searches only its two endpoint
-fragments; ``CompactGraph.apply_delta`` drops the table with every other
-derived structure, which is the whole invalidation protocol.
+Of the three kinds of subquery a chain splits into (Sec. 2.1) none depends on
+more than the fragment, its border nodes and one query node, and the kernel
+path memoizes both halves in the derived store of the site's compact graph:
 
-The other two kinds — source to first disconnection set, last disconnection
-set to destination — are searched for, once per endpoint: a shortest-path
-subquery roots its searches at whichever of its two node sets is smaller
-(against the edges when that is the exit set), and the subqueries of one task
-set that start at the same node of the same fragment read one search.
+* the middle one — border to border inside an intermediate fragment — does not
+  depend on the query at all; its whole result is remembered in a
+  :class:`TransitTable`;
+* the other two — source to first disconnection set, last disconnection set
+  to destination — are reads of :class:`BorderRows`: per border node and
+  direction one row of shortest distances to (or from) every node of the
+  fragment, filled by one untargeted search the first time a query crosses
+  that border node.
+
+``CompactGraph.apply_delta`` drops both with every other derived structure,
+which is the whole invalidation protocol.  What still searches is a
+shortest-path subquery with no side inside the border set (a same-fragment
+query) and a transit-table miss; both root their searches at whichever of
+their two node sets is smaller, against the edges when that is the exit set.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from math import inf
 from time import perf_counter
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..closure import (
     ClosureStatistics,
@@ -89,6 +95,46 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
         return None
 
 
+# Derived-store key of a site graph's border rows.
+BORDER_ROWS_KEY = "border_rows"
+
+
+class BorderRow(NamedTuple):
+    """The untargeted search from one border node, as every reader replays it."""
+
+    distances: "array[float]"  # by node id; ``inf`` where there is no path
+    settled: int
+
+
+class BorderRows(Dict[Tuple[int, bool], BorderRow]):
+    """The memoized endpoint searches of one site graph.
+
+    ``(b, True)`` holds ``dist(x -> b)`` for every node id ``x`` (one backward
+    search from border node id ``b``), ``(b, False)`` holds ``dist(b -> x)``.
+    A row is a pure function of the graph, filled the first time a subquery
+    is rooted at ``b`` in that direction, so the store is bounded by the
+    layout: at most ``2 * |border nodes|`` rows of ``node_count`` doubles per
+    fragment.  No capacity and no eviction; the graph's ``apply_delta`` drops
+    the rows with the adjacency they were computed from.
+    """
+
+    __slots__ = ()
+
+    def to_state(self) -> None:
+        """Process-local: never part of a graph state, payload or snapshot."""
+        return None
+
+    def nbytes(self) -> int:
+        """The bytes the rows' distance arrays hold."""
+        return sum(len(row.distances) * row.distances.itemsize for row in self.values())
+
+
+def border_rows_held(site: FragmentSite | CompactFragmentSite) -> Tuple[int, int]:
+    """Return ``(rows, bytes)`` of the border rows ``site``'s augmented graph holds."""
+    rows = site.derived_get(BORDER_ROWS_KEY)
+    return (len(rows), rows.nbytes()) if rows else (0, 0)  # type: ignore[arg-type, union-attr]
+
+
 @dataclass
 class LocalQueryResult:
     """The result of one per-fragment subquery.
@@ -111,13 +157,17 @@ class LocalQueryResult:
             delta overlay at evaluation time — the kernels read straight
             through it; surfaces in worker payloads and trace spans.
         memoized: whether the values were replayed from the site's transit
-            table instead of searched for; the work counters are then those
-            of the original evaluation, ``elapsed_seconds`` is the lookup's.
-        searches: the shortest-path searches this result ran itself — 0 when
-            it was replayed, or read a search another result of its task set
-            ran (whose settled count and time are on that result alone).
-        backward: whether the shortest-path searches were rooted at the exit
-            nodes and run against the edges (fewer exits than entries).
+            table or read from its border rows without a single search; the
+            work counters are those of the evaluation that filled the memo —
+            a memoized result and the one that searched report the same
+            ``statistics`` apart from ``elapsed_seconds``.
+        searches: the shortest-path searches this result ran itself (a border
+            row it had to fill counts as one); 0 when memoized.
+        backward: whether the shortest-path searches — or the border rows
+            read in their place — are rooted at the exit nodes and run
+            against the edges.
+        rows_read, rows_filled: the border rows this result found filled, and
+            filled itself.
     """
 
     fragment_id: int
@@ -130,6 +180,8 @@ class LocalQueryResult:
     memoized: bool = field(default=False, compare=False)
     searches: int = field(default=0, compare=False)
     backward: bool = field(default=False, compare=False)
+    rows_read: int = field(default=0, compare=False)
+    rows_filled: int = field(default=0, compare=False)
 
     def exit_values(self, semiring: Optional[Semiring] = None) -> Dict[Node, PathValue]:
         """Return the best value per exit node over all entry nodes (for reporting).
@@ -156,20 +208,22 @@ class LocalQueryResult:
         return not self.values
 
 
-# What the subqueries of one task set share a search by: (fragment, root id,
-# backward, transit key).  The last is ``None`` for every subquery that is
-# not border-to-border, so those share; a border-to-border one has its own.
-_SearchKey = Tuple[int, int, bool, Optional[TransitKey]]
-
-
-class _Search(NamedTuple):
-    """A shortest-path subquery whose searches are still to be run."""
-
-    graph: CompactGraph
-    key: Optional[TransitKey]
-    roots: List[Tuple[Node, int]]  # the smaller side, one search each
-    targets: List[Tuple[Node, int]]
-    result: LocalQueryResult
+def _book_round(
+    result: LocalQueryResult,
+    root: Node,
+    targets: List[Tuple[Node, int]],
+    distances: Sequence[float],
+    settled: int,
+) -> None:
+    """File the finite ``root``-to-target distances of one search (or row) in ``result``."""
+    backward = result.backward
+    produced = 0
+    for target, target_id in targets:
+        distance = distances[target_id]
+        if distance != inf:
+            result.values[(target, root) if backward else (root, target)] = distance
+            produced += 1
+    result.statistics.record_round(settled, produced)
 
 
 class LocalQueryEvaluator:
@@ -190,14 +244,17 @@ class LocalQueryEvaluator:
     supports the standard semirings only.
 
     On the kernel path a subquery whose entry and exit sets both consist of
-    the :class:`FragmentSite`'s border nodes is answered from the site's
+    the site's border nodes is answered from the site's
     :class:`TransitTable` once it has been evaluated; ``transit_hits`` and
-    ``transit_misses`` count those lookups.  Custom semirings and plain-data
-    sites (which do not know their borders) never touch the table.
+    ``transit_misses`` count those lookups.  A shortest-path subquery with
+    only one side inside the border set reads that side's
+    :class:`BorderRows`; its result's ``rows_read`` and ``rows_filled`` count
+    the rows it found and the rows it had to search for.  Custom semirings
+    and sites that do not know their borders (a hand-built
+    :class:`CompactFragmentSite`) touch neither.
 
     Callers that hold several subqueries at once — the chains of a query, a
-    batch, one routed message — hand them to :meth:`evaluate_many` together,
-    so the shortest-path subqueries among them share their searches.
+    batch, one routed message — hand them to :meth:`evaluate_many` together.
     """
 
     def __init__(
@@ -232,24 +289,18 @@ class LocalQueryEvaluator:
         """Evaluate one task set and return its results in the order of ``specs``.
 
         ``site_of`` maps a fragment id to the site that evaluates it (a
-        catalog's ``site``, a worker's pinned sites).  Within the set,
-        shortest-path subqueries on one fragment that start their search at
-        the same node in the same direction read one search (see
-        :meth:`_run_searches`); a subquery's values never depend on what it
-        was grouped with.
+        catalog's ``site``, a worker's pinned sites); it is asked once per
+        fragment.  A subquery's values are a function of its site graph and
+        itself alone, never of what it was handed in with.
 
         Every result's statistics carry ``elapsed_seconds``, timed here so
         the measurement happens in whichever process runs the kernel — a
         worker's in-process timing ships back with the result, needing no
         clock agreement with the coordinator.  The clock covers the kernel
-        (or the transit-table lookup) only: a site's lazy state is forced
-        first.  A shared search is on the clock, and in the work counters, of
-        the first subquery that needs it and of no other.
+        (or the memo lookup) only: a site's lazy state is forced first.
         """
         results: List[LocalQueryResult] = []
         resolved: Dict[int, Tuple[FragmentSite | CompactFragmentSite, Optional[CompactGraph]]] = {}
-        searching: List[_Search] = []
-        wanted: Dict[_SearchKey, Set[int]] = {}  # the ids every reader of a search needs settled
         for spec in specs:
             fragment_id = spec.fragment_id
             known = resolved.get(fragment_id)
@@ -268,17 +319,8 @@ class LocalQueryEvaluator:
             if graph is None:
                 self._evaluate_generic(site, spec, result)
             else:
-                search = self._evaluate_compact(site, graph, spec, result)
-                if search is not None:
-                    searching.append(search)
-                    target_ids = [target_id for _, target_id in search.targets]
-                    for _, root_id in search.roots:
-                        wanted.setdefault(
-                            (fragment_id, root_id, result.backward, search.key), set()
-                        ).update(target_ids)
+                self._evaluate_compact(site, graph, spec, result)
             result.statistics.elapsed_seconds = perf_counter() - started
-        if searching:
-            self._run_searches(searching, wanted)
         return results
 
     def prepare(self, site: FragmentSite | CompactFragmentSite) -> bool:
@@ -335,7 +377,7 @@ class LocalQueryEvaluator:
         self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
     ) -> Optional[TransitKey]:
         """The table key of a border-to-border subquery, ``None`` for any other."""
-        border = getattr(site, "border_nodes", None)
+        border = site.border_nodes
         if border is None or not (spec.entry_nodes <= border and spec.exit_nodes <= border):
             return None
         return (spec.entry_nodes, spec.exit_nodes, self._semiring.name, self._backend)
@@ -399,19 +441,24 @@ class LocalQueryEvaluator:
         graph: CompactGraph,
         spec: LocalQuerySpec,
         result: LocalQueryResult,
-    ) -> Optional[_Search]:
-        """Answer ``spec`` from the transit table or a reachability kernel.
-
-        Returns the shortest-path search still to be run for it, if any.
-        """
+    ) -> None:
+        """Answer ``spec`` from a memo, a reachability kernel or its own searches."""
         shortest = self._semiring.name == "shortest_path"
-        # Root the searches at the smaller side: one backward search per exit
-        # when there are fewer exits than entries.  A function of the spec
-        # alone, so a replayed result reports the direction it was found in.
-        result.backward = shortest and len(spec.exit_nodes) < len(spec.entry_nodes)
         key = self._transit_key(site, spec)
+        # One side inside the border set: read the rows rooted there.  Else
+        # root the searches at the smaller side — one backward search per
+        # exit when there are fewer exits than entries.  A function of the
+        # spec and the border set alone, so a replayed result reports the
+        # direction it was found in.
+        border = site.border_nodes if shortest and key is None else None
+        exits_on_border = border is not None and spec.exit_nodes <= border
+        from_rows = exits_on_border or (border is not None and spec.entry_nodes <= border)
+        if from_rows:
+            result.backward = exits_on_border
+        else:
+            result.backward = shortest and len(spec.exit_nodes) < len(spec.entry_nodes)
         if self._replay(site, graph, key, result):
-            return None
+            return
         result.overlay = graph.has_overlay()
         result.estimated_iterations = site.local_iterations()
         entries = [
@@ -430,10 +477,13 @@ class LocalQueryEvaluator:
             if shortest:
                 result.backend = "dijkstra"
                 roots, targets = (exits, entries) if result.backward else (entries, exits)
-                return _Search(graph, key, roots, targets, result)
-            self._run_reachability(graph, entries, exits, result)
+                if from_rows:
+                    self._read_rows(graph, roots, targets, result)
+                else:
+                    self._search(graph, roots, targets, result)
+            else:
+                self._run_reachability(graph, entries, exits, result)
         self._file(graph, key, result)
-        return None
 
     def _run_reachability(
         self,
@@ -462,46 +512,52 @@ class LocalQueryEvaluator:
                     produced += 1
             result.statistics.record_round(visited.bit_count(), produced)
 
-    def _run_searches(
-        self, searching: List[_Search], wanted: Dict[_SearchKey, Set[int]]
+    def _search(
+        self,
+        graph: CompactGraph,
+        roots: List[Tuple[Node, int]],
+        targets: List[Tuple[Node, int]],
+        result: LocalQueryResult,
     ) -> None:
-        """Run the shortest-path searches of one task set, each at most once.
+        """One search per root, each stopping once ``targets`` are settled."""
+        target_ids = [target_id for _, target_id in targets]
+        for root, root_id in roots:
+            distances, _, settled = array_dijkstra(
+                graph, root_id, target_ids=target_ids, backward=result.backward
+            )
+            result.searches += 1
+            _book_round(result, root, targets, distances, settled)
 
-        Per root, a subquery reads the one search its :data:`_SearchKey` names
-        in the set, whose targets are the union in ``wanted``.  Dijkstra
-        settles ids in an order the targets do not influence — they only
-        decide where it stops — so a distance read from a wider search is the
-        very float the subquery's own search would have produced.  The
-        transit key is part of the search key, so border-to-border subqueries
-        share with nobody: what the transit table files is their work alone.
-        (A plain-data site does not know its border nodes; there every
-        subquery may share.)
+    def _read_rows(
+        self,
+        graph: CompactGraph,
+        roots: List[Tuple[Node, int]],
+        targets: List[Tuple[Node, int]],
+        result: LocalQueryResult,
+    ) -> None:
+        """Per root (a border node), read its row — filling it first when missing.
+
+        A row is the untargeted search from its root, kept as ``array('d')``
+        with that search's settled count.  Every reader books the stored
+        count, so the work counters do not say who filled the row;
+        ``searches`` and ``memoized`` do.
         """
-        ran: Dict[_SearchKey, List[float]] = {}
-        for graph, key, roots, targets, result in searching:
-            started = perf_counter()
-            backward = result.backward
-            values = result.values
-            statistics = result.statistics
-            for root, root_id in roots:
-                shared = (result.fragment_id, root_id, backward, key)
-                distances = ran.get(shared)
-                settled = 0
-                if distances is None:
-                    distances, _, settled = array_dijkstra(
-                        graph, root_id, target_ids=wanted[shared], backward=backward
-                    )
-                    ran[shared] = distances
-                    result.searches += 1
-                produced = 0
-                for target, target_id in targets:
-                    distance = distances[target_id]
-                    if distance != inf:
-                        values[(target, root) if backward else (root, target)] = distance
-                        produced += 1
-                statistics.record_round(settled, produced)
-            self._file(graph, key, result)
-            statistics.elapsed_seconds += perf_counter() - started
+        rows = graph.derived_get(BORDER_ROWS_KEY)
+        if rows is None:
+            rows = BorderRows()
+            graph.derived_set(BORDER_ROWS_KEY, rows)
+        backward = result.backward
+        for root, root_id in roots:
+            row = rows.get((root_id, backward))
+            if row is None:
+                distances, _, settled = array_dijkstra(graph, root_id, backward=backward)
+                row = rows[(root_id, backward)] = BorderRow(array("d", distances), settled)
+                result.rows_filled += 1
+            else:
+                result.rows_read += 1
+            _book_round(result, root, targets, row.distances, row.settled)
+        result.searches = result.rows_filled
+        result.memoized = not result.rows_filled
 
     # ------------------------------------------------------ custom semirings
 

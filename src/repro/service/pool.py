@@ -46,10 +46,12 @@ from ..closure import (
 )
 from ..disconnection import LocalQueryEvaluator, LocalQueryResult
 from ..disconnection.catalog import CompactFragmentSite, DistributedCatalog
+from ..disconnection.local_query import border_rows_held
 from ..disconnection.planner import LocalQuerySpec
 from ..graph.compact import CompactDelta, merge_overlay_metrics
 from ..observability import MetricsRegistry
 from ..placement import PlacementError, PlacementPlan
+from .stats import border_row_lookups_counter
 
 Node = Hashable
 TaskKey = Tuple[int, FrozenSet[Node], FrozenSet[Node]]
@@ -87,6 +89,9 @@ class PinUpdate:
             state, not from the sites captured at pool start.
         remove: the fragment no longer exists (a refragmentation dropped
             it); workers discard their pinned copy instead of refreshing it.
+        border_nodes: the fragment's border nodes after the write, applied
+            with ``delta`` (a payload carries its own); ``None`` leaves the
+            worker's border hint as it is.
     """
 
     fragment_id: int
@@ -94,6 +99,7 @@ class PinUpdate:
     delta: Optional[CompactDelta] = None
     payload: Optional[CompactFragmentSite] = None
     remove: bool = False
+    border_nodes: Optional[FrozenSet[Node]] = None
 
     def wire(self) -> "PinUpdate":
         """Return the copy that crosses the process boundary.
@@ -107,6 +113,7 @@ class PinUpdate:
             delta=self.delta,
             payload=None if self.delta is not None else self.payload,
             remove=self.remove,
+            border_nodes=self.border_nodes,
         )
 
 
@@ -123,7 +130,9 @@ def apply_pin_updates(
             if sites.pop(update.fragment_id, None) is not None:
                 refreshed += 1
         elif update.delta is not None and update.fragment_id in sites:
-            sites[update.fragment_id].apply_delta(update.delta, update.estimated_iterations)
+            sites[update.fragment_id].apply_delta(
+                update.delta, update.estimated_iterations, update.border_nodes
+            )
             refreshed += 1
         elif update.payload is not None:
             sites[update.fragment_id] = update.payload
@@ -162,6 +171,9 @@ def result_payload(result: LocalQueryResult) -> Dict:
         "overlay": result.overlay,
         "searches": result.searches,
         "backward": result.backward,
+        "memoized": result.memoized,
+        "rows_read": result.rows_read,
+        "rows_filled": result.rows_filled,
     }
 
 
@@ -186,6 +198,9 @@ def result_from_payload(
         overlay=payload.get("overlay", False),
         searches=payload.get("searches", 0),
         backward=payload.get("backward", False),
+        memoized=payload.get("memoized", False),
+        rows_read=payload.get("rows_read", 0),
+        rows_filled=payload.get("rows_filled", 0),
     )
 
 
@@ -224,6 +239,7 @@ def _routed_worker_loop(
         "Tuples produced by routed kernel executions.",
         labelnames=("worker", "fragment"),
     )
+    border_row_lookups = border_row_lookups_counter(registry)
 
     def pinned_site(fragment_id: int) -> CompactFragmentSite:
         try:
@@ -247,10 +263,14 @@ def _routed_worker_loop(
                 # worker echoes it back so the coordinator can prove which
                 # trace each worker's kernel spans were timed under.
                 trace_id = message[3] if len(message) > 3 else None
-                # One message is one task set: the endpoint subqueries of a
-                # query's chains arrive together and share their searches.
                 specs = [LocalQuerySpec(*task) for task in tasks]
                 results = evaluator.evaluate_many(pinned_site, specs)
+                for outcome, count in (
+                    ("read", sum(result.rows_read for result in results)),
+                    ("fill", sum(result.rows_filled for result in results)),
+                ):
+                    if count:  # a zero would still ship an empty series
+                        border_row_lookups.inc(count, outcome=outcome)
                 payloads = []
                 for task, result in zip(tasks, results):
                     kernel_seconds.observe(
@@ -293,7 +313,9 @@ def _routed_worker_loop(
                 refreshed = apply_pin_updates(sites, message[2])
                 result_conn.send((request_id, worker_index, "repinned", refreshed))
             elif kind == "census":
-                result_conn.send((request_id, worker_index, "census", sorted(sites)))
+                # fragment -> (border rows held, their bytes), in pinned order
+                census = {fid: border_rows_held(sites[fid]) for fid in sorted(sites)}
+                result_conn.send((request_id, worker_index, "census", census))
             else:
                 raise ValueError(f"unknown worker message kind {kind!r}")
         except Exception:
@@ -537,16 +559,34 @@ class PlacedWorkerPool:
         """
         if not ask_workers or not self._running:
             return {h.index: sorted(h.pinned) for h in self._workers}
+        replies = self._census()
+        census = {h.index: sorted(h.pinned) for h in self._workers if h.index not in replies}
+        census.update({worker: list(fragments) for worker, fragments in replies.items()})
+        return dict(sorted(census.items()))
+
+    def border_rows(self) -> Dict[int, Tuple[int, int]]:
+        """Return fragment -> ``(border rows, bytes)`` held by the live workers.
+
+        The rows live where the endpoint tasks run; replicas of a fragment
+        add up.
+        """
+        held: Dict[int, Tuple[int, int]] = {}
+        if self._running:
+            for fragments in self._census().values():
+                for fragment_id, (rows, size) in fragments.items():
+                    before = held.get(fragment_id, (0, 0))
+                    held[fragment_id] = (before[0] + rows, before[1] + size)
+        return dict(sorted(held.items()))
+
+    def _census(self) -> Dict[int, Dict[int, Tuple[int, int]]]:
+        """Ask every live worker what it pins: worker -> fragment -> (rows, bytes)."""
         request_id = self._request_id()
         targets = []
         for handle in self._workers:
             if handle.is_alive():
                 handle.queue.put(("census", request_id))
                 targets.append(handle.index)
-        replies = self._collect(request_id, targets, resubmit=None)
-        census = {h.index: sorted(h.pinned) for h in self._workers if h.index not in replies}
-        census.update({worker: list(fragments) for worker, fragments in replies.items()})
-        return dict(sorted(census.items()))
+        return self._collect(request_id, targets, resubmit=None)  # type: ignore[return-value]
 
     # ------------------------------------------------------------ operations
 

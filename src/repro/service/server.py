@@ -60,6 +60,7 @@ from ..disconnection import (
     assemble_best_chain,
     collect_task_keys,
 )
+from ..disconnection.local_query import border_rows_held
 from ..disconnection.maintenance import UpdateEvent
 from ..disconnection.planner import LocalQuerySpec
 from ..exceptions import NoChainError
@@ -423,11 +424,35 @@ class QueryService:
         """The bounded structured log of answered queries (workload capture)."""
         return self._query_log
 
+    def border_rows(self) -> Dict[int, Dict[str, int]]:
+        """Return the border rows held per fragment, as ``{"rows": n, "bytes": b}``.
+
+        What the memo costs next to what it saves: at most two rows per
+        border node, one double per node of the fragment each.  Counted
+        where the endpoint subqueries run — on the workers of a started
+        pool, on the catalog's own sites otherwise.
+        """
+        if self._pool is not None and self._pool.is_running():
+            held = self._pool.border_rows()
+        elif self._current_engine is not None:
+            held = {
+                site.fragment_id: border_rows_held(site)
+                for site in self._current_engine.catalog.sites()
+            }
+        else:
+            held = {}
+        return {
+            fragment_id: {"rows": rows, "bytes": size}
+            for fragment_id, (rows, size) in held.items()
+            if rows
+        }
+
     def metrics(self, format: str = "json"):
         """Export the service's telemetry.
 
         ``format="json"`` returns a plain-data dictionary: the flat
-        statistics view, p50/p90/p99 latency quantiles per cache outcome,
+        statistics view, the border rows held per fragment (rows and bytes),
+        p50/p90/p99 latency quantiles per cache outcome,
         every registry metric's series, and query-log / tracing summaries.
         ``format="prometheus"`` returns the registry in Prometheus text
         exposition format, ready for a scrape endpoint.
@@ -445,6 +470,7 @@ class QueryService:
             raise ValueError(f"unknown metrics format {format!r} (json or prometheus)")
         return {
             "stats": self._stats.as_dict(),
+            "border_rows": self.border_rows(),
             "latency_quantiles": {
                 "evaluated": self._stats.latency_quantiles("evaluated"),
                 "cached": self._stats.latency_quantiles("cached"),
@@ -1205,6 +1231,7 @@ class QueryService:
                     estimated_iterations=site.local_iterations(),
                     delta=delta,
                     payload=site.to_compact_site(),
+                    border_nodes=site.border_nodes,
                 )
             )
         deferred_before = self._pool.replica_repins_deferred
@@ -1332,6 +1359,8 @@ class QueryService:
                             backend=results[key].backend,
                             overlay=results[key].overlay,
                             searches=results[key].searches,
+                            rows_read=results[key].rows_read,
+                            rows_filled=results[key].rows_filled,
                         )
                 espan.set("searches", sum(r.searches for r in results.values()))
                 # The workers evaluated on replicas of the coordinator's site
@@ -1355,29 +1384,36 @@ class QueryService:
                                 time.perf_counter() - started,
                                 fragment=fragment_id,
                             )
-                # One task set, one call: the endpoint subqueries of a
-                # query's chains share their searches.
                 results = dict(zip(tasks, evaluator.evaluate_many(catalog.site, specs)))
+                # A worker's row lookups arrive in its drained registry;
+                # these are counted here.
+                self._stats.record_border_row_lookups(
+                    reads=sum(result.rows_read for result in results.values()),
+                    fills=sum(result.rows_filled for result in results.values()),
+                )
                 if tracing:
                     # The evaluator already timed each kernel; aggregate per
                     # fragment and attach one kernel span per fragment, so
                     # trace size (and hot-path span cost) is bounded by the
                     # layout rather than the batch's task count.
-                    # fragment -> [seconds, tasks, memoized, searches, backend, overlay]
+                    # fragment -> [seconds, tasks, memoized, searches,
+                    #              rows read, rows filled, backend, overlay]
                     kernels: Dict[int, list] = {}
                     for key, result in results.items():
                         totals = kernels.get(key[0])
                         if totals is None:
-                            totals = kernels[key[0]] = [0.0, 0, 0, 0, None, False]
+                            totals = kernels[key[0]] = [0.0, 0, 0, 0, 0, 0, None, False]
                         totals[0] += result.statistics.elapsed_seconds
                         totals[1] += 1
                         totals[2] += result.memoized
                         totals[3] += result.searches
-                        totals[4] = result.backend
-                        totals[5] = totals[5] or result.overlay
+                        totals[4] += result.rows_read
+                        totals[5] += result.rows_filled
+                        totals[6] = result.backend
+                        totals[7] = totals[7] or result.overlay
                     attach = self._tracer.attach_span
                     for fragment_id, totals in kernels.items():
-                        seconds, count, memoized, searches, backend, overlay = totals
+                        seconds, count, memoized, searches, read, filled, backend, overlay = totals
                         attach(
                             "kernel",
                             seconds,
@@ -1385,6 +1421,8 @@ class QueryService:
                             tasks=count,
                             memoized=memoized,
                             searches=searches,
+                            rows_read=read,
+                            rows_filled=filled,
                             backend=backend,
                             overlay=overlay,
                         )

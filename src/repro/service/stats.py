@@ -87,6 +87,7 @@ LATENCY_HISTOGRAM = "repro_query_latency_seconds"
 SITE_DISPATCH_COUNTER = "repro_site_dispatch_total"
 OWNER_DISPATCH_COUNTER = "repro_owner_dispatch_total"
 TRANSIT_LOOKUPS_COUNTER = "repro_transit_lookups_total"
+BORDER_ROW_LOOKUPS_COUNTER = "repro_border_row_lookups_total"
 UPDATE_FALLBACKS_COUNTER = "repro_update_fallbacks_total"
 UPDATE_FALLBACK_STAGES = ("begin", "complete", "unsupported")
 
@@ -100,6 +101,19 @@ _DERIVED_KEYS = frozenset(
         "average_evaluated_latency",
     }
 )
+
+
+def border_row_lookups_counter(registry: MetricsRegistry) -> Counter:
+    """Register the border-row lookup counter on ``registry``.
+
+    One definition for the service's registry and the pool workers' own, so
+    a worker's drained counts merge into the series the service exports.
+    """
+    return registry.counter(
+        BORDER_ROW_LOOKUPS_COUNTER,
+        "Border rows an endpoint subquery read, or had to fill with a search first.",
+        labelnames=("outcome",),
+    )
 
 
 class _LabeledCounterDict:
@@ -242,6 +256,7 @@ class ServiceStatistics:
                 labelnames=("outcome",),
             ),
         )
+        object.__setattr__(self, "_border_row_lookups", border_row_lookups_counter(reg))
         object.__setattr__(
             self,
             "_update_fallbacks",
@@ -334,6 +349,20 @@ class ServiceStatistics:
         return {
             outcome: int(self._transit_lookups.value(outcome=outcome))
             for outcome in ("hit", "miss")
+        }
+
+    def record_border_row_lookups(self, *, reads: int, fills: int) -> None:
+        """Record border-row outcomes: ``reads`` found filled, ``fills`` searched for."""
+        if reads:
+            self._border_row_lookups.inc(reads, outcome="read")
+        if fills:
+            self._border_row_lookups.inc(fills, outcome="fill")
+
+    def border_row_lookups(self) -> Dict[str, int]:
+        """Return the border-row lookups so far (pool workers' included), by outcome."""
+        return {
+            outcome: int(self._border_row_lookups.value(outcome=outcome))
+            for outcome in ("read", "fill")
         }
 
     def record_update_fallback(self, stage: str, count: int = 1) -> None:
@@ -440,6 +469,7 @@ class ServiceStatistics:
             "snapshots_saved": self.snapshots_saved,
             "snapshots_loaded": self.snapshots_loaded,
             "transit_lookups": self.transit_lookups(),
+            "border_row_lookups": self.border_row_lookups(),
             "update_fallbacks": self.update_fallbacks(),
             "per_site_load": dict(sorted(self.per_site_load.items())),
             "per_owner_dispatch": dict(sorted(self.per_owner_dispatch.items())),
@@ -490,6 +520,11 @@ class ServiceStatistics:
         if isinstance(lookups, Mapping):
             stats.record_transit_lookups(
                 hits=int(lookups.get("hit", 0)), misses=int(lookups.get("miss", 0))
+            )
+        lookups = data.get("border_row_lookups")
+        if isinstance(lookups, Mapping):
+            stats.record_border_row_lookups(
+                reads=int(lookups.get("read", 0)), fills=int(lookups.get("fill", 0))
             )
         fallbacks = data.get("update_fallbacks")
         if isinstance(fallbacks, Mapping):

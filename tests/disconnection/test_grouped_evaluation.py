@@ -1,12 +1,12 @@
-"""One task set, one call: which searches run, and that grouping changes no value.
+"""One task set, one call: which searches run, and that companions change no value.
 
-``LocalQueryEvaluator.evaluate_many`` roots a shortest-path subquery's
-searches at the smaller of its two node sets and lets the subqueries of one
-task set that start at the same node of a fragment, in the same direction,
-read one search.  These tests pin what that may and may not change: a
-subquery's values are a function of the site graph and the subquery alone —
-never of its companions — with and without pending overlay rows, and the
-work counters of a task set add up to the searches that really ran.
+``LocalQueryEvaluator.evaluate_many`` answers a shortest-path subquery with
+one side inside the site's border set from that side's border rows, and
+roots the searches of every other one at the smaller of its two node sets.
+These tests pin what that may and may not change: a subquery's values and
+work counters are a function of the site graph and the subquery alone —
+never of its companions, nor of who filled a row — with and without pending
+overlay rows, and ``searches`` adds up to the searches that really ran.
 
 Every weight here has a fractional part on purpose: the layouts' integer
 weights make every path sum exact, and an inexact sum is what a changed
@@ -14,117 +14,41 @@ summation order shows up in.
 """
 
 import queue
-from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.disconnection.local_query as local_query_module
 from repro.closure import array_dijkstra, reachability_semiring, shortest_path_semiring
 from repro.disconnection import LocalQueryEvaluator, QueryPlanner, collect_task_keys
 from repro.disconnection.planner import LocalQuerySpec
-from repro.graph import DiGraph
-from repro.service import QueryService
 from repro.service.pool import _routed_worker_loop, result_from_payload
 
 from tests.local_query_oracles import dict_local_query
-from tests.transit_layouts import fragment, interior, is_transit, layout_graph
-
-BLOCKS, SIZE = 5, 6
-PICK = st.integers(min_value=0, max_value=10**6)
-WRITE = st.tuples(
-    st.sampled_from(("insert", "reweight", "delete")),
-    st.sampled_from(range(BLOCKS)),
-    PICK,
-    st.integers(min_value=1, max_value=97).map(lambda tenths: tenths / 10 + 0.01),
-)
-SPEC = st.tuples(
-    st.sampled_from(("first", "last", "single", "transit", "border-to-set")),
-    st.sampled_from(range(BLOCKS)),
-    st.integers(min_value=0, max_value=2),  # few distinct roots: task sets must collide
-    st.integers(min_value=0, max_value=2),
-    st.booleans(),
+from tests.transit_layouts import (
+    SPEC,
+    WRITE,
+    counted_searches,
+    fractional_service,
+    interior,
+    is_transit,
+    specs_of,
 )
 
-
-def build(kind, semiring_factory, writes):
-    """A service over the ring or the one-way chain, with ``writes`` pending as overlay rows."""
-    ring = kind == "ring"
-    exact, layout = layout_graph(BLOCKS, SIZE, ring=ring, directed=not ring)
-    graph = DiGraph(
-        [(a, b, weight + ((a + b) % 7) / 10 + 0.01) for a, b, weight in exact.weighted_edges()]
-    )
-    service = QueryService(fragment(graph, layout), semiring=semiring_factory())
-    for site in service.engine().catalog.sites():
-        site.compact()  # a write to a site without a compact form rebuilds, not overlays
-    current = service.database.graph
-    for action, block, pick, weight in writes:
-        nodes = layout[block]
-        a = nodes[pick % len(nodes)]
-        b = nodes[(pick // len(nodes)) % len(nodes)]
-        if a == b:
-            continue
-        if not ring and a > b:
-            a, b = b, a
-        if current.has_edge(a, b):
-            if action == "delete":
-                service.update_edge(a, b, delete=True)
-            else:
-                service.update_edge(a, b, weight)
-        elif action == "insert":
-            service.update_edge(a, b, weight)
-    return service, layout
-
-
-def specs_of(service, layout, draws, *, ring):
-    fragmentation = service.engine().catalog.fragmentation
-    count = fragmentation.fragment_count()
-    specs = {}
-    for where, block, pick_a, pick_b, clockwise in draws:
-        step = 1 if clockwise or not ring else -1
-        before, after = (block - step) % count, (block + step) % count
-        if not ring and (block == 0 or block == count - 1):
-            before = after = 1 if block == 0 else count - 2
-        inside = interior(layout, block)
-        a, b = inside[pick_a % len(inside)], inside[pick_b % len(inside)]
-        incoming = fragmentation.disconnection_set(before, block)
-        outgoing = fragmentation.disconnection_set(block, after)
-        if where == "first":
-            entries, exits = frozenset([a]), outgoing
-        elif where == "last":
-            entries, exits = incoming, frozenset([b])
-        elif where == "single":
-            entries, exits = frozenset([a]), frozenset([b])
-        elif where == "transit":
-            entries, exits = incoming, outgoing
-        else:  # a query that starts on a border node
-            entries, exits = frozenset([sorted(incoming)[pick_a % len(incoming)]]), outgoing
-        spec = LocalQuerySpec(fragment_id=block, entry_nodes=entries, exit_nodes=exits)
-        specs.setdefault(spec.key(), spec)
-    return list(specs.values())
-
-
-@contextmanager
-def counted_searches():
-    """Patch the evaluator's kernel; yields the settled count of every call made."""
-    calls = []
-    real = local_query_module.array_dijkstra
-
-    def counting(*args, **kwargs):
-        found = real(*args, **kwargs)
-        calls.append(found[2])
-        return found
-
-    local_query_module.array_dijkstra = counting
-    try:
-        yield calls
-    finally:
-        local_query_module.array_dijkstra = real
+def rooted_at_exits(site, spec):
+    """Whether ``spec``'s searches (or the rows read in their place) start at its exits."""
+    border = site.border_nodes
+    if not (spec.entry_nodes <= border and spec.exit_nodes <= border):
+        if spec.exit_nodes <= border:
+            return True
+        if spec.entry_nodes <= border:
+            return False
+    return len(spec.exit_nodes) < len(spec.entry_nodes)
 
 
 def forward_search_values(site, spec):
-    """The parent commit's algorithm: one forward search per entry node."""
+    """One targeted forward search per entry node (what a forward row must equal)."""
     graph = site.compact()
     exits = [(node, graph.try_node_id(node)) for node in spec.exit_nodes]
     values = {}
@@ -149,10 +73,10 @@ class TestGroupingChangesNoValue:
     )
     def test_grouped_equals_one_by_one_equals_the_dict_evaluator(self, kind, writes, draws):
         ring = kind == "ring"
-        # Two services from one recipe: the transit tables live on the site
-        # graphs, so one-by-one on the grouped run's sites would only replay.
-        grouped_service, layout = build(kind, shortest_path_semiring, writes)
-        single_service, _ = build(kind, shortest_path_semiring, writes)
+        # Two services from one recipe: the memos live on the site graphs, so
+        # one-by-one on the grouped run's sites would only replay.
+        grouped_service, layout = fractional_service(kind, shortest_path_semiring, writes)
+        single_service, _ = fractional_service(kind, shortest_path_semiring, writes)
         specs = specs_of(grouped_service, layout, draws, ring=ring)
         grouped_site = grouped_service.engine().catalog.site
         single_site = single_service.engine().catalog.site
@@ -166,30 +90,33 @@ class TestGroupingChangesNoValue:
             ]
 
         for spec, together, alone in zip(specs, grouped, single):
+            site = single_site(spec.fragment_id)
             assert together.values == alone.values  # the identical floats
-            assert together.backward == alone.backward == (
-                len(spec.exit_nodes) < len(spec.entry_nodes)
-            )
-            expected = dict_local_query(single_site(spec.fragment_id), spec)
+            assert together.backward == alone.backward == rooted_at_exits(site, spec)
+            expected = dict_local_query(site, spec)
             assert alone.values == pytest.approx(expected.values, rel=1e-9, abs=1e-12)
             if not alone.backward:
-                assert alone.values == forward_search_values(
-                    single_site(spec.fragment_id), spec
-                )
-        # Sharing only ever removes searches, and the counters say which ran.
-        assert len(grouped_calls) <= len(single_calls)
+                assert alone.values == forward_search_values(site, spec)
+            # Companions decide neither the work booked nor who searched.
+            assert replace(together.statistics, elapsed_seconds=0.0) == replace(
+                alone.statistics, elapsed_seconds=0.0
+            )
+            assert (together.searches, together.rows_read, together.memoized) == (
+                alone.searches, alone.rows_read, alone.memoized
+            )
+        assert grouped_calls == single_calls
         assert sum(result.searches for result in grouped) == len(grouped_calls)
-        assert sum(result.statistics.tuples_produced for result in grouped) == sum(grouped_calls)
         for spec, together in zip(specs, grouped):
             if is_transit(grouped_site(spec.fragment_id), spec.key()):
-                # Never shared: its own searches, one per root.
+                # A first evaluation: its own searches, one per root.
                 assert together.searches == min(len(spec.entry_nodes), len(spec.exit_nodes))
+                assert not (together.rows_read or together.rows_filled)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(writes=st.lists(WRITE, max_size=4), draws=st.lists(SPEC, min_size=2, max_size=8))
     def test_reachability_goes_through_the_grouped_entry_point_unchanged(self, writes, draws):
-        grouped_service, layout = build("chain", reachability_semiring, writes)
-        single_service, _ = build("chain", reachability_semiring, writes)
+        grouped_service, layout = fractional_service("chain", reachability_semiring, writes)
+        single_service, _ = fractional_service("chain", reachability_semiring, writes)
         specs = specs_of(grouped_service, layout, draws, ring=False)
         semiring = reachability_semiring()
         grouped = LocalQueryEvaluator(semiring=semiring).evaluate_many(
@@ -203,7 +130,7 @@ class TestGroupingChangesNoValue:
             assert together.searches == 0 and not together.backward
 
     def test_a_write_leaves_overlay_rows_the_searches_read_through(self):
-        service, layout = build("ring", shortest_path_semiring, [("insert", 2, 9, 0.31)])
+        service, layout = fractional_service("ring", shortest_path_semiring, [("insert", 2, 9, 0.31)])
         site = service.engine().catalog.site(2)
         assert site.compact().has_overlay()
         spec = LocalQuerySpec(
@@ -212,7 +139,8 @@ class TestGroupingChangesNoValue:
             exit_nodes=frozenset([interior(layout, 2)[0]]),
         )
         result = LocalQueryEvaluator().evaluate(site, spec)
-        assert result.backward and result.overlay and result.searches == 1
+        # One forward row per node of the entry set, filled through the overlay.
+        assert not result.backward and result.overlay and result.rows_filled == 2
         expected = dict_local_query(site, spec)
         assert result.values == pytest.approx(expected.values, rel=1e-9, abs=1e-12)
 
@@ -225,31 +153,51 @@ def endpoint_tasks(service, source, target):
 
 
 class TestWhichSearchesRun:
-    def test_both_chains_endpoint_subqueries_share_two_searches(self):
-        service, layout = build("ring", shortest_path_semiring, [])
+    def test_endpoint_subqueries_fill_their_border_rows_once(self):
+        service, layout = fractional_service("ring", shortest_path_semiring, [])
+        catalog = service.engine().catalog
         source, target = interior(layout, 0)[1], interior(layout, 2)[1]
         tasks = endpoint_tasks(service, source, target)
         assert len(tasks) == 4  # source -> either set, either set -> target
+        specs = [LocalQuerySpec(*task) for task in tasks]
+        evaluator = LocalQueryEvaluator()
         with counted_searches() as calls:
-            results = LocalQueryEvaluator().evaluate_many(
-                service.engine().catalog.site, [LocalQuerySpec(*task) for task in tasks]
+            first = evaluator.evaluate_many(catalog.site, specs)
+        # One row per border node of the two endpoint fragments, no more.
+        assert len(calls) == len(catalog.site(0).border_nodes | catalog.site(2).border_nodes)
+        with counted_searches() as calls:
+            second = evaluator.evaluate_many(catalog.site, specs)
+        assert not calls
+        for task, filled, read in zip(tasks, first, second):
+            assert filled.backward == read.backward == (len(task[1]) == 1)
+            assert filled.values == read.values and read.values
+            assert (filled.searches, filled.rows_filled, filled.memoized) == (2, 2, False)
+            assert (read.searches, read.rows_read, read.memoized) == (0, 2, True)
+            # The work booked does not say who filled the rows.
+            assert replace(filled.statistics, elapsed_seconds=0.0) == replace(
+                read.statistics, elapsed_seconds=0.0
             )
-        assert len(calls) == 2
-        # Each search is on the books of the first subquery that needed it.
-        assert sorted(result.searches for result in results) == [0, 0, 1, 1]
-        assert [result.backward for result in results] == [
-            len(task[2]) < len(task[1]) for task in tasks
-        ]
-        for result in results:
-            if not result.searches:
-                assert result.statistics.tuples_produced == 0 and result.values
+            assert read.statistics.tuples_produced > 0
 
-    def test_a_placed_worker_runs_one_message_as_one_task_set(self):
-        service, layout = build("ring", shortest_path_semiring, [])
+    def test_a_same_fragment_query_still_searches(self):
+        service, layout = fractional_service("ring", shortest_path_semiring, [])
+        site = service.engine().catalog.site(1)
+        a, b = interior(layout, 1)
+        spec = LocalQuerySpec(fragment_id=1, entry_nodes=frozenset([a]), exit_nodes=frozenset([b]))
+        evaluator = LocalQueryEvaluator()
+        for _ in range(2):
+            with counted_searches() as calls:
+                result = evaluator.evaluate(site, spec)
+            assert len(calls) == result.searches == 1
+            assert not (result.memoized or result.rows_read or result.rows_filled)
+
+    def test_a_placed_worker_reads_the_rows_the_coordinator_would(self):
+        service, layout = fractional_service("ring", shortest_path_semiring, [])
         catalog = service.engine().catalog
         tasks = endpoint_tasks(service, interior(layout, 0)[1], interior(layout, 2)[1])
         inbox, replies = queue.Queue(), []
         inbox.put(("evaluate", 7, tasks, None))
+        inbox.put(("evaluate", 8, tasks, None))
         inbox.put(("stop",))
 
         class Pipe:
@@ -259,14 +207,20 @@ class TestWhichSearchesRun:
             _routed_worker_loop(
                 0, "shortest_path", inbox, Pipe, list(catalog.compact_sites().values())
             )
-        (request_id, _, kind, reply), = replies
-        assert (request_id, kind) == (7, "evaluated")
-        assert len(calls) == 2
+        assert len(calls) == 8  # the first message's fills; the second runs nothing
         evaluator = LocalQueryEvaluator()
-        for task, payload in reply["payloads"]:
-            assert payload["backward"] == (len(task[2]) < len(task[1]))
-            shipped = result_from_payload(task, payload)
-            alone = evaluator.evaluate(catalog.site(task[0]), LocalQuerySpec(*task))
-            assert shipped.values == alone.values
-            assert (shipped.searches, shipped.backward) == (payload["searches"], alone.backward)
-        assert sum(payload["searches"] for _, payload in reply["payloads"]) == 2
+        for request_id, (reply_id, _, kind, reply) in zip((7, 8), replies):
+            assert (reply_id, kind) == (request_id, "evaluated")
+            warm = request_id == 8
+            for task, payload in reply["payloads"]:
+                shipped = result_from_payload(task, payload)
+                alone = evaluator.evaluate(catalog.site(task[0]), LocalQuerySpec(*task))
+                assert shipped.values == alone.values  # the identical floats
+                assert shipped.backward == alone.backward == (len(task[1]) == 1)
+                assert shipped.statistics.tuples_produced == alone.statistics.tuples_produced
+                assert (shipped.memoized, shipped.searches) == (warm, 0 if warm else 2)
+                assert (shipped.rows_read, shipped.rows_filled) == ((2, 0) if warm else (0, 2))
+            lookups = reply["metrics"]["repro_border_row_lookups_total"]["series"]
+            assert {entry["labels"]["outcome"]: entry["value"] for entry in lookups} == (
+                {"read": 8.0} if warm else {"fill": 8.0}
+            )

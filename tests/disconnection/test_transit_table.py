@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.closure import Semiring, reachability_semiring, shortest_path_semiring
-from repro.disconnection import DisconnectionSetEngine, LocalQueryEvaluator
+from repro.disconnection import CompactFragmentSite, DisconnectionSetEngine, LocalQueryEvaluator
 from repro.disconnection.local_query import TRANSIT_KEY, TransitTable
 from repro.disconnection.planner import LocalQuerySpec
 from repro.graph import CompactDelta
@@ -85,13 +85,14 @@ class TestFillAndReplay:
         assert again.values == expected
         assert 99 not in again.statistics.delta_sizes
 
-    def test_endpoint_subqueries_are_never_remembered(self, ring_engine):
+    def test_endpoint_subqueries_never_touch_the_table(self, ring_engine):
         engine, layout = ring_engine
         evaluator = LocalQueryEvaluator()
         site = engine.catalog.site(2)
         spec = endpoint_spec(engine, layout, 2)
         assert not evaluator.evaluate(site, spec).memoized
-        assert not evaluator.evaluate(site, spec).memoized
+        # Memoized all the same: by the border rows, which are another store.
+        assert evaluator.evaluate(site, spec).rows_read == len(spec.exit_nodes)
         assert table_of(site) is None
         assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 0)
 
@@ -161,14 +162,29 @@ class TestWhoStaysOut:
         evaluator.evaluate(site, spec)
         assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 0)
 
-    def test_plain_data_sites_have_no_table(self, ring_engine):
+    def test_a_plain_data_site_memoizes_only_when_it_knows_its_borders(self, ring_engine):
         engine, _ = ring_engine
         spec = transit_spec(engine, 2)
-        shipped = engine.catalog.site(2).to_compact_site()
+        site = engine.catalog.site(2)
+        shipped = site.to_compact_site()
+        assert shipped.border_nodes == site.border_nodes
         evaluator = LocalQueryEvaluator()
-        assert not evaluator.evaluate(shipped, spec).memoized
-        assert not evaluator.evaluate(shipped, spec).memoized
-        assert shipped.compact().derived_get(TRANSIT_KEY) is None
+        first = evaluator.evaluate(shipped, spec)
+        assert not first.memoized and evaluator.evaluate(shipped, spec).memoized
+        assert first.values == LocalQueryEvaluator().evaluate(site, spec).values
+        # A hand-built site (no hint) and a pre-hint pickle search as before.
+        state = shipped.__getstate__()
+        del state["border_nodes"]
+        old_pickle = CompactFragmentSite.__new__(CompactFragmentSite)
+        old_pickle.__setstate__(state)
+        hand_built = CompactFragmentSite(2, shipped.state, shipped.estimated_iterations)
+        for plain in (old_pickle, hand_built):
+            assert plain.border_nodes is None
+            for _ in range(2):
+                result = evaluator.evaluate(plain, spec)
+                assert not result.memoized and result.values == first.values
+            assert plain.derived_get(TRANSIT_KEY) is None
+        assert pickle.loads(pickle.dumps(shipped)).border_nodes == site.border_nodes
 
     def test_the_table_never_leaves_the_process(self, ring_engine):
         engine, layout = ring_engine

@@ -1,10 +1,12 @@
-"""Transit tables through the serving stack.
+"""Transit tables and border rows through the serving stack.
 
-Work-count guards (so the table cannot silently stop working), what a write,
-a shortcut repair and a refragmentation drop, what a snapshot contains, and
-the records the decision leaves: the ``memoized`` span attribute, the
-``repro_transit_lookups_total`` counter, and dispatch counts that describe
-only what was actually routed.
+Work-count guards (so neither memo can silently stop working), what a write,
+a shortcut repair and a refragmentation drop, what a snapshot contains, how a
+pool worker's border hint follows a write, and the records the decisions
+leave: the ``memoized`` / ``rows_read`` / ``rows_filled`` span attributes,
+the ``repro_transit_lookups_total`` and ``repro_border_row_lookups_total``
+counters, the rows held per fragment, and dispatch counts that describe only
+what was actually routed.
 """
 
 import repro.disconnection.local_query as local_query_module
@@ -34,16 +36,16 @@ def tables(service):
     }
 
 
+BLOCK_PAIRS = [(0, 2), (5, 2), (3, 1), (4, 0), (2, 5), (1, 4)]
+
+
 def cold_pairs(layout):
     """Interior pairs the warm-up did not ask (so no answer is a result-cache hit)."""
-    return [
-        (interior(layout, a)[1], interior(layout, b)[1])
-        for a, b in [(0, 2), (5, 2), (3, 1), (4, 0), (2, 5), (1, 4)]
-    ]
+    return [(interior(layout, a)[1], interior(layout, b)[1]) for a, b in BLOCK_PAIRS]
 
 
 class TestWorkCountGuards:
-    def test_a_cold_query_searches_only_its_endpoint_fragments(self, monkeypatch):
+    def test_a_cold_query_fills_border_rows_once_and_then_searches_nothing(self, monkeypatch):
         fragmentation, layout = ring_layout(BLOCKS)
         service = QueryService(fragmentation)
         warm_ring(service, layout)
@@ -55,15 +57,38 @@ class TestWorkCountGuards:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(local_query_module, "array_dijkstra", counting)
+        catalog = service.engine().catalog
         for source, target in cold_pairs(layout):
             calls.clear()
             answer = service.query(source, target)
             assert not answer.cached
             assert answer.value == shortest_path_cost(service.database.graph, source, target)
-            # Two chains round the ring: both leave the source through one
-            # forward search and reach the target through one backward
-            # search, whatever the width of the sets.  Nothing in between.
-            assert len(calls) == 2
+            # Nothing in between, and at the two ends at most one fill per
+            # border node: a backward row where the source's fragment is
+            # left, a forward one where the target's is entered.
+            ends = [
+                site
+                for site in catalog.sites()
+                if site.stores_node(source) or site.stores_node(target)
+            ]
+            assert len(ends) == 2
+            assert len(calls) <= sum(len(site.border_nodes) for site in ends)
+        # Every fragment has now been left and entered through every border
+        # node: a cold query between two of them is array reads only.
+        calls.clear()
+        for a, b in BLOCK_PAIRS:
+            source, target = interior(layout, a)[0], interior(layout, b)[1]
+            answer = service.query(source, target)
+            assert not answer.cached
+            assert answer.value == shortest_path_cost(service.database.graph, source, target)
+        assert not calls
+        held = service.border_rows()
+        for site in catalog.sites():
+            rows = 2 * len(site.border_nodes)
+            assert held[site.fragment_id] == {
+                "rows": rows, "bytes": rows * 8 * site.compact().node_count()
+            }
+        assert service.metrics("json")["border_rows"] == held
 
     def test_a_pooled_batch_ships_no_border_to_border_task(self):
         fragmentation, layout = ring_layout(BLOCKS)
@@ -105,6 +130,66 @@ class TestWorkCountGuards:
             assert all(tables(service).values())
             lookups = service.stats.transit_lookups()
             assert lookups["miss"] == sum(len(table) for table in tables(service).values())
+
+
+class TestTheWorkersBorderHint:
+    """A pool worker knows its fragments' border nodes, and keeps knowing them."""
+
+    def moved_set(self, service, layout):
+        """Join two interiors across DS(1, 2): the set gains a node, fragment 2 no edge."""
+        a, b = interior(layout, 1)[0], interior(layout, 2)[0]
+        service.update_edge(a, b, 0.5)
+        site = service.engine().catalog.site(2)
+        assert b in site.border_nodes and len(site.disconnection_sets[1]) == 3
+        assert service.database.last_delta.site_deltas[2].is_empty()
+        return site
+
+    def rows_at(self, service, fragment_id):
+        """Rows read and filled by the last query's tasks on ``fragment_id``."""
+        kernels = service.tracer.recent(1)[0].find("kernel")
+        return sum(
+            span.attributes["rows_read"] + span.attributes["rows_filled"]
+            for span in kernels
+            if span.attributes["fragment"] == fragment_id
+        )
+
+    def test_a_write_that_moves_a_disconnection_set_moves_the_hint(self):
+        fragmentation, layout = ring_layout(BLOCKS)
+        pooled_layout, _ = ring_layout(BLOCKS)
+        in_process = QueryService(fragmentation)
+        with QueryService(pooled_layout, workers=2) as pooled:
+            for service in (in_process, pooled):
+                warm_ring(service, layout)
+                site = self.moved_set(service, layout)
+            source, target = interior(layout, 2)[1], interior(layout, 5)[1]
+            for service in (in_process, pooled):
+                answer = service.query(source, target)
+                assert answer.value == shortest_path_cost(service.database.graph, source, target)
+                # Both chains leave fragment 2 through rows: one per node of
+                # either set, the new border node's among them.  A worker
+                # still holding the old set would have searched instead.
+                assert self.rows_at(service, 2) == len(site.border_nodes) == 5
+            assert pooled.query(source, target).value == in_process.query(source, target).value
+
+    def test_a_migrated_and_a_respawned_worker_get_the_current_set(self):
+        fragmentation, layout = ring_layout(BLOCKS)
+        with QueryService(fragmentation, workers=2) as service:
+            warm_ring(service, layout)
+            site = self.moved_set(service, layout)
+            owner = service.placement_plan.owner(2)
+            assert service.migrate(2, 1 - owner)
+            source, target = interior(layout, 2)[1], interior(layout, 5)[1]
+            service.query(source, target)
+            assert self.rows_at(service, 2) == len(site.border_nodes)
+            worker = service._pool._workers[1 - owner].process
+            worker.kill()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            target = interior(layout, 4)[1]
+            answer = service.query(source, target)
+            assert answer.value == shortest_path_cost(service.database.graph, source, target)
+            assert service._pool.respawns == 1
+            assert self.rows_at(service, 2) == len(site.border_nodes)
 
 
 class TestWhatAWriteDrops:
@@ -206,29 +291,41 @@ class TestDecisionRecords:
             span for span in service.tracer.recent(1)[0].spans if span.name == "kernel"
         ]
         assert kernels
-        endpoint_fragments = {0, 2}
+        # The warm-up left and entered fragment 0 both ways round; fragment 2
+        # has only ever been crossed.
         for span in kernels:
             attributes = span.attributes
-            if attributes["fragment"] in endpoint_fragments:
-                assert attributes["memoized"] < attributes["tasks"]
-                # Both chains' subqueries at this end read one search.
-                assert attributes["searches"] == 1
+            rows = (attributes["rows_read"], attributes["rows_filled"])
+            if attributes["fragment"] == 0:
+                assert attributes["memoized"] == attributes["tasks"] == 2
+                assert attributes["searches"] == 0 and rows == (4, 0)
+            elif attributes["fragment"] == 2:
+                assert attributes["memoized"] == 0 and attributes["tasks"] == 2
+                assert attributes["searches"] == 4 and rows == (0, 4)
             else:
                 assert attributes["memoized"] == attributes["tasks"] > 0
-                assert attributes["searches"] == 0
+                assert attributes["searches"] == 0 and rows == (0, 0)
 
-    def test_pooled_spans_say_how_many_searches_the_workers_ran(self):
+    def test_pooled_spans_say_how_many_rows_the_workers_filled(self):
         fragmentation, layout = ring_layout(BLOCKS)
         with QueryService(fragmentation, workers=2, placement="cost_balanced") as service:
             warm_ring(service, layout)
+            before = service.stats.border_row_lookups()
             service.query(*cold_pairs(layout)[0])
             trace = service.tracer.recent(1)[0]
             (evaluate,) = trace.find("evaluate")
             kernels = trace.find("kernel")
             assert kernels and evaluate.attributes["memoized"] > 0
-            # Each end's two subqueries reach their owner in one message.
-            assert evaluate.attributes["searches"] == 2
-            assert sum(span.attributes["searches"] for span in kernels) == 2
+            # Fragment 0's owner reads its four rows, fragment 2's fills four.
+            assert evaluate.attributes["searches"] == 4
+            assert sum(span.attributes["searches"] for span in kernels) == 4
+            for span in kernels:
+                rows = (span.attributes["rows_read"], span.attributes["rows_filled"])
+                assert rows == ((2, 0) if span.attributes["fragment"] == 0 else (0, 2))
+            # The workers' counts reach the coordinator's counter.
+            after = service.stats.border_row_lookups()
+            assert (after["read"] - before["read"], after["fill"] - before["fill"]) == (4, 4)
+            assert sum(held["rows"] for held in service.border_rows().values()) == after["fill"]
 
     def test_the_lookup_counter_is_exported_and_round_trips(self):
         fragmentation, layout = ring_layout(BLOCKS)
@@ -241,8 +338,14 @@ class TestDecisionRecords:
         exposition = service.metrics("prometheus")
         assert f'repro_transit_lookups_total{{outcome="hit"}} {lookups["hit"]}' in exposition
         assert f'repro_transit_lookups_total{{outcome="miss"}} {lookups["miss"]}' in exposition
+        rows = service.stats.border_row_lookups()
+        assert rows["read"] > 0 and rows["fill"] > 0
+        assert service.stats.as_dict()["border_row_lookups"] == rows
+        assert f'repro_border_row_lookups_total{{outcome="read"}} {rows["read"]}' in exposition
+        assert f'repro_border_row_lookups_total{{outcome="fill"}} {rows["fill"]}' in exposition
         restored = ServiceStatistics.from_dict(service.stats.as_dict())
         assert restored.transit_lookups() == lookups
+        assert restored.border_row_lookups() == rows
 
     def test_a_rederivation_after_a_write_is_its_own_span(self):
         fragmentation, layout = ring_layout(BLOCKS)

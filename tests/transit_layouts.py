@@ -10,8 +10,13 @@ path sums are exact and ``==`` is a legitimate comparison.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
+from hypothesis import strategies as st
+
+import repro.disconnection.local_query as local_query_module
+from repro.disconnection.planner import LocalQuerySpec
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
 from repro.graph import DiGraph
 from repro.graph.shortest_path import dijkstra
@@ -124,3 +129,110 @@ def is_transit(site, task) -> bool:
     """Whether a ``(fragment, entry set, exit set)`` task is border-to-border at ``site``."""
     _, entry_nodes, exit_nodes = task
     return entry_nodes <= site.border_nodes and exit_nodes <= site.border_nodes
+
+
+# ----------------------------------------------- local-query task sets
+
+FRACTIONAL_BLOCKS, FRACTIONAL_SIZE = 5, 6
+PICK = st.integers(min_value=0, max_value=10**6)
+WRITE = st.tuples(
+    st.sampled_from(("insert", "reweight", "delete")),
+    st.sampled_from(range(FRACTIONAL_BLOCKS)),
+    PICK,
+    st.integers(min_value=1, max_value=97).map(lambda tenths: tenths / 10 + 0.01),
+)
+SPEC = st.tuples(
+    st.sampled_from(("first", "last", "single", "transit", "border-to-set")),
+    st.sampled_from(range(FRACTIONAL_BLOCKS)),
+    st.integers(min_value=0, max_value=2),  # few distinct roots: task sets must collide
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+)
+
+
+def fractional_service(kind, semiring_factory, writes, **service_options):
+    """A service over the ring or the one-way chain, with ``writes`` pending as overlay rows.
+
+    Every weight has a fractional part on purpose: the plain layouts' integer
+    weights make every path sum exact, and an inexact sum is what a changed
+    summation order shows up in.
+    """
+    ring = kind == "ring"
+    exact, layout = layout_graph(FRACTIONAL_BLOCKS, FRACTIONAL_SIZE, ring=ring, directed=not ring)
+    graph = DiGraph(
+        [(a, b, weight + ((a + b) % 7) / 10 + 0.01) for a, b, weight in exact.weighted_edges()]
+    )
+    service = QueryService(
+        fragment(graph, layout), semiring=semiring_factory(), **service_options
+    )
+    for site in service.engine().catalog.sites():
+        site.compact()  # a write to a site without a compact form rebuilds, not overlays
+    for write in writes:
+        apply_write(service, layout, write, ring=ring)
+    return service, layout
+
+
+def apply_write(service, layout, write, *, ring):
+    """One drawn ``WRITE``: an edge between two nodes of one block, if the action applies."""
+    action, block, pick, weight = write
+    current = service.database.graph
+    nodes = layout[block]
+    a = nodes[pick % len(nodes)]
+    b = nodes[(pick // len(nodes)) % len(nodes)]
+    if a == b:
+        return
+    if not ring and a > b:
+        a, b = b, a
+    if current.has_edge(a, b):
+        if action == "delete":
+            service.update_edge(a, b, delete=True)
+        else:
+            service.update_edge(a, b, weight)
+    elif action == "insert":
+        service.update_edge(a, b, weight)
+
+
+def specs_of(service, layout, draws, *, ring):
+    fragmentation = service.engine().catalog.fragmentation
+    count = fragmentation.fragment_count()
+    specs = {}
+    for where, block, pick_a, pick_b, clockwise in draws:
+        step = 1 if clockwise or not ring else -1
+        before, after = (block - step) % count, (block + step) % count
+        if not ring and (block == 0 or block == count - 1):
+            before = after = 1 if block == 0 else count - 2
+        inside = interior(layout, block)
+        a, b = inside[pick_a % len(inside)], inside[pick_b % len(inside)]
+        incoming = fragmentation.disconnection_set(before, block)
+        outgoing = fragmentation.disconnection_set(block, after)
+        if where == "first":
+            entries, exits = frozenset([a]), outgoing
+        elif where == "last":
+            entries, exits = incoming, frozenset([b])
+        elif where == "single":
+            entries, exits = frozenset([a]), frozenset([b])
+        elif where == "transit":
+            entries, exits = incoming, outgoing
+        else:  # a query that starts on a border node
+            entries, exits = frozenset([sorted(incoming)[pick_a % len(incoming)]]), outgoing
+        spec = LocalQuerySpec(fragment_id=block, entry_nodes=entries, exit_nodes=exits)
+        specs.setdefault(spec.key(), spec)
+    return list(specs.values())
+
+
+@contextmanager
+def counted_searches():
+    """Patch the evaluator's kernel; yields the settled count of every call made."""
+    calls = []
+    real = local_query_module.array_dijkstra
+
+    def counting(*args, **kwargs):
+        found = real(*args, **kwargs)
+        calls.append(found[2])
+        return found
+
+    local_query_module.array_dijkstra = counting
+    try:
+        yield calls
+    finally:
+        local_query_module.array_dijkstra = real
