@@ -14,7 +14,6 @@ from .backends import (
     chain_index,
     graph_shape,
     merge_selection_metrics,
-    numpy_available,
     packed_matrix,
     record_selection,
     select_kernel,
@@ -36,7 +35,7 @@ from .kernels import (
     reconstruct_id_path,
     seminaive_closure_ids,
 )
-from .packed import PackedBitMatrix
+from .packed import PackedBitMatrix, numpy_available
 from .iterative import (
     naive_transitive_closure,
     seminaive_transitive_closure,

@@ -1,49 +1,45 @@
 """Pluggable reachability kernel backends and the shape-based dispatcher.
 
-Three interchangeable backends answer the same question — "which ids does
-this source reach?" — with bit-identical int-as-bitset rows:
+Two backends answer the question "which ids does this source reach?" on the
+default path, with bit-identical int-as-bitset rows:
 
-* ``bigint``: the original pure-Python bitset BFS of
-  :mod:`repro.closure.kernels` (always available, the fallback),
-* ``numpy``: the packed ``uint64`` bit matrix of
-  :mod:`repro.closure.packed` — word-parallel OR across whole row blocks,
-  multi-source sweeps, squaring for whole-graph closures (optional, gated on
-  the ``numpy`` import and :data:`ENV_DISABLE_NUMPY`),
+* ``bigint``: the pure-Python bitset BFS of :mod:`repro.closure.kernels`
+  (reads straight through a delta overlay, needs no index),
 * ``chain``: the SCC condensation + chain decomposition index of
   :mod:`repro.closure.chain` — O(k)-word labels, chosen when the
   condensation is small relative to the graph.
 
-:func:`select_kernel` picks per call from the graph's *shape* (node count,
-density, condensation ratio) and the query's fan-out; callers never change.
+:func:`select_kernel` picks between them per call from what it can observe of
+the graph (overlay, node count, condensation ratio); callers never change.
+A third backend, ``numpy`` (the packed ``uint64`` bit matrix of
+:mod:`repro.closure.packed`), is never selected: it is reachable only through
+the explicit pin ``reachability_rows(..., backend="numpy")`` that the harness
+probe and the cross-backend equivalence tests use.
 Each decision increments the ``repro_kernel_selections_total`` counter on a
 module-level registry that services and resident workers fold into their own
 metrics (:func:`merge_selection_metrics`), so traces and scrapes show which
 kernel served each span.
 
-Derived structures (packed matrix, chain index, condensation stats) cache on
-the :class:`~repro.graph.compact.CompactGraph` itself and persist through its
-plain ``state()`` — a warm service or resident worker reloads them instead of
-re-deriving.
+Derived structures cache on the :class:`~repro.graph.compact.CompactGraph`
+itself.  The chain index and the condensation stats persist through its plain
+``state()`` — a warm service or resident worker reloads them instead of
+re-deriving; a pinned packed matrix is process-local.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 from ..graph.compact import CompactGraph
 from ..observability.metrics import MetricsRegistry
 from .chain import ChainIndex, strongly_connected_components
-from .packed import PackedBitMatrix, numpy_loaded
+from .packed import PackedBitMatrix, numpy_available
 
 BACKEND_BIGINT = "bigint"
 BACKEND_NUMPY = "numpy"
 BACKEND_CHAIN = "chain"
 
 KERNEL_BACKENDS = (BACKEND_BIGINT, BACKEND_NUMPY, BACKEND_CHAIN)
-
-ENV_BACKEND_OVERRIDE = "REPRO_KERNEL_BACKEND"
-ENV_DISABLE_NUMPY = "REPRO_DISABLE_NUMPY"
 
 # Derived-cache keys on CompactGraph (also the snapshot wire keys).
 PACKED_KEY = "packed_matrix"
@@ -54,13 +50,9 @@ SHAPE_STATE_FORMAT = "graph-shape-v1"
 
 # Selection thresholds.  Below SMALL_GRAPH_NODES a visited set is one or two
 # machine words and the big-int kernel is unbeatable; the chain index wins
-# once the condensation collapses at least half the graph; the packed matrix
-# wins on wide fan-out or large node counts where Python's per-bit frontier
-# scan dominates.
+# once the condensation collapses at least half the graph.
 SMALL_GRAPH_NODES = 48
 CHAIN_MAX_CONDENSATION_RATIO = 0.5
-NUMPY_MIN_NODES = 192
-NUMPY_MIN_FANOUT = 4
 
 KERNEL_SELECTIONS_COUNTER = "repro_kernel_selections_total"
 
@@ -86,27 +78,6 @@ def set_active_backend(backend: Optional[str]) -> None:
 def active_backend() -> Optional[str]:
     """The backend executing a kernel right now, or ``None``."""
     return _active_backend[0]
-
-
-# ------------------------------------------------------------- availability
-
-
-def numpy_available() -> bool:
-    """Return ``True`` when the numpy backend may be used.
-
-    Requires a successful ``numpy`` import *and* the
-    :data:`ENV_DISABLE_NUMPY` escape hatch to be unset — the latter is how
-    the CI matrix proves the fallback path on machines that do have numpy.
-    """
-    if os.environ.get(ENV_DISABLE_NUMPY, "") not in ("", "0"):
-        return False
-    return numpy_loaded()
-
-
-def backend_override() -> Optional[str]:
-    """Return the process-wide backend pin from :data:`ENV_BACKEND_OVERRIDE`."""
-    name = os.environ.get(ENV_BACKEND_OVERRIDE, "").strip().lower()
-    return name if name in KERNEL_BACKENDS else None
 
 
 # ------------------------------------------------------- derived structures
@@ -144,24 +115,15 @@ def graph_shape(graph: CompactGraph) -> Dict[str, object]:
 
 
 def packed_matrix(graph: CompactGraph) -> PackedBitMatrix:
-    """Return (and cache) the graph's packed bit matrix, reloading persisted state."""
+    """Return (and cache) the graph's packed bit matrix (the pinned ``numpy`` backend)."""
     matrix = graph.derived_get(PACKED_KEY)
-    if matrix is not None:
-        return matrix
-    state = graph.derived_state(PACKED_KEY)
-    if state is not None:
-        try:
-            matrix = PackedBitMatrix.from_state(state)
-        except (ValueError, RuntimeError):
-            matrix = None  # stale format or numpy missing: rebuild below
     if matrix is None:
         if graph.has_overlay():
             # Building the packed matrix scans raw CSR; fold the overlay
-            # first so the build sees every spliced row (a *cached* matrix
-            # is row-patched by apply_delta and never forces this).
+            # first so the build sees every spliced row.
             graph.compact_now(reason="packed_matrix")
         matrix = PackedBitMatrix.from_graph(graph)
-    graph.derived_set(PACKED_KEY, matrix)
+        graph.derived_set(PACKED_KEY, matrix)
     return matrix
 
 
@@ -187,49 +149,30 @@ def chain_index(graph: CompactGraph) -> ChainIndex:
 # ------------------------------------------------------------- the dispatch
 
 
-def select_kernel(
-    graph: CompactGraph,
-    *,
-    sources: int = 1,
-    whole_graph: bool = False,
-    override: Optional[str] = None,
-) -> str:
+def select_kernel(graph: CompactGraph, *, override: Optional[str] = None) -> str:
     """Choose the reachability backend for one kernel invocation.
 
     Args:
         graph: the compact graph the kernel will run on.
-        sources: the query fan-out (how many rows will be requested).
-        whole_graph: ``True`` for an all-pairs closure, where per-row set-up
-            cost amortises completely.
-        override: pin a backend explicitly (callers' ``backend=`` knobs);
-            falls back to :data:`ENV_BACKEND_OVERRIDE`, then the heuristic.
-            A pinned ``numpy`` degrades to ``bigint`` when numpy is absent,
-            so pins are safe to persist in configs.
+        override: the ``backend=`` pin of :func:`reachability_rows`; any
+            other value leaves the choice to the graph's shape.  A pinned
+            ``numpy`` degrades to ``bigint`` when numpy is absent.
 
     Returns:
-        One of :data:`KERNEL_BACKENDS`.
+        One of :data:`KERNEL_BACKENDS`; never ``numpy`` unless pinned.
     """
-    pinned = override if override in KERNEL_BACKENDS else backend_override()
-    if pinned is not None:
-        if pinned == BACKEND_NUMPY and not numpy_available():
+    if override in KERNEL_BACKENDS:
+        if override == BACKEND_NUMPY and not numpy_available():
             return BACKEND_BIGINT
-        return pinned
-    if graph.has_overlay():
+        return override
+    if graph.has_overlay() or graph.node_count() < SMALL_GRAPH_NODES:
         # The big-int kernel reads straight through overlay-maintained
         # masks; choosing it keeps a freshly-updated graph answering at
         # full speed instead of paying a compaction + index rebuild on the
         # first query after a write burst.
         return BACKEND_BIGINT
-    n = graph.node_count()
-    if n < SMALL_GRAPH_NODES:
-        return BACKEND_BIGINT
-    shape = graph_shape(graph)
-    if shape["condensation_ratio"] <= CHAIN_MAX_CONDENSATION_RATIO:
+    if graph_shape(graph)["condensation_ratio"] <= CHAIN_MAX_CONDENSATION_RATIO:
         return BACKEND_CHAIN
-    if numpy_available() and (
-        whole_graph or n >= NUMPY_MIN_NODES or sources >= NUMPY_MIN_FANOUT
-    ):
-        return BACKEND_NUMPY
     return BACKEND_BIGINT
 
 

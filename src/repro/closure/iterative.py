@@ -188,9 +188,7 @@ def _compact_seminaive(
     source_ids = _resolve_source_ids(compact, sources)
     rows: Dict[int, int] = {}
     if semiring.name == "reachability":
-        rows, _ = reachability_rows(
-            compact, source_ids, whole_graph=sources is None, context="seminaive"
-        )
+        rows, _ = reachability_rows(compact, source_ids, context="seminaive")
     for source_id in source_ids:
         source = compact.node_of(source_id)
         produced = 0

@@ -171,7 +171,6 @@ def reachability_rows(
     graph: CompactGraph,
     source_ids: Sequence[int],
     *,
-    whole_graph: bool = False,
     backend: Optional[str] = None,
     context: str = "closure",
     stop_mask: int = 0,
@@ -188,9 +187,8 @@ def reachability_rows(
     Args:
         graph: the compact graph.
         source_ids: the dense ids whose rows are requested.
-        whole_graph: hint that the caller wants an all-pairs closure (the
-            numpy backend then squares the whole matrix instead of sweeping).
-        backend: explicit pin, overriding the shape heuristic.
+        backend: explicit pin, overriding the shape heuristic (the harness
+            probe and the cross-backend tests; the only way to ``numpy``).
         context: selection-counter label (``closure``, ``local_query``, …).
         stop_mask: keyhole bitset for the big-int BFS — each row's expansion
             stops once every target bit is covered.  The indexed backends
@@ -200,9 +198,7 @@ def reachability_rows(
     Returns:
         ``(rows, chosen_backend)``.
     """
-    chosen = select_kernel(
-        graph, sources=len(source_ids), whole_graph=whole_graph, override=backend
-    )
+    chosen = select_kernel(graph, override=backend)
     record_selection(chosen, context)
     # Published for the sampling profiler: any stack sampled between here
     # and the finally is attributed to the chosen backend.
@@ -210,15 +206,11 @@ def reachability_rows(
     try:
         if chosen == BACKEND_NUMPY:
             matrix = packed_matrix(graph)
-            if whole_graph and len(source_ids) == graph.node_count():
-                packed_rows = matrix.closure_rows()
-                rows = {sid: matrix.row_to_mask(packed_rows[sid]) for sid in source_ids}
-            else:
-                packed_rows = matrix.multi_source_rows(source_ids)
-                rows = {
-                    sid: matrix.row_to_mask(packed_rows[index])
-                    for index, sid in enumerate(source_ids)
-                }
+            packed_rows = matrix.multi_source_rows(source_ids)
+            rows = {
+                sid: matrix.row_to_mask(packed_rows[index])
+                for index, sid in enumerate(source_ids)
+            }
             return rows, chosen
         if chosen == BACKEND_CHAIN:
             index = chain_index(graph)
@@ -418,20 +410,17 @@ def compact_reachability_closure(
     graph: CompactGraph,
     *,
     sources: Optional[Iterable[Node]] = None,
-    backend: Optional[str] = None,
 ) -> ClosureResult:
     """Reachability closure rows via the dispatched kernel (node-keyed result).
 
     Matches :func:`repro.closure.warshall.bfs_closure` exactly: per-source
     search semantics, where the trivial ``(source, source)`` fact is never
     reported (the source is its own BFS root at hop distance zero).  The
-    backend — bitset BFS, packed bit matrix, or chain index — is chosen by
-    shape unless ``backend`` pins one; answers are identical either way.
+    backend — bitset BFS or chain index — is chosen by shape; answers are
+    identical either way.
     """
     source_ids = _resolve_source_ids(graph, sources)
-    rows, _ = reachability_rows(
-        graph, source_ids, whole_graph=sources is None, backend=backend
-    )
+    rows, _ = reachability_rows(graph, source_ids)
     values: Dict[Pair, object] = {}
     stats = ClosureStatistics()
     for source_id in source_ids:

@@ -1,4 +1,4 @@
-"""uint64-packed bit-matrix reachability kernels (optional numpy backend).
+"""uint64-packed bit-matrix reachability kernels (the pinned-only numpy backend).
 
 The pure-Python bitset BFS absorbs one adjacency row per big-int OR; this
 module stores the whole adjacency as an ``(n, ceil(n / 64))`` ``uint64``
@@ -7,42 +7,43 @@ matrix so numpy does the same work word-parallel across *many* rows at once:
 * single-source frontiers gather the frontier's rows and fold them with one
   vectorised OR-reduce per round,
 * the multi-source variant keeps one packed visited row per source and sweeps
-  the union frontier once per round, so complementary precomputation expands
-  all border sources together instead of one BFS per border node,
-* the whole-graph closure runs identity-augmented repeated squaring — paths
-  of length up to ``2^r`` covered after ``r`` rounds.
+  the union frontier once per round.
 
 Rows convert losslessly to the int-as-bitset masks of
 :mod:`repro.closure.kernels` (little-endian byte order both sides), so every
-caller sees bit-identical answers regardless of backend.  numpy itself stays
-an *optional* dependency: this module imports lazily and the dispatcher in
-:mod:`repro.closure.backends` falls back to the big-int path when it is
-absent.
+caller sees bit-identical answers regardless of backend.
+
+The dispatcher never selects this backend: it lost every measured regime to
+the big-int BFS or the chain labels (CHANGES.md, PR 18) and is reachable only
+through the explicit pin ``reachability_rows(..., backend="numpy")``, which
+the harness probe and the cross-backend equivalence tests use.  numpy is
+imported on first use, inside :func:`_require_numpy` — never at ``import
+repro`` — and a pin degrades to ``bigint`` where it is not installed.  A
+matrix is process-local: it is dropped by ``CompactGraph.apply_delta`` with
+every other derived structure and never written into a state or snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from typing import List, Sequence
 
 from ..graph.compact import CompactGraph
 
-PACKED_STATE_FORMAT = "packed-bit-matrix-v1"
-
-
-def numpy_loaded() -> bool:
-    """Return ``True`` when the numpy import succeeded (no env policy applied)."""
-    return _np is not None
-
 
 def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised on the no-numpy CI leg
-        raise RuntimeError("the packed bit-matrix backend requires numpy")
-    return _np
+    """Import numpy on first use; the rest of the package never pays for it."""
+    import numpy
+
+    return numpy
+
+
+def numpy_available() -> bool:
+    """Return ``True`` when a pinned ``numpy`` backend can run (imports numpy)."""
+    try:
+        _require_numpy()
+    except ImportError:
+        return False
+    return True
 
 
 class PackedBitMatrix:
@@ -136,48 +137,6 @@ class PackedBitMatrix:
             visited |= frontier
         return visited
 
-    def closure_rows(self):
-        """Return all-pairs packed visited rows via repeated squaring.
-
-        The reflexive diagonal is added first so composing the matrix with
-        itself covers paths of every length ``<= 2^r`` after ``r`` rounds;
-        the diagonal itself matches visited-set semantics (a source always
-        sees itself) without fabricating cycle facts.
-        """
-        np = _require_numpy()
-        n = self.node_count
-        reach = self.rows.copy()
-        if n == 0:
-            return reach
-        ids = np.arange(n, dtype=np.int64)
-        reach[ids, ids >> 6] |= np.uint64(1) << (ids & 63).astype(np.uint64)
-        while True:
-            squared = reach.copy()
-            for node_id in range(n):
-                holders = (
-                    (reach[:, node_id >> 6] >> np.uint64(node_id & 63)) & np.uint64(1)
-                ).astype(bool)
-                squared[holders] |= reach[node_id]
-            if np.array_equal(squared, reach):
-                return reach
-            reach = squared
-
-    # ------------------------------------------------------------ row patching
-
-    def patch_rows(self, row_masks: Dict[int, int], node_count: int) -> bool:
-        """Overwrite the packed rows named in ``row_masks`` in place.
-
-        The O(delta) write path calls this with the post-splice successor
-        bitset of every touched row.  Returns ``False`` (caller must evict
-        and rebuild) when the delta interned new nodes — the matrix's word
-        width and row count are frozen at build time.
-        """
-        if node_count != self.node_count:
-            return False
-        for node_id, mask in row_masks.items():
-            self.rows[node_id] = self.mask_to_row(mask)
-        return True
-
     # ---------------------------------------------------------- mask interop
 
     def row_to_mask(self, row) -> int:
@@ -190,33 +149,9 @@ class PackedBitMatrix:
         data = mask.to_bytes(self.words * 8, "little")
         return np.frombuffer(data, dtype=np.uint64).copy()
 
-    # ----------------------------------------------------------- plain state
-
-    def to_state(self) -> Dict[str, object]:
-        """Return the matrix as a plain-data dictionary (snapshot wire format)."""
-        return {
-            "format": PACKED_STATE_FORMAT,
-            "node_count": self.node_count,
-            "words": self.words,
-            "rows": self.rows.tobytes(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "PackedBitMatrix":
-        """Rebuild a matrix from :meth:`to_state` output.
-
-        Raises:
-            ValueError: when the state's format tag is not understood.
-        """
-        np = _require_numpy()
-        if state.get("format") != PACKED_STATE_FORMAT:
-            raise ValueError(
-                f"packed bit-matrix state format {state.get('format')!r} is not supported"
-            )
-        node_count = int(state["node_count"])  # type: ignore[arg-type]
-        words = int(state["words"])  # type: ignore[arg-type]
-        rows = np.frombuffer(state["rows"], dtype=np.uint64).reshape(node_count, words).copy()
-        return cls(rows, node_count)
+    def to_state(self) -> None:
+        """Process-local: never part of a graph state, payload or snapshot."""
+        return None
 
     def __repr__(self) -> str:
         return f"PackedBitMatrix(nodes={self.node_count}, words={self.words})"

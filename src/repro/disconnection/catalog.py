@@ -202,7 +202,7 @@ class FragmentSite:
     between the old and the new augmented adjacency (fragment edges *and*
     complementary shortcuts, so a repair caused by a write in a neighbouring
     fragment arrives as a delta too), and ``CompactGraph.apply_delta`` drops
-    every derived structure that has no ``patch_rows`` hook.  Anything cached
+    every derived structure.  Anything cached
     in that graph's derived store — the kernels' indexes, the local-query
     evaluator's transit table and border rows — therefore never survives a
     change of the adjacency it was computed from, and survives untouched when

@@ -159,13 +159,12 @@ def border_values_multi(
     graph: CompactGraph,
     border_set: Set[Node],
 ) -> Tuple[Dict[Node, Dict[Node, object]], int]:
-    """Return reachability border-to-border values for *all* sources in one sweep.
+    """Return reachability border-to-border values for *all* sources in one call.
 
-    The vectorised counterpart of calling :func:`border_values_from` once per
-    border node: the dispatched kernel expands every border source together
-    (the packed bit-matrix backend advances all frontiers per round; the
-    chain index answers each row from its labels), producing value-identical
-    rows at a fraction of the traversal cost.  Work is counted exactly like
+    The batched counterpart of calling :func:`border_values_from` once per
+    border node: one kernel dispatch serves every border source (the chain
+    index answers each row from its labels, the big-int kernel runs one BFS
+    per source), producing value-identical rows.  Work is counted exactly like
     the per-source path — one visited popcount per source — so the
     ``precompute_work`` figure stays comparable across backends.
     """

@@ -63,8 +63,8 @@ COMPACT_SEMIRINGS = ("shortest_path", "reachability")
 # Derived-store key of a site graph's transit table.
 TRANSIT_KEY = "transit_table"
 
-# (entry nodes, exit nodes, semiring name, pinned backend or None)
-TransitKey = Tuple[frozenset, frozenset, str, Optional[str]]
+# (entry nodes, exit nodes, semiring name)
+TransitKey = Tuple[frozenset, frozenset, str]
 
 
 class TransitEntry(NamedTuple):
@@ -149,10 +149,10 @@ class LocalQueryResult:
         semiring: the path problem the values belong to; threads the correct
             ``plus`` into :meth:`exit_values` (set by the evaluator, absent
             on hand-built results).
-        backend: which kernel backend served the evaluation (``bigint``,
-            ``numpy``, ``chain``, or ``dijkstra``/``dict`` for the shortest-path
-            kernel and the custom-semiring fixpoint); surfaces in worker
-            payloads and trace spans.
+        backend: which kernel backend served the evaluation (``bigint`` or
+            ``chain``, or ``dijkstra``/``dict`` for the shortest-path kernel
+            and the custom-semiring fixpoint); surfaces in worker payloads
+            and trace spans.
         overlay: whether the site's compact graph carried an uncompacted
             delta overlay at evaluation time — the kernels read straight
             through it; surfaces in worker payloads and trace spans.
@@ -233,9 +233,6 @@ class LocalQueryEvaluator:
         semiring: the path problem (defaults to shortest paths).
         use_shortcuts: disable to evaluate on the bare fragment subgraph
             (ablation runs).
-        backend: pin a reachability kernel backend (``bigint``, ``numpy`` or
-            ``chain``) instead of letting :func:`repro.closure.select_kernel`
-            choose by shape; answers are identical either way.
 
     The two standard semirings run the compact kernels over the site's
     cached ``CompactGraph``; a custom semiring runs the dict-based fixpoint.
@@ -262,11 +259,9 @@ class LocalQueryEvaluator:
         *,
         semiring: Optional[Semiring] = None,
         use_shortcuts: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._use_shortcuts = use_shortcuts
-        self._backend = backend
         self.transit_hits = 0
         self.transit_misses = 0
 
@@ -380,7 +375,7 @@ class LocalQueryEvaluator:
         border = site.border_nodes
         if border is None or not (spec.entry_nodes <= border and spec.exit_nodes <= border):
             return None
-        return (spec.entry_nodes, spec.exit_nodes, self._semiring.name, self._backend)
+        return (spec.entry_nodes, spec.exit_nodes, self._semiring.name)
 
     def _replay(
         self,
@@ -498,7 +493,6 @@ class LocalQueryEvaluator:
         rows, chosen = reachability_rows(
             graph,
             [entry_id for _, entry_id in entries],
-            backend=self._backend,
             context="local_query",
             stop_mask=exit_mask,
         )

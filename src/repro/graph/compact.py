@@ -23,9 +23,9 @@ the number of absorbed elementary changes crosses
 :attr:`CompactGraph.overlay_threshold` (default
 :data:`DEFAULT_OVERLAY_THRESHOLD`, overridable through the
 :data:`ENV_OVERLAY_THRESHOLD` environment variable), the overlay is lazily
-**compacted** back into clean CSR in one O(V+E) pass.  Backends that need raw
-CSR arrays (numpy packed matrix, chain index, Tarjan shape probes) force a
-compaction and record the reason in ``repro_overlay_compactions_total``.
+**compacted** back into clean CSR in one O(V+E) pass.  Index builds that need
+raw CSR arrays (chain index, Tarjan shape probe, a pinned packed matrix) force
+a compaction and record the reason in ``repro_overlay_compactions_total``.
 
 The representation stays *plain data*: :meth:`CompactGraph.state` returns
 lists, ``array`` objects, and (when an overlay is pending) a plain dict of
@@ -333,8 +333,8 @@ class CompactGraph:
         shadow CSR rows) and both directions are rebuilt; because overlay
         splices preserve within-row order, the result is identical to the
         arrays a from-scratch rebuild after the same deltas would produce.
-        Masks and row-patched derived structures are already current and
-        survive.  ``reason`` lands on ``repro_overlay_compactions_total``.
+        Masks are already current and survive.  ``reason`` lands on
+        ``repro_overlay_compactions_total``.
         """
         if not (self._fwd_over or self._bwd_over):
             return
@@ -538,7 +538,7 @@ class CompactGraph:
     # ------------------------------------------------------- derived caches
 
     def derived_get(self, key: str) -> Optional[object]:
-        """Return a cached derived structure (packed matrix, chain index, …)."""
+        """Return a cached derived structure (chain index, transit table, …)."""
         return self._derived.get(key)
 
     def derived_set(self, key: str, value: object) -> None:
@@ -655,11 +655,10 @@ class CompactGraph:
         matter when each compacts.
 
         Cached successor/predecessor masks are *maintained* per touched row
-        rather than invalidated.  Derived kernel structures offering a
-        ``patch_rows(row_masks, node_count)`` hook (the packed bit matrix)
-        are patched in place; everything else — chain indexes, shape stats,
-        reloaded-state blobs — is invalidated and rebuilt on next use: a
-        kernel query after a delta can never observe pre-delta caches.
+        rather than invalidated.  Every derived structure — chain index,
+        shape stats, transit table, border rows, reloaded-state blobs — is
+        dropped and rebuilt on next use: a kernel query after a delta can
+        never observe pre-delta caches.
         """
         if delta.is_empty():
             return
@@ -725,23 +724,7 @@ class CompactGraph:
                     mask |= 1 << source_id
                 masks[target_id] = mask
         self._derived_states = {}
-        if self._derived:
-            patched: Dict[str, object] = {}
-            row_masks: Optional[Dict[int, int]] = None
-            for key, value in self._derived.items():
-                patch = getattr(value, "patch_rows", None)
-                if not callable(patch):
-                    continue
-                if row_masks is None:
-                    row_masks = {}
-                    for source_id in fwd_touched:
-                        mask = 0
-                        for target_id, _ in self._fwd_over[source_id]:
-                            mask |= 1 << target_id
-                        row_masks[source_id] = mask
-                if patch(row_masks, node_count):
-                    patched[key] = value
-            self._derived = patched
+        self._derived = {}
         if self._overlay_ops >= self.overlay_threshold:
             self.compact_now(reason="threshold")
 

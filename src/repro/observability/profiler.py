@@ -8,7 +8,7 @@ frame together with two tags read racily from the serving thread:
   points back at the requests burning in it;
 * the kernel backend currently executing (published by
   ``repro.closure.kernels.reachability_rows`` around each dispatch), so a
-  ``chain``-vs-``numpy`` selection regression shows up as a shifted
+  ``chain``-vs-``bigint`` selection regression shows up as a shifted
   backend column in the profile, not a vibe.
 
 Frames aggregate by ``function (module:first_line)`` — the *defining* line,

@@ -1,17 +1,18 @@
 """Property tests: every kernel backend answers every graph identically.
 
 Hypothesis drives adversarial shapes — self-loops, empty graphs, single
-nodes, dense cliques, long chains, disconnected components — through all
-three reachability backends and through the dict fixpoint, for both standard
-semirings.  Any divergence is a dispatcher bug by definition: callers never
-choose a backend, so the backends must be indistinguishable.
+nodes, dense cliques, long chains, disconnected components — through the two
+dispatched reachability backends and the pinned-only numpy one, and through
+the dict fixpoint, for both standard semirings.  Any divergence is a
+dispatcher bug by definition: callers never choose a backend, so the backends
+must be indistinguishable.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import List, Tuple
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,9 @@ from repro.closure import (
     BACKEND_CHAIN,
     BACKEND_NUMPY,
     bitset_reachable,
-    numpy_available,
     reachability_rows,
     reachability_semiring,
+    select_kernel,
     seminaive_transitive_closure,
     shortest_path_semiring,
 )
@@ -123,7 +124,7 @@ def test_backends_agree_on_whole_graph_rows(case):
     ids = list(range(n))
     expected = {i: bitset_reachable(graph, i) for i in ids}
     for backend in BACKENDS:
-        rows, _ = reachability_rows(graph, ids, whole_graph=True, backend=backend)
+        rows, _ = reachability_rows(graph, ids, backend=backend)
         assert rows == expected, backend
 
 
@@ -150,17 +151,13 @@ def test_reachability_closure_matches_dict_fixpoint(case, backend):
     dict_result = seminaive_transitive_closure(
         digraph, semiring=reachability_semiring(), use_compact=False
     )
-    saved = os.environ.get("REPRO_KERNEL_BACKEND")
-    os.environ["REPRO_KERNEL_BACKEND"] = backend
-    try:
+    with mock.patch(
+        "repro.closure.kernels.select_kernel",
+        lambda graph, *, override=None: select_kernel(graph, override=backend),
+    ):
         compact_result = seminaive_transitive_closure(
             digraph, semiring=reachability_semiring(), use_compact=True
         )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNEL_BACKEND", None)
-        else:
-            os.environ["REPRO_KERNEL_BACKEND"] = saved
     assert compact_result.values == dict_result.values
 
 
@@ -176,8 +173,3 @@ def test_shortest_path_closure_matches_dict_fixpoint(case):
         digraph, semiring=shortest_path_semiring(), use_compact=True
     )
     assert compact_result.values == dict_result.values
-
-
-def test_numpy_marker():
-    """Record (in the test id) whether this run exercised the numpy leg."""
-    assert numpy_available() in (True, False)

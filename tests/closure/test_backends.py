@@ -1,6 +1,5 @@
 """Kernel backend layer: dispatch, equivalence, caching, persistence."""
 
-import os
 import pickle
 import random
 
@@ -16,7 +15,6 @@ from repro.closure import (
     compact_reachability_closure,
     graph_shape,
     numpy_available,
-    packed_matrix,
     reachability_rows,
     reachability_semiring,
     seminaive_transitive_closure,
@@ -24,14 +22,8 @@ from repro.closure import (
     selection_counts,
     strongly_connected_components,
 )
-from repro.closure.backends import (
-    CHAIN_KEY,
-    ENV_BACKEND_OVERRIDE,
-    ENV_DISABLE_NUMPY,
-    PACKED_KEY,
-    SHAPE_KEY,
-)
-from repro.graph import CompactGraph, DiGraph
+from repro.closure.backends import CHAIN_KEY, PACKED_KEY, SHAPE_KEY
+from repro.graph import CompactDelta, CompactGraph, DiGraph
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend unavailable"
@@ -50,6 +42,14 @@ def random_compact(seed: int, n: int = 90, edges: int = 320) -> CompactGraph:
 
 def bigint_rows(graph: CompactGraph) -> dict:
     return {i: bitset_reachable(graph, i) for i in range(graph.node_count())}
+
+
+def pin_every_dispatch(monkeypatch, backend: str) -> None:
+    """Make every ``reachability_rows`` call behave as if ``backend=`` were passed."""
+    monkeypatch.setattr(
+        "repro.closure.kernels.select_kernel",
+        lambda graph, *, override=None: select_kernel(graph, override=backend),
+    )
 
 
 class TestChainIndex:
@@ -125,15 +125,6 @@ class TestPackedBitMatrix:
         for index, source_id in enumerate(sources):
             assert matrix.row_to_mask(rows[index]) == bitset_reachable(graph, source_id)
 
-    def test_closure_rows_match_per_source(self):
-        from repro.closure import PackedBitMatrix
-
-        graph = random_compact(22, n=90, edges=270)
-        matrix = PackedBitMatrix.from_graph(graph)
-        rows = matrix.closure_rows()
-        for source_id in range(graph.node_count()):
-            assert matrix.row_to_mask(rows[source_id]) == bitset_reachable(graph, source_id)
-
     def test_stop_row_keyhole_covers_targets(self):
         from repro.closure import PackedBitMatrix
 
@@ -142,17 +133,6 @@ class TestPackedBitMatrix:
         stop = matrix.mask_to_row(1 << 5)
         visited = matrix.row_to_mask(matrix.reachable_row(0, stop_row=stop))
         assert (visited >> 5) & 1  # the target is covered even when stopping early
-
-    def test_state_round_trip(self):
-        from repro.closure import PackedBitMatrix
-
-        graph = random_compact(23)
-        matrix = PackedBitMatrix.from_graph(graph)
-        reloaded = PackedBitMatrix.from_state(matrix.to_state())
-        for source_id in range(graph.node_count()):
-            assert reloaded.row_to_mask(
-                reloaded.reachable_row(source_id)
-            ) == matrix.row_to_mask(matrix.reachable_row(source_id))
 
 
 class TestSelectKernel:
@@ -169,29 +149,41 @@ class TestSelectKernel:
         assert graph_shape(graph)["condensation_ratio"] <= 0.5
         assert select_kernel(graph) == BACKEND_CHAIN
 
-    @needs_numpy
-    def test_dag_shapes_prefer_numpy_for_wide_fanout(self):
-        # A long chain is its own condensation (ratio 1.0): chain labels
-        # cannot compress it, so wide fan-outs go to the packed matrix.
-        graph = CompactGraph.from_edges([(i, i + 1, 1.0) for i in range(120)])
+    @pytest.mark.parametrize("n, fanout", [(120, 8), (400, 1)])
+    def test_dags_choose_bigint_whatever_their_size_or_fanout(self, n, fanout):
+        # A DAG is its own condensation (ratio 1.0): chain labels cannot
+        # compress it, and nothing else is on the menu.
+        edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, min(i + 1 + fanout, n))]
+        graph = CompactGraph.from_edges(edges)
         assert graph_shape(graph)["condensation_ratio"] == 1.0
-        assert select_kernel(graph, sources=8) == BACKEND_NUMPY
-        assert select_kernel(graph, whole_graph=True) == BACKEND_NUMPY
+        assert select_kernel(graph) == BACKEND_BIGINT
+        _, chosen = reachability_rows(graph, list(range(n)))
+        assert chosen == BACKEND_BIGINT
+
+    def test_an_overlay_chooses_bigint_until_it_is_compacted(self):
+        edges = [(i, (i + 1) % 100, 1.0) for i in range(100)]
+        graph = CompactGraph.from_edges(edges)
+        assert select_kernel(graph) == BACKEND_CHAIN
+        graph.apply_delta(CompactDelta(inserts=((0, 50, 1.0),)))
+        assert graph.has_overlay() and select_kernel(graph) == BACKEND_BIGINT
+        graph.compact_now()
+        assert select_kernel(graph) == BACKEND_CHAIN
 
     def test_explicit_override_wins(self):
         graph = random_compact(31)
         assert select_kernel(graph, override=BACKEND_BIGINT) == BACKEND_BIGINT
         assert select_kernel(graph, override=BACKEND_CHAIN) == BACKEND_CHAIN
+        expected = BACKEND_NUMPY if numpy_available() else BACKEND_BIGINT
+        assert select_kernel(graph, override=BACKEND_NUMPY) == expected
+        assert select_kernel(graph, override="no-such-backend") == select_kernel(graph)
 
-    def test_env_override_and_numpy_disable(self, monkeypatch):
+    def test_the_environment_is_not_consulted(self, monkeypatch):
         graph = random_compact(32)
-        monkeypatch.setenv(ENV_BACKEND_OVERRIDE, BACKEND_CHAIN)
-        assert select_kernel(graph) == BACKEND_CHAIN
-        monkeypatch.setenv(ENV_BACKEND_OVERRIDE, BACKEND_NUMPY)
-        monkeypatch.setenv(ENV_DISABLE_NUMPY, "1")
-        assert select_kernel(graph) == BACKEND_BIGINT  # pinned numpy degrades
-        monkeypatch.delenv(ENV_BACKEND_OVERRIDE)
-        assert not numpy_available()
+        chosen = select_kernel(graph)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", BACKEND_NUMPY)
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        assert select_kernel(graph) == chosen
+        assert select_kernel(graph, override=BACKEND_CHAIN) == BACKEND_CHAIN
 
     def test_selection_counter_increments(self):
         graph = random_compact(33)
@@ -210,7 +202,7 @@ class TestReachabilityRows:
         expected = bigint_rows(graph)
         ids = list(range(graph.node_count()))
         for backend in ALL_BACKENDS:
-            rows, chosen = reachability_rows(graph, ids, whole_graph=True, backend=backend)
+            rows, chosen = reachability_rows(graph, ids, backend=backend)
             assert rows == expected
             if backend == BACKEND_NUMPY and not numpy_available():
                 assert chosen == BACKEND_BIGINT
@@ -226,7 +218,7 @@ class TestReachabilityRows:
             assert rows == expected
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_closure_facade_matches_baseline(self, backend):
+    def test_closure_facade_matches_baseline(self, backend, monkeypatch):
         rng = random.Random(45)
         graph = DiGraph()
         for i in range(80):
@@ -234,12 +226,13 @@ class TestReachabilityRows:
         for _ in range(250):
             graph.add_edge(rng.randrange(80), rng.randrange(80), 1.0)
         compact = CompactGraph.from_digraph(graph)
-        baseline = compact_reachability_closure(compact, backend=BACKEND_BIGINT)
-        assert compact_reachability_closure(compact, backend=backend).values == baseline.values
+        baseline = compact_reachability_closure(compact)
+        pin_every_dispatch(monkeypatch, backend)
+        assert compact_reachability_closure(compact).values == baseline.values
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_seminaive_cycle_facts_survive_dispatch(self, backend, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND_OVERRIDE, backend)
+        pin_every_dispatch(monkeypatch, backend)
         rng = random.Random(46)
         graph = DiGraph()
         for i in range(70):
@@ -258,16 +251,11 @@ class TestReachabilityRows:
 class TestDerivedPersistence:
     def test_state_carries_warm_caches(self):
         graph = random_compact(51)
-        packed = numpy_available()
-        if packed:
-            packed_matrix(graph)
         chain_index(graph)
         graph_shape(graph)
         state = graph.state()
         derived = state.get("derived", {})
         assert CHAIN_KEY in derived and SHAPE_KEY in derived
-        if packed:
-            assert PACKED_KEY in derived
 
     def test_reload_answers_without_rebuilding(self):
         graph = random_compact(52)
@@ -285,20 +273,41 @@ class TestDerivedPersistence:
         chain_index(graph)
         clone = pickle.loads(pickle.dumps(graph))
         assert clone.derived_state(CHAIN_KEY) is not None
-        rows, chosen = reachability_rows(
-            graph, list(range(graph.node_count())), whole_graph=True
-        )
+        rows, chosen = reachability_rows(graph, list(range(graph.node_count())))
         clone_rows, _ = reachability_rows(
-            clone, list(range(clone.node_count())), whole_graph=True, backend=chosen
+            clone, list(range(clone.node_count())), backend=chosen
         )
         assert clone_rows == rows
 
     def test_unhydrated_state_passes_through_reship(self):
         # A coordinator that never touches a backend must still forward the
-        # derived payload to the next hop (e.g. numpy rows through a
-        # numpy-less relay).
+        # derived payload to the next hop.
         graph = random_compact(54)
         chain_index(graph)
         hop1 = CompactGraph.from_state(graph.state())
         hop2 = CompactGraph.from_state(hop1.state())
         assert hop2.derived_state(CHAIN_KEY) is not None
+
+    def test_an_old_packed_blob_is_carried_and_never_hydrated(self):
+        graph = random_compact(24)
+        expected = bigint_rows(graph)
+        ids = list(range(graph.node_count()))
+        blob = {
+            "format": "packed-bit-matrix-v1",
+            "node_count": graph.node_count(),
+            "words": 2,
+            "rows": b"\xff" * (graph.node_count() * 16),  # every bit set: wrong if read
+        }
+        state = graph.state()
+        state["derived"] = {PACKED_KEY: blob}
+        old = CompactGraph.from_state(state)
+        assert old.state()["derived"][PACKED_KEY] == blob  # carried to the next hop
+        for backend in ALL_BACKENDS:
+            rows, _ = reachability_rows(old, ids, backend=backend)
+            assert rows == expected, backend
+        rows, _ = reachability_rows(old, ids)
+        assert rows == expected
+        # Malformed beyond recognition: still never read.
+        state["derived"] = {PACKED_KEY: "garbage"}
+        rows, _ = reachability_rows(CompactGraph.from_state(state), ids, backend=BACKEND_NUMPY)
+        assert rows == expected

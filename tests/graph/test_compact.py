@@ -225,12 +225,8 @@ class TestApplyDelta:
         )
         ids = list(range(compact.node_count()))
         for backend in KERNEL_BACKENDS:
-            stale_rows, _ = reachability_rows(
-                compact, ids, whole_graph=True, backend=backend
-            )
-            fresh_rows, _ = reachability_rows(
-                fresh, ids, whole_graph=True, backend=backend
-            )
+            stale_rows, _ = reachability_rows(compact, ids, backend=backend)
+            fresh_rows, _ = reachability_rows(fresh, ids, backend=backend)
             assert stale_rows == fresh_rows, backend
 
     def test_state_round_trip_preserves_derived_caches(self, sample_graph):
