@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import NodeNotFoundError
@@ -261,9 +262,48 @@ class CompactGraph:
         """Build a compact graph from a :class:`~repro.graph.digraph.DiGraph`.
 
         Node ids follow the graph's insertion order, so two compact builds of
-        the same graph produce identical arrays.
+        the same graph produce identical arrays — the arrays of
+        ``from_edges(graph.weighted_edges(), nodes=graph.nodes())``.  A
+        ``DiGraph`` already groups its edges by source in id order, so the
+        forward CSR is its successor rows laid end to end and the backward
+        CSR one counting pass over that.
         """
-        return cls.from_edges(graph.weighted_edges(), nodes=graph.nodes())
+        rows = graph._successors
+        ids = {node: index for index, node in enumerate(rows)}
+        node_id = ids.__getitem__
+        offsets = [0]
+        targets: List[int] = []
+        weights: List[float] = []
+        for row in rows.values():
+            targets.extend(map(node_id, row))
+            weights.extend(row.values())
+            offsets.append(len(targets))
+        counts = [0] * (len(rows) + 1)
+        for target_id in targets:
+            counts[target_id + 1] += 1
+        bwd_offsets = list(accumulate(counts))
+        cursor = bwd_offsets[:]
+        bwd_sources = [0] * len(targets)
+        bwd_weights = [0.0] * len(targets)
+        slot = 0
+        for source_id in range(len(rows)):
+            row_end = offsets[source_id + 1]
+            while slot < row_end:
+                target_id = targets[slot]
+                position = cursor[target_id]
+                cursor[target_id] = position + 1
+                bwd_sources[position] = source_id
+                bwd_weights[position] = weights[slot]
+                slot += 1
+        return cls(
+            list(rows),
+            array(_OFFSET_TYPECODE, offsets),
+            array(_TARGET_TYPECODE, targets),
+            array(_WEIGHT_TYPECODE, weights),
+            array(_OFFSET_TYPECODE, bwd_offsets),
+            array(_TARGET_TYPECODE, bwd_sources),
+            array(_WEIGHT_TYPECODE, bwd_weights),
+        )
 
     # ----------------------------------------------------------- basic shape
 
@@ -530,10 +570,7 @@ class CompactGraph:
         """Materialise back into a mutable :class:`DiGraph` (tests, debugging)."""
         from .digraph import DiGraph
 
-        graph = DiGraph(nodes=self._nodes)
-        for source, target, weight in self.weighted_edges():
-            graph.add_edge(source, target, weight)
-        return graph
+        return DiGraph(self.weighted_edges(), nodes=self._nodes)
 
     # ------------------------------------------------------- derived caches
 

@@ -32,6 +32,13 @@ class DiGraph:
     The graph is a mutable container.  Nodes may be any hashable value; edges
     are ordered pairs with a weight (defaulting to ``1.0``).  Re-adding an
     existing edge overwrites its weight.
+
+    Adjacency is two dict-of-dict row tables, ``_successors`` and
+    ``_predecessors``.  ``add_node`` / ``add_edge`` / ``remove_*`` mutate them
+    one entry at a time; the constructor and the derivations (:meth:`copy`,
+    :meth:`subgraph`, :meth:`edge_subgraph`, :meth:`reversed`) fill whole rows
+    and produce exactly the node order, row order and weights the per-edge
+    calls would.
     """
 
     def __init__(
@@ -44,20 +51,36 @@ class DiGraph:
         self._successors: Dict[Node, Dict[Node, float]] = {}
         self._predecessors: Dict[Node, Dict[Node, float]] = {}
         self._coordinates: Dict[Node, Point] = {}
+        successors, predecessors = self._successors, self._predecessors
         if nodes is not None:
             for node in nodes:
-                self.add_node(node)
+                if node not in successors:
+                    successors[node] = {}
+                    predecessors[node] = {}
         if edges is not None:
             for edge in edges:
                 if len(edge) == 3:
                     source, target, weight = edge  # type: ignore[misc]
-                    self.add_edge(source, target, weight)
+                    weight = float(weight)
                 else:
                     source, target = edge  # type: ignore[misc]
-                    self.add_edge(source, target)
+                    weight = DEFAULT_WEIGHT
+                row = successors.get(source)
+                if row is None:
+                    row = successors[source] = {}
+                    predecessors[source] = {}
+                back = predecessors.get(target)
+                if back is None:
+                    successors[target] = {}
+                    back = predecessors[target] = {}
+                row[target] = weight
+                back[source] = weight
         if coordinates is not None:
             for node, point in coordinates.items():
-                self.set_coordinate(node, point)
+                if node not in successors:
+                    successors[node] = {}
+                    predecessors[node] = {}
+                self._coordinates[node] = _as_point(point)
 
     # ------------------------------------------------------------------ nodes
 
@@ -259,9 +282,7 @@ class DiGraph:
     def set_coordinate(self, node: Node, point: Point | Tuple[float, float]) -> None:
         """Attach a planar coordinate to ``node`` (adding the node if needed)."""
         self.add_node(node)
-        if not isinstance(point, Point):
-            point = Point(float(point[0]), float(point[1]))
-        self._coordinates[node] = point
+        self._coordinates[node] = _as_point(point)
 
     def coordinate(self, node: Node) -> Optional[Point]:
         """Return the coordinate of ``node`` or ``None`` if it has none."""
@@ -280,58 +301,81 @@ class DiGraph:
     # ----------------------------------------------------------- derivations
 
     def copy(self) -> "DiGraph":
-        """Return a deep copy of the graph."""
+        """Return an independent copy of the graph.
+
+        Every adjacency row and the coordinate table are new dicts, so
+        mutating either graph never shows in the other; the ``Point`` values
+        are shared, being immutable.
+        """
         clone = DiGraph()
-        for node in self._successors:
-            clone.add_node(node)
-        for source, target, weight in self.weighted_edges():
-            clone.add_edge(source, target, weight)
-        for node, point in self._coordinates.items():
-            clone.set_coordinate(node, point)
+        clone._successors = {node: dict(row) for node, row in self._successors.items()}
+        clone._predecessors = _transposed(clone._successors)
+        clone._coordinates = dict(self._coordinates)
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
         """Return the subgraph induced by ``nodes`` (coordinates preserved)."""
         keep = set(nodes)
         sub = DiGraph()
-        for node in self._successors:
-            if node in keep:
-                sub.add_node(node)
-                point = self._coordinates.get(node)
-                if point is not None:
-                    sub.set_coordinate(node, point)
-        for source, target, weight in self.weighted_edges():
-            if source in keep and target in keep:
-                sub.add_edge(source, target, weight)
+        sub._successors = {
+            node: {target: weight for target, weight in row.items() if target in keep}
+            for node, row in self._successors.items()
+            if node in keep
+        }
+        sub._predecessors = _transposed(sub._successors)
+        sub._coordinates = self._coordinates_of(sub._successors)
         return sub
 
     def edge_subgraph(self, edges: Iterable[Edge]) -> "DiGraph":
         """Return the subgraph containing exactly ``edges`` and their endpoints.
 
-        Weights and coordinates are carried over from this graph.
+        Weights and coordinates are carried over from this graph.  Nodes are
+        ordered by first appearance in ``edges`` (source before target), and
+        every successor and predecessor row by the order ``edges`` lists its
+        entries.
 
         Raises:
             EdgeNotFoundError: if one of ``edges`` is not in the graph.
         """
-        sub = DiGraph()
+        rows = self._successors
+        successors: Dict[Node, Dict[Node, float]] = {}
+        predecessors: Dict[Node, Dict[Node, float]] = {}
+        # The constructor's linking steps, spelled out again rather than
+        # shared: every fragment subgraph pays this loop per edge, and a
+        # helper call costs 20 % and a generator feeding the constructor 120 %.
         for source, target in edges:
-            sub.add_edge(source, target, self.edge_weight(source, target))
-        for node in sub.nodes():
-            point = self._coordinates.get(node)
-            if point is not None:
-                sub.set_coordinate(node, point)
+            try:
+                weight = rows[source][target]
+            except KeyError:
+                raise EdgeNotFoundError(source, target) from None
+            row = successors.get(source)
+            if row is None:
+                row = successors[source] = {}
+                predecessors[source] = {}
+            back = predecessors.get(target)
+            if back is None:
+                successors[target] = {}
+                back = predecessors[target] = {}
+            row[target] = weight
+            back[source] = weight
+        sub = DiGraph()
+        sub._successors = successors
+        sub._predecessors = predecessors
+        sub._coordinates = self._coordinates_of(successors)
         return sub
 
     def reversed(self) -> "DiGraph":
         """Return a copy of the graph with every edge direction flipped."""
         rev = DiGraph()
-        for node in self._successors:
-            rev.add_node(node)
-        for source, target, weight in self.weighted_edges():
-            rev.add_edge(target, source, weight)
-        for node, point in self._coordinates.items():
-            rev.set_coordinate(node, point)
+        rev._predecessors = {node: dict(row) for node, row in self._successors.items()}
+        rev._successors = _transposed(rev._predecessors)
+        rev._coordinates = dict(self._coordinates)
         return rev
+
+    def _coordinates_of(self, nodes: Iterable[Node]) -> Dict[Node, Point]:
+        """Return this graph's coordinates of ``nodes``, in the order of ``nodes``."""
+        coordinates = self._coordinates
+        return {node: coordinates[node] for node in nodes if node in coordinates}
 
     def to_undirected_pairs(self) -> Set[Tuple[Node, Node]]:
         """Return the set of unordered adjacency pairs, canonicalised by ``repr``."""
@@ -352,3 +396,20 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph(nodes={self.node_count()}, edges={self.edge_count()})"
+
+
+def _as_point(point: Point | Tuple[float, float]) -> Point:
+    return point if isinstance(point, Point) else Point(float(point[0]), float(point[1]))
+
+
+def _transposed(rows: Dict[Node, Dict[Node, float]]) -> Dict[Node, Dict[Node, float]]:
+    """Return the other direction of ``rows``: same nodes, one entry per edge.
+
+    Each returned row lists its neighbours in the node order of ``rows`` —
+    what adding the edges source by source, row by row produces.
+    """
+    transposed: Dict[Node, Dict[Node, float]] = {node: {} for node in rows}
+    for source, row in rows.items():
+        for target, weight in row.items():
+            transposed[target][source] = weight
+    return transposed

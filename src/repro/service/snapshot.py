@@ -23,7 +23,7 @@ import json
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from ..closure import Semiring
 from ..disconnection import CompactFragmentSite, ComplementaryInformation, DisconnectionSetEngine
@@ -202,22 +202,34 @@ def _payload_from_engine(
 
 
 def compute_version(payload: SnapshotPayload) -> str:
-    """Return the content hash of a payload (the snapshot / catalog version)."""
-    digest = hashlib.sha256()
-    canonical = (
-        sorted(payload.nodes, key=repr),
-        sorted(payload.edges, key=repr),
-        sorted(payload.coordinates.items(), key=repr),
-        [sorted(edges, key=repr) for edges in payload.fragment_edges],
-        payload.algorithm,
-        payload.semiring_name,
-        sorted(
-            (pair, sorted(values.items(), key=repr))
-            for pair, values in payload.complementary_values.items()
-        ),
+    """Return the content hash of a payload (the snapshot / catalog version).
+
+    The digest is over the ``repr`` of a canonical tuple — each section's
+    items sorted by their ``repr`` — spelled out as a string so every item is
+    ``repr``-ed once.  Snapshots on disk are compared against it: the text
+    hashed here must not change.
+    """
+    sections = (
+        _canonical(payload.nodes),
+        _canonical(payload.edges),
+        _canonical(payload.coordinates.items()),
+        "[" + ", ".join(_canonical(edges) for edges in payload.fragment_edges) + "]",
+        repr(payload.algorithm),
+        repr(payload.semiring_name),
+        "["
+        + ", ".join(
+            f"({pair!r}, {_canonical(payload.complementary_values[pair].items())})"
+            for pair in sorted(payload.complementary_values)
+        )
+        + "]",
     )
-    digest.update(repr(canonical).encode("utf-8"))
+    digest = hashlib.sha256(("(" + ", ".join(sections) + ")").encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+def _canonical(items: Iterable[object]) -> str:
+    """Return ``repr(sorted(items, key=repr))``, calling ``repr`` once per item."""
+    return "[" + ", ".join(sorted(map(repr, items))) + "]"
 
 
 # ----------------------------------------------------------------- save / load
@@ -267,22 +279,39 @@ def is_snapshot_directory(directory: PathLike) -> bool:
     return (target / MANIFEST_FILE).is_file() and (target / PAYLOAD_FILE).is_file()
 
 
+def _read_manifest(directory: Path) -> SnapshotManifest:
+    """Parse ``directory``'s manifest; anything short of a full one is a ``SnapshotError``."""
+    try:
+        return SnapshotManifest.from_dict(json.loads((directory / MANIFEST_FILE).read_text()))
+    except (ValueError, KeyError, TypeError) as error:  # bad JSON, missing field, not an object
+        raise SnapshotError(f"snapshot manifest in {directory} is unreadable: {error!r}") from error
+
+
 def load_snapshot(directory: PathLike) -> LoadedSnapshot:
     """Reload a snapshot directory into a ready-to-query state.
 
     Raises:
-        SnapshotError: when the directory is not a snapshot or its format tag
-            is not understood.
+        SnapshotError: when the directory is not a snapshot, its manifest or
+            payload is truncated or corrupt, its format tag is not
+            understood, or the payload does not hash to the manifest's
+            version.  All of these are raised before any graph is built.
     """
     target = Path(directory)
     if not is_snapshot_directory(target):
         raise SnapshotError(f"{target} is not a snapshot directory (missing manifest or payload)")
-    manifest = SnapshotManifest.from_dict(json.loads((target / MANIFEST_FILE).read_text()))
+    manifest = _read_manifest(target)
     if manifest.format != SNAPSHOT_FORMAT:
         raise SnapshotError(
             f"snapshot format {manifest.format!r} is not supported (expected {SNAPSHOT_FORMAT!r})"
         )
-    payload: SnapshotPayload = pickle.loads((target / PAYLOAD_FILE).read_bytes())
+    try:
+        payload = pickle.loads((target / PAYLOAD_FILE).read_bytes())
+    except Exception as error:  # a damaged pickle can raise nearly anything
+        raise SnapshotError(f"snapshot payload in {target} is unreadable: {error!r}") from error
+    if not isinstance(payload, SnapshotPayload):
+        raise SnapshotError(
+            f"snapshot payload in {target} is a {type(payload).__name__}, not a SnapshotPayload"
+        )
     actual_version = compute_version(payload)
     if actual_version != manifest.version:
         raise SnapshotError(
@@ -290,13 +319,11 @@ def load_snapshot(directory: PathLike) -> LoadedSnapshot:
             f"{actual_version}, manifest says {manifest.version}) — the directory "
             "is corrupt or mixes files from different snapshots"
         )
-    graph = DiGraph()
-    for node in payload.nodes:
-        graph.add_node(node)
-    for source, target_node, weight in payload.edges:
-        graph.add_edge(source, target_node, weight)
-    for node, (x, y) in payload.coordinates.items():
-        graph.set_coordinate(node, Point(x, y))
+    graph = DiGraph(
+        payload.edges,
+        nodes=payload.nodes,
+        coordinates={node: Point(x, y) for node, (x, y) in payload.coordinates.items()},
+    )
     fragmentation = Fragmentation(graph, payload.fragment_edges, algorithm=payload.algorithm)
     complementary = ComplementaryInformation(
         semiring_name=payload.semiring_name,
@@ -357,10 +384,10 @@ class SnapshotStore:
 
     def manifest(self, name: str) -> SnapshotManifest:
         """Read only the manifest of a snapshot (no payload deserialisation)."""
-        manifest_path = self.path(name) / MANIFEST_FILE
-        if not manifest_path.is_file():
+        directory = self.path(name)
+        if not (directory / MANIFEST_FILE).is_file():
             raise SnapshotError(f"no snapshot named {name!r} under {self._root}")
-        return SnapshotManifest.from_dict(json.loads(manifest_path.read_text()))
+        return _read_manifest(directory)
 
     def list_snapshots(self) -> List[str]:
         """Return the names of every snapshot in the store, sorted."""

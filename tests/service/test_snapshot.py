@@ -1,8 +1,15 @@
 """Tests for the snapshot store (prepare once, reload per process)."""
 
+import hashlib
+import json
+import pickle
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.disconnection.catalog as catalog_module
+import repro.service.snapshot as snapshot_module
 from repro.closure import reachability_semiring, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine
 from repro.fragmentation import GroundTruthFragmenter
@@ -14,6 +21,7 @@ from repro.service import (
     load_snapshot,
     save_snapshot,
 )
+from repro.service.snapshot import SnapshotPayload, compute_version
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +96,34 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotError, match="does not match its manifest"):
             load_snapshot(tmp_path / "a")
 
+    @pytest.mark.parametrize(
+        "file_name, damage",
+        [
+            ("payload.pkl", lambda raw: raw[: len(raw) // 2]),  # was pickle.UnpicklingError
+            ("payload.pkl", lambda raw: b""),  # was EOFError
+            ("payload.pkl", lambda raw: b"\x80\x04N."),  # a whole pickle, of None
+            ("manifest.json", lambda raw: raw[: len(raw) // 2]),  # was json.JSONDecodeError
+            ("manifest.json", lambda raw: b"{}"),  # was KeyError('version')
+            ("manifest.json", lambda raw: b"[]"),
+            ("manifest.json", lambda raw: raw.replace(b'"node_count": 8', b'"node_count": "many"')),
+        ],
+    )
+    def test_broken_files_fail_closed(self, prepared, tmp_path, monkeypatch, file_name, damage):
+        _, _, engine = prepared
+        directory = tmp_path / "snap"
+        save_snapshot(directory, engine)
+        path = directory / file_name
+        damaged = damage(path.read_bytes())
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+
+        def no_graph(*args, **kwargs):  # pragma: no cover - the point is it never runs
+            raise AssertionError("a broken snapshot must be rejected before any graph is built")
+
+        monkeypatch.setattr(snapshot_module, "DiGraph", no_graph)
+        with pytest.raises(SnapshotError, match=str(directory)):
+            load_snapshot(directory)
+
     def test_rejects_nonstandard_semiring(self, prepared, tmp_path):
         _, fragmentation, _ = prepared
         engine = DisconnectionSetEngine(fragmentation, semiring=widest_path_semiring())
@@ -110,3 +146,99 @@ class TestSnapshotStore:
         store = SnapshotStore(tmp_path / "store")
         with pytest.raises(SnapshotError):
             store.manifest("absent")
+
+    @pytest.mark.parametrize("text", ['{"format": "repro-snap', "{}", "[]"])
+    def test_corrupt_manifest_is_a_snapshot_error(self, prepared, tmp_path, text):
+        _, _, engine = prepared
+        store = SnapshotStore(tmp_path / "store")
+        store.save("main", engine)
+        (store.path("main") / "manifest.json").write_text(text)
+        with pytest.raises(SnapshotError, match=str(store.path("main"))):
+            store.manifest("main")
+
+
+# ------------------------------------------------------------- content hash
+
+
+def compute_version_by_sorting(payload: SnapshotPayload) -> str:
+    """The content hash as first written: sort by ``repr``, then ``repr`` the lot.
+
+    Every snapshot on disk carries this digest in its manifest, so it is the
+    reference ``compute_version`` has to keep reproducing.
+    """
+    canonical = (
+        sorted(payload.nodes, key=repr),
+        sorted(payload.edges, key=repr),
+        sorted(payload.coordinates.items(), key=repr),
+        [sorted(edges, key=repr) for edges in payload.fragment_edges],
+        payload.algorithm,
+        payload.semiring_name,
+        sorted(
+            (pair, sorted(values.items(), key=repr))
+            for pair, values in payload.complementary_values.items()
+        ),
+    )
+    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16]
+
+
+NODE_KEY = st.one_of(
+    st.integers(min_value=-5, max_value=40),
+    st.text(alphabet="ab'\"\\ é", max_size=4),  # quotes and escapes change how repr quotes
+    st.tuples(st.sampled_from(["x", "y"]), st.integers(min_value=0, max_value=3)),
+)
+# 1e-07, 1e+16, inf and friends: floats whose repr is not plain digits.
+VALUE = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([1e-7, 1e16, 1.5e300, 5e-324, float("inf"), 0.1 + 0.2, 2.0]),
+    st.booleans(),
+)
+NODE_PAIR = st.tuples(NODE_KEY, NODE_KEY)
+FRAGMENT_PAIR = st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
+
+
+@st.composite
+def payloads(draw):
+    return SnapshotPayload(
+        nodes=draw(st.lists(NODE_KEY, max_size=8)),
+        edges=draw(st.lists(st.tuples(NODE_KEY, NODE_KEY, VALUE), max_size=10)),
+        coordinates=draw(st.dictionaries(NODE_KEY, st.tuples(VALUE, VALUE), max_size=5)),
+        fragment_edges=draw(st.lists(st.lists(NODE_PAIR, max_size=5), max_size=4)),
+        algorithm=draw(st.sampled_from(["center-based", "it's \"quoted\"", ""])),
+        semiring_name=draw(st.sampled_from(["shortest_path", "reachability"])),
+        # An empty table, and a fragment pair with no facts, both occur.
+        complementary_values=draw(
+            st.dictionaries(FRAGMENT_PAIR, st.dictionaries(NODE_PAIR, VALUE, max_size=4), max_size=4)
+        ),
+        complementary_paths={},
+    )
+
+
+class TestContentHash:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads())
+    @example(SnapshotPayload([], [], {}, [], "", "shortest_path", {}, {}))
+    def test_one_pass_hash_is_the_sorting_hash(self, payload):
+        assert compute_version(payload) == compute_version_by_sorting(payload)
+
+    def test_digest_of_a_fixed_payload_is_pinned(self):
+        # Changing this literal orphans every snapshot already on disk: their
+        # manifests say what their payloads hashed to when they were written.
+        payload = SnapshotPayload(
+            nodes=[0, 1, "hub", ("x", 2)],
+            edges=[(0, 1, 1.0), (1, "hub", 2.5), ("hub", ("x", 2), 1e-07), (("x", 2), 0, 1e16)],
+            coordinates={0: (0.0, 0.0), "hub": (1.5, -2.0)},
+            fragment_edges=[[(0, 1), (1, "hub")], [("hub", ("x", 2)), (("x", 2), 0)], []],
+            algorithm="center-based",
+            semiring_name="shortest_path",
+            complementary_values={(0, 1): {("hub", 0): 1e16, (0, "hub"): 3.5}, (1, 2): {}},
+            complementary_paths={(0, 1): {("hub", 0): ["hub", ("x", 2), 0]}},
+            precompute_work=7,  # operational: not part of the hash
+        )
+        assert compute_version(payload) == "7b07814a7ccd989d"
+
+    def test_saved_manifest_carries_the_sorting_hash(self, prepared, tmp_path):
+        _, _, engine = prepared
+        save_snapshot(tmp_path / "snap", engine)
+        manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+        payload = pickle.loads((tmp_path / "snap" / "payload.pkl").read_bytes())
+        assert manifest["version"] == compute_version_by_sorting(payload)
