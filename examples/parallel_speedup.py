@@ -6,8 +6,9 @@ per-fragment transitive closures run independently, and each fragment's
 diameter — hence its iteration count — shrinks as the graph is split further.
 This example sweeps the number of clusters/fragments, simulates an end-to-end
 query workload at each point, and prints the speed-up and iteration-reduction
-series.  It closes with a real multiprocessing run of one query to show the
-subqueries executing as independent OS processes.
+series.  It closes with a real multiprocessing run of one query —
+``QueryService(fragmentation, workers=4)`` — to show the subqueries executing
+as independent OS processes.
 
 Run with:  python examples/parallel_speedup.py
 """
@@ -20,7 +21,8 @@ from repro.generators import (
     cross_cluster_queries,
     generate_transportation_graph,
 )
-from repro.parallel import MultiprocessQueryExecutor, speedup_curve
+from repro.parallel import speedup_curve
+from repro.service import QueryService
 
 
 def network_with(cluster_count: int):
@@ -55,13 +57,14 @@ def main() -> None:
     # One query executed with real worker processes (one per fragment).
     network = network_with(4)
     fragmentation = GroundTruthFragmenter(network.clusters).fragment(network.graph)
-    executor = MultiprocessQueryExecutor(fragmentation, processes=4)
     query = cross_cluster_queries(network.clusters, 1, seed=9, minimum_cluster_distance=3)[0]
-    answer = executor.query(query.source, query.target)
-    print(
-        f"\nmultiprocessing run: {query.source} -> {query.target} = {answer.value:.1f} "
-        f"({answer.subqueries_executed} subqueries on {answer.worker_count} worker processes)"
-    )
+    with QueryService(fragmentation, workers=4) as service:
+        answer = service.query(query.source, query.target)
+        print(
+            f"\nmultiprocessing run: {query.source} -> {query.target} = {answer.value:.1f} "
+            f"({service.stats.local_evaluations} subqueries on "
+            f"{service.pool_health()['workers']} worker processes)"
+        )
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ from .graph import CompactGraph, DiGraph, Point
 from .observability import MetricsRegistry, QueryLog, Tracer
 from .parallel import (
     CostModel,
-    MultiprocessQueryExecutor,
     ParallelSimulator,
     SpeedupPoint,
     compare_fragmenters,
@@ -148,7 +147,6 @@ __all__ = [
     "LiveRefragmenter",
     "MetricsRegistry",
     "Migration",
-    "MultiprocessQueryExecutor",
     "NoChainError",
     "ParallelSimulator",
     "PathQuery",

@@ -30,7 +30,9 @@ Python:
   shares.
 
 Both serving front-ends parse commands through the one shared grammar in
-:mod:`repro.serving.protocol`, so the surfaces cannot drift apart.
+:mod:`repro.serving.protocol` and execute them through the one verb table in
+:mod:`repro.serving.verbs`, so the surfaces cannot drift apart; ``serve``
+only renders the documents ``net-serve`` sends.
 """
 
 from __future__ import annotations
@@ -55,14 +57,9 @@ from .generators import (
 )
 from .graph import DiGraph, load_json, save_json
 from .observability import SamplingProfiler, SLOMonitor, default_slos
-from .refragmentation import (
-    REFRAGMENT_ALGORITHMS,
-    RefragmentationAdvisor,
-    fragmenter_for,
-)
+from .refragmentation import REFRAGMENT_ALGORITHMS, fragmenter_for
 from .service import (
     QueryService,
-    WorkerPoolError,
     is_snapshot_directory,
     save_snapshot,
     semiring_from_name,
@@ -71,9 +68,11 @@ from .serving import (
     AdmissionConfig,
     ClosureServer,
     Request,
+    SERVICE_ERRORS,
     ServingConfig,
     commands_for,
     decode_node,
+    execute,
     parse_line,
 )
 
@@ -228,94 +227,202 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairs(pairs: List[str]) -> List[tuple]:
+def _load_queries(args: argparse.Namespace, *, required: bool) -> List[tuple]:
+    """The workload of ``batch-query`` / ``stats`` / ``profile``: the
+    ``--queries FILE`` list of pairs, else the ``SOURCE:TARGET`` arguments."""
     queries = []
-    for pair in pairs:
-        if ":" not in pair:
-            raise ReproError(f"batch query {pair!r} is not of the form SOURCE:TARGET")
-        source, _, target = pair.partition(":")
-        queries.append((_decode_node(source), _decode_node(target)))
+    if args.queries:
+        for pair in json.loads(Path(args.queries).read_text()):
+            queries.append((_decode_node(str(pair[0])), _decode_node(str(pair[1]))))
+    else:
+        for pair in args.pairs:
+            if ":" not in pair:
+                raise ReproError(f"batch query {pair!r} is not of the form SOURCE:TARGET")
+            source, _, target = pair.partition(":")
+            queries.append((_decode_node(source), _decode_node(target)))
+    if required and not queries:
+        raise ReproError("no queries given: pass SOURCE:TARGET pairs or --queries FILE")
     return queries
 
 
-def _print_answer(answer) -> None:
-    if answer.error is not None:
-        print(f"{answer.source} -> {answer.target}: error: {answer.error}")
-    elif not answer.exists():
-        print(f"{answer.source} -> {answer.target}: no path")
-    else:
-        cached = " (cached)" if answer.cached else ""
-        chain = list(answer.chain) if answer.chain else []
-        print(f"{answer.source} -> {answer.target}: value {answer.value}, chain {chain}{cached}")
+# ------------------------------------------------------ console rendering
+#
+# One function per verb turns the plain-data document of
+# ``repro.serving.verbs`` into the console's text.  Nothing here sees the
+# service: what the console prints is what the network sends.
 
 
-def _print_stats(service: QueryService) -> None:
-    for key, value in service.stats.as_dict().items():
+def _render_answer(answer: dict) -> str:
+    pair = f"{answer['source']} -> {answer['target']}"
+    if answer["error"] is not None:
+        return f"{pair}: error: {answer['error']}"
+    if answer["value"] is None:
+        return f"{pair}: no path"
+    cached = " (cached)" if answer["cached"] else ""
+    return f"{pair}: value {answer['value']}, chain {answer['chain'] or []}{cached}"
+
+
+def _render_stats(document: dict) -> str:
+    """The ``stats`` verb's three documents: exposition text verbatim, the
+    full ``json`` export as JSON, the flat counters as ``key: value`` lines."""
+    if "prometheus" in document:
+        return document["prometheus"].rstrip("\n")
+    if "metrics" in document:
+        return json.dumps(document, indent=2, default=str, sort_keys=True)
+    lines = []
+    for key, value in document["stats"].items():
         if isinstance(value, float) and "latency" in key:
-            print(f"{key}: {value:.6f}s")
+            lines.append(f"{key}: {value:.6f}s")
         else:
-            print(f"{key}: {value}")
-    for outcome in ("evaluated", "cached"):
-        quantiles = service.stats.latency_quantiles(outcome=outcome)
+            lines.append(f"{key}: {value}")
+    for outcome, quantiles in document["latency_quantiles"].items():
         for name, value in quantiles.items():
-            print(f"{outcome}_latency_{name}: {value:.6f}s")
+            lines.append(f"{outcome}_latency_{name}: {value:.6f}s")
+    return "\n".join(lines)
 
 
-def _print_slowlog(service: QueryService, count: int) -> None:
-    entries = service.query_log.slowest(count)
-    if not entries:
-        print("slow log empty")
-        return
-    for entry in entries:
-        suffix = " (cached)" if entry.cached else ""
-        if entry.trace_id is not None:
-            # The link into the tracing layer: feed this id to the tracer's
-            # retained traces to see the query's full span tree.
-            suffix += f" trace {entry.trace_id}"
-        if entry.error is not None:
-            suffix += f" error: {entry.error}"
-        print(
-            f"{entry.latency:.6f}s {entry.source} -> {entry.target} "
-            f"fragments {list(entry.fragments)}{suffix}"
+def _render_slowlog(document: dict) -> str:
+    lines = []
+    for entry in document["slowlog"]:
+        suffix = " (cached)" if entry["cached"] else ""
+        if entry["trace"] is not None:
+            suffix += f" trace {entry['trace']}"
+        if entry["error"] is not None:
+            suffix += f" error: {entry['error']}"
+        lines.append(
+            f"{entry['latency']:.6f}s {entry['source']} -> {entry['target']} "
+            f"fragments {entry['fragments']}{suffix}"
         )
+    return "\n".join(lines) or "slow log empty"
 
 
-def _render_metrics(service: QueryService, fmt: str) -> None:
-    if fmt == "prometheus":
-        sys.stdout.write(service.metrics("prometheus"))
-    elif fmt == "json":
-        print(json.dumps(service.metrics("json"), indent=2, default=str, sort_keys=True))
-    else:
-        _print_stats(service)
+def _render_health(document: dict) -> str:
+    checks = document["checks"]
+    pool, slo = checks["pool"], checks["slo"]
+    lines = [
+        document["status"],
+        f"pool: {pool.get('mode')} ({pool.get('alive')}/{pool.get('workers')} workers alive)",
+        f"catalog_version: {checks['catalog_version']}",
+        f"slo_severity: {slo['severity']}",
+    ]
+    for status in slo["objectives"]:
+        lines.append(
+            f"slo {status['name']}: error_rate {status['error_rate']:.6f}, "
+            f"budget_remaining {status['budget_remaining']:.3f}, "
+            f"severity {status['severity']}"
+        )
+    return "\n".join(lines)
+
+
+def _render_profile(document: dict) -> str:
+    report = document["profile"]
+    lines = [f"samples: {report['samples']} (interval {report['interval_seconds']}s)"]
+    for row in report["top_offenders"]:
+        lines.append(f"{row['share']:.3f} [{row['backend']}] {row['frame']}")
+    for row in report["span_breakdown"]:
+        lines.append(f"span {row['span']} [{row['backend']}]: {row['share']:.3f}")
+    for backend, share in sorted(report["backend_shares"].items()):
+        lines.append(f"backend {backend}: {share:.3f}")
+    return "\n".join(lines)
+
+
+def _render_placement(document: dict) -> str:
+    placement = document["placement"]
+    if placement is None:
+        return f"placement: {document['mode']} (no worker pool)"
+    workers = placement["workers"]
+    lines = [
+        f"placement: {document['mode']}, policy {placement['policy']}, "
+        f"{len(workers)} workers"
+    ]
+    for worker, pinned in workers.items():
+        suffix = f" (+replicas {pinned['replicas']})" if pinned["replicas"] else ""
+        lines.append(f"worker {worker}: owns {pinned['owns']}{suffix}")
+    return "\n".join(lines)
+
+
+def _render_migrate(document: dict) -> str:
+    fragment, worker = document["fragment"], document["worker"]
+    if document["moved"]:
+        return f"migrated fragment {fragment} to worker {worker}"
+    return f"fragment {fragment} already lives on worker {worker}"
+
+
+def _render_rebalance(document: dict) -> str:
+    return "\n".join(
+        f"migrated fragment {migration['fragment']}: worker "
+        f"{migration['from_worker']} -> {migration['to_worker']} "
+        f"({migration['reason']})"
+        for migration in document["migrations"]
+    ) or "balanced; no migrations recommended"
+
+
+def _render_refragment(document: dict) -> str:
+    if document["scoped"]:
+        return (
+            f"refragmented live: rebuilt {document['changed']} "
+            f"fragment(s), kept {document['unchanged']}, "
+            f"recovered {document['border_nodes_recovered']} border "
+            f"node(s); catalog version {document['version']}"
+        )
+    if document["refragmented"]:
+        return f"refragmented (full rebuild); catalog version {document['version']}"
+    return "advisor found no worthwhile redraw; layout unchanged"
+
+
+def _render_advise(document: dict) -> str:
+    lines = [f"{key}: {value}" for key, value in document["signals"].items()]
+    lines.append(f"update_skew: {document['update_skew']:.2f}")
+    lines.extend(f"# {line}" for line in document["rationale"])
+    return "\n".join(lines)
+
+
+_RENDERERS = {
+    "query": lambda d: _render_answer(d["answer"]),
+    "batch": lambda d: "\n".join(_render_answer(answer) for answer in d["answers"]),
+    "update": lambda d: f"updated; fragment {d['fragment']}, catalog version {d['version']}",
+    "delete": lambda d: f"deleted; fragment {d['fragment']}, catalog version {d['version']}",
+    "stats": _render_stats,
+    "slowlog": _render_slowlog,
+    "trace": lambda d: f"tracing {'on' if d['tracing'] else 'off'}",
+    "healthz": _render_health,
+    "readyz": _render_health,
+    "profile": _render_profile,
+    "placement": _render_placement,
+    "migrate": _render_migrate,
+    "rebalance": _render_rebalance,
+    "refragment": _render_refragment,
+    "advise": _render_advise,
+    "snapshot": lambda d: f"wrote snapshot to {d['directory']} (version {d['version']})",
+}
+
+
+def render(op: str, document: dict) -> str:
+    """Render the document ``repro.serving.execute`` returned for ``op`` as
+    the console's text (no trailing newline)."""
+    if not document["ok"] and "error" in document:
+        return f"error: {document['error']}"
+    return _RENDERERS[op](document)
+
+
+def _run_verb(service: QueryService, monitor: SLOMonitor, op: str, *arguments: object) -> str:
+    """Execute one verb for a one-shot command and render its document."""
+    request = Request(op, arguments)
+    return render(op, execute(service, request, monitor=monitor, profiler=None))
 
 
 def _cmd_batch_query(args: argparse.Namespace) -> int:
-    if args.queries:
-        queries = [
-            (_decode_node(str(pair[0])), _decode_node(str(pair[1])))
-            for pair in json.loads(Path(args.queries).read_text())
-        ]
-    else:
-        queries = _parse_pairs(args.pairs)
-    if not queries:
-        raise ReproError("no queries given: pass SOURCE:TARGET pairs or --queries FILE")
+    queries = _load_queries(args, required=True)
     with _build_service(args) as service:
-        for answer in service.query_batch(queries):
-            _print_answer(answer)
+        monitor = SLOMonitor(service.registry, default_slos())
+        print(_run_verb(service, monitor, "batch", *(node for pair in queries for node in pair)))
         if args.stats:
-            _print_stats(service)
+            print(_run_verb(service, monitor, "stats"))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    queries = []
-    if args.queries:
-        queries = [
-            (_decode_node(str(pair[0])), _decode_node(str(pair[1])))
-            for pair in json.loads(Path(args.queries).read_text())
-        ]
-    elif args.pairs:
-        queries = _parse_pairs(args.pairs)
+    queries = _load_queries(args, required=False)
     # The build chatter ("# prepared ...") goes to stderr so the rendered
     # metrics stay machine-parseable (JSON output especially).
     with contextlib.redirect_stdout(sys.stderr):
@@ -323,26 +430,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     with service:
         # The monitor baselines *before* the workload so the health view
         # reflects what the workload did, not a zero-delta snapshot.
-        monitor = SLOMonitor(service.registry, default_slos()) if args.health else None
+        monitor = SLOMonitor(service.registry, default_slos())
         if queries:
             service.query_batch(queries)
-        if monitor is not None:
-            _print_health(service, monitor, ready=False)
+        if args.health:
+            print(_run_verb(service, monitor, "healthz"))
         else:
-            _render_metrics(service, args.format)
+            print(_run_verb(service, monitor, "stats", args.format))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.queries:
-        queries = [
-            (_decode_node(str(pair[0])), _decode_node(str(pair[1])))
-            for pair in json.loads(Path(args.queries).read_text())
-        ]
-    else:
-        queries = _parse_pairs(args.pairs)
-    if not queries:
-        raise ReproError("no queries given: pass SOURCE:TARGET pairs or --queries FILE")
+    queries = _load_queries(args, required=True)
     with contextlib.redirect_stdout(sys.stderr):
         service = _build_service(args)
     with service:
@@ -356,183 +455,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 service.query_batch(queries)
         finally:
             profiler.stop()
+        report = profiler.report(top=args.top)
         if args.json:
-            print(json.dumps(profiler.report(top=args.top), indent=2, sort_keys=True))
+            print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            _print_profile(profiler, args.top)
+            print(render("profile", {"ok": True, "profile": report}))
     return 0
-
-
-def _print_placement(service: QueryService) -> None:
-    plan = service.placement_plan
-    mode = service.pool_health()["mode"]
-    if plan is None:
-        print(f"placement: {mode} (no worker pool)")
-        return
-    print(f"placement: {mode}, policy {plan.policy}, {plan.worker_count} workers")
-    for worker in range(plan.worker_count):
-        owned = plan.owned_by(worker)
-        replicated = sorted(set(plan.fragments_on(worker)) - set(owned))
-        suffix = f" (+replicas {replicated})" if replicated else ""
-        print(f"worker {worker}: owns {owned}{suffix}")
-
-
-def _print_health(
-    service: QueryService, monitor: SLOMonitor, *, ready: bool
-) -> None:
-    """Console rendering of the ``healthz`` / ``readyz`` documents.
-
-    Mirrors the network server's checks minus the admission queue (stdin
-    serves one command at a time, so there is no queue to saturate).
-    """
-    pool = service.pool_health()
-    statuses = monitor.evaluate()
-    severity = monitor.worst_severity(statuses)
-    healthy = bool(pool.get("healthy", True))
-    if ready:
-        is_ready = healthy and severity != "page"
-        print("ready" if is_ready else "not_ready")
-    else:
-        print("ok" if healthy else "degraded")
-    print(
-        f"pool: {pool.get('mode')} ({pool.get('alive')}/{pool.get('workers')} "
-        f"workers alive)"
-    )
-    print(f"catalog_version: {service.catalog_version}")
-    print(f"slo_severity: {severity}")
-    for status in statuses.values():
-        print(
-            f"slo {status.name}: error_rate {status.error_rate:.6f}, "
-            f"budget_remaining {status.budget_remaining:.3f}, "
-            f"severity {status.severity}"
-        )
-
-
-def _print_profile(profiler: Optional[SamplingProfiler], top: int) -> None:
-    if profiler is None:
-        print("profiling disabled (start with --profile-interval)")
-        return
-    report = profiler.report(top=top)
-    print(
-        f"samples: {report['samples']} (interval {report['interval_seconds']}s)"
-    )
-    for row in report["top_offenders"]:
-        print(f"{row['share']:.3f} [{row['backend']}] {row['frame']}")
-    for row in report["span_breakdown"]:
-        print(f"span {row['span']} [{row['backend']}]: {row['share']:.3f}")
-    for backend, share in sorted(report["backend_shares"].items()):
-        print(f"backend {backend}: {share:.3f}")
-
-
-def _execute_console_command(
-    service: QueryService,
-    request: Request,
-    *,
-    slo_monitor: Optional[SLOMonitor] = None,
-    profiler: Optional[SamplingProfiler] = None,
-) -> bool:
-    """Execute one validated console command; returns ``False`` on quit/exit.
-
-    Arity and choices were already checked by the shared grammar
-    (:func:`repro.serving.protocol.parse_line`), so the dispatch below only
-    interprets arguments — exactly what the network server does with the
-    same :class:`~repro.serving.protocol.Request` objects.
-    """
-    op = request.op
-    if op in ("quit", "exit"):
-        return False
-    if op == "query":
-        _print_answer(service.query(request.node(0), request.node(1)))
-    elif op == "batch":
-        for answer in service.query_batch(request.pairs()):
-            _print_answer(answer)
-    elif op == "update":
-        owner = service.update_edge(
-            request.node(0), request.node(1), request.number(2, 1.0)
-        )
-        print(f"updated; fragment {owner}, catalog version {service.catalog_version}")
-    elif op == "delete":
-        owner = service.update_edge(request.node(0), request.node(1), delete=True)
-        print(f"deleted; fragment {owner}, catalog version {service.catalog_version}")
-    elif op == "stats":
-        _render_metrics(service, (request.text(0, "text") or "text").lower())
-    elif op == "trace":
-        toggle = (request.text(0) or "").lower()
-        if toggle == "on":
-            service.tracer.enable()
-        else:
-            service.tracer.disable()
-        print(f"tracing {toggle}")
-    elif op == "slowlog":
-        _print_slowlog(service, request.integer(0, 10) or 10)
-    elif op in ("healthz", "readyz"):
-        # A per-command throwaway monitor would baseline at the current
-        # counters and report zero burn forever; the serve loop passes one
-        # monitor that lives as long as the session.
-        monitor = slo_monitor or SLOMonitor(service.registry, default_slos())
-        _print_health(service, monitor, ready=op == "readyz")
-    elif op == "profile":
-        _print_profile(profiler, request.integer(0, 10) or 10)
-    elif op == "placement":
-        _print_placement(service)
-    elif op == "migrate":
-        fragment, worker = request.integer(0), request.integer(1)
-        moved = service.migrate(fragment, worker)
-        print(
-            f"migrated fragment {fragment} to worker {worker}"
-            if moved
-            else f"fragment {fragment} already lives on worker {worker}"
-        )
-    elif op == "rebalance":
-        migrations = service.rebalance()
-        if not migrations:
-            print("balanced; no migrations recommended")
-        for migration in migrations:
-            print(
-                f"migrated fragment {migration.fragment_id}: worker "
-                f"{migration.from_worker} -> {migration.to_worker} "
-                f"({migration.reason})"
-            )
-    elif op == "refragment":
-        redraws_before = service.stats.refragments
-        result = service.refragment(request.text(0))
-        if result is not None:
-            print(
-                f"refragmented live: rebuilt {len(result.changed)} "
-                f"fragment(s), kept {len(result.unchanged)}, "
-                f"recovered {result.border_nodes_recovered()} border "
-                f"node(s); catalog version {service.catalog_version}"
-            )
-        elif service.stats.refragments > redraws_before:
-            print(
-                "refragmented (full rebuild); catalog version "
-                f"{service.catalog_version}"
-            )
-        else:
-            print("advisor found no worthwhile redraw; layout unchanged")
-    elif op == "advise":
-        advisor = service.refragment_advisor or RefragmentationAdvisor()
-        fragmentation = service.database.fragmentation()
-        assessment = advisor.assess(
-            fragmentation,
-            version_vector=service.version_vector,
-            delta_log=service.database.delta_log,
-            query_log=service.query_log,
-        )
-        for key, value in assessment.signals.as_dict().items():
-            print(f"{key}: {value}")
-        print(f"update_skew: {assessment.update_skew:.2f}")
-        for line in advisor.recommend(fragmentation).rationale:
-            print(f"# {line}")
-    elif op == "snapshot":
-        directory = request.text(0)
-        manifest = service.snapshot(directory)
-        print(f"wrote snapshot to {directory} (version {manifest.version})")
-    return True
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     with _build_service(args) as service:
+        # One monitor for the session: a per-command throwaway would baseline
+        # at the current counters and report zero burn forever.
         slo_monitor = SLOMonitor(service.registry, default_slos())
         profiler: Optional[SamplingProfiler] = None
         if getattr(args, "profile_interval", None) is not None:
@@ -544,17 +478,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             for line in sys.stdin:
                 try:
-                    # One grammar, one error path: parse_line validates against
-                    # the same specs the network server enforces, and every
-                    # grammar/service failure renders as the same "error: ...".
+                    # One grammar, one verb table, one error path: the same
+                    # parse, the same execute and the same failures as the
+                    # network server; only the rendering is the console's.
                     request = parse_line(line, surface="console")
                     if request is None:
                         continue
-                    if not _execute_console_command(
-                        service, request, slo_monitor=slo_monitor, profiler=profiler
-                    ):
+                    if request.op in ("quit", "exit"):
                         break
-                except (ReproError, ValueError, OSError, WorkerPoolError) as error:
+                    document = execute(
+                        service, request, monitor=slo_monitor, profiler=profiler
+                    )
+                    print(render(request.op, document))
+                except SERVICE_ERRORS as error:
                     # A bad line must not take the server down — nor must a
                     # routed-pool failure (worker error reply, reply timeout).
                     print(f"error: {error}")
@@ -579,7 +515,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
             quantum_seconds=args.quantum,
             page_size=args.page_size,
             quanta_per_call=args.quanta_per_call,
-            preemption=not args.no_preemption,
             idle_assess_seconds=args.idle_assess,
             profile_interval=args.profile_interval,
             admission=AdmissionConfig(
@@ -725,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     net_serve.add_argument("--quanta-per-call", type=int, default=2,
                            help="quanta one closure/resume call runs before "
                                 "suspending into a continuation token")
-    net_serve.add_argument("--no-preemption", action="store_true",
-                           help="disable quanta: closures run to completion in "
-                                "one event-loop turn (benchmark baseline only)")
     net_serve.add_argument("--max-concurrent", type=int, default=8,
                            help="requests evaluating at once (admission slots)")
     net_serve.add_argument("--max-queue", type=int, default=64,

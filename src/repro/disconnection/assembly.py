@@ -175,7 +175,7 @@ def assemble_best_chain(
     Returns the best path value over all chains and the chain that realised
     it (``(None, None)`` when no chain yields a path).  ``results_by_key``
     maps :meth:`LocalQuerySpec.key` to the evaluated local result, as
-    produced by the executor pool or the query service.
+    produced by the worker pool or the in-process evaluator.
     """
     semiring = semiring or shortest_path_semiring()
     assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []

@@ -8,8 +8,8 @@ both sites storing the fragments R_i and R_j").
 
 The :class:`FragmentSite` value object materialises exactly that per-site
 state; the :class:`DistributedCatalog` owns all sites plus the global metadata
-a coordinator needs for planning (the fragmentation graph).  The parallel
-executor hands each :class:`FragmentSite` to a separate worker.
+a coordinator needs for planning (the fragmentation graph).  The placed
+worker pool hands each :class:`FragmentSite` to its owner worker.
 """
 
 from __future__ import annotations

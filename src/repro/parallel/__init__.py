@@ -1,14 +1,13 @@
-"""Parallel execution substrate: cost model, simulator, scheduler, real executor.
+"""Parallel execution substrate: cost model, simulator, scheduler.
 
 The paper's PRISMA/DB multiprocessor is substituted by a simulator whose cost
 model is expressed in the paper's own workload quantities (iterations,
-intermediate tuples, assembly joins); a multiprocessing-based executor runs
-the independent local subqueries as real OS processes for end-to-end
-validation.
+intermediate tuples, assembly joins).  Running the independent local
+subqueries as real OS processes is ``QueryService(fragmentation, workers=N)``
+(:mod:`repro.service`), the one door to pooled evaluation.
 """
 
 from .cost_model import CostModel
-from .executor import MultiprocessQueryExecutor, ParallelAnswer
 from .scheduler import (
     POLICY_LPT,
     POLICY_ROUND_ROBIN,
@@ -22,10 +21,8 @@ from .speedup import SpeedupPoint, compare_fragmenters, speedup_curve
 __all__ = [
     "Assignment",
     "CostModel",
-    "MultiprocessQueryExecutor",
     "POLICY_LPT",
     "POLICY_ROUND_ROBIN",
-    "ParallelAnswer",
     "ParallelSimulator",
     "QuerySimulation",
     "SpeedupPoint",

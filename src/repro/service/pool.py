@@ -1,9 +1,8 @@
 """Placed worker pool: fragment sites pinned in long-lived owner processes.
 
-The per-query executor of :mod:`repro.parallel.executor` originally spawned a
-fresh ``multiprocessing.Pool`` for every query, re-shipping every fragment
-site each time; for a serving workload that start-up cost dwarfs the local
-evaluation the paper parallelises.  :class:`PlacedWorkerPool` keeps the
+Spawning a fresh ``multiprocessing.Pool`` for every query would re-ship every
+fragment site each time; for a serving workload that start-up cost dwarfs the
+local evaluation the paper parallelises.  :class:`PlacedWorkerPool` keeps the
 workers alive for the lifetime of the service: each worker receives its
 fragment sites exactly once at start-up — in their *compact* form
 (:class:`~repro.disconnection.catalog.CompactFragmentSite`: augmented CSR

@@ -11,6 +11,9 @@ The parts, bottom-up:
 
 * :mod:`~repro.serving.protocol` — the one command grammar both the stdin
   console loop and the network server parse against;
+* :mod:`~repro.serving.verbs` — the one handler table both execute through:
+  every verb that reaches the service, implemented once, returning a
+  plain-data document;
 * :mod:`~repro.serving.preemption` — :class:`PreemptableClosureIterator`,
   the quantum-at-a-time closure evaluation with plain-data picklable
   :class:`SavedQueryState` snapshots and the bit-identical resume contract;
@@ -43,6 +46,7 @@ from .protocol import (
     parse_line,
 )
 from .server import ClosureServer, ServingConfig
+from .verbs import HANDLERS, SERVICE_ERRORS, execute
 
 __all__ = [
     "ALL_SOURCES",
@@ -53,16 +57,19 @@ __all__ = [
     "ClosureServer",
     "CommandSpec",
     "ContinuationStore",
+    "HANDLERS",
     "PreemptableClosureIterator",
     "ProtocolError",
     "QuantumReport",
     "Request",
+    "SERVICE_ERRORS",
     "SavedQueryState",
     "ServingConfig",
     "StaleStateError",
     "TokenBucket",
     "commands_for",
     "decode_node",
+    "execute",
     "parse_json_request",
     "parse_line",
 ]

@@ -15,7 +15,9 @@ and both get back a validated request — or a :class:`ProtocolError` whose
 message is what the surface reports verbatim (``error: ...``), which is the
 shared error path.  Coercions (node decoding, weights, counts) live on the
 request, so "integers stay integers, the rest are strings" means the same
-thing over a socket as it does on stdin.
+thing over a socket as it does on stdin, and a JSON argument of the wrong
+type is a :class:`ProtocolError` on either.  What a validated request *does*
+is :mod:`repro.serving.verbs`.
 """
 
 from __future__ import annotations
@@ -143,40 +145,52 @@ def commands_for(surface: str) -> List[str]:
 
 @dataclass(frozen=True)
 class Request:
-    """One validated serving command with typed argument accessors."""
+    """One validated serving command with typed argument accessors.
+
+    The accessors are the trust boundary for argument *types*: a stdin token
+    is always a string, but a JSON argument may be ``null``, a boolean, an
+    array or an object, and those are a :class:`ProtocolError` here rather
+    than a ``TypeError`` somewhere inside the service.
+    """
 
     op: str
     args: Tuple[object, ...] = ()
     options: Mapping[str, object] = field(default_factory=dict)
 
+    def _scalar(self, index: int) -> object:
+        value = self.args[index]
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ProtocolError(
+                f"argument {index + 1} of {self.op!r} must be a string or a "
+                f"number, got {value!r}"
+            )
+        return value
+
     def node(self, index: int) -> object:
         """Return argument ``index`` decoded as a node key."""
-        return decode_node(self.args[index])
+        return decode_node(self._scalar(index))
 
     def text(self, index: int, default: Optional[str] = None) -> Optional[str]:
         """Return argument ``index`` as a string (``default`` when absent)."""
         if index >= len(self.args):
             return default
-        return str(self.args[index])
+        return str(self._scalar(index))
 
     def number(self, index: int, default: Optional[float] = None) -> Optional[float]:
         """Return argument ``index`` as a float (``default`` when absent)."""
         if index >= len(self.args):
             return default
-        return float(self.args[index])  # type: ignore[arg-type]
+        return float(self._scalar(index))  # type: ignore[arg-type]
 
     def integer(self, index: int, default: Optional[int] = None) -> Optional[int]:
         """Return argument ``index`` as an int (``default`` when absent)."""
         if index >= len(self.args):
             return default
-        return int(self.args[index])  # type: ignore[arg-type]
+        return int(self._scalar(index))  # type: ignore[call-overload]
 
     def pairs(self) -> List[Tuple[object, object]]:
         """Return the arguments as decoded (source, target) query pairs."""
-        return [
-            (decode_node(self.args[i]), decode_node(self.args[i + 1]))
-            for i in range(0, len(self.args), 2)
-        ]
+        return [(self.node(i), self.node(i + 1)) for i in range(0, len(self.args), 2)]
 
     def option(self, key: str, default: object = None) -> object:
         """Return a free-form request option (network requests only)."""

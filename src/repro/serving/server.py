@@ -5,8 +5,9 @@ speaks a newline-delimited JSON protocol (one request object in, one or more
 response objects out, every object on its own line) over plain TCP, and
 composes the serving subsystem's parts:
 
-* the shared grammar of :mod:`repro.serving.protocol` — the same command
-  set the ``repro serve`` stdin loop validates against;
+* the shared grammar of :mod:`repro.serving.protocol` and the one verb
+  table of :mod:`repro.serving.verbs` — the same commands, validated and
+  executed by the same code, as the ``repro serve`` stdin loop;
 * :class:`~repro.serving.admission.AdmissionController` — bounded quantum
   slots, a bounded wait queue with deadline enforcement, and per-client
   token buckets, so saturation answers *reject with retry-after* instead of
@@ -21,17 +22,20 @@ composes the serving subsystem's parts:
   new connection — and the concatenated pages are identical to an
   uninterrupted run;
 * the existing :class:`~repro.service.server.QueryService` — point queries,
-  batches and updates go through the service untouched, so they keep the
-  result cache, the batch planner, and placement-aware dispatch through the
-  routed :class:`~repro.service.pool.PlacedWorkerPool`.
+  batches, updates and the operator verbs reach it only through
+  :func:`~repro.serving.verbs.execute`, so they keep the result cache, the
+  batch planner, and placement-aware dispatch through the routed
+  :class:`~repro.service.pool.PlacedWorkerPool`.  What this module adds is
+  what only a network front has: identity (``hello`` / ``ping`` /
+  ``cancel``), streaming, admission, trace-context adoption, the queue and
+  saved-state fields of the health and stats documents, and the one
+  counter of requests by op and outcome.
 
 Because the server is a single cooperative event loop, the quantum *is* the
 fairness mechanism: a whole-graph closure occupies the loop for at most one
 quantum before control returns to waiting point queries — exactly the
 web-preemption contract (SaGe) that keeps tail latency bounded under a mixed
-heavy/light workload.  ``ServingConfig(preemption=False)`` disables the
-quantum (closures run to completion in one turn); the latency benchmark uses
-it as the degraded baseline.
+heavy/light workload.
 
 Everything observable lands in the service's shared metrics registry under
 ``repro_serving_*`` (request/quanta/page counters, quantum-duration and
@@ -67,9 +71,8 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from ..exceptions import NoChainError, ReproError
 from ..graph.compact import CompactGraph
 from ..observability import (
     SamplingProfiler,
@@ -78,8 +81,7 @@ from ..observability import (
     TraceContext,
     default_slos,
 )
-from ..refragmentation import RefragmentationAdvisor
-from ..service import QueryService, WorkerPoolError
+from ..service import QueryService
 from .admission import AdmissionConfig, AdmissionController
 from .continuations import ContinuationStore
 from .preemption import (
@@ -89,13 +91,15 @@ from .preemption import (
     StaleStateError,
 )
 from .protocol import NETWORK, ProtocolError, Request, parse_json_request
+from .verbs import SERVICE_ERRORS, execute
 
 __all__ = ["ClosureServer", "ServingConfig"]
 
-# The shared serve-loop error path: everything a bad request may legitimately
-# raise.  Both front-ends catch exactly this set; anything else is a bug and
-# must surface.
-SERVICE_ERRORS = (ReproError, ValueError, OSError, WorkerPoolError)
+# The evaluating verbs: they pay admission and run under the request's trace
+# context.  Everything else skips admission deliberately — an operator
+# inspecting or repairing a saturated server must not queue behind the
+# saturation, and probing must not consume admission tokens.
+_ADMITTED = frozenset(("query", "batch", "update", "delete"))
 
 _QUANTA_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
@@ -111,9 +115,6 @@ class ServingConfig:
         quanta_per_call: quanta one ``closure``/``resume`` call may run
             before suspending into a continuation token (the web-preemption
             unit of work).
-        preemption: ``False`` disables quanta entirely — closures run to
-            completion in one event-loop turn (the benchmark's degraded
-            baseline, never a production setting).
         continuation_capacity: suspended states parked at once.
         idle_assess_seconds: when set, run the auto-refragmentation
             assessment on this background cadence while the server is idle
@@ -131,7 +132,6 @@ class ServingConfig:
     quantum_seconds: float = 0.02
     page_size: int = 256
     quanta_per_call: int = 2
-    preemption: bool = True
     continuation_capacity: int = 256
     idle_assess_seconds: Optional[float] = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -240,6 +240,18 @@ class ClosureServer:
             "Background auto-refragmentation assessments run while idle, by outcome.",
             labelnames=("outcome",),
         )
+        # The verbs only a network front has, and what it adds to the shared
+        # documents of verbs.execute.
+        self._local_verbs = {
+            "hello": self._hello,
+            "ping": self._ping,
+            "cancel": self._cancel,
+        }
+        self._network_fields = {
+            "stats": self._add_serving_stats,
+            "healthz": self._add_queue_checks,
+            "readyz": self._add_queue_checks,
+        }
         # Whole-graph compact mirror, rebuilt lazily per catalog version.
         self._mirror: Optional[CompactGraph] = None
         self._mirror_version: Optional[str] = None
@@ -340,11 +352,16 @@ class ClosureServer:
                     await self._send(writer, {"ok": False, "error": str(error)})
                     continue
                 if request.op in ("closure", "resume"):
-                    await self._serve_closure(request, connection, writer)
+                    outcome, response = await self._serve_closure(
+                        request, connection, writer
+                    )
                 else:
-                    response = await self._serve_simple(request, connection)
-                    response.setdefault("id", request.option("id"))
-                    await self._send(writer, response)
+                    outcome, response = await self._serve_simple(request, connection)
+                # The one place requests are counted, as the reply (for a
+                # closure: its terminal line) goes out.
+                self._requests.inc(op=request.op, outcome=outcome)
+                response.setdefault("id", request.option("id"))
+                await self._send(writer, response)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             self._disconnects.inc()
         except asyncio.CancelledError:
@@ -443,281 +460,97 @@ class ClosureServer:
 
     async def _serve_simple(
         self, request: Request, connection: _Connection
-    ) -> Dict[str, object]:
-        op = request.op
+    ) -> Tuple[str, Dict[str, object]]:
+        """Serve one single-reply verb; returns ``(outcome, response)``."""
+        if request.op not in _ADMITTED:
+            return self._run(request, connection)
+        context = self._context_of(request)
+        deadline = self._deadline_of(request)
+        wait_started = time.monotonic()
+        rejection = await self._acquire_slot(
+            connection, cost=self.config.admission.light_cost, deadline=deadline
+        )
+        if rejection is not None:
+            rejection["trace"] = context.trace_id
+            return "rejected", rejection
+        waited = time.monotonic() - wait_started
+        tracer = self.service.tracer
         try:
-            if op == "hello":
-                previous = connection.identity
-                connection.identity = str(request.args[0])
-                connection.identified = True
-                # States parked before the hello follow the client to its
-                # durable identity, so an early suspension is not orphaned.
-                if previous != connection.identity:
-                    self.continuations.adopt(previous, connection.identity)
-                self._requests.inc(op=op, outcome="ok")
-                return {"ok": True, "client": connection.identity}
-            if op == "ping":
-                self._requests.inc(op=op, outcome="ok")
-                return {"ok": True, "pong": True}
-            if op == "stats":
-                self._requests.inc(op=op, outcome="ok")
-                return self._stats_response(request.text(0, "json") or "json")
-            if op == "cancel":
-                token = str(request.args[0])
-                dropped = self.continuations.discard(token, client=connection.identity)
-                self._saved_states.set(float(len(self.continuations)))
-                self._requests.inc(op=op, outcome="ok")
-                return {"ok": True, "cancelled": dropped}
-            if op == "trace":
-                if request.text(0) == "on":
-                    self.service.tracer.enable()
-                else:
-                    self.service.tracer.disable()
-                self._requests.inc(op=op, outcome="ok")
-                return {"ok": True, "tracing": self.service.tracer.enabled}
-            if op == "slowlog":
-                count = request.integer(0, 10) or 10
-                entries = [
-                    {
-                        "source": entry.source,
-                        "target": entry.target,
-                        "latency": entry.latency,
-                        "fragments": list(entry.fragments),
-                        "cached": entry.cached,
-                        "trace": entry.trace_id,
-                        "error": entry.error,
-                    }
-                    for entry in self.service.query_log.slowest(count)
-                ]
-                self._requests.inc(op=op, outcome="ok")
-                return {"ok": True, "slowlog": entries}
-            if op in ("healthz", "readyz"):
-                response = self._health_response(ready=op == "readyz")
-                self._requests.inc(op=op, outcome="ok")
-                return response
-            if op == "profile":
-                self._requests.inc(op=op, outcome="ok")
-                if self.profiler is None:
-                    return {
-                        "ok": False,
-                        "error": "profiling disabled (start with profile_interval set)",
-                    }
-                return {
-                    "ok": True,
-                    "profile": self.profiler.report(top=request.integer(0, 10) or 10),
-                }
-            if op in ("placement", "migrate", "rebalance", "refragment", "advise"):
-                response = self._serve_operator(request)
-                self._requests.inc(op=op, outcome="ok")
-                return response
-            # The evaluating verbs pay admission and run under the
-            # request's trace context.
-            context = self._context_of(request)
-            deadline = self._deadline_of(request)
-            wait_started = time.monotonic()
-            rejection = await self._acquire_slot(
-                connection, cost=self.config.admission.light_cost, deadline=deadline
+            # The root span closes before the response is awaited out:
+            # spans must never straddle an await (the tracer stack is
+            # shared by every handler on the loop).
+            with tracer.request_span(
+                "request", context=context, op=request.op, client=connection.identity
+            ):
+                tracer.attach_span("admission_wait", waited)
+                outcome, response = self._run(request, connection)
+        finally:
+            self._release_slot(connection)
+        response["trace"] = context.trace_id
+        return outcome, response
+
+    def _run(
+        self, request: Request, connection: _Connection
+    ) -> Tuple[str, Dict[str, object]]:
+        """One verb, synchronously: a failing one is an error reply, never an
+        exception out of the connection handler."""
+        try:
+            local = self._local_verbs.get(request.op)
+            if local is not None:
+                return "ok", local(request, connection)
+            response = execute(
+                self.service, request, monitor=self.slo_monitor, profiler=self.profiler
             )
-            if rejection is not None:
-                self._requests.inc(op=op, outcome="rejected")
-                rejection.setdefault("trace", context.trace_id)
-                return rejection
-            waited = time.monotonic() - wait_started
-            tracer = self.service.tracer
-            try:
-                # The root span closes before the response is awaited out:
-                # spans must never straddle an await (the tracer stack is
-                # shared by every handler on the loop).
-                with tracer.request_span(
-                    "request", context=context, op=op, client=connection.identity
-                ):
-                    tracer.attach_span("admission_wait", waited)
-                    response = self._serve_light(request)
-                response.setdefault("trace", context.trace_id)
-                return response
-            finally:
-                self._release_slot(connection)
+            extend = self._network_fields.get(request.op)
+            if extend is not None:
+                extend(request, response)
+            return "ok", response
         except SERVICE_ERRORS as error:
-            self._requests.inc(op=op, outcome="error")
-            return {"ok": False, "error": str(error)}
+            return "error", {"ok": False, "error": str(error)}
 
-    def _serve_light(self, request: Request) -> Dict[str, object]:
-        op = request.op
-        service = self.service
-        if op == "query":
-            try:
-                answer = service.query(request.node(0), request.node(1))
-            except NoChainError as error:
-                self._requests.inc(op=op, outcome="error")
-                return {"ok": False, "error": str(error)}
-            self._requests.inc(op=op, outcome="ok")
-            return {"ok": True, "answer": self._answer_dict(answer)}
-        if op == "batch":
-            answers = service.query_batch(request.pairs())
-            self._requests.inc(op=op, outcome="ok")
-            return {"ok": True, "answers": [self._answer_dict(a) for a in answers]}
-        if op == "update":
-            owner = service.update_edge(
-                request.node(0), request.node(1), request.number(2, 1.0) or 1.0
-            )
-            self._requests.inc(op=op, outcome="ok")
-            return {"ok": True, "fragment": owner, "version": service.catalog_version}
-        if op == "delete":
-            owner = service.update_edge(request.node(0), request.node(1), delete=True)
-            self._requests.inc(op=op, outcome="ok")
-            return {"ok": True, "fragment": owner, "version": service.catalog_version}
-        raise ProtocolError(f"unrecognised command {op!r}")
+    def _hello(self, request: Request, connection: _Connection) -> Dict[str, object]:
+        previous = connection.identity
+        connection.identity = request.text(0)
+        connection.identified = True
+        # States parked before the hello follow the client to its durable
+        # identity, so an early suspension is not orphaned.
+        if previous != connection.identity:
+            self.continuations.adopt(previous, connection.identity)
+        return {"ok": True, "client": connection.identity}
 
-    @staticmethod
-    def _answer_dict(answer) -> Dict[str, object]:
-        return {
-            "source": answer.source,
-            "target": answer.target,
-            "value": answer.value,
-            "chain": list(answer.chain) if answer.chain is not None else None,
-            "cached": answer.cached,
-            "error": answer.error,
-        }
+    def _ping(self, request: Request, connection: _Connection) -> Dict[str, object]:
+        return {"ok": True, "pong": True}
 
-    def _stats_response(self, fmt: str) -> Dict[str, object]:
-        if fmt == "prometheus":
-            return {"ok": True, "prometheus": self.service.metrics("prometheus")}
-        return {
-            "ok": True,
-            "stats": self.service.stats.as_dict(),
-            "serving": {
+    def _cancel(self, request: Request, connection: _Connection) -> Dict[str, object]:
+        dropped = self.continuations.discard(request.text(0), client=connection.identity)
+        self._saved_states.set(float(len(self.continuations)))
+        return {"ok": True, "cancelled": dropped}
+
+    def _add_serving_stats(self, request: Request, document: Dict[str, object]) -> None:
+        if "stats" in document:
+            document["serving"] = {
                 "active_requests": self.admission.active,
                 "queue_depth": self.admission.queued,
                 "saved_states": len(self.continuations),
                 "clients": self.admission.client_stats(),
-            },
-            "slo": self.slo_monitor.as_dict(),
-        }
-
-    # ------------------------------------------------------- health & operator
-
-    def _health_response(self, *, ready: bool) -> Dict[str, object]:
-        """The ``healthz`` (liveness) / ``readyz`` (traffic-worthiness) doc.
-
-        Liveness fails only when the pool lost workers.  Readiness
-        additionally requires a non-saturated admission queue and no
-        page-severity SLO burn — the signals a load balancer should drain
-        on before the failure becomes an outage.
-        """
-        pool = self.service.pool_health()
-        statuses = self.slo_monitor.evaluate()
-        severity = self.slo_monitor.worst_severity(statuses)
-        queue_full = self.admission.queued >= self.config.admission.max_queue
-        healthy = bool(pool.get("healthy", True))
-        checks: Dict[str, object] = {
-            "pool": pool,
-            "catalog_version": self.service.catalog_version,
-            "queue_depth": self.admission.queued,
-            "queue_capacity": self.config.admission.max_queue,
-            "active_requests": self.admission.active,
-            "saved_states": len(self.continuations),
-            "slo": self.slo_monitor.as_dict(statuses),
-        }
-        if not ready:
-            return {
-                "ok": healthy,
-                "status": "ok" if healthy else "degraded",
-                "checks": checks,
             }
-        is_ready = healthy and not queue_full and severity != "page"
-        reasons = []
-        if not healthy:
-            reasons.append("pool_degraded")
-        if queue_full:
-            reasons.append("queue_saturated")
-        if severity == "page":
-            reasons.append("slo_burn")
-        return {
-            "ok": is_ready,
-            "status": "ready" if is_ready else "not_ready",
-            "reasons": reasons,
-            "checks": checks,
-        }
 
-    def _serve_operator(self, request: Request) -> Dict[str, object]:
-        """The operator verbs, rendered as JSON for remote operators.
-
-        Same service calls the ``repro serve`` console makes; only the
-        rendering differs.  They skip admission deliberately: an operator
-        inspecting or repairing a saturated server must not queue behind
-        the saturation.
-        """
-        op = request.op
-        service = self.service
-        if op == "placement":
-            plan = service.placement_plan
-            mode = service.pool_health()["mode"]
-            if plan is None:
-                return {"ok": True, "placement": None, "mode": mode}
-            workers = {}
-            for worker in range(plan.worker_count):
-                owned = plan.owned_by(worker)
-                replicas = sorted(set(plan.fragments_on(worker)) - set(owned))
-                workers[str(worker)] = {"owns": list(owned), "replicas": replicas}
-            return {
-                "ok": True,
-                "mode": mode,
-                "placement": {"policy": plan.policy, "workers": workers},
-            }
-        if op == "migrate":
-            fragment, worker = request.integer(0), request.integer(1)
-            moved = service.migrate(fragment, worker)
-            return {"ok": True, "fragment": fragment, "worker": worker, "moved": moved}
-        if op == "rebalance":
-            migrations = service.rebalance()
-            return {
-                "ok": True,
-                "migrations": [
-                    {
-                        "fragment": migration.fragment_id,
-                        "from_worker": migration.from_worker,
-                        "to_worker": migration.to_worker,
-                        "reason": migration.reason,
-                    }
-                    for migration in migrations
-                ],
-            }
-        if op == "refragment":
-            redraws_before = service.stats.refragments
-            result = service.refragment(request.text(0))
-            if result is not None:
-                return {
-                    "ok": True,
-                    "refragmented": True,
-                    "scoped": True,
-                    "changed": len(result.changed),
-                    "unchanged": len(result.unchanged),
-                    "border_nodes_recovered": result.border_nodes_recovered(),
-                    "version": service.catalog_version,
-                }
-            refragmented = service.stats.refragments > redraws_before
-            return {
-                "ok": True,
-                "refragmented": refragmented,
-                "scoped": False,
-                "version": service.catalog_version,
-            }
-        if op == "advise":
-            advisor = service.refragment_advisor or RefragmentationAdvisor()
-            fragmentation = service.database.fragmentation()
-            assessment = advisor.assess(
-                fragmentation,
-                version_vector=service.version_vector,
-                delta_log=service.database.delta_log,
-                query_log=service.query_log,
+    def _add_queue_checks(self, request: Request, document: Dict[str, object]) -> None:
+        """Readiness over the network additionally requires a non-saturated
+        admission queue (stdin serves one command at a time: no queue)."""
+        capacity = self.config.admission.max_queue
+        document["checks"].update(
+            queue_depth=self.admission.queued,
+            queue_capacity=capacity,
+            active_requests=self.admission.active,
+            saved_states=len(self.continuations),
+        )
+        if request.op == "readyz" and self.admission.queued >= capacity:
+            document.update(
+                ok=False,
+                status="not_ready",
+                reasons=sorted(document["reasons"] + ["queue_saturated"]),
             )
-            return {
-                "ok": True,
-                "signals": assessment.signals.as_dict(),
-                "update_skew": assessment.update_skew,
-                "rationale": list(advisor.recommend(fragmentation).rationale),
-            }
-        raise ProtocolError(f"unrecognised command {op!r}")
 
     # ------------------------------------------------------- closure streaming
 
@@ -730,19 +563,16 @@ class ClosureServer:
 
     async def _serve_closure(
         self, request: Request, connection: _Connection, writer: asyncio.StreamWriter
-    ) -> None:
-        op = request.op
-        request_id = request.option("id")
+    ) -> Tuple[str, Dict[str, object]]:
+        """Stream one closure/resume call's pages; returns ``(outcome,
+        terminal line)`` for the connection loop to count and send."""
         deadline = self._deadline_of(request)
         wait_started = time.monotonic()
         rejection = await self._acquire_slot(
             connection, cost=self.config.admission.heavy_cost, deadline=deadline
         )
         if rejection is not None:
-            rejection.setdefault("id", request_id)
-            self._requests.inc(op=op, outcome="rejected")
-            await self._send(writer, rejection)
-            return
+            return "rejected", rejection
         waited = time.monotonic() - wait_started
         try:
             version = self.service.catalog_version
@@ -753,16 +583,9 @@ class ClosureServer:
                 )
             except StaleStateError as error:
                 self._stale.inc()
-                self._requests.inc(op=op, outcome="stale")
-                await self._send(
-                    writer,
-                    {"id": request_id, "ok": False, "stale": True, "error": str(error)},
-                )
-                return
+                return "stale", {"ok": False, "stale": True, "error": str(error)}
             except SERVICE_ERRORS as error:
-                self._requests.inc(op=op, outcome="error")
-                await self._send(writer, {"id": request_id, "ok": False, "error": str(error)})
-                return
+                return "error", {"ok": False, "error": str(error)}
             # One root segment per call: admission wait and call metadata
             # live here, every quantum of this call parents under it, and a
             # later resume's segment parents under it too (via the context
@@ -773,7 +596,7 @@ class ClosureServer:
             with tracer.request_span(
                 "request",
                 context=context,
-                op=op,
+                op=request.op,
                 client=connection.identity,
                 kind=iterator.kind,
             ):
@@ -781,7 +604,7 @@ class ClosureServer:
                 inner = tracer.current_context()
                 if inner is not None:
                     quantum_context = inner
-            await self._stream(
+            return await self._stream(
                 iterator, request, connection, writer, deadline, quantum_context
             )
         finally:
@@ -795,9 +618,7 @@ class ClosureServer:
         version: str,
     ) -> Tuple[PreemptableClosureIterator, TraceContext]:
         if request.op == "resume":
-            state = self.continuations.take(
-                str(request.args[0]), client=connection.identity
-            )
+            state = self.continuations.take(request.text(0), client=connection.identity)
             self._saved_states.set(float(len(self.continuations)))
             iterator = PreemptableClosureIterator.from_state(
                 mirror, state, catalog_version=version
@@ -827,7 +648,7 @@ class ClosureServer:
         writer: asyncio.StreamWriter,
         deadline: float,
         context: TraceContext,
-    ) -> None:
+    ) -> Tuple[str, Dict[str, object]]:
         config = self.config
         tracer = self.service.tracer
         request_id = request.option("id")
@@ -835,32 +656,28 @@ class ClosureServer:
         seq = 0
         suspend_reason: Optional[str] = None
         while not iterator.exhausted:
-            if config.preemption and quanta_run >= config.quanta_per_call:
+            if quanta_run >= config.quanta_per_call:
                 suspend_reason = "quanta_budget"
                 break
             if time.monotonic() >= deadline:
                 suspend_reason = "deadline"
                 break
-            if config.preemption:
-                # Each quantum is its own root segment under the call's
-                # context — the span (and any kernel spans the evaluation
-                # attaches) carries the client's trace id and closes before
-                # the pages are awaited out.
-                with tracer.request_span(
-                    "serving_quantum",
-                    context=context,
-                    op=request.op,
-                    client=connection.identity,
-                    kind=iterator.kind,
-                ) as span:
-                    report = iterator.run_quantum(
-                        config.quantum_seconds, max_rows=config.page_size
-                    )
-                    span.set("rows", len(report.rows))
-                    span.set("exhausted", report.exhausted)
-            else:
-                # Degraded baseline: the whole closure in one blocking turn.
-                report = iterator.run_quantum(float("inf"), max_rows=None)
+            # Each quantum is its own root segment under the call's
+            # context — the span (and any kernel spans the evaluation
+            # attaches) carries the client's trace id and closes before
+            # the pages are awaited out.
+            with tracer.request_span(
+                "serving_quantum",
+                context=context,
+                op=request.op,
+                client=connection.identity,
+                kind=iterator.kind,
+            ) as span:
+                report = iterator.run_quantum(
+                    config.quantum_seconds, max_rows=config.page_size
+                )
+                span.set("rows", len(report.rows))
+                span.set("exhausted", report.exhausted)
             quanta_run += 1
             self._quanta.inc()
             self._quantum_seconds.observe(report.seconds)
@@ -879,25 +696,20 @@ class ClosureServer:
                         "done": False,
                     },
                 )
-            if config.preemption and not report.exhausted:
+            if not report.exhausted:
                 # Yield the loop between quanta: this is the preemption
                 # point where queued point queries get served.
                 await asyncio.sleep(0)
         self._call_quanta.observe(float(max(1, quanta_run)))
         if iterator.exhausted:
-            self._requests.inc(op=request.op, outcome="ok")
-            await self._send(
-                writer,
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "done": True,
-                    "produced": iterator.produced,
-                    "pages": seq,
-                    "trace": context.trace_id,
-                },
-            )
-            return
+            return "ok", {
+                "id": request_id,
+                "ok": True,
+                "done": True,
+                "produced": iterator.produced,
+                "pages": seq,
+                "trace": context.trace_id,
+            }
         state = iterator.save()
         # A resumed continuation rejoins this trace: the context rides the
         # (picklable) saved state, parenting the resume segment under this
@@ -906,21 +718,17 @@ class ClosureServer:
         token = self.continuations.put(state, client=connection.identity)
         self._saved_states.set(float(len(self.continuations)))
         self._suspends.inc(reason=suspend_reason or "quanta_budget")
-        self._requests.inc(op=request.op, outcome="suspended")
-        await self._send(
-            writer,
-            {
-                "id": request_id,
-                "ok": True,
-                "done": False,
-                "suspended": True,
-                "reason": suspend_reason,
-                "continuation": token,
-                "produced": iterator.produced,
-                "pages": seq,
-                "trace": context.trace_id,
-            },
-        )
+        return "suspended", {
+            "id": request_id,
+            "ok": True,
+            "done": False,
+            "suspended": True,
+            "reason": suspend_reason,
+            "continuation": token,
+            "produced": iterator.produced,
+            "pages": seq,
+            "trace": context.trace_id,
+        }
 
     # ------------------------------------------------------------- background
 

@@ -364,6 +364,33 @@ class TestDefaultPlan:
                     assert default.query(source, target) == named.query(source, target)
                 assert default.pool_health()["mode"] == "placed"
 
+    def test_workers_alone_agrees_with_the_sequential_engine_on_a_random_graph(self):
+        from repro.disconnection import DisconnectionSetEngine
+        from repro.fragmentation import CenterBasedFragmenter
+        from repro.generators import RandomGraphConfig, generate_random_graph
+
+        graph = generate_random_graph(RandomGraphConfig(node_count=40, c1=90.0, c2=0.5), seed=11)
+        fragmentation = CenterBasedFragmenter(3, center_selection="random", seed=7).fragment(graph)
+        engine = DisconnectionSetEngine(fragmentation)
+        with QueryService(fragmentation, workers=3) as service:
+            for source, target in [(0, 39), (5, 30), (12, 27), (3, 18), (20, 8)]:
+                sequential = engine.query(source, target).value
+                pooled = service.query(source, target).value
+                assert pooled == (None if sequential is None else pytest.approx(sequential))
+            # One resident pool served every query, and closing releases it.
+            pool = service._pool
+            assert pool.is_running() and pool.respawns == 0
+            assert sum(pool.dispatch_counts.values()) >= 5
+        assert not pool.is_running()
+
+    def test_reachability_is_served_through_the_pool(self):
+        from repro.closure import reachability_semiring
+
+        fragmentation = clique_line_fragmentation()
+        with QueryService(fragmentation, semiring=reachability_semiring(), workers=2) as service:
+            assert service.query(0, 11).value is True
+            assert service.pool_health()["mode"] == "placed"
+
     def test_the_default_plan_round_trips_through_a_snapshot(self, tmp_path):
         fragmentation = clique_line_fragmentation()
         with QueryService(fragmentation, workers=2) as service:

@@ -54,13 +54,6 @@ class TestParseLine:
             with pytest.raises(ProtocolError, match="unrecognised command"):
                 parse_line(f"{op} x" if op == "snapshot" else op, surface="network")
 
-    def test_operator_commands_exist_on_both_surfaces(self):
-        # A remote operator must never be blinder than a local one: the
-        # operator controls and the health probes parse on both surfaces.
-        for op in ("placement", "rebalance", "refragment", "advise", "healthz", "readyz", "profile"):
-            assert parse_line(op, surface="console").op == op
-            assert parse_line(op, surface="network").op == op
-
     def test_unknown_surface_raises(self):
         with pytest.raises(ValueError, match="unknown surface"):
             parse_line("query a b", surface="carrier-pigeon")

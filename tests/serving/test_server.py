@@ -203,6 +203,41 @@ class TestStreaming:
         asyncio.run(scenario())
 
 
+class TestPreemption:
+    def test_point_query_is_answered_before_a_streaming_closure_finishes(self):
+        # The serving tier's one promise: a whole-graph closure occupies the
+        # loop for one quantum at a time, so a point query arriving on
+        # another connection is answered while the closure still has quanta
+        # left to run — never after its done / suspended line.
+        async def scenario():
+            graph = two_cluster_dumbbell(20, bridge_nodes=2)
+            service = QueryService(
+                GroundTruthFragmenter([set(range(20)), set(range(20, 40))]).fragment(graph)
+            )
+            config = tiny_config(quantum_seconds=0.005, page_size=4, quanta_per_call=100_000)
+            quanta = service.registry.counter("repro_serving_quanta_total")
+            async with ClosureServer(service, config) as server:
+                async with Client(*server.address) as heavy, Client(
+                    *server.address
+                ) as light:
+                    await heavy.send(op="closure", args=[ALL_SOURCES])
+                    assert (await heavy.recv()).get("page"), "the closure is streaming"
+                    answer = await light.rpc(op="query", args=["0", "39"])
+                    assert answer["ok"]
+                    quanta_when_answered = quanta.value()
+                    assert server.admission.active == 1, "the closure still holds its slot"
+                    while True:
+                        message = await heavy.recv()
+                        if message.get("done") or message.get("suspended"):
+                            break
+                    assert message.get("done"), message
+                    # 1 600 rows in pages of 4: hundreds of quanta ran after
+                    # the point query had its answer.
+                    assert quanta.value() - quanta_when_answered > 100
+
+        asyncio.run(scenario())
+
+
 class TestDisconnects:
     def test_disconnect_frees_slot_and_saved_state(self):
         async def scenario():

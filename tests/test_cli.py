@@ -150,6 +150,55 @@ class TestBatchQueryCommand:
         assert "no queries" in capsys.readouterr().err
 
 
+class TestWorkloadCommands:
+    """``batch-query``, ``stats`` and ``profile`` load one workload one way."""
+
+    @pytest.mark.parametrize("command", ["batch-query", "stats", "profile"])
+    def test_pairs_and_queries_file_are_read_alike(self, command, snapshot_dir, tmp_path, capsys):
+        queries = tmp_path / "queries.json"
+        queries.write_text(json.dumps([[0, 20], ["1", 15]]))
+        assert main([command, str(snapshot_dir), "--queries", str(queries)]) == 0
+        from_file = capsys.readouterr().out
+        assert main([command, str(snapshot_dir), "0:20", "1:15"]) == 0
+        from_pairs = capsys.readouterr().out
+        assert from_file and from_pairs
+        if command == "batch-query":
+            assert from_file == from_pairs and "1 -> 15: value" in from_pairs
+        assert main([command, str(snapshot_dir), "0-20"]) == 2
+        assert "not of the form SOURCE:TARGET" in capsys.readouterr().err
+
+    def test_stats_renders_each_format(self, snapshot_dir, capsys):
+        assert main(["stats", str(snapshot_dir), "0:20", "0:20"]) == 0
+        text = capsys.readouterr().out
+        assert "batched_queries: 2" in text and "evaluated_latency_p50: " in text
+        assert main(["stats", str(snapshot_dir), "0:20", "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["stats"]["queries"] == 1 and "metrics" in document
+        assert main(["stats", str(snapshot_dir), "0:20", "--format", "prometheus"]) == 0
+        assert "# TYPE repro_queries_total counter" in capsys.readouterr().out
+
+    def test_stats_health_prints_what_the_healthz_verb_prints(
+        self, snapshot_dir, monkeypatch, capsys
+    ):
+        import io
+
+        assert main(["stats", str(snapshot_dir), "0:20", "--health"]) == 0
+        one_shot = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr("sys.stdin", io.StringIO("query 0 20\nhealthz\nquit\n"))
+        assert main(["serve", str(snapshot_dir)]) == 0
+        served = capsys.readouterr().out.splitlines()
+        served = served[served.index("ok") : served.index("# bye")]
+        assert one_shot[:2] == ["ok", "pool: in-process (0/0 workers alive)"]
+        # Same renderer: same lines, up to the error rates the two runs measured.
+        assert [line.split(":")[0] for line in one_shot] == [
+            line.split(":")[0] for line in served
+        ]
+
+    def test_profile_prints_the_report(self, snapshot_dir, capsys):
+        assert main(["profile", str(snapshot_dir), "0:20", "--repeat", "2"]) == 0
+        assert capsys.readouterr().out.startswith("samples: ")
+
+
 class TestServeCommand:
     def _serve(self, monkeypatch, capsys, source, script):
         import io
