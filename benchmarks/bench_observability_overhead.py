@@ -43,6 +43,11 @@ The run also asserts that instrumentation changes no answer and that it
 actually recorded what it priced (traces finished, query log filled,
 Prometheus output parseable).
 
+The ``--tiny`` smoke run asserts those receipts but only reports the
+wall-clock ratios: on a shared host a run that short moves by more than the
+5% budget with the code unchanged.  The regression guard that holds at any
+size is the span budget in ``tests/integration/test_work_budgets.py``.
+
 Figures are written to ``BENCH_observability.json``.  Run
 ``python benchmarks/bench_observability_overhead.py`` directly (``--tiny``
 for the CI smoke configuration), or through pytest
@@ -344,16 +349,6 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
     overhead["propagation"] = bench_propagation(instrumented, queries, rounds)
     receipts = telemetry_receipts(instrumented, bare)
 
-    assert overhead["batched"]["overhead_ratio"] <= OVERHEAD_BUDGET, (
-        f"instrumented batched hot path is "
-        f"{overhead['batched']['overhead_ratio']}x the bare one, over the "
-        f"{OVERHEAD_BUDGET}x budget"
-    )
-    assert overhead["propagation"]["overhead_ratio"] <= OVERHEAD_BUDGET, (
-        f"trace propagation + live profiling costs "
-        f"{overhead['propagation']['overhead_ratio']}x the bare hot path, "
-        f"over the {OVERHEAD_BUDGET}x budget"
-    )
     assert overhead["propagation"]["profiler_samples"] > 0, (
         "the profiler was on during the propagation rounds but took no samples"
     )
@@ -363,10 +358,21 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
     per_query_cost = (
         cached["instrumented_median"] - cached["bare_median"]
     ) / len(queries)
-    assert per_query_cost < 20e-6, (
-        f"telemetry costs {per_query_cost * 1e6:.1f}µs per cached query, "
-        "expected well under 20µs"
-    )
+    if not tiny:
+        assert overhead["batched"]["overhead_ratio"] <= OVERHEAD_BUDGET, (
+            f"instrumented batched hot path is "
+            f"{overhead['batched']['overhead_ratio']}x the bare one, over the "
+            f"{OVERHEAD_BUDGET}x budget"
+        )
+        assert overhead["propagation"]["overhead_ratio"] <= OVERHEAD_BUDGET, (
+            f"trace propagation + live profiling costs "
+            f"{overhead['propagation']['overhead_ratio']}x the bare hot path, "
+            f"over the {OVERHEAD_BUDGET}x budget"
+        )
+        assert per_query_cost < 20e-6, (
+            f"telemetry costs {per_query_cost * 1e6:.1f}µs per cached query, "
+            "expected well under 20µs"
+        )
     assert receipts["traces_finished"] > 0, "tracing was on but produced no traces"
     assert receipts["query_log_recorded"] > 0, "query log was on but recorded nothing"
     assert receipts["bare_traces_finished"] == 0, "tracing=False must produce no traces"
@@ -376,6 +382,7 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
     report = {
         "benchmark": "observability_overhead",
         "tiny": tiny,
+        "wall_clock_budgets_asserted": not tiny,
         "workload": {
             "nodes": graph.node_count(),
             "edges": graph.edge_count(),
@@ -400,7 +407,7 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
             f"{overhead[key]['instrumented_median']:>13.6f} "
             f"{overhead[key]['overhead_ratio']:>8.4f}"
             for label, key in (
-                ("batched (asserted)", "batched"),
+                ("batched", "batched"),
                 ("propagation+profiler", "propagation"),
                 ("single, evaluated", "single_evaluated"),
                 ("single, cached", "single_cached"),
@@ -408,7 +415,8 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
         ),
         f"batched and propagation budgets {OVERHEAD_BUDGET}x; cached single "
         f"queries pay {per_query_cost * 1e6:.1f}µs each (absolute bound "
-        "20µs); identical answers throughout",
+        f"20µs); budgets {'reported only' if tiny else 'asserted'}; "
+        "identical answers throughout",
         "",
         f"receipts: {receipts['traces_finished']} traces, "
         f"{receipts['query_log_recorded']} query-log entries, "
@@ -423,10 +431,9 @@ def run_overhead_comparison(*, tiny: bool = False, output: str = OUTPUT_FILE):
 
 
 def test_observability_overhead_report():
-    """The telemetry bill stays within budget and the receipts exist."""
+    """The smoke run reports the telemetry bill and the receipts exist."""
     report = run_overhead_comparison(tiny=True)
-    assert report["overhead"]["batched"]["overhead_ratio"] <= OVERHEAD_BUDGET
-    assert report["overhead"]["propagation"]["overhead_ratio"] <= OVERHEAD_BUDGET
+    assert not report["wall_clock_budgets_asserted"]
     assert report["overhead"]["propagation"]["profiler_samples"] > 0
     assert report["telemetry"]["traces_finished"] > 0
     assert report["telemetry"]["query_log_recorded"] > 0

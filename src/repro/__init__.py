@@ -26,10 +26,8 @@ from .closure import (
     bill_of_materials,
     is_connected,
     naive_transitive_closure,
-    reachability_closure,
     reachability_semiring,
     seminaive_transitive_closure,
-    shortest_path_closure,
     shortest_path_cost,
     shortest_path_semiring,
     smart_transitive_closure,
@@ -67,7 +65,6 @@ from .fragmentation import (
     HashFragmenter,
     KConnectivityFragmenter,
     LinearFragmenter,
-    RandomNodeFragmenter,
     characterize,
 )
 from .generators import (
@@ -102,7 +99,6 @@ from .refragmentation import (
     RefragmentationAdvisor,
     measure_layout,
 )
-from .relational import Relation, edge_relation, seminaive_closure
 from .service import (
     BatchPlanner,
     LRUCache,
@@ -110,7 +106,6 @@ from .service import (
     QueryService,
     ServiceAnswer,
     ServiceStatistics,
-    SnapshotStore,
     load_snapshot,
     save_snapshot,
 )
@@ -159,16 +154,13 @@ __all__ = [
     "QueryPlanner",
     "QueryService",
     "RandomGraphConfig",
-    "RandomNodeFragmenter",
     "RebalanceAdvisor",
     "RefragmentResult",
     "RefragmentationAdvisor",
-    "Relation",
     "ReproError",
     "Semiring",
     "ServiceAnswer",
     "ServiceStatistics",
-    "SnapshotStore",
     "SpeedupPoint",
     "Tracer",
     "TransportationGraph",
@@ -177,7 +169,6 @@ __all__ = [
     "bill_of_materials",
     "characterize",
     "compare_fragmenters",
-    "edge_relation",
     "european_railway_example",
     "generate_random_graph",
     "generate_transportation_graph",
@@ -188,13 +179,10 @@ __all__ = [
     "paper_table1_config",
     "paper_table2_config",
     "precompute_complementary_information",
-    "reachability_closure",
     "reachability_engine",
     "reachability_semiring",
     "save_snapshot",
-    "seminaive_closure",
     "seminaive_transitive_closure",
-    "shortest_path_closure",
     "shortest_path_cost",
     "shortest_path_engine",
     "shortest_path_semiring",

@@ -17,14 +17,12 @@ from .backends import (
     packed_matrix,
     record_selection,
     select_kernel,
-    selection_counts,
 )
 from .base import ClosureResult, ClosureStatistics
 from .chain import ChainIndex, strongly_connected_components
 from .kernels import (
     array_dijkstra,
     bitset_diameter,
-    bitset_levels,
     bitset_reachable,
     compact_closure,
     compact_reachability_closure,
@@ -43,13 +41,8 @@ from .iterative import (
 )
 from .path_problems import (
     bill_of_materials,
-    connection_matrix,
-    diameter_in_iterations,
     is_connected,
-    reachability_closure,
-    shortest_path_closure,
     shortest_path_cost,
-    shortest_path_route,
 )
 from .semiring import (
     Semiring,
@@ -80,18 +73,14 @@ __all__ = [
     "reachability_rows",
     "record_selection",
     "select_kernel",
-    "selection_counts",
     "strongly_connected_components",
     "bfs_closure",
     "bill_of_materials",
     "bitset_diameter",
-    "bitset_levels",
     "bitset_reachable",
     "compact_closure",
     "compact_reachability_closure",
     "compact_shortest_path_closure",
-    "connection_matrix",
-    "diameter_in_iterations",
     "dijkstra_closure",
     "ids_to_mask",
     "is_connected",
@@ -100,12 +89,9 @@ __all__ = [
     "reconstruct_id_path",
     "seminaive_closure_ids",
     "path_count_semiring",
-    "reachability_closure",
     "reachability_semiring",
     "seminaive_transitive_closure",
-    "shortest_path_closure",
     "shortest_path_cost",
-    "shortest_path_route",
     "shortest_path_semiring",
     "smart_transitive_closure",
     "warshall_closure",

@@ -28,7 +28,7 @@ re-deriving; a pinned packed matrix is process-local.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..graph.compact import CompactGraph
 from ..observability.metrics import MetricsRegistry
@@ -179,11 +179,6 @@ def select_kernel(graph: CompactGraph, *, override: Optional[str] = None) -> str
 def record_selection(backend: str, context: str) -> None:
     """Count one dispatch decision (folded into service/worker registries)."""
     _selections.inc(backend=backend, context=context)
-
-
-def selection_counts() -> Dict[Tuple[str, str], int]:
-    """Return the current ``(backend, context) -> count`` series (tests, benchmarks)."""
-    return {key: int(value) for key, value in _selections.series().items()}
 
 
 def merge_selection_metrics(registry: MetricsRegistry) -> None:

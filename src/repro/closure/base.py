@@ -1,8 +1,7 @@
 """Shared types for the graph-level transitive closure algorithms.
 
 The algorithms in this package operate directly on
-:class:`~repro.graph.digraph.DiGraph` objects (the relational formulations
-live in :mod:`repro.relational.fixpoint`).  They all return a
+:class:`~repro.graph.digraph.DiGraph` objects.  They all return a
 :class:`ClosureResult`, which contains the closure as a mapping from
 ``(source, target)`` to the path value of the chosen semiring, together with
 an evaluation-statistics record that the parallel cost model consumes.
@@ -45,16 +44,6 @@ class ClosureStatistics:
         self.tuples_produced += produced
         self.delta_sizes.append(new)
 
-    def merge(self, other: "ClosureStatistics") -> "ClosureStatistics":
-        """Return combined statistics (used when summing per-fragment work)."""
-        merged = ClosureStatistics(
-            iterations=max(self.iterations, other.iterations),
-            tuples_produced=self.tuples_produced + other.tuples_produced,
-            delta_sizes=self.delta_sizes + other.delta_sizes,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-        )
-        return merged
-
 
 @dataclass
 class ClosureResult:
@@ -92,11 +81,3 @@ class ClosureResult:
     def size(self) -> int:
         """Return the number of connected pairs."""
         return len(self.values)
-
-    def restricted_to_sources(self, sources: Set[Node]) -> "ClosureResult":
-        """Return the sub-result whose source endpoint lies in ``sources``."""
-        return ClosureResult(
-            values={pair: value for pair, value in self.values.items() if pair[0] in sources},
-            semiring_name=self.semiring_name,
-            statistics=self.statistics,
-        )

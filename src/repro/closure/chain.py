@@ -211,35 +211,6 @@ class ChainIndex:
 
     # -------------------------------------------------------------- queries
 
-    def chain_count(self) -> int:
-        """Return ``k``, the width of every label row."""
-        return len(self.chains)
-
-    def reaches_component(self, cu: int, cv: int) -> bool:
-        """Return ``True`` when component ``cu`` reaches component ``cv``."""
-        if cu == cv:
-            return True
-        return self.labels[cu][self.chain_of[cv]] <= self.pos_of[cv]
-
-    def reaches_visited(self, u_id: int, v_id: int) -> bool:
-        """Node-level reachability with visited-set semantics (``u`` sees itself).
-
-        Matches ``(bitset_reachable(graph, u) >> v) & 1`` exactly: the source
-        id is always part of its own visited set, so ``u == v`` is ``True``
-        regardless of cycles.
-        """
-        if u_id == v_id:
-            return True
-        cu = self.comp_of[u_id]
-        cv = self.comp_of[v_id]
-        if cu == cv:
-            return True
-        return self.labels[cu][self.chain_of[cv]] <= self.pos_of[cv]
-
-    def is_cyclic(self, node_id: int) -> bool:
-        """Return ``True`` when ``node_id`` lies on a cycle (the ``(a, a)`` fact)."""
-        return self.comp_cyclic[self.comp_of[node_id]]
-
     def component_masks(self) -> List[int]:
         """Return (and cache) one int-as-bitset of member node ids per component."""
         if self._comp_masks is None:

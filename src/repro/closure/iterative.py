@@ -1,11 +1,11 @@
 """Iterative transitive-closure algorithms: naive, semi-naive and smart.
 
-These are the graph-level counterparts of the relational fixpoints in
-:mod:`repro.relational.fixpoint`, generalised over a path-problem semiring.
-They are used both as the *local* algorithm each processor runs on its
-fragment ("for evaluating the recursive subquery on a fragment any suitable
-single-processor algorithm may be chosen", Sec. 2.1) and as the centralised
-baselines the parallel strategy is compared against.
+The paper's naive and semi-naive fixpoints, evaluated over a graph and
+generalised over a path-problem semiring.  They are used both as the *local*
+algorithm each processor runs on its fragment ("for evaluating the recursive
+subquery on a fragment any suitable single-processor algorithm may be
+chosen", Sec. 2.1) and as the centralised baselines the parallel strategy is
+compared against.
 
 The semi-naive evaluation — the one the hot paths actually call — compiles
 graphs at or above :data:`~repro.closure.warshall.COMPACT_NODE_THRESHOLD`
@@ -123,8 +123,8 @@ def seminaive_transitive_closure(
     ``(a, a)`` facts a cycle produces, which the plain per-source closures
     deliberately omit; ``use_compact`` forces either path.  The *statistics*
     then count per-source rows rather than fixpoint rounds: callers that
-    measure the iterative algorithm itself (``diameter_in_iterations``, the
-    parallel simulator's centralized baseline) pass ``use_compact=False``.
+    measure the iterative algorithm itself (the parallel simulator's
+    centralized baseline) pass ``use_compact=False``.
     """
     semiring = semiring or shortest_path_semiring()
     from .warshall import _auto_compact  # late import: warshall also imports kernels

@@ -83,31 +83,6 @@ def bitset_reachable(
     return visited
 
 
-def bitset_levels(graph: CompactGraph, source_id: int) -> Dict[int, int]:
-    """Return hop distances from ``source_id`` by id (bitset frontier BFS)."""
-    masks = graph.successor_masks()
-    levels: Dict[int, int] = {}
-    visited = 1 << source_id
-    frontier = visited
-    depth = 0
-    while frontier:
-        scan = frontier
-        while scan:
-            low = scan & -scan
-            levels[low.bit_length() - 1] = depth
-            scan ^= low
-        reached = 0
-        scan = frontier
-        while scan:
-            low = scan & -scan
-            reached |= masks[low.bit_length() - 1]
-            scan ^= low
-        frontier = reached & ~visited
-        visited |= frontier
-        depth += 1
-    return levels
-
-
 def bitset_diameter(rows: Sequence[Sequence[int]]) -> int:
     """Return the longest hop distance over reachable pairs, all sources at once.
 

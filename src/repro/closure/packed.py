@@ -81,28 +81,6 @@ class PackedBitMatrix:
 
     # ------------------------------------------------------------- traversal
 
-    def reachable_row(self, source_id: int, stop_row=None):
-        """Return the packed visited row from ``source_id`` (itself included).
-
-        ``stop_row`` mirrors the big-int kernel's ``stop_mask`` keyhole: the
-        expansion halts once every target bit is covered.
-        """
-        np = _require_numpy()
-        visited = np.zeros(self.words, dtype=np.uint64)
-        visited[source_id >> 6] = np.uint64(1) << np.uint64(source_id & 63)
-        frontier_ids: List[int] = [source_id]
-        rows = self.rows
-        while frontier_ids:
-            if stop_row is not None and not bool((stop_row & ~visited).any()):
-                break
-            reached = np.bitwise_or.reduce(rows[frontier_ids], axis=0)
-            fresh = reached & ~visited
-            if not fresh.any():
-                break
-            visited |= fresh
-            frontier_ids = _row_ids(fresh)
-        return visited
-
     def multi_source_rows(self, source_ids: Sequence[int]):
         """Return one packed visited row per source, expanded in one sweep.
 
@@ -142,12 +120,6 @@ class PackedBitMatrix:
     def row_to_mask(self, row) -> int:
         """Convert one packed row to the kernels' int-as-bitset form."""
         return int.from_bytes(row.tobytes(), "little")
-
-    def mask_to_row(self, mask: int):
-        """Convert an int-as-bitset into a packed row (e.g. a stop mask)."""
-        np = _require_numpy()
-        data = mask.to_bytes(self.words * 8, "little")
-        return np.frombuffer(data, dtype=np.uint64).copy()
 
     def to_state(self) -> None:
         """Process-local: never part of a graph state, payload or snapshot."""

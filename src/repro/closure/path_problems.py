@@ -10,13 +10,13 @@ check both agree.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable
 
 from ..exceptions import DisconnectedError
-from ..graph import DiGraph, shortest_path as graph_shortest_path
+from ..graph import DiGraph
 from .base import ClosureResult
 from .iterative import seminaive_transitive_closure
-from .semiring import path_count_semiring, reachability_semiring, shortest_path_semiring
+from .semiring import path_count_semiring
 from .warshall import bfs_closure, dijkstra_closure
 
 Node = Hashable
@@ -47,21 +47,6 @@ def shortest_path_cost(graph: DiGraph, source: Node, target: Node) -> float:
     return float(value)  # type: ignore[arg-type]
 
 
-def shortest_path_route(graph: DiGraph, source: Node, target: Node) -> Tuple[float, List[Node]]:
-    """Return ``(cost, node_sequence)`` of a cheapest path."""
-    return graph_shortest_path(graph, source, target)
-
-
-def reachability_closure(graph: DiGraph) -> ClosureResult:
-    """Return the full reachability closure of ``graph``."""
-    return seminaive_transitive_closure(graph, semiring=reachability_semiring())
-
-
-def shortest_path_closure(graph: DiGraph) -> ClosureResult:
-    """Return the full all-pairs shortest-path closure of ``graph``."""
-    return dijkstra_closure(graph)
-
-
 def bill_of_materials(graph: DiGraph, *, max_depth: int = 64) -> ClosureResult:
     """Count, for every (assembly, part) pair, the number of distinct usage paths.
 
@@ -72,56 +57,3 @@ def bill_of_materials(graph: DiGraph, *, max_depth: int = 64) -> ClosureResult:
     return seminaive_transitive_closure(
         graph, semiring=path_count_semiring(), max_iterations=max_depth
     )
-
-
-def connection_matrix(graph: DiGraph) -> Dict[Node, Dict[Node, bool]]:
-    """Return a nested-dict reachability matrix (convenience for reporting)."""
-    closure = reachability_closure(graph)
-    matrix: Dict[Node, Dict[Node, bool]] = {node: {} for node in graph.nodes()}
-    for (source, target) in closure.pairs():
-        matrix[source][target] = True
-    return matrix
-
-
-def diameter_in_iterations(graph: DiGraph, *, use_compact: Optional[bool] = None) -> int:
-    """Return the number of semi-naive rounds needed to close ``graph``.
-
-    This is the experimentally observed counterpart of the paper's claim that
-    "the number of iterations required before reaching a fixpoint is given by
-    the maximum diameter of the graph".
-
-    The round count is a pure function of the graph — the longest *shortest*
-    derivation over all closure facts: hop distance for ``(u, v)`` pairs,
-    shortest cycle length for the ``(u, u)`` facts, and at least one round
-    whenever any edge exists (the first round always runs before the delta
-    empties).  The compact path therefore computes it from per-source
-    bitset-BFS levels instead of actually iterating the dict fixpoint —
-    identical numbers, kernel speed; ``use_compact=False`` forces the
-    literal measurement (and stays the cross-check in the tests).
-    """
-    from ..graph import CompactGraph
-    from .kernels import bitset_levels
-    from .warshall import _auto_compact
-
-    if not _auto_compact(graph, use_compact):
-        result = seminaive_transitive_closure(
-            graph, semiring=reachability_semiring(), use_compact=False
-        )
-        return result.statistics.iterations
-    compact = CompactGraph.from_digraph(graph)
-    if compact.edge_count() == 0:
-        return 0
-    longest = 1
-    for source_id in range(compact.node_count()):
-        levels = bitset_levels(compact, source_id)
-        for depth in levels.values():
-            if depth > longest:
-                longest = depth
-        shortest_cycle = None
-        for predecessor_id, _ in compact.predecessor_ids(source_id):
-            depth = levels.get(predecessor_id)
-            if depth is not None and (shortest_cycle is None or depth < shortest_cycle):
-                shortest_cycle = depth
-        if shortest_cycle is not None and shortest_cycle + 1 > longest:
-            longest = shortest_cycle + 1
-    return longest

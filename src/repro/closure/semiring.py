@@ -43,12 +43,6 @@ class Semiring:
     edge_value: Callable[[float], object] = lambda weight: weight
     is_better: Optional[Callable[[object, object], bool]] = None
 
-    def improves(self, candidate: object, incumbent: object) -> bool:
-        """Return ``True`` if ``candidate`` strictly improves on ``incumbent``."""
-        if self.is_better is not None:
-            return self.is_better(candidate, incumbent)
-        return self.plus(candidate, incumbent) == candidate and candidate != incumbent
-
 
 def reachability_semiring() -> Semiring:
     """Boolean reachability: any path counts, values are True/False."""

@@ -11,7 +11,6 @@ from .assembly import (
     AssemblyResult,
     assemble_best_chain,
     assemble_chain,
-    assemble_chain_with_joins,
     best_over_chains,
     collect_task_keys,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "UpdateStatistics",
     "assemble_best_chain",
     "assemble_chain",
-    "assemble_chain_with_joins",
     "best_over_chains",
     "collect_task_keys",
     "precompute_complementary_information",

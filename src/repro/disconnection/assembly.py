@@ -5,15 +5,9 @@ sequence of binary joins between a number of very small relations"
 (Sec. 2.1): the path relation produced by fragment ``i`` of the chain is
 joined with the path relation of fragment ``i+1`` on the shared disconnection
 set nodes, costs are added, and at the end the best value for the
-(source, destination) pair is selected.
-
-Two equivalent implementations are provided:
-
-* :func:`assemble_chain` — a small dynamic program over the chain, valid for
-  any semiring; this is what the engine uses.
-* :func:`assemble_chain_with_joins` — the literal relational formulation
-  (equi-joins + min aggregation) for the shortest-path problem, used in tests
-  to confirm both agree and in the benchmarks to count join work.
+(source, destination) pair is selected.  :func:`assemble_chain` performs that
+join sequence as a small dynamic program over the chain, valid for any
+semiring.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..closure import Semiring, shortest_path_semiring
-from ..relational import Relation, aggregate_min, equi_join, project, select_eq
 from .local_query import LocalQueryResult
 from .planner import ChainPlan, QueryPlan
 
@@ -88,45 +81,6 @@ def assemble_chain(
         assembly.value = frontier[plan.target]
     elif plan.source == plan.target:
         assembly.value = semiring.one
-    return assembly
-
-
-def assemble_chain_with_joins(
-    plan: ChainPlan,
-    results: Sequence[LocalQueryResult],
-) -> AssemblyResult:
-    """Shortest-path assembly expressed as relational equi-joins (paper-literal form).
-
-    Each local result becomes a small relation ``paths_i(entry, exit, cost)``;
-    consecutive relations are joined on ``exit = entry`` with costs added, and
-    the final value is the minimum cost of the rows connecting the chain's
-    source to its target.
-    """
-    assembly = AssemblyResult(chain=plan.chain)
-    relations: List[Relation] = []
-    for index, result in enumerate(results):
-        rows = [
-            (entry, exit_node, float(value))  # type: ignore[arg-type]
-            for (entry, exit_node), value in result.values.items()
-        ]
-        relations.append(Relation(("entry", "exit", "cost"), rows, name=f"paths_{index}"))
-    if not relations:
-        return assembly
-    current = relations[0]
-    for relation in relations[1:]:
-        joined = equi_join(current, relation, on=[("exit", "entry")], suffix="_next")
-        assembly.join_operations += 1
-        assembly.intermediate_tuples += joined.cardinality()
-        if joined.is_empty():
-            return assembly
-        combined_rows = []
-        for row in joined.as_dicts():
-            combined_rows.append((row["entry"], row["exit_next"], row["cost"] + row["cost_next"]))
-        current = Relation(("entry", "exit", "cost"), combined_rows, name="assembled")
-        current = aggregate_min(current, ("entry", "exit"), "cost")
-    final = select_eq(select_eq(current, "entry", plan.source), "exit", plan.target)
-    if not final.is_empty():
-        assembly.value = min(row[final.attribute_index("cost")] for row in final.rows)
     return assembly
 
 

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Opt
 from ..closure import Semiring, shortest_path_semiring
 from ..fragmentation import Fragmentation, FragmentationGraph
 from ..graph import CompactDelta, CompactGraph, DiGraph, hop_diameter
-from ..relational import Relation, edge_relation
 from .complementary import ComplementaryInformation, precompute_complementary_information
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -238,10 +237,6 @@ class FragmentSite:
     _local_iterations: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def local_relation(self) -> Relation:
-        """Return the site's fragment as the relation ``R_i(source, target, cost)``."""
-        return edge_relation(self.subgraph.weighted_edges(), name=f"R_{self.fragment_id}")
 
     def augmented_subgraph(self) -> DiGraph:
         """Return the fragment subgraph with the complementary shortcuts added.
@@ -604,20 +599,6 @@ class DistributedCatalog:
         """Return the site storing ``fragment_id``."""
         return self._sites[fragment_id]
 
-    def site_count(self) -> int:
-        """Return the number of sites (= fragments)."""
-        return len(self._sites)
-
     def sites_storing_node(self, node: Node) -> List[int]:
         """Return the ids of the sites whose fragment contains ``node``."""
         return [fragment_id for fragment_id, site in sorted(self._sites.items()) if site.stores_node(node)]
-
-    def total_storage_facts(self) -> int:
-        """Return the total number of stored facts (edges + complementary facts).
-
-        This is the storage-overhead figure: the paper's main cost of the
-        approach is "the pre-processing required for building the
-        complementary information".
-        """
-        edges = sum(site.edge_count() for site in self._sites.values())
-        return edges + self._complementary.size_in_facts()

@@ -77,10 +77,6 @@ class ExecutionReport:
         self.join_operations += assembly.join_operations
         self.assembly_tuples += assembly.intermediate_tuples
 
-    def total_site_tuples(self) -> int:
-        """Return the total tuples produced across all sites (sequential work proxy)."""
-        return sum(work.tuples_produced for work in self.site_work.values())
-
     def critical_path_iterations(self) -> int:
         """Return the largest per-site iteration count (parallel latency proxy)."""
         return max((work.iterations for work in self.site_work.values()), default=0)
@@ -120,7 +116,6 @@ class DisconnectionSetEngine:
         use_shortcuts: disable to measure the effect of dropping the
             complementary information (the ablation benchmarks use this; the
             engine then only sees paths that stay inside the fragment chain).
-        max_chains: cap on the number of fragment chains examined per query.
     """
 
     def __init__(
@@ -131,7 +126,6 @@ class DisconnectionSetEngine:
         complementary: Optional[ComplementaryInformation] = None,
         compact_sites: Optional[Dict[int, "CompactFragmentSite"]] = None,
         use_shortcuts: bool = True,
-        max_chains: Optional[int] = 32,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._catalog = DistributedCatalog(
@@ -140,7 +134,7 @@ class DisconnectionSetEngine:
             complementary=complementary,
             compact_sites=compact_sites,
         )
-        self._planner = QueryPlanner(self._catalog, max_chains=max_chains)
+        self._planner = QueryPlanner(self._catalog)
         self._evaluator = LocalQueryEvaluator(
             semiring=self._semiring, use_shortcuts=use_shortcuts
         )

@@ -146,9 +146,6 @@ class LocalQueryResult:
         estimated_iterations: the number of fixpoint iterations a semi-naive
             evaluation of this subquery needs (≈ the fragment diameter); used
             by the simulator's cost model.
-        semiring: the path problem the values belong to; threads the correct
-            ``plus`` into :meth:`exit_values` (set by the evaluator, absent
-            on hand-built results).
         backend: which kernel backend served the evaluation (``bigint`` or
             ``chain``, or ``dijkstra``/``dict`` for the shortest-path kernel
             and the custom-semiring fixpoint); surfaces in worker payloads
@@ -174,7 +171,6 @@ class LocalQueryResult:
     values: Dict[Tuple[Node, Node], PathValue] = field(default_factory=dict)
     statistics: ClosureStatistics = field(default_factory=ClosureStatistics)
     estimated_iterations: int = 0
-    semiring: Optional[Semiring] = field(default=None, repr=False, compare=False)
     backend: Optional[str] = field(default=None, compare=False)
     overlay: bool = field(default=False, compare=False)
     memoized: bool = field(default=False, compare=False)
@@ -182,26 +178,6 @@ class LocalQueryResult:
     backward: bool = field(default=False, compare=False)
     rows_read: int = field(default=0, compare=False)
     rows_filled: int = field(default=0, compare=False)
-
-    def exit_values(self, semiring: Optional[Semiring] = None) -> Dict[Node, PathValue]:
-        """Return the best value per exit node over all entry nodes (for reporting).
-
-        "Best" is decided by the semiring's ``plus`` (``min`` for shortest
-        paths, ``or`` for reachability, ``max`` for widest paths, …), taken
-        from the ``semiring`` argument or the result's own semiring.  Only
-        when neither is available does the legacy raw ``<`` comparison apply,
-        which is correct solely for min-style numeric path problems.
-        """
-        semiring = semiring or self.semiring
-        best: Dict[Node, PathValue] = {}
-        for (_, exit_node), value in self.values.items():
-            if exit_node not in best:
-                best[exit_node] = value
-            elif semiring is not None:
-                best[exit_node] = semiring.plus(best[exit_node], value)
-            elif value < best[exit_node]:  # type: ignore[operator]
-                best[exit_node] = value
-        return best
 
     def is_empty(self) -> bool:
         """Return ``True`` when no entry node reaches any exit node."""
@@ -309,7 +285,7 @@ class LocalQueryEvaluator:
                 )
             site, graph = known
             started = perf_counter()
-            result = LocalQueryResult(fragment_id=fragment_id, semiring=self._semiring)
+            result = LocalQueryResult(fragment_id=fragment_id)
             results.append(result)
             if graph is None:
                 self._evaluate_generic(site, spec, result)
@@ -350,7 +326,7 @@ class LocalQueryEvaluator:
         if key is None or not self._runs_compact(site):
             return None
         started = perf_counter()
-        result = LocalQueryResult(fragment_id=site.fragment_id, semiring=self._semiring)
+        result = LocalQueryResult(fragment_id=site.fragment_id)
         graph = site.compact(use_shortcuts=self._use_shortcuts)
         if not self._replay(site, graph, key, result):
             return None

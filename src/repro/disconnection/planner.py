@@ -88,10 +88,6 @@ class QueryPlan:
     chains: List[ChainPlan] = field(default_factory=list)
     loosely_connected: bool = True
 
-    def is_single_fragment(self) -> bool:
-        """Return ``True`` when some chain involves only one fragment."""
-        return any(plan.length() == 1 for plan in self.chains)
-
     def fragments_involved(self) -> List[int]:
         """Return the sorted set of fragments touched by any chain."""
         involved = {fragment_id for plan in self.chains for fragment_id in plan.chain}

@@ -73,7 +73,6 @@ class RouteReconstructingEngine:
         complementary: optionally reuse complementary information; it must
             have been precomputed with ``store_paths=True`` (the constructor
             recomputes it with paths otherwise).
-        max_chains: cap on the number of fragment chains examined per query.
     """
 
     def __init__(
@@ -81,13 +80,12 @@ class RouteReconstructingEngine:
         fragmentation: Fragmentation,
         *,
         complementary: Optional[ComplementaryInformation] = None,
-        max_chains: Optional[int] = 32,
     ) -> None:
         if complementary is None or not complementary.paths:
             complementary = precompute_complementary_information(fragmentation, store_paths=True)
         self._complementary = complementary
         self._catalog = DistributedCatalog(fragmentation, complementary=complementary)
-        self._planner = QueryPlanner(self._catalog, max_chains=max_chains)
+        self._planner = QueryPlanner(self._catalog)
 
     @property
     def catalog(self) -> DistributedCatalog:

@@ -45,14 +45,6 @@ class DisconnectedError(GraphError):
     """A path-dependent quantity was requested for unreachable nodes."""
 
 
-class RelationalError(ReproError):
-    """Base class for errors raised by the relational algebra engine."""
-
-
-class SchemaError(RelationalError):
-    """A relational operation was applied to incompatible schemas."""
-
-
 class FragmentationError(ReproError):
     """Base class for errors raised while fragmenting a graph."""
 
@@ -71,10 +63,6 @@ class DisconnectionSetError(ReproError):
 
 class NoChainError(DisconnectionSetError):
     """No chain of fragments connects the source and destination fragments."""
-
-
-class ComplementaryInfoError(DisconnectionSetError):
-    """Complementary information required by a query is missing or stale."""
 
 
 class ParallelError(ReproError):

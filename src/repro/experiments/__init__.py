@@ -1,6 +1,6 @@
 """Experiment harness regenerating the paper's tables and figure-level claims."""
 
-from .reporting import comparison_summary, format_table, to_csv
+from .reporting import format_table, to_csv
 from .runner import main, render_result, run_experiment
 from .tables import (
     PAPER_TABLE1,
@@ -20,7 +20,6 @@ __all__ = [
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "PAPER_TABLE3",
-    "comparison_summary",
     "format_table",
     "main",
     "paper_table3_graph_config",

@@ -53,19 +53,3 @@ def to_csv(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
     for row in rows:
         writer.writerow({column: row.get(column, "") for column in columns})
     return buffer.getvalue()
-
-
-def comparison_summary(
-    measured: Mapping[str, float],
-    reference: Mapping[str, float],
-    *,
-    label_measured: str = "measured",
-    label_reference: str = "paper",
-) -> str:
-    """Render a small measured-vs-reference comparison block (for EXPERIMENTS.md)."""
-    lines = [f"{'metric':<30}{label_reference:>12}{label_measured:>12}"]
-    for key in reference:
-        reference_value = reference[key]
-        measured_value = measured.get(key, float("nan"))
-        lines.append(f"{key:<30}{reference_value:>12.1f}{measured_value:>12.1f}")
-    return "\n".join(lines)

@@ -8,7 +8,7 @@ algorithms: center-based (Sec. 3.1), bond-energy (Sec. 3.2), linear
 
 from .advisor import AdvisorConstraints, Recommendation, recommend
 from .base import Fragment, Fragmentation, fragmentation_from_node_blocks
-from .baselines import GroundTruthFragmenter, HashFragmenter, RandomNodeFragmenter
+from .baselines import GroundTruthFragmenter, HashFragmenter
 from .bond_energy import BondEnergyFragmenter
 from .center_based import (
     BALANCE_BY_DIAMETER,
@@ -29,22 +29,12 @@ from .linear import (
 )
 from .metrics import (
     FragmentationCharacteristics,
-    characteristics_table,
     characterize,
     complementary_information_size,
     fragment_diameters,
     total_border_nodes,
-    workload_balance,
 )
 from .protocols import Fragmenter
-from .validation import (
-    assert_valid,
-    cluster_agreement,
-    covers_all_nodes,
-    disconnection_set_correctness,
-    edge_preservation,
-    is_valid,
-)
 
 __all__ = [
     "AdvisorConstraints",
@@ -66,22 +56,13 @@ __all__ = [
     "HashFragmenter",
     "KConnectivityFragmenter",
     "LinearFragmenter",
-    "RandomNodeFragmenter",
     "SWEEP_BOTTOM_TO_TOP",
     "SWEEP_LEFT_TO_RIGHT",
     "SWEEP_RIGHT_TO_LEFT",
     "SWEEP_TOP_TO_BOTTOM",
-    "assert_valid",
-    "characteristics_table",
     "characterize",
-    "cluster_agreement",
     "complementary_information_size",
-    "covers_all_nodes",
-    "disconnection_set_correctness",
-    "edge_preservation",
     "fragment_diameters",
     "fragmentation_from_node_blocks",
-    "is_valid",
     "total_border_nodes",
-    "workload_balance",
 ]

@@ -70,10 +70,6 @@ class Fragment:
             seen.add(key)
         return len(seen)
 
-    def contains_node(self, node: Node) -> bool:
-        """Return ``True`` if ``node`` is incident to an edge of this fragment."""
-        return node in self.nodes
-
     def subgraph(self, graph: DiGraph) -> DiGraph:
         """Materialise this fragment as a graph, taking weights from ``graph``."""
         return graph.edge_subgraph(self.edges)
@@ -239,10 +235,6 @@ class Fragmentation:
                 border |= nodes
         return frozenset(border)
 
-    def interior_nodes(self, fragment_id: FragmentId) -> FrozenSet[Node]:
-        """Return the nodes of ``fragment_id`` that belong to no other fragment."""
-        return self.fragment(fragment_id).nodes - self.border_nodes(fragment_id)
-
     # -------------------------------------------------------------- mappings
 
     # The owner indexes are built on first use: every write derives a fresh
@@ -268,18 +260,6 @@ class Fragmentation:
     def fragments_of_node(self, node: Node) -> List[FragmentId]:
         """Return the ids of every fragment containing ``node``."""
         return list(self._node_owners.get(node, ()))
-
-    def home_fragment(self, node: Node) -> FragmentId:
-        """Return one fragment containing ``node`` (the lowest id).
-
-        Raises:
-            FragmentationError: if the node belongs to no fragment (isolated
-                nodes are not covered by an edge partition).
-        """
-        owners = self._node_owners.get(node)
-        if not owners:
-            raise FragmentationError(f"node {node!r} is not covered by any fragment")
-        return owners[0]
 
     def edge_fragment(self, source: Node, target: Node) -> FragmentId:
         """Return the id of the fragment owning the edge ``source -> target``.

@@ -8,8 +8,6 @@ graph-awareness:
 * :class:`HashFragmenter` — hash-partition the edges over the sites (the
   standard horizontal fragmentation of a parallel DBMS); disconnection sets
   degenerate to almost every node.
-* :class:`RandomNodeFragmenter` — randomly partition the nodes into equal
-  groups and derive fragments from the node blocks.
 * :class:`GroundTruthFragmenter` — use the generator's known clusters
   (available only for synthetic transportation graphs); this is the oracle the
   heuristics are measured against.
@@ -17,7 +15,6 @@ graph-awareness:
 
 from __future__ import annotations
 
-import random
 from typing import Hashable, Iterable, List, Optional, Sequence, Set
 
 from ..exceptions import FragmenterConfigurationError
@@ -55,30 +52,6 @@ class HashFragmenter(Fragmenter):
             buckets[bucket].add((source, target))
         populated = [bucket for bucket in buckets if bucket]
         return Fragmentation(graph, populated, algorithm=self.name)
-
-
-class RandomNodeFragmenter(Fragmenter):
-    """Randomly partition the nodes into equal-sized blocks."""
-
-    name = "random-nodes"
-
-    def __init__(self, fragment_count: int, *, seed: int = 0) -> None:
-        if fragment_count <= 0:
-            raise FragmenterConfigurationError("fragment_count must be positive")
-        self.fragment_count = fragment_count
-        self.seed = seed
-
-    def fragment(self, graph: DiGraph) -> Fragmentation:
-        if graph.edge_count() == 0:
-            raise FragmenterConfigurationError("cannot fragment a graph with no edges")
-        rng = random.Random(self.seed)
-        nodes = sorted(graph.nodes(), key=repr)
-        rng.shuffle(nodes)
-        count = min(self.fragment_count, len(nodes))
-        blocks: List[List[Node]] = [[] for _ in range(count)]
-        for index, node in enumerate(nodes):
-            blocks[index % count].append(node)
-        return fragmentation_from_node_blocks(graph, blocks, algorithm=self.name)
 
 
 class GroundTruthFragmenter(Fragmenter):

@@ -305,19 +305,6 @@ class BondEnergyFragmenter(Fragmenter):
         )
         return max(2, int(round(average_degree / 2.0)))
 
-    @staticmethod
-    def external_connections(block: Set[Node], graph: DiGraph) -> int:
-        """Count adjacencies from ``block`` members to nodes outside the block.
-
-        This is the quantity of the paper's Fig. 5 example: the 1's of the
-        block's columns that fall outside the block's rows.  Exposed for tests
-        and for callers that want to score a candidate split themselves.
-        """
-        external = 0
-        for node in block:
-            external += sum(1 for neighbour in graph.neighbors(node) if neighbour not in block)
-        return external
-
 
 class _InnerProductCache:
     """Lazy cache of column inner products ``sum_k M[k,i] * M[k,j]``.

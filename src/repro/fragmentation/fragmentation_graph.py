@@ -14,7 +14,7 @@ the chains between two fragments, how many cycles does it have.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Hashable, List, Optional, Set, Tuple
 
 from ..graph import DiGraph, undirected_cycle_count, weakly_connected_components
 from .base import Fragmentation, FragmentId
@@ -116,28 +116,6 @@ class FragmentationGraph:
                 else:
                     stack.append((neighbour, extended))
         return chains
-
-    def shortest_chain(self, start: FragmentId, end: FragmentId) -> Optional[List[FragmentId]]:
-        """Return a chain with the fewest fragments, or ``None`` if none exists."""
-        found = self.chains(start, end)
-        if not found:
-            return None
-        return min(found, key=lambda chain: (len(chain), chain))
-
-    def chain_disconnection_sets(self, chain: List[FragmentId]) -> List[FrozenSet[Node]]:
-        """Return the disconnection sets crossed along ``chain`` (one per hop)."""
-        return [
-            self._fragmentation.disconnection_set(chain[index], chain[index + 1])
-            for index in range(len(chain) - 1)
-        ]
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Return a histogram of fragment degrees in the fragmentation graph."""
-        histogram: Dict[int, int] = {}
-        for fragment_id in self.fragment_ids():
-            degree = len(self.neighbors(fragment_id))
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return histogram
 
     def __repr__(self) -> str:
         return (

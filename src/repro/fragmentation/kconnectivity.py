@@ -44,22 +44,17 @@ class KConnectivityFragmenter(Fragmenter):
     Args:
         fragment_count: the number of fragments to aim for; components left
             after removing the relevant nodes are merged down to this count.
-        exact_node_limit: graphs with more nodes than this use articulation
-            points only (k = 1) instead of the full k-connectivity scan.
+
+    Graphs with more than :data:`EXACT_KCONNECTIVITY_NODE_LIMIT` nodes use
+    articulation points only (k = 1) instead of the full k-connectivity scan.
     """
 
     name = "k-connectivity"
 
-    def __init__(
-        self,
-        fragment_count: int,
-        *,
-        exact_node_limit: int = EXACT_KCONNECTIVITY_NODE_LIMIT,
-    ) -> None:
+    def __init__(self, fragment_count: int) -> None:
         if fragment_count <= 0:
             raise FragmenterConfigurationError("fragment_count must be positive")
         self.fragment_count = fragment_count
-        self.exact_node_limit = exact_node_limit
 
     def fragment(self, graph: DiGraph) -> Fragmentation:
         """Fragment ``graph`` around its connectivity-critical nodes."""
@@ -86,7 +81,7 @@ class KConnectivityFragmenter(Fragmenter):
 
     def _critical_nodes(self, graph: DiGraph) -> Set[Node]:
         critical = set(articulation_points(graph))
-        if graph.node_count() <= self.exact_node_limit:
+        if graph.node_count() <= EXACT_KCONNECTIVITY_NODE_LIMIT:
             critical |= relevant_nodes(graph, sample_pairs=64)
         return critical
 

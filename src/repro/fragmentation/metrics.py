@@ -116,19 +116,6 @@ def fragment_diameters(fragmentation: Fragmentation) -> List[int]:
     ]
 
 
-def workload_balance(fragmentation: Fragmentation) -> float:
-    """Return a balance score in (0, 1]: average fragment size / largest fragment size.
-
-    1.0 means perfectly equal fragments (the center-based goal); values near
-    1/n mean one fragment holds nearly everything.
-    """
-    sizes = fragmentation.fragment_sizes()
-    largest = max(sizes) if sizes else 0
-    if largest == 0:
-        return 1.0
-    return mean([float(size) for size in sizes]) / float(largest)
-
-
 def border_node_set(fragmentation: Fragmentation) -> set:
     """Return the distinct nodes that appear in any disconnection set.
 
@@ -159,8 +146,3 @@ def complementary_information_size(fragmentation: Fragmentation) -> int:
         border = fragmentation.border_nodes(fragment.fragment_id)
         size += len(border) * max(0, len(border) - 1)
     return size
-
-
-def characteristics_table(rows: List[FragmentationCharacteristics]) -> List[Dict[str, object]]:
-    """Return a list of dictionaries ready for tabular reporting."""
-    return [row.as_dict() for row in rows]

@@ -9,7 +9,6 @@ produce query streams for the speed-up benchmarks.
 
 from .random_graph import (
     RandomGraphConfig,
-    calibrate_c1,
     edge_probability,
     generate_coordinates,
     generate_random_graph,
@@ -37,7 +36,6 @@ from .workload import (
     cross_cluster_queries,
     intra_cluster_queries,
     mixed_workload,
-    random_queries,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "RandomGraphConfig",
     "TransportationGraph",
     "TransportationGraphConfig",
-    "calibrate_c1",
     "chain_graph",
     "complete_graph",
     "cross_cluster_queries",
@@ -62,7 +59,6 @@ __all__ = [
     "mixed_workload",
     "paper_table1_config",
     "paper_table2_config",
-    "random_queries",
     "star_graph",
     "two_cluster_dumbbell",
 ]

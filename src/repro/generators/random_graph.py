@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import FragmenterConfigurationError
 from ..graph import DiGraph, Point
@@ -154,62 +154,3 @@ def _connect_components(graph: DiGraph, config: RandomGraphConfig) -> None:
         else:
             graph.add_edge(a, b, weight)
         components = weakly_connected_components(graph)
-
-
-def calibrate_c1(
-    config: RandomGraphConfig,
-    target_undirected_edges: float,
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    iterations: int = 12,
-) -> RandomGraphConfig:
-    """Return a copy of ``config`` with ``c1`` tuned to hit an edge-count target.
-
-    The paper reports its test graphs through their average edge counts
-    (e.g. 279.5 edges for the 100-node general graphs) rather than through
-    the ``c1``/``c2`` values used.  This helper searches ``c1`` by bisection
-    on the average undirected edge count over a few seeds so experiments can
-    be parameterised the same way the paper reports them.
-    """
-    low, high = config.c1 / 64.0, config.c1 * 64.0
-
-    def average_edges(c1: float) -> float:
-        trial = RandomGraphConfig(
-            node_count=config.node_count,
-            c1=c1,
-            c2=config.c2,
-            extent=config.extent,
-            symmetric=config.symmetric,
-            connect=config.connect,
-            weight_from_distance=config.weight_from_distance,
-        )
-        counts = [generate_random_graph(trial, seed=seed).undirected_edge_count() for seed in seeds]
-        return sum(counts) / len(counts)
-
-    # Expand the bracket until it contains the target.
-    for _ in range(20):
-        if average_edges(low) > target_undirected_edges:
-            low /= 4.0
-        else:
-            break
-    for _ in range(20):
-        if average_edges(high) < target_undirected_edges:
-            high *= 4.0
-        else:
-            break
-    for _ in range(iterations):
-        mid = math.sqrt(low * high)
-        if average_edges(mid) < target_undirected_edges:
-            low = mid
-        else:
-            high = mid
-    best = math.sqrt(low * high)
-    return RandomGraphConfig(
-        node_count=config.node_count,
-        c1=best,
-        c2=config.c2,
-        extent=config.extent,
-        symmetric=config.symmetric,
-        connect=config.connect,
-        weight_from_distance=config.weight_from_distance,
-    )

@@ -82,17 +82,6 @@ class TransportationGraph:
     clusters: List[Set[Node]]
     inter_cluster_pairs: List[Tuple[Node, Node]] = field(default_factory=list)
 
-    def cluster_of(self, node: Node) -> int:
-        """Return the index of the cluster containing ``node``.
-
-        Raises:
-            KeyError: if the node belongs to no cluster.
-        """
-        for index, cluster in enumerate(self.clusters):
-            if node in cluster:
-                return index
-        raise KeyError(node)
-
     def border_nodes(self) -> Set[Node]:
         """Return the nodes incident to an inter-cluster edge."""
         border: Set[Node] = set()

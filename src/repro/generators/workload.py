@@ -41,28 +41,6 @@ class PathQuery:
             )
 
 
-def random_queries(
-    graph: DiGraph,
-    count: int,
-    *,
-    seed: int = 0,
-    kind: str = "shortest_path",
-    distinct_endpoints: bool = True,
-) -> List[PathQuery]:
-    """Return ``count`` uniformly random queries over the nodes of ``graph``."""
-    rng = random.Random(seed)
-    nodes = graph.nodes()
-    if len(nodes) < 2:
-        raise FragmenterConfigurationError("need at least two nodes to generate queries")
-    queries: List[PathQuery] = []
-    while len(queries) < count:
-        source, target = rng.choice(nodes), rng.choice(nodes)
-        if distinct_endpoints and source == target:
-            continue
-        queries.append(PathQuery(source=source, target=target, kind=kind))
-    return queries
-
-
 def cross_cluster_queries(
     clusters: Sequence[set],
     count: int,

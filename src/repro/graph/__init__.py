@@ -13,9 +13,6 @@ from .coordinates import (
     Point,
     bounding_box,
     centroid,
-    euclidean_distance,
-    nodes_sorted_by_x,
-    pairwise_distances,
     spread_out_selection,
 )
 from .compact import (
@@ -36,43 +33,30 @@ from .connectivity import (
     vertex_disjoint_path_count,
 )
 from .digraph import DiGraph
-from .io import from_dict, from_edge_list, load_json, save_json, to_dict, to_edge_list, to_relation_rows
+from .io import from_dict, load_json, save_json, to_dict
 from .metrics import (
     GraphSummary,
     average_degree,
     clustering_ratio,
-    coefficient_of_variation,
-    degree_histogram,
     diameter,
-    estimated_seminaive_iterations,
     mean,
     mean_absolute_deviation,
-    standard_deviation,
     summarize,
 )
 from .shortest_path import (
-    bellman_ford,
     dijkstra,
-    eccentricity,
-    floyd_warshall,
     hop_diameter,
-    multi_source_shortest_paths,
     reconstruct_path,
     shortest_path,
     shortest_path_length,
-    single_source_shortest_paths,
 )
-from .status import rank_by_status, status_score, status_scores, top_candidates
+from .status import rank_by_status, status_scores, top_candidates
 from .traversal import (
     bfs_levels,
     bfs_order,
-    dfs_order,
-    has_cycle,
     is_reachable,
     is_weakly_connected,
-    reachable_set,
     strongly_connected_components,
-    topological_sort,
     undirected_cycle_count,
     weakly_connected_components,
 )
@@ -89,24 +73,14 @@ __all__ = [
     "GraphSummary",
     "articulation_points",
     "average_degree",
-    "bellman_ford",
     "bfs_levels",
     "bfs_order",
     "bounding_box",
     "centroid",
     "clustering_ratio",
-    "coefficient_of_variation",
-    "degree_histogram",
-    "dfs_order",
     "diameter",
     "dijkstra",
-    "eccentricity",
-    "estimated_seminaive_iterations",
-    "euclidean_distance",
-    "floyd_warshall",
     "from_dict",
-    "from_edge_list",
-    "has_cycle",
     "hop_diameter",
     "is_reachable",
     "is_weakly_connected",
@@ -115,30 +89,20 @@ __all__ = [
     "mean",
     "mean_absolute_deviation",
     "merge_overlay_metrics",
-    "multi_source_shortest_paths",
-    "nodes_sorted_by_x",
     "overlay_compaction_counts",
     "overlay_threshold_default",
-    "pairwise_distances",
     "rank_by_status",
-    "reachable_set",
     "reconstruct_path",
     "relevant_nodes",
     "save_json",
     "shortest_path",
     "shortest_path_length",
-    "single_source_shortest_paths",
     "spread_out_selection",
-    "standard_deviation",
-    "status_score",
     "status_scores",
     "strongly_connected_components",
     "summarize",
     "to_dict",
-    "to_edge_list",
-    "to_relation_rows",
     "top_candidates",
-    "topological_sort",
     "undirected_cycle_count",
     "vertex_disjoint_path_count",
     "weakly_connected_components",

@@ -476,15 +476,6 @@ class CompactGraph:
             default=None,
         )
 
-    def out_degree_of_id(self, node_id: int) -> int:
-        """Return the number of outgoing entries of ``node_id``."""
-        row = self._fwd_over.get(node_id) if self._fwd_over else None
-        if row is not None:
-            return len(row)
-        if node_id >= self._base_nodes:
-            return 0
-        return self._fwd_offsets[node_id + 1] - self._fwd_offsets[node_id]
-
     @property
     def forward_csr(self) -> Tuple[array, array, array]:
         """The forward adjacency as ``(offsets, targets, weights)`` arrays.
@@ -565,12 +556,6 @@ class CompactGraph:
             for target_id, weight in self.successor_ids(source_id):
                 edges.append((source, self._nodes[target_id], weight))
         return edges
-
-    def to_digraph(self) -> "DiGraph":  # noqa: F821
-        """Materialise back into a mutable :class:`DiGraph` (tests, debugging)."""
-        from .digraph import DiGraph
-
-        return DiGraph(self.weighted_edges(), nodes=self._nodes)
 
     # ------------------------------------------------------- derived caches
 

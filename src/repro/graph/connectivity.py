@@ -20,7 +20,7 @@ from collections import deque
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from .digraph import DiGraph
-from .traversal import is_reachable, weakly_connected_components
+from .traversal import weakly_connected_components
 
 Node = Hashable
 
@@ -111,43 +111,6 @@ def vertex_disjoint_path_count(graph: DiGraph, source: Node, target: Node) -> in
         return graph.node_count()
     capacity = _unit_capacity_flow_network(graph, source, target)
     return _max_flow(capacity, "SRC", "SNK")
-
-
-def local_vertex_cut(graph: DiGraph, source: Node, target: Node) -> Set[Node]:
-    """Return a minimum set of nodes whose removal disconnects ``source`` from ``target``.
-
-    For non-adjacent nodes the size of the returned cut equals
-    :func:`vertex_disjoint_path_count`.  For adjacent nodes an empty set is
-    returned (no vertex cut exists).
-    """
-    undirected_pairs = graph.to_undirected_pairs()
-    key = (source, target) if repr(source) <= repr(target) else (target, source)
-    if key in undirected_pairs:
-        return set()
-    best_cut: Set[Node] = set()
-    target_size = vertex_disjoint_path_count(graph, source, target)
-    if target_size == 0:
-        return set()
-    # Greedy extraction: repeatedly find a node whose removal decreases the
-    # disjoint path count, remove it, until the pair is disconnected.
-    working = graph.copy()
-    while is_reachable(working, source, target, undirected=True):
-        candidates = [n for n in working.nodes() if n not in (source, target)]
-        removed = None
-        current = vertex_disjoint_path_count(working, source, target)
-        for node in candidates:
-            trial = working.copy()
-            trial.remove_node(node)
-            if not is_reachable(trial, source, target, undirected=True) or (
-                vertex_disjoint_path_count(trial, source, target) < current
-            ):
-                removed = node
-                break
-        if removed is None:
-            break
-        best_cut.add(removed)
-        working.remove_node(removed)
-    return best_cut
 
 
 def k_connectivity(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: int = 0) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Hashable, Iterable, Mapping, Sequence, Tuple
 
 Node = Hashable
 
@@ -33,24 +33,9 @@ class Point:
         """Return the Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def midpoint(self, other: "Point") -> "Point":
-        """Return the midpoint of the segment between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy of this point translated by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def as_tuple(self) -> Tuple[float, float]:
         """Return the coordinates as a plain ``(x, y)`` tuple."""
         return (self.x, self.y)
-
-
-def euclidean_distance(a: Point | Tuple[float, float], b: Point | Tuple[float, float]) -> float:
-    """Return the Euclidean distance between two points or ``(x, y)`` tuples."""
-    ax, ay = (a.x, a.y) if isinstance(a, Point) else (a[0], a[1])
-    bx, by = (b.x, b.y) if isinstance(b, Point) else (b[0], b[1])
-    return math.hypot(ax - bx, ay - by)
 
 
 def centroid(points: Iterable[Point]) -> Point:
@@ -88,32 +73,6 @@ def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
         min_y = min(min_y, point.y)
         max_y = max(max_y, point.y)
     return Point(min_x, min_y), Point(max_x, max_y)
-
-
-def pairwise_distances(coordinates: Mapping[Node, Point]) -> Dict[Tuple[Node, Node], float]:
-    """Return the Euclidean distance for every unordered pair of nodes.
-
-    The result maps each ordered pair ``(u, v)`` with ``u != v`` to the
-    distance between their coordinates; both orders are present so lookups do
-    not need to canonicalise the pair.
-    """
-    nodes = list(coordinates)
-    distances: Dict[Tuple[Node, Node], float] = {}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            d = coordinates[u].distance_to(coordinates[v])
-            distances[(u, v)] = d
-            distances[(v, u)] = d
-    return distances
-
-
-def nodes_sorted_by_x(coordinates: Mapping[Node, Point]) -> Sequence[Node]:
-    """Return the nodes ordered by increasing x-coordinate (ties broken by y).
-
-    This is the ordering the linear fragmentation algorithm uses to select its
-    start nodes ("s nodes with smallest x-coordinates", Fig. 7 of the paper).
-    """
-    return sorted(coordinates, key=lambda node: (coordinates[node].x, coordinates[node].y, repr(node)))
 
 
 def spread_out_selection(

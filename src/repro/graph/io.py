@@ -10,45 +10,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Tuple, Union
+from typing import Dict, Hashable, Union
 
 from .coordinates import Point
 from .digraph import DiGraph
 
 Node = Hashable
 PathLike = Union[str, Path]
-
-
-def to_edge_list(graph: DiGraph) -> List[Tuple[Node, Node, float]]:
-    """Return the graph as a sorted list of ``(source, target, weight)`` tuples."""
-    return sorted(graph.weighted_edges(), key=lambda edge: (repr(edge[0]), repr(edge[1])))
-
-
-def from_edge_list(
-    edges: Iterable[Tuple[Node, Node] | Tuple[Node, Node, float]],
-    *,
-    symmetric: bool = False,
-) -> DiGraph:
-    """Build a graph from ``(source, target[, weight])`` tuples.
-
-    Args:
-        edges: the edge tuples; a missing weight defaults to 1.0.
-        symmetric: when ``True`` every edge is added in both directions,
-            which is the natural reading of an undirected transportation
-            network.
-    """
-    graph = DiGraph()
-    for edge in edges:
-        if len(edge) == 3:
-            source, target, weight = edge  # type: ignore[misc]
-        else:
-            source, target = edge  # type: ignore[misc]
-            weight = 1.0
-        if symmetric:
-            graph.add_symmetric_edge(source, target, weight)
-        else:
-            graph.add_edge(source, target, weight)
-    return graph
 
 
 def to_dict(graph: DiGraph) -> Dict[str, object]:
@@ -102,12 +70,3 @@ def save_json(graph: DiGraph, path: PathLike) -> None:
 def load_json(path: PathLike) -> DiGraph:
     """Read a graph previously written by :func:`save_json`."""
     return from_dict(json.loads(Path(path).read_text()))
-
-
-def to_relation_rows(graph: DiGraph) -> List[Tuple[Node, Node, float]]:
-    """Return the rows of the base relation R(source, target, weight).
-
-    This is the tabular form consumed by :mod:`repro.relational`; identical to
-    :func:`to_edge_list` but named for its database role.
-    """
-    return to_edge_list(graph)

@@ -9,7 +9,6 @@ quantities plus the auxiliary statistics the evaluation tables report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence
 
@@ -66,15 +65,6 @@ def summarize(graph: DiGraph) -> GraphSummary:
     )
 
 
-def degree_histogram(graph: DiGraph) -> Dict[int, int]:
-    """Return a histogram mapping undirected degree to node count."""
-    histogram: Dict[int, int] = {}
-    for node in graph.nodes():
-        degree = graph.undirected_degree(node)
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return histogram
-
-
 def average_degree(graph: DiGraph) -> float:
     """Return the mean undirected degree (0.0 for an empty graph)."""
     nodes = graph.nodes()
@@ -101,35 +91,9 @@ def mean_absolute_deviation(values: Sequence[float]) -> float:
     return sum(abs(value - centre) for value in values) / len(values)
 
 
-def standard_deviation(values: Sequence[float]) -> float:
-    """Return the population standard deviation of ``values`` (0.0 when empty)."""
-    if not values:
-        return 0.0
-    centre = mean(values)
-    return math.sqrt(sum((value - centre) ** 2 for value in values) / len(values))
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """Return the standard deviation divided by the mean (0.0 for mean 0)."""
-    centre = mean(values)
-    if centre == 0:
-        return 0.0
-    return standard_deviation(values) / centre
-
-
 def diameter(graph: DiGraph) -> int:
     """Return the hop diameter of ``graph`` (longest shortest path, in edges)."""
     return hop_diameter(graph)
-
-
-def estimated_seminaive_iterations(graph: DiGraph) -> int:
-    """Estimate the number of semi-naive iterations a TC of ``graph`` needs.
-
-    Semi-naive evaluation reaches its fixpoint after ``diameter`` iterations
-    (plus the final empty delta); the paper uses exactly this quantity to
-    argue that fragmenting a graph reduces per-processor iteration counts.
-    """
-    return hop_diameter(graph) + 1 if graph.node_count() else 0
 
 
 def clustering_ratio(graph: DiGraph, clusters: List[set]) -> float:

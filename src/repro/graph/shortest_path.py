@@ -9,9 +9,8 @@ The disconnection set approach needs shortest paths at three places:
   to the southern German border"),
 * the centralised baseline the parallel evaluation is compared against.
 
-We provide Dijkstra (single source), bidirectional queries, Bellman-Ford (for
-completeness and negative-weight detection), Floyd-Warshall (dense all-pairs),
-and path reconstruction helpers.
+We provide Dijkstra (single source, optionally stopping once a target set is
+settled), path reconstruction, and the hop diameter.
 """
 
 from __future__ import annotations
@@ -120,118 +119,6 @@ def reconstruct_path(predecessors: Dict[Node, Node], source: Node, target: Node)
         path.append(node)
     path.reverse()
     return path
-
-
-def single_source_shortest_paths(graph: DiGraph, source: Node) -> Dict[Node, float]:
-    """Return the distance from ``source`` to every reachable node."""
-    distances, _ = dijkstra(graph, source)
-    return distances
-
-
-def multi_source_shortest_paths(graph: DiGraph, sources: Iterable[Node]) -> Dict[Node, float]:
-    """Return, for every node, the distance from the *nearest* of ``sources``.
-
-    Implemented as a single Dijkstra run with all sources seeded at distance
-    zero.  Used by the disconnection-set local queries, where the search
-    starts from every border node of the entry disconnection set at once.
-    """
-    source_list = [s for s in sources if graph.has_node(s)]
-    distances: Dict[Node, float] = {}
-    tentative: Dict[Node, float] = {}
-    heap: List[Tuple[float, int, Node]] = []
-    counter = 0
-    for source in source_list:
-        tentative[source] = 0.0
-        heap.append((0.0, counter, source))
-        counter += 1
-    heapq.heapify(heap)
-    while heap:
-        distance, _, node = heapq.heappop(heap)
-        if node in distances:
-            continue
-        distances[node] = distance
-        for successor, weight in graph.successor_items(node):
-            if weight < 0:
-                raise NegativeWeightError(
-                    f"edge ({node!r}, {successor!r}) has negative weight {weight}"
-                )
-            candidate = distance + weight
-            if successor not in distances and candidate < tentative.get(successor, INFINITY):
-                tentative[successor] = candidate
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, successor))
-    return distances
-
-
-def bellman_ford(graph: DiGraph, source: Node) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Run Bellman-Ford from ``source``; supports negative edge weights.
-
-    Returns:
-        ``(distances, predecessors)`` over reachable nodes.
-
-    Raises:
-        NodeNotFoundError: if ``source`` is not in the graph.
-        NegativeWeightError: if a negative cycle is reachable from ``source``.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    distances: Dict[Node, float] = {source: 0.0}
-    predecessors: Dict[Node, Node] = {}
-    edges = graph.weighted_edges()
-    for _ in range(max(0, graph.node_count() - 1)):
-        changed = False
-        for u, v, weight in edges:
-            if u in distances and distances[u] + weight < distances.get(v, INFINITY):
-                distances[v] = distances[u] + weight
-                predecessors[v] = u
-                changed = True
-        if not changed:
-            break
-    for u, v, weight in edges:
-        if u in distances and distances[u] + weight < distances.get(v, INFINITY) - 1e-12:
-            raise NegativeWeightError("graph contains a negative cycle reachable from the source")
-    return distances, predecessors
-
-
-def floyd_warshall(graph: DiGraph) -> Dict[Node, Dict[Node, float]]:
-    """Return all-pairs shortest path lengths (dense dynamic programming).
-
-    Suitable for the small graphs used in tests and for complementary
-    information over small fragments; the engine itself prefers per-border
-    Dijkstra runs which scale better on sparse fragments.
-    """
-    nodes = graph.nodes()
-    dist: Dict[Node, Dict[Node, float]] = {u: {v: INFINITY for v in nodes} for u in nodes}
-    for node in nodes:
-        dist[node][node] = 0.0
-    for u, v, weight in graph.weighted_edges():
-        if weight < dist[u][v]:
-            dist[u][v] = weight
-    for k in nodes:
-        dist_k = dist[k]
-        for i in nodes:
-            dist_i = dist[i]
-            via = dist_i[k]
-            if via == INFINITY:
-                continue
-            for j in nodes:
-                candidate = via + dist_k[j]
-                if candidate < dist_i[j]:
-                    dist_i[j] = candidate
-    return dist
-
-
-def eccentricity(graph: DiGraph, node: Node, *, undirected: bool = True) -> int:
-    """Return the maximum hop distance from ``node`` to any reachable node.
-
-    The paper's workload model uses the *diameter* of a fragment (the number
-    of edges on its longest shortest path) as the driver of the number of
-    semi-naive iterations; eccentricities are its per-node ingredient.
-    """
-    from .traversal import bfs_levels
-
-    levels = bfs_levels(graph, node, undirected=undirected)
-    return max(levels.values()) if levels else 0
 
 
 def hop_diameter(graph: DiGraph, *, undirected: bool = True) -> int:

@@ -25,16 +25,6 @@ DEFAULT_ATTENUATION = 0.5
 DEFAULT_RADIUS = 3
 
 
-def grade(graph: DiGraph, node: Node) -> int:
-    """Return the paper's ``grade(i)``: the number of distinct neighbours of ``node``.
-
-    The paper treats the transportation network as an undirected graph when
-    scoring centers, so both incoming and outgoing edges count, but a
-    symmetric pair counts once.
-    """
-    return graph.undirected_degree(node)
-
-
 def _ring_weights(attenuation: float, radius: int) -> List[float]:
     """Return ``[a^0 .. a^radius]``, the weight of each ring of neighbours."""
     return [attenuation ** distance for distance in range(max(radius, 0) + 1)]
@@ -66,28 +56,6 @@ def _ball_score(
                 score += weight * len(neighbours(other))
                 queue.append(other)
     return score
-
-
-def status_score(
-    graph: DiGraph,
-    node: Node,
-    *,
-    attenuation: float = DEFAULT_ATTENUATION,
-    radius: int = DEFAULT_RADIUS,
-) -> float:
-    """Return the center score of ``node``.
-
-    Args:
-        graph: the graph being fragmented.
-        node: the node to score.
-        attenuation: the factor ``a`` (< 1) weighting more distant neighbours
-            less.  Values >= 1 are accepted but defeat the purpose.
-        radius: how many rings of neighbours to include (the paper uses 3).
-
-    Returns:
-        The weighted sum of neighbourhood grades.
-    """
-    return _ball_score(node, graph.neighbors, _ring_weights(attenuation, radius))
 
 
 def status_scores(

@@ -1,15 +1,14 @@
-"""Graph traversals: breadth-first, depth-first, and connected components.
+"""Graph traversals: breadth-first search and connected components.
 
 These are the building blocks the fragmentation algorithms and the metrics
-module use: fragment growth is a breadth-first expansion from seed nodes, the
-fragmentation graph's cycle analysis needs connected components, and
-eccentricities come from a per-source BFS.
+module use: fragment growth is a breadth-first expansion from seed nodes, and
+the fragmentation graph's cycle analysis needs connected components.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Set
 
 from .digraph import DiGraph
 
@@ -51,31 +50,6 @@ def bfs_levels(graph: DiGraph, source: Node, *, undirected: bool = False) -> Dic
                 levels[neighbour] = levels[node] + 1
                 queue.append(neighbour)
     return levels
-
-
-def dfs_order(graph: DiGraph, source: Node, *, undirected: bool = False) -> List[Node]:
-    """Return the nodes reachable from ``source`` in depth-first (preorder)."""
-    neighbour_fn: Callable[[Node], List[Node]] = graph.neighbors if undirected else graph.successors
-    visited: Set[Node] = set()
-    order: List[Node] = []
-    stack: List[Node] = [source]
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        order.append(node)
-        # Reverse so that the first neighbour is visited first, mirroring the
-        # recursive formulation.
-        for neighbour in reversed(neighbour_fn(node)):
-            if neighbour not in visited:
-                stack.append(neighbour)
-    return order
-
-
-def reachable_set(graph: DiGraph, source: Node, *, undirected: bool = False) -> Set[Node]:
-    """Return the set of nodes reachable from ``source`` (including it)."""
-    return set(bfs_order(graph, source, undirected=undirected))
 
 
 def is_reachable(graph: DiGraph, source: Node, target: Node, *, undirected: bool = False) -> bool:
@@ -168,28 +142,6 @@ def strongly_connected_components(graph: DiGraph) -> List[Set[Node]]:
     return components
 
 
-def topological_sort(graph: DiGraph) -> Optional[List[Node]]:
-    """Return a topological order of the nodes, or ``None`` if the graph has a cycle."""
-    in_degree: Dict[Node, int] = {node: graph.in_degree(node) for node in graph.nodes()}
-    queue: deque = deque(node for node, degree in in_degree.items() if degree == 0)
-    order: List[Node] = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for successor in graph.successors(node):
-            in_degree[successor] -= 1
-            if in_degree[successor] == 0:
-                queue.append(successor)
-    if len(order) != graph.node_count():
-        return None
-    return order
-
-
-def has_cycle(graph: DiGraph) -> bool:
-    """Return ``True`` if the directed graph contains a cycle."""
-    return topological_sort(graph) is None
-
-
 def undirected_cycle_count(graph: DiGraph) -> int:
     """Return the number of independent cycles of the underlying undirected graph.
 
@@ -203,11 +155,3 @@ def undirected_cycle_count(graph: DiGraph) -> int:
     node_count = graph.node_count()
     component_count = len(weakly_connected_components(graph))
     return max(0, edge_count - node_count + component_count)
-
-
-def iter_edges_bidirectional(graph: DiGraph, node: Node) -> Iterator[tuple]:
-    """Yield every edge incident to ``node`` as stored (direction preserved)."""
-    for target, weight in graph.successor_items(node):
-        yield (node, target, weight)
-    for source, weight in graph.predecessor_items(node):
-        yield (source, node, weight)

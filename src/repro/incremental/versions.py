@@ -53,10 +53,6 @@ class VersionVector:
         """
         return tuple(sorted((fid, self.version_of(fid)) for fid in set(fragment_ids)))
 
-    def total_updates(self) -> int:
-        """Return the sum of all fragment versions (a monotone update counter)."""
-        return sum(self._versions.values())
-
     def tag(self) -> str:
         """Return a compact string identifying the vector's exact state.
 

@@ -499,10 +499,6 @@ class MetricsRegistry:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
             metric.merge_series(description.get("series", ()))  # type: ignore[arg-type]
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's series into this one (see :meth:`merge_dict`)."""
-        self.merge_dict(other.as_dict())
-
     def drain(self) -> Dict[str, Dict[str, object]]:
         """Return :meth:`as_dict` and reset every series.
 

@@ -11,8 +11,8 @@ that, bounded (oldest entries evicted first) and structured
 outliers even after the main window rolled past them.
 
 The aggregation helpers (:meth:`QueryLog.fragment_frequencies`,
-:meth:`QueryLog.co_access_counts`, :meth:`QueryLog.query_skew`) are the
-interface the :class:`~repro.placement.advisor.RebalanceAdvisor` and
+:meth:`QueryLog.query_skew`) are the interface the
+:class:`~repro.placement.advisor.RebalanceAdvisor` and
 :class:`~repro.refragmentation.advisor.RefragmentationAdvisor` consume —
 notably, the log attributes *cached* answers to their fragments too, a load
 signal the dispatch counters structurally cannot see (a hit dispatches
@@ -268,21 +268,6 @@ class QueryLog:
                 frequencies[fragment_id] = frequencies.get(fragment_id, 0) + 1
         return frequencies
 
-    def co_access_counts(self) -> Dict[Tuple[int, int], int]:
-        """Return (fragment, fragment) -> co-occurrences on one answer's chain.
-
-        Pairs are ordered ``(min, max)``.  This is the co-location signal
-        workload-mined fragmentation wants: fragments that keep appearing on
-        the same chain belong near each other.
-        """
-        pairs: Dict[Tuple[int, int], int] = {}
-        for row in self._entries:
-            fragments = sorted(set(row[3]))
-            for index, first in enumerate(fragments):
-                for second in fragments[index + 1:]:
-                    pairs[(first, second)] = pairs.get((first, second), 0) + 1
-        return pairs
-
     def query_skew(self) -> float:
         """Return max/mean fragment touch concentration (0.0 when idle)."""
         frequencies = self.fragment_frequencies()
@@ -300,8 +285,3 @@ class QueryLog:
     def error_count(self) -> int:
         """Return how many retained entries carry a planning error."""
         return sum(1 for row in self._entries if row[8] is not None)
-
-    def as_dicts(self, count: Optional[int] = None) -> List[Dict[str, object]]:
-        """Return the newest ``count`` entries (default all) as plain data."""
-        window = self.entries() if count is None else self.recent(count)
-        return [entry.as_dict() for entry in window]

@@ -67,17 +67,6 @@ class TraceContext:
     trace_id: str
     parent_span_id: Optional[SpanId] = None
 
-    def to_traceparent(self) -> str:
-        """Render as a W3C ``traceparent`` header value (version 00)."""
-        parent = self.parent_span_id
-        if isinstance(parent, int):
-            span_hex = f"{parent & 0xFFFFFFFFFFFFFFFF:016x}"
-        elif isinstance(parent, str) and parent:
-            span_hex = parent
-        else:
-            span_hex = "0" * 16
-        return f"00-{self.trace_id}-{span_hex}-01"
-
     @classmethod
     def from_traceparent(cls, header: object) -> Optional["TraceContext"]:
         """Parse a ``traceparent`` value; tolerant — malformed input is ``None``.
@@ -240,10 +229,6 @@ class Trace:
     def span_names(self) -> List[str]:
         """Return every span name, root first."""
         return [span.name for span in self.spans]
-
-    def children_of(self, parent: Span) -> List[Span]:
-        """Return the spans whose parent is ``parent``."""
-        return [span for span in self.spans if span.parent_id == parent.span_id]
 
     def find(self, name: str) -> List[Span]:
         """Return every span called ``name``."""

@@ -66,17 +66,6 @@ class CostModel:
         """Return the per-site local costs of one execution report."""
         return {fragment_id: self.site_cost(work) for fragment_id, work in report.site_work.items()}
 
-    def parallel_makespan(self, report: ExecutionReport) -> float:
-        """Return the parallel elapsed time: slowest site plus the final assembly.
-
-        The first phase needs "neither communication nor synchronisation"
-        (Sec. 2.1), so its elapsed time is the maximum site cost; the assembly
-        runs after all involved sites have finished.
-        """
-        site_costs = self.site_costs(report)
-        slowest = max(site_costs.values(), default=0.0)
-        return slowest + self.assembly_cost(report)
-
     def sequential_cost(self, report: ExecutionReport) -> float:
         """Return the cost of executing the same work on a single processor."""
         return sum(self.site_costs(report).values()) + self.assembly_cost(report)

@@ -45,11 +45,6 @@ class Assignment:
             loads[processor] += fragment_costs.get(fragment_id, 0.0)
         return loads
 
-    def makespan(self, fragment_costs: Mapping[int, float]) -> float:
-        """Return the largest processor load (parallel completion time)."""
-        loads = self.processor_loads(fragment_costs)
-        return max(loads) if loads else 0.0
-
 
 def assign_fragments(
     fragment_costs: Mapping[int, float],

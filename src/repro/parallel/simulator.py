@@ -60,12 +60,6 @@ class WorkloadSimulation:
     total_sequential_time: float = 0.0
     centralized_time: Optional[float] = None
 
-    def average_speedup(self) -> float:
-        """Return the mean per-query speed-up."""
-        if not self.query_simulations:
-            return 1.0
-        return sum(sim.speedup() for sim in self.query_simulations) / len(self.query_simulations)
-
     def overall_speedup(self) -> float:
         """Return total sequential work divided by total parallel time."""
         if self.total_parallel_time <= 0.0:

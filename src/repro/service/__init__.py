@@ -30,7 +30,6 @@ from .snapshot import (
     LoadedSnapshot,
     SnapshotError,
     SnapshotManifest,
-    SnapshotStore,
     is_snapshot_directory,
     load_snapshot,
     save_snapshot,
@@ -52,7 +51,6 @@ __all__ = [
     "ServiceStatistics",
     "SnapshotError",
     "SnapshotManifest",
-    "SnapshotStore",
     "is_snapshot_directory",
     "load_snapshot",
     "result_from_payload",

@@ -183,20 +183,6 @@ class LRUCache:
             return True
         return False
 
-    def evict_stale(self, is_stale: Callable[[Key], bool]) -> int:
-        """Drop every entry whose key satisfies ``is_stale``; returns the count.
-
-        Used to reclaim the slots of entries keyed on an outdated catalog
-        version (they could never be hit again, but would still occupy
-        capacity until LRU pressure pushed them out).
-        """
-        stale = [key for key in self._entries if is_stale(key)]
-        for key in stale:
-            del self._entries[key]
-        self.invalidations += len(stale)
-        self._observe("invalidation", len(stale))
-        return len(stale)
-
     def evict_where(self, is_stale: Callable[[Key, object], bool]) -> int:
         """Drop every entry whose ``(key, value)`` satisfies ``is_stale``.
 

@@ -176,14 +176,8 @@ def result_payload(result: LocalQueryResult) -> Dict:
     }
 
 
-def result_from_payload(
-    key: TaskKey, payload: Dict, *, semiring: Optional[Semiring] = None
-) -> LocalQueryResult:
-    """Rebuild a :class:`LocalQueryResult` from a worker's wire payload.
-
-    The semiring is re-attached on the coordinator side (callables never
-    cross the process boundary) so ``exit_values`` picks "best" correctly.
-    """
+def result_from_payload(key: TaskKey, payload: Dict) -> LocalQueryResult:
+    """Rebuild a :class:`LocalQueryResult` from a worker's wire payload."""
     statistics = ClosureStatistics()
     statistics.tuples_produced = payload["tuples"]
     statistics.elapsed_seconds = payload.get("elapsed", 0.0)
@@ -192,7 +186,6 @@ def result_from_payload(
         values=dict(payload["values"]),
         statistics=statistics,
         estimated_iterations=payload["iterations"],
-        semiring=semiring,
         backend=payload.get("backend"),
         overlay=payload.get("overlay", False),
         searches=payload.get("searches", 0),
@@ -369,7 +362,6 @@ class PlacedWorkerPool:
                 f"{' and '.join(PICKLABLE_SEMIRINGS)} semirings only"
             )
         self._semiring_name = catalog.semiring.name
-        self._semiring = semiring_from_name(self._semiring_name)
         self._context = multiprocessing.get_context()
         self._next_request_id = 0
         self._running = False
@@ -661,7 +653,7 @@ class PlacedWorkerPool:
             if metrics:
                 self.last_worker_metrics.append(metrics)
             for key, payload in reply["payloads"]:
-                results[key] = result_from_payload(key, payload, semiring=self._semiring)
+                results[key] = result_from_payload(key, payload)
                 self.dispatch_counts[key[0]] = self.dispatch_counts.get(key[0], 0) + 1
                 self.last_task_workers[key] = worker_index
         missing = [task for task in tasks if task not in results]

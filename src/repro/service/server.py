@@ -158,7 +158,6 @@ class QueryService:
             it ignores the snapshot's persisted plan.
         compact_sites: seed the per-fragment compact kernel graphs (snapshot
             reload fast path; ``from_snapshot`` wires this automatically).
-        max_chains: cap on fragment chains examined per query.
         version_vector: seed the per-fragment version vector (wired by
             ``from_snapshot`` so a restored service resumes mid-stream).
         delta_sequence: seed the delta log's numbering (wired by
@@ -200,7 +199,6 @@ class QueryService:
         workers: Optional[int] = None,
         placement: Optional[Union[str, PlacementPlan]] = None,
         compact_sites: Optional[Dict[int, CompactFragmentSite]] = None,
-        max_chains: Optional[int] = 32,
         version_vector: Optional[VersionVector] = None,
         delta_sequence: int = 0,
         auto_refragment: Union[bool, RefragmentationAdvisor] = False,
@@ -269,7 +267,6 @@ class QueryService:
         )
         self._workers = workers
         self._placement = placement
-        self._max_chains = max_chains
         self._pool: Optional[PlacedWorkerPool] = None
         self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
         self._base_version = "live"
@@ -381,16 +378,6 @@ class QueryService:
                 service._database.replay_record(record)
                 service._stats.replayed_records += 1
         return service
-
-    @classmethod
-    def from_engine(cls, engine: DisconnectionSetEngine, **kwargs) -> "QueryService":
-        """Wrap an already-prepared engine (reusing its complementary information)."""
-        return cls(
-            engine.catalog.fragmentation,
-            semiring=engine.semiring,
-            complementary=engine.catalog.complementary,
-            **kwargs,
-        )
 
     # ------------------------------------------------------------- accessors
 
@@ -1254,7 +1241,7 @@ class QueryService:
                 # workers that still pin the previous layout.
                 self._pool.restart(engine.catalog)
             self._current_engine = engine
-            self._planner = QueryPlanner(engine.catalog, max_chains=self._max_chains)
+            self._planner = QueryPlanner(engine.catalog)
             # The batch planner's view of the placement: None (in-process)
             # plans placement-blind.
             self._batch_planner = BatchPlanner(

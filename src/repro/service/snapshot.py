@@ -144,21 +144,6 @@ class LoadedSnapshot:
     placement_plan: Optional[PlacementPlan] = None
     delta_sequence: int = 0
 
-    def build_engine(self, **kwargs) -> DisconnectionSetEngine:
-        """Return a query engine over the snapshot — no search work recomputed.
-
-        The persisted compact fragments seed the engine's kernel caches, so
-        not even adjacency indexing is redone.
-        """
-        kwargs.setdefault("compact_sites", self.compact_sites)
-        return DisconnectionSetEngine(
-            self.fragmentation,
-            semiring=self.semiring,
-            complementary=self.complementary,
-            **kwargs,
-        )
-
-
 # ----------------------------------------------------------- payload building
 
 
@@ -353,46 +338,3 @@ def load_snapshot(directory: PathLike) -> LoadedSnapshot:
         placement_plan=PlacementPlan.from_dict(placement_state) if placement_state else None,
         delta_sequence=int(getattr(payload, "delta_sequence", 0)),
     )
-
-
-class SnapshotStore:
-    """A directory of named snapshots (one subdirectory per snapshot).
-
-    Args:
-        root: the directory holding the snapshots (created lazily).
-    """
-
-    def __init__(self, root: PathLike) -> None:
-        self._root = Path(root)
-
-    @property
-    def root(self) -> Path:
-        """The store's root directory."""
-        return self._root
-
-    def path(self, name: str) -> Path:
-        """Return the directory a snapshot of this name lives in."""
-        return self._root / name
-
-    def save(self, name: str, engine: DisconnectionSetEngine) -> SnapshotManifest:
-        """Save a prepared engine under ``name`` and return the manifest."""
-        return save_snapshot(self.path(name), engine)
-
-    def load(self, name: str) -> LoadedSnapshot:
-        """Reload the snapshot saved under ``name``."""
-        return load_snapshot(self.path(name))
-
-    def manifest(self, name: str) -> SnapshotManifest:
-        """Read only the manifest of a snapshot (no payload deserialisation)."""
-        directory = self.path(name)
-        if not (directory / MANIFEST_FILE).is_file():
-            raise SnapshotError(f"no snapshot named {name!r} under {self._root}")
-        return _read_manifest(directory)
-
-    def list_snapshots(self) -> List[str]:
-        """Return the names of every snapshot in the store, sorted."""
-        if not self._root.is_dir():
-            return []
-        return sorted(
-            entry.name for entry in self._root.iterdir() if is_snapshot_directory(entry)
-        )

@@ -26,11 +26,11 @@ from repro.disconnection import (
     DisconnectionSetEngine,
     DistributedCatalog,
     LocalQueryEvaluator,
-    LocalQueryResult,
     QueryPlanner,
 )
 from repro.fragmentation import GroundTruthFragmenter
 from repro.graph import CompactGraph, DiGraph
+from repro.service import QueryService
 from repro.service.snapshot import load_snapshot, save_snapshot
 
 from tests.local_query_oracles import dict_local_query
@@ -190,18 +190,15 @@ class TestSnapshotRoundTrip:
         assert set(loaded.compact_sites) == {
             site.fragment_id for site in engine.catalog.sites()
         }
-        reloaded_engine = loaded.build_engine()
+        restored = QueryService.from_snapshot(tmp_path / "snap")
         # The reloaded sites are seeded with the persisted compact form.
-        for site in reloaded_engine.catalog.sites():
+        for site in restored.engine().catalog.sites():
             assert site._compact_augmented is not None
         rng = random.Random(7)
         nodes = graph.nodes()
         for _ in range(8):
             source, target = rng.sample(nodes, 2)
-            assert (
-                reloaded_engine.query(source, target).value
-                == engine.query(source, target).value
-            )
+            assert restored.query(source, target).value == engine.query(source, target).value
 
     def test_persisted_compact_state_matches_rebuilt(self, tmp_path):
         graph, fragmentation = random_two_block_fragmentation(3)
@@ -209,50 +206,5 @@ class TestSnapshotRoundTrip:
         save_snapshot(tmp_path / "snap", engine)
         loaded = load_snapshot(tmp_path / "snap")
         for fragment_id, compact_site in loaded.compact_sites.items():
-            rebuilt = loaded.build_engine().catalog.site(fragment_id).compact()
+            rebuilt = engine.catalog.site(fragment_id).compact()
             assert compact_site.compact().weighted_edges() == rebuilt.weighted_edges()
-
-
-class TestExitValuesSemiring:
-    def test_exit_values_uses_semiring_plus(self):
-        # Widest path: "best" is the maximum, which the raw < comparison of
-        # the pre-fix implementation would get exactly wrong.
-        result = LocalQueryResult(
-            fragment_id=0,
-            values={("a", "x"): 3.0, ("b", "x"): 5.0},
-            semiring=widest_path_semiring(),
-        )
-        assert result.exit_values() == {"x": 5.0}
-
-    def test_exit_values_accepts_explicit_semiring(self):
-        result = LocalQueryResult(fragment_id=0, values={("a", "x"): 3.0, ("b", "x"): 5.0})
-        assert result.exit_values(widest_path_semiring()) == {"x": 5.0}
-        assert result.exit_values(shortest_path_semiring()) == {"x": 3.0}
-
-    def test_exit_values_reachability(self):
-        result = LocalQueryResult(
-            fragment_id=0,
-            values={("a", "x"): True, ("b", "x"): True, ("a", "y"): True},
-            semiring=reachability_semiring(),
-        )
-        assert result.exit_values() == {"x": True, "y": True}
-
-    def test_legacy_fallback_without_semiring(self):
-        result = LocalQueryResult(fragment_id=0, values={("a", "x"): 3.0, ("b", "x"): 5.0})
-        assert result.exit_values() == {"x": 3.0}
-
-    def test_evaluator_attaches_semiring(self):
-        _, fragmentation = random_two_block_fragmentation(1)
-        catalog = DistributedCatalog(fragmentation, semiring=reachability_semiring())
-        evaluator = LocalQueryEvaluator(semiring=reachability_semiring())
-        site = catalog.sites()[0]
-        from repro.disconnection.planner import LocalQuerySpec
-
-        spec = LocalQuerySpec(
-            fragment_id=site.fragment_id,
-            entry_nodes=frozenset(site.border_nodes),
-            exit_nodes=frozenset(site.border_nodes),
-        )
-        result = evaluator.evaluate(site, spec)
-        assert result.semiring is not None
-        assert result.semiring.name == "reachability"

@@ -2,18 +2,9 @@
 
 import pytest
 
-from repro.closure import (
-    bill_of_materials,
-    connection_matrix,
-    diameter_in_iterations,
-    is_connected,
-    reachability_closure,
-    shortest_path_closure,
-    shortest_path_cost,
-    shortest_path_route,
-)
+from repro.closure import bill_of_materials, is_connected, shortest_path_cost
 from repro.exceptions import DisconnectedError
-from repro.generators import chain_graph, layered_dag
+from repro.generators import layered_dag
 from repro.graph import DiGraph
 
 
@@ -31,12 +22,6 @@ class TestConnectivityQueries:
         graph = DiGraph(nodes=["x"])
         assert is_connected(graph, "x", "x")
 
-    def test_connection_matrix(self):
-        graph = chain_graph(3, symmetric=False)
-        matrix = connection_matrix(graph)
-        assert matrix[0][2] is True
-        assert 0 not in matrix[2]
-
 
 class TestShortestPathQueries:
     def test_cost(self):
@@ -53,21 +38,6 @@ class TestShortestPathQueries:
         with pytest.raises(DisconnectedError):
             shortest_path_cost(graph, "a", "z")
 
-    def test_route(self):
-        graph = DiGraph([("a", "b", 1.0), ("b", "c", 1.0)])
-        cost, route = shortest_path_route(graph, "a", "c")
-        assert cost == 2.0
-        assert route == ["a", "b", "c"]
-
-    def test_full_closures_consistent(self):
-        graph = chain_graph(4)
-        reach = reachability_closure(graph)
-        short = shortest_path_closure(graph)
-        # The iterative reachability closure also derives (i, i) facts on
-        # symmetric graphs; ignoring those, both closures connect the same pairs.
-        reach_pairs = {(s, t) for s, t in reach.pairs() if s != t}
-        assert reach_pairs == short.pairs()
-
 
 class TestBillOfMaterials:
     def test_path_counts_in_layered_dag(self):
@@ -81,44 +51,3 @@ class TestBillOfMaterials:
         graph = DiGraph([("assembly", "part")])
         result = bill_of_materials(graph)
         assert result.values[("assembly", "part")] == 1
-
-
-class TestDiameterInIterations:
-    def test_matches_chain_length(self):
-        assert diameter_in_iterations(chain_graph(8, symmetric=False)) in (7, 8)
-
-    def test_smaller_graph_needs_fewer_iterations(self):
-        assert diameter_in_iterations(chain_graph(4)) < diameter_in_iterations(chain_graph(12))
-
-    def test_compact_matches_literal_measurement(self):
-        """The kernel-computed round count equals the dict fixpoint's count.
-
-        This is the regression for the old hardcoded ``use_compact=False``:
-        the compact path must be an *equivalent* fast path, not a different
-        definition.
-        """
-        import random
-
-        cases = [chain_graph(6, symmetric=False), chain_graph(9), layered_dag(3, 3)]
-        ring = DiGraph()
-        for i in range(7):
-            ring.add_edge(i, (i + 1) % 7, 1.0)
-        cases.append(ring)
-        looped = DiGraph()
-        looped.add_edge(0, 0, 1.0)
-        looped.add_edge(0, 1, 1.0)
-        cases.append(looped)
-        empty = DiGraph()
-        empty.add_node("only")
-        cases.append(empty)
-        rng = random.Random(77)
-        for _ in range(3):
-            g = DiGraph()
-            for i in range(30):
-                g.add_node(i)
-            for _ in range(70):
-                g.add_edge(rng.randrange(30), rng.randrange(30), 1.0)
-            cases.append(g)
-        for graph in cases:
-            literal = diameter_in_iterations(graph, use_compact=False)
-            assert diameter_in_iterations(graph, use_compact=True) == literal

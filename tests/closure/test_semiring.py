@@ -21,12 +21,6 @@ class TestReachability:
     def test_edge_value_ignores_weight(self):
         assert reachability_semiring().edge_value(123.0) is True
 
-    def test_improves(self):
-        semiring = reachability_semiring()
-        assert semiring.improves(True, False)
-        assert not semiring.improves(True, True)
-        assert not semiring.improves(False, True)
-
 
 class TestShortestPath:
     def test_identities(self):
@@ -38,11 +32,6 @@ class TestShortestPath:
         semiring = shortest_path_semiring()
         assert semiring.plus(3.0, 5.0) == 3.0
         assert semiring.times(3.0, 5.0) == 8.0
-
-    def test_improves(self):
-        semiring = shortest_path_semiring()
-        assert semiring.improves(2.0, 4.0)
-        assert not semiring.improves(4.0, 2.0)
 
 
 class TestWidestPath:

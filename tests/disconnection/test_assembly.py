@@ -3,7 +3,7 @@
 import pytest
 
 from repro.closure import ClosureStatistics, reachability_semiring, shortest_path_semiring
-from repro.disconnection import assemble_chain, assemble_chain_with_joins, best_over_chains
+from repro.disconnection import assemble_chain, best_over_chains
 from repro.disconnection.local_query import LocalQueryResult
 from repro.disconnection.planner import ChainPlan, LocalQuerySpec
 
@@ -30,6 +30,17 @@ class TestAssembleChain:
         assembly = assemble_chain(plan, results)
         assert assembly.value == 5.5  # s->y->t beats s->x->t (6.0)
         assert assembly.join_operations == 2
+
+    def test_three_fragment_chain_joins_on_shared_border_nodes(self):
+        plan = _plan([0, 1, 2], "s", "t")
+        results = [
+            _result(0, {("s", "a"): 1.0, ("s", "b"): 2.0}),
+            _result(1, {("a", "c"): 5.0, ("b", "c"): 1.0, ("b", "d"): 7.0}),
+            _result(2, {("c", "t"): 1.0, ("d", "t"): 0.5}),
+        ]
+        assembly = assemble_chain(plan, results)
+        assert assembly.value == 4.0  # s->b->c->t
+        assert assembly.join_operations == 3
 
     def test_single_fragment_chain(self):
         plan = _plan([0], "s", "t")
@@ -63,25 +74,6 @@ class TestAssembleChain:
         plan = _plan([0], "s", "s")
         assembly = assemble_chain(plan, [_result(0, {})])
         assert assembly.value == shortest_path_semiring().one
-
-
-class TestRelationalAssembly:
-    def test_matches_dynamic_programming_assembly(self):
-        plan = _plan([0, 1, 2], "s", "t")
-        results = [
-            _result(0, {("s", "a"): 1.0, ("s", "b"): 2.0}),
-            _result(1, {("a", "c"): 5.0, ("b", "c"): 1.0, ("b", "d"): 7.0}),
-            _result(2, {("c", "t"): 1.0, ("d", "t"): 0.5}),
-        ]
-        dp = assemble_chain(plan, results)
-        joins = assemble_chain_with_joins(plan, results)
-        assert joins.value == pytest.approx(dp.value)
-        assert joins.join_operations == 2
-
-    def test_join_assembly_no_path(self):
-        plan = _plan([0, 1], "s", "t")
-        results = [_result(0, {("s", "a"): 1.0}), _result(1, {("b", "t"): 1.0})]
-        assert assemble_chain_with_joins(plan, results).value is None
 
 
 class TestBestOverChains:

@@ -16,14 +16,7 @@ def catalog():
 
 class TestSites:
     def test_one_site_per_fragment(self, catalog):
-        assert catalog.site_count() == 2
         assert [site.fragment_id for site in catalog.sites()] == [0, 1]
-
-    def test_site_stores_its_fragment_relation(self, catalog):
-        site = catalog.site(0)
-        relation = site.local_relation()
-        assert relation.schema == ("source", "target", "cost")
-        assert relation.cardinality() == site.edge_count()
 
     def test_border_nodes_match_fragmentation(self, catalog):
         fragmentation = catalog.fragmentation
@@ -46,10 +39,6 @@ class TestSites:
         site = catalog.site(0)
         augmented = site.augmented_subgraph()
         assert augmented.edge_count() >= site.subgraph.edge_count()
-
-    def test_total_storage_includes_complementary_facts(self, catalog):
-        edges = sum(site.edge_count() for site in catalog.sites())
-        assert catalog.total_storage_facts() >= edges
 
 
 class TestReuseOfComplementaryInformation:

@@ -64,16 +64,6 @@ class TestShortestPathEvaluation:
         assert {result.estimated_iterations for result in results} == {diameters[0] + 1}
         assert results[0].backend == "dict"
 
-    def test_exit_values_best_per_exit(self, catalog):
-        site = catalog.site(0)
-        spec = LocalQuerySpec(
-            fragment_id=0, entry_nodes=frozenset([0, 1]), exit_nodes=frozenset([2, 3])
-        )
-        result = LocalQueryEvaluator().evaluate(site, spec)
-        best = result.exit_values()
-        assert set(best) <= {2, 3}
-        assert all(value <= 2.0 for value in best.values())
-
     def test_shortcuts_can_be_disabled(self, catalog):
         site = catalog.site(0)
         spec = LocalQuerySpec(fragment_id=0, entry_nodes=frozenset([0]), exit_nodes=frozenset([1]))

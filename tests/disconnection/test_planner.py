@@ -36,7 +36,6 @@ def planner():
 class TestPlans:
     def test_single_fragment_plan(self, planner):
         plan = planner.plan(0, 1)
-        assert plan.is_single_fragment()
         assert plan.chains[0].chain == (0,)
         spec = plan.chains[0].local_queries[0]
         assert spec.entry_nodes == frozenset([0])

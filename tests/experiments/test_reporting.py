@@ -1,6 +1,6 @@
 """Unit tests for the reporting helpers."""
 
-from repro.experiments import comparison_summary, format_table, to_csv
+from repro.experiments import format_table, to_csv
 
 
 class TestFormatTable:
@@ -34,10 +34,3 @@ class TestCsv:
     def test_extra_keys_ignored(self):
         csv_text = to_csv([{"a": 1, "zzz": 9}], ["a"])
         assert "zzz" not in csv_text
-
-
-class TestComparisonSummary:
-    def test_contains_both_columns(self):
-        text = comparison_summary({"DS": 2.0}, {"DS": 2.4})
-        assert "2.0" in text and "2.4" in text
-        assert "paper" in text and "measured" in text

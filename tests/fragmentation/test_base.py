@@ -36,11 +36,6 @@ class TestFragment:
         fragment = Fragment(0, frozenset({("a", "b"), ("b", "a"), ("b", "c")}))
         assert fragment.undirected_edge_count() == 2
 
-    def test_contains_node(self):
-        fragment = Fragment(0, frozenset({("a", "b")}))
-        assert fragment.contains_node("a")
-        assert not fragment.contains_node("z")
-
     def test_subgraph_takes_weights_from_base(self, bridge_graph):
         fragment = Fragment(0, frozenset({("a", "b")}))
         sub = fragment.subgraph(bridge_graph)
@@ -60,17 +55,12 @@ class TestFragmentation:
         assert bridge_fragmentation.adjacent_fragments(0) == [1]
         assert bridge_fragmentation.adjacent_fragments(1) == [0]
 
-    def test_border_and_interior_nodes(self, bridge_fragmentation):
+    def test_border_nodes(self, bridge_fragmentation):
         assert bridge_fragmentation.border_nodes(0) == frozenset({"d"})
-        assert "a" in bridge_fragmentation.interior_nodes(0)
 
     def test_fragments_of_node(self, bridge_fragmentation):
         assert bridge_fragmentation.fragments_of_node("d") == [0, 1]
         assert bridge_fragmentation.fragments_of_node("a") == [0]
-
-    def test_home_fragment_unknown_node_raises(self, bridge_fragmentation):
-        with pytest.raises(FragmentationError):
-            bridge_fragmentation.home_fragment("ghost")
 
     def test_edge_fragment(self, bridge_fragmentation):
         assert bridge_fragmentation.edge_fragment("a", "b") == 0
@@ -133,15 +123,9 @@ class TestOwnerIndexes:
         for node in graph.nodes() + ["ghost"]:
             scanned = [f.fragment_id for f in fragmentation.fragments if node in f.nodes]
             assert fragmentation.fragments_of_node(node) == scanned
-            if scanned:
-                assert fragmentation.home_fragment(node) == scanned[0]
         for source, target in edges:
             (owner,) = [f.fragment_id for f in fragmentation.fragments if (source, target) in f.edges]
             assert fragmentation.edge_fragment(source, target) == owner
-        for fragment in fragmentation.fragments:
-            assert fragmentation.interior_nodes(fragment.fragment_id) == (
-                fragment.nodes - fragmentation.border_nodes(fragment.fragment_id)
-            )
 
 
 class TestNodeBlockFragmentation:

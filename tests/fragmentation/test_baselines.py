@@ -6,7 +6,6 @@ from repro.exceptions import FragmenterConfigurationError
 from repro.fragmentation import (
     GroundTruthFragmenter,
     HashFragmenter,
-    RandomNodeFragmenter,
     characterize,
 )
 from repro.generators import grid_graph, two_cluster_dumbbell
@@ -38,25 +37,6 @@ class TestHashFragmenter:
     def test_invalid_count(self):
         with pytest.raises(FragmenterConfigurationError):
             HashFragmenter(0)
-
-
-class TestRandomNodeFragmenter:
-    def test_covers_all_edges(self):
-        graph = grid_graph(5, 5)
-        fragmentation = RandomNodeFragmenter(3, seed=1).fragment(graph)
-        fragmentation.validate()
-
-    def test_seed_determinism(self):
-        graph = grid_graph(4, 4)
-        first = RandomNodeFragmenter(2, seed=9).fragment(graph)
-        second = RandomNodeFragmenter(2, seed=9).fragment(graph)
-        assert [f.edges for f in first.fragments] == [f.edges for f in second.fragments]
-
-    def test_different_seed_differs(self):
-        graph = grid_graph(4, 4)
-        first = RandomNodeFragmenter(2, seed=1).fragment(graph)
-        second = RandomNodeFragmenter(2, seed=2).fragment(graph)
-        assert [f.edges for f in first.fragments] != [f.edges for f in second.fragments]
 
 
 class TestGroundTruthFragmenter:

@@ -69,15 +69,6 @@ class TestOrdering:
 
 
 class TestPaperFigure5:
-    def test_external_connection_counts_match_the_paper(self):
-        graph = _paper_figure5_graph()
-        # "If nodes 1-3 are grouped together, there are 2 connections with
-        # nodes outside the block, both with node 5."
-        assert BondEnergyFragmenter.external_connections({1, 2, 3}, graph) == 2
-        # "If instead nodes 1-4 are grouped together, there are 3 connections
-        # with nodes outside the block, with nodes 5 and 6."
-        assert BondEnergyFragmenter.external_connections({1, 2, 3, 4}, graph) == 3
-
     def test_splitting_prefers_the_small_cut(self):
         graph = _paper_figure5_graph()
         fragmenter = BondEnergyFragmenter(2, threshold=2, min_block_size=2)

@@ -65,17 +65,12 @@ class TestStructure:
         assert FragmentationGraph(_chain_fragmentation(3)).cycle_count() == 0  # its own sweep
         assert len(sweeps) == 2
 
-    def test_degree_histogram(self):
-        fg = FragmentationGraph(_chain_fragmentation(4))
-        assert fg.degree_histogram() == {1: 2, 2: 2}
-
 
 class TestChains:
     def test_single_chain_on_loose_fragmentation(self):
         fg = FragmentationGraph(_chain_fragmentation(4))
         chains = fg.chains(0, 3)
         assert chains == [[0, 1, 2, 3]]
-        assert fg.shortest_chain(0, 3) == [0, 1, 2, 3]
 
     def test_chain_to_self(self):
         fg = FragmentationGraph(_chain_fragmentation(3))
@@ -85,7 +80,6 @@ class TestChains:
         fg = FragmentationGraph(_cyclic_fragmentation())
         chains = fg.chains(0, 2)
         assert sorted(chains) == [[0, 1, 2], [0, 2]]
-        assert fg.shortest_chain(0, 2) == [0, 2]
 
     def test_max_chains_caps_enumeration(self):
         fg = FragmentationGraph(_cyclic_fragmentation())
@@ -102,15 +96,7 @@ class TestChains:
         )
         fg = FragmentationGraph(fragmentation)
         assert fg.chains(0, 1) == []
-        assert fg.shortest_chain(0, 1) is None
         assert not fg.is_connected()
-
-    def test_chain_disconnection_sets(self):
-        fragmentation = _chain_fragmentation(3)
-        fg = FragmentationGraph(fragmentation)
-        sets = fg.chain_disconnection_sets([0, 1, 2])
-        assert len(sets) == 2
-        assert all(len(s) == 1 for s in sets)
 
 
 class TestOnGeneratedNetwork:

@@ -5,15 +5,12 @@ import pytest
 from repro.fragmentation import (
     Fragmentation,
     GroundTruthFragmenter,
-    characteristics_table,
     characterize,
     complementary_information_size,
     fragment_diameters,
     total_border_nodes,
-    workload_balance,
 )
 from repro.generators import two_cluster_dumbbell
-from repro.graph import DiGraph
 
 
 @pytest.fixture
@@ -52,30 +49,12 @@ class TestCharacterize:
         assert without.max_fragment_diameter == 0
         assert with_diameter.max_fragment_diameter >= 1
 
-    def test_characteristics_table(self, dumbbell_fragmentation):
-        rows = characteristics_table([characterize(dumbbell_fragmentation)])
-        assert len(rows) == 1
-        assert rows[0]["algorithm"] == "ground-truth"
-
 
 class TestDerivedMetrics:
     def test_fragment_diameters(self, dumbbell_fragmentation):
         diameters = fragment_diameters(dumbbell_fragmentation)
         assert len(diameters) == 2
         assert all(diameter >= 1 for diameter in diameters)
-
-    def test_workload_balance_range(self, dumbbell_fragmentation):
-        balance = workload_balance(dumbbell_fragmentation)
-        assert 0.0 < balance <= 1.0
-
-    def test_workload_balance_perfectly_equal(self):
-        graph = DiGraph()
-        graph.add_symmetric_edge("a", "b")
-        graph.add_symmetric_edge("c", "d")
-        fragmentation = Fragmentation(
-            graph, [[("a", "b"), ("b", "a")], [("c", "d"), ("d", "c")]]
-        )
-        assert workload_balance(fragmentation) == 1.0
 
     def test_total_border_nodes(self, dumbbell_fragmentation):
         assert total_border_nodes(dumbbell_fragmentation) == 1

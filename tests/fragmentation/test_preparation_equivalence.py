@@ -24,7 +24,6 @@ from repro.graph import (
     hop_diameter,
     rank_by_status,
     spread_out_selection,
-    status_score,
     status_scores,
 )
 from tests.preparation_oracles import (
@@ -33,7 +32,6 @@ from tests.preparation_oracles import (
     random_digraph,
     rank_by_full_bfs,
     spread_out_by_rescan,
-    status_score_by_full_bfs,
     status_scores_by_full_bfs,
 )
 
@@ -126,10 +124,6 @@ class TestRadiusBoundedScoring:
         assert rank_by_status(graph, attenuation=attenuation, radius=radius) == rank_by_full_bfs(
             graph, attenuation=attenuation, radius=radius
         )
-        for node in graph.nodes()[:3]:
-            assert status_score(
-                graph, node, attenuation=attenuation, radius=radius
-            ) == status_score_by_full_bfs(graph, node, attenuation=attenuation, radius=radius)
 
     def test_grid_scores_match_on_a_graph_wider_than_the_radius(self):
         graph = grid_graph(9, 11)

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import FragmenterConfigurationError
 from repro.generators import (
     RandomGraphConfig,
-    calibrate_c1,
     edge_probability,
     generate_random_graph,
 )
@@ -88,12 +87,3 @@ class TestGeneration:
         sparse = generate_random_graph(RandomGraphConfig(node_count=40, c1=400.0, c2=0.05), seed=2)
         dense = generate_random_graph(RandomGraphConfig(node_count=40, c1=2400.0, c2=0.05), seed=2)
         assert dense.undirected_edge_count() > sparse.undirected_edge_count()
-
-
-class TestCalibration:
-    def test_calibrate_c1_hits_target_roughly(self):
-        base = RandomGraphConfig(node_count=50, c1=500.0, c2=0.05)
-        target = 120.0
-        calibrated = calibrate_c1(base, target, seeds=(0, 1), iterations=8)
-        graph = generate_random_graph(calibrated, seed=0)
-        assert abs(graph.undirected_edge_count() - target) / target < 0.5

@@ -12,6 +12,10 @@ from repro.generators import (
 from repro.graph import clustering_ratio, is_weakly_connected
 
 
+def cluster_index(network):
+    return {node: index for index, cluster in enumerate(network.clusters) for node in cluster}
+
+
 @pytest.fixture(scope="module")
 def small_network():
     config = TransportationGraphConfig(
@@ -62,12 +66,9 @@ class TestStructure:
         assert len(small_network.inter_cluster_pairs) == 4
 
     def test_border_nodes_are_in_two_adjacent_clusters(self, small_network):
+        index = cluster_index(small_network)
         for a, b in small_network.inter_cluster_pairs:
-            assert small_network.cluster_of(a) != small_network.cluster_of(b)
-
-    def test_cluster_of_unknown_node_raises(self, small_network):
-        with pytest.raises(KeyError):
-            small_network.cluster_of(99999)
+            assert index[a] != index[b]
 
     def test_deterministic_per_seed(self):
         config = TransportationGraphConfig(cluster_count=2, nodes_per_cluster=8, cluster_c1=150.0)
@@ -80,10 +81,8 @@ class TestStructure:
             cluster_count=3, nodes_per_cluster=6, cluster_c1=90.0, topology="complete", inter_cluster_edges=1
         )
         network = generate_transportation_graph(config, seed=0)
-        pairs = {
-            tuple(sorted((network.cluster_of(a), network.cluster_of(b))))
-            for a, b in network.inter_cluster_pairs
-        }
+        index = cluster_index(network)
+        pairs = {tuple(sorted((index[a], index[b]))) for a, b in network.inter_cluster_pairs}
         assert pairs == {(0, 1), (0, 2), (1, 2)}
 
     def test_explicit_pairs_override_topology(self):
@@ -92,10 +91,8 @@ class TestStructure:
             explicit_pairs=((0, 2),), inter_cluster_edges=1,
         )
         network = generate_transportation_graph(config, seed=0)
-        pairs = {
-            tuple(sorted((network.cluster_of(a), network.cluster_of(b))))
-            for a, b in network.inter_cluster_pairs
-        }
+        index = cluster_index(network)
+        pairs = {tuple(sorted((index[a], index[b]))) for a, b in network.inter_cluster_pairs}
         assert pairs == {(0, 2)}
 
 

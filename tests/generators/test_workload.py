@@ -9,7 +9,6 @@ from repro.generators import (
     grid_graph,
     intra_cluster_queries,
     mixed_workload,
-    random_queries,
 )
 
 
@@ -26,24 +25,6 @@ class TestPathQuery:
     def test_invalid_kind_raises(self):
         with pytest.raises(FragmenterConfigurationError):
             PathQuery(source=1, target=2, kind="widest")
-
-
-class TestRandomQueries:
-    def test_count_and_distinct_endpoints(self):
-        graph = grid_graph(4, 4)
-        queries = random_queries(graph, 25, seed=1)
-        assert len(queries) == 25
-        assert all(query.source != query.target for query in queries)
-
-    def test_deterministic(self):
-        graph = grid_graph(3, 3)
-        assert random_queries(graph, 10, seed=5) == random_queries(graph, 10, seed=5)
-
-    def test_requires_two_nodes(self):
-        from repro.graph import DiGraph
-
-        with pytest.raises(FragmenterConfigurationError):
-            random_queries(DiGraph(nodes=["only"]), 3)
 
 
 class TestClusterQueries:

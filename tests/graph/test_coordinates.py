@@ -9,9 +9,6 @@ from repro.graph import (
     Point,
     bounding_box,
     centroid,
-    euclidean_distance,
-    nodes_sorted_by_x,
-    pairwise_distances,
     spread_out_selection,
 )
 
@@ -19,12 +16,6 @@ from repro.graph import (
 class TestPoint:
     def test_distance(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == 5.0
-
-    def test_midpoint(self):
-        assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
-
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -1) == Point(3, 0)
 
     def test_ordering_is_lexicographic(self):
         assert Point(1, 5) < Point(2, 0)
@@ -35,10 +26,6 @@ class TestPoint:
 
 
 class TestHelpers:
-    def test_euclidean_distance_accepts_tuples(self):
-        assert euclidean_distance((0, 0), (0, 2)) == 2.0
-        assert euclidean_distance(Point(0, 0), (1, 0)) == 1.0
-
     def test_centroid(self):
         assert centroid([Point(0, 0), Point(2, 0), Point(1, 3)]) == Point(1.0, 1.0)
 
@@ -54,16 +41,6 @@ class TestHelpers:
     def test_bounding_box_empty_raises(self):
         with pytest.raises(ValueError):
             bounding_box([])
-
-    def test_pairwise_distances_symmetric(self):
-        coords = {"a": Point(0, 0), "b": Point(3, 4)}
-        distances = pairwise_distances(coords)
-        assert distances[("a", "b")] == 5.0
-        assert distances[("b", "a")] == 5.0
-
-    def test_nodes_sorted_by_x(self):
-        coords = {"right": Point(5, 0), "left": Point(-1, 0), "mid": Point(2, 0)}
-        assert list(nodes_sorted_by_x(coords)) == ["left", "mid", "right"]
 
 
 class TestSpreadOutSelection:

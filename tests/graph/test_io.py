@@ -2,41 +2,7 @@
 
 import pytest
 
-from repro.graph import (
-    DiGraph,
-    Point,
-    from_dict,
-    from_edge_list,
-    load_json,
-    save_json,
-    to_dict,
-    to_edge_list,
-    to_relation_rows,
-)
-
-
-class TestEdgeLists:
-    def test_roundtrip(self):
-        graph = DiGraph([("a", "b", 1.0), ("b", "c", 2.5)])
-        rebuilt = from_edge_list(to_edge_list(graph))
-        assert rebuilt == graph
-
-    def test_edge_list_is_sorted(self):
-        graph = DiGraph([("z", "a", 1.0), ("a", "b", 1.0)])
-        listed = to_edge_list(graph)
-        assert listed[0][0] == "a"
-
-    def test_symmetric_construction(self):
-        graph = from_edge_list([("a", "b")], symmetric=True)
-        assert graph.has_edge("a", "b") and graph.has_edge("b", "a")
-
-    def test_default_weight(self):
-        graph = from_edge_list([("a", "b")])
-        assert graph.edge_weight("a", "b") == 1.0
-
-    def test_to_relation_rows_matches_edge_list(self):
-        graph = DiGraph([("a", "b", 2.0)])
-        assert to_relation_rows(graph) == to_edge_list(graph)
+from repro.graph import DiGraph, Point, from_dict, load_json, save_json, to_dict
 
 
 class TestDictAndJson:

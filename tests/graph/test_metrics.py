@@ -7,12 +7,8 @@ from repro.graph import (
     DiGraph,
     average_degree,
     clustering_ratio,
-    coefficient_of_variation,
-    degree_histogram,
-    estimated_seminaive_iterations,
     mean,
     mean_absolute_deviation,
-    standard_deviation,
     summarize,
 )
 
@@ -27,15 +23,6 @@ class TestStatistics:
         assert mean_absolute_deviation([2.0, 4.0, 6.0]) == pytest.approx(4.0 / 3.0)
         assert mean_absolute_deviation([]) == 0.0
         assert mean_absolute_deviation([5.0, 5.0]) == 0.0
-
-    def test_standard_deviation(self):
-        assert standard_deviation([2.0, 2.0, 2.0]) == 0.0
-        assert standard_deviation([0.0, 2.0]) == 1.0
-
-    def test_coefficient_of_variation(self):
-        assert coefficient_of_variation([2.0, 2.0]) == 0.0
-        assert coefficient_of_variation([0.0, 0.0]) == 0.0
-        assert coefficient_of_variation([0.0, 2.0]) == 1.0
 
 
 class TestSummaries:
@@ -56,17 +43,9 @@ class TestSummaries:
         summary = summarize(chain_graph(3)).as_dict()
         assert {"node_count", "edge_count", "diameter", "density"} <= set(summary)
 
-    def test_degree_histogram_complete_graph(self):
-        histogram = degree_histogram(complete_graph(4))
-        assert histogram == {3: 4}
-
     def test_average_degree(self):
         assert average_degree(complete_graph(4)) == 3.0
         assert average_degree(DiGraph()) == 0.0
-
-    def test_estimated_seminaive_iterations(self):
-        assert estimated_seminaive_iterations(chain_graph(6)) == 6
-        assert estimated_seminaive_iterations(DiGraph()) == 0
 
 
 class TestClusteringRatio:

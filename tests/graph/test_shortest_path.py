@@ -1,6 +1,7 @@
 """Unit tests for shortest-path algorithms."""
 
 import math
+import random
 
 import pytest
 
@@ -8,15 +9,10 @@ from repro.exceptions import DisconnectedError, NegativeWeightError, NodeNotFoun
 from repro.generators import chain_graph, grid_graph
 from repro.graph import (
     DiGraph,
-    bellman_ford,
     dijkstra,
-    eccentricity,
-    floyd_warshall,
     hop_diameter,
-    multi_source_shortest_paths,
     shortest_path,
     shortest_path_length,
-    single_source_shortest_paths,
 )
 
 
@@ -60,53 +56,49 @@ class TestDijkstra:
         with pytest.raises(DisconnectedError):
             shortest_path_length(weighted_graph, "a", "island")
 
-    def test_single_source_shortest_paths(self, weighted_graph):
-        distances = single_source_shortest_paths(weighted_graph, "a")
-        assert distances["a"] == 0.0
-        assert distances["d"] == 6.0
+
+def random_weighted_graph(seed: int, node_count: int = 12, edge_count: int = 30) -> DiGraph:
+    """A directed graph with integer weights (exact sums) and some unreachable pairs."""
+    rng = random.Random(seed)
+    graph = DiGraph()
+    for node in range(node_count):
+        graph.add_node(node)
+    for _ in range(edge_count):
+        source, target = rng.sample(range(node_count), 2)
+        graph.add_edge(source, target, float(rng.randint(0, 9)))
+    return graph
 
 
-class TestMultiSource:
-    def test_nearest_source_wins(self):
-        graph = chain_graph(7, symmetric=True)
-        distances = multi_source_shortest_paths(graph, [0, 6])
-        assert distances[3] == 3.0
-        assert distances[1] == 1.0
-        assert distances[5] == 1.0
-
-    def test_missing_sources_are_ignored(self):
-        graph = chain_graph(3)
-        distances = multi_source_shortest_paths(graph, [0, "ghost"])
-        assert distances[2] == 2.0
+def bellman_ford(graph: DiGraph, source) -> dict:
+    """Independent oracle: relax every edge |V| - 1 times."""
+    distances = {node: math.inf for node in graph.nodes()}
+    distances[source] = 0.0
+    for _ in range(graph.node_count() - 1):
+        for node_from, node_to, weight in graph.weighted_edges():
+            if distances[node_from] + weight < distances[node_to]:
+                distances[node_to] = distances[node_from] + weight
+    return {node: distance for node, distance in distances.items() if distance < math.inf}
 
 
-class TestBellmanFordAndFloydWarshall:
-    def test_bellman_ford_matches_dijkstra(self, weighted_graph):
-        bf_distances, _ = bellman_ford(weighted_graph, "a")
-        dj_distances, _ = dijkstra(weighted_graph, "a")
-        assert bf_distances == dj_distances
+@pytest.mark.parametrize("seed", range(8))
+class TestAgainstBellmanFord:
+    def test_dijkstra_distances_match_from_every_source(self, seed):
+        graph = random_weighted_graph(seed)
+        for source in graph.nodes():
+            distances, _ = dijkstra(graph, source)
+            assert distances == bellman_ford(graph, source)
 
-    def test_bellman_ford_handles_negative_edges(self):
-        graph = DiGraph([("a", "b", 4.0), ("a", "c", 2.0), ("c", "b", -1.0)])
-        distances, _ = bellman_ford(graph, "a")
-        assert distances["b"] == 1.0
-
-    def test_bellman_ford_detects_negative_cycle(self):
-        graph = DiGraph([("a", "b", 1.0), ("b", "a", -2.0)])
-        with pytest.raises(NegativeWeightError):
-            bellman_ford(graph, "a")
-
-    def test_floyd_warshall_matches_dijkstra(self, weighted_graph):
-        all_pairs = floyd_warshall(weighted_graph)
-        for source in weighted_graph.nodes():
-            distances, _ = dijkstra(weighted_graph, source)
-            for target, value in distances.items():
-                assert all_pairs[source][target] == pytest.approx(value)
-
-    def test_floyd_warshall_unreachable_is_inf(self):
-        graph = DiGraph([("a", "b")])
-        graph.add_node("z")
-        assert floyd_warshall(graph)["a"]["z"] == math.inf
+    def test_predecessors_and_routes_are_shortest_paths(self, seed):
+        graph = random_weighted_graph(seed)
+        for source in graph.nodes():
+            distances, predecessors = dijkstra(graph, source)
+            for node, previous in predecessors.items():
+                assert distances[previous] + graph.edge_weight(previous, node) == distances[node]
+            for target in distances:
+                length, path = shortest_path(graph, source, target)
+                assert (path[0], path[-1]) == (source, target)
+                assert length == distances[target]
+                assert sum(graph.edge_weight(a, b) for a, b in zip(path, path[1:])) == length
 
 
 class TestDiameter:
@@ -115,11 +107,6 @@ class TestDiameter:
 
     def test_grid_diameter(self):
         assert hop_diameter(grid_graph(3, 4)) == 5  # (3-1) + (4-1)
-
-    def test_eccentricity_of_chain_end(self):
-        graph = chain_graph(4)
-        assert eccentricity(graph, 0) == 3
-        assert eccentricity(graph, 1) == 2
 
     def test_empty_graph_diameter_zero(self):
         assert hop_diameter(DiGraph()) == 0

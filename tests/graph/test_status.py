@@ -3,7 +3,7 @@
 import pytest
 
 from repro.generators import chain_graph, star_graph
-from repro.graph import DiGraph, rank_by_status, status_score, status_scores, top_candidates
+from repro.graph import DiGraph, rank_by_status, status_scores, top_candidates
 
 
 class TestStatusScore:
@@ -20,17 +20,17 @@ class TestStatusScore:
 
     def test_attenuation_reduces_far_contributions(self):
         graph = chain_graph(7)
-        tight = status_score(graph, 3, attenuation=0.1)
-        loose = status_score(graph, 3, attenuation=0.9)
+        tight = status_scores(graph, attenuation=0.1)[3]
+        loose = status_scores(graph, attenuation=0.9)[3]
         assert loose > tight
 
     def test_radius_zero_is_just_grade(self):
         graph = star_graph(5)
-        assert status_score(graph, 0, radius=0) == 5.0
+        assert status_scores(graph, radius=0)[0] == 5.0
 
     def test_isolated_node_scores_zero(self):
         graph = DiGraph(nodes=["lonely"])
-        assert status_score(graph, "lonely") == 0.0
+        assert status_scores(graph)["lonely"] == 0.0
 
     def test_scores_cover_every_node(self):
         graph = chain_graph(5)

@@ -5,19 +5,15 @@ from repro.graph import (
     DiGraph,
     bfs_levels,
     bfs_order,
-    dfs_order,
-    has_cycle,
     is_reachable,
     is_weakly_connected,
-    reachable_set,
     strongly_connected_components,
-    topological_sort,
     undirected_cycle_count,
     weakly_connected_components,
 )
 
 
-class TestBfsDfs:
+class TestBfs:
     def test_bfs_order_directed(self):
         graph = DiGraph([("a", "b"), ("a", "c"), ("b", "d")])
         order = bfs_order(graph, "a")
@@ -35,15 +31,8 @@ class TestBfsDfs:
         levels = bfs_levels(graph, 0)
         assert levels == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
-    def test_dfs_visits_all_reachable(self):
-        graph = DiGraph([("a", "b"), ("b", "c"), ("a", "d")])
-        order = dfs_order(graph, "a")
-        assert order[0] == "a"
-        assert set(order) == {"a", "b", "c", "d"}
-
-    def test_reachable_set_and_is_reachable(self):
+    def test_is_reachable(self):
         graph = DiGraph([("a", "b"), ("b", "c"), ("x", "y")])
-        assert reachable_set(graph, "a") == {"a", "b", "c"}
         assert is_reachable(graph, "a", "c")
         assert not is_reachable(graph, "a", "y")
         assert is_reachable(graph, "a", "a")
@@ -74,18 +63,7 @@ class TestComponents:
         assert components[0] == set(range(5))
 
 
-class TestCyclesAndTopoSort:
-    def test_topological_sort_on_dag(self):
-        graph = DiGraph([("a", "b"), ("b", "c"), ("a", "c")])
-        order = topological_sort(graph)
-        assert order is not None
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_topological_sort_none_on_cycle(self):
-        graph = DiGraph([("a", "b"), ("b", "a")])
-        assert topological_sort(graph) is None
-        assert has_cycle(graph)
-
+class TestUndirectedCycles:
     def test_undirected_cycle_count_tree_is_zero(self):
         graph = DiGraph()
         graph.add_symmetric_edge("a", "b")

@@ -187,7 +187,7 @@ class TestMergeAcrossProcesses:
             registry.histogram(
                 "repro_latency_seconds", buckets=(0.001, 0.1)
             ).observe(value)
-        a.merge(b)
+        a.merge_dict(b.drain())
         [series] = a.get("repro_latency_seconds").series_dicts()
         assert series["bucket_counts"] == [1, 0, 1]
         assert series["count"] == 2
@@ -198,7 +198,7 @@ class TestMergeAcrossProcesses:
         b = MetricsRegistry()
         b.histogram("repro_latency_seconds", buckets=(0.002, 0.1)).observe(0.01)
         with pytest.raises(ValueError, match="bucket"):
-            a.merge(b)
+            a.merge_dict(b.drain())
 
     def test_default_latency_buckets_are_valid(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)

@@ -28,24 +28,12 @@ class TestCostModel:
         assert set(costs) == {0, 1}
         assert costs[0] > costs[1]
 
-    def test_parallel_makespan_is_slowest_site_plus_assembly(self):
-        model = CostModel()
-        report = _report()
-        makespan = model.parallel_makespan(report)
-        slowest = max(model.site_costs(report).values())
-        assert makespan == pytest.approx(slowest + model.assembly_cost(report))
-
     def test_sequential_cost_is_sum_of_sites_plus_assembly(self):
         model = CostModel()
         report = _report()
         assert model.sequential_cost(report) == pytest.approx(
             sum(model.site_costs(report).values()) + model.assembly_cost(report)
         )
-
-    def test_sequential_at_least_parallel(self):
-        model = CostModel()
-        report = _report()
-        assert model.sequential_cost(report) >= model.parallel_makespan(report)
 
     def test_assembly_cost_counts_joins_tuples_and_messages(self):
         model = CostModel(join_cost=5.0, assembly_tuple_cost=0.5, message_cost=2.0)
@@ -56,7 +44,6 @@ class TestCostModel:
     def test_empty_report(self):
         model = CostModel()
         report = ExecutionReport()
-        assert model.parallel_makespan(report) == 0.0
         assert model.sequential_cost(report) == 0.0
 
     def test_closure_cost(self):

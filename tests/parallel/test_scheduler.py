@@ -22,8 +22,8 @@ class TestAssignment:
 
     def test_lpt_beats_or_ties_round_robin_makespan(self):
         costs = {0: 8.0, 1: 7.0, 2: 6.0, 3: 1.0, 4: 1.0, 5: 1.0}
-        lpt = assign_fragments(costs, 3, policy="lpt").makespan(costs)
-        rr = assign_fragments(costs, 3, policy="round_robin").makespan(costs)
+        lpt = max(assign_fragments(costs, 3, policy="lpt").processor_loads(costs))
+        rr = max(assign_fragments(costs, 3, policy="round_robin").processor_loads(costs))
         assert lpt <= rr
 
     def test_invalid_processor_count(self):
@@ -44,6 +44,6 @@ class TestAssignment:
         assert assignment.processor_count == 3
         assert assignment.processor_of == {1: 0, 2: 1, 3: 2}
 
-    def test_makespan_with_missing_costs_defaults_to_zero(self):
+    def test_loads_with_missing_costs_default_to_zero(self):
         assignment = one_processor_per_fragment([0, 1])
-        assert assignment.makespan({0: 4.0}) == 4.0
+        assert assignment.processor_loads({0: 4.0}) == [4.0, 0.0]

@@ -49,7 +49,6 @@ class TestWorkloadSimulation:
         assert len(result.query_simulations) == 6
         assert result.total_parallel_time > 0
         assert result.overall_speedup() >= 1.0
-        assert result.average_speedup() >= 1.0
 
     def test_centralized_baseline_costs_more(self, simulator):
         network, sim = simulator
@@ -64,7 +63,6 @@ class TestWorkloadSimulation:
         _, sim = simulator
         result = sim.simulate_workload([])
         assert result.overall_speedup() == 1.0
-        assert result.average_speedup() == 1.0
 
 
 class TestProcessorLimits:

@@ -141,7 +141,7 @@ class TestLiveRefragmenter:
             Fragmentation(graph, aligned, algorithm=proposed.algorithm)
         )
         assert result.dropped == (2,)
-        assert engine.catalog.site_count() == 2
+        assert len(engine.catalog.sites()) == 2
         fresh = DisconnectionSetEngine(engine.catalog.fragmentation)
         for source, target in [(0, 11), (5, 9), (11, 0)]:
             assert engine.query(source, target).value == pytest.approx(

@@ -56,12 +56,3 @@ class TestLRUCache:
         assert cache.clear() == 2
         assert len(cache) == 0
         assert cache.invalidations == 2
-
-    def test_evict_stale_by_predicate(self):
-        cache = LRUCache(8)
-        cache.put(("a", "v1"), 1)
-        cache.put(("b", "v1"), 2)
-        cache.put(("c", "v2"), 3)
-        dropped = cache.evict_stale(lambda key: key[1] == "v1")
-        assert dropped == 2
-        assert list(cache) == [("c", "v2")]

@@ -15,8 +15,8 @@ from repro.disconnection import DisconnectionSetEngine
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.service import (
+    QueryService,
     SnapshotError,
-    SnapshotStore,
     is_snapshot_directory,
     load_snapshot,
     save_snapshot,
@@ -35,8 +35,7 @@ class TestSnapshotRoundTrip:
     def test_round_trip_preserves_answers(self, prepared, tmp_path):
         _, _, engine = prepared
         save_snapshot(tmp_path / "snap", engine)
-        loaded = load_snapshot(tmp_path / "snap")
-        rebuilt = loaded.build_engine()
+        rebuilt = QueryService.from_snapshot(tmp_path / "snap")
         for source, target in [(0, 7), (1, 6), (3, 4), (0, 3)]:
             assert rebuilt.query(source, target).value == engine.query(source, target).value
 
@@ -62,8 +61,7 @@ class TestSnapshotRoundTrip:
         monkeypatch.setattr(
             catalog_module, "precompute_complementary_information", fail
         )
-        loaded = load_snapshot(tmp_path / "snap")
-        rebuilt = loaded.build_engine()
+        rebuilt = QueryService.from_snapshot(tmp_path / "snap")
         assert rebuilt.query(0, 7).value == engine.query(0, 7).value
 
     def test_version_is_content_addressed(self, prepared, tmp_path):
@@ -129,32 +127,6 @@ class TestSnapshotValidation:
         engine = DisconnectionSetEngine(fragmentation, semiring=widest_path_semiring())
         with pytest.raises(ValueError):
             save_snapshot(tmp_path / "snap", engine)
-
-
-class TestSnapshotStore:
-    def test_named_snapshots(self, prepared, tmp_path):
-        _, _, engine = prepared
-        store = SnapshotStore(tmp_path / "store")
-        assert store.list_snapshots() == []
-        manifest = store.save("main", engine)
-        assert store.list_snapshots() == ["main"]
-        assert store.manifest("main").version == manifest.version
-        loaded = store.load("main")
-        assert loaded.manifest.version == manifest.version
-
-    def test_missing_snapshot_raises(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store")
-        with pytest.raises(SnapshotError):
-            store.manifest("absent")
-
-    @pytest.mark.parametrize("text", ['{"format": "repro-snap', "{}", "[]"])
-    def test_corrupt_manifest_is_a_snapshot_error(self, prepared, tmp_path, text):
-        _, _, engine = prepared
-        store = SnapshotStore(tmp_path / "store")
-        store.save("main", engine)
-        (store.path("main") / "manifest.json").write_text(text)
-        with pytest.raises(SnapshotError, match=str(store.path("main"))):
-            store.manifest("main")
 
 
 # ------------------------------------------------------------- content hash

@@ -1,10 +1,37 @@
 """Smoke tests for the top-level public API surface."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def resolve(dotted: str) -> object:
+    """Import the longest module prefix of ``dotted`` and look up the rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[split:]:
+            target = getattr(target, attribute)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+README_NAMES = sorted(
+    {
+        name
+        for span in re.findall(r"`([^`\n]+)`", README.read_text())
+        for name in re.findall(r"(?<![\w./-])repro(?:\.\w+)+", span)
+    }
+)
 
 
 class TestPublicExports:
@@ -19,13 +46,16 @@ class TestPublicExports:
         "module_name",
         [
             "repro.graph",
-            "repro.relational",
             "repro.generators",
             "repro.closure",
             "repro.fragmentation",
             "repro.disconnection",
             "repro.incremental",
             "repro.service",
+            "repro.serving",
+            "repro.observability",
+            "repro.placement",
+            "repro.refragmentation",
             "repro.parallel",
             "repro.experiments",
             "repro.cli",
@@ -35,6 +65,16 @@ class TestPublicExports:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.__all__ lists {name} but it is not importable"
+
+    def test_readme_name_scan_finds_dotted_names(self):
+        assert "repro.closure.kernels.bitset_diameter" in README_NAMES
+
+    @pytest.mark.parametrize("name", README_NAMES)
+    def test_readme_names_resolve(self, name):
+        try:
+            resolve(name)
+        except (ImportError, AttributeError) as error:
+            pytest.fail(f"README.md names {name}, which does not exist: {error}")
 
     def test_there_is_one_worker_pool(self):
         import repro.service
