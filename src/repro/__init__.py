@@ -51,6 +51,7 @@ from .exceptions import (
     FragmentationError,
     GraphError,
     NoChainError,
+    PlanTruncatedError,
     ReproError,
 )
 from .fragmentation import (
@@ -147,6 +148,7 @@ __all__ = [
     "PathQuery",
     "PlacedWorkerPool",
     "PlacementPlan",
+    "PlanTruncatedError",
     "plan_placement",
     "Point",
     "QueryAnswer",

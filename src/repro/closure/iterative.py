@@ -27,6 +27,8 @@ from .semiring import Semiring, shortest_path_semiring
 Node = Hashable
 
 DEFAULT_MAX_ITERATIONS = 10_000
+# Squaring rounds of the smart closure: 2^64 covers any path length.
+SMART_MAX_ROUNDS = 64
 
 
 def _edge_values(graph: DiGraph, semiring: Semiring, sources: Optional[Set[Node]]) -> Dict[Pair, object]:
@@ -66,7 +68,6 @@ def naive_transitive_closure(
     *,
     semiring: Optional[Semiring] = None,
     sources: Optional[Iterable[Node]] = None,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> ClosureResult:
     """Compute the closure by naive iteration (whole closure re-joined each round).
 
@@ -76,15 +77,16 @@ def naive_transitive_closure(
         sources: optional restriction of the closure to paths starting at
             these nodes — the "magic cone" selection induced by a
             disconnection set.
-        max_iterations: safety bound for non-idempotent semirings on cyclic
-            graphs.
+
+    At most :data:`DEFAULT_MAX_ITERATIONS` rounds run (a safety bound for
+    non-idempotent semirings on cyclic graphs).
     """
     semiring = semiring or shortest_path_semiring()
     source_set = set(sources) if sources is not None else None
     values = _edge_values(graph, semiring, source_set)
     base = _edge_values(graph, semiring, None)
     stats = ClosureStatistics()
-    while stats.iterations < max_iterations:
+    while stats.iterations < DEFAULT_MAX_ITERATIONS:
         candidates: Dict[Pair, object] = {}
         for (a, b), left in values.items():
             for (b2, c), right in base.items():
@@ -223,18 +225,18 @@ def smart_transitive_closure(
     graph: DiGraph,
     *,
     semiring: Optional[Semiring] = None,
-    max_iterations: int = 64,
 ) -> ClosureResult:
     """Compute the closure by repeated squaring (logarithmic number of rounds).
 
     Each round composes the current closure with itself, so paths of length up
-    to ``2^k`` are covered after ``k`` rounds.  Source restriction is not
-    supported because squaring needs the full intermediate closure.
+    to ``2^k`` are covered after ``k`` rounds, at most
+    :data:`SMART_MAX_ROUNDS` of them.  Source restriction is not supported
+    because squaring needs the full intermediate closure.
     """
     semiring = semiring or shortest_path_semiring()
     values = _edge_values(graph, semiring, None)
     stats = ClosureStatistics()
-    while stats.iterations < max_iterations:
+    while stats.iterations < SMART_MAX_ROUNDS:
         by_source: Dict[Node, list] = {}
         for (a, b), value in values.items():
             by_source.setdefault(a, []).append((b, value))

@@ -21,6 +21,10 @@ from .warshall import bfs_closure, dijkstra_closure
 
 Node = Hashable
 
+# Iteration bound of the bill-of-materials count: the counting semiring is
+# not idempotent, so a (malformed) cyclic part hierarchy must still stop.
+BOM_MAX_DEPTH = 64
+
 
 def is_connected(graph: DiGraph, source: Node, target: Node) -> bool:
     """Answer "is ``source`` connected to ``target``?" on the whole graph."""
@@ -47,13 +51,13 @@ def shortest_path_cost(graph: DiGraph, source: Node, target: Node) -> float:
     return float(value)  # type: ignore[arg-type]
 
 
-def bill_of_materials(graph: DiGraph, *, max_depth: int = 64) -> ClosureResult:
+def bill_of_materials(graph: DiGraph) -> ClosureResult:
     """Count, for every (assembly, part) pair, the number of distinct usage paths.
 
-    The graph must be acyclic (a part hierarchy); ``max_depth`` bounds the
-    iteration as a safety net because the counting semiring is not
-    idempotent.
+    The graph must be acyclic (a part hierarchy); :data:`BOM_MAX_DEPTH`
+    rounds bound the iteration as a safety net because the counting semiring
+    is not idempotent.
     """
     return seminaive_transitive_closure(
-        graph, semiring=path_count_semiring(), max_iterations=max_depth
+        graph, semiring=path_count_semiring(), max_iterations=BOM_MAX_DEPTH
     )

@@ -207,6 +207,8 @@ class DisconnectionSetEngine:
         Raises:
             NoChainError: if one of the endpoints is stored nowhere or no
                 fragment chain connects them.
+            PlanTruncatedError: if more fragment chains connect them than the
+                planner enumerates (an answer could be wrong).
         """
         if source == target and self._catalog.sites_storing_node(source):
             report = ExecutionReport()
@@ -250,7 +252,12 @@ class DisconnectionSetEngine:
         )
 
     def is_connected(self, source: Node, target: Node) -> bool:
-        """Answer "is ``source`` connected to ``target``?" (never raises for unknown nodes)."""
+        """Answer "is ``source`` connected to ``target``?" (never raises for unknown nodes).
+
+        A truncated plan still raises
+        :class:`~repro.exceptions.PlanTruncatedError`: chains exist, so
+        ``False`` would be a wrong answer.
+        """
         try:
             answer = self.query(source, target)
         except NoChainError:

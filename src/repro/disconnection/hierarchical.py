@@ -13,8 +13,7 @@ ever involved regardless of how many regional fragments exist.
 machinery:
 
 * a *backbone* fragment is built from the complementary-information shortcuts
-  of every disconnection set (border-to-border global best values), plus any
-  explicitly supplied high-speed edges;
+  of every disconnection set (border-to-border global best values);
 * a query between non-adjacent fragments is evaluated over the fixed
   three-element chain (source fragment, backbone, target fragment);
 * queries within a fragment or between adjacent fragments fall back to the
@@ -24,7 +23,7 @@ machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, List, Optional
 
 from ..closure import Semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
@@ -54,9 +53,6 @@ class HierarchicalEngine:
     Args:
         fragmentation: the base fragmentation.
         semiring: the path problem (defaults to shortest paths).
-        extra_backbone_edges: optional additional high-speed edges
-            ``(source, target, value)`` — e.g. explicit intercity lines — that
-            are added to the backbone fragment.
     """
 
     def __init__(
@@ -64,7 +60,6 @@ class HierarchicalEngine:
         fragmentation: Fragmentation,
         *,
         semiring: Optional[Semiring] = None,
-        extra_backbone_edges: Optional[Iterable[Tuple[Node, Node, float]]] = None,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._fragmentation = fragmentation
@@ -78,11 +73,11 @@ class HierarchicalEngine:
             fragmentation, semiring=self._semiring, complementary=self._complementary
         )
         self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
-        self._backbone_site = self._build_backbone(extra_backbone_edges or [])
+        self._backbone_site = self._build_backbone()
 
     # -------------------------------------------------------------- backbone
 
-    def _build_backbone(self, extra_edges: Iterable[Tuple[Node, Node, float]]) -> FragmentSite:
+    def _build_backbone(self) -> FragmentSite:
         """Assemble the high-speed network fragment.
 
         The backbone connects **all** border nodes of the fragmentation with
@@ -122,8 +117,6 @@ class HierarchicalEngine:
                         backbone.add_edge(source, target, weight)
                 else:
                     backbone.add_edge(source, target, weight)
-        for source, target, weight in extra_edges:
-            backbone.add_edge(source, target, float(weight))
         border_nodes = frozenset(backbone.nodes())
         return FragmentSite(
             fragment_id=-1,

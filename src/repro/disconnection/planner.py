@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Hashable, List, Optional, Tuple
 
-from ..exceptions import NoChainError
+from ..exceptions import NoChainError, PlanTruncatedError
 from .catalog import DistributedCatalog
 
 Node = Hashable
@@ -95,7 +95,13 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Plans disconnection-set queries over a :class:`DistributedCatalog`."""
+    """Plans disconnection-set queries over a :class:`DistributedCatalog`.
+
+    ``max_chains`` caps the chains enumerated between one source fragment and
+    one target fragment.  A pair with more chains than that raises
+    :class:`~repro.exceptions.PlanTruncatedError` rather than planning a
+    subset: the chain left out might carry the best path.
+    """
 
     def __init__(self, catalog: DistributedCatalog, *, max_chains: Optional[int] = 32) -> None:
         self._catalog = catalog
@@ -108,6 +114,8 @@ class QueryPlanner:
             NoChainError: if no chain of fragments connects a fragment storing
                 ``source`` with a fragment storing ``target`` (or one of the
                 endpoints is stored nowhere).
+            PlanTruncatedError: if more than ``max_chains`` chains connect one
+                of those fragment pairs.
         """
         source_fragments = self._catalog.sites_storing_node(source)
         target_fragments = self._catalog.sites_storing_node(target)
@@ -122,10 +130,17 @@ class QueryPlanner:
             target=target,
             loosely_connected=fragmentation_graph.is_loosely_connected(),
         )
+        cap = self._max_chains
         seen_chains = set()
         for start in source_fragments:
             for end in target_fragments:
-                for chain in fragmentation_graph.chains(start, end, max_chains=self._max_chains):
+                # One chain past the cap tells a complete list from a cut one.
+                chains = fragmentation_graph.chains(
+                    start, end, max_chains=None if cap is None else cap + 1
+                )
+                if cap is not None and len(chains) > cap:
+                    raise PlanTruncatedError(source, target, cap)
+                for chain in chains:
                     key = tuple(chain)
                     if key in seen_chains:
                         continue

@@ -65,6 +65,25 @@ class NoChainError(DisconnectionSetError):
     """No chain of fragments connects the source and destination fragments."""
 
 
+class PlanTruncatedError(DisconnectionSetError):
+    """More chains connect the endpoints' fragments than the planner enumerates.
+
+    A plan cut at the cap may miss the chain the best path runs through, so
+    its value could be a plain wrong answer; the query fails instead.  Not a
+    :class:`NoChainError`: chains do exist, so "not connected" would be wrong
+    too.
+    """
+
+    def __init__(self, source: object, target: object, max_chains: int) -> None:
+        super().__init__(
+            f"more than {max_chains} fragment chains connect {source!r} and {target!r}; "
+            "a plan cut at that cap could miss the best path, so the query is not answered"
+        )
+        self.source = source
+        self.target = target
+        self.max_chains = max_chains
+
+
 class ParallelError(ReproError):
     """Base class for errors raised by the parallel execution substrate."""
 

@@ -11,11 +11,8 @@ from .base import Fragment, Fragmentation, fragmentation_from_node_blocks
 from .baselines import GroundTruthFragmenter, HashFragmenter
 from .bond_energy import BondEnergyFragmenter
 from .center_based import (
-    BALANCE_BY_DIAMETER,
-    BALANCE_BY_SIZE,
     CENTER_SELECTION_DISTRIBUTED,
     CENTER_SELECTION_RANDOM,
-    CENTER_SELECTION_TOP_SCORE,
     CenterBasedFragmenter,
 )
 from .fragmentation_graph import FragmentationGraph
@@ -40,12 +37,9 @@ __all__ = [
     "AdvisorConstraints",
     "Recommendation",
     "recommend",
-    "BALANCE_BY_DIAMETER",
-    "BALANCE_BY_SIZE",
     "BondEnergyFragmenter",
     "CENTER_SELECTION_DISTRIBUTED",
     "CENTER_SELECTION_RANDOM",
-    "CENTER_SELECTION_TOP_SCORE",
     "CenterBasedFragmenter",
     "Fragment",
     "Fragmentation",

@@ -17,9 +17,10 @@ bond energy algorithm (BEA) of McCormick, Schweitzer and White (1972):
    scans the columns left to right and splits when a *local condition* holds;
    it implements the **threshold** condition (split as soon as the number of
    connections from the current block to nodes outside it reaches a
-   threshold) with an optional minimum block size to avoid fragments that are
-   "too small".  Both knobs are exposed here, and a local-minimum splitting
-   policy is provided as well for completeness.
+   threshold) with a minimum block size to avoid fragments that are "too
+   small".  The threshold is exposed here, the minimum block size is derived
+   from the graph size, and a local-minimum splitting policy is provided as
+   well for completeness.
 
 Each block of nodes becomes a fragment; edges inside a block belong to that
 fragment, edges between blocks are assigned to the lower-indexed block (so the
@@ -41,6 +42,9 @@ Node = Hashable
 SPLIT_THRESHOLD = "threshold"
 SPLIT_LOCAL_MINIMUM = "local_minimum"
 
+# The floor of the minimum block size, max(2, |V| / (2 * fragment_count)).
+MIN_BLOCK_COLUMNS = 2
+
 
 class BondEnergyFragmenter(Fragmenter):
     """The bond-energy fragmentation algorithm.
@@ -52,9 +56,6 @@ class BondEnergyFragmenter(Fragmenter):
         threshold: explicit split threshold — split as soon as the number of
             connections from the current block to outside nodes reaches this
             value.  ``None`` derives a threshold from ``fragment_count``.
-        min_block_size: minimum number of columns per block; the "finetuning"
-            of the paper that avoids fragments that are too small.  ``None``
-            derives it from the graph size and ``fragment_count``.
         split_policy: ``"threshold"`` (the paper's implemented choice) or
             ``"local_minimum"`` (split at local minima of the external
             connection count).
@@ -62,6 +63,10 @@ class BondEnergyFragmenter(Fragmenter):
             ordering; ``None`` tries every column (the paper's exhaustive
             variant, quadratic in the node count on top of the placement
             cost).
+
+    A block holds at least ``max(MIN_BLOCK_COLUMNS, n // (2 *
+    fragment_count))`` columns: the paper's "finetuning" against fragments
+    that are too small.
     """
 
     name = "bond-energy"
@@ -71,7 +76,6 @@ class BondEnergyFragmenter(Fragmenter):
         fragment_count: int,
         *,
         threshold: Optional[int] = None,
-        min_block_size: Optional[int] = None,
         split_policy: str = SPLIT_THRESHOLD,
         restarts: Optional[int] = 4,
     ) -> None:
@@ -79,15 +83,12 @@ class BondEnergyFragmenter(Fragmenter):
             raise FragmenterConfigurationError("fragment_count must be positive")
         if threshold is not None and threshold <= 0:
             raise FragmenterConfigurationError("threshold must be positive when given")
-        if min_block_size is not None and min_block_size <= 0:
-            raise FragmenterConfigurationError("min_block_size must be positive when given")
         if split_policy not in (SPLIT_THRESHOLD, SPLIT_LOCAL_MINIMUM):
             raise FragmenterConfigurationError(f"unknown split_policy {split_policy!r}")
         if restarts is not None and restarts <= 0:
             raise FragmenterConfigurationError("restarts must be positive or None")
         self.fragment_count = fragment_count
         self.threshold = threshold
-        self.min_block_size = min_block_size
         self.split_policy = split_policy
         self.restarts = restarts
 
@@ -216,11 +217,9 @@ class BondEnergyFragmenter(Fragmenter):
         if n == 0:
             return []
         threshold = self.threshold if self.threshold is not None else self._derive_threshold(graph)
-        min_block = (
-            self.min_block_size
-            if self.min_block_size is not None
-            else max(2, n // (self.fragment_count * 2))
-        )
+        # The paper's "finetuning" against fragments that are too small: a
+        # block holds at least half a fair share of the columns.
+        min_block = max(MIN_BLOCK_COLUMNS, n // (self.fragment_count * 2))
         neighbour_sets = {node: set(graph.neighbors(node)) for node in ordering}
 
         blocks: List[List[Node]] = []

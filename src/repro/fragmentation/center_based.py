@@ -12,16 +12,19 @@ the same amount of per-processor computation.  It works in two phases:
 
 2. **Fragment growth.**  Starting from the centers, the algorithm iterates
    over the fragments and repeatedly adds all edges adjacent to the fragment's
-   current node set (Fig. 4).  The iteration order is adaptable: the
-   ``round_robin`` balance policy adds one layer per fragment per round (the
-   diameter-balancing variant of Fig. 4), while ``smallest_first`` always
-   expands the fragment with the fewest edges (the size-balancing variant).
+   current node set (Fig. 4), one layer per fragment per round: the
+   diameter-balancing variant of Fig. 4.
+
+The status score reads :data:`repro.graph.status.DEFAULT_ATTENUATION` (0.5)
+and :data:`repro.graph.status.DEFAULT_RADIUS` (3 rings, the paper's choice);
+the candidate pool is :data:`CANDIDATE_POOL_FACTOR` times the fragment count
+(at least :data:`DISTRIBUTED_POOL_FACTOR` times for distributed centers).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set
 
 from ..exceptions import FragmenterConfigurationError
 from ..graph import DiGraph, spread_out_selection, top_candidates
@@ -30,12 +33,16 @@ from .protocols import Fragmenter
 
 Node = Hashable
 
-BALANCE_BY_DIAMETER = "round_robin"
-BALANCE_BY_SIZE = "smallest_first"
-
 CENTER_SELECTION_RANDOM = "random"
 CENTER_SELECTION_DISTRIBUTED = "distributed"
-CENTER_SELECTION_TOP_SCORE = "top_score"
+
+# Size of the candidate pool relative to the fragment count.
+CANDIDATE_POOL_FACTOR = 3.0
+# The distributed policy needs a wide pool to have geometrically spread
+# candidates to pick from: with a narrow pool all high-score nodes may sit in
+# the same dense cluster and the spreading step has nothing to work with (the
+# failure mode Table 2 documents for the plain variant).
+DISTRIBUTED_POOL_FACTOR = 32.0
 
 
 class CenterBasedFragmenter(Fragmenter):
@@ -46,17 +53,9 @@ class CenterBasedFragmenter(Fragmenter):
             paper notes this "may depend on factors such as the number of
             processors available".
         center_selection: how centers are picked from the high-score candidate
-            pool: ``"random"`` (the paper's first variant), ``"distributed"``
-            (coordinate-spread selection, the Table 2 refinement) or
-            ``"top_score"`` (simply the highest-scoring nodes; deterministic
-            but may cluster centers together).
-        balance: ``"round_robin"`` adds one ring of edges per fragment per
-            round (balances fragment diameters); ``"smallest_first"`` always
-            grows the currently smallest fragment (balances fragment sizes).
-        attenuation: the ``a < 1`` factor of the status score.
-        score_radius: how many rings the status score looks at (paper: 3).
-        candidate_pool_factor: size of the candidate pool relative to
-            ``fragment_count``.
+            pool: ``"random"`` (the paper's first variant) or
+            ``"distributed"`` (coordinate-spread selection, the Table 2
+            refinement).
         seed: RNG seed for the random center selection.
     """
 
@@ -67,32 +66,16 @@ class CenterBasedFragmenter(Fragmenter):
         fragment_count: int,
         *,
         center_selection: str = CENTER_SELECTION_RANDOM,
-        balance: str = BALANCE_BY_DIAMETER,
-        attenuation: float = 0.5,
-        score_radius: int = 3,
-        candidate_pool_factor: float = 3.0,
         seed: int = 0,
     ) -> None:
         if fragment_count <= 0:
             raise FragmenterConfigurationError("fragment_count must be positive")
-        if center_selection not in (
-            CENTER_SELECTION_RANDOM,
-            CENTER_SELECTION_DISTRIBUTED,
-            CENTER_SELECTION_TOP_SCORE,
-        ):
+        if center_selection not in (CENTER_SELECTION_RANDOM, CENTER_SELECTION_DISTRIBUTED):
             raise FragmenterConfigurationError(
                 f"unknown center_selection {center_selection!r}"
             )
-        if balance not in (BALANCE_BY_DIAMETER, BALANCE_BY_SIZE):
-            raise FragmenterConfigurationError(f"unknown balance policy {balance!r}")
-        if not 0.0 < attenuation:
-            raise FragmenterConfigurationError("attenuation must be positive")
         self.fragment_count = fragment_count
         self.center_selection = center_selection
-        self.balance = balance
-        self.attenuation = attenuation
-        self.score_radius = score_radius
-        self.candidate_pool_factor = candidate_pool_factor
         self.seed = seed
         if center_selection == CENTER_SELECTION_DISTRIBUTED:
             self.name = "center-based-distributed"
@@ -113,7 +96,6 @@ class CenterBasedFragmenter(Fragmenter):
             algorithm=self.name,
             metadata={
                 "centers": centers,
-                "balance": self.balance,
                 "center_selection": self.center_selection,
             },
         )
@@ -122,29 +104,11 @@ class CenterBasedFragmenter(Fragmenter):
 
     def select_centers(self, graph: DiGraph, count: int) -> List[Node]:
         """Select ``count`` centers using the configured policy."""
-        # The distributed policy needs a wide pool to have geometrically
-        # spread candidates to pick from: with a narrow pool all high-score
-        # nodes may sit in the same dense cluster and the spreading step has
-        # nothing to work with (the failure mode Table 2 documents for the
-        # plain variant).
-        pool_factor = (
-            max(self.candidate_pool_factor, 32.0)
-            if self.center_selection == CENTER_SELECTION_DISTRIBUTED
-            else self.candidate_pool_factor
-        )
-        candidates = list(
-            top_candidates(
-                graph,
-                count,
-                pool_factor=pool_factor,
-                attenuation=self.attenuation,
-                radius=self.score_radius,
-            )
-        )
+        distributed = self.center_selection == CENTER_SELECTION_DISTRIBUTED
+        pool_factor = DISTRIBUTED_POOL_FACTOR if distributed else CANDIDATE_POOL_FACTOR
+        candidates = list(top_candidates(graph, count, pool_factor=pool_factor))
         if len(candidates) <= count:
             return candidates
-        if self.center_selection == CENTER_SELECTION_TOP_SCORE:
-            return candidates[:count]
         if self.center_selection == CENTER_SELECTION_DISTRIBUTED:
             if graph.has_coordinates():
                 return spread_out_selection(graph.coordinates(), candidates, count)
@@ -206,18 +170,14 @@ class CenterBasedFragmenter(Fragmenter):
 
         stalled_rounds = 0
         while unassigned:
-            order = self._expansion_order(fragment_edges)
             progress = False
-            for index in order:
+            for index in range(count):
                 before = len(fragment_edges[index])
                 frontiers[index] = self._expand_once(
                     graph, frontiers[index], fragment_nodes[index], fragment_edges[index], unassigned
                 )
                 if len(fragment_edges[index]) > before:
                     progress = True
-                    if self.balance == BALANCE_BY_SIZE:
-                        # Re-evaluate which fragment is smallest after every expansion.
-                        break
             if not progress:
                 stalled_rounds += 1
                 # Remaining edges are unreachable from every center (other weak
@@ -230,12 +190,6 @@ class CenterBasedFragmenter(Fragmenter):
             else:
                 stalled_rounds = 0
         return fragment_edges
-
-    def _expansion_order(self, fragment_edges: List[Set[Edge]]) -> List[int]:
-        indices = list(range(len(fragment_edges)))
-        if self.balance == BALANCE_BY_SIZE:
-            indices.sort(key=lambda index: (len(fragment_edges[index]), index))
-        return indices
 
     def _expand_once(
         self,

@@ -4,9 +4,10 @@ This algorithm guarantees an *acyclic* (loosely connected) fragmentation
 graph.  It assumes every node carries a coordinate pair and sweeps the graph
 from one extreme end to the other:
 
-1. The start nodes are the ``s`` nodes with the smallest x-coordinates (or, in
-   general, the extreme nodes along a configurable sweep direction; Fig. 8
-   illustrates that the choice of the sweep direction matters).
+1. The start node is the node with the smallest x-coordinate (or, in
+   general, the extreme node along a configurable sweep direction; Fig. 8
+   illustrates that the choice of the sweep direction matters).  The paper's
+   ``s`` is the constant :data:`START_NODE_COUNT` (1).
 2. The current fragment repeatedly absorbs every edge incident to its frontier
    nodes until the fragment holds at least ``|E| / f`` edges.
 3. The frontier nodes at that point become the disconnection set to the next
@@ -21,7 +22,7 @@ unbalanced, exactly the trade-off Tables 1 and 3 show.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, List, Sequence, Set, Tuple
 
 from ..exceptions import FragmenterConfigurationError, MissingCoordinatesError
 from ..graph import DiGraph
@@ -34,6 +35,9 @@ SWEEP_LEFT_TO_RIGHT = "left_to_right"
 SWEEP_RIGHT_TO_LEFT = "right_to_left"
 SWEEP_BOTTOM_TO_TOP = "bottom_to_top"
 SWEEP_TOP_TO_BOTTOM = "top_to_bottom"
+
+# How many extreme nodes seed the first fragment (the paper's ``s``).
+START_NODE_COUNT = 1
 
 _SWEEP_KEYS = {
     SWEEP_LEFT_TO_RIGHT: lambda point: point.x,
@@ -49,13 +53,8 @@ class LinearFragmenter(Fragmenter):
     Args:
         fragment_count: the number of fragments ``f``; the edge threshold per
             fragment is ``|E| / f``.
-        start_node_count: how many extreme nodes seed the first fragment (the
-            paper's ``s``); defaults to 1.
         sweep: sweep direction (default left to right, the paper's choice of
             "starting at the leftmost side").
-        start_nodes: explicit start nodes, overriding the coordinate-based
-            selection — the paper notes that "for actual applications we might
-            ask the user to provide us with the start nodes".
     """
 
     name = "linear"
@@ -64,20 +63,14 @@ class LinearFragmenter(Fragmenter):
         self,
         fragment_count: int,
         *,
-        start_node_count: int = 1,
         sweep: str = SWEEP_LEFT_TO_RIGHT,
-        start_nodes: Optional[Sequence[Node]] = None,
     ) -> None:
         if fragment_count <= 0:
             raise FragmenterConfigurationError("fragment_count must be positive")
-        if start_node_count <= 0:
-            raise FragmenterConfigurationError("start_node_count must be positive")
         if sweep not in _SWEEP_KEYS:
             raise FragmenterConfigurationError(f"unknown sweep direction {sweep!r}")
         self.fragment_count = fragment_count
-        self.start_node_count = start_node_count
         self.sweep = sweep
-        self.start_nodes = list(start_nodes) if start_nodes is not None else None
 
     # ------------------------------------------------------------------ API
 
@@ -106,21 +99,12 @@ class LinearFragmenter(Fragmenter):
         return max(1, graph.undirected_edge_count() // self.fragment_count)
 
     def _select_start_nodes(self, graph: DiGraph) -> List[Node]:
-        if self.start_nodes is not None:
-            missing = [node for node in self.start_nodes if not graph.has_node(node)]
-            if missing:
-                raise FragmenterConfigurationError(
-                    f"start node(s) not in the graph: {missing!r}"
-                )
-            return list(self.start_nodes)
         if not graph.has_coordinates():
-            raise MissingCoordinatesError(
-                "linear fragmentation needs node coordinates (or explicit start_nodes)"
-            )
+            raise MissingCoordinatesError("linear fragmentation needs node coordinates")
         key = _SWEEP_KEYS[self.sweep]
         coordinates = graph.coordinates()
         ordered = sorted(coordinates, key=lambda node: (key(coordinates[node]), repr(node)))
-        return ordered[: self.start_node_count]
+        return ordered[:START_NODE_COUNT]
 
     # ---------------------------------------------------------------- sweep
 

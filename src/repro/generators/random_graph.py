@@ -42,8 +42,8 @@ class RandomGraphConfig:
         connect: when ``True``, extra shortest-available edges are added so
             the generated graph is weakly connected (the paper's test graphs
             are connected networks).
-        weight_from_distance: when ``True`` edge weights equal the Euclidean
-            distance between the endpoints, otherwise 1.0.
+
+    Edge weights are the Euclidean distance between the endpoints.
     """
 
     node_count: int
@@ -52,7 +52,6 @@ class RandomGraphConfig:
     extent: float = 100.0
     symmetric: bool = True
     connect: bool = True
-    weight_from_distance: bool = True
 
     def __post_init__(self) -> None:
         if self.node_count <= 0:
@@ -120,11 +119,10 @@ def graph_from_coordinates(
         for q in nodes[i + 1:]:
             distance = coordinates[p].distance_to(coordinates[q])
             if rng.random() < edge_probability(config, distance):
-                weight = distance if config.weight_from_distance else 1.0
                 if config.symmetric:
-                    graph.add_symmetric_edge(p, q, weight)
+                    graph.add_symmetric_edge(p, q, distance)
                 else:
-                    graph.add_edge(p, q, weight)
+                    graph.add_edge(p, q, distance)
     if config.connect:
         _connect_components(graph, config)
     return graph
@@ -148,9 +146,8 @@ def _connect_components(graph: DiGraph, config: RandomGraphConfig) -> None:
         if best is None:
             break
         distance, a, b = best
-        weight = distance if config.weight_from_distance else 1.0
         if config.symmetric:
-            graph.add_symmetric_edge(a, b, weight)
+            graph.add_symmetric_edge(a, b, distance)
         else:
-            graph.add_edge(a, b, weight)
+            graph.add_edge(a, b, distance)
         components = weakly_connected_components(graph)

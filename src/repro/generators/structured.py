@@ -54,8 +54,11 @@ def cycle_graph(length: int, *, symmetric: bool = True, weight: float = 1.0) -> 
     return graph
 
 
-def grid_graph(rows: int, columns: int, *, symmetric: bool = True, spacing: float = 1.0) -> DiGraph:
-    """Return a ``rows x columns`` grid with unit edge weights and planar coordinates."""
+def grid_graph(rows: int, columns: int, *, symmetric: bool = True) -> DiGraph:
+    """Return a ``rows x columns`` grid with unit edge weights and planar coordinates.
+
+    Node ``r * columns + c`` sits at ``(c, r)``: the grid spacing is 1.
+    """
     if rows <= 0 or columns <= 0:
         raise FragmenterConfigurationError("rows and columns must be positive")
     graph = DiGraph()
@@ -65,7 +68,7 @@ def grid_graph(rows: int, columns: int, *, symmetric: bool = True, spacing: floa
 
     for r in range(rows):
         for c in range(columns):
-            graph.set_coordinate(node_id(r, c), Point(c * spacing, r * spacing))
+            graph.set_coordinate(node_id(r, c), Point(float(c), float(r)))
     for r in range(rows):
         for c in range(columns):
             if c + 1 < columns:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..exceptions import FragmenterConfigurationError
 from ..graph import DiGraph, Point
@@ -43,11 +43,10 @@ class TransportationGraphConfig:
         topology: which cluster pairs are connected.  ``"chain"`` connects
             cluster ``i`` to ``i+1`` (the shape of Fig. 1/Fig. 3);
             ``"cycle"`` additionally closes the loop; ``"complete"`` connects
-            every pair.  An explicit list of pairs may be given instead via
-            ``explicit_pairs``.
-        explicit_pairs: optional explicit list of cluster index pairs to
-            connect, overriding ``topology``.
-        weight_from_distance: use Euclidean distances as edge weights.
+            every pair.
+
+    Edge weights are Euclidean distances, inside a cluster and between
+    clusters.
     """
 
     cluster_count: int = 4
@@ -58,8 +57,6 @@ class TransportationGraphConfig:
     cluster_spacing: float = 150.0
     inter_cluster_edges: int = 2
     topology: str = "chain"
-    explicit_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
-    weight_from_distance: bool = True
 
     def __post_init__(self) -> None:
         if self.cluster_count <= 0:
@@ -106,8 +103,6 @@ def _cluster_origin(config: TransportationGraphConfig, index: int) -> Tuple[floa
 
 
 def _connected_cluster_pairs(config: TransportationGraphConfig) -> List[Tuple[int, int]]:
-    if config.explicit_pairs is not None:
-        return [tuple(pair) for pair in config.explicit_pairs]  # type: ignore[list-item]
     pairs: List[Tuple[int, int]] = []
     if config.topology in ("chain", "cycle"):
         pairs = [(i, i + 1) for i in range(config.cluster_count - 1)]
@@ -140,7 +135,6 @@ def generate_transportation_graph(
         extent=config.cluster_extent,
         symmetric=True,
         connect=True,
-        weight_from_distance=config.weight_from_distance,
     )
 
     for index in range(config.cluster_count):
@@ -167,11 +161,7 @@ def generate_transportation_graph(
             coordinates_by_cluster[i], coordinates_by_cluster[j], config.inter_cluster_edges, rng
         )
         for a, b in pairs:
-            weight = (
-                graph.coordinate(a).distance_to(graph.coordinate(b))  # type: ignore[union-attr]
-                if config.weight_from_distance
-                else 1.0
-            )
+            weight = graph.coordinate(a).distance_to(graph.coordinate(b))  # type: ignore[union-attr]
             graph.add_symmetric_edge(a, b, weight)
             inter_cluster_pairs.append((a, b))
 

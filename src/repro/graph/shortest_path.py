@@ -121,17 +121,17 @@ def reconstruct_path(predecessors: Dict[Node, Node], source: Node, target: Node)
     return path
 
 
-def hop_diameter(graph: DiGraph, *, undirected: bool = True) -> int:
+def hop_diameter(graph: DiGraph) -> int:
     """Return the diameter in hops over reachable pairs (0 for empty graphs).
 
-    Unreachable pairs are ignored, matching the intuition that the diameter of
-    a fragment is the longest path *within* the fragment.  All sources are
-    swept together by the bit-parallel kernel
+    Edges count in both directions (the fragment-diameter view of the paper's
+    cost argument).  Unreachable pairs are ignored, matching the intuition
+    that the diameter of a fragment is the longest path *within* the
+    fragment.  All sources are swept together by the bit-parallel kernel
     :func:`repro.closure.kernels.bitset_diameter`.
     """
     # Imported here: the closure package is built on top of this one.
     from ..closure.kernels import bitset_diameter
 
     ids = {node: index for index, node in enumerate(graph)}
-    adjacent = graph.neighbors if undirected else graph.successors
-    return bitset_diameter([[ids[other] for other in adjacent(node)] for node in ids])
+    return bitset_diameter([[ids[other] for other in graph.neighbors(node)] for node in ids])

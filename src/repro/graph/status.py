@@ -8,8 +8,9 @@ status score.  For a node ``i`` the score is::
 
 where ``grade(i)`` is the number of edges adjacent to ``i``, ``nb(j, d)`` is
 the grade of node ``j`` at exactly ``d`` edges from ``i``, and ``a < 1`` is an
-attenuation factor.  The paper truncates the sum at distance 3; we keep that
-as the default but allow a configurable radius.
+attenuation factor.  The paper truncates the sum at distance 3.  Both are
+module constants: ``a`` = :data:`DEFAULT_ATTENUATION` (0.5) and the radius
+:data:`DEFAULT_RADIUS` (3).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ DEFAULT_ATTENUATION = 0.5
 DEFAULT_RADIUS = 3
 
 
-def _ring_weights(attenuation: float, radius: int) -> List[float]:
-    """Return ``[a^0 .. a^radius]``, the weight of each ring of neighbours."""
-    return [attenuation ** distance for distance in range(max(radius, 0) + 1)]
+# ``[a^0 .. a^radius]``, the weight of each ring of neighbours.
+_RING_WEIGHTS = [DEFAULT_ATTENUATION ** distance for distance in range(DEFAULT_RADIUS + 1)]
 
 
 def _ball_score(
@@ -58,35 +58,24 @@ def _ball_score(
     return score
 
 
-def status_scores(
-    graph: DiGraph,
-    *,
-    attenuation: float = DEFAULT_ATTENUATION,
-    radius: int = DEFAULT_RADIUS,
-) -> Dict[Node, float]:
+def status_scores(graph: DiGraph) -> Dict[Node, float]:
     """Return the center score of every node in the graph.
 
     Every node's neighbour list (and with it its grade) is read once, so the
-    cost is the summed size of the radius-``radius`` balls, not ``n`` whole
-    graph traversals.
+    cost is the summed size of the radius-:data:`DEFAULT_RADIUS` balls, not
+    ``n`` whole graph traversals.
     """
     neighbours = {node: graph.neighbors(node) for node in graph.nodes()}
-    weights = _ring_weights(attenuation, radius)
-    return {node: _ball_score(node, neighbours.__getitem__, weights) for node in neighbours}
+    return {node: _ball_score(node, neighbours.__getitem__, _RING_WEIGHTS) for node in neighbours}
 
 
-def rank_by_status(
-    graph: DiGraph,
-    *,
-    attenuation: float = DEFAULT_ATTENUATION,
-    radius: int = DEFAULT_RADIUS,
-) -> List[Node]:
+def rank_by_status(graph: DiGraph) -> List[Node]:
     """Return all nodes ordered by decreasing center score.
 
     Ties are broken deterministically by node ``repr`` so that repeated runs
     on the same graph return the same ranking.
     """
-    scores = status_scores(graph, attenuation=attenuation, radius=radius)
+    scores = status_scores(graph)
     return sorted(scores, key=lambda node: (-scores[node], repr(node)))
 
 
@@ -95,8 +84,6 @@ def top_candidates(
     count: int,
     *,
     pool_factor: float = 3.0,
-    attenuation: float = DEFAULT_ATTENUATION,
-    radius: int = DEFAULT_RADIUS,
 ) -> Sequence[Node]:
     """Return a candidate pool of high-score nodes for center selection.
 
@@ -109,5 +96,5 @@ def top_candidates(
     if count <= 0:
         return []
     pool_size = max(count, int(round(count * pool_factor)))
-    ranking = rank_by_status(graph, attenuation=attenuation, radius=radius)
+    ranking = rank_by_status(graph)
     return ranking[:pool_size]

@@ -52,16 +52,15 @@ def bfs_levels(graph: DiGraph, source: Node, *, undirected: bool = False) -> Dic
     return levels
 
 
-def is_reachable(graph: DiGraph, source: Node, target: Node, *, undirected: bool = False) -> bool:
-    """Return ``True`` if ``target`` is reachable from ``source``."""
+def is_reachable(graph: DiGraph, source: Node, target: Node) -> bool:
+    """Return ``True`` if ``target`` is reachable from ``source`` along edge directions."""
     if source == target:
         return graph.has_node(source)
-    neighbour_fn: Callable[[Node], List[Node]] = graph.neighbors if undirected else graph.successors
     visited: Set[Node] = {source}
     queue: deque = deque([source])
     while queue:
         node = queue.popleft()
-        for neighbour in neighbour_fn(node):
+        for neighbour in graph.successors(node):
             if neighbour == target:
                 return True
             if neighbour not in visited:

@@ -44,6 +44,8 @@ from .tracing import Tracer
 __all__ = ["SamplingProfiler"]
 
 DEFAULT_INTERVAL_SECONDS = 0.005
+# Trace-tagged samples retained for trace linkage.
+RECENT_CAPACITY = 512
 
 
 def _default_backend_probe() -> Optional[str]:
@@ -66,8 +68,8 @@ class SamplingProfiler:
         backend_probe: zero-arg callable returning the active kernel
             backend name or ``None`` (default: the closure package's
             published active backend).
-        max_depth: frames walked per sample when recording the stack edge.
-        recent_capacity: trace-tagged samples retained for trace linkage.
+
+    The last :data:`RECENT_CAPACITY` trace-tagged samples are retained.
     """
 
     def __init__(
@@ -76,18 +78,15 @@ class SamplingProfiler:
         *,
         tracer: Optional[Tracer] = None,
         backend_probe: Optional[Callable[[], Optional[str]]] = None,
-        max_depth: int = 24,
-        recent_capacity: int = 512,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"profiler interval must be positive, got {interval}")
         self.interval = interval
         self._tracer = tracer
         self._backend_probe = backend_probe or _default_backend_probe
-        self._max_depth = max_depth
         self._frame_counts: TallyCounter = TallyCounter()
         self._span_counts: TallyCounter = TallyCounter()
-        self._recent: Deque[Tuple[str, str, str, str]] = deque(maxlen=recent_capacity)
+        self._recent: Deque[Tuple[str, str, str, str]] = deque(maxlen=RECENT_CAPACITY)
         self._samples = 0
         self._errors = 0
         self._started_at: Optional[float] = None

@@ -116,29 +116,23 @@ class QueryLog:
     Args:
         capacity: entries retained in the main window (0 disables the log
             entirely — every :meth:`record` is a no-op).
-        slow_threshold: seconds past which an entry is also retained in the
-            slow-query window (which is bounded separately, so a burst of
-            fast traffic cannot evict the outliers an operator is hunting).
-        slow_capacity: slow-window size (defaults to ``capacity``).
+
+    An entry that took :data:`DEFAULT_SLOW_THRESHOLD_SECONDS` (0.1 s) or more
+    is also retained in the slow-query window, which holds ``capacity``
+    entries of its own, so a burst of fast traffic cannot evict the outliers
+    an operator is hunting.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        *,
-        slow_threshold: float = DEFAULT_SLOW_THRESHOLD_SECONDS,
-        slow_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 0:
             raise ValueError(f"query log capacity must be >= 0, got {capacity}")
         self._capacity = capacity
-        self.slow_threshold = slow_threshold
         # Rows are stored as bare tuples (field order = QueryLogEntry's
         # positional parameters) and materialised into entry objects only on
         # read: the hot path pays one tuple per answered query, the ten
         # attribute stores of an object happen on the operator's time.
         self._entries: Deque[tuple] = deque(maxlen=capacity or None)
-        self._slow: Deque[tuple] = deque(maxlen=(slow_capacity or capacity) or None)
+        self._slow: Deque[tuple] = deque(maxlen=capacity or None)
         self._enabled = capacity > 0
         self.recorded = 0
         self.slow_count = 0
@@ -199,7 +193,7 @@ class QueryLog:
         )
         self._entries.append(row)
         self.recorded += 1
-        if latency >= self.slow_threshold:
+        if latency >= DEFAULT_SLOW_THRESHOLD_SECONDS:
             self._slow.append(row)
             self.slow_count += 1
 

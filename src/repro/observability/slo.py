@@ -295,34 +295,36 @@ class SLOMonitor:
         }
 
 
-def default_slos(
-    *,
-    latency_threshold: float = 0.1,
-    latency_objective: float = 0.99,
-    availability_objective: float = 0.999,
-) -> Tuple[SLODefinition, ...]:
+#: The stock objectives: 99 % of queries within 100 ms (a bucket bound of
+#: ``repro_query_latency_seconds``), 99.9 % of serving requests succeed.
+LATENCY_THRESHOLD_SECONDS = 0.1
+LATENCY_OBJECTIVE = 0.99
+AVAILABILITY_OBJECTIVE = 0.999
+
+
+def default_slos() -> Tuple[SLODefinition, ...]:
     """The serving tier's stock objectives.
 
-    Latency reads the service's ``repro_query_latency_seconds`` histogram
-    (the threshold should be one of its bucket bounds); availability reads
-    the server's per-outcome ``repro_serving_requests_total`` counter.
+    Latency reads the service's ``repro_query_latency_seconds`` histogram;
+    availability reads the server's per-outcome
+    ``repro_serving_requests_total`` counter.
     """
     return (
         SLODefinition(
             name="query_latency",
-            objective=latency_objective,
+            objective=LATENCY_OBJECTIVE,
             description=(
-                f"{latency_objective:.1%} of queries complete within "
-                f"{latency_threshold * 1000:g}ms"
+                f"{LATENCY_OBJECTIVE:.1%} of queries complete within "
+                f"{LATENCY_THRESHOLD_SECONDS * 1000:g}ms"
             ),
             histogram="repro_query_latency_seconds",
-            threshold=latency_threshold,
+            threshold=LATENCY_THRESHOLD_SECONDS,
         ),
         SLODefinition(
             name="serving_availability",
-            objective=availability_objective,
+            objective=AVAILABILITY_OBJECTIVE,
             description=(
-                f"{availability_objective:.2%} of serving requests succeed"
+                f"{AVAILABILITY_OBJECTIVE:.2%} of serving requests succeed"
             ),
             counter="repro_serving_requests_total",
             bad_label="outcome",

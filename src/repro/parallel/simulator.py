@@ -3,8 +3,9 @@
 The paper evaluates the disconnection set approach on the PRISMA/DB machine;
 this simulator substitutes it (see DESIGN.md).  It executes query workloads
 through the :class:`~repro.disconnection.engine.DisconnectionSetEngine`, maps
-fragments to simulated processors, and charges each processor with the work
-its fragments performed under a configurable :class:`CostModel`.  The outputs
+fragments to simulated processors (one per fragment, the paper's setting),
+and charges each processor with the work its fragments performed under the
+default :class:`CostModel`.  The outputs
 are the quantities the paper's performance argument is about: per-processor
 load, parallel makespan, the equivalent single-processor cost, and the
 resulting speed-up.
@@ -21,7 +22,7 @@ from ..fragmentation import Fragmentation
 from ..generators import PathQuery
 from ..graph import DiGraph
 from .cost_model import CostModel
-from .scheduler import Assignment, assign_fragments, one_processor_per_fragment
+from .scheduler import Assignment, one_processor_per_fragment
 
 Node = Hashable
 
@@ -79,11 +80,9 @@ class ParallelSimulator:
     Args:
         fragmentation: the deployed fragmentation.
         semiring: the path problem (defaults to shortest paths).
-        cost_model: the abstract cost model (defaults to :class:`CostModel`).
-        processor_count: number of simulated processors; ``None`` uses one
-            processor per fragment (the paper's setting).
-        engine: optionally reuse an existing engine (and its precomputed
-            complementary information).
+
+    Every fragment gets its own simulated processor, and the default
+    :class:`CostModel` prices the work.
     """
 
     def __init__(
@@ -91,20 +90,14 @@ class ParallelSimulator:
         fragmentation: Fragmentation,
         *,
         semiring: Optional[Semiring] = None,
-        cost_model: Optional[CostModel] = None,
-        processor_count: Optional[int] = None,
-        engine: Optional[DisconnectionSetEngine] = None,
     ) -> None:
         self._fragmentation = fragmentation
         self._semiring = semiring or shortest_path_semiring()
-        self._cost_model = cost_model or CostModel()
-        self._engine = engine or DisconnectionSetEngine(fragmentation, semiring=self._semiring)
-        fragment_ids = [fragment.fragment_id for fragment in fragmentation.fragments]
-        if processor_count is None:
-            self._assignment = one_processor_per_fragment(fragment_ids)
-        else:
-            sizes = {fragment.fragment_id: float(fragment.edge_count()) for fragment in fragmentation.fragments}
-            self._assignment = assign_fragments(sizes, processor_count)
+        self._cost_model = CostModel()
+        self._engine = DisconnectionSetEngine(fragmentation, semiring=self._semiring)
+        self._assignment = one_processor_per_fragment(
+            [fragment.fragment_id for fragment in fragmentation.fragments]
+        )
 
     # ------------------------------------------------------------ accessors
 
@@ -117,11 +110,6 @@ class ParallelSimulator:
     def assignment(self) -> Assignment:
         """The fragment-to-processor assignment in force."""
         return self._assignment
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The active cost model."""
-        return self._cost_model
 
     # ------------------------------------------------------------ simulation
 

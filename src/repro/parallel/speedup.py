@@ -23,7 +23,6 @@ from ..closure import Semiring, shortest_path_semiring
 from ..fragmentation import Fragmentation, Fragmenter, fragment_diameters
 from ..generators import PathQuery
 from ..graph import DiGraph, hop_diameter
-from .cost_model import CostModel
 from .simulator import ParallelSimulator, WorkloadSimulation
 
 Node = Hashable
@@ -63,7 +62,6 @@ def speedup_curve(
     queries: Sequence[PathQuery],
     *,
     semiring: Optional[Semiring] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> List[SpeedupPoint]:
     """Compute the speed-up curve over a range of fragment counts.
 
@@ -74,18 +72,17 @@ def speedup_curve(
         fragment_counts: the x-axis of the curve.
         queries: the query workload evaluated at every point.
         semiring: the path problem (defaults to shortest paths).
-        cost_model: the simulator cost model.
+
+    Every point is priced by a :class:`ParallelSimulator` with the default
+    :class:`~repro.parallel.cost_model.CostModel`.
     """
     semiring = semiring or shortest_path_semiring()
-    cost_model = cost_model or CostModel()
     graph_diameter = hop_diameter(graph)
     points: List[SpeedupPoint] = []
     for count in fragment_counts:
         fragmenter = fragmenter_factory(count)
         fragmentation = fragmenter.fragment(graph)
-        simulator = ParallelSimulator(
-            fragmentation, semiring=semiring, cost_model=cost_model
-        )
+        simulator = ParallelSimulator(fragmentation, semiring=semiring)
         workload = simulator.simulate_workload(queries)
         diameters = fragment_diameters(fragmentation)
         points.append(
@@ -107,7 +104,6 @@ def compare_fragmenters(
     queries: Sequence[PathQuery],
     *,
     semiring: Optional[Semiring] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> Dict[str, WorkloadSimulation]:
     """Simulate the same workload under several fragmentations and return per-name results.
 
@@ -116,10 +112,9 @@ def compare_fragmenters(
     importance"): the query-cost consequences of the fragmentation choice.
     """
     semiring = semiring or shortest_path_semiring()
-    cost_model = cost_model or CostModel()
     results: Dict[str, WorkloadSimulation] = {}
     for name, fragmenter in fragmenters.items():
         fragmentation = fragmenter.fragment(graph)
-        simulator = ParallelSimulator(fragmentation, semiring=semiring, cost_model=cost_model)
+        simulator = ParallelSimulator(fragmentation, semiring=semiring)
         results[name] = simulator.simulate_workload(queries, include_centralized_baseline=True)
     return results

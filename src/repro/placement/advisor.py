@@ -63,9 +63,10 @@ class RebalanceAdvisor:
             tolerates mild imbalance, as migrations are not free).
         update_weight: how many dispatches one delta-log re-pin counts as
             when folding update locality into the load model.
-        query_weight: how many dispatches one query-log fragment touch counts
-            as when folding the captured workload into the load model.
         max_migrations: cap on recommendations per :meth:`recommend` call.
+
+    One query-log fragment touch counts as :data:`DEFAULT_QUERY_WEIGHT` (1.0)
+    dispatches when the captured workload is folded into the load model.
     """
 
     def __init__(
@@ -73,14 +74,12 @@ class RebalanceAdvisor:
         *,
         skew_threshold: float = DEFAULT_SKEW_THRESHOLD,
         update_weight: float = DEFAULT_UPDATE_WEIGHT,
-        query_weight: float = DEFAULT_QUERY_WEIGHT,
         max_migrations: int = 8,
     ) -> None:
         if skew_threshold < 1.0:
             raise ValueError(f"skew_threshold must be >= 1.0, got {skew_threshold}")
         self._skew_threshold = skew_threshold
         self._update_weight = update_weight
-        self._query_weight = query_weight
         self._max_migrations = max_migrations
 
     # -------------------------------------------------------------- modelling
@@ -97,7 +96,8 @@ class RebalanceAdvisor:
 
         Query dispatches count 1 each; every delta-log record that dirtied a
         fragment adds ``update_weight`` (its owner absorbed that re-pin);
-        every query-log entry that touched a fragment adds ``query_weight``
+        every query-log entry that touched a fragment adds
+        :data:`DEFAULT_QUERY_WEIGHT`
         — crucially *including cached answers*, which never reached the
         dispatch counters.  Fragments with no recorded signal model as 0.0 —
         an idle fragment costs its owner nothing; only when *no* fragment
@@ -113,7 +113,7 @@ class RebalanceAdvisor:
         if query_log is not None:
             for fragment_id, touches in query_log.fragment_frequencies().items():
                 if fragment_id in loads:
-                    loads[fragment_id] += self._query_weight * touches
+                    loads[fragment_id] += DEFAULT_QUERY_WEIGHT * touches
         return loads
 
     def skew(

@@ -39,6 +39,13 @@ POLICY_COST_BALANCED = "cost_balanced"
 POLICY_WORKLOAD_AWARE = "workload_aware"
 PLACEMENT_POLICIES = (POLICY_ROUND_ROBIN, POLICY_COST_BALANCED, POLICY_WORKLOAD_AWARE)
 
+# Workload-aware replication: a fragment carrying more than HOT_SHARE of a
+# fair per-worker share of the dispatches is hot, and gets HOT_EXTRA_REPLICAS
+# replicas beyond its owner (bounded, so the plan degrades towards, never
+# beyond, full replication).
+HOT_SHARE = 0.5
+HOT_EXTRA_REPLICAS = 1
+
 
 class PlacementError(ReproError):
     """A placement plan is invalid or a requested move is impossible."""
@@ -360,8 +367,6 @@ def workload_aware_plan(
     worker_count: int,
     *,
     fragment_ids: Optional[Iterable[int]] = None,
-    replicate_hot_share: float = 0.5,
-    max_extra_replicas: int = 1,
 ) -> PlacementPlan:
     """Balance *observed* dispatch load and replicate the hottest fragments.
 
@@ -372,12 +377,10 @@ def workload_aware_plan(
         fragment_ids: the full fragment set; fragments with no recorded
             dispatches are placed at cost zero (LPT puts them on the least
             loaded workers).  Defaults to the keys of ``dispatch_counts``.
-        replicate_hot_share: a fragment whose dispatch share exceeds
-            ``replicate_hot_share / worker_count`` — i.e. it alone carries
-            more than that multiple of a fair per-worker share — earns extra
-            replicas.
-        max_extra_replicas: replica cap per hot fragment (bounded so the
-            plan degrades towards, never beyond, full replication).
+
+    A fragment whose dispatch share exceeds :data:`HOT_SHARE` (0.5) of a
+    fair per-worker share earns :data:`HOT_EXTRA_REPLICAS` (1) extra replica
+    on the coolest other worker.
     """
     fragments = set(fragment_ids) if fragment_ids is not None else set(dispatch_counts)
     if not fragments:
@@ -390,9 +393,9 @@ def workload_aware_plan(
         policy=POLICY_WORKLOAD_AWARE,
     )
     total = sum(costs.values())
-    if total <= 0.0 or worker_count < 2 or max_extra_replicas <= 0:
+    if total <= 0.0 or worker_count < 2:
         return plan
-    hot_threshold = replicate_hot_share * total / worker_count
+    hot_threshold = HOT_SHARE * total / worker_count
     loads = plan.owner_loads(costs)
     for fragment_id in sorted(fragments, key=lambda f: (-costs[f], f)):
         if costs[fragment_id] <= hot_threshold:
@@ -401,7 +404,7 @@ def workload_aware_plan(
             (w for w in range(worker_count) if w != plan.owner(fragment_id)),
             key=lambda w: (loads[w], w),
         )
-        for worker in coolest[:max_extra_replicas]:
+        for worker in coolest[:HOT_EXTRA_REPLICAS]:
             plan.add_replica(fragment_id, worker)
     return plan
 

@@ -215,15 +215,17 @@ class RefragmentationAdvisor:
         update_skew_threshold: trigger when the per-fragment update skew
             (max/mean version) exceeds this — the update stream concentrates
             where the layout does not.
-        query_skew_threshold: trigger when the query log's per-fragment read
-            concentration (max/mean touches) exceeds this — the workload
-            keeps crossing into a few fragments the layout scattered.
         min_query_sample: ignore the query log until it retains at least
             this many entries (a couple of warm-up queries are not a
             workload).
-        min_border_gain: a candidate layout is worthwhile only when its
-            border-node count is below ``current * min_border_gain`` (a
-            redraw is not free; a wash is not worth executing).
+
+    Two thresholds are module constants: the advisor triggers when the query
+    log's per-fragment read concentration (max/mean touches) exceeds
+    :data:`DEFAULT_QUERY_SKEW_THRESHOLD` (4.0) — the workload keeps crossing
+    into a few fragments the layout scattered — and a candidate layout is
+    worthwhile only when its border-node count is below ``current *``
+    :data:`DEFAULT_MIN_BORDER_GAIN` (0.95): a redraw is not free, and a wash
+    is not worth executing.
     """
 
     def __init__(
@@ -233,9 +235,7 @@ class RefragmentationAdvisor:
         border_growth_threshold: float = DEFAULT_BORDER_GROWTH_THRESHOLD,
         cross_ratio_threshold: float = DEFAULT_CROSS_RATIO_THRESHOLD,
         update_skew_threshold: float = DEFAULT_UPDATE_SKEW_THRESHOLD,
-        query_skew_threshold: float = DEFAULT_QUERY_SKEW_THRESHOLD,
         min_query_sample: int = DEFAULT_MIN_QUERY_SAMPLE,
-        min_border_gain: float = DEFAULT_MIN_BORDER_GAIN,
     ) -> None:
         if border_growth_threshold < 1.0:
             raise ValueError(
@@ -245,9 +245,7 @@ class RefragmentationAdvisor:
         self._border_growth_threshold = border_growth_threshold
         self._cross_ratio_threshold = cross_ratio_threshold
         self._update_skew_threshold = update_skew_threshold
-        self._query_skew_threshold = query_skew_threshold
         self._min_query_sample = min_query_sample
-        self._min_border_gain = min_border_gain
         self._baseline: Optional[LayoutSignals] = None
 
     # ------------------------------------------------------------- observing
@@ -342,10 +340,10 @@ class RefragmentationAdvisor:
                 f"update skew {skew:.2f} exceeds {self._update_skew_threshold:.2f} "
                 "(the update stream concentrates on a few fragments)"
             )
-        if query_skew > self._query_skew_threshold:
+        if query_skew > DEFAULT_QUERY_SKEW_THRESHOLD:
             reasons.append(
                 f"query skew {query_skew:.2f} exceeds "
-                f"{self._query_skew_threshold:.2f} (the captured workload "
+                f"{DEFAULT_QUERY_SKEW_THRESHOLD:.2f} (the captured workload "
                 "concentrates its reads on a few fragments)"
             )
         return RefragmentationAssessment(
@@ -387,7 +385,7 @@ class RefragmentationAdvisor:
         proposed = fragmenter.fragment(graph.copy())
         current = current_signals or measure_layout(fragmentation)
         candidate = measure_layout(proposed)
-        worthwhile = candidate.border_nodes < current.border_nodes * self._min_border_gain
+        worthwhile = candidate.border_nodes < current.border_nodes * DEFAULT_MIN_BORDER_GAIN
         rationale = [
             f"current layout: {current.border_nodes} border nodes, "
             f"cross-edge ratio {current.cross_edge_ratio:.2f}, "

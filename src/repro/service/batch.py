@@ -28,7 +28,7 @@ from time import perf_counter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..disconnection.planner import QueryPlan, QueryPlanner
-from ..exceptions import NoChainError
+from ..exceptions import DisconnectionSetError
 from ..placement import PlacementError, PlacementPlan
 from .pool import TaskKey
 
@@ -48,7 +48,7 @@ class BatchPlan:
         plans: per distinct query, its :class:`QueryPlan` (``None`` when
             planning failed — see ``errors``).
         errors: per distinct-query index, the planning error message
-            (endpoints not stored / no connecting chain).
+            (endpoints not stored / no connecting chain / plan truncated).
         tasks: the duplicate-free union of every chain's local query specs.
         spec_references: how many spec references the chains contain in
             total; ``spec_references - len(tasks)`` evaluations were saved.
@@ -110,9 +110,9 @@ class BatchPlanner:
     def plan_batch(self, queries: Sequence[Query]) -> BatchPlan:
         """Return the shared :class:`BatchPlan` for ``queries``.
 
-        Planning failures (unknown endpoints, no connecting chain) do not
-        abort the batch; the affected queries are recorded in ``errors`` and
-        the rest of the batch proceeds.
+        Planning failures (unknown endpoints, no connecting chain, a plan cut
+        at the chain cap) do not abort the batch; the affected queries are
+        recorded in ``errors`` and the rest of the batch proceeds.
         """
         started = perf_counter()
         batch = BatchPlan(queries=list(queries))
@@ -127,7 +127,7 @@ class BatchPlanner:
         for unique_index, (source, target) in enumerate(batch.unique_queries):
             try:
                 plan = self._planner.plan(source, target)
-            except NoChainError as error:
+            except DisconnectionSetError as error:
                 batch.plans.append(None)
                 batch.errors[unique_index] = str(error)
                 continue

@@ -541,14 +541,14 @@ class PlacedWorkerPool:
         """
         return {handle.index: handle.is_alive() for handle in self._workers}
 
-    def pinned_census(self, *, ask_workers: bool = True) -> Dict[int, List[int]]:
+    def pinned_census(self) -> Dict[int, List[int]]:
         """Return worker -> pinned fragment ids.
 
-        With ``ask_workers`` the figures come from the live processes (the
-        ground truth the placement benchmark audits); otherwise from the
-        coordinator's mirrors.
+        The figures come from the live processes (the ground truth the
+        placement benchmark audits); from the coordinator's mirrors only
+        while the pool is stopped.
         """
-        if not ask_workers or not self._running:
+        if not self._running:
             return {h.index: sorted(h.pinned) for h in self._workers}
         replies = self._census()
         census = {h.index: sorted(h.pinned) for h in self._workers if h.index not in replies}

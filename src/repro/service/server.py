@@ -63,16 +63,11 @@ from ..disconnection import (
 from ..disconnection.local_query import border_rows_held
 from ..disconnection.maintenance import UpdateEvent
 from ..disconnection.planner import LocalQuerySpec
-from ..exceptions import NoChainError
+from ..exceptions import DisconnectionSetError
 from ..fragmentation import Fragmentation, Fragmenter
 from ..graph.compact import merge_overlay_metrics
 from ..incremental import DeltaLog, VersionVector
-from ..observability import (
-    DEFAULT_SLOW_THRESHOLD_SECONDS,
-    MetricsRegistry,
-    QueryLog,
-    Tracer,
-)
+from ..observability import DEFAULT_SLOW_THRESHOLD_SECONDS, MetricsRegistry, QueryLog, Tracer
 from ..observability.querylog import DEFAULT_CAPACITY as DEFAULT_QUERY_LOG_CAPACITY
 from ..placement import (
     PLACEMENT_POLICIES,
@@ -97,6 +92,8 @@ Node = Hashable
 Query = Tuple[Node, Node]
 PathLike = Union[str, Path]
 
+# Applied updates between two auto-refragmentation assessments.
+REFRAGMENT_CHECK_INTERVAL = 32
 # After the advisor's recommendation fails the worthwhile bar, skip this many
 # check intervals before paying for trial-run recommendations again.
 _REFRAGMENT_REJECTION_BACKOFF = 4
@@ -167,14 +164,14 @@ class QueryService:
             automatically.  ``True`` installs a default
             :class:`~repro.refragmentation.RefragmentationAdvisor`; an
             advisor instance installs it as configured.  Every
-            ``refragment_check_interval`` applied updates the advisor
-            assesses the layout (border growth, cross-fragment edge ratio,
-            update skew, captured query skew) and — when triggered and a
-            measured improvement exists — executes :meth:`refragment` live.
-        refragment_check_interval: applied updates between advisor checks.
+            :data:`REFRAGMENT_CHECK_INTERVAL` (32) applied updates the
+            advisor assesses the layout (border growth, cross-fragment edge
+            ratio, update skew, captured query skew) and — when triggered and
+            a measured improvement exists — executes :meth:`refragment` live.
         refragment_cadence: when the advisor assessment runs.  ``"update"``
-            (the default) checks inline every ``refragment_check_interval``
-            applied updates — simple, but the assessment (and any redraw)
+            (the default) checks inline every
+            :data:`REFRAGMENT_CHECK_INTERVAL` applied updates — simple, but
+            the assessment (and any redraw)
             rides on the update hot path.  ``"background"`` never assesses
             inside :meth:`update_edge`; a host loop (the network server's
             idle task, a cron) calls :meth:`auto_refragment_now` in quiet
@@ -184,9 +181,9 @@ class QueryService:
             planning, routing, per-worker evaluation, kernel execution
             spans).  Toggle live via ``service.tracer``.
         query_log_size: entries retained by the structured query log the
-            advisors mine (0 disables capture entirely).
-        slow_query_threshold: seconds past which a query is also retained in
-            the log's bounded slow-query window.
+            advisors mine (0 disables capture entirely).  A query taking
+            :data:`~repro.observability.querylog.DEFAULT_SLOW_THRESHOLD_SECONDS`
+            (0.1 s) or more is also retained in its slow-query window.
     """
 
     def __init__(
@@ -202,11 +199,9 @@ class QueryService:
         version_vector: Optional[VersionVector] = None,
         delta_sequence: int = 0,
         auto_refragment: Union[bool, RefragmentationAdvisor] = False,
-        refragment_check_interval: int = 32,
         refragment_cadence: str = "update",
         tracing: bool = True,
         query_log_size: int = DEFAULT_QUERY_LOG_CAPACITY,
-        slow_query_threshold: float = DEFAULT_SLOW_THRESHOLD_SECONDS,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         if isinstance(placement, str) and placement not in PLACEMENT_POLICIES:
@@ -258,9 +253,7 @@ class QueryService:
         self._cache = LRUCache(cache_size, registry=self._registry)
         self._stats = ServiceStatistics(self._registry)
         self._tracer = Tracer(enabled=tracing)
-        self._query_log = QueryLog(
-            capacity=query_log_size, slow_threshold=slow_query_threshold
-        )
+        self._query_log = QueryLog(capacity=query_log_size)
         self._planning_hist = self._registry.histogram(
             "repro_batch_planning_seconds",
             "Wall-clock seconds spent planning one query batch.",
@@ -273,16 +266,11 @@ class QueryService:
         self._current_engine: Optional[DisconnectionSetEngine] = None
         self._planner: Optional[QueryPlanner] = None
         self._batch_planner: Optional[BatchPlanner] = None
-        if refragment_check_interval <= 0:
-            raise ValueError(
-                f"refragment_check_interval must be positive, got {refragment_check_interval}"
-            )
         if refragment_cadence not in ("update", "background"):
             raise ValueError(
                 f"refragment_cadence must be 'update' or 'background', "
                 f"got {refragment_cadence!r}"
             )
-        self._refragment_check_interval = refragment_check_interval
         self._refragment_cadence = refragment_cadence
         self._updates_at_last_check = 0
         self._refragment_backoff_until = 0
@@ -467,7 +455,7 @@ class QueryService:
                 "recorded": self._query_log.recorded,
                 "retained": len(self._query_log),
                 "slow_count": self._query_log.slow_count,
-                "slow_threshold": self._query_log.slow_threshold,
+                "slow_threshold": DEFAULT_SLOW_THRESHOLD_SECONDS,
                 "cached_share": round(self._query_log.cached_share(), 4),
                 "query_skew": round(self._query_log.query_skew(), 4),
                 "error_count": self._query_log.error_count(),
@@ -550,6 +538,8 @@ class QueryService:
         Raises:
             NoChainError: if an endpoint is stored nowhere or no fragment
                 chain connects the endpoints (mirrors the engine contract).
+            PlanTruncatedError: if more chains connect the endpoints than
+                the planner enumerates; nothing is cached.
         """
         started = time.perf_counter()
         with self._tracer.span("query", source=source, target=target) as root:
@@ -582,7 +572,7 @@ class QueryService:
                 with self._tracer.span("plan"):
                     try:
                         plan = self._planner.plan(source, target)
-                    except NoChainError as error:
+                    except DisconnectionSetError as error:
                         root.set("outcome", "error")
                         self._log_query(
                             source,
@@ -613,8 +603,9 @@ class QueryService:
         """Answer a batch of queries, sharing duplicated and overlapping work.
 
         Unlike :meth:`query`, planning failures do not raise: the affected
-        answers carry an ``error`` message, so one unknown endpoint cannot
-        poison a batch.
+        answers carry an ``error`` message (an unknown endpoint, no
+        connecting chain, or a plan cut at the chain cap), so one bad pair
+        cannot poison a batch.
         """
         started = time.perf_counter()
         submitted = [tuple(query) for query in queries]
@@ -761,7 +752,7 @@ class QueryService:
         and deletes it with ``delete=True``.  The registered update hook
         bumps the catalog version and flushes the result cache, so stale
         answers can never be served.  With ``auto_refragment`` enabled, every
-        ``refragment_check_interval``-th update also asks the advisor
+        :data:`REFRAGMENT_CHECK_INTERVAL`-th update also asks the advisor
         whether the layout's locality has eroded enough to redraw.
         """
         with self._tracer.span("update_edge", source=source, target=target) as root:
@@ -864,7 +855,7 @@ class QueryService:
         if self._refragment_advisor is None:
             return
         applied = self._stats.updates_applied
-        if applied - self._updates_at_last_check < self._refragment_check_interval:
+        if applied - self._updates_at_last_check < REFRAGMENT_CHECK_INTERVAL:
             return
         self._updates_at_last_check = applied
         self._assess_and_maybe_redraw(applied)
@@ -914,7 +905,7 @@ class QueryService:
             self._apply_advice(advice)
             return "redrawn"
         self._refragment_backoff_until = (
-            applied + _REFRAGMENT_REJECTION_BACKOFF * self._refragment_check_interval
+            applied + _REFRAGMENT_REJECTION_BACKOFF * REFRAGMENT_CHECK_INTERVAL
         )
         return "rejected"
 
@@ -935,20 +926,14 @@ class QueryService:
             self._stats.migrations += 1
         return moved
 
-    def rebalance(
-        self,
-        *,
-        apply: bool = True,
-        advisor: Optional[RebalanceAdvisor] = None,
-    ) -> List[Migration]:
-        """Ask the advisor for migrations against the observed load; optionally apply.
+    def rebalance(self, *, advisor: Optional[RebalanceAdvisor] = None) -> List[Migration]:
+        """Ask the advisor for migrations against the observed load, and apply them.
 
         The advisor folds the per-fragment dispatch counts
         (``stats.per_site_load``) with the delta log's re-pin locality, and
         recommends moves only while the modelled owner skew exceeds its
-        threshold — a balanced pool returns ``[]``.  With ``apply=True``
-        (default) the recommended migrations are executed immediately on the
-        live pool.
+        threshold — a balanced pool returns ``[]``.  The recommended
+        migrations are executed immediately on the live pool.
 
         Raises:
             PlacementError: when the service evaluates in-process.
@@ -961,10 +946,9 @@ class QueryService:
             delta_log=self._database.delta_log,
             query_log=self._query_log,
         )
-        if apply:
-            for migration in migrations:
-                if pool.migrate(migration.fragment_id, migration.to_worker):
-                    self._stats.migrations += 1
+        for migration in migrations:
+            if pool.migrate(migration.fragment_id, migration.to_worker):
+                self._stats.migrations += 1
         return migrations
 
     def _require_pool(self) -> PlacedWorkerPool:

@@ -500,10 +500,8 @@ class ServiceStatistics:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, object], *, registry: Optional[MetricsRegistry] = None
-    ) -> "ServiceStatistics":
-        """Rebuild statistics from an :meth:`as_dict` snapshot.
+    def from_dict(cls, data: Mapping[str, object]) -> "ServiceStatistics":
+        """Rebuild statistics from an :meth:`as_dict` snapshot, in a fresh registry.
 
         Derived keys (``hit_rate``, the averages, ``dispatch_skew``) are
         ignored — they recompute from the restored raw counters — as are
@@ -512,7 +510,7 @@ class ServiceStatistics:
         int.  The latency *distribution* is not part of the flat snapshot:
         the histogram restarts empty; only its totals are restored.
         """
-        stats = cls(registry)
+        stats = cls()
         for field in list(_INT_COUNTERS) + list(_FLOAT_COUNTERS) + list(_GAUGES):
             if field in data and field not in _DERIVED_KEYS:
                 setattr(stats, field, data[field])

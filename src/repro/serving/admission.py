@@ -37,6 +37,16 @@ __all__ = [
     "TokenBucket",
 ]
 
+# Tokens one point query / batch / update costs, and one closure/resume call.
+LIGHT_COST = 1.0
+HEAVY_COST = 5.0
+# Seconds a request may spend queued + running before the server suspends or
+# rejects it (requests may lower it with a ``timeout`` option).
+DEFAULT_DEADLINE_SECONDS = 30.0
+# Retry hint (seconds) of a slot-pressure rejection; a rate-limit rejection
+# hints the bucket's actual refill time instead.
+RETRY_AFTER_SECONDS = 0.25
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -47,23 +57,15 @@ class AdmissionConfig:
         max_queue: requests allowed to wait for a slot before rejection.
         client_rate: token-bucket refill per client, tokens/second.
         client_burst: token-bucket capacity per client.
-        light_cost: tokens one point query / batch / update costs.
-        heavy_cost: tokens one closure/resume call costs.
-        default_deadline: seconds a request may spend queued + running
-            before the server suspends or rejects it (requests may lower it).
-        retry_after: baseline retry hint (seconds) for slot-pressure
-            rejections; rate-limit rejections hint the bucket's actual
-            refill time instead.
+
+    Request costs (:data:`LIGHT_COST`, :data:`HEAVY_COST`), the default
+    deadline and the slot-pressure retry hint are module constants.
     """
 
     max_concurrent: int = 8
     max_queue: int = 64
     client_rate: float = 50.0
     client_burst: float = 25.0
-    light_cost: float = 1.0
-    heavy_cost: float = 5.0
-    default_deadline: float = 30.0
-    retry_after: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_concurrent <= 0:
@@ -181,7 +183,7 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Decide one request: take a slot, take a queue spot, or reject."""
         now = self._clock() if now is None else now
-        cost = self.config.light_cost if cost is None else cost
+        cost = LIGHT_COST if cost is None else cost
         account = self._account(client, now)
         account.last_seen = now
         if not account.bucket.take(cost, now):
@@ -206,7 +208,7 @@ class AdmissionController:
         account.rejected += 1
         self._rejections.inc(reason="queue_full")
         return AdmissionDecision(
-            status="reject", reason="queue_full", retry_after=self.config.retry_after
+            status="reject", reason="queue_full", retry_after=RETRY_AFTER_SECONDS
         )
 
     def start_queued(self, client: str) -> None:

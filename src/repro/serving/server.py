@@ -74,15 +74,15 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 from ..graph.compact import CompactGraph
-from ..observability import (
-    SamplingProfiler,
-    SLODefinition,
-    SLOMonitor,
-    TraceContext,
-    default_slos,
-)
+from ..observability import SamplingProfiler, SLOMonitor, TraceContext, default_slos
 from ..service import QueryService
-from .admission import AdmissionConfig, AdmissionController
+from .admission import (
+    DEFAULT_DEADLINE_SECONDS,
+    HEAVY_COST,
+    LIGHT_COST,
+    AdmissionConfig,
+    AdmissionController,
+)
 from .continuations import ContinuationStore
 from .preemption import (
     ALL_SOURCES,
@@ -115,7 +115,6 @@ class ServingConfig:
         quanta_per_call: quanta one ``closure``/``resume`` call may run
             before suspending into a continuation token (the web-preemption
             unit of work).
-        continuation_capacity: suspended states parked at once.
         idle_assess_seconds: when set, run the auto-refragmentation
             assessment on this background cadence while the server is idle
             (pair with ``QueryService(refragment_cadence="background")``).
@@ -123,8 +122,11 @@ class ServingConfig:
         profile_interval: when set, run the continuous sampling profiler at
             this interval (seconds) against the serving thread; the
             ``profile`` command reports it.
-        slos: the SLOs ``healthz``/``readyz`` evaluate (default:
-            :func:`~repro.observability.slo.default_slos`).
+
+    The server parks as many suspended states as a default
+    :class:`~repro.serving.continuations.ContinuationStore` holds (256), and
+    ``healthz`` / ``readyz`` evaluate
+    :func:`~repro.observability.slo.default_slos`.
     """
 
     host: str = "127.0.0.1"
@@ -132,11 +134,9 @@ class ServingConfig:
     quantum_seconds: float = 0.02
     page_size: int = 256
     quanta_per_call: int = 2
-    continuation_capacity: int = 256
     idle_assess_seconds: Optional[float] = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     profile_interval: Optional[float] = None
-    slos: Optional[Tuple[SLODefinition, ...]] = None
 
     def __post_init__(self) -> None:
         if self.quantum_seconds <= 0:
@@ -174,8 +174,8 @@ class ClosureServer:
         self.config = config or ServingConfig()
         registry = service.registry
         self.admission = AdmissionController(self.config.admission, registry=registry)
-        self.continuations = ContinuationStore(self.config.continuation_capacity)
-        self.slo_monitor = SLOMonitor(registry, self.config.slos or default_slos())
+        self.continuations = ContinuationStore()
+        self.slo_monitor = SLOMonitor(registry, default_slos())
         self.profiler: Optional[SamplingProfiler] = (
             SamplingProfiler(self.config.profile_interval, tracer=service.tracer)
             if self.config.profile_interval is not None
@@ -443,7 +443,7 @@ class ClosureServer:
         seconds = (
             float(timeout)
             if isinstance(timeout, (int, float)) and float(timeout) > 0
-            else self.config.admission.default_deadline
+            else DEFAULT_DEADLINE_SECONDS
         )
         return time.monotonic() + seconds
 
@@ -468,7 +468,7 @@ class ClosureServer:
         deadline = self._deadline_of(request)
         wait_started = time.monotonic()
         rejection = await self._acquire_slot(
-            connection, cost=self.config.admission.light_cost, deadline=deadline
+            connection, cost=LIGHT_COST, deadline=deadline
         )
         if rejection is not None:
             rejection["trace"] = context.trace_id
@@ -569,7 +569,7 @@ class ClosureServer:
         deadline = self._deadline_of(request)
         wait_started = time.monotonic()
         rejection = await self._acquire_slot(
-            connection, cost=self.config.admission.heavy_cost, deadline=deadline
+            connection, cost=HEAVY_COST, deadline=deadline
         )
         if rejection is not None:
             return "rejected", rejection

@@ -4,7 +4,7 @@ import pytest
 
 from repro.closure import shortest_path_cost
 from repro.disconnection import DisconnectionSetEngine, reachability_engine, shortest_path_engine
-from repro.exceptions import DisconnectedError, NoChainError
+from repro.exceptions import DisconnectedError, NoChainError, PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter, LinearFragmenter
 from repro.generators import (
     TransportationGraphConfig,
@@ -12,6 +12,8 @@ from repro.generators import (
     two_cluster_dumbbell,
 )
 from repro.graph import DiGraph
+
+from tests.transit_layouts import grid_layout
 
 
 @pytest.fixture
@@ -146,3 +148,22 @@ class TestShortcutAblation:
         without_info = DisconnectionSetEngine(fragmentation, use_shortcuts=False)
         assert with_info.shortest_path_cost("a", "b") == 2.0
         assert without_info.query("a", "b").value >= 2.0
+
+
+class TestTruncatedPlans:
+    """On 4 x 4 grid blocks, 184 chains join the corner blocks: past the cap of 32."""
+
+    @pytest.fixture(scope="class")
+    def fragmentation(self):
+        return grid_layout(4, 4)[0]
+
+    def test_query_raises_instead_of_answering_from_a_cut_plan(self, fragmentation):
+        with pytest.raises(PlanTruncatedError):
+            DisconnectionSetEngine(fragmentation).query(0, 126)
+
+    def test_is_connected_does_not_turn_a_cut_plan_into_false(self, fragmentation):
+        engine = reachability_engine(fragmentation)
+        with pytest.raises(PlanTruncatedError):
+            engine.is_connected(0, 126)
+        assert engine.is_connected(0, 3)  # one block: one chain
+        assert not engine.is_connected(0, "missing")

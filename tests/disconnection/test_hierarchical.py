@@ -70,13 +70,11 @@ class TestQueries:
         with pytest.raises(NoChainError):
             hierarchical.query("ghost", "ghost2")
 
-    def test_railway_backbone_with_extra_edges(self):
+    def test_railway_backbone_answers_amsterdam_to_milan(self):
         graph, countries = european_railway_example()
         fragmentation = GroundTruthFragmenter([set(v) for v in countries.values()]).fragment(graph)
-        engine = HierarchicalEngine(
-            fragmentation,
-            extra_backbone_edges=[("arnhem", "munich", 60.0), ("munich", "arnhem", 60.0)],
-        )
+        engine = HierarchicalEngine(fragmentation)
         # Holland and Italy are non-adjacent fragments -> backbone plan.
-        cost = engine.shortest_path_cost("amsterdam", "milan")
-        assert cost == pytest.approx(shortest_path_cost(graph, "amsterdam", "milan"))
+        answer = engine.query("amsterdam", "milan")
+        assert answer.chain is not None and answer.chain[1] == -1
+        assert answer.value == pytest.approx(shortest_path_cost(graph, "amsterdam", "milan"))

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.disconnection import DistributedCatalog, QueryPlanner
-from repro.exceptions import NoChainError
+from repro.exceptions import DisconnectionSetError, NoChainError, PlanTruncatedError
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
 from repro.generators import chain_graph
 from repro.graph import DiGraph
+
+from tests.transit_layouts import grid_layout
 
 
 def _three_fragment_chain():
@@ -93,3 +95,34 @@ class TestPlans:
         planner = QueryPlanner(DistributedCatalog(fragmentation), max_chains=1)
         plan = planner.plan(3, 8)
         assert len(plan.chains) >= 1
+
+
+class TestTruncatedPlans:
+    """3 x 3 grid blocks: 12 chains join the corner blocks 0 and 8."""
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        fragmentation, _ = grid_layout(3, 3)
+        return DistributedCatalog(fragmentation)
+
+    def test_a_plan_at_the_cap_is_complete(self, catalog):
+        plan = QueryPlanner(catalog, max_chains=12).plan(0, 70)
+        assert len(plan.chains) == 12
+
+    def test_a_plan_past_the_cap_raises_instead_of_planning_a_subset(self, catalog):
+        with pytest.raises(PlanTruncatedError) as raised:
+            QueryPlanner(catalog, max_chains=11).plan(0, 70)
+        error = raised.value
+        assert isinstance(error, DisconnectionSetError) and not isinstance(error, NoChainError)
+        assert (error.source, error.target, error.max_chains) == (0, 70, 11)
+        assert "more than 11 fragment chains connect 0 and 70" in str(error)
+
+    def test_the_default_cap_holds_on_4x4_blocks(self):
+        fragmentation, _ = grid_layout(4, 4)
+        planner = QueryPlanner(DistributedCatalog(fragmentation))
+        with pytest.raises(PlanTruncatedError):
+            planner.plan(0, 126)  # corner block to corner block: 184 chains
+        assert [chain.chain for chain in planner.plan(0, 3).chains] == [(0,)]  # one block
+
+    def test_no_cap_plans_every_chain(self, catalog):
+        assert len(QueryPlanner(catalog, max_chains=None).plan(0, 70).chains) == 12

@@ -71,7 +71,7 @@ class TestOrdering:
 class TestPaperFigure5:
     def test_splitting_prefers_the_small_cut(self):
         graph = _paper_figure5_graph()
-        fragmenter = BondEnergyFragmenter(2, threshold=2, min_block_size=2)
+        fragmenter = BondEnergyFragmenter(2, threshold=2)
         fragmentation = fragmenter.fragment(graph)
         fragmentation.validate()
         characteristics = characterize(fragmentation, include_diameter=False)
@@ -94,9 +94,9 @@ class TestFragmentation:
         fragmentation = BondEnergyFragmenter(3).fragment(graph)
         fragmentation.validate()
 
-    def test_explicit_threshold_and_block_size(self):
-        graph = grid_graph(4, 6)
-        fragmentation = BondEnergyFragmenter(3, threshold=4, min_block_size=4).fragment(graph)
+    def test_explicit_threshold_and_derived_block_size(self):
+        graph = grid_graph(4, 6)  # 24 columns, 3 fragments: blocks of at least 4
+        fragmentation = BondEnergyFragmenter(3, threshold=4).fragment(graph)
         fragmentation.validate()
         assert all(fragment.node_count() >= 3 for fragment in fragmentation.fragments)
 

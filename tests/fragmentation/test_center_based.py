@@ -3,12 +3,7 @@
 import pytest
 
 from repro.exceptions import FragmenterConfigurationError
-from repro.fragmentation import (
-    BALANCE_BY_DIAMETER,
-    BALANCE_BY_SIZE,
-    CenterBasedFragmenter,
-    characterize,
-)
+from repro.fragmentation import CenterBasedFragmenter, characterize
 from repro.generators import chain_graph, grid_graph, two_cluster_dumbbell
 from repro.graph import DiGraph
 
@@ -22,9 +17,10 @@ class TestConfiguration:
         with pytest.raises(FragmenterConfigurationError):
             CenterBasedFragmenter(2, center_selection="psychic")
 
-    def test_rejects_unknown_balance_policy(self):
+    def test_rejects_the_top_score_selection(self):
+        # Only the paper's two variants remain: random and distributed centers.
         with pytest.raises(FragmenterConfigurationError):
-            CenterBasedFragmenter(2, balance="fastest")
+            CenterBasedFragmenter(2, center_selection="top_score")
 
     def test_rejects_empty_graph(self):
         with pytest.raises(FragmenterConfigurationError):
@@ -43,7 +39,7 @@ class TestBasicBehaviour:
 
     def test_covers_every_edge_exactly_once(self):
         graph = grid_graph(5, 5)
-        fragmentation = CenterBasedFragmenter(3, center_selection="top_score").fragment(graph)
+        fragmentation = CenterBasedFragmenter(3).fragment(graph)
         fragmentation.validate()
         total = sum(fragment.edge_count() for fragment in fragmentation.fragments)
         assert total == graph.edge_count()
@@ -75,7 +71,7 @@ class TestBasicBehaviour:
         graph.add_symmetric_edge("a", "b")
         graph.add_symmetric_edge("x", "y")
         graph.add_symmetric_edge("y", "z")
-        fragmentation = CenterBasedFragmenter(2, center_selection="top_score").fragment(graph)
+        fragmentation = CenterBasedFragmenter(2).fragment(graph)
         fragmentation.validate()
 
     def test_metadata_records_centers(self):
@@ -87,19 +83,10 @@ class TestBasicBehaviour:
 
 
 class TestVariants:
-    def test_balance_by_size_produces_similar_fragment_sizes(self):
-        graph = grid_graph(7, 7)
-        fragmentation = CenterBasedFragmenter(
-            3, center_selection="distributed", balance=BALANCE_BY_SIZE
-        ).fragment(graph)
-        fragmentation.validate()
-        sizes = fragmentation.fragment_sizes()
-        assert max(sizes) - min(sizes) <= max(sizes)  # no fragment dwarfs the others
-
-    def test_balance_policies_both_cover_graph(self):
+    def test_both_selections_cover_graph(self):
         graph = grid_graph(5, 6)
-        for balance in (BALANCE_BY_DIAMETER, BALANCE_BY_SIZE):
-            fragmentation = CenterBasedFragmenter(3, balance=balance).fragment(graph)
+        for selection in ("random", "distributed"):
+            fragmentation = CenterBasedFragmenter(3, center_selection=selection).fragment(graph)
             fragmentation.validate()
 
     def test_random_selection_is_seed_deterministic(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import FragmenterConfigurationError, MissingCoordinatesError
 from repro.fragmentation import FragmentationGraph, LinearFragmenter, characterize
-from repro.generators import chain_graph, grid_graph, two_cluster_dumbbell
+from repro.generators import grid_graph, two_cluster_dumbbell
 from repro.graph import DiGraph
 
 
@@ -13,31 +13,15 @@ class TestConfiguration:
         with pytest.raises(FragmenterConfigurationError):
             LinearFragmenter(0)
 
-    def test_rejects_nonpositive_start_node_count(self):
-        with pytest.raises(FragmenterConfigurationError):
-            LinearFragmenter(2, start_node_count=0)
-
     def test_rejects_unknown_sweep(self):
         with pytest.raises(FragmenterConfigurationError):
             LinearFragmenter(2, sweep="diagonal")
 
-    def test_requires_coordinates_or_start_nodes(self):
+    def test_requires_coordinates(self):
         graph = DiGraph()
         graph.add_symmetric_edge("a", "b")
         with pytest.raises(MissingCoordinatesError):
             LinearFragmenter(2).fragment(graph)
-
-    def test_explicit_start_nodes_avoid_coordinate_requirement(self):
-        graph = DiGraph()
-        graph.add_symmetric_edge("a", "b")
-        graph.add_symmetric_edge("b", "c")
-        fragmentation = LinearFragmenter(2, start_nodes=["a"]).fragment(graph)
-        fragmentation.validate()
-
-    def test_unknown_start_node_raises(self):
-        graph = chain_graph(4)
-        with pytest.raises(FragmenterConfigurationError):
-            LinearFragmenter(2, start_nodes=["ghost"]).fragment(graph)
 
     def test_rejects_empty_graph(self):
         with pytest.raises(FragmenterConfigurationError):
@@ -103,12 +87,11 @@ class TestThresholdAndSizes:
 
 
 class TestStartNodesAndSweeps:
-    def test_start_nodes_have_smallest_x(self):
+    def test_one_start_node_with_the_smallest_x(self):
         graph = grid_graph(3, 5)
-        fragmenter = LinearFragmenter(2, start_node_count=3)
-        start = fragmenter._select_start_nodes(graph)
-        xs = {graph.coordinate(node).x for node in start}
-        assert xs == {0.0}
+        start = LinearFragmenter(2)._select_start_nodes(graph)
+        assert len(start) == 1
+        assert graph.coordinate(start[0]).x == 0.0
 
     def test_sweep_direction_changes_start_nodes(self):
         graph = grid_graph(3, 5)

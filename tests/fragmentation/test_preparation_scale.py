@@ -48,9 +48,8 @@ class TestWorkCounts:
         status_scores(grid)
         assert tally["calls"] <= 2 * grid.node_count() * BALL_3
 
-    @pytest.mark.parametrize("balance", ["round_robin", "smallest_first"])
-    def test_growth_looks_at_each_edge_a_bounded_number_of_times(self, grid, balance, monkeypatch):
-        fragmenter = CenterBasedFragmenter(8, center_selection="distributed", balance=balance)
+    def test_growth_looks_at_each_edge_a_bounded_number_of_times(self, grid, monkeypatch):
+        fragmenter = CenterBasedFragmenter(8, center_selection="distributed")
         centers = fragmenter.select_centers(grid, 8)
         tally, counted = _counting(CenterBasedFragmenter._incident_edges)
         monkeypatch.setattr(CenterBasedFragmenter, "_incident_edges", staticmethod(counted))

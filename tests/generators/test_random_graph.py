@@ -69,19 +69,11 @@ class TestGeneration:
         for source, target in graph.edges():
             assert graph.has_edge(target, source)
 
-    def test_weight_from_distance(self):
-        graph = generate_random_graph(
-            RandomGraphConfig(node_count=15, c1=800.0, c2=0.02, weight_from_distance=True), seed=1
-        )
+    def test_weights_are_euclidean_distances(self):
+        graph = generate_random_graph(RandomGraphConfig(node_count=15, c1=800.0, c2=0.02), seed=1)
         for source, target, weight in graph.weighted_edges():
             distance = graph.coordinate(source).distance_to(graph.coordinate(target))
             assert weight == pytest.approx(distance)
-
-    def test_unit_weights_option(self):
-        graph = generate_random_graph(
-            RandomGraphConfig(node_count=15, c1=800.0, c2=0.02, weight_from_distance=False), seed=1
-        )
-        assert all(weight == 1.0 for _, _, weight in graph.weighted_edges())
 
     def test_c1_increases_edge_count(self):
         sparse = generate_random_graph(RandomGraphConfig(node_count=40, c1=400.0, c2=0.05), seed=2)

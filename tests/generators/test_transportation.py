@@ -85,15 +85,21 @@ class TestStructure:
         pairs = {tuple(sorted((index[a], index[b]))) for a, b in network.inter_cluster_pairs}
         assert pairs == {(0, 1), (0, 2), (1, 2)}
 
-    def test_explicit_pairs_override_topology(self):
+    def test_cycle_topology_closes_the_loop(self):
         config = TransportationGraphConfig(
-            cluster_count=3, nodes_per_cluster=6, cluster_c1=90.0,
-            explicit_pairs=((0, 2),), inter_cluster_edges=1,
+            cluster_count=4, nodes_per_cluster=6, cluster_c1=90.0, topology="cycle", inter_cluster_edges=1
         )
         network = generate_transportation_graph(config, seed=0)
         index = cluster_index(network)
         pairs = {tuple(sorted((index[a], index[b]))) for a, b in network.inter_cluster_pairs}
-        assert pairs == {(0, 2)}
+        assert pairs == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+    def test_connecting_edges_weigh_their_length(self):
+        config = TransportationGraphConfig(cluster_count=2, nodes_per_cluster=6, cluster_c1=90.0)
+        network = generate_transportation_graph(config, seed=0)
+        graph = network.graph
+        for a, b in network.inter_cluster_pairs:
+            assert graph.edge_weight(a, b) == graph.coordinate(a).distance_to(graph.coordinate(b))
 
 
 class TestPaperConfigs:

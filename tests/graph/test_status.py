@@ -18,15 +18,17 @@ class TestStatusScore:
         assert scores[3] > scores[0]
         assert scores[3] > scores[6]
 
-    def test_attenuation_reduces_far_contributions(self):
-        graph = chain_graph(7)
-        tight = status_scores(graph, attenuation=0.1)[3]
-        loose = status_scores(graph, attenuation=0.9)[3]
-        assert loose > tight
+    def test_star_scores_follow_the_paper_formula(self):
+        # a = 0.5: the center sees five leaves of grade 1 one ring out; a leaf
+        # sees the center (grade 5) one ring out and four leaves two out.
+        scores = status_scores(star_graph(5))
+        assert scores[0] == 5 + 0.5 * 5
+        assert scores[1] == 1 + 0.5 * 5 + 0.25 * 4
 
-    def test_radius_zero_is_just_grade(self):
-        graph = star_graph(5)
-        assert status_scores(graph, radius=0)[0] == 5.0
+    def test_rings_beyond_the_third_do_not_count(self):
+        # On a chain, node 0 sees nodes 1-3 (grades 2, 2, 2) and not node 4.
+        scores = status_scores(chain_graph(9))
+        assert scores[0] == 1 + 0.5 * 2 + 0.25 * 2 + 0.125 * 2
 
     def test_isolated_node_scores_zero(self):
         graph = DiGraph(nodes=["lonely"])

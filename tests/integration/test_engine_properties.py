@@ -3,7 +3,9 @@
 For every randomly generated clustered graph, every fragmentation produced by
 the paper's algorithms, and every source/destination pair drawn, the engine's
 answer must equal the centralised Dijkstra answer — the "correct and precise"
-requirement of Sec. 2.1.
+requirement of Sec. 2.1.  On cyclic grid layouts an answer may instead be
+flagged (``PlanTruncatedError``) when more chains connect the endpoints than
+the planner enumerates; it is never a plain wrong value.
 """
 
 from __future__ import annotations
@@ -16,13 +18,18 @@ from hypothesis import strategies as st
 
 from repro.closure import reachability_semiring, shortest_path_cost
 from repro.disconnection import DisconnectionSetEngine
-from repro.exceptions import DisconnectedError, NoChainError
+from repro.exceptions import DisconnectedError, NoChainError, PlanTruncatedError
 from repro.fragmentation import (
     BondEnergyFragmenter,
     CenterBasedFragmenter,
+    Fragmentation,
     LinearFragmenter,
 )
 from repro.graph import DiGraph, Point, is_reachable
+from repro.graph.shortest_path import shortest_path_length
+from repro.service import QueryService
+
+from tests.transit_layouts import grid_layout
 
 SETTINGS = settings(
     max_examples=20,
@@ -106,3 +113,68 @@ class TestEngineMatchesCentralized:
         engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
         expected = is_reachable(graph, source, target)
         assert engine.is_connected(source, target) == expected
+
+
+@st.composite
+def grid_cases(draw):
+    side = draw(st.sampled_from([3, 4]))
+    fragmentation, _ = grid_layout(side, side, seed=draw(st.integers(0, 50)))
+    nodes = sorted(fragmentation.graph.nodes())
+    source = draw(st.sampled_from(nodes))
+    target = draw(st.sampled_from(nodes))
+    return side, fragmentation, source, target
+
+
+class TestCyclicGridLayouts:
+    """3 x 3 blocks stay under the chain cap; 4 x 4 blocks go over it."""
+
+    @SETTINGS
+    @given(case=grid_cases())
+    def test_shortest_paths_are_exact_or_flagged(self, case):
+        side, fragmentation, source, target = case
+        expected = shortest_path_length(fragmentation.graph, source, target)
+        try:
+            value = DisconnectionSetEngine(fragmentation).query(source, target).value
+        except PlanTruncatedError as error:
+            assert side == 4, "a 3 x 3 grid has at most 12 chains a query"
+            assert (error.source, error.target, error.max_chains) == (source, target, 32)
+            return
+        assert value == expected
+
+    @SETTINGS
+    @given(case=grid_cases())
+    def test_reachability_is_true_or_flagged_never_false(self, case):
+        side, fragmentation, source, target = case
+        engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
+        try:
+            assert engine.is_connected(source, target)  # the grid is connected
+        except PlanTruncatedError:
+            assert side == 4
+
+
+def _leave_and_re_enter_layout() -> Fragmentation:
+    """Fragment F is the path a0-a1-a2-a3-a4 (weights 1, 100, 100, 1); G, K, H detour a0 to a4.
+
+    DS(F, G) = {a0} and DS(F, H) = {a4}: the cheap way from a1 to a3 leaves F
+    through one disconnection set and re-enters through the other.
+    """
+    graph = DiGraph()
+    path = [("a0", "a1", 1.0), ("a1", "a2", 100.0), ("a2", "a3", 100.0), ("a3", "a4", 1.0)]
+    detour = [("a0", "g", 2.0), ("g", "h", 3.0), ("h", "a4", 2.0)]
+    for a, b, weight in path + detour:
+        graph.add_symmetric_edge(a, b, weight)
+    fragment_f = {edge for a, b, _ in path for edge in ((a, b), (b, a))}
+    return Fragmentation(graph, [fragment_f] + [{(a, b), (b, a)} for a, b, _ in detour])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a same-fragment plan is the single chain [F], and F's shortcuts "
+    "only join border nodes of one disconnection set; the border graph fixes this",
+)
+def test_a_path_that_leaves_and_re_enters_its_fragment():
+    fragmentation = _leave_and_re_enter_layout()
+    assert shortest_path_length(fragmentation.graph, "a1", "a3") == 9.0
+    engine_value = DisconnectionSetEngine(fragmentation).query("a1", "a3").value
+    service_value = QueryService(fragmentation).query("a1", "a3").value
+    assert (engine_value, service_value) == (9.0, 9.0)  # both answer 200.0 today

@@ -4,11 +4,14 @@ Hypothesis draws a sequence of ``query`` / ``query_batch`` / ``update_edge``
 (insert, reweight, delete; inside a fragment, at a border node, on a
 connecting edge) / ``refragment`` / snapshot→restore steps and runs it
 against one long-lived ``QueryService`` — in-process and behind a placed pool
-of two workers, for shortest paths on a ring and reachability on a one-way
-chain.  After every step each answer must equal a whole-graph search over
-the service's current edge list (``transit_layouts.oracle_value``), which
-knows nothing of fragments or transit tables, so a table that outlived the
-adjacency it was computed from shows up as a wrong answer here.
+of two workers, for shortest paths on a ring and on 3 x 3 and 4 x 4 grids of
+blocks, and reachability on a one-way chain.  After every step each answer
+must equal a whole-graph search over the service's current edge list
+(``transit_layouts.oracle_value``), which knows nothing of fragments or
+transit tables, so a table that outlived the adjacency it was computed from
+shows up as a wrong answer here.  On a grid a query may instead be flagged:
+a plan the chain cap would cut raises ``PlanTruncatedError`` (or carries its
+message in a batch), and a flagged answer is never a value.
 """
 
 import tempfile
@@ -19,13 +22,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.closure import reachability_semiring, shortest_path_semiring
-from repro.exceptions import NoChainError
+from repro.exceptions import NoChainError, PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.service import QueryService
 
-from tests.transit_layouts import chain_layout, oracle_value, pairs_at, ring_layout
+from tests.transit_layouts import (
+    chain_layout,
+    grid_layout,
+    grid_neighbours,
+    oracle_value,
+    pairs_at,
+    ring_layout,
+)
 
 BLOCKS, SIZE = 5, 6
+GRIDS = {"grid": 3, "grid-4x4": 4}  # blocks a side
+GRID_SIZE = 8
+FLAGGED = "flagged"
 PICK = st.integers(min_value=0, max_value=10**6)
 
 UPDATE = st.tuples(
@@ -51,11 +64,19 @@ class Deployment:
     """One service under test and its current node blocks."""
 
     def __init__(self, kind, **service_options):
-        self.ring = kind == "ring"
+        self.side = GRIDS.get(kind)
+        self.ring = kind != "chain"  # symmetric edges: ring or grid
         self.semiring_factory = shortest_path_semiring if self.ring else reachability_semiring
-        fragmentation, layout = (
-            ring_layout(BLOCKS, SIZE) if self.ring else chain_layout(BLOCKS, SIZE)
-        )
+        if self.side is not None:
+            fragmentation, layout = grid_layout(self.side, self.side, GRID_SIZE)
+            self.neighbours = grid_neighbours(self.side, self.side)
+        elif kind == "ring":
+            fragmentation, layout = ring_layout(BLOCKS, SIZE)
+            self.neighbours = None
+        else:
+            fragmentation, layout = chain_layout(BLOCKS, SIZE)
+            self.neighbours = None
+        self.flagged = 0
         self.layout = layout  # the initial partition: never redrawn
         self.blocks = [list(block) for block in layout]  # the service's, redrawn live
         self.options = service_options
@@ -77,22 +98,29 @@ class Deployment:
 
         After deletes have parted two fragments the service may see no chain
         at all where a path merely does not exist.  Either way there is no path.
+        A plan the chain cap would cut is ``FLAGGED``.
         """
         try:
             return self.service.query(source, target).value
         except NoChainError:
             return None
+        except PlanTruncatedError:
+            return FLAGGED
+
+    def expect(self, value, source, target):
+        """``value`` is the whole-graph answer, or a flagged one (grids only)."""
+        if value == FLAGGED and self.side is not None:
+            self.flagged += 1
+            return
+        assert value == oracle_value(self.service, source, target), (source, target)
 
     def check(self, pairs):
         for source, target in pairs:
-            assert self.ask(source, target) == oracle_value(self.service, source, target), (
-                source,
-                target,
-            )
+            self.expect(self.ask(source, target), source, target)
 
     def probes(self):
         first, last = self.layout[0], self.layout[-1]
-        middle = self.layout[BLOCKS // 2]
+        middle = self.layout[len(self.layout) // 2]
         return [
             (first[2], last[3]),
             (last[3], first[2]),
@@ -111,8 +139,15 @@ class Deployment:
         elif kind == "batch":
             pairs = [(self.node(a), self.node(b)) for a, b in step[1]]
             for (source, target), answer in zip(pairs, self.service.query_batch(pairs)):
-                expected = oracle_value(self.service, source, target)
-                assert (None if answer.error else answer.value) == expected
+                if answer.error:
+                    # The batch recorded a planning error: the same query must
+                    # fail alone too — no chain (no path) or flagged.
+                    assert answer.value is None
+                    alone = self.ask(source, target)
+                    assert alone is None or (alone == FLAGGED and self.side is not None)
+                    self.expect(alone, source, target)
+                else:
+                    self.expect(answer.value, source, target)
         elif kind == "update":
             self.update(*step[1:])
         elif kind == "refragment":
@@ -127,7 +162,11 @@ class Deployment:
     def candidates(self, where):
         """Node pairs of one location class, in the order a chain allows."""
         block_of, pairs = pairs_at(
-            self.service.database.fragmentation(), self.layout, where, ring=self.ring
+            self.service.database.fragmentation(),
+            self.layout,
+            where,
+            ring=self.ring,
+            neighbours=self.neighbours,
         )
         return self.service.database.graph, block_of, pairs
 
@@ -140,9 +179,13 @@ class Deployment:
             pairs = [pair for pair in pairs if graph.has_edge(*pair)]
         if action == "delete":
             pairs = [pair for pair in pairs if self.deletable(graph, block_of, *pair)]
+            if self.side is not None:
+                pairs = [pair for pair in pairs if self.block_stays_whole(graph, block_of, *pair)]
         if not pairs:
             return
         source, target = pairs[pick % len(pairs)]
+        if self.side is not None and block_of[source] != block_of[target]:
+            weight += 10 * GRID_SIZE  # a grid's connecting edges outweigh any inside path
         self.service.update_edge(source, target, float(weight), delete=action == "delete")
 
     @staticmethod
@@ -162,8 +205,42 @@ class Deployment:
         ]
         return bool(others)
 
+    @staticmethod
+    def block_stays_whole(graph, block_of, source, target):
+        """Without ``source -> target`` every node of their block still reaches every other inside it.
+
+        A grid keeps every answer exact only while a path between two nodes
+        of one block never gains by leaving it: a block cut in two would send
+        the path out through one disconnection set and back in through
+        another, the case ``test_a_path_that_leaves_and_re_enters_its_fragment``
+        pins.
+        """
+        block = block_of[source]
+        if block != block_of[target]:
+            return True
+        members = {node for node, owner in block_of.items() if owner == block}
+        start = min(members)
+        for forward in (True, False):
+            seen, frontier = {start}, [start]
+            while frontier:
+                node = frontier.pop()
+                for other in graph.successors(node) if forward else graph.predecessors(node):
+                    edge = (node, other) if forward else (other, node)
+                    if other in members and other not in seen and edge != (source, target):
+                        seen.add(other)
+                        frontier.append(other)
+            if seen != members:
+                return False
+        return True
+
     def refragment(self, pick):
-        index = pick % (BLOCKS - 1)
+        if self.side is not None:
+            # Moving a node across a grid boundary turns its cheap inside edges
+            # into connecting ones and lets a path leave and re-enter its
+            # fragment; redraw the blocks as they are instead.
+            self.service.refragment(GroundTruthFragmenter([set(block) for block in self.blocks]))
+            return
+        index = pick % (len(self.blocks) - 1)
         giver, taker = self.blocks[index], self.blocks[index + 1]
         if len(giver) < len(taker):
             giver, taker = taker, giver
@@ -190,17 +267,23 @@ def run_interleaving(kind, steps, **service_options):
             deployment.run(step)
     finally:
         deployment.close()
+    return deployment
 
 
-@pytest.mark.parametrize("kind", ["ring", "chain"])
+@pytest.mark.parametrize("kind", ["ring", "chain", "grid", "grid-4x4"])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
 def test_in_process_answers_match_the_whole_graph_oracle(kind, steps):
     run_interleaving(kind, steps)
 
 
-@pytest.mark.parametrize("kind", ["ring", "chain"])
+@pytest.mark.parametrize("kind", ["ring", "chain", "grid"])
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
 def test_pooled_answers_match_the_whole_graph_oracle(kind, steps):
     run_interleaving(kind, steps, workers=2)
+
+
+def test_the_3x3_probes_are_answered_and_the_4x4_probes_flagged():
+    assert run_interleaving("grid", []).flagged == 0  # 12 chains at most: under the cap
+    assert run_interleaving("grid-4x4", []).flagged >= 2  # corner to corner, both ways

@@ -9,8 +9,9 @@ with the change.
 
 import pytest
 
+from repro.exceptions import PlanTruncatedError
 from repro.service import QueryService
-from tests.transit_layouts import ring_layout
+from tests.transit_layouts import grid_layout, oracle_value, ring_layout
 
 # Spans one traced ``query`` records on a ring of four 30-node fragments.  A
 # cache hit is the root span alone; a cold query from fragment 0 to fragment
@@ -38,3 +39,39 @@ def test_spans_per_traced_query_stay_within_budget(kind):
     names = traced_query_spans(kind)
     assert names[0] == "query"
     assert len(names) <= SPAN_BUDGETS[kind], names
+
+
+# Answers on the cyclic grid layouts, every third node to every fifth: a plain
+# wrong value is never allowed; a flagged one (the plan would be cut at the
+# chain cap) is counted, and the border graph of ROADMAP item 1 takes it to 0.
+GRID_BUDGETS = {
+    # blocks a side: (plain wrong, flagged)
+    3: (0, 0),
+    4: (0, 1083),
+}
+
+
+def grid_answers(side: int):
+    fragmentation, _ = grid_layout(side, side)
+    service = QueryService(fragmentation)
+    nodes = sorted(fragmentation.graph.nodes())
+    wrong = flagged = 0
+    for source in nodes[::3]:
+        for target in nodes[1::5]:
+            if source == target:
+                continue
+            try:
+                value = service.query(source, target).value
+            except PlanTruncatedError:
+                flagged += 1
+                continue
+            wrong += value != oracle_value(service, source, target)
+    return wrong, flagged
+
+
+@pytest.mark.parametrize("side", sorted(GRID_BUDGETS))
+def test_grid_answers_are_never_plainly_wrong(side):
+    wrong, flagged = grid_answers(side)
+    budget_wrong, budget_flagged = GRID_BUDGETS[side]
+    assert wrong <= budget_wrong
+    assert flagged <= budget_flagged

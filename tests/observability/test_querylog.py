@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability import QueryLog, QueryLogEntry
+from repro.observability import DEFAULT_SLOW_THRESHOLD_SECONDS, QueryLog, QueryLogEntry
 
 
 def push(log, source, target, **fields):
@@ -60,7 +60,7 @@ class TestBoundingAndEviction:
 
 class TestSlowQueries:
     def test_slow_entries_survive_fast_traffic(self):
-        log = QueryLog(capacity=2, slow_threshold=0.1, slow_capacity=10)
+        log = QueryLog(capacity=2)
         push(log, 0, 1, latency=0.5)
         for index in range(10):  # a burst of fast queries rolls the window
             push(log, index, index + 1, latency=0.001)
@@ -70,14 +70,15 @@ class TestSlowQueries:
         assert log.slow_count == 1
 
     def test_slowest_falls_back_to_ranking_the_window(self):
-        log = QueryLog(slow_threshold=10.0)  # nothing crosses the threshold
+        log = QueryLog()  # nothing crosses the 0.1 s threshold
         push(log, 0, 1, latency=0.003)
         push(log, 1, 2, latency=0.009)
         push(log, 2, 3, latency=0.001)
         assert [entry.latency for entry in log.slowest(2)] == [0.009, 0.003]
 
     def test_threshold_is_inclusive(self):
-        log = QueryLog(slow_threshold=0.1)
+        log = QueryLog()
+        assert DEFAULT_SLOW_THRESHOLD_SECONDS == 0.1
         push(log, 0, 1, latency=0.1)
         assert log.slow_count == 1
 

@@ -279,10 +279,12 @@ class TestQueryLogConstructionOptions:
         assert service.query_log.recorded == 0
         assert isinstance(service.query_log, QueryLog)
 
-    def test_slow_query_threshold_is_wired_through(self):
-        service = QueryService(
-            clique_line_fragmentation(), slow_query_threshold=0.0
-        )
+    def test_the_slow_window_keeps_queries_past_the_log_threshold(self, monkeypatch):
+        from repro.observability import querylog
+
+        service = QueryService(clique_line_fragmentation())
+        assert service.metrics()["query_log"]["slow_threshold"] == 0.1
+        monkeypatch.setattr(querylog, "DEFAULT_SLOW_THRESHOLD_SECONDS", 0.0)  # every query is slow
         service.query(0, 11)
         assert service.query_log.slow_count == 1
 

@@ -65,22 +65,18 @@ class TestWorkloadSimulation:
         assert result.overall_speedup() == 1.0
 
 
-class TestProcessorLimits:
-    def test_fewer_processors_than_fragments(self, small_transportation_network):
-        network = small_transportation_network
-        fragmentation = GroundTruthFragmenter(network.clusters).fragment(network.graph)
-        two_procs = ParallelSimulator(fragmentation, processor_count=2)
-        four_procs = ParallelSimulator(fragmentation, processor_count=4)
-        query = cross_cluster_queries(network.clusters, 1, seed=6, minimum_cluster_distance=3)[0]
-        slow = two_procs.simulate_query(query)
-        fast = four_procs.simulate_query(query)
-        assert slow.parallel_time >= fast.parallel_time
-        assert two_procs.assignment.processor_count == 2
+class TestProcessorsAndCosts:
+    def test_one_processor_per_fragment(self, simulator):
+        network, sim = simulator
+        assignment = sim.assignment
+        assert assignment.processor_count == len(network.clusters)
+        assert len(set(assignment.processor_of.values())) == len(network.clusters)
 
-    def test_custom_cost_model_changes_times(self, small_transportation_network):
-        network = small_transportation_network
-        fragmentation = GroundTruthFragmenter(network.clusters).fragment(network.graph)
-        cheap = ParallelSimulator(fragmentation, cost_model=CostModel(tuple_cost=0.1))
-        expensive = ParallelSimulator(fragmentation, cost_model=CostModel(tuple_cost=10.0))
-        query = cross_cluster_queries(network.clusters, 1, seed=7)[0]
-        assert expensive.simulate_query(query).parallel_time > cheap.simulate_query(query).parallel_time
+    def test_parallel_time_is_the_slowest_site_plus_assembly(self, simulator):
+        network, sim = simulator
+        query = cross_cluster_queries(network.clusters, 1, seed=7, minimum_cluster_distance=3)[0]
+        result = sim.simulate_query(query)
+        report = result.answer.report
+        slowest = max(CostModel().site_costs(report).values())
+        assert result.parallel_time == slowest + CostModel().assembly_cost(report)
+        assert result.sequential_time == CostModel().sequential_cost(report)

@@ -17,39 +17,32 @@ Node = Hashable
 Edge = Tuple[Node, Node]
 
 
-def hop_diameter_by_bfs(graph: DiGraph, *, undirected: bool = True) -> int:
-    """Longest hop distance over reachable pairs: one dict BFS per node."""
+def hop_diameter_by_bfs(graph: DiGraph) -> int:
+    """Longest undirected hop distance over reachable pairs: one dict BFS per node."""
     best = 0
     for node in graph.nodes():
-        levels = bfs_levels(graph, node, undirected=undirected)
+        levels = bfs_levels(graph, node, undirected=True)
         best = max(best, max(levels.values()))
     return best
 
 
-def status_score_by_full_bfs(
-    graph: DiGraph, node: Node, *, attenuation: float = 0.5, radius: int = 3
-) -> float:
-    """Center score from a whole-graph BFS filtered at ``radius`` afterwards."""
+def status_score_by_full_bfs(graph: DiGraph, node: Node) -> float:
+    """Center score (a = 0.5, three rings) from a whole-graph BFS filtered afterwards."""
     levels = bfs_levels(graph, node, undirected=True)
     score = float(graph.undirected_degree(node))
     for other, distance in levels.items():
-        if other == node or distance > radius:
+        if other == node or distance > 3:
             continue
-        score += (attenuation ** distance) * graph.undirected_degree(other)
+        score += (0.5 ** distance) * graph.undirected_degree(other)
     return score
 
 
-def status_scores_by_full_bfs(
-    graph: DiGraph, *, attenuation: float = 0.5, radius: int = 3
-) -> Dict[Node, float]:
-    return {
-        node: status_score_by_full_bfs(graph, node, attenuation=attenuation, radius=radius)
-        for node in graph.nodes()
-    }
+def status_scores_by_full_bfs(graph: DiGraph) -> Dict[Node, float]:
+    return {node: status_score_by_full_bfs(graph, node) for node in graph.nodes()}
 
 
-def rank_by_full_bfs(graph: DiGraph, *, attenuation: float = 0.5, radius: int = 3) -> List[Node]:
-    scores = status_scores_by_full_bfs(graph, attenuation=attenuation, radius=radius)
+def rank_by_full_bfs(graph: DiGraph) -> List[Node]:
+    scores = status_scores_by_full_bfs(graph)
     return sorted(scores, key=lambda node: (-scores[node], repr(node)))
 
 
@@ -59,9 +52,7 @@ def _incident_edges(graph: DiGraph, node: Node) -> List[Edge]:
     return incident
 
 
-def grow_fragments_by_rescan(
-    graph: DiGraph, centers: List[Node], *, balance: str = "round_robin"
-) -> List[Set[Edge]]:
+def grow_fragments_by_rescan(graph: DiGraph, centers: List[Node]) -> List[Set[Edge]]:
     """Fig. 4 growth that rescans every node of every fragment each round."""
     count = len(centers)
     fragment_nodes: List[Set[Node]] = [set() for _ in range(count)]
@@ -80,17 +71,10 @@ def grow_fragments_by_rescan(
 
     stalled_rounds = 0
     while unassigned:
-        order = list(range(count))
-        if balance == "smallest_first":
-            order.sort(key=lambda index: (len(fragment_edges[index]), index))
         progress = False
-        for index in order:
-            added = _expand_once(graph, fragment_nodes[index], fragment_edges[index], unassigned)
-            if added:
+        for index in range(count):
+            if _expand_once(graph, fragment_nodes[index], fragment_edges[index], unassigned):
                 progress = True
-                if balance == "smallest_first":
-                    # Re-evaluate which fragment is smallest after every expansion.
-                    break
         if not progress:
             stalled_rounds += 1
             # Remaining edges are unreachable from every center (other weak
@@ -180,22 +164,17 @@ def center_based_layout_by_rescan(fragmenter, graph: DiGraph) -> Tuple[List[Node
     """``(centers, populated fragment edge sets)`` of a ``CenterBasedFragmenter``, the old way."""
     count = min(fragmenter.fragment_count, max(1, graph.node_count()))
     distributed = fragmenter.center_selection == "distributed"
-    pool_factor = (
-        max(fragmenter.candidate_pool_factor, 32.0) if distributed else fragmenter.candidate_pool_factor
-    )
-    pool_size = max(count, int(round(count * pool_factor)))
-    candidates = rank_by_full_bfs(
-        graph, attenuation=fragmenter.attenuation, radius=fragmenter.score_radius
-    )[:pool_size]
-    if len(candidates) <= count or fragmenter.center_selection == "top_score":
-        centers = candidates[:count]
+    pool_size = max(count, int(round(count * (32.0 if distributed else 3.0))))
+    candidates = rank_by_full_bfs(graph)[:pool_size]
+    if len(candidates) <= count:
+        centers = candidates
     elif distributed and graph.has_coordinates():
         centers = spread_out_by_rescan(graph.coordinates(), candidates, count)
     elif distributed:
         centers = spread_by_hops_by_rescan(graph, candidates, count)
     else:
         centers = random.Random(fragmenter.seed).sample(candidates, count)
-    grown = grow_fragments_by_rescan(graph, centers, balance=fragmenter.balance)
+    grown = grow_fragments_by_rescan(graph, centers)
     return centers, [edges for edges in grown if edges]
 
 

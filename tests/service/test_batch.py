@@ -7,6 +7,8 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.service import BatchPlanner
 
+from tests.transit_layouts import grid_layout
+
 
 @pytest.fixture(scope="module")
 def planner():
@@ -51,3 +53,11 @@ class TestBatchPlanning:
         batch = planner.plan_batch([(2, 3)])
         assert batch.spec_references == len(batch.tasks)
         assert batch.shared_subqueries_saved() == 0
+
+
+def test_a_truncated_plan_is_that_pairs_error_and_the_batch_goes_on():
+    engine = DisconnectionSetEngine(grid_layout(4, 4)[0])
+    batch = BatchPlanner(QueryPlanner(engine.catalog)).plan_batch([(0, 126), (0, 3)])
+    assert batch.plans[0] is None and "more than 32 fragment chains" in batch.errors[0]
+    assert batch.plans[1] is not None and 1 not in batch.errors
+    assert batch.tasks  # the answerable pair's subqueries are still planned

@@ -18,6 +18,7 @@ from repro.incremental.maintainer import IncrementalFallback
 from repro.placement import PlacementPlan
 from repro.refragmentation import LiveRefragmenter, RefragmentationAdvisor
 from repro.service import PlacedWorkerPool, QueryService, WorkerPoolError
+from repro.service.server import REFRAGMENT_CHECK_INTERVAL
 
 from tests.transit_layouts import ring_layout
 
@@ -273,12 +274,12 @@ class TestAutoRefragment:
                 [set(b) for b in node_blocks]
             ),
         )
-        service = QueryService(
-            eroded, auto_refragment=advisor, refragment_check_interval=4
-        )
+        service = QueryService(eroded, auto_refragment=advisor)
         before = service.stats.refragments
-        for step in range(4):
+        for step in range(REFRAGMENT_CHECK_INTERVAL - 1):
             service.update_edge(0, 2 + step % 2, 1.5 + step)
+        assert service.stats.refragments == before  # no assessment before the 32nd update
+        service.update_edge(0, 2, 0.5)
         assert service.stats.refragments == before + 1
         assert service.stats.scoped_refragments >= 1
         # The redrawn layout is the clustered one the factory proposed.
@@ -292,10 +293,8 @@ class TestAutoRefragment:
     def test_healthy_layout_is_left_alone(self):
         graph, node_blocks = clique_line(blocks=3)
         fragmentation = GroundTruthFragmenter([set(b) for b in node_blocks]).fragment(graph)
-        service = QueryService(
-            fragmentation, auto_refragment=True, refragment_check_interval=2
-        )
-        for step in range(6):
+        service = QueryService(fragmentation, auto_refragment=True)
+        for step in range(2 * REFRAGMENT_CHECK_INTERVAL):  # two assessments
             service.update_edge(0, 2, 1.0 + step * 0.125)
         assert service.stats.refragments == 0
 

@@ -4,10 +4,12 @@ import pytest
 
 from repro.closure import reachability_semiring, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine
-from repro.exceptions import NoChainError
+from repro.exceptions import NoChainError, PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.service import QueryService
+
+from tests.transit_layouts import grid_layout
 
 
 def make_fragmentation():
@@ -164,3 +166,26 @@ class TestCacheBounds:
         # The evicted (0, 7) answer is recomputed, not served stale.
         answer = service.query(0, 7)
         assert not answer.cached
+
+
+class TestTruncatedPlans:
+    """4 x 4 grid blocks: the corner blocks are joined by more chains than the cap."""
+
+    @pytest.fixture
+    def grid_service(self):
+        return QueryService(grid_layout(4, 4)[0])
+
+    def test_query_raises_logs_the_error_and_caches_nothing(self, grid_service):
+        with pytest.raises(PlanTruncatedError):
+            grid_service.query(0, 126)
+        with pytest.raises(PlanTruncatedError):  # asked again: still not a value
+            grid_service.query(0, 126)
+        assert len(grid_service.cache) == 0
+        assert grid_service.query_log.error_count() == 2
+
+    def test_batch_flags_the_pair_and_answers_the_rest(self, grid_service):
+        answers = grid_service.query_batch([(0, 126), (0, 3), (0, 126)])
+        assert answers[0].value is None and "more than 32 fragment chains" in answers[0].error
+        assert answers[2].error == answers[0].error
+        assert answers[1].error is None and answers[1].exists()
+        assert len(grid_service.cache) == 1  # only the answered pair

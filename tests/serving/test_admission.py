@@ -4,6 +4,7 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.serving import AdmissionConfig, AdmissionController, TokenBucket
+from repro.serving.admission import HEAVY_COST
 
 
 class FakeClock:
@@ -74,11 +75,11 @@ class TestSlots:
 
 class TestTokenBuckets:
     def test_burst_exhaustion_rate_limits(self, clock):
-        admission = controller(clock, max_concurrent=100, heavy_cost=5.0)
+        admission = controller(clock, max_concurrent=100)
         # 10-token burst: two heavy admissions drain it.
-        assert admission.admit("hog", cost=5.0).status == "run"
-        assert admission.admit("hog", cost=5.0).status == "run"
-        rejected = admission.admit("hog", cost=5.0)
+        assert admission.admit("hog", cost=HEAVY_COST).status == "run"
+        assert admission.admit("hog", cost=HEAVY_COST).status == "run"
+        rejected = admission.admit("hog", cost=HEAVY_COST)
         assert rejected.status == "reject"
         assert rejected.reason == "rate_limited"
         # 5 missing tokens at 10/s refill: half a second away.

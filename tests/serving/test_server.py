@@ -30,6 +30,7 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.service import QueryService
+from repro.serving.admission import HEAVY_COST
 
 
 def make_service(**options):
@@ -378,9 +379,7 @@ class TestAdmission:
         async def scenario():
             service = make_service()
             config = tiny_config(
-                admission=AdmissionConfig(
-                    client_rate=0.001, client_burst=5.0, heavy_cost=5.0
-                )
+                admission=AdmissionConfig(client_rate=0.001, client_burst=HEAVY_COST)
             )
             async with ClosureServer(service, config) as server:
                 async with Client(*server.address) as hog, Client(

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.graph import load_json
+from repro.generators import grid_graph
+from repro.graph import load_json, save_json
 
 
 @pytest.fixture
@@ -77,6 +78,17 @@ class TestQuery:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "route:" in captured.out
+
+    def test_query_with_a_truncated_plan_fails_with_the_message(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        save_json(grid_graph(12, 12), path)
+        exit_code = main(
+            ["query", str(path), "0", "143", "--algorithm", "center", "--fragments", "9"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "cost:" not in captured.out
+        assert "more than 32 fragment chains connect 0 and 143" in captured.err
 
     def test_query_unknown_node_reports_error(self, graph_file, capsys):
         exit_code = main(

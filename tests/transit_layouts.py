@@ -1,17 +1,18 @@
-"""Small ring and chain layouts with two-node disconnection sets.
+"""Small ring, chain and grid layouts with two-node disconnection sets.
 
 Shared by the transit-table tests.  Every block is ``size`` nodes on a path
 (with a few chords when symmetric); consecutive blocks are joined by two connecting edges, so
 every disconnection set has two nodes and an intermediate fragment's
 border-to-border subquery runs two searches.  Weights are small integers:
-path sums are exact and ``==`` is a legitimate comparison.
+path sums are exact and ``==`` is a legitimate comparison.  Ring and chain
+layouts give at most two chains a query; the grid layout gives up to 184.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
@@ -74,19 +75,72 @@ def chain_layout(blocks: int = 5, size: int = 6, seed: int = 0) -> Tuple[Fragmen
     return fragment(graph, layout), layout
 
 
+def grid_layout(rows: int = 3, cols: int = 3, size: int = 8, seed: int = 0) -> Tuple[Fragmentation, Blocks]:
+    """``rows x cols`` symmetric blocks, each joined to its grid neighbours: a cyclic layout.
+
+    Block ``r * cols + c`` is a path of ``size >= 8`` nodes with chords; its
+    first two nodes face west, the next two north, the next two south and the
+    last two east, and two connecting edges join each facing pair.  The
+    fragmentation graph is the ``rows x cols`` grid graph, so a corner-to-corner
+    query has 12 chains on 3 x 3 blocks (under the planner's cap of 32) and
+    184 on 4 x 4 (over it).  Every connecting edge outweighs any path inside
+    a block: a detour out of a block and back is never shorter, so the chain
+    cap is the only way a plan can miss the best path.
+    """
+    assert size >= 8, "four facing pairs need eight nodes a block"
+    rng = random.Random(seed)
+    graph = DiGraph()
+    layout = node_blocks(rows * cols, size)
+    for block in layout:
+        for a, b in zip(block, block[1:]):
+            graph.add_symmetric_edge(a, b, float(rng.randint(1, 9)))
+        for offset in range(0, size - 2, 2):
+            graph.add_symmetric_edge(block[offset], block[offset + 2], float(rng.randint(1, 9)))
+    heavy = 10 * size  # more than the 9 * (size - 1) of any path inside a block
+    for row in range(rows):
+        for col in range(cols):
+            block = layout[row * cols + col]
+            if col + 1 < cols:
+                east = layout[row * cols + col + 1]
+                graph.add_symmetric_edge(block[-1], east[0], float(heavy + rng.randint(1, 9)))
+                graph.add_symmetric_edge(block[-2], east[1], float(heavy + rng.randint(1, 9)))
+            if row + 1 < rows:
+                south = layout[(row + 1) * cols + col]
+                graph.add_symmetric_edge(block[4], south[2], float(heavy + rng.randint(1, 9)))
+                graph.add_symmetric_edge(block[5], south[3], float(heavy + rng.randint(1, 9)))
+    return fragment(graph, layout), layout
+
+
 def interior(layout: Blocks, block: int) -> List[int]:
     """Nodes of ``block`` that no connecting edge touches (never border nodes)."""
     return layout[block][2:-2]
 
 
+def grid_neighbours(rows: int, cols: int) -> Set[FrozenSet[int]]:
+    """The block pairs ``grid_layout(rows, cols)`` joins with connecting edges."""
+    pairs = set()
+    for block in range(rows * cols):
+        if block % cols + 1 < cols:
+            pairs.add(frozenset((block, block + 1)))
+        if block + cols < rows * cols:
+            pairs.add(frozenset((block, block + cols)))
+    return pairs
+
+
 def pairs_at(
-    fragmentation: Fragmentation, layout: Blocks, where: str, *, ring: bool
+    fragmentation: Fragmentation,
+    layout: Blocks,
+    where: str,
+    *,
+    ring: bool,
+    neighbours: Optional[Set[FrozenSet[int]]] = None,
 ) -> Tuple[dict, List[Tuple[int, int]]]:
     """Node pairs of one location class, in the order a one-way chain allows.
 
     ``where`` is ``"inside"`` (one block, neither node a border node),
     ``"border"`` (one block, a border node at either end) or ``"connecting"``
-    (adjacent blocks).  Returns ``(block of each node, pairs)``.
+    (adjacent blocks: consecutive ones, or the ``neighbours`` pairs of a grid).
+    Returns ``(block of each node, pairs)``.
     """
     border = set()
     for fragment in fragmentation.fragments:
@@ -99,7 +153,10 @@ def pairs_at(
             if a == b or (not ring and a > b):
                 continue
             gap = block_of[b] - block_of[a]
-            adjacent = gap in (1, -1) or (ring and abs(gap) == len(layout) - 1)
+            if neighbours is None:
+                adjacent = gap in (1, -1) or (ring and abs(gap) == len(layout) - 1)
+            else:
+                adjacent = frozenset((block_of[a], block_of[b])) in neighbours
             touches_border = a in border or b in border
             if (
                 (where == "connecting" and adjacent)
