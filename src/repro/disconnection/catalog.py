@@ -201,14 +201,17 @@ class FragmentSite:
     between the old and the new augmented adjacency (fragment edges *and*
     complementary shortcuts, so a repair caused by a write in a neighbouring
     fragment arrives as a delta too), and ``CompactGraph.apply_delta`` drops
-    every derived structure.  Anything cached
-    in that graph's derived store — the kernels' indexes, the local-query
-    evaluator's transit table and border rows — therefore never survives a
-    change of the adjacency it was computed from, and survives untouched when
-    the delta is empty.  The plain (no-shortcut) compact form is not patched: a write to
-    the fragment's own edges discards it, and one that adds or removes an
-    edge discards the iteration estimate with it (a hop diameter does not
-    see weights); the next reader re-derives them (:meth:`derive`).  Only a
+    what the delta may have changed.  The kernels' indexes and the
+    local-query evaluator's transit table go with any non-empty delta; a
+    border row stays only when the delta provably cannot have moved it (no
+    removed arc lies on one of its shortest paths, no inserted arc shortens
+    one, no new node), and is then the row a fresh search would fill.  An
+    empty delta leaves everything untouched.  The plain (no-shortcut)
+    compact form is not patched: a write to the fragment's own edges
+    discards it, and one that adds or removes an edge discards the
+    iteration estimate with it (a hop diameter does not see weights).  The
+    next evaluation re-derives the compact forms (:meth:`derive`); the
+    estimate waits for its next reader (:meth:`local_iterations`).  Only a
     full catalog rebuild or a scoped refragmentation replaces the site
     object, and the replacement starts with no cached state at all.
 
@@ -295,19 +298,19 @@ class FragmentSite:
     def derive(self, *, compact: bool = True, use_shortcuts: bool = True) -> bool:
         """Build the lazy state an evaluation reads; return whether any was missing.
 
-        That state is the iteration estimate (discarded by an
-        :meth:`apply_update` that adds or removes an edge) and, with
-        ``compact``, the compact graph (absent on a fresh or rebuilt site,
-        and in its plain form after any own write).  Callers that time kernels call
-        this first, so a re-derivation after a write is never booked as
-        kernel time.
+        That state is the compact graph, with ``compact`` (absent on a fresh
+        or rebuilt site, and in its plain form after any own write); the dict
+        fixpoint reads the subgraph and needs nothing.  The iteration
+        estimate is not part of it: an evaluation never reads it, and its
+        readers (:meth:`ExecutionReport.record_local`, the pool's re-pins and
+        payloads) ask :meth:`local_iterations` themselves.  Callers that time
+        kernels call this first, so a re-derivation after a write is never
+        booked as kernel time.
         """
         graph = self._compact_augmented if use_shortcuts else self._compact_plain
-        missing = self._local_iterations is None or (compact and graph is None)
+        missing = compact and graph is None
         if missing:
-            self.local_iterations()
-            if compact:
-                self.compact(use_shortcuts=use_shortcuts)
+            self.compact(use_shortcuts=use_shortcuts)
         return missing
 
     def to_compact_site(self) -> CompactFragmentSite:

@@ -25,7 +25,7 @@ from ..closure import Semiring, reachability_semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
 from ..fragmentation import Fragmentation
 from .assembly import AssemblyResult, assemble_chain, best_over_chains, collect_task_keys
-from .catalog import CompactFragmentSite, DistributedCatalog
+from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation
 from .local_query import LocalQueryEvaluator, LocalQueryResult
 from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
@@ -64,11 +64,11 @@ class ExecutionReport:
     assembly_tuples: int = 0
     planned_fragments: int = 0
 
-    def record_local(self, result: LocalQueryResult) -> None:
-        """Fold one local result into the per-site accounting."""
+    def record_local(self, result: LocalQueryResult, site: FragmentSite) -> None:
+        """Fold one local result of ``site`` into the per-site accounting."""
         work = self.site_work.setdefault(result.fragment_id, SiteWork(fragment_id=result.fragment_id))
         work.subqueries += 1
-        work.iterations += result.estimated_iterations
+        work.iterations += site.local_iterations()
         work.tuples_produced += result.statistics.tuples_produced
 
     def record_assembly(self, assembly: AssemblyResult) -> None:
@@ -229,7 +229,7 @@ class DisconnectionSetEngine:
             self._catalog.site, [LocalQuerySpec(*task) for task in tasks]
         )
         for local_result in evaluated:
-            report.record_local(local_result)
+            report.record_local(local_result, self._catalog.site(local_result.fragment_id))
         local_results = dict(zip(tasks, evaluated))
         assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
         for chain_plan in plan.chains:

@@ -207,14 +207,13 @@ class HierarchicalEngine:
         )
         report = ExecutionReport()
         report.planned_fragments = 3
-        results = self._evaluator.evaluate_many(
-            lambda fragment_id: (
-                self._backbone_site if fragment_id == -1 else self._catalog.site(fragment_id)
-            ),
-            specs,
-        )
+
+        def site_of(fragment_id: int) -> FragmentSite:
+            return self._backbone_site if fragment_id == -1 else self._catalog.site(fragment_id)
+
+        results = self._evaluator.evaluate_many(site_of, specs)
         for local in results:
-            report.record_local(local)
+            report.record_local(local, site_of(local.fragment_id))
         assembly = assemble_chain(plan, results, semiring=self._semiring)
         report.record_assembly(assembly)
         return QueryAnswer(

@@ -18,22 +18,24 @@ cost model.
 
 Of the three kinds of subquery a chain splits into (Sec. 2.1) none depends on
 more than the fragment, its border nodes and one query node, and the kernel
-path memoizes both halves in the derived store of the site's compact graph:
+path memoizes them in the derived store of the site's compact graph:
 
+* every shortest-path subquery with a side inside the border set is read from
+  :class:`BorderRows`: per border node and direction one row of shortest
+  distances to (or from) every node of the fragment, filled by one untargeted
+  search the first time a subquery is rooted at that border node;
 * the middle one — border to border inside an intermediate fragment — does not
-  depend on the query at all; its whole result is remembered in a
-  :class:`TransitTable`;
-* the other two — source to first disconnection set, last disconnection set
-  to destination — are reads of :class:`BorderRows`: per border node and
-  direction one row of shortest distances to (or from) every node of the
-  fragment, filled by one untargeted search the first time a query crosses
-  that border node.
+  depend on the query at all; its whole result is also remembered in a
+  :class:`TransitTable`, which lets the coordinator of a worker pool answer it
+  without routing.
 
-``CompactGraph.apply_delta`` drops both with every other derived structure,
-which is the whole invalidation protocol.  What still searches is a
-shortest-path subquery with no side inside the border set (a same-fragment
-query) and a transit-table miss; both root their searches at whichever of
-their two node sets is smaller, against the edges when that is the exit set.
+``CompactGraph.apply_delta`` hands the rows the arcs a write removed and
+inserted; a row keeps itself when it provably cannot have moved
+(:meth:`BorderRows.survive_delta`).  The transit table is dropped with every
+other derived structure, and refills from the surviving rows without a
+search.  What still searches is a shortest-path subquery with no side inside
+the border set (a same-fragment query) and the fill of a row a write
+dropped.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
     disconnection sets or single border nodes, at most
     ``(#disconnection sets + #border nodes)²`` pairs per fragment.  There is
     no capacity and no eviction; the graph's ``apply_delta`` drops the whole
-    table whenever the adjacency it was computed from changes.
+    table whenever the adjacency it was computed from changes, and the next
+    evaluations refill it from the border rows that survived.
     """
 
     __slots__ = ()
@@ -114,11 +117,35 @@ class BorderRows(Dict[Tuple[int, bool], BorderRow]):
     A row is a pure function of the graph, filled the first time a subquery
     is rooted at ``b`` in that direction, so the store is bounded by the
     layout: at most ``2 * |border nodes|`` rows of ``node_count`` doubles per
-    fragment.  No capacity and no eviction; the graph's ``apply_delta`` drops
-    the rows with the adjacency they were computed from.
+    fragment.  No capacity and no eviction: the graph's ``apply_delta`` calls
+    :meth:`survive_delta`, which drops each row the write may have moved.
     """
 
     __slots__ = ()
+
+    def survive_delta(
+        self,
+        removed: Sequence[Tuple[int, int, float]],
+        inserted: Sequence[Tuple[int, int, float]],
+    ) -> None:
+        """Drop every row the arc changes ``removed`` / ``inserted`` may have moved.
+
+        A row ``d`` rooted at ``b`` (forward: ``d = dist(b -> .)``; backward
+        rows swap each arc's ends) stays a fresh search's answer when every
+        removed arc ``s -> t`` of weight ``w`` is slack (``d[s] + w > d[t]``,
+        or ``d[t]`` is ``inf``: no shortest path uses it) and no inserted
+        arc improves on it (``d[s] + w >= d[t]``).  Float addition is
+        monotone, so a kept row is bit for bit the row a search of the new
+        graph would fill, with the same settled count.
+        """
+        flipped = [(t, s, w) for s, t, w in removed], [(t, s, w) for s, t, w in inserted]
+        for key, row in list(self.items()):
+            out, into = flipped if key[1] else (removed, inserted)
+            d = row.distances
+            if any(d[t] != inf and d[s] + w <= d[t] for s, t, w in out) or any(
+                d[s] + w < d[t] for s, t, w in into
+            ):
+                del self[key]
 
     def to_state(self) -> None:
         """Process-local: never part of a graph state, payload or snapshot."""
@@ -143,9 +170,6 @@ class LocalQueryResult:
         fragment_id: the site that produced the result.
         values: mapping ``(entry_node, exit_node) -> best path value``.
         statistics: work counters for the local evaluation.
-        estimated_iterations: the number of fixpoint iterations a semi-naive
-            evaluation of this subquery needs (≈ the fragment diameter); used
-            by the simulator's cost model.
         backend: which kernel backend served the evaluation (``bigint`` or
             ``chain``, or ``dijkstra``/``dict`` for the shortest-path kernel
             and the custom-semiring fixpoint); surfaces in worker payloads
@@ -170,7 +194,6 @@ class LocalQueryResult:
     fragment_id: int
     values: Dict[Tuple[Node, Node], PathValue] = field(default_factory=dict)
     statistics: ClosureStatistics = field(default_factory=ClosureStatistics)
-    estimated_iterations: int = 0
     backend: Optional[str] = field(default=None, compare=False)
     overlay: bool = field(default=False, compare=False)
     memoized: bool = field(default=False, compare=False)
@@ -220,11 +243,12 @@ class LocalQueryEvaluator:
     the site's border nodes is answered from the site's
     :class:`TransitTable` once it has been evaluated; ``transit_hits`` and
     ``transit_misses`` count those lookups.  A shortest-path subquery with
-    only one side inside the border set reads that side's
-    :class:`BorderRows`; its result's ``rows_read`` and ``rows_filled`` count
-    the rows it found and the rows it had to search for.  Custom semirings
-    and sites that do not know their borders (a hand-built
-    :class:`CompactFragmentSite`) touch neither.
+    a side inside the border set that the table does not answer reads that
+    side's :class:`BorderRows` (the smaller side's when both are inside); its
+    result's ``rows_read`` and ``rows_filled`` count the rows it found and
+    the rows it had to search for.  Custom semirings and sites that do not
+    know their borders (a hand-built :class:`CompactFragmentSite`) touch
+    neither.
 
     Callers that hold several subqueries at once — the chains of a query, a
     batch, one routed message — hand them to :meth:`evaluate_many` together.
@@ -328,7 +352,7 @@ class LocalQueryEvaluator:
         started = perf_counter()
         result = LocalQueryResult(fragment_id=site.fragment_id)
         graph = site.compact(use_shortcuts=self._use_shortcuts)
-        if not self._replay(site, graph, key, result):
+        if not self._replay(graph, key, result):
             return None
         result.statistics.elapsed_seconds = perf_counter() - started
         return result
@@ -355,7 +379,6 @@ class LocalQueryEvaluator:
 
     def _replay(
         self,
-        site: FragmentSite | CompactFragmentSite,
         graph: CompactGraph,
         key: Optional[TransitKey],
         result: LocalQueryResult,
@@ -363,10 +386,8 @@ class LocalQueryEvaluator:
         """Fill ``result`` from the table entry under ``key``; ``False`` when there is none.
 
         The values and work counters are the original evaluation's (the
-        parallel cost model must not see a difference); the iteration
-        estimate and the overlay flag are read from the site now — a write
-        masked by a shortcut leaves the graph, and so the table, untouched
-        but may still move the diameter.
+        parallel cost model must not see a difference); the overlay flag is
+        read from the graph now.
         """
         if key is None:
             return False
@@ -381,7 +402,6 @@ class LocalQueryEvaluator:
         result.statistics.delta_sizes = list(entry.delta_sizes)
         result.backend = entry.backend
         result.overlay = graph.has_overlay()
-        result.estimated_iterations = site.local_iterations()
         result.memoized = True
         return True
 
@@ -416,22 +436,23 @@ class LocalQueryEvaluator:
         """Answer ``spec`` from a memo, a reachability kernel or its own searches."""
         shortest = self._semiring.name == "shortest_path"
         key = self._transit_key(site, spec)
-        # One side inside the border set: read the rows rooted there.  Else
-        # root the searches at the smaller side — one backward search per
-        # exit when there are fewer exits than entries.  A function of the
-        # spec and the border set alone, so a replayed result reports the
-        # direction it was found in.
-        border = site.border_nodes if shortest and key is None else None
+        # A side inside the border set: read the rows rooted there.  Root at
+        # the smaller side when both sides are (or neither is, and the
+        # searches run on the spot) — backward from the exits when there are
+        # fewer exits than entries.  A function of the spec and the border
+        # set alone, so a replayed result reports the direction it was found
+        # in.
+        border = site.border_nodes if shortest else None
         exits_on_border = border is not None and spec.exit_nodes <= border
-        from_rows = exits_on_border or (border is not None and spec.entry_nodes <= border)
-        if from_rows:
+        entries_on_border = border is not None and spec.entry_nodes <= border
+        from_rows = exits_on_border or entries_on_border
+        if exits_on_border != entries_on_border:
             result.backward = exits_on_border
         else:
             result.backward = shortest and len(spec.exit_nodes) < len(spec.entry_nodes)
-        if self._replay(site, graph, key, result):
+        if self._replay(graph, key, result):
             return
         result.overlay = graph.has_overlay()
-        result.estimated_iterations = site.local_iterations()
         entries = [
             (node, node_id)
             for node in spec.entry_nodes
@@ -541,7 +562,6 @@ class LocalQueryEvaluator:
         result.backend = "dict"
         entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
         exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
-        result.estimated_iterations = site.local_iterations()
         if not entry_nodes or not exit_nodes:
             return
         closure = seminaive_transitive_closure(graph, semiring=self._semiring, sources=entry_nodes)

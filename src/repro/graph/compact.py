@@ -677,26 +677,36 @@ class CompactGraph:
         matter when each compacts.
 
         Cached successor/predecessor masks are *maintained* per touched row
-        rather than invalidated.  Every derived structure — chain index,
-        shape stats, transit table, border rows, reloaded-state blobs — is
-        dropped and rebuilt on next use: a kernel query after a delta can
-        never observe pre-delta caches.
+        rather than invalidated.  A derived value with a
+        ``survive_delta(removed, inserted)`` method (the local-query
+        evaluator's border rows) outlives the delta: it is handed the arcs
+        the delta took out and put in, as ``(source id, target id, weight)``
+        with the weights read before the splice, and drops whatever those
+        arcs may have changed.  Every other derived structure — chain index,
+        shape stats, transit table, reloaded-state blobs — is dropped and
+        rebuilt on next use, and so is everything when the delta interns a
+        new node: a kernel query after a delta can never observe a stale
+        cache.
         """
         if delta.is_empty():
             return
+        node_count = len(self._nodes)
         fwd_touched: Set[int] = set()
         bwd_touched: Set[int] = set()
+        removed: List[Tuple[int, int, float]] = []
+        inserted: List[Tuple[int, int, float]] = []
         for source, target in delta.deletes:
             source_id = self._ids.get(source, -1)
             target_id = self._ids.get(target, -1)
             if source_id < 0 or target_id < 0:
                 continue
             row = self._materialize(source_id, self._fwd_over, forward=True)
+            removed += [(source_id, t, w) for t, w in row if t == target_id]
             before = len(row)
             row[:] = [entry for entry in row if entry[0] != target_id]
-            removed = before - len(row)
-            if removed:
-                self._edge_count -= removed
+            dropped = before - len(row)
+            if dropped:
+                self._edge_count -= dropped
                 back = self._materialize(target_id, self._bwd_over, forward=False)
                 back[:] = [entry for entry in back if entry[0] != source_id]
                 fwd_touched.add(source_id)
@@ -706,6 +716,8 @@ class CompactGraph:
             target_id = self._intern(target)
             value = float(weight)
             row = self._materialize(source_id, self._fwd_over, forward=True)
+            removed += [(source_id, t, w) for t, w in row if t == target_id]
+            inserted.append((source_id, target_id, value))
             self._edge_count += _reweight_row(row, target_id, value)
             back = self._materialize(target_id, self._bwd_over, forward=False)
             _reweight_row(back, source_id, value)
@@ -722,10 +734,12 @@ class CompactGraph:
                 (source_id, value)
             )
             self._edge_count += 1
+            inserted.append((source_id, target_id, value))
             fwd_touched.add(source_id)
             bwd_touched.add(target_id)
         self._overlay_ops += delta.op_count()
         _overlay_depth.max_of(float(self._overlay_ops))
+        interned = len(self._nodes) > node_count
         node_count = len(self._nodes)
         if self._succ_masks is not None:
             masks = self._succ_masks
@@ -746,7 +760,14 @@ class CompactGraph:
                     mask |= 1 << source_id
                 masks[target_id] = mask
         self._derived_states = {}
-        self._derived = {}
+        survivors: Dict[str, object] = {}
+        if not interned:
+            for key, value in self._derived.items():
+                survive = getattr(value, "survive_delta", None)
+                if survive is not None:
+                    survive(removed, inserted)
+                    survivors[key] = value
+        self._derived = survivors
         if self._overlay_ops >= self.overlay_threshold:
             self.compact_now(reason="threshold")
 

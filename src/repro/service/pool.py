@@ -163,7 +163,6 @@ def result_payload(result: LocalQueryResult) -> Dict:
     """
     return {
         "values": dict(result.values),
-        "iterations": result.estimated_iterations,
         "tuples": result.statistics.tuples_produced,
         "elapsed": result.statistics.elapsed_seconds,
         "backend": result.backend,
@@ -185,7 +184,6 @@ def result_from_payload(key: TaskKey, payload: Dict) -> LocalQueryResult:
         fragment_id=key[0],
         values=dict(payload["values"]),
         statistics=statistics,
-        estimated_iterations=payload["iterations"],
         backend=payload.get("backend"),
         overlay=payload.get("overlay", False),
         searches=payload.get("searches", 0),

@@ -124,10 +124,6 @@ class TestLocalQueryEquivalence:
                         )
                     else:
                         assert kernel_result.values == dict_result.values
-                    assert (
-                        kernel_result.estimated_iterations
-                        == dict_result.estimated_iterations
-                    )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_compact_fragment_site_matches_full_site(self, seed):
@@ -145,7 +141,10 @@ class TestLocalQueryEquivalence:
                 full = evaluator.evaluate(catalog.site(spec.fragment_id), spec)
                 worker = evaluator.evaluate(compact_sites[spec.fragment_id], spec)
                 assert worker.values == full.values
-                assert worker.estimated_iterations == full.estimated_iterations
+                assert (
+                    compact_sites[spec.fragment_id].local_iterations()
+                    == catalog.site(spec.fragment_id).local_iterations()
+                )
 
     def test_unreachable_target_path_raises(self):
         from repro.closure import array_dijkstra, reconstruct_id_path

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.generators import (
     TransportationGraphConfig,
@@ -12,6 +13,11 @@ from repro.generators import (
     two_cluster_dumbbell,
 )
 from repro.graph import DiGraph, Point
+
+# ``pytest --hypothesis-profile=ci``: the CI workflow's long run of the
+# property tests that leave their example count to the profile
+# (``tests/disconnection/test_row_survival.py``).
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

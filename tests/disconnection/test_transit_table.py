@@ -3,8 +3,9 @@
 A border-to-border local subquery depends on the fragment and its
 disconnection sets only, so ``LocalQueryEvaluator`` remembers its result in
 the derived store of the site's compact graph.  These tests pin the contract
-from below: the table lives and dies with the graph's adjacency, never leaves
-the process, and a replayed result is indistinguishable from an evaluated one
+from below: the table lives and dies with the graph's adjacency (refilling
+after a write from the border rows that survived it), never leaves the
+process, and a replayed result is indistinguishable from an evaluated one
 apart from ``memoized`` and ``elapsed_seconds``.
 """
 
@@ -25,7 +26,7 @@ from repro.disconnection.planner import LocalQuerySpec
 from repro.graph import CompactDelta
 
 from tests.local_query_oracles import dict_local_query
-from tests.transit_layouts import chain_layout, interior, ring_layout
+from tests.transit_layouts import chain_layout, counted_searches, interior, ring_layout
 
 
 def table_of(site):
@@ -71,7 +72,6 @@ class TestFillAndReplay:
         assert (evaluator.transit_hits, evaluator.transit_misses) == (1, 1)
         assert second.values == first.values and first.values
         assert second.backend == first.backend == "dijkstra"
-        assert second.estimated_iterations == first.estimated_iterations
         assert replace(second.statistics, elapsed_seconds=0.0) == replace(
             first.statistics, elapsed_seconds=0.0
         )
@@ -239,6 +239,29 @@ class TestWhatDropsIt:
         site = engine.catalog.site(2)
         assert evaluator.prepare(site)
         assert not evaluator.prepare(site)
-        site._local_iterations = None  # what apply_update leaves behind
+        site._local_iterations = None  # what a write that adds or removes an edge leaves
+        assert not evaluator.prepare(site)  # no evaluation reads the estimate
+        assert site._local_iterations is None
+        site._compact_augmented = None  # what a rebuilt site starts with
         assert evaluator.prepare(site)
         assert not evaluator.prepare(site)
+
+    def test_after_a_write_the_table_refills_from_rows_without_a_search(self, ring_engine):
+        engine, layout = ring_engine
+        evaluator = LocalQueryEvaluator()
+        site, spec = engine.catalog.site(2), transit_spec(engine, 2)
+        first = evaluator.evaluate(site, spec)
+        assert first.rows_filled == len(spec.entry_nodes)
+        graph = site.compact()
+        a, b = interior(layout, 2)[:2]
+        # Heavier than every path in the ring: it can move no row.
+        graph.apply_delta(CompactDelta(inserts=((a, b, 1000.0),)))
+        assert table_of(site) is None
+        with counted_searches() as calls:
+            refilled = evaluator.evaluate(site, spec)
+        # A table miss, answered by the rows alone (a memo all the same).
+        assert not calls and refilled.memoized and refilled.overlay
+        assert (refilled.rows_read, refilled.rows_filled) == (len(spec.entry_nodes), 0)
+        assert refilled.values == first.values == dict_local_query(site, spec).values
+        assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 2)
+        assert evaluator.evaluate(site, spec).memoized

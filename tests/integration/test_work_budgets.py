@@ -7,11 +7,13 @@ does.  A change may tighten a budget; loosening one needs its reason recorded
 with the change.
 """
 
+import random
+
 import pytest
 
 from repro.exceptions import PlanTruncatedError
 from repro.service import QueryService
-from tests.transit_layouts import grid_layout, oracle_value, ring_layout
+from tests.transit_layouts import counted_searches, grid_layout, oracle_value, ring_layout
 
 # Spans one traced ``query`` records on a ring of four 30-node fragments.  A
 # cache hit is the root span alone; a cold query from fragment 0 to fragment
@@ -75,3 +77,71 @@ def test_grid_answers_are_never_plainly_wrong(side):
     budget_wrong, budget_flagged = GRID_BUDGETS[side]
     assert wrong <= budget_wrong
     assert flagged <= budget_flagged
+
+
+# Local-query searches and border rows under writes, on a ring of four 30-node
+# fragments with ``write-mixed``'s stream shape: a round is one
+# ``update_edge`` inside a block (insert 40 %, reweight 40 %, delete of an
+# inserted edge 20 %), then one read from the written node to the opposite
+# block and three from a Zipf-weighted hot set, each past the result cache.
+# A write drops only the rows it may have moved (3.97 a write; a fragment
+# holds at most 8), so a read after it searches to refill those and for a
+# same-fragment pair: 2.45 searches for the read from the written node, 0.65
+# for a hot read.  Dropping every row of a written fragment cost 6.47 rows and
+# 2.65 searches a read.
+WRITE_BUDGETS = {
+    "searches_per_read": 1.10,
+    "rows_dropped_per_write": 3.97,
+}
+
+
+def rows_held(service):
+    return sum(held["rows"] for held in service.border_rows().values())
+
+
+def write_stream_work(rounds: int = 60, seed: int = 11):
+    """``(array_dijkstra calls per read, border rows dropped per write)``."""
+    fragmentation, layout = ring_layout(4, 30)
+    service = QueryService(fragmentation)
+    graph = service.database.graph
+    rng = random.Random(seed)
+    block_of = {node: index for index, block in enumerate(layout) for node in block}
+    nodes = sorted(block_of)
+    inside = sorted((a, b) for a, b, _ in graph.weighted_edges() if block_of[a] == block_of[b])
+    hot = [tuple(rng.sample(nodes, 2)) for _ in range(24)]
+    zipf = [1.0 / rank**1.1 for rank in range(1, len(hot) + 1)]
+    for pair in hot:
+        service.query(*pair)  # warm-up: fills the hot set's rows
+    inserted = []
+    searches = dropped = 0
+    for _ in range(rounds):
+        roll = rng.random()
+        held = rows_held(service)
+        if roll < 0.4 or not inserted:
+            block = layout[rng.randrange(len(layout))]
+            a, b = rng.sample(block, 2)
+            while graph.has_edge(a, b):
+                a, b = rng.sample(block, 2)
+            service.update_edge(a, b, rng.uniform(3.0, 12.0), symmetric=True)
+            inserted.append((a, b))
+        elif roll < 0.8:
+            a, b = rng.choice(inside)
+            service.update_edge(a, b, graph.edge_weight(a, b) * rng.uniform(0.5, 2.0))
+        else:
+            a, b = inserted.pop(rng.randrange(len(inserted)))
+            service.update_edge(a, b, delete=True, symmetric=True)
+        dropped += held - rows_held(service)
+        far = layout[(block_of[a] + 2) % len(layout)]
+        reads = [(a, rng.choice(far))] + rng.choices(hot, zipf, k=3)
+        with counted_searches() as calls:
+            for pair in reads:
+                service.cache.clear()
+                service.query(*pair)
+        searches += len(calls)
+    return searches / (4 * rounds), dropped / rounds
+
+
+def test_reads_after_a_write_search_little_and_writes_drop_few_rows():
+    searches_per_read, rows_dropped_per_write = write_stream_work()
+    assert searches_per_read <= WRITE_BUDGETS["searches_per_read"]
+    assert rows_dropped_per_write <= WRITE_BUDGETS["rows_dropped_per_write"]

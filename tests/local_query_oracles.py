@@ -32,7 +32,6 @@ def dict_local_query(
     semiring = semiring or shortest_path_semiring()
     graph = site.augmented_subgraph() if use_shortcuts else site.subgraph
     result = LocalQueryResult(fragment_id=spec.fragment_id, backend="dict")
-    result.estimated_iterations = site.local_iterations()
     entry_nodes = [node for node in spec.entry_nodes if graph.has_node(node)]
     exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
     if not entry_nodes or not exit_nodes:

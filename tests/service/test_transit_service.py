@@ -285,18 +285,20 @@ class TestDecisionRecords:
         fragmentation, layout = ring_layout(BLOCKS)
         service = QueryService(fragmentation)
         warm_ring(service, layout)
-        source, target = cold_pairs(layout)[0]
+        source, target = cold_pairs(layout)[4]
         service.query(source, target)
         kernels = [
             span for span in service.tracer.recent(1)[0].spans if span.name == "kernel"
         ]
         assert kernels
-        # The warm-up left and entered fragment 0 both ways round; fragment 2
-        # has only ever been crossed.
+        # The warm-up only crossed fragments 2 and 5, both ways round.  A
+        # crossing reads forward rows from its entries — the rows an entered
+        # fragment (5) reads — and none of the backward rows a fragment that
+        # is left (2) needs.
         for span in kernels:
             attributes = span.attributes
             rows = (attributes["rows_read"], attributes["rows_filled"])
-            if attributes["fragment"] == 0:
+            if attributes["fragment"] == 5:
                 assert attributes["memoized"] == attributes["tasks"] == 2
                 assert attributes["searches"] == 0 and rows == (4, 0)
             elif attributes["fragment"] == 2:
@@ -311,17 +313,18 @@ class TestDecisionRecords:
         with QueryService(fragmentation, workers=2, placement="cost_balanced") as service:
             warm_ring(service, layout)
             before = service.stats.border_row_lookups()
-            service.query(*cold_pairs(layout)[0])
+            service.query(*cold_pairs(layout)[4])
             trace = service.tracer.recent(1)[0]
             (evaluate,) = trace.find("evaluate")
             kernels = trace.find("kernel")
             assert kernels and evaluate.attributes["memoized"] > 0
-            # Fragment 0's owner reads its four rows, fragment 2's fills four.
+            # Fragment 5's owner reads four rows the crossings filled,
+            # fragment 2's fills four.
             assert evaluate.attributes["searches"] == 4
             assert sum(span.attributes["searches"] for span in kernels) == 4
             for span in kernels:
                 rows = (span.attributes["rows_read"], span.attributes["rows_filled"])
-                assert rows == ((2, 0) if span.attributes["fragment"] == 0 else (0, 2))
+                assert rows == ((2, 0) if span.attributes["fragment"] == 5 else (0, 2))
             # The workers' counts reach the coordinator's counter.
             after = service.stats.border_row_lookups()
             assert (after["read"] - before["read"], after["fill"] - before["fill"]) == (4, 4)
@@ -354,13 +357,24 @@ class TestDecisionRecords:
         a, b = interior(layout, 3)[:2]
         assert service.database.graph.has_edge(a, b)
         service.update_edge(a, b, delete=True)
-        dirty = set(service.database.delta_log.last().dirty_fragments)
+        assert service.database.delta_log.last().dirty_fragments == (3,)
         source, target = interior(layout, 0)[1], interior(layout, 3)[1]
+        # The delete was spliced into the site graph, and no evaluation
+        # reads the iteration estimate it discarded: nothing to re-derive.
         service.query(source, target)
+        assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
+        # A redraw rebuilds the sites it changes; each is re-derived once.
+        blocks = [set(block) for block in layout]
+        blocks[3].discard(layout[3][2])
+        blocks[2].add(layout[3][2])
+        result = service.refragment(GroundTruthFragmenter(blocks))
+        assert set(result.changed) == {2, 3}
+        answer = service.query(target, source)
+        assert answer.value == shortest_path_cost(service.database.graph, target, source)
         spans = service.tracer.recent(1)[0].spans
-        rederived = {s.attributes["fragment"] for s in spans if s.name == "site_rederive"}
-        assert rederived == dirty
-        service.query(target, source)
+        rederived = [s.attributes["fragment"] for s in spans if s.name == "site_rederive"]
+        assert sorted(rederived) == [2, 3]
+        service.query(source, target)
         assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
 
     def test_a_reweight_leaves_nothing_to_rederive(self):
