@@ -3,19 +3,15 @@ the fragmentations of this package are designed for.
 
 Complementary-information precomputation, the distributed catalog, query
 planning over the fragmentation graph, independent per-fragment local queries,
-final assembly joins, the end-to-end :class:`DisconnectionSetEngine`, and the
-Parallel Hierarchical Evaluation extension.
+final assembly joins, the query core (:func:`answer_pairs`) the engines and
+the service answer through, the end-to-end :class:`DisconnectionSetEngine`,
+and the Parallel Hierarchical Evaluation extension.
 """
 
-from .assembly import (
-    AssemblyResult,
-    assemble_best_chain,
-    assemble_chain,
-    best_over_chains,
-    collect_task_keys,
-)
+from .assembly import AssemblyResult, assemble_chain, collect_task_keys
 from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation, precompute_complementary_information
+from .core import CoreResult, PairAnswer, answer_pairs, assemble_best_chain, plan_pairs
 from .engine import (
     DisconnectionSetEngine,
     ExecutionReport,
@@ -36,6 +32,7 @@ __all__ = [
     "ChainPlan",
     "CompactFragmentSite",
     "ComplementaryInformation",
+    "CoreResult",
     "DisconnectionSetEngine",
     "DistributedCatalog",
     "ExecutionReport",
@@ -45,6 +42,7 @@ __all__ = [
     "LocalQueryEvaluator",
     "LocalQueryResult",
     "LocalQuerySpec",
+    "PairAnswer",
     "QueryAnswer",
     "QueryPlan",
     "QueryPlanner",
@@ -54,9 +52,10 @@ __all__ = [
     "UpdateEvent",
     "UpdateStatistics",
     "assemble_best_chain",
+    "answer_pairs",
     "assemble_chain",
-    "best_over_chains",
     "collect_task_keys",
+    "plan_pairs",
     "precompute_complementary_information",
     "reachability_engine",
     "shortest_path_engine",

@@ -12,7 +12,7 @@ semiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..closure import Semiring, shortest_path_semiring
@@ -84,7 +84,7 @@ def assemble_chain(
     return assembly
 
 
-def best_over_chains(
+def _best_over_chains(
     assemblies: Sequence[AssemblyResult],
     *,
     semiring: Optional[Semiring] = None,
@@ -97,6 +97,20 @@ def best_over_chains(
             continue
         best = assembly.value if best is None else semiring.plus(best, assembly.value)
     return best
+
+
+def best_chain(
+    assemblies: Sequence[AssemblyResult], *, semiring: Semiring
+) -> Tuple[Optional[object], Optional[Tuple[int, ...]]]:
+    """Return the best value over ``assemblies`` and the first chain that realised it.
+
+    ``(None, None)`` when no chain yields a path.
+    """
+    best = _best_over_chains(assemblies, semiring=semiring)
+    for assembly in assemblies:
+        if assembly.value is not None and assembly.value == best:
+            return best, assembly.chain
+    return best, None
 
 
 def collect_task_keys(plans: Sequence[QueryPlan]) -> Tuple[List[TaskKey], int]:
@@ -116,30 +130,3 @@ def collect_task_keys(plans: Sequence[QueryPlan]) -> Tuple[List[TaskKey], int]:
                 references += 1
                 keys.setdefault(spec.key(), None)
     return list(keys), references
-
-
-def assemble_best_chain(
-    plan: QueryPlan,
-    results_by_key: Dict[TaskKey, LocalQueryResult],
-    *,
-    semiring: Optional[Semiring] = None,
-) -> Tuple[Optional[object], Optional[Tuple[int, ...]]]:
-    """Assemble every chain of ``plan`` from shared local results.
-
-    Returns the best path value over all chains and the chain that realised
-    it (``(None, None)`` when no chain yields a path).  ``results_by_key``
-    maps :meth:`LocalQuerySpec.key` to the evaluated local result, as
-    produced by the worker pool or the in-process evaluator.
-    """
-    semiring = semiring or shortest_path_semiring()
-    assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
-    for chain_plan in plan.chains:
-        local_results = [results_by_key[spec.key()] for spec in chain_plan.local_queries]
-        assemblies.append(
-            (chain_plan, assemble_chain(chain_plan, local_results, semiring=semiring))
-        )
-    best_value = best_over_chains([assembly for _, assembly in assemblies], semiring=semiring)
-    for chain_plan, assembly in assemblies:
-        if assembly.value is not None and assembly.value == best_value:
-            return best_value, chain_plan.chain
-    return best_value, None

@@ -2,11 +2,9 @@
 
 This ties the pieces together: the :class:`DisconnectionSetEngine` owns a
 :class:`~repro.disconnection.catalog.DistributedCatalog` (fragments +
-complementary information), plans each query with the
-:class:`~repro.disconnection.planner.QueryPlanner`, evaluates the per-fragment
-subqueries with the :class:`~repro.disconnection.local_query.LocalQueryEvaluator`
-(no communication between them), and assembles the final answer with the small
-joins of :mod:`repro.disconnection.assembly`.
+complementary information), and answers each query through the query core
+(:mod:`repro.disconnection.core`): plan, evaluate the per-fragment subqueries
+in-process (no communication between them), assemble with small joins.
 
 The engine records an :class:`ExecutionReport` for every query: which sites
 did how much work, how many iterations their local fixpoints needed, and how
@@ -19,16 +17,17 @@ physical execution vehicle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..closure import Semiring, reachability_semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
 from ..fragmentation import Fragmentation
-from .assembly import AssemblyResult, assemble_chain, best_over_chains, collect_task_keys
+from .assembly import AssemblyResult
 from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation
+from .core import answer_pairs
 from .local_query import LocalQueryEvaluator, LocalQueryResult
-from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
+from .planner import LocalQuerySpec, QueryPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..incremental.delta import EdgeChange
@@ -151,6 +150,11 @@ class DisconnectionSetEngine:
         """The path problem being answered."""
         return self._semiring
 
+    @property
+    def planner(self) -> QueryPlanner:
+        """The chain planner over :attr:`catalog` (reads the catalog live)."""
+        return self._planner
+
     # ------------------------------------------------------------- updates
 
     def apply_incremental_update(
@@ -210,45 +214,8 @@ class DisconnectionSetEngine:
             PlanTruncatedError: if more fragment chains connect them than the
                 planner enumerates (an answer could be wrong).
         """
-        if source == target and self._catalog.sites_storing_node(source):
-            report = ExecutionReport()
-            return QueryAnswer(
-                source=source, target=target, value=self._semiring.one, chain=None, report=report
-            )
-        plan = self._planner.plan(source, target)
-        return self.execute_plan(plan)
-
-    def execute_plan(self, plan: QueryPlan) -> QueryAnswer:
-        """Execute a previously computed :class:`QueryPlan`."""
-        report = ExecutionReport()
-        report.planned_fragments = len(plan.fragments_involved())
-        # The distinct subqueries of all chains are one task set: chains
-        # share identical subqueries.
-        tasks, _ = collect_task_keys([plan])
-        evaluated = self._evaluator.evaluate_many(
-            self._catalog.site, [LocalQuerySpec(*task) for task in tasks]
-        )
-        for local_result in evaluated:
-            report.record_local(local_result, self._catalog.site(local_result.fragment_id))
-        local_results = dict(zip(tasks, evaluated))
-        assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
-        for chain_plan in plan.chains:
-            results = [local_results[spec.key()] for spec in chain_plan.local_queries]
-            assembly = assemble_chain(chain_plan, results, semiring=self._semiring)
-            report.record_assembly(assembly)
-            assemblies.append((chain_plan, assembly))
-        best_value = best_over_chains([assembly for _, assembly in assemblies], semiring=self._semiring)
-        best_chain: Optional[Tuple[int, ...]] = None
-        for chain_plan, assembly in assemblies:
-            if assembly.value is not None and assembly.value == best_value:
-                best_chain = chain_plan.chain
-                break
-        return QueryAnswer(
-            source=plan.source,
-            target=plan.target,
-            value=best_value,
-            chain=best_chain,
-            report=report,
+        return answer_in_process(
+            self._catalog, self._planner, self._evaluator, self._catalog.site, source, target
         )
 
     def is_connected(self, source: Node, target: Node) -> bool:
@@ -281,6 +248,41 @@ class DisconnectionSetEngine:
         if not answer.exists():
             raise DisconnectedError(f"{target!r} is not reachable from {source!r}")
         return float(answer.value)  # type: ignore[arg-type]
+
+
+def answer_in_process(
+    catalog: DistributedCatalog,
+    planner,
+    evaluator: LocalQueryEvaluator,
+    site_of: Callable[[int], FragmentSite],
+    source: Node,
+    target: Node,
+) -> QueryAnswer:
+    """Answer one pair through the query core, evaluating every subquery here.
+
+    ``planner`` is anything with ``plan(source, target)``; ``site_of`` maps
+    a planned fragment id to the site that evaluates it.  The core's output
+    fills the :class:`ExecutionReport`; a planning failure is re-raised.
+    """
+
+    def evaluate(tasks):
+        specs = [LocalQuerySpec(*task) for task in tasks]
+        return dict(zip(tasks, evaluator.evaluate_many(site_of, specs)))
+
+    run = answer_pairs(catalog, planner, [(source, target)], evaluate, evaluator.semiring)
+    answer = run.answers[(source, target)]
+    if answer.error is not None:
+        raise answer.error
+    report = ExecutionReport()
+    if answer.assemblies:  # a same-node answer plans nothing
+        report.planned_fragments = len(answer.fragments)
+    for key, result in run.results.items():
+        report.record_local(result, site_of(key[0]))
+    for assembly in answer.assemblies:
+        report.record_assembly(assembly)
+    return QueryAnswer(
+        source=source, target=target, value=answer.value, chain=answer.chain, report=report
+    )
 
 
 def reachability_engine(fragmentation: Fragmentation, **kwargs) -> DisconnectionSetEngine:

@@ -14,27 +14,25 @@ machinery:
 
 * a *backbone* fragment is built from the complementary-information shortcuts
   of every disconnection set (border-to-border global best values);
-* a query between non-adjacent fragments is evaluated over the fixed
+* a query between non-adjacent fragments is planned as the fixed
   three-element chain (source fragment, backbone, target fragment);
-* queries within a fragment or between adjacent fragments fall back to the
-  ordinary disconnection-set engine.
+* queries within a fragment or between adjacent fragments get the ordinary
+  chain plan; either way the query runs through the query core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from ..closure import Semiring, shortest_path_semiring
-from ..exceptions import DisconnectedError, NoChainError
+from ..exceptions import DisconnectedError
 from ..fragmentation import Fragmentation
 from ..graph import DiGraph
 from .catalog import DistributedCatalog, FragmentSite
-from .complementary import ComplementaryInformation, precompute_complementary_information
-from .engine import DisconnectionSetEngine, ExecutionReport, QueryAnswer
+from .engine import QueryAnswer, answer_in_process
 from .local_query import LocalQueryEvaluator
-from .planner import ChainPlan, LocalQuerySpec
-from .assembly import assemble_chain
+from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
 
 Node = Hashable
 
@@ -63,15 +61,8 @@ class HierarchicalEngine:
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._fragmentation = fragmentation
-        self._complementary = precompute_complementary_information(
-            fragmentation, semiring=self._semiring
-        )
-        self._catalog = DistributedCatalog(
-            fragmentation, semiring=self._semiring, complementary=self._complementary
-        )
-        self._fallback = DisconnectionSetEngine(
-            fragmentation, semiring=self._semiring, complementary=self._complementary
-        )
+        self._catalog = DistributedCatalog(fragmentation, semiring=self._semiring)
+        self._planner = QueryPlanner(self._catalog)
         self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
         self._backbone_site = self._build_backbone()
 
@@ -92,13 +83,7 @@ class HierarchicalEngine:
         from ..graph import bfs_levels, dijkstra
 
         backbone = DiGraph()
-        all_border: set = set()
-        for (i, j), pairs in self._complementary.values.items():
-            for (a, b) in pairs:
-                all_border.add(a)
-                all_border.add(b)
-        for border in self._fragmentation.disconnection_sets().values():
-            all_border |= set(border)
+        all_border = set().union(*self._fragmentation.disconnection_sets().values())
         graph = self._fragmentation.graph
         for source in sorted(all_border, key=repr):
             if not graph.has_node(source):
@@ -110,12 +95,7 @@ class HierarchicalEngine:
                 levels = bfs_levels(graph, source)
                 reachable = {t: 0.0 for t in levels if t in all_border}
             for target, weight in reachable.items():
-                if target == source:
-                    continue
-                if backbone.has_edge(source, target):
-                    if weight < backbone.edge_weight(source, target):
-                        backbone.add_edge(source, target, weight)
-                else:
+                if target != source:
                     backbone.add_edge(source, target, weight)
         border_nodes = frozenset(backbone.nodes())
         return FragmentSite(
@@ -139,18 +119,14 @@ class HierarchicalEngine:
     def query(self, source: Node, target: Node) -> QueryAnswer:
         """Answer a best-path query using the hierarchical three-fragment plan.
 
-        Falls back to the plain engine when the endpoints share a fragment or
-        live in adjacent fragments (no backbone traversal needed).
+        Endpoints that share a fragment or live in adjacent fragments need
+        no backbone traversal and get the ordinary chain plan.
+
+        Raises:
+            NoChainError: if an endpoint is stored nowhere.
+            PlanTruncatedError: if a near pair's chain plan is cut at the cap.
         """
-        source_fragments = self._catalog.sites_storing_node(source)
-        target_fragments = self._catalog.sites_storing_node(target)
-        if not source_fragments:
-            raise NoChainError(f"node {source!r} is not stored in any fragment")
-        if not target_fragments:
-            raise NoChainError(f"node {target!r} is not stored in any fragment")
-        if self._share_or_adjacent(source_fragments, target_fragments):
-            return self._fallback.query(source, target)
-        return self._query_via_backbone(source, target, source_fragments[0], target_fragments[0])
+        return answer_in_process(self._catalog, self, self._evaluator, self._site, source, target)
 
     def shortest_path_cost(self, source: Node, target: Node) -> float:
         """Return the cheapest path cost between two nodes (hierarchical plan).
@@ -163,63 +139,40 @@ class HierarchicalEngine:
             raise DisconnectedError(f"{target!r} is not reachable from {source!r}")
         return float(answer.value)  # type: ignore[arg-type]
 
-    def _share_or_adjacent(self, source_fragments: List[int], target_fragments: List[int]) -> bool:
-        if set(source_fragments) & set(target_fragments):
-            return True
-        for i in source_fragments:
-            for j in target_fragments:
-                if j in self._fragmentation.adjacent_fragments(i):
-                    return True
-        return False
+    def plan(self, source: Node, target: Node) -> QueryPlan:
+        """Plan (source fragment, backbone ``-1``, target fragment) for non-adjacent fragments.
 
-    def _query_via_backbone(
-        self,
-        source: Node,
-        target: Node,
-        source_fragment: int,
-        target_fragment: int,
-    ) -> QueryAnswer:
-        """Evaluate the fixed chain: source fragment -> backbone -> target fragment."""
-        source_border = self._fragmentation.border_nodes(source_fragment)
-        target_border = self._fragmentation.border_nodes(target_fragment)
+        Any other pair gets the ordinary planner's plan (or its error).
+        """
+        source_fragments = self._catalog.sites_storing_node(source)
+        target_fragments = self._catalog.sites_storing_node(target)
+        fragmentation = self._fragmentation
+        if (
+            not source_fragments
+            or not target_fragments
+            or set(source_fragments) & set(target_fragments)
+            or any(
+                j in fragmentation.adjacent_fragments(i)
+                for i in source_fragments
+                for j in target_fragments
+            )
+        ):
+            return self._planner.plan(source, target)
+        source_fragment, target_fragment = source_fragments[0], target_fragments[0]
+        source_border = frozenset(fragmentation.border_nodes(source_fragment))
+        target_border = frozenset(fragmentation.border_nodes(target_fragment))
         specs = (
-            LocalQuerySpec(
-                fragment_id=source_fragment,
-                entry_nodes=frozenset([source]),
-                exit_nodes=frozenset(source_border),
-            ),
-            LocalQuerySpec(
-                fragment_id=-1,
-                entry_nodes=frozenset(source_border),
-                exit_nodes=frozenset(target_border),
-            ),
-            LocalQuerySpec(
-                fragment_id=target_fragment,
-                entry_nodes=frozenset(target_border),
-                exit_nodes=frozenset([target]),
-            ),
+            LocalQuerySpec(source_fragment, frozenset([source]), source_border),
+            LocalQuerySpec(-1, source_border, target_border),
+            LocalQuerySpec(target_fragment, target_border, frozenset([target])),
         )
-        plan = ChainPlan(
+        chain = ChainPlan(
             chain=(source_fragment, -1, target_fragment),
             local_queries=specs,
             source=source,
             target=target,
         )
-        report = ExecutionReport()
-        report.planned_fragments = 3
+        return QueryPlan(source=source, target=target, chains=[chain])
 
-        def site_of(fragment_id: int) -> FragmentSite:
-            return self._backbone_site if fragment_id == -1 else self._catalog.site(fragment_id)
-
-        results = self._evaluator.evaluate_many(site_of, specs)
-        for local in results:
-            report.record_local(local, site_of(local.fragment_id))
-        assembly = assemble_chain(plan, results, semiring=self._semiring)
-        report.record_assembly(assembly)
-        return QueryAnswer(
-            source=source,
-            target=target,
-            value=assembly.value,
-            chain=plan.chain if assembly.value is not None else None,
-            report=report,
-        )
+    def _site(self, fragment_id: int) -> FragmentSite:
+        return self._backbone_site if fragment_id == -1 else self._catalog.site(fragment_id)

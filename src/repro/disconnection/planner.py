@@ -79,14 +79,11 @@ class QueryPlan:
         source: the query source node.
         target: the query destination node.
         chains: the chain plans, shortest chain first.
-        loosely_connected: whether the underlying fragmentation graph is
-            acyclic (single chain guaranteed).
     """
 
     source: Node
     target: Node
     chains: List[ChainPlan] = field(default_factory=list)
-    loosely_connected: bool = True
 
     def fragments_involved(self) -> List[int]:
         """Return the sorted set of fragments touched by any chain."""
@@ -125,11 +122,7 @@ class QueryPlanner:
             raise NoChainError(f"node {target!r} is not stored in any fragment")
 
         fragmentation_graph = self._catalog.fragmentation_graph
-        plan = QueryPlan(
-            source=source,
-            target=target,
-            loosely_connected=fragmentation_graph.is_loosely_connected(),
-        )
+        plan = QueryPlan(source=source, target=target)
         cap = self._max_chains
         seen_chains = set()
         for start in source_fragments:

@@ -15,8 +15,8 @@ pieces of this package:
   subqueries and re-pins to its owner worker, and
   :meth:`QueryService.migrate` / :meth:`QueryService.rebalance` move
   fragments between live workers,
-* the :class:`~repro.service.batch.BatchPlanner` that evaluates a batch's
-  shared local subqueries once,
+* the query core (:func:`~repro.disconnection.core.answer_pairs`) behind
+  the cache, which answers a call's misses with one evaluation round,
 * the update hooks of
   :class:`~repro.disconnection.maintenance.FragmentedDatabase`: an update is
   absorbed in place by the :mod:`repro.incremental` subsystem — only the
@@ -56,14 +56,11 @@ from ..disconnection import (
     FragmentedDatabase,
     LocalQueryEvaluator,
     LocalQueryResult,
-    QueryPlanner,
-    assemble_best_chain,
-    collect_task_keys,
+    answer_pairs,
 )
 from ..disconnection.local_query import border_rows_held
 from ..disconnection.maintenance import UpdateEvent
 from ..disconnection.planner import LocalQuerySpec
-from ..exceptions import DisconnectionSetError
 from ..fragmentation import Fragmentation, Fragmenter
 from ..graph.compact import merge_overlay_metrics
 from ..incremental import DeltaLog, VersionVector
@@ -82,7 +79,7 @@ from ..refragmentation import (
     RefragmentResult,
     fragmenter_for,
 )
-from .batch import BatchPlanner
+from .batch import group_by_owner
 from .cache import CachedAnswer, CacheKey, LRUCache
 from .pool import PICKLABLE_SEMIRINGS, PinUpdate, PlacedWorkerPool, TaskKey
 from .snapshot import SnapshotManifest, load_snapshot, save_snapshot
@@ -264,8 +261,6 @@ class QueryService:
         self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
         self._base_version = "live"
         self._current_engine: Optional[DisconnectionSetEngine] = None
-        self._planner: Optional[QueryPlanner] = None
-        self._batch_planner: Optional[BatchPlanner] = None
         if refragment_cadence not in ("update", "background"):
             raise ValueError(
                 f"refragment_cadence must be 'update' or 'background', "
@@ -564,30 +559,28 @@ class QueryService:
                 return ServiceAnswer(
                     source=source, target=target, value=hit.value, chain=hit.chain, cached=True
                 )
-            involved = engine.catalog.sites_storing_node(source) if source == target else []
-            if involved:
-                value, chain = self._semiring.one, None
-            else:
-                assert self._planner is not None
-                with self._tracer.span("plan"):
-                    try:
-                        plan = self._planner.plan(source, target)
-                    except DisconnectionSetError as error:
-                        root.set("outcome", "error")
-                        self._log_query(
-                            source,
-                            target,
-                            fragments=(),
-                            latency=time.perf_counter() - started,
-                            cached=False,
-                            error=str(error),
-                        )
-                        raise
-                tasks, references = collect_task_keys([plan])
-                results = self._evaluate_tasks(tasks)
-                self._stats.shared_subqueries_saved += references - len(tasks)
-                value, chain = assemble_best_chain(plan, results, semiring=self._semiring)
-                involved = plan.fragments_involved()
+            run = answer_pairs(
+                engine.catalog,
+                engine.planner,
+                [(source, target)],
+                self._evaluate_tasks,
+                self._semiring,
+                tracer=self._tracer,
+            )
+            answer = run.answers[(source, target)]
+            if answer.error is not None:
+                root.set("outcome", "error")
+                self._log_query(
+                    source,
+                    target,
+                    fragments=(),
+                    latency=time.perf_counter() - started,
+                    cached=False,
+                    error=str(answer.error),
+                )
+                raise answer.error
+            self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
+            value, chain, involved = answer.value, answer.chain, answer.fragments
             self._cache.put(key, self._entry(value, chain, involved))
             root.set("outcome", "evaluated")
             latency = time.perf_counter() - started
@@ -614,12 +607,7 @@ class QueryService:
         with self._tracer.span("query_batch", queries=len(submitted)) as root:
             engine = self._refresh_engine()
 
-            distinct: List[Query] = []
-            seen = set()
-            for query in submitted:
-                if query not in seen:
-                    seen.add(query)
-                    distinct.append(query)
+            distinct = list(dict.fromkeys(submitted))
             self._stats.duplicate_queries_saved += len(submitted) - len(distinct)
 
             resolved: Dict[Query, ServiceAnswer] = {}
@@ -627,75 +615,41 @@ class QueryService:
             pending: List[Query] = []
             with self._tracer.span("cache_lookup", queries=len(distinct)) as cache_span:
                 for source, target in distinct:
-                    key = self._cache_key(source, target)
-                    hit = self._lookup(key)
-                    if hit is not None:
-                        resolved[(source, target)] = ServiceAnswer(
-                            source=source, target=target, value=hit.value,
-                            chain=hit.chain, cached=True,
-                        )
-                        fragments_of[(source, target)] = tuple(
-                            f for f, _ in hit.fragment_versions
-                        )
-                    else:
-                        storing = (
-                            engine.catalog.sites_storing_node(source)
-                            if source == target
-                            else []
-                        )
-                        if storing:
-                            value, chain = self._semiring.one, None
-                            self._cache.put(key, self._entry(value, chain, storing))
-                            resolved[(source, target)] = ServiceAnswer(
-                                source=source, target=target, value=value,
-                                chain=chain, cached=False,
-                            )
-                            fragments_of[(source, target)] = tuple(storing)
-                        else:
-                            pending.append((source, target))
+                    hit = self._lookup(self._cache_key(source, target))
+                    if hit is None:
+                        pending.append((source, target))
+                        continue
+                    resolved[(source, target)] = ServiceAnswer(
+                        source=source, target=target, value=hit.value,
+                        chain=hit.chain, cached=True,
+                    )
+                    fragments_of[(source, target)] = tuple(
+                        f for f, _ in hit.fragment_versions
+                    )
                 cache_span.set("hits", len(distinct) - len(pending))
 
             if pending:
-                assert self._batch_planner is not None
-                with self._tracer.span("batch_plan", queries=len(pending)) as plan_span:
-                    batch = self._batch_planner.plan_batch(pending)
-                    plan_span.set("tasks", len(batch.tasks))
-                    plan_span.set("owner_rounds", batch.owner_rounds())
-                self._planning_hist.observe(batch.planning_seconds)
-                if batch.owner_groups:
-                    # Placement-aware batch: the planner grouped the whole
-                    # batch's tasks per owner, so the pool ships exactly
-                    # one message round per owner instead of re-deriving routes.
-                    self._stats.placement_aware_batches += 1
-                    self._stats.batch_owner_rounds += batch.owner_rounds()
-                results = self._evaluate_tasks(
-                    batch.tasks, owner_groups=batch.owner_groups or None
+                run = answer_pairs(
+                    engine.catalog,
+                    engine.planner,
+                    pending,
+                    lambda tasks: self._evaluate_tasks(tasks, grouped=True),
+                    self._semiring,
+                    tracer=self._tracer,
                 )
-                self._stats.shared_subqueries_saved += batch.shared_subqueries_saved()
-                with self._tracer.span("assemble", queries=len(batch.unique_queries)):
-                    for index, query in enumerate(batch.unique_queries):
-                        source, target = query
-                        plan = batch.plans[index]
-                        if plan is None:
-                            resolved[query] = ServiceAnswer(
-                                source=source, target=target, value=None, chain=None,
-                                cached=False, error=batch.errors[index],
-                            )
-                            fragments_of[query] = ()
-                            continue
-                        value, chain = assemble_best_chain(
-                            plan, results, semiring=self._semiring
-                        )
-                        involved = plan.fragments_involved()
+                self._planning_hist.observe(run.planning_seconds)
+                self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
+                for (source, target), answer in run.answers.items():
+                    if answer.error is None:
                         self._cache.put(
                             self._cache_key(source, target),
-                            self._entry(value, chain, involved),
+                            self._entry(answer.value, answer.chain, answer.fragments),
                         )
-                        resolved[query] = ServiceAnswer(
-                            source=source, target=target, value=value,
-                            chain=chain, cached=False,
-                        )
-                        fragments_of[query] = tuple(involved)
+                        fragments_of[(source, target)] = answer.fragments
+                    resolved[(source, target)] = ServiceAnswer(
+                        source=source, target=target, value=answer.value, chain=answer.chain,
+                        error=None if answer.error is None else str(answer.error),
+                    )
 
             elapsed = time.perf_counter() - started
             per_query = elapsed / len(submitted) if submitted else 0.0
@@ -713,11 +667,15 @@ class QueryService:
                 # A duplicate of an already-resolved query was served without
                 # any work of its own: count it as a hit, whatever its first
                 # occurrence cost.  The recorded latency is the batch's
-                # amortised per-query share.
+                # amortised per-query share.  A failed pair is no answer: it
+                # is logged with its error and counted nowhere else, as in
+                # query().
                 duplicate = query in first_occurrence_seen
                 first_occurrence_seen.add(query)
-                cached = answer.cached or duplicate
-                self._stats.record_query(per_query, cached=cached)
+                failed = answer.error is not None
+                cached = not failed and (answer.cached or duplicate)
+                if not failed:
+                    self._stats.record_query(per_query, cached=cached)
                 if log is not None:
                     log.push(
                         answer.source,
@@ -1225,12 +1183,6 @@ class QueryService:
                 # workers that still pin the previous layout.
                 self._pool.restart(engine.catalog)
             self._current_engine = engine
-            self._planner = QueryPlanner(engine.catalog)
-            # The batch planner's view of the placement: None (in-process)
-            # plans placement-blind.
-            self._batch_planner = BatchPlanner(
-                self._planner, placement_provider=lambda: self.placement_plan
-            )
         return engine
 
     def _ensure_pool(self) -> PlacedWorkerPool:
@@ -1243,11 +1195,13 @@ class QueryService:
         return self._pool
 
     def _evaluate_tasks(
-        self,
-        tasks: Sequence[TaskKey],
-        *,
-        owner_groups: Optional[Dict[int, List[TaskKey]]] = None,
+        self, tasks: Sequence[TaskKey], grouped: bool = False
     ) -> Dict[TaskKey, LocalQueryResult]:
+        """Evaluate ``tasks`` on the pool or in-process: the query core's ``evaluate``.
+
+        ``grouped`` (a batch) ships the dispatched tasks as one routed
+        message per owner worker of the live placement.
+        """
         engine = self._current_engine
         assert engine is not None
         catalog = engine.catalog
@@ -1271,17 +1225,15 @@ class QueryService:
                 if served:
                     espan.set("memoized", len(served))
                     dispatched = [key for key in tasks if key not in served]
-                    if owner_groups is not None:
-                        owner_groups = {
-                            worker: kept
-                            for worker, keys in owner_groups.items()
-                            if (kept := [key for key in keys if key not in served])
-                        }
+                owner_groups = group_by_owner(dispatched, pool.plan) if grouped else {}
+                if owner_groups:
+                    self._stats.placement_aware_batches += 1
+                    self._stats.batch_owner_rounds += len(owner_groups)
                 espan.set("pool", "placed")
                 refreshes_before = pool.replica_refreshes
                 results = pool.evaluate(
                     dispatched,
-                    owner_groups=owner_groups,
+                    owner_groups=owner_groups or None,
                     trace_id=self._tracer.current_trace_id,
                 )
                 self._stats.replica_refreshes += (

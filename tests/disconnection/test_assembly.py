@@ -3,7 +3,8 @@
 import pytest
 
 from repro.closure import ClosureStatistics, reachability_semiring, shortest_path_semiring
-from repro.disconnection import assemble_chain, best_over_chains
+from repro.disconnection import assemble_chain
+from repro.disconnection.assembly import _best_over_chains
 from repro.disconnection.local_query import LocalQueryResult
 from repro.disconnection.planner import ChainPlan, LocalQuerySpec
 
@@ -82,9 +83,9 @@ class TestBestOverChains:
         plan_b = _plan([1], "s", "t")
         a = assemble_chain(plan_a, [_result(0, {("s", "t"): 9.0})])
         b = assemble_chain(plan_b, [_result(1, {("s", "t"): 4.0})])
-        assert best_over_chains([a, b]) == 4.0
+        assert _best_over_chains([a, b]) == 4.0
 
     def test_all_empty_yields_none(self):
         plan = _plan([0], "s", "t")
         empty = assemble_chain(plan, [_result(0, {})])
-        assert best_over_chains([empty]) is None
+        assert _best_over_chains([empty]) is None

@@ -56,8 +56,9 @@ class TestPlans:
         assert last.exit_nodes == frozenset([8])
 
     def test_loosely_connected_flag(self, planner):
+        # An acyclic fragmentation graph joins two fragments by one chain.
         plan = planner.plan(0, 8)
-        assert plan.loosely_connected
+        assert len(plan.chains) == 1
         assert plan.fragments_involved() == [0, 1, 2]
 
     def test_border_node_source_considers_both_fragments(self, planner):

@@ -6,6 +6,13 @@ answer must equal the centralised Dijkstra answer — the "correct and precise"
 requirement of Sec. 2.1.  On cyclic grid layouts an answer may instead be
 flagged (``PlanTruncatedError``) when more chains connect the endpoints than
 the planner enumerates; it is never a plain wrong value.
+
+Every drawn pair is asked of all four callers of the query core — the
+engine, ``QueryService.query``, ``QueryService.query_batch`` and the
+hierarchical engine — and they must agree on value, chain and error.  The
+hierarchical engine plans a pair whose fragments are not adjacent over its
+backbone instead: three fragments whatever the layout, so it answers (the
+oracle's value) where the chain planner flags a cut plan.
 """
 
 from __future__ import annotations
@@ -17,8 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.closure import reachability_semiring, shortest_path_cost
-from repro.disconnection import DisconnectionSetEngine
-from repro.exceptions import DisconnectedError, NoChainError, PlanTruncatedError
+from repro.disconnection import DisconnectionSetEngine, HierarchicalEngine
+from repro.exceptions import (
+    DisconnectedError,
+    DisconnectionSetError,
+    NoChainError,
+    PlanTruncatedError,
+)
 from repro.fragmentation import (
     BondEnergyFragmenter,
     CenterBasedFragmenter,
@@ -32,7 +44,6 @@ from repro.service import QueryService
 from tests.transit_layouts import grid_layout
 
 SETTINGS = settings(
-    max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -64,6 +75,61 @@ def _clustered_graph(seed: int, cluster_count: int, cluster_size: int) -> DiGrap
     return graph
 
 
+def ask_every_caller(fragmentation, source, target, semiring=None):
+    """``caller -> (value, chain, error)`` for one pair, from each caller of the core.
+
+    Also returns whether the hierarchical engine plans the pair over its
+    backbone.
+    """
+    engine = DisconnectionSetEngine(fragmentation, semiring=semiring)
+    service = QueryService(
+        fragmentation, semiring=semiring, complementary=engine.catalog.complementary
+    )
+    hierarchical = HierarchicalEngine(fragmentation, semiring=semiring)
+    outcomes = {}
+    for name, ask in (
+        ("engine", engine.query),
+        ("service.query", service.query),
+        ("hierarchical", hierarchical.query),
+    ):
+        try:
+            answer = ask(source, target)
+            outcomes[name] = (answer.value, answer.chain, None)
+        except DisconnectionSetError as error:
+            outcomes[name] = (None, None, error)
+    service.cache.clear()
+    (answer,) = service.query_batch([(source, target)])
+    outcomes["service.query_batch"] = (answer.value, answer.chain, answer.error)
+    try:
+        backbone = -1 in hierarchical.plan(source, target).chains[0].chain
+    except DisconnectionSetError:
+        backbone = False
+    return outcomes, backbone
+
+
+def assert_callers_agree(outcomes, backbone, expected):
+    """The engine's answer is every caller's; a backbone answer is the oracle's.
+
+    ``expected`` is the whole-graph value (``None``: no path).
+    """
+    value, chain, error = outcomes["engine"]
+    message = None if error is None else str(error)
+    assert outcomes["service.query"][:2] == (value, chain)
+    assert type(outcomes["service.query"][2]) is type(error)
+    assert outcomes["service.query_batch"] == (value, chain, message)
+    hierarchical_value, hierarchical_chain, hierarchical_error = outcomes["hierarchical"]
+    if not backbone:
+        assert (hierarchical_value, hierarchical_chain) == (value, chain)
+        assert type(hierarchical_error) is type(error)
+        return
+    assert hierarchical_error is None
+    if expected is None:
+        assert hierarchical_value is None
+    else:
+        assert hierarchical_value == pytest.approx(expected)
+        assert hierarchical_chain is not None and hierarchical_chain[1] == -1
+
+
 @st.composite
 def engine_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2_000))
@@ -90,29 +156,30 @@ class TestEngineMatchesCentralized:
         graph, fragmenter, source, target = case
         fragmentation = fragmenter.fragment(graph)
         fragmentation.validate()
-        engine = DisconnectionSetEngine(fragmentation)
         try:
             expected = shortest_path_cost(graph, source, target)
         except DisconnectedError:
             expected = None
-        try:
-            answer = engine.query(source, target)
-            value = answer.value
-        except NoChainError:
-            value = None
+        outcomes, backbone = ask_every_caller(fragmentation, source, target)
+        value, _, error = outcomes["engine"]
+        assert error is None or isinstance(error, NoChainError)
         if expected is None:
             assert value is None
         else:
             assert value == pytest.approx(expected)
+        assert_callers_agree(outcomes, backbone, expected)
 
     @SETTINGS
     @given(case=engine_cases())
     def test_reachability_answers_are_lossless(self, case):
         graph, fragmenter, source, target = case
         fragmentation = fragmenter.fragment(graph)
-        engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
+        semiring = reachability_semiring()
+        engine = DisconnectionSetEngine(fragmentation, semiring=semiring)
         expected = is_reachable(graph, source, target)
         assert engine.is_connected(source, target) == expected
+        outcomes, backbone = ask_every_caller(fragmentation, source, target, semiring)
+        assert_callers_agree(outcomes, backbone, semiring.one if expected else None)
 
 
 @st.composite
@@ -133,23 +200,28 @@ class TestCyclicGridLayouts:
     def test_shortest_paths_are_exact_or_flagged(self, case):
         side, fragmentation, source, target = case
         expected = shortest_path_length(fragmentation.graph, source, target)
-        try:
-            value = DisconnectionSetEngine(fragmentation).query(source, target).value
-        except PlanTruncatedError as error:
+        outcomes, backbone = ask_every_caller(fragmentation, source, target)
+        value, _, error = outcomes["engine"]
+        if error is not None:
+            assert isinstance(error, PlanTruncatedError)
             assert side == 4, "a 3 x 3 grid has at most 12 chains a query"
             assert (error.source, error.target, error.max_chains) == (source, target, 32)
-            return
-        assert value == expected
+        else:
+            assert value == expected
+        assert_callers_agree(outcomes, backbone, expected)
 
     @SETTINGS
     @given(case=grid_cases())
     def test_reachability_is_true_or_flagged_never_false(self, case):
         side, fragmentation, source, target = case
-        engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
+        semiring = reachability_semiring()
+        engine = DisconnectionSetEngine(fragmentation, semiring=semiring)
         try:
             assert engine.is_connected(source, target)  # the grid is connected
         except PlanTruncatedError:
             assert side == 4
+        outcomes, backbone = ask_every_caller(fragmentation, source, target, semiring)
+        assert_callers_agree(outcomes, backbone, semiring.one)
 
 
 def _leave_and_re_enter_layout() -> Fragmentation:

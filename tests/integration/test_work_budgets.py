@@ -15,13 +15,15 @@ from repro.exceptions import PlanTruncatedError
 from repro.service import QueryService
 from tests.transit_layouts import counted_searches, grid_layout, oracle_value, ring_layout
 
-# Spans one traced ``query`` records on a ring of four 30-node fragments.  A
-# cache hit is the root span alone; a cold query from fragment 0 to fragment
-# 2 plans two chains (through 1 and through 3) and records query, plan,
-# evaluate and one kernel span per distinct local subquery (four).
+# Spans one traced call records on a ring of four 30-node fragments.  A cache
+# hit is the root span alone; a cold query from fragment 0 to fragment 2 plans
+# two chains (through 1 and through 3) and records query, plan, evaluate and
+# one kernel span per distinct local subquery (four).  The same pair as a
+# one-pair batch adds the batch's cache_lookup span.
 SPAN_BUDGETS = {
     "cached": 1,
     "cold": 7,
+    "batch-cold": 8,
 }
 
 
@@ -30,6 +32,9 @@ def traced_query_spans(kind: str):
     service = QueryService(fragmentation)
     service.query(layout[1][3], layout[3][7])  # warm-up: derives every site
     source, target = layout[0][5], layout[2][10]
+    if kind == "batch-cold":
+        service.query_batch([(source, target)])
+        return service.tracer.recent(1)[0].span_names()
     service.query(source, target)
     if kind == "cached":
         service.query(source, target)
@@ -39,7 +44,8 @@ def traced_query_spans(kind: str):
 @pytest.mark.parametrize("kind", sorted(SPAN_BUDGETS))
 def test_spans_per_traced_query_stay_within_budget(kind):
     names = traced_query_spans(kind)
-    assert names[0] == "query"
+    assert names[0] == ("query_batch" if kind == "batch-cold" else "query")
+    assert "plan" in names or kind == "cached", names
     assert len(names) <= SPAN_BUDGETS[kind], names
 
 

@@ -56,7 +56,7 @@ class TestTracedBatchAcrossPlacedPool:
             assert all(span.trace_id == trace.trace_id for span in trace.spans)
             names = trace.span_names()
             assert "cache_lookup" in names
-            assert "batch_plan" in names
+            assert "plan" in names
             assert "evaluate" in names
 
             # Every owner that actually ran tasks appears as a remote

@@ -9,7 +9,7 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.service import QueryService
 
-from tests.transit_layouts import grid_layout
+from tests.transit_layouts import grid_layout, ring_layout
 
 
 def make_fragmentation():
@@ -189,3 +189,34 @@ class TestTruncatedPlans:
         assert answers[2].error == answers[0].error
         assert answers[1].error is None and answers[1].exists()
         assert len(grid_service.cache) == 1  # only the answered pair
+
+
+class TestFailedPairAccounting:
+    """A pair that fails planning is logged with its error, never counted as an answer."""
+
+    @pytest.fixture
+    def ring(self):
+        fragmentation, layout = ring_layout(4, 30)
+        return QueryService(fragmentation), layout[0][5]
+
+    @staticmethod
+    def assert_no_answer_counted(service):
+        assert service.stats.queries == 0
+        assert service.stats.cache_misses == 0
+        assert service.stats.evaluated_latency == 0.0
+        assert set(service.stats.latency_quantiles("evaluated").values()) == {0.0}
+        (entry,) = service.query_log.entries()
+        assert entry.target == "nowhere" and not entry.cached
+        assert "not stored in any fragment" in entry.error
+
+    def test_query(self, ring):
+        service, node = ring
+        with pytest.raises(NoChainError):
+            service.query(node, "nowhere")
+        self.assert_no_answer_counted(service)
+
+    def test_query_batch(self, ring):
+        service, node = ring
+        (answer,) = service.query_batch([(node, "nowhere")])
+        assert answer.value is None and "not stored in any fragment" in answer.error
+        self.assert_no_answer_counted(service)
