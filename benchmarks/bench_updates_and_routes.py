@@ -6,8 +6,9 @@ Two operational aspects the paper flags but does not quantify:
   information refresh work triggered by edge insertions/deletions on a
   deployed fragmentation, compared with the cost of answering queries
   (the amortisation argument of Sec. 2.1);
-* answering the *route* (not only the cost) of a shortest-path query, which
-  needs the complementary information to be stored with paths.
+* answering the *route* (not only the cost) of a shortest-path query: the
+  engine traces it from the same query-core call that answers the cost, on a
+  live engine that has absorbed updates.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.closure import shortest_path_cost
-from repro.disconnection import (
-    FragmentedDatabase,
-    RouteReconstructingEngine,
-    precompute_complementary_information,
-)
+from repro.disconnection import FragmentedDatabase
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import cross_cluster_queries
 
@@ -54,24 +51,29 @@ def test_update_cost_report(deployed):
 
 
 def test_route_reconstruction_report(deployed):
-    """Routes reconstructed distributedly match the centralised optimum."""
+    """Routes traced through a live engine after an update batch match the centralised optimum."""
     network, fragmentation = deployed
-    engine = RouteReconstructingEngine(fragmentation)
+    database = FragmentedDatabase(fragmentation)
+    database.engine()
+    nodes = sorted(network.clusters[1])
+    database.insert_edge(nodes[0], nodes[4], 2.0, symmetric=True)
+    database.update_edge_weight(nodes[0], nodes[4], 1.5)
+    engine = database.engine()
+    graph = database.graph
     queries = cross_cluster_queries(network.clusters, 5, seed=7, minimum_cluster_distance=3)
     lines = []
     for query in queries:
-        answer = engine.shortest_path(query.source, query.target)
-        reference = shortest_path_cost(network.graph, query.source, query.target)
+        answer = engine.route(query.source, query.target)
+        reference = shortest_path_cost(graph, query.source, query.target)
         assert answer.cost == pytest.approx(reference)
-        walk_cost = sum(
-            network.graph.edge_weight(a, b) for a, b in zip(answer.route, answer.route[1:])
-        )
+        walk_cost = sum(graph.edge_weight(a, b) for a, b in zip(answer.route, answer.route[1:]))
         assert walk_cost == pytest.approx(answer.cost)
         lines.append(
             f"{query.source} -> {query.target}: cost {answer.cost:.1f}, {answer.hops()} hops, "
             f"chain {list(answer.chain)}"
         )
     print_report("Route reconstruction across fragments", "\n".join(lines))
+    assert database.statistics.incremental_fallbacks == 0
 
 
 @pytest.mark.benchmark(group="updates")
@@ -90,18 +92,10 @@ def test_refresh_after_update_benchmark(benchmark, deployed):
 
 
 @pytest.mark.benchmark(group="updates")
-def test_complementary_with_paths_benchmark(benchmark, deployed):
-    """Time the path-storing complementary precomputation (route support)."""
-    _, fragmentation = deployed
-    info = benchmark(precompute_complementary_information, fragmentation, store_paths=True)
-    assert info.paths
-
-
-@pytest.mark.benchmark(group="updates")
 def test_route_query_benchmark(benchmark, deployed):
     """Time one cross-network route reconstruction."""
     network, fragmentation = deployed
-    engine = RouteReconstructingEngine(fragmentation)
+    engine = FragmentedDatabase(fragmentation).engine()
     query = cross_cluster_queries(network.clusters, 1, seed=11, minimum_cluster_distance=3)[0]
-    answer = benchmark(engine.shortest_path, query.source, query.target)
+    answer = benchmark(engine.route, query.source, query.target)
     assert answer.route

@@ -17,7 +17,7 @@ Run with:  python examples/dynamic_updates.py
 
 from __future__ import annotations
 
-from repro.disconnection import FragmentedDatabase, RouteReconstructingEngine
+from repro.disconnection import FragmentedDatabase
 from repro.fragmentation import AdvisorConstraints, recommend
 from repro.generators import TransportationGraphConfig, generate_transportation_graph
 
@@ -56,9 +56,8 @@ def main() -> None:
     print(f"  {source} -> new-station: cost "
           f"{database.engine().shortest_path_cost(source, 'new-station'):.1f}")
 
-    # 4. Route reconstruction on the updated state.
-    routes = RouteReconstructingEngine(database.fragmentation())
-    answer = routes.shortest_path(source, target)
+    # 4. Route reconstruction on the updated state, through the same live engine.
+    answer = database.engine().route(source, target)
     print(f"\nroute {source} -> {target} (cost {answer.cost:.1f}, "
           f"{answer.hops()} hops, fragments {list(answer.chain)}):")
     print("  " + " -> ".join(str(node) for node in answer.route))

@@ -44,8 +44,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .disconnection import DisconnectionSetEngine, RouteReconstructingEngine
-from .exceptions import ReproError
+from .disconnection import DisconnectionSetEngine
+from .exceptions import DisconnectedError, ReproError
 from .experiments import render_result, run_experiment
 from .experiments.reporting import format_table
 from .fragmentation import AdvisorConstraints, Fragmenter, characterize, recommend
@@ -152,14 +152,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     fragmentation = fragmenter.fragment(graph)
     source = _decode_node(args.source)
     target = _decode_node(args.target)
-    if args.route:
-        engine = RouteReconstructingEngine(fragmentation)
-        answer = engine.shortest_path(source, target)
-        print(f"cost: {answer.cost}")
-        print(f"route: {' -> '.join(str(node) for node in answer.route)}")
-        print(f"fragment chain: {list(answer.chain)}")
-        return 0
     engine = DisconnectionSetEngine(fragmentation)
+    if args.route:
+        try:
+            routed = engine.route(source, target)
+        except DisconnectedError:
+            print("no path")
+            return 1
+        print(f"cost: {routed.cost}")
+        print(f"route: {' -> '.join(str(node) for node in routed.route)}")
+        print(f"fragment chain: {list(routed.chain or ())}")
+        return 0
     result = engine.query(source, target)
     if not result.exists():
         print("no path")

@@ -24,7 +24,7 @@ from .hierarchical import BackboneStatistics, HierarchicalEngine
 from .local_query import LocalQueryEvaluator, LocalQueryResult
 from .maintenance import FragmentedDatabase, UpdateEvent, UpdateStatistics
 from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
-from .routes import RoutedAnswer, RouteReconstructingEngine
+from .routes import RoutedAnswer
 
 __all__ = [
     "AssemblyResult",
@@ -47,7 +47,6 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "RoutedAnswer",
-    "RouteReconstructingEngine",
     "SiteWork",
     "UpdateEvent",
     "UpdateStatistics",

@@ -10,7 +10,8 @@ capture (footnote 3 of the paper).
 
 The complementary information depends on the path problem (semiring); the
 precomputation therefore takes the semiring as a parameter, defaulting to
-shortest paths.
+shortest paths.  Only values are stored: a route that takes a shortcut is
+expanded on demand by :mod:`repro.disconnection.routes`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..closure import (
     array_dijkstra,
     bitset_reachable,
     reachability_rows,
-    reconstruct_id_path,
     seminaive_closure_ids,
     shortest_path_semiring,
 )
@@ -45,9 +45,6 @@ class ComplementaryInformation:
         values: per fragment pair ``(i, j)`` (with ``i < j``), a mapping from
             ordered border-node pairs to the best path value between them in
             the full graph.  Pairs with no connecting path are absent.
-        paths: optionally (``store_paths=True`` at precompute time), the node
-            sequence realising each stored value; used to expand shortcut
-            edges when an actual route (not only its cost) is requested.
         precompute_work: number of elementary search steps (settled nodes)
             spent building the information; reported by the benchmarks as the
             preprocessing cost the paper warns about.
@@ -55,26 +52,12 @@ class ComplementaryInformation:
 
     semiring_name: str
     values: Dict[FragmentPair, Dict[BorderPair, object]] = field(default_factory=dict)
-    paths: Dict[FragmentPair, Dict[BorderPair, List[Node]]] = field(default_factory=dict)
     precompute_work: int = 0
 
     def for_pair(self, i: int, j: int) -> Dict[BorderPair, object]:
         """Return the border-to-border values for the unordered fragment pair."""
         key = (i, j) if i <= j else (j, i)
         return self.values.get(key, {})
-
-    def path_between(self, a: Node, b: Node) -> Optional[List[Node]]:
-        """Return a stored node sequence realising the (a, b) shortcut, if any.
-
-        Only available when the information was precomputed with
-        ``store_paths=True``; the first match over all disconnection sets is
-        returned (the stored paths are all globally optimal, so ties are
-        equivalent).
-        """
-        for pairs in self.paths.values():
-            if (a, b) in pairs:
-                return list(pairs[(a, b)])
-        return None
 
     def shortcut_edges(self, fragment_id: int, fragmentation: Fragmentation) -> List[Tuple[Node, Node, object]]:
         """Return the shortcut edges stored at ``fragment_id``.
@@ -99,7 +82,6 @@ def precompute_complementary_information(
     fragmentation: Fragmentation,
     *,
     semiring: Optional[Semiring] = None,
-    store_paths: bool = False,
     compact: Optional[CompactGraph] = None,
 ) -> ComplementaryInformation:
     """Precompute the complementary information for every disconnection set.
@@ -113,9 +95,6 @@ def precompute_complementary_information(
     Args:
         fragmentation: the fragmentation whose disconnection sets are annotated.
         semiring: the path problem; defaults to shortest paths.
-        store_paths: additionally store the node sequences realising the
-            values (shortest-path semiring only); needed when actual routes
-            will be reconstructed, at the cost of larger complementary data.
         compact: a prebuilt compact form of ``fragmentation.graph`` (the
             maintainer's resident mirror); when provided the whole-graph
             compile is skipped entirely.
@@ -125,7 +104,6 @@ def precompute_complementary_information(
     info = ComplementaryInformation(semiring_name=semiring.name)
     for (i, j), border in fragmentation.disconnection_sets().items():
         pair_values: Dict[BorderPair, object] = {}
-        pair_paths: Dict[BorderPair, List[Node]] = {}
         border_set: Set[Node] = set(border)
         if semiring.name == "reachability":
             values_by_source, work = border_values_multi(graph, border_set)
@@ -136,22 +114,12 @@ def precompute_complementary_information(
                         pair_values[(source, target)] = value
         else:
             for source in sorted(border_set, key=repr):
-                values, work, predecessors = border_values_from(
-                    graph, source, border_set, semiring
-                )
+                values, work = border_values_from(graph, source, border_set, semiring)
                 info.precompute_work += work
                 for target, value in values.items():
-                    if target == source:
-                        continue
-                    pair_values[(source, target)] = value
-                    if store_paths and predecessors is not None:
-                        path_ids = reconstruct_id_path(
-                            predecessors, graph.node_id(source), graph.node_id(target)
-                        )
-                        pair_paths[(source, target)] = [graph.node_of(p) for p in path_ids]
+                    if target != source:
+                        pair_values[(source, target)] = value
         info.values[(i, j)] = pair_values
-        if store_paths:
-            info.paths[(i, j)] = pair_paths
     return info
 
 
@@ -188,8 +156,8 @@ def border_values_from(
     source: Node,
     targets: Set[Node],
     semiring: Semiring,
-) -> Tuple[Dict[Node, object], int, Optional[List[int]]]:
-    """Return best path values from ``source`` to each target, the work done, and predecessors.
+) -> Tuple[Dict[Node, object], int]:
+    """Return best path values from ``source`` to each target and the work done.
 
     One "row" of the complementary information: the best whole-graph path
     value from one border node to every node of a target set.  The full
@@ -197,14 +165,11 @@ def border_values_from(
     of :mod:`repro.incremental` calls it for exactly the sources an edge
     change may have affected — both paths therefore produce identical values
     for identical graphs.
-
-    The predecessor component (shortest-path semiring only) is the kernel's
-    dense id array, translated back by the caller when paths are stored.
     """
     source_id = graph.node_id(source)
     target_ids = {graph.try_node_id(t): t for t in targets if graph.has_node(t)}
     if semiring.name == "shortest_path":
-        distances, predecessors, settled = array_dijkstra(
+        distances, _, settled = array_dijkstra(
             graph, source_id, target_ids=set(target_ids)
         )
         values = {
@@ -212,11 +177,11 @@ def border_values_from(
             for node_id, node in target_ids.items()
             if distances[node_id] != inf
         }
-        return values, settled, predecessors
+        return values, settled
     if semiring.name == "reachability":
         visited = bitset_reachable(graph, source_id)
         values = {node: True for node_id, node in target_ids.items() if (visited >> node_id) & 1}
-        return values, visited.bit_count(), None
+        return values, visited.bit_count()
     # Generic fallback: restricted semi-naive closure from the single source.
     id_values, statistics = seminaive_closure_ids(graph, semiring, source_ids=[source_id])
     values = {
@@ -224,4 +189,4 @@ def border_values_from(
         for node_id, node in target_ids.items()
         if (source_id, node_id) in id_values
     }
-    return values, statistics.tuples_produced, None
+    return values, statistics.tuples_produced

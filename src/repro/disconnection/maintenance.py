@@ -293,12 +293,8 @@ class FragmentedDatabase:
         """Return a query engine for the current state (rebuilt lazily after updates)."""
         if self._stale or self._engine is None:
             fragmentation = self.fragmentation()
-            previous = self._engine.catalog.complementary if self._engine is not None else None
             complementary = precompute_complementary_information(
-                fragmentation,
-                semiring=self._semiring,
-                store_paths=bool(previous is not None and previous.paths),
-                compact=self.compact_mirror(),
+                fragmentation, semiring=self._semiring, compact=self.compact_mirror()
             )
             self._engine = DisconnectionSetEngine(
                 fragmentation, semiring=self._semiring, complementary=complementary

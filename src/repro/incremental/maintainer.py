@@ -30,10 +30,9 @@ the disconnection sets it borders:
 When an update falls outside the supported envelope (custom semiring, a
 fragment emptied out, refragmentation) the maintainer raises
 :class:`IncrementalFallback` and the database performs the classic full
-rebuild — correctness never depends on the fast path applying.  Stored
-complementary paths (``store_paths=True``) *are* inside the envelope: the
-repairer rebuilds the route expansions of every recomputed row from the same
-predecessor arrays that refresh the values.
+rebuild — correctness never depends on the fast path applying.  Routes are
+inside the envelope because nothing route-specific is stored: the engine
+traces a route from the repaired values and the live graph when asked.
 """
 
 from __future__ import annotations
@@ -86,10 +85,8 @@ class AppliedDelta:
 def supports_incremental(database: "FragmentedDatabase") -> bool:
     """Return whether the database's configuration fits the fast path.
 
-    The repair machinery covers the two standard semirings, with or without
-    stored route expansions (``store_paths=True`` rows are re-derived from
-    the repair searches' predecessor arrays); custom semirings take the
-    classic full-rebuild route.
+    The repair machinery covers the two standard semirings; custom
+    semirings take the classic full-rebuild route.
     """
     engine = database.current_engine()
     if engine is None:

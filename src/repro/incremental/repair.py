@@ -30,13 +30,6 @@ for the two standard semirings:
   full precomputation uses, so repaired values are identical to what a
   from-scratch rebuild would produce.
 
-When the catalog stores route expansions (``store_paths=True``), the same
-row recomputation repairs them: the predecessor array of the repair search
-rebuilds every stored path of the row, and the suspect probe's tolerance
-band already marks rows whose *value* survives a delete through an
-equal-cost alternative but whose stored node sequence ran through the
-changed edge — so a repaired path is always realisable in the new graph.
-
 Everything else — every row the composite test clears — is provably
 unaffected and is left untouched, which is what keeps the other fragments'
 compact states object-identical across an update.
@@ -48,12 +41,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..closure.kernels import (
-    array_dijkstra,
-    bitset_reachable,
-    ids_to_mask,
-    reconstruct_id_path,
-)
+from ..closure.kernels import array_dijkstra, bitset_reachable, ids_to_mask
 from ..closure.semiring import Semiring
 from ..disconnection.complementary import ComplementaryInformation, border_values_from
 from ..graph.compact import CompactGraph
@@ -257,16 +245,13 @@ class ComplementaryRepairer:
         uses, then swapped into ``info.values`` in place; pairs whose values
         actually moved are recorded in the report.
         """
-        store_paths = bool(info.paths)
         for pair in sorted(rows):
             border = border_sets.get(pair)
             if border is None:
                 continue  # the pair vanished structurally; handled elsewhere
             pair_values = info.values.setdefault(pair, {})
             for source in sorted(rows[pair], key=repr):
-                values, work, predecessors = border_values_from(
-                    graph, source, set(border), self._semiring
-                )
+                values, work = border_values_from(graph, source, set(border), self._semiring)
                 info.precompute_work += work
                 report.rows_recomputed += 1
                 report.searches += 1
@@ -280,21 +265,6 @@ class ComplementaryRepairer:
                         del pair_values[(source, b)]
                     for b, value in new_row.items():
                         pair_values[(source, b)] = value
-                if store_paths:
-                    pair_paths = info.paths.setdefault(pair, {})
-                    old_paths = {
-                        b: path for (a, b), path in pair_paths.items() if a == source
-                    }
-                    new_paths = self._row_paths(graph, source, new_row, predecessors)
-                    if new_paths != old_paths:
-                        # A path change invalidates cached route expansions
-                        # even when the row's values are untouched (an
-                        # equal-cost alternative replaced a severed route).
-                        report.pairs_changed.add(pair)
-                        for b in old_paths:
-                            del pair_paths[(source, b)]
-                        for b, path in new_paths.items():
-                            pair_paths[(source, b)] = path
 
     def recompute_pair(
         self,
@@ -305,71 +275,25 @@ class ComplementaryRepairer:
         report: RepairReport,
     ) -> None:
         """Recompute one disconnection set wholesale (its membership changed)."""
-        store_paths = bool(info.paths)
-        old_values = info.values.get(pair, {})
         new_values: Dict[Tuple[Node, Node], object] = {}
-        new_paths: Dict[Tuple[Node, Node], List[Node]] = {}
         for source in sorted(border, key=repr):
-            values, work, predecessors = border_values_from(
-                graph, source, set(border), self._semiring
-            )
+            values, work = border_values_from(graph, source, set(border), self._semiring)
             info.precompute_work += work
             report.rows_recomputed += 1
             report.searches += 1
-            row = {target: value for target, value in values.items() if target != source}
-            for target, value in row.items():
-                new_values[(source, target)] = value
-            if store_paths:
-                for target, path in self._row_paths(graph, source, row, predecessors).items():
-                    new_paths[(source, target)] = path
-        if new_values != old_values:
+            for target, value in values.items():
+                if target != source:
+                    new_values[(source, target)] = value
+        if new_values != info.values.get(pair, {}):
             report.pairs_changed.add(pair)
         info.values[pair] = new_values
-        if store_paths:
-            if info.paths.get(pair) != new_paths:
-                report.pairs_changed.add(pair)
-            info.paths[pair] = new_paths
 
     def remove_pair(
         self, info: ComplementaryInformation, pair: FragmentPair, report: RepairReport
     ) -> None:
         """Drop a disconnection set that no longer exists."""
-        had_values = info.values.pop(pair, None)
-        had_paths = info.paths.pop(pair, None)
-        if had_values or had_paths:
+        if info.values.pop(pair, None):
             report.pairs_changed.add(pair)
-
-    def _row_paths(
-        self,
-        graph: CompactGraph,
-        source: Node,
-        new_row: Mapping[Node, object],
-        predecessors: Optional[List[int]],
-    ) -> Dict[Node, List[Node]]:
-        """Rebuild one border source's stored paths from a repair search.
-
-        ``predecessors`` is the array the shortest-path kernel produced for
-        exactly the values in ``new_row`` — the rebuilt node sequences are
-        realisable in the current graph by construction.  Reachability
-        searches carry no predecessors and store no paths; they return an
-        empty mapping.
-        """
-        paths: Dict[Node, List[Node]] = {}
-        if predecessors is None:
-            return paths
-        source_id = graph.try_node_id(source)
-        if source_id < 0:
-            return paths
-        for target in new_row:
-            target_id = graph.try_node_id(target)
-            if target_id < 0:
-                continue
-            try:
-                path_ids = reconstruct_id_path(predecessors, source_id, target_id)
-            except ValueError:
-                continue
-            paths[target] = [graph.node_of(node_id) for node_id in path_ids]
-        return paths
 
     # -------------------------------------------------------------- internals
 

@@ -62,7 +62,9 @@ class SnapshotPayload:
     the snapshot was taken — the position a restored service replays a live
     log's tail from.  All of these are derived/operational data: the content
     hash deliberately excludes them, and snapshots written before they
-    existed reload fine without them.
+    existed reload fine without them.  A snapshot that still carries the
+    stored route expansions of older payloads reloads too: they were never
+    hashed, and nothing reads them.
     """
 
     nodes: List[Node]
@@ -72,7 +74,6 @@ class SnapshotPayload:
     algorithm: str
     semiring_name: str
     complementary_values: Dict[Tuple[int, int], Dict[Tuple[Node, Node], object]]
-    complementary_paths: Dict[Tuple[int, int], Dict[Tuple[Node, Node], List[Node]]]
     precompute_work: int = 0
     compact_fragments: Dict[int, Dict[str, object]] = field(default_factory=dict)
     version_vector: Dict[str, object] = field(default_factory=dict)
@@ -174,10 +175,6 @@ def _payload_from_engine(
         algorithm=fragmentation.algorithm,
         semiring_name=catalog.semiring.name,
         complementary_values={pair: dict(values) for pair, values in complementary.values.items()},
-        complementary_paths={
-            pair: {key: list(path) for key, path in paths.items()}
-            for pair, paths in complementary.paths.items()
-        },
         precompute_work=complementary.precompute_work,
         compact_fragments=compact_fragments,
         version_vector=version_vector.as_dict() if version_vector is not None else {},
@@ -313,10 +310,6 @@ def load_snapshot(directory: PathLike) -> LoadedSnapshot:
     complementary = ComplementaryInformation(
         semiring_name=payload.semiring_name,
         values={pair: dict(values) for pair, values in payload.complementary_values.items()},
-        paths={
-            pair: {key: list(path) for key, path in paths.items()}
-            for pair, paths in payload.complementary_paths.items()
-        },
         precompute_work=payload.precompute_work,
     )
     compact_sites = {

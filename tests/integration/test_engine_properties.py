@@ -12,7 +12,9 @@ engine, ``QueryService.query``, ``QueryService.query_batch`` and the
 hierarchical engine — and they must agree on value, chain and error.  The
 hierarchical engine plans a pair whose fragments are not adjacent over its
 backbone instead: three fragments whatever the layout, so it answers (the
-oracle's value) where the chain planner flags a cut plan.
+oracle's value) where the chain planner flags a cut plan.  A shortest-path
+pair is also asked of ``engine.route``: the same cost, chain and error as
+``query``, and a walk over base-graph edges that adds up to that cost.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ def ask_every_caller(fragmentation, source, target, semiring=None):
             outcomes[name] = (answer.value, answer.chain, None)
         except DisconnectionSetError as error:
             outcomes[name] = (None, None, error)
+    if engine.semiring.name == "shortest_path":
+        try:
+            outcomes["engine.route"] = engine.route(source, target)
+        except (DisconnectionSetError, DisconnectedError) as error:
+            outcomes["engine.route"] = error
     service.cache.clear()
     (answer,) = service.query_batch([(source, target)])
     outcomes["service.query_batch"] = (answer.value, answer.chain, answer.error)
@@ -105,6 +112,24 @@ def ask_every_caller(fragmentation, source, target, semiring=None):
     except DisconnectionSetError:
         backbone = False
     return outcomes, backbone
+
+
+def assert_route_is_the_query_answer(outcomes, graph, source, target):
+    """``engine.route`` answers with ``query``'s cost, chain and error, over base edges."""
+    value, chain, error = outcomes["engine"]
+    routed = outcomes["engine.route"]
+    if error is not None:
+        assert type(routed) is type(error)
+        return
+    if value is None:
+        assert isinstance(routed, DisconnectedError)
+        return
+    assert not isinstance(routed, Exception), routed
+    assert (routed.cost, routed.chain) == (value, chain)
+    assert routed.route[0] == source and routed.route[-1] == target
+    assert all(graph.has_edge(a, b) for a, b in zip(routed.route, routed.route[1:]))
+    walked = sum(graph.edge_weight(a, b) for a, b in zip(routed.route, routed.route[1:]))
+    assert walked == pytest.approx(routed.cost)
 
 
 def assert_callers_agree(outcomes, backbone, expected):
@@ -168,6 +193,7 @@ class TestEngineMatchesCentralized:
         else:
             assert value == pytest.approx(expected)
         assert_callers_agree(outcomes, backbone, expected)
+        assert_route_is_the_query_answer(outcomes, graph, source, target)
 
     @SETTINGS
     @given(case=engine_cases())
@@ -209,6 +235,7 @@ class TestCyclicGridLayouts:
         else:
             assert value == expected
         assert_callers_agree(outcomes, backbone, expected)
+        assert_route_is_the_query_answer(outcomes, fragmentation.graph, source, target)
 
     @SETTINGS
     @given(case=grid_cases())

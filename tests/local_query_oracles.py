@@ -1,24 +1,22 @@
-"""The dict-based per-source local evaluators, kept as reference implementations.
+"""The dict-based per-source local evaluator, kept as a reference implementation.
 
-These are what ``LocalQueryEvaluator`` and ``RouteReconstructingEngine`` ran
-per fragment before the compact kernels: one ``dijkstra`` / ``bfs_levels``
-over the site's dict subgraph per entry node.  They define the answers; the
-kernel path must reproduce them (exactly for reachability, to rounding for
-shortest paths whose backward searches add the weights in the other order).
-They never build a compact graph and never touch a transit table.
+This is what ``LocalQueryEvaluator`` ran per fragment before the compact
+kernels: one ``dijkstra`` / ``bfs_levels`` over the site's dict subgraph per
+entry node.  It defines the answers; the kernel path must reproduce them
+(exactly for reachability, to rounding for shortest paths whose backward
+searches add the weights in the other order).  It never builds a compact
+graph and never touches a transit table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Optional
 
 from repro.closure import Semiring, shortest_path_semiring
 from repro.disconnection.catalog import FragmentSite
 from repro.disconnection.local_query import LocalQueryResult
 from repro.disconnection.planner import LocalQuerySpec
-from repro.graph import bfs_levels, dijkstra, reconstruct_path
-
-Node = Hashable
+from repro.graph import bfs_levels, dijkstra
 
 
 def dict_local_query(
@@ -51,21 +49,3 @@ def dict_local_query(
         result.statistics.record_round(len(reached), produced)
     return result
 
-
-def dict_local_routes(
-    site: FragmentSite, spec: LocalQuerySpec
-) -> Tuple[Dict[Tuple[Node, Node], float], Dict[Tuple[Node, Node], List[Node]]]:
-    """Per-fragment Dijkstra with a dict predecessor map: ``(values, paths)``."""
-    graph = site.augmented_subgraph()
-    values: Dict[Tuple[Node, Node], float] = {}
-    paths: Dict[Tuple[Node, Node], List[Node]] = {}
-    exit_nodes = {node for node in spec.exit_nodes if graph.has_node(node)}
-    for entry in spec.entry_nodes:
-        if not graph.has_node(entry) or not exit_nodes:
-            continue
-        distances, predecessors = dijkstra(graph, entry, targets=set(exit_nodes))
-        for exit_node in exit_nodes:
-            if exit_node in distances:
-                values[(entry, exit_node)] = distances[exit_node]
-                paths[(entry, exit_node)] = reconstruct_path(predecessors, entry, exit_node)
-    return values, paths

@@ -4,7 +4,6 @@ import pytest
 
 from repro.closure import Semiring, shortest_path_cost, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine, FragmentedDatabase
-from repro.disconnection.complementary import precompute_complementary_information
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
 from repro.graph import DiGraph
 from repro.incremental.maintainer import IncrementalFallback
@@ -162,33 +161,25 @@ class TestLiveRefragmenter:
         with pytest.raises(IncrementalFallback):
             LiveRefragmenter(engine)
 
-    def test_stored_paths_are_repaired_in_place(self):
+    def test_routes_cross_the_redrawn_blocks_at_the_whole_graph_cost(self):
         graph, blocks = clique_line()
-        fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
-        complementary = precompute_complementary_information(
-            fragmentation, store_paths=True
-        )
-        engine = DisconnectionSetEngine(fragmentation, complementary=complementary)
+        engine = self._engine(graph, blocks)
+        engine.route(0, 15)  # warm the sites the redraw keeps
         new_blocks = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | {12}, set(blocks[3]) - {12}]
         proposed = GroundTruthFragmenter(new_blocks).fragment(graph)
         aligned = align_layout(
             [f.edges for f in engine.catalog.fragmentation.fragments],
             [set(f.edges) for f in proposed.fragments],
         )
-        new_fragmentation = Fragmentation(graph, aligned, algorithm=proposed.algorithm)
-        LiveRefragmenter(engine).apply(new_fragmentation)
-        info = engine.catalog.complementary
-        fresh = precompute_complementary_information(new_fragmentation, store_paths=True)
-        assert set(info.paths) == set(fresh.paths)
-        for pair, fresh_paths in fresh.paths.items():
-            assert set(info.paths[pair]) == set(fresh_paths)
-            # Equal-cost alternatives may differ between the repaired and the
-            # fresh expansion; every stored path must be a real walk through
-            # the graph whose cost equals the stored value.
-            for (source, target), path in info.paths[pair].items():
-                assert path[0] == source and path[-1] == target
-                cost = sum(graph.edge_weight(a, b) for a, b in zip(path, path[1:]))
-                assert cost == pytest.approx(info.values[pair][(source, target)])
+        LiveRefragmenter(engine).apply(Fragmentation(graph, aligned, algorithm=proposed.algorithm))
+        # Node 12 moved from block 3 to block 2: route between both blocks and it.
+        for source in blocks[2] + blocks[3]:
+            for target in (12, blocks[2][0], blocks[3][-1]):
+                routed = engine.route(source, target)
+                assert routed.cost == pytest.approx(shortest_path_cost(graph, source, target))
+                assert routed.route[0] == source and routed.route[-1] == target
+                walked = sum(graph.edge_weight(a, b) for a, b in zip(routed.route, routed.route[1:]))
+                assert walked == pytest.approx(routed.cost)
 
 
 class TestDatabaseRefragment:

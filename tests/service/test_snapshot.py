@@ -70,6 +70,21 @@ class TestSnapshotRoundTrip:
         second = save_snapshot(tmp_path / "two", engine)
         assert first.version == second.version
 
+    def test_a_snapshot_with_stored_route_expansions_still_loads(self, prepared, tmp_path):
+        # Payloads written before routes were traced on demand carry a
+        # complementary_paths field; it was never hashed and nothing reads it.
+        _, _, engine = prepared
+        manifest = save_snapshot(tmp_path / "snap", engine)
+        path = tmp_path / "snap" / "payload.pkl"
+        payload = pickle.loads(path.read_bytes())
+        payload.complementary_paths = {(0, 1): {(3, 4): [3, 4]}}
+        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        assert load_snapshot(tmp_path / "snap").manifest.version == manifest.version
+        rebuilt = QueryService.from_snapshot(tmp_path / "snap")
+        assert rebuilt.catalog_version.startswith(f"{manifest.version}.")
+        for source, target in [(0, 7), (1, 6), (3, 4), (0, 3)]:
+            assert rebuilt.query(source, target).value == engine.query(source, target).value
+
     def test_version_differs_for_different_semirings(self, prepared, tmp_path):
         _, fragmentation, engine = prepared
         shortest = save_snapshot(tmp_path / "sp", engine)
@@ -181,14 +196,13 @@ def payloads(draw):
         complementary_values=draw(
             st.dictionaries(FRAGMENT_PAIR, st.dictionaries(NODE_PAIR, VALUE, max_size=4), max_size=4)
         ),
-        complementary_paths={},
     )
 
 
 class TestContentHash:
     @settings(max_examples=300, deadline=None)
     @given(payloads())
-    @example(SnapshotPayload([], [], {}, [], "", "shortest_path", {}, {}))
+    @example(SnapshotPayload([], [], {}, [], "", "shortest_path", {}))
     def test_one_pass_hash_is_the_sorting_hash(self, payload):
         assert compute_version(payload) == compute_version_by_sorting(payload)
 
@@ -203,7 +217,6 @@ class TestContentHash:
             algorithm="center-based",
             semiring_name="shortest_path",
             complementary_values={(0, 1): {("hub", 0): 1e16, (0, "hub"): 3.5}, (1, 2): {}},
-            complementary_paths={(0, 1): {("hub", 0): ["hub", ("x", 2), 0]}},
             precompute_work=7,  # operational: not part of the hash
         )
         assert compute_version(payload) == "7b07814a7ccd989d"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.generators import grid_graph
+from repro.generators import chain_graph, grid_graph
 from repro.graph import load_json, save_json
 
 
@@ -79,16 +79,29 @@ class TestQuery:
         assert exit_code == 0
         assert "route:" in captured.out
 
-    def test_query_with_a_truncated_plan_fails_with_the_message(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--route"]], ids=["cost", "route"])
+    def test_query_with_a_truncated_plan_fails_with_the_message(self, tmp_path, capsys, extra):
         path = tmp_path / "grid.json"
         save_json(grid_graph(12, 12), path)
         exit_code = main(
-            ["query", str(path), "0", "143", "--algorithm", "center", "--fragments", "9"]
+            ["query", str(path), "0", "143", "--algorithm", "center", "--fragments", "9"] + extra
         )
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "cost:" not in captured.out
         assert "more than 32 fragment chains connect 0 and 143" in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--route"]], ids=["cost", "route"])
+    def test_an_unreachable_pair_prints_no_path(self, tmp_path, capsys, extra):
+        path = tmp_path / "one-way.json"
+        save_json(chain_graph(10, symmetric=False), path)
+        exit_code = main(
+            ["query", str(path), "9", "0", "--algorithm", "linear", "--fragments", "2"] + extra
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.out.strip() == "no path"
+        assert captured.err == ""
 
     def test_query_unknown_node_reports_error(self, graph_file, capsys):
         exit_code = main(
