@@ -270,6 +270,11 @@ class LocalQueryEvaluator:
         """The path problem being evaluated."""
         return self._semiring
 
+    @property
+    def use_shortcuts(self) -> bool:
+        """Whether sites are evaluated with their complementary shortcuts."""
+        return self._use_shortcuts
+
     def evaluate(
         self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
     ) -> LocalQueryResult:
