@@ -11,9 +11,9 @@ The semi-naive evaluation — the one the hot paths actually call — compiles
 graphs at or above :data:`~repro.closure.warshall.COMPACT_NODE_THRESHOLD`
 nodes to the compact (CSR) form and runs the id-level kernel of
 :mod:`repro.closure.kernels` instead of the dict join (identical values,
-``use_compact`` overrides).  The naive and smart variants stay dict-based on
-purpose: they exist as complexity baselines, and rewriting them would erase
-the very contrast they measure.
+``use_compact`` overrides).  The naive and smart variants compute shortest
+paths only and stay dict-based on purpose: they exist as complexity
+baselines, and rewriting them would erase the very contrast they measure.
 """
 
 from __future__ import annotations
@@ -63,28 +63,15 @@ def _absorb(
     return improved
 
 
-def naive_transitive_closure(
-    graph: DiGraph,
-    *,
-    semiring: Optional[Semiring] = None,
-    sources: Optional[Iterable[Node]] = None,
-) -> ClosureResult:
-    """Compute the closure by naive iteration (whole closure re-joined each round).
-
-    Args:
-        graph: the graph to close.
-        semiring: the path problem (defaults to shortest paths).
-        sources: optional restriction of the closure to paths starting at
-            these nodes — the "magic cone" selection induced by a
-            disconnection set.
+def naive_transitive_closure(graph: DiGraph) -> ClosureResult:
+    """Compute the shortest-path closure by naive iteration (whole closure re-joined each round).
 
     At most :data:`DEFAULT_MAX_ITERATIONS` rounds run (a safety bound for
     non-idempotent semirings on cyclic graphs).
     """
-    semiring = semiring or shortest_path_semiring()
-    source_set = set(sources) if sources is not None else None
-    values = _edge_values(graph, semiring, source_set)
+    semiring = shortest_path_semiring()
     base = _edge_values(graph, semiring, None)
+    values = dict(base)
     stats = ClosureStatistics()
     while stats.iterations < DEFAULT_MAX_ITERATIONS:
         candidates: Dict[Pair, object] = {}
@@ -221,19 +208,15 @@ def _compact_seminaive(
     return ClosureResult(values=values, semiring_name=semiring.name, statistics=stats)
 
 
-def smart_transitive_closure(
-    graph: DiGraph,
-    *,
-    semiring: Optional[Semiring] = None,
-) -> ClosureResult:
-    """Compute the closure by repeated squaring (logarithmic number of rounds).
+def smart_transitive_closure(graph: DiGraph) -> ClosureResult:
+    """Compute the shortest-path closure by repeated squaring (logarithmic number of rounds).
 
     Each round composes the current closure with itself, so paths of length up
     to ``2^k`` are covered after ``k`` rounds, at most
     :data:`SMART_MAX_ROUNDS` of them.  Source restriction is not supported
     because squaring needs the full intermediate closure.
     """
-    semiring = semiring or shortest_path_semiring()
+    semiring = shortest_path_semiring()
     values = _edge_values(graph, semiring, None)
     stats = ClosureStatistics()
     while stats.iterations < SMART_MAX_ROUNDS:

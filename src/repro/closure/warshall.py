@@ -24,13 +24,11 @@ from typing import Dict, Hashable, Iterable, Optional, Set
 from ..graph import CompactGraph, DiGraph, bfs_levels, dijkstra
 from .base import ClosureResult, ClosureStatistics, Pair
 from .kernels import compact_reachability_closure, compact_shortest_path_closure
-from .semiring import Semiring, reachability_semiring, shortest_path_semiring
+from .semiring import reachability_semiring, shortest_path_semiring
 
 Node = Hashable
 
 COMPACT_NODE_THRESHOLD = 64
-
-COMPACT_SEMIRINGS = ("shortest_path", "reachability")
 
 
 def _auto_compact(graph: DiGraph, use_compact: Optional[bool]) -> bool:
@@ -40,31 +38,24 @@ def _auto_compact(graph: DiGraph, use_compact: Optional[bool]) -> bool:
     return graph.node_count() >= COMPACT_NODE_THRESHOLD
 
 
-def warshall_closure(
-    graph: DiGraph,
-    *,
-    semiring: Optional[Semiring] = None,
-    use_compact: Optional[bool] = None,
-) -> ClosureResult:
-    """Compute the closure with the Warshall/Floyd triple loop.
+def warshall_closure(graph: DiGraph, *, use_compact: Optional[bool] = None) -> ClosureResult:
+    """Compute the shortest-path closure with the Warshall/Floyd triple loop.
 
-    Works for any semiring whose ``plus`` is idempotent (reachability,
-    shortest path, widest path).  The statistics report one "iteration" per
-    pivot node, with tuples_produced counting the relaxations applied.
+    The statistics report one "iteration" per pivot node, with
+    tuples_produced counting the relaxations applied.
 
-    For the two standard semirings, graphs at or above
-    :data:`COMPACT_NODE_THRESHOLD` nodes are answered by the compact
-    per-source kernels instead of the cubic pivot loop — identical values,
-    including the cyclic ``(a, a)`` facts the pivot loop derives (the
-    statistics then count per-source search work, not pivots).
+    Graphs at or above :data:`COMPACT_NODE_THRESHOLD` nodes are answered by
+    the compact per-source kernels instead of the cubic pivot loop —
+    identical values, including the cyclic ``(a, a)`` facts the pivot loop
+    derives (the statistics then count per-source search work, not pivots).
     """
-    semiring = semiring or shortest_path_semiring()
-    if semiring.name in COMPACT_SEMIRINGS and _auto_compact(graph, use_compact):
+    semiring = shortest_path_semiring()
+    if _auto_compact(graph, use_compact):
         from .iterative import seminaive_transitive_closure  # late: it imports us back
 
         # The seminaive compact evaluation yields exactly the idempotent
         # closure the pivot loop computes, cycle facts included.
-        return seminaive_transitive_closure(graph, semiring=semiring, use_compact=True)
+        return seminaive_transitive_closure(graph, use_compact=True)
     values: Dict[Pair, object] = {}
     for u, v, weight in graph.weighted_edges():
         candidate = semiring.edge_value(weight)

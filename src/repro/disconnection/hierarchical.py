@@ -23,9 +23,9 @@ machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable
 
-from ..closure import Semiring, shortest_path_semiring
+from ..closure import shortest_path_semiring
 from ..exceptions import DisconnectedError
 from ..fragmentation import Fragmentation
 from ..graph import DiGraph
@@ -46,24 +46,14 @@ class BackboneStatistics:
 
 
 class HierarchicalEngine:
-    """Parallel hierarchical evaluation over a fragmentation.
+    """Parallel hierarchical evaluation of shortest paths over a fragmentation."""
 
-    Args:
-        fragmentation: the base fragmentation.
-        semiring: the path problem (defaults to shortest paths).
-    """
-
-    def __init__(
-        self,
-        fragmentation: Fragmentation,
-        *,
-        semiring: Optional[Semiring] = None,
-    ) -> None:
-        self._semiring = semiring or shortest_path_semiring()
+    def __init__(self, fragmentation: Fragmentation) -> None:
+        semiring = shortest_path_semiring()
         self._fragmentation = fragmentation
-        self._catalog = DistributedCatalog(fragmentation, semiring=self._semiring)
+        self._catalog = DistributedCatalog(fragmentation, semiring=semiring)
         self._planner = QueryPlanner(self._catalog)
-        self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
+        self._evaluator = LocalQueryEvaluator(semiring=semiring)
         self._backbone_site = self._build_backbone()
 
     # -------------------------------------------------------------- backbone
@@ -80,7 +70,7 @@ class HierarchicalEngine:
         information, which is exactly the trade-off the extension makes:
         more precomputed data for a fragmentation-graph-independent plan.
         """
-        from ..graph import bfs_levels, dijkstra
+        from ..graph import dijkstra
 
         backbone = DiGraph()
         all_border = set().union(*self._fragmentation.disconnection_sets().values())
@@ -88,14 +78,9 @@ class HierarchicalEngine:
         for source in sorted(all_border, key=repr):
             if not graph.has_node(source):
                 continue
-            if self._semiring.name == "shortest_path":
-                distances, _ = dijkstra(graph, source, targets=set(all_border))
-                reachable = {t: d for t, d in distances.items() if t in all_border}
-            else:
-                levels = bfs_levels(graph, source)
-                reachable = {t: 0.0 for t in levels if t in all_border}
-            for target, weight in reachable.items():
-                if target != source:
+            distances, _ = dijkstra(graph, source, targets=set(all_border))
+            for target, weight in distances.items():
+                if target != source and target in all_border:
                     backbone.add_edge(source, target, weight)
         border_nodes = frozenset(backbone.nodes())
         return FragmentSite(

@@ -197,31 +197,34 @@ def run_table2(
     return _aggregate("table2", graphs, fragmenters)
 
 
+# The paper does not fix the fragment count for Table 3; 3 matches its
+# reported average fragment sizes of roughly one third of the edge count.
+TABLE3_FRAGMENT_COUNT = 3
+
+
 def run_table3(
     *,
     trials: int = 3,
     seed: int = 0,
     config: Optional[RandomGraphConfig] = None,
-    fragment_count: int = 3,
 ) -> ExperimentResult:
     """Reproduce Table 3: fragmentation characteristics on general (unstructured) graphs.
 
     Workload: random graphs of 100 nodes (~279.5 edges), no imposed cluster
-    structure; all four algorithm variants, 3 fragments requested (the paper
-    does not fix the fragment count for this table; 3 matches its reported
-    average fragment sizes of roughly one third of the edge count).
+    structure; all four algorithm variants, :data:`TABLE3_FRAGMENT_COUNT`
+    fragments requested.
     """
     config = config or paper_table3_graph_config()
     graphs = [generate_random_graph(config, seed=seed + trial) for trial in range(trials)]
     fragmenters: Dict[str, Callable[[], Fragmenter]] = {
         "center-based": lambda: CenterBasedFragmenter(
-            fragment_count, center_selection="random", seed=seed
+            TABLE3_FRAGMENT_COUNT, center_selection="random", seed=seed
         ),
         "center-based-distributed": lambda: CenterBasedFragmenter(
-            fragment_count, center_selection="distributed"
+            TABLE3_FRAGMENT_COUNT, center_selection="distributed"
         ),
-        "bond-energy": lambda: BondEnergyFragmenter(fragment_count),
-        "linear": lambda: LinearFragmenter(fragment_count),
+        "bond-energy": lambda: BondEnergyFragmenter(TABLE3_FRAGMENT_COUNT),
+        "linear": lambda: LinearFragmenter(TABLE3_FRAGMENT_COUNT),
     }
     return _aggregate("table3", graphs, fragmenters)
 

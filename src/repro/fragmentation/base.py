@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from ..exceptions import FragmentationError, InvalidFragmentationError
 from ..graph import DiGraph
@@ -88,7 +88,6 @@ class Fragmentation:
         fragment_edges: Iterable[Iterable[Edge]],
         *,
         algorithm: str = "unknown",
-        metadata: Optional[Mapping[str, object]] = None,
     ) -> None:
         self._graph = graph
         fragments: List[Fragment] = []
@@ -98,7 +97,6 @@ class Fragmentation:
             raise FragmentationError("a fragmentation needs at least one fragment")
         self._fragments: Tuple[Fragment, ...] = tuple(fragments)
         self._algorithm = algorithm
-        self._metadata: Dict[str, object] = dict(metadata or {})
         self._disconnection_sets = self._compute_disconnection_sets()
 
     def replacing(self, fragment_edges: Mapping[FragmentId, Iterable[Edge]]) -> "Fragmentation":
@@ -131,7 +129,6 @@ class Fragmentation:
         derived._graph = self._graph
         derived._fragments = tuple(fragments)
         derived._algorithm = self._algorithm
-        derived._metadata = self._metadata
         derived._disconnection_sets = (
             derived._disconnection_sets_after(moved, self._disconnection_sets)
             if moved
@@ -155,11 +152,6 @@ class Fragmentation:
     def algorithm(self) -> str:
         """Name of the algorithm that produced this fragmentation."""
         return self._algorithm
-
-    @property
-    def metadata(self) -> Dict[str, object]:
-        """Algorithm-specific extra information (copy)."""
-        return dict(self._metadata)
 
     def fragment_count(self) -> int:
         """Return the number of fragments."""
@@ -334,7 +326,6 @@ def fragmentation_from_node_blocks(
     blocks: Iterable[Iterable[Node]],
     *,
     algorithm: str = "node-blocks",
-    metadata: Optional[Mapping[str, object]] = None,
 ) -> Fragmentation:
     """Build an edge fragmentation from a partition of the **nodes**.
 
@@ -367,6 +358,4 @@ def fragmentation_from_node_blocks(
         owner = source_block if source_block == target_block else min(source_block, target_block)
         fragment_edges[owner].append((source, target))
     populated = [edges for edges in fragment_edges if edges]
-    meta = dict(metadata or {})
-    meta.setdefault("node_blocks", [sorted(block, key=repr) for block in block_list])
-    return Fragmentation(graph, populated, algorithm=algorithm, metadata=meta)
+    return Fragmentation(graph, populated, algorithm=algorithm)

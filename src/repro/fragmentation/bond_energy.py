@@ -18,9 +18,8 @@ bond energy algorithm (BEA) of McCormick, Schweitzer and White (1972):
    it implements the **threshold** condition (split as soon as the number of
    connections from the current block to nodes outside it reaches a
    threshold) with a minimum block size to avoid fragments that are "too
-   small".  The threshold is exposed here, the minimum block size is derived
-   from the graph size, and a local-minimum splitting policy is provided as
-   well for completeness.
+   small".  Both are derived from the graph, and a local-minimum splitting
+   policy is provided as well for completeness.
 
 Each block of nodes becomes a fragment; edges inside a block belong to that
 fragment, edges between blocks are assigned to the lower-indexed block (so the
@@ -50,12 +49,7 @@ class BondEnergyFragmenter(Fragmenter):
     """The bond-energy fragmentation algorithm.
 
     Args:
-        fragment_count: desired number of fragments.  When ``threshold`` is
-            not given it is derived automatically so that roughly this many
-            blocks are produced.
-        threshold: explicit split threshold — split as soon as the number of
-            connections from the current block to outside nodes reaches this
-            value.  ``None`` derives a threshold from ``fragment_count``.
+        fragment_count: desired number of fragments.
         split_policy: ``"threshold"`` (the paper's implemented choice) or
             ``"local_minimum"`` (split at local minima of the external
             connection count).
@@ -64,7 +58,8 @@ class BondEnergyFragmenter(Fragmenter):
             variant, quadratic in the node count on top of the placement
             cost).
 
-    A block holds at least ``max(MIN_BLOCK_COLUMNS, n // (2 *
+    The split threshold is half the graph's average node degree (at least
+    2).  A block holds at least ``max(MIN_BLOCK_COLUMNS, n // (2 *
     fragment_count))`` columns: the paper's "finetuning" against fragments
     that are too small.
     """
@@ -75,20 +70,16 @@ class BondEnergyFragmenter(Fragmenter):
         self,
         fragment_count: int,
         *,
-        threshold: Optional[int] = None,
         split_policy: str = SPLIT_THRESHOLD,
         restarts: Optional[int] = 4,
     ) -> None:
         if fragment_count <= 0:
             raise FragmenterConfigurationError("fragment_count must be positive")
-        if threshold is not None and threshold <= 0:
-            raise FragmenterConfigurationError("threshold must be positive when given")
         if split_policy not in (SPLIT_THRESHOLD, SPLIT_LOCAL_MINIMUM):
             raise FragmenterConfigurationError(f"unknown split_policy {split_policy!r}")
         if restarts is not None and restarts <= 0:
             raise FragmenterConfigurationError("restarts must be positive or None")
         self.fragment_count = fragment_count
-        self.threshold = threshold
         self.split_policy = split_policy
         self.restarts = restarts
 
@@ -100,17 +91,7 @@ class BondEnergyFragmenter(Fragmenter):
             raise FragmenterConfigurationError("cannot fragment a graph with no edges")
         ordering = self.order_columns(graph)
         blocks = self.split_ordering(graph, ordering)
-        return fragmentation_from_node_blocks(
-            graph,
-            blocks,
-            algorithm=self.name,
-            metadata={
-                "ordering": list(ordering),
-                "split_policy": self.split_policy,
-                "threshold": self.threshold,
-                "block_count": len(blocks),
-            },
-        )
+        return fragmentation_from_node_blocks(graph, blocks, algorithm=self.name)
 
     # ------------------------------------------------------------- ordering
 
@@ -216,7 +197,7 @@ class BondEnergyFragmenter(Fragmenter):
         n = len(ordering)
         if n == 0:
             return []
-        threshold = self.threshold if self.threshold is not None else self._derive_threshold(graph)
+        threshold = self._derive_threshold(graph)
         # The paper's "finetuning" against fragments that are too small: a
         # block holds at least half a fair share of the columns.
         min_block = max(MIN_BLOCK_COLUMNS, n // (self.fragment_count * 2))

@@ -90,15 +90,7 @@ class CenterBasedFragmenter(Fragmenter):
         centers = self.select_centers(graph, count)
         fragment_edges = self._grow_fragments(graph, centers)
         populated = [edges for edges in fragment_edges if edges]
-        return Fragmentation(
-            graph,
-            populated,
-            algorithm=self.name,
-            metadata={
-                "centers": centers,
-                "center_selection": self.center_selection,
-            },
-        )
+        return Fragmentation(graph, populated, algorithm=self.name)
 
     # --------------------------------------------------------------- centers
 

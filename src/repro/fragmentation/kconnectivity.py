@@ -67,15 +67,7 @@ class KConnectivityFragmenter(Fragmenter):
         populated = [edges for edges in fragment_edges if edges]
         if not populated:
             populated = [set(graph.edges())]
-        return Fragmentation(
-            graph,
-            populated,
-            algorithm=self.name,
-            metadata={
-                "relevant_nodes": sorted(critical, key=repr),
-                "core_count": len(cores),
-            },
-        )
+        return Fragmentation(graph, populated, algorithm=self.name)
 
     # -------------------------------------------------------------- internals
 

@@ -80,19 +80,9 @@ class LinearFragmenter(Fragmenter):
             raise FragmenterConfigurationError("cannot fragment a graph with no edges")
         start_nodes = self._select_start_nodes(graph)
         threshold = self._edge_threshold(graph)
-        fragment_edges, disconnection_sets = self._sweep(graph, start_nodes, threshold)
+        fragment_edges = self._sweep(graph, start_nodes, threshold)
         populated = [edges for edges in fragment_edges if edges]
-        return Fragmentation(
-            graph,
-            populated,
-            algorithm=self.name,
-            metadata={
-                "start_nodes": list(start_nodes),
-                "threshold": threshold,
-                "sweep": self.sweep,
-                "boundary_sets": [sorted(nodes, key=repr) for nodes in disconnection_sets],
-            },
-        )
+        return Fragmentation(graph, populated, algorithm=self.name)
 
     def _edge_threshold(self, graph: DiGraph) -> int:
         """Return the per-fragment edge threshold ``|E| / f`` (undirected count)."""
@@ -113,13 +103,11 @@ class LinearFragmenter(Fragmenter):
         graph: DiGraph,
         start_nodes: Sequence[Node],
         threshold: int,
-    ) -> Tuple[List[Set[Edge]], List[Set[Node]]]:
-        """Run the sweep of Fig. 7; return per-fragment edge sets and the boundary sets."""
+    ) -> List[Set[Edge]]:
+        """Run the sweep of Fig. 7; return the per-fragment edge sets."""
         unassigned: Set[Edge] = set(graph.edges())
-        assigned_nodes: Set[Node] = set()
         frontier: Set[Node] = set(start_nodes)
         fragment_edges: List[Set[Edge]] = []
-        boundary_sets: List[Set[Node]] = []
 
         while unassigned:
             current_edges: Set[Edge] = set()
@@ -158,13 +146,11 @@ class LinearFragmenter(Fragmenter):
                     break
                 continue
             fragment_edges.append(current_edges)
-            assigned_nodes |= current_nodes
             # The nodes on the boundary (current frontier) seed the next
             # fragment and form the disconnection set to it.
-            boundary_sets.append(set(frontier))
             if not frontier:
                 frontier = self._restart_frontier(graph, unassigned)
-        return fragment_edges, boundary_sets
+        return fragment_edges
 
     def _restart_frontier(self, graph: DiGraph, unassigned: Set[Edge]) -> Set[Node]:
         """Pick a new frontier from the unassigned edges (disconnected remainder)."""

@@ -8,7 +8,7 @@ of many transportation networks), stars, complete graphs and layered DAGs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..exceptions import FragmenterConfigurationError
 from ..graph import DiGraph, Point
@@ -16,8 +16,8 @@ from ..graph import DiGraph, Point
 Node = int
 
 
-def chain_graph(length: int, *, symmetric: bool = True, weight: float = 1.0) -> DiGraph:
-    """Return a path ``0 - 1 - ... - length-1`` with coordinates along the x-axis.
+def chain_graph(length: int, *, symmetric: bool = True) -> DiGraph:
+    """Return a path ``0 - 1 - ... - length-1`` with unit weights and coordinates along the x-axis.
 
     Raises:
         FragmenterConfigurationError: if ``length`` is not positive.
@@ -29,14 +29,14 @@ def chain_graph(length: int, *, symmetric: bool = True, weight: float = 1.0) -> 
         graph.set_coordinate(node, Point(float(node), 0.0))
     for node in range(length - 1):
         if symmetric:
-            graph.add_symmetric_edge(node, node + 1, weight)
+            graph.add_symmetric_edge(node, node + 1)
         else:
-            graph.add_edge(node, node + 1, weight)
+            graph.add_edge(node, node + 1)
     return graph
 
 
-def cycle_graph(length: int, *, symmetric: bool = True, weight: float = 1.0) -> DiGraph:
-    """Return a cycle of ``length`` nodes laid out on a circle."""
+def cycle_graph(length: int, *, symmetric: bool = True) -> DiGraph:
+    """Return a cycle of ``length`` nodes with unit weights laid out on a circle."""
     import math
 
     if length < 3:
@@ -48,13 +48,13 @@ def cycle_graph(length: int, *, symmetric: bool = True, weight: float = 1.0) -> 
     for node in range(length):
         successor = (node + 1) % length
         if symmetric:
-            graph.add_symmetric_edge(node, successor, weight)
+            graph.add_symmetric_edge(node, successor)
         else:
-            graph.add_edge(node, successor, weight)
+            graph.add_edge(node, successor)
     return graph
 
 
-def grid_graph(rows: int, columns: int, *, symmetric: bool = True) -> DiGraph:
+def grid_graph(rows: int, columns: int) -> DiGraph:
     """Return a ``rows x columns`` grid with unit edge weights and planar coordinates.
 
     Node ``r * columns + c`` sits at ``(c, r)``: the grid spacing is 1.
@@ -72,13 +72,13 @@ def grid_graph(rows: int, columns: int, *, symmetric: bool = True) -> DiGraph:
     for r in range(rows):
         for c in range(columns):
             if c + 1 < columns:
-                _add(graph, node_id(r, c), node_id(r, c + 1), symmetric)
+                graph.add_symmetric_edge(node_id(r, c), node_id(r, c + 1))
             if r + 1 < rows:
-                _add(graph, node_id(r, c), node_id(r + 1, c), symmetric)
+                graph.add_symmetric_edge(node_id(r, c), node_id(r + 1, c))
     return graph
 
 
-def star_graph(leaves: int, *, symmetric: bool = True) -> DiGraph:
+def star_graph(leaves: int) -> DiGraph:
     """Return a star: node 0 in the middle connected to ``leaves`` outer nodes."""
     import math
 
@@ -89,11 +89,11 @@ def star_graph(leaves: int, *, symmetric: bool = True) -> DiGraph:
     for leaf in range(1, leaves + 1):
         angle = 2.0 * math.pi * leaf / leaves
         graph.set_coordinate(leaf, Point(math.cos(angle), math.sin(angle)))
-        _add(graph, 0, leaf, symmetric)
+        graph.add_symmetric_edge(0, leaf)
     return graph
 
 
-def complete_graph(node_count: int, *, symmetric: bool = True) -> DiGraph:
+def complete_graph(node_count: int) -> DiGraph:
     """Return the complete graph on ``node_count`` nodes (all pairs adjacent)."""
     import math
 
@@ -105,12 +105,12 @@ def complete_graph(node_count: int, *, symmetric: bool = True) -> DiGraph:
         graph.set_coordinate(node, Point(math.cos(angle), math.sin(angle)))
     for a in range(node_count):
         for b in range(a + 1, node_count):
-            _add(graph, a, b, symmetric)
+            graph.add_symmetric_edge(a, b)
     return graph
 
 
-def layered_dag(layers: int, width: int, *, weight: float = 1.0) -> DiGraph:
-    """Return a layered DAG: every node of layer ``i`` points to every node of layer ``i+1``.
+def layered_dag(layers: int, width: int) -> DiGraph:
+    """Return a layered DAG of unit weights: layer ``i`` points to every node of layer ``i+1``.
 
     Layered DAGs model bill-of-material style part hierarchies, one of the
     motivating applications for transitive closure in the paper's
@@ -129,7 +129,7 @@ def layered_dag(layers: int, width: int, *, weight: float = 1.0) -> DiGraph:
     for layer in range(layers - 1):
         for a in range(width):
             for b in range(width):
-                graph.add_edge(node_id(layer, a), node_id(layer + 1, b), weight)
+                graph.add_edge(node_id(layer, a), node_id(layer + 1, b))
     return graph
 
 
@@ -137,7 +137,6 @@ def two_cluster_dumbbell(
     cluster_size: int,
     *,
     bridge_nodes: int = 1,
-    symmetric: bool = True,
 ) -> DiGraph:
     """Return two cliques joined by ``bridge_nodes`` parallel bridges.
 
@@ -159,9 +158,9 @@ def two_cluster_dumbbell(
     for cluster in (left, right):
         for i, a in enumerate(cluster):
             for b in cluster[i + 1:]:
-                _add(graph, a, b, symmetric)
+                graph.add_symmetric_edge(a, b)
     for offset in range(bridge_nodes):
-        _add(graph, left[offset], right[offset], symmetric)
+        graph.add_symmetric_edge(left[offset], right[offset])
     return graph
 
 
@@ -210,10 +209,3 @@ def european_railway_example() -> Tuple[DiGraph, dict]:
     for a, b, distance in regional + crossings:
         graph.add_symmetric_edge(a, b, float(distance))
     return graph, countries
-
-
-def _add(graph: DiGraph, a: Node, b: Node, symmetric: bool, weight: float = 1.0) -> None:
-    if symmetric:
-        graph.add_symmetric_edge(a, b, weight)
-    else:
-        graph.add_edge(a, b, weight)

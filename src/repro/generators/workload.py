@@ -46,10 +46,9 @@ def cross_cluster_queries(
     count: int,
     *,
     seed: int = 0,
-    kind: str = "shortest_path",
     minimum_cluster_distance: int = 1,
 ) -> List[PathQuery]:
-    """Return queries whose endpoints lie in different clusters.
+    """Return shortest-path queries whose endpoints lie in different clusters.
 
     ``minimum_cluster_distance`` is the minimum difference between the cluster
     indices (clusters are assumed to be laid out as a chain, as in the
@@ -66,7 +65,7 @@ def cross_cluster_queries(
             continue
         source = rng.choice(sorted(clusters[i], key=repr))
         target = rng.choice(sorted(clusters[j], key=repr))
-        queries.append(PathQuery(source=source, target=target, kind=kind))
+        queries.append(PathQuery(source=source, target=target))
     return queries
 
 
@@ -75,9 +74,8 @@ def intra_cluster_queries(
     count: int,
     *,
     seed: int = 0,
-    kind: str = "shortest_path",
 ) -> List[PathQuery]:
-    """Return queries whose endpoints lie in the same cluster.
+    """Return shortest-path queries whose endpoints lie in the same cluster.
 
     These are the "shortest path between two Dutch cities" queries that the
     disconnection set approach can answer at a single site.
@@ -90,7 +88,7 @@ def intra_cluster_queries(
     while len(queries) < count:
         cluster = sorted(rng.choice(eligible), key=repr)
         source, target = rng.sample(cluster, 2)
-        queries.append(PathQuery(source=source, target=target, kind=kind))
+        queries.append(PathQuery(source=source, target=target))
     return queries
 
 
@@ -101,9 +99,8 @@ def mixed_workload(
     *,
     cross_fraction: float = 0.5,
     seed: int = 0,
-    kind: str = "shortest_path",
 ) -> List[PathQuery]:
-    """Return a workload mixing intra- and cross-cluster queries.
+    """Return a shortest-path workload mixing intra- and cross-cluster queries.
 
     Args:
         graph: the graph being queried (used only for validation).
@@ -111,7 +108,6 @@ def mixed_workload(
         count: total number of queries.
         cross_fraction: fraction of queries that cross clusters.
         seed: RNG seed.
-        kind: query kind for every generated query.
     """
     if not 0.0 <= cross_fraction <= 1.0:
         raise FragmenterConfigurationError("cross_fraction must be between 0 and 1")
@@ -119,9 +115,9 @@ def mixed_workload(
     intra_count = count - cross_count
     queries: List[PathQuery] = []
     if cross_count:
-        queries.extend(cross_cluster_queries(clusters, cross_count, seed=seed, kind=kind))
+        queries.extend(cross_cluster_queries(clusters, cross_count, seed=seed))
     if intra_count:
-        queries.extend(intra_cluster_queries(clusters, intra_count, seed=seed + 1, kind=kind))
+        queries.extend(intra_cluster_queries(clusters, intra_count, seed=seed + 1))
     rng = random.Random(seed + 2)
     rng.shuffle(queries)
     return queries

@@ -24,6 +24,9 @@ from .traversal import weakly_connected_components
 
 Node = Hashable
 
+# Seed of the pair sample ``k_connectivity(sample_pairs=...)`` draws.
+PAIR_SAMPLE_SEED = 0
+
 
 def _unit_capacity_flow_network(graph: DiGraph, source: Node, target: Node) -> Dict[object, Dict[object, int]]:
     """Build a node-split flow network for vertex-disjoint path counting.
@@ -113,13 +116,13 @@ def vertex_disjoint_path_count(graph: DiGraph, source: Node, target: Node) -> in
     return _max_flow(capacity, "SRC", "SNK")
 
 
-def k_connectivity(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: int = 0) -> int:
+def k_connectivity(graph: DiGraph, *, sample_pairs: Optional[int] = None) -> int:
     """Return the vertex connectivity of the (undirected view of the) graph.
 
     This is the paper's *k-connectivity*: the smallest number of node-distinct
     paths over all node pairs.  For graphs that are not connected the result
     is 0.  ``sample_pairs`` bounds the number of pairs examined (uniformly
-    sampled with ``seed``) because exact computation over all pairs is
+    sampled with :data:`PAIR_SAMPLE_SEED`) because exact computation over all pairs is
     quadratic in Dijkstra-sized flow computations — the very cost that made
     the paper abandon this approach.
     """
@@ -134,7 +137,7 @@ def k_connectivity(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: 
         (nodes[i], nodes[j]) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
     ]
     if sample_pairs is not None and sample_pairs < len(pairs):
-        rng = random.Random(seed)
+        rng = random.Random(PAIR_SAMPLE_SEED)
         pairs = rng.sample(pairs, sample_pairs)
     best = None
     for source, target in pairs:
@@ -146,7 +149,7 @@ def k_connectivity(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: 
     return best if best is not None else 0
 
 
-def relevant_nodes(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: int = 0) -> Set[Node]:
+def relevant_nodes(graph: DiGraph, *, sample_pairs: Optional[int] = None) -> Set[Node]:
     """Return the nodes whose removal decreases the graph's k-connectivity.
 
     These are the "relevant" nodes of the paper's rejected first idea: good
@@ -154,14 +157,14 @@ def relevant_nodes(graph: DiGraph, *, sample_pairs: Optional[int] = None, seed: 
     node-cut.  Articulation points are always relevant; for higher
     connectivity we test node removals explicitly.
     """
-    base = k_connectivity(graph, sample_pairs=sample_pairs, seed=seed)
+    base = k_connectivity(graph, sample_pairs=sample_pairs)
     relevant: Set[Node] = set()
     for node in graph.nodes():
         trial = graph.copy()
         trial.remove_node(node)
         if trial.node_count() <= 1:
             continue
-        if k_connectivity(trial, sample_pairs=sample_pairs, seed=seed) < base:
+        if k_connectivity(trial, sample_pairs=sample_pairs) < base:
             relevant.add(node)
     return relevant
 

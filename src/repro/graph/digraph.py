@@ -36,9 +36,8 @@ class DiGraph:
     Adjacency is two dict-of-dict row tables, ``_successors`` and
     ``_predecessors``.  ``add_node`` / ``add_edge`` / ``remove_*`` mutate them
     one entry at a time; the constructor and the derivations (:meth:`copy`,
-    :meth:`subgraph`, :meth:`edge_subgraph`, :meth:`reversed`) fill whole rows
-    and produce exactly the node order, row order and weights the per-edge
-    calls would.
+    :meth:`subgraph`, :meth:`edge_subgraph`) fill whole rows and produce
+    exactly the node order, row order and weights the per-edge calls would.
     """
 
     def __init__(
@@ -363,14 +362,6 @@ class DiGraph:
         sub._predecessors = predecessors
         sub._coordinates = self._coordinates_of(successors)
         return sub
-
-    def reversed(self) -> "DiGraph":
-        """Return a copy of the graph with every edge direction flipped."""
-        rev = DiGraph()
-        rev._predecessors = {node: dict(row) for node, row in self._successors.items()}
-        rev._successors = _transposed(rev._predecessors)
-        rev._coordinates = dict(self._coordinates)
-        return rev
 
     def _coordinates_of(self, nodes: Iterable[Node]) -> Dict[Node, Point]:
         """Return this graph's coordinates of ``nodes``, in the order of ``nodes``."""

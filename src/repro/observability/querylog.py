@@ -115,7 +115,7 @@ class QueryLog:
 
     Args:
         capacity: entries retained in the main window (0 disables the log
-            entirely — every :meth:`record` is a no-op).
+            entirely — every :meth:`push` is a no-op).
 
     An entry that took :data:`DEFAULT_SLOW_THRESHOLD_SECONDS` (0.1 s) or more
     is also retained in the slow-query window, which holds ``capacity``
@@ -197,21 +197,6 @@ class QueryLog:
             self._slow.append(row)
             self.slow_count += 1
 
-    def record(self, entry: QueryLogEntry) -> None:
-        """Append one entry object (convenience wrapper around :meth:`push`)."""
-        self.push(
-            entry.source,
-            entry.target,
-            entry.semiring,
-            entry.fragments,
-            entry.latency,
-            entry.cached,
-            entry.batched,
-            entry.trace_id,
-            entry.error,
-            entry.timestamp,
-        )
-
     def clear(self) -> int:
         """Drop every retained entry (counters keep their totals)."""
         dropped = len(self._entries) + len(self._slow)
@@ -223,10 +208,6 @@ class QueryLog:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def entries(self) -> List[QueryLogEntry]:
-        """Return the retained window, oldest first."""
-        return [QueryLogEntry(*row) for row in self._entries]
 
     def recent(self, count: int = 10) -> List[QueryLogEntry]:
         """Return the newest ``count`` entries, newest first."""

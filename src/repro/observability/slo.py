@@ -140,6 +140,10 @@ class SLOStatus:
         }
 
 
+# Snapshots an SLOMonitor retains per objective.
+HISTORY_CAPACITY = 2048
+
+
 class SLOMonitor:
     """Evaluates a set of SLOs against one registry, remembering history.
 
@@ -148,8 +152,9 @@ class SLOMonitor:
         slos: the objectives to track.
         windows: burn-rate alert pairs (default the standard page/ticket).
         clock: monotone seconds source (injectable for tests).
-        capacity: snapshots retained per SLO; at one sample per ``healthz``
-            scrape this comfortably covers the longest default window.
+
+    :data:`HISTORY_CAPACITY` snapshots are retained per SLO; at one sample
+    per ``healthz`` scrape this comfortably covers the longest default window.
     """
 
     def __init__(
@@ -159,24 +164,17 @@ class SLOMonitor:
         *,
         windows: Sequence[BurnWindow] = DEFAULT_BURN_WINDOWS,
         clock: Callable[[], float] = time.monotonic,
-        capacity: int = 2048,
     ) -> None:
-        if capacity < 2:
-            raise ValueError(f"SLO history capacity must be >= 2, got {capacity}")
         self._registry = registry
         self._slos = tuple(slos)
         self._windows = tuple(windows)
         self._clock = clock
         self._history: Dict[str, Deque[Tuple[float, float, float]]] = {
-            slo.name: deque(maxlen=capacity) for slo in self._slos
+            slo.name: deque(maxlen=HISTORY_CAPACITY) for slo in self._slos
         }
         # Baseline snapshot: a monitor started against a warm registry must
         # measure burn from now on, not inherit the past as instant debt.
         self.sample()
-
-    @property
-    def slos(self) -> Tuple[SLODefinition, ...]:
-        return self._slos
 
     # -------------------------------------------------------------- sampling
 

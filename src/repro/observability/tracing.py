@@ -230,10 +230,6 @@ class Trace:
         """Return every span name, root first."""
         return [span.name for span in self.spans]
 
-    def find(self, name: str) -> List[Span]:
-        """Return every span called ``name``."""
-        return [span for span in self.spans if span.name == name]
-
     def as_dict(self) -> Dict[str, object]:
         """Return the trace as plain data."""
         return {
@@ -244,23 +240,27 @@ class Trace:
         }
 
 
+# Finished traces a Tracer retains.
+TRACE_CAPACITY = 256
+
+
 class Tracer:
     """Produces and retains traces for the query service's calls.
 
     Args:
         enabled: start with tracing on (the serve loop toggles it live).
-        capacity: finished traces retained (oldest evicted first).
+
+    The last :data:`TRACE_CAPACITY` finished traces are retained (oldest
+    evicted first).
 
     The first :meth:`span` opened while no span is active becomes a trace's
     root; closing it files the whole trace into the bounded ring.  Spans
     opened while a root is active nest under the innermost open span.
     """
 
-    def __init__(self, *, enabled: bool = True, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"trace capacity must be positive, got {capacity}")
+    def __init__(self, *, enabled: bool = True) -> None:
         self._enabled = enabled
-        self._traces: Deque[Trace] = deque(maxlen=capacity)
+        self._traces: Deque[Trace] = deque(maxlen=TRACE_CAPACITY)
         self._stack: List[Span] = []
         self._live: List[Span] = []
         self._span_ids = itertools.count(1)
@@ -438,13 +438,6 @@ class Tracer:
         if count <= 0:
             return []
         return list(itertools.islice(reversed(self._traces), count))
-
-    def find(self, trace_id: str) -> Optional[Trace]:
-        """Return the retained trace with ``trace_id``, or ``None``."""
-        for trace in self._traces:
-            if trace.trace_id == trace_id:
-                return trace
-        return None
 
     def spans_of(self, trace_id: str) -> List[Span]:
         """Every retained span carrying ``trace_id``, oldest segment first.

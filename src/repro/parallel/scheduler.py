@@ -38,13 +38,6 @@ class Assignment:
         """Return the fragments placed on ``processor``."""
         return sorted(f for f, p in self.processor_of.items() if p == processor)
 
-    def processor_loads(self, fragment_costs: Mapping[int, float]) -> List[float]:
-        """Return the summed cost per processor under ``fragment_costs``."""
-        loads = [0.0] * self.processor_count
-        for fragment_id, processor in self.processor_of.items():
-            loads[processor] += fragment_costs.get(fragment_id, 0.0)
-        return loads
-
 
 def assign_fragments(
     fragment_costs: Mapping[int, float],

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence
 
-from ..closure import Semiring, seminaive_transitive_closure, shortest_path_semiring
+from ..closure import seminaive_transitive_closure
 from ..disconnection import DisconnectionSetEngine, ExecutionReport, QueryAnswer
 from ..fragmentation import Fragmentation
 from ..generators import PathQuery
 from ..graph import DiGraph
 from .cost_model import CostModel
-from .scheduler import Assignment, one_processor_per_fragment
+from .scheduler import one_processor_per_fragment
 
 Node = Hashable
 
@@ -75,26 +75,19 @@ class WorkloadSimulation:
 
 
 class ParallelSimulator:
-    """Simulate the parallel evaluation of disconnection-set queries.
+    """Simulate the parallel evaluation of disconnection-set shortest-path queries.
 
     Args:
         fragmentation: the deployed fragmentation.
-        semiring: the path problem (defaults to shortest paths).
 
     Every fragment gets its own simulated processor, and the default
     :class:`CostModel` prices the work.
     """
 
-    def __init__(
-        self,
-        fragmentation: Fragmentation,
-        *,
-        semiring: Optional[Semiring] = None,
-    ) -> None:
+    def __init__(self, fragmentation: Fragmentation) -> None:
         self._fragmentation = fragmentation
-        self._semiring = semiring or shortest_path_semiring()
         self._cost_model = CostModel()
-        self._engine = DisconnectionSetEngine(fragmentation, semiring=self._semiring)
+        self._engine = DisconnectionSetEngine(fragmentation)
         self._assignment = one_processor_per_fragment(
             [fragment.fragment_id for fragment in fragmentation.fragments]
         )
@@ -105,11 +98,6 @@ class ParallelSimulator:
     def engine(self) -> DisconnectionSetEngine:
         """The engine used for the logical evaluation."""
         return self._engine
-
-    @property
-    def assignment(self) -> Assignment:
-        """The fragment-to-processor assignment in force."""
-        return self._assignment
 
     # ------------------------------------------------------------ simulation
 
@@ -161,9 +149,7 @@ class ParallelSimulator:
         source instead of the diameter-bounded fixpoint rounds being
         modelled.
         """
-        closure = seminaive_transitive_closure(
-            self._fragmentation.graph, semiring=self._semiring, use_compact=False
-        )
+        closure = seminaive_transitive_closure(self._fragmentation.graph, use_compact=False)
         return self._cost_model.closure_cost(
             closure.statistics.iterations, closure.statistics.tuples_produced
         )

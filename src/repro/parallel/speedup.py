@@ -17,9 +17,8 @@ This module computes both curves for any fragmenter/graph combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Sequence
 
-from ..closure import Semiring, shortest_path_semiring
 from ..fragmentation import Fragmentation, Fragmenter, fragment_diameters
 from ..generators import PathQuery
 from ..graph import DiGraph, hop_diameter
@@ -60,10 +59,8 @@ def speedup_curve(
     fragmenter_factory: Callable[[int], Fragmenter],
     fragment_counts: Sequence[int],
     queries: Sequence[PathQuery],
-    *,
-    semiring: Optional[Semiring] = None,
 ) -> List[SpeedupPoint]:
-    """Compute the speed-up curve over a range of fragment counts.
+    """Compute the shortest-path speed-up curve over a range of fragment counts.
 
     Args:
         graph: the graph to fragment and query.
@@ -71,19 +68,16 @@ def speedup_curve(
             (e.g. ``lambda n: CenterBasedFragmenter(n, center_selection="distributed")``).
         fragment_counts: the x-axis of the curve.
         queries: the query workload evaluated at every point.
-        semiring: the path problem (defaults to shortest paths).
 
     Every point is priced by a :class:`ParallelSimulator` with the default
     :class:`~repro.parallel.cost_model.CostModel`.
     """
-    semiring = semiring or shortest_path_semiring()
     graph_diameter = hop_diameter(graph)
     points: List[SpeedupPoint] = []
     for count in fragment_counts:
         fragmenter = fragmenter_factory(count)
         fragmentation = fragmenter.fragment(graph)
-        simulator = ParallelSimulator(fragmentation, semiring=semiring)
-        workload = simulator.simulate_workload(queries)
+        workload = ParallelSimulator(fragmentation).simulate_workload(queries)
         diameters = fragment_diameters(fragmentation)
         points.append(
             SpeedupPoint(
@@ -102,19 +96,15 @@ def compare_fragmenters(
     graph: DiGraph,
     fragmenters: Dict[str, Fragmenter],
     queries: Sequence[PathQuery],
-    *,
-    semiring: Optional[Semiring] = None,
 ) -> Dict[str, WorkloadSimulation]:
-    """Simulate the same workload under several fragmentations and return per-name results.
+    """Simulate the same shortest-path workload under several fragmentations; results by name.
 
     This is the experiment the paper defers to its PRISMA follow-up work
     ("experiments will show which of the characteristics ... is of main
     importance"): the query-cost consequences of the fragmentation choice.
     """
-    semiring = semiring or shortest_path_semiring()
     results: Dict[str, WorkloadSimulation] = {}
     for name, fragmenter in fragmenters.items():
-        fragmentation = fragmenter.fragment(graph)
-        simulator = ParallelSimulator(fragmentation, semiring=semiring)
+        simulator = ParallelSimulator(fragmenter.fragment(graph))
         results[name] = simulator.simulate_workload(queries, include_centralized_baseline=True)
     return results

@@ -122,12 +122,9 @@ class RebalanceAdvisor:
         dispatch_counts: Mapping[int, float],
         *,
         delta_log: Optional[DeltaLog] = None,
-        query_log: Optional[QueryLog] = None,
     ) -> float:
-        """Return the plan's max/mean owner-load skew under the load model."""
-        return plan.skew(
-            self.fragment_loads(plan, dispatch_counts, delta_log=delta_log, query_log=query_log)
-        )
+        """Return the plan's max/mean owner-load skew under the load model, without the query log."""
+        return plan.skew(self.fragment_loads(plan, dispatch_counts, delta_log=delta_log))
 
     # ---------------------------------------------------------- recommending
 

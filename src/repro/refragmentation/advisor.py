@@ -361,21 +361,20 @@ class RefragmentationAdvisor:
         self,
         fragmentation: Fragmentation,
         *,
-        fragment_count: Optional[int] = None,
         current_signals: Optional[LayoutSignals] = None,
     ) -> RefragmentationAdvice:
         """Compute a concrete candidate layout and judge whether it helps.
 
-        The candidate is produced over the live graph with the pluggable
-        fragmenter factory (default: the structural fragmentation advisor),
-        measured with the same signals as the deployed layout, and marked
-        ``worthwhile`` only when it shrinks the border-node count past the
-        minimum-gain bar.  ``current_signals`` reuses an assessment's
-        already-computed measurement of the deployed layout instead of
-        re-measuring it.
+        The candidate keeps the deployed fragment count.  It is produced
+        over the live graph with the pluggable fragmenter factory (default:
+        the structural fragmentation advisor), measured with the same
+        signals as the deployed layout, and marked ``worthwhile`` only when
+        it shrinks the border-node count past the minimum-gain bar.
+        ``current_signals`` reuses an assessment's already-computed
+        measurement of the deployed layout instead of re-measuring it.
         """
         graph = fragmentation.graph
-        count = fragment_count or fragmentation.fragment_count()
+        count = fragmentation.fragment_count()
         if self._fragmenter_factory is not None:
             fragmenter = self._fragmenter_factory(graph, count)
         else:

@@ -13,7 +13,8 @@ touching untouched fragments keep serving from cache.  Whole-catalog events
 every entry at once.
 
 The implementation is a plain ``OrderedDict`` LRU — no external dependencies,
-O(1) get/put — with hit/miss/eviction counters the service statistics expose.
+O(1) get/put — counting hits, misses, evictions and invalidations in a
+metrics registry.
 """
 
 from __future__ import annotations
@@ -84,42 +85,27 @@ class LRUCache:
     Args:
         capacity: maximum number of entries kept; the least recently used
             entry is evicted when a put exceeds it.  Must be positive.
-        registry: optional metrics registry to mirror the counters into
-            (``repro_result_cache_events_total{event=...}`` plus a resident
-            entry-count gauge).  The plain int attributes remain the
-            in-process source of truth; the registry view exists for export
-            and is reset on a registry-wide epoch without touching them.
+        registry: the metrics registry that counts the cache's events
+            (``repro_result_cache_events_total{event=...}``) and holds a
+            resident entry-count gauge.
     """
 
-    def __init__(self, capacity: int = 1024, *, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, capacity: int = 1024, *, registry: MetricsRegistry) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[Key, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self._events = (
-            registry.counter(
-                CACHE_EVENTS_COUNTER,
-                "Result-cache events by kind (hit, miss, eviction, invalidation).",
-                labelnames=("event",),
-            )
-            if registry is not None
-            else None
+        self._events = registry.counter(
+            CACHE_EVENTS_COUNTER,
+            "Result-cache events by kind (hit, miss, eviction, invalidation).",
+            labelnames=("event",),
         )
-        self._size_gauge = (
-            registry.gauge(CACHE_SIZE_GAUGE, "Entries resident in the result cache.")
-            if registry is not None
-            else None
-        )
+        self._size_gauge = registry.gauge(CACHE_SIZE_GAUGE, "Entries resident in the result cache.")
 
     def _observe(self, event: str, amount: int = 1) -> None:
-        if self._events is not None and amount:
+        if amount:
             self._events.inc(amount, event=event)
-        if self._size_gauge is not None:
-            self._size_gauge.set(len(self._entries))
+        self._size_gauge.set(len(self._entries))
 
     # -------------------------------------------------------------- protocol
 
@@ -142,10 +128,8 @@ class LRUCache:
     def get(self, key: Key) -> Optional[object]:
         """Return the cached value for ``key`` (refreshing it) or ``None``."""
         if key not in self._entries:
-            self.misses += 1
             self._observe("miss")
             return None
-        self.hits += 1
         self._observe("hit")
         self._entries.move_to_end(key)
         return self._entries[key]
@@ -157,7 +141,6 @@ class LRUCache:
         self._entries[key] = value
         if len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
             self._observe("eviction")
         else:
             self._observe("stored", 0)
@@ -166,7 +149,6 @@ class LRUCache:
         """Drop every entry; returns how many were dropped."""
         dropped = len(self._entries)
         self._entries.clear()
-        self.invalidations += dropped
         self._observe("invalidation", dropped)
         return dropped
 
@@ -178,7 +160,6 @@ class LRUCache:
         """
         if key in self._entries:
             del self._entries[key]
-            self.invalidations += 1
             self._observe("invalidation")
             return True
         return False
@@ -193,6 +174,5 @@ class LRUCache:
         stale = [key for key, value in self._entries.items() if is_stale(key, value)]
         for key in stale:
             del self._entries[key]
-        self.invalidations += len(stale)
         self._observe("invalidation", len(stale))
         return len(stale)

@@ -736,16 +736,15 @@ class QueryService:
         self,
         fragmenter: Optional[Union[str, Fragmenter]] = None,
         *,
-        fragment_count: Optional[int] = None,
         advisor: Optional[RefragmentationAdvisor] = None,
     ) -> Optional[RefragmentResult]:
         """Redraw the fragment boundaries over the live graph, in place.
 
         ``fragmenter`` may be a configured
         :class:`~repro.fragmentation.Fragmenter`, an algorithm name
-        (``"auto"``, ``"bond-energy"``, ``"linear"``, ...) or ``None`` — the
-        default asks the (given or installed) refragmentation advisor for a
-        recommended layout.  With a live engine and a standard semiring the
+        (``"auto"``, ``"bond-energy"``, ``"linear"``, ..., drawn with the
+        deployed fragment count) or ``None`` — the default asks the (given
+        or installed) refragmentation advisor for a recommended layout.  With a live engine and a standard semiring the
         redraw is scoped: fragment ids are aligned so surviving fragments
         keep their sites, only changed fragments are rebuilt and re-pinned,
         the pool keeps its workers (unchanged fragments stay pinned on
@@ -764,9 +763,7 @@ class QueryService:
             if fragmenter is None:
                 chooser = advisor or self._refragment_advisor or RefragmentationAdvisor()
                 with self._tracer.span("recommend"):
-                    advice = chooser.recommend(
-                        database.fragmentation(), fragment_count=fragment_count
-                    )
+                    advice = chooser.recommend(database.fragmentation())
                 if not advice.worthwhile:
                     # The advisor's contract: a redraw is a measured improvement.
                     # A candidate that does not shrink the border set is not
@@ -776,7 +773,7 @@ class QueryService:
                 root.set("outcome", "applied")
                 return self._apply_advice(advice)
             if isinstance(fragmenter, str):
-                count = fragment_count or database.fragmentation().fragment_count()
+                count = database.fragmentation().fragment_count()
                 chosen: Fragmenter = fragmenter_for(fragmenter, count, graph=database.graph)
             else:
                 chosen = fragmenter
@@ -884,8 +881,8 @@ class QueryService:
             self._stats.migrations += 1
         return moved
 
-    def rebalance(self, *, advisor: Optional[RebalanceAdvisor] = None) -> List[Migration]:
-        """Ask the advisor for migrations against the observed load, and apply them.
+    def rebalance(self) -> List[Migration]:
+        """Ask a :class:`RebalanceAdvisor` for migrations against the observed load, and apply them.
 
         The advisor folds the per-fragment dispatch counts
         (``stats.per_site_load``) with the delta log's re-pin locality, and
@@ -897,8 +894,7 @@ class QueryService:
             PlacementError: when the service evaluates in-process.
         """
         pool = self._require_pool()
-        advisor = advisor or RebalanceAdvisor()
-        migrations = advisor.recommend(
+        migrations = RebalanceAdvisor().recommend(
             pool.plan,
             dict(self._stats.per_site_load),
             delta_log=self._database.delta_log,

@@ -17,10 +17,8 @@ registry holds what a counter bag cannot express: the
 ``cached`` vs ``evaluated`` series, so a hit-rate change cannot distort the
 evaluated mean) with :meth:`latency_quantiles` p50/p90/p99 estimation.
 
-:meth:`ServiceStatistics.as_dict` / :meth:`ServiceStatistics.from_dict`
-round-trip the raw counters (snapshot checkpointing), and
-:meth:`ServiceStatistics.reset` clears them in place — the serve loop's
-counter checkpoint/clear, without poking fields.
+:meth:`ServiceStatistics.as_dict` reports the raw counters and the
+figures derived from them.
 """
 
 from __future__ import annotations
@@ -90,17 +88,6 @@ TRANSIT_LOOKUPS_COUNTER = "repro_transit_lookups_total"
 BORDER_ROW_LOOKUPS_COUNTER = "repro_border_row_lookups_total"
 UPDATE_FALLBACKS_COUNTER = "repro_update_fallbacks_total"
 UPDATE_FALLBACK_STAGES = ("begin", "complete", "unsupported")
-
-# as_dict keys that are derived (recomputed on read) and ignored by from_dict.
-_DERIVED_KEYS = frozenset(
-    {
-        "hit_rate",
-        "dispatch_skew",
-        "average_latency",
-        "average_cached_latency",
-        "average_evaluated_latency",
-    }
-)
 
 
 def border_row_lookups_counter(registry: MetricsRegistry) -> Counter:
@@ -289,7 +276,7 @@ class ServiceStatistics:
             metric.set(float(value))  # type: ignore[union-attr, arg-type]
         else:
             # Counters arrive as absolute values (the += idiom reads first);
-            # set_value keeps the view exact, including from_dict restores.
+            # set_value keeps the view exact.
             metric.set_value(float(value))  # type: ignore[union-attr, arg-type]
 
     @property
@@ -445,12 +432,7 @@ class ServiceStatistics:
         return max(self.per_owner_dispatch.values()) / mean if mean else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Return the counters as a flat dictionary (for reporting).
-
-        Raw counters round-trip through :meth:`from_dict`; the derived
-        figures (``hit_rate``, ``dispatch_skew``, the averages) are
-        recomputed on restore and ignored by ``from_dict``.
-        """
+        """Return the counters, and the figures derived from them, as a flat dictionary."""
         return {
             "queries": self.queries,
             "batches": self.batches,
@@ -498,54 +480,6 @@ class ServiceStatistics:
             "max_cached_latency": self.max_cached_latency,
             "max_evaluated_latency": self.max_evaluated_latency,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ServiceStatistics":
-        """Rebuild statistics from an :meth:`as_dict` snapshot, in a fresh registry.
-
-        Derived keys (``hit_rate``, the averages, ``dispatch_skew``) are
-        ignored — they recompute from the restored raw counters — as are
-        unknown keys, so snapshots survive future counter additions.  Dict
-        keys arriving as strings (a JSON round trip) are coerced back to
-        int.  The latency *distribution* is not part of the flat snapshot:
-        the histogram restarts empty; only its totals are restored.
-        """
-        stats = cls()
-        for field in list(_INT_COUNTERS) + list(_FLOAT_COUNTERS) + list(_GAUGES):
-            if field in data and field not in _DERIVED_KEYS:
-                setattr(stats, field, data[field])
-        lookups = data.get("transit_lookups")
-        if isinstance(lookups, Mapping):
-            stats.record_transit_lookups(
-                hits=int(lookups.get("hit", 0)), misses=int(lookups.get("miss", 0))
-            )
-        lookups = data.get("border_row_lookups")
-        if isinstance(lookups, Mapping):
-            stats.record_border_row_lookups(
-                reads=int(lookups.get("read", 0)), fills=int(lookups.get("fill", 0))
-            )
-        fallbacks = data.get("update_fallbacks")
-        if isinstance(fallbacks, Mapping):
-            for stage in UPDATE_FALLBACK_STAGES:
-                stats.record_update_fallback(stage, int(fallbacks.get(stage, 0)))
-        for field in ("per_site_load", "per_owner_dispatch"):
-            mapping = data.get(field)
-            if isinstance(mapping, Mapping):
-                view = getattr(stats, field)
-                for key, value in mapping.items():
-                    view[int(key)] = int(value)  # type: ignore[call-overload]
-        return stats
-
-    def reset(self) -> None:
-        """Zero every counter, gauge, series, and histogram in the registry.
-
-        The serve loop's checkpoint/clear: snapshot :meth:`as_dict` first if
-        the window matters.  Resets the *whole* backing registry — including
-        metrics other components registered on it (cache counters, worker
-        kernel series); a reset is a registry-wide epoch, not a per-field
-        poke.
-        """
-        self._registry.reset()
 
     def __repr__(self) -> str:
         return f"ServiceStatistics({self.as_dict()!r})"

@@ -178,11 +178,9 @@ class AdmissionController:
 
     # ------------------------------------------------------------ transitions
 
-    def admit(
-        self, client: str, *, cost: Optional[float] = None, now: Optional[float] = None
-    ) -> AdmissionDecision:
+    def admit(self, client: str, *, cost: Optional[float] = None) -> AdmissionDecision:
         """Decide one request: take a slot, take a queue spot, or reject."""
-        now = self._clock() if now is None else now
+        now = self._clock()
         cost = LIGHT_COST if cost is None else cost
         account = self._account(client, now)
         account.last_seen = now

@@ -33,7 +33,7 @@ def table2_result() -> ExperimentResult:
 @pytest.fixture(scope="module")
 def table3_result() -> ExperimentResult:
     config = RandomGraphConfig(node_count=60, c1=3200.0, c2=0.08)
-    return run_table3(trials=2, seed=0, config=config, fragment_count=3)
+    return run_table3(trials=2, seed=0, config=config)
 
 
 class TestTable1:

@@ -147,8 +147,3 @@ class TestNodeBlockFragmentation:
         graph = two_cluster_dumbbell(3)
         with pytest.raises(FragmentationError):
             fragmentation_from_node_blocks(graph, [{0, 1, 2}])
-
-    def test_metadata_records_blocks(self):
-        graph = two_cluster_dumbbell(3)
-        fragmentation = fragmentation_from_node_blocks(graph, [{0, 1, 2}, {3, 4, 5}])
-        assert "node_blocks" in fragmentation.metadata

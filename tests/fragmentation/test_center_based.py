@@ -74,10 +74,9 @@ class TestBasicBehaviour:
         fragmentation = CenterBasedFragmenter(2).fragment(graph)
         fragmentation.validate()
 
-    def test_metadata_records_centers(self):
+    def test_selects_one_center_per_fragment(self):
         graph = grid_graph(4, 4)
-        fragmentation = CenterBasedFragmenter(2, center_selection="distributed").fragment(graph)
-        centers = fragmentation.metadata["centers"]
+        centers = CenterBasedFragmenter(2, center_selection="distributed").select_centers(graph, 2)
         assert len(centers) == 2
         assert all(graph.has_node(center) for center in centers)
 
@@ -93,7 +92,7 @@ class TestVariants:
         graph = grid_graph(5, 5)
         first = CenterBasedFragmenter(3, center_selection="random", seed=7).fragment(graph)
         second = CenterBasedFragmenter(3, center_selection="random", seed=7).fragment(graph)
-        assert first.metadata["centers"] == second.metadata["centers"]
+        assert first.fragments == second.fragments
 
     def test_distributed_selection_without_coordinates_falls_back(self):
         graph = DiGraph()
@@ -105,7 +104,6 @@ class TestVariants:
 
     def test_distributed_centers_are_far_apart_on_dumbbell(self):
         graph = two_cluster_dumbbell(6, bridge_nodes=1)
-        fragmentation = CenterBasedFragmenter(2, center_selection="distributed").fragment(graph)
-        centers = fragmentation.metadata["centers"]
+        centers = CenterBasedFragmenter(2, center_selection="distributed").select_centers(graph, 2)
         sides = {0 if center < 6 else 1 for center in centers}
         assert sides == {0, 1}

@@ -110,8 +110,3 @@ class TestStartNodesAndSweeps:
         ds_along = characterize(along, include_diameter=False).average_disconnection_set_size
         ds_across = characterize(across, include_diameter=False).average_disconnection_set_size
         assert ds_along <= ds_across
-
-    def test_metadata_records_sweep_and_boundaries(self):
-        fragmentation = LinearFragmenter(2).fragment(grid_graph(4, 6))
-        assert fragmentation.metadata["sweep"] == "left_to_right"
-        assert "boundary_sets" in fragmentation.metadata

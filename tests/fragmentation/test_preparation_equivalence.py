@@ -165,7 +165,8 @@ class TestCenterBasedLayout:
         fragmenter = CenterBasedFragmenter(4, center_selection=center_selection, seed=7)
         fragmentation = fragmenter.fragment(graph)
         centers, layout = center_based_layout_by_rescan(fragmenter, graph)
-        assert fragmentation.metadata["centers"] == centers
+        center_count = min(fragmenter.fragment_count, graph.node_count())
+        assert fragmenter.select_centers(graph, center_count) == centers
         assert [set(fragment.edges) for fragment in fragmentation.fragments] == layout
         fragmentation.validate()
 
@@ -186,5 +187,6 @@ class TestCenterBasedLayout:
         fragmenter = CenterBasedFragmenter(count, center_selection=center_selection, seed=seed)
         fragmentation = fragmenter.fragment(graph)
         centers, layout = center_based_layout_by_rescan(fragmenter, graph)
-        assert fragmentation.metadata["centers"] == centers
+        center_count = min(fragmenter.fragment_count, graph.node_count())
+        assert fragmenter.select_centers(graph, center_count) == centers
         assert [set(fragment.edges) for fragment in fragmentation.fragments] == layout

@@ -1,7 +1,7 @@
 """Bulk ``DiGraph`` derivations and CSR builds against the per-edge loops.
 
-``DiGraph(edges, nodes=, coordinates=)``, ``copy``, ``subgraph``,
-``edge_subgraph`` and ``reversed`` fill adjacency rows directly, and
+``DiGraph(edges, nodes=, coordinates=)``, ``copy``, ``subgraph`` and
+``edge_subgraph`` fill adjacency rows directly, and
 ``CompactGraph.from_digraph`` reads them directly.  Row order is observable
 (``neighbors()`` order feeds the center scores' float sums, CSR order feeds
 every kernel), so each is compared with its loop in
@@ -92,13 +92,10 @@ def assert_shares_no_row(derived: DiGraph, source: DiGraph) -> None:
 
 @SETTINGS
 @given(graphs())
-def test_copy_and_reversed_match_the_per_edge_loops(graph):
-    for bulk, loop in (
-        (graph.copy(), oracles.copy_by_edges(graph)),
-        (graph.reversed(), oracles.reversed_by_edges(graph)),
-    ):
-        assert layout(bulk) == layout(loop)
-        assert_shares_no_row(bulk, graph)
+def test_copy_matches_the_per_edge_loop(graph):
+    copy = graph.copy()
+    assert layout(copy) == layout(oracles.copy_by_edges(graph))
+    assert_shares_no_row(copy, graph)
 
 
 @SETTINGS

@@ -150,12 +150,6 @@ class TestCoordinatesAndDerivations:
         assert sub.edges() == [("b", "c")]
         assert sub.edge_weight("b", "c") == 3.0
 
-    def test_reversed(self):
-        graph = DiGraph([("a", "b", 2.0)])
-        rev = graph.reversed()
-        assert rev.has_edge("b", "a")
-        assert not rev.has_edge("a", "b")
-
     def test_equality_ignores_insertion_order(self):
         left = DiGraph([("a", "b", 1.0), ("b", "c", 2.0)])
         right = DiGraph([("b", "c", 2.0), ("a", "b", 1.0)])

@@ -77,14 +77,3 @@ def edge_subgraph_by_edges(graph: DiGraph, edges: Iterable[Edge]) -> DiGraph:
         if point is not None:
             sub.set_coordinate(node, point)
     return sub
-
-
-def reversed_by_edges(graph: DiGraph) -> DiGraph:
-    rev = DiGraph()
-    for node in graph.nodes():
-        rev.add_node(node)
-    for source, target, weight in graph.weighted_edges():
-        rev.add_edge(target, source, weight)
-    for node, point in graph.coordinates().items():
-        rev.set_coordinate(node, point)
-    return rev

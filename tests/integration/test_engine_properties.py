@@ -8,9 +8,9 @@ flagged (``PlanTruncatedError``) when more chains connect the endpoints than
 the planner enumerates; it is never a plain wrong value.
 
 Every drawn pair is asked of all four callers of the query core — the
-engine, ``QueryService.query``, ``QueryService.query_batch`` and the
-hierarchical engine — and they must agree on value, chain and error.  The
-hierarchical engine plans a pair whose fragments are not adjacent over its
+engine, ``QueryService.query``, ``QueryService.query_batch`` and, for
+shortest paths, the hierarchical engine — and they must agree on value,
+chain and error.  The hierarchical engine plans a pair whose fragments are not adjacent over its
 backbone instead: three fragments whatever the layout, so it answers (the
 oracle's value) where the chain planner flags a cut plan.  A shortest-path
 pair is also asked of ``engine.route``: the same cost, chain and error as
@@ -87,19 +87,19 @@ def ask_every_caller(fragmentation, source, target, semiring=None):
     service = QueryService(
         fragmentation, semiring=semiring, complementary=engine.catalog.complementary
     )
-    hierarchical = HierarchicalEngine(fragmentation, semiring=semiring)
+    callers = [("engine", engine.query), ("service.query", service.query)]
+    shortest_path = engine.semiring.name == "shortest_path"
+    if shortest_path:
+        hierarchical = HierarchicalEngine(fragmentation)
+        callers.append(("hierarchical", hierarchical.query))
     outcomes = {}
-    for name, ask in (
-        ("engine", engine.query),
-        ("service.query", service.query),
-        ("hierarchical", hierarchical.query),
-    ):
+    for name, ask in callers:
         try:
             answer = ask(source, target)
             outcomes[name] = (answer.value, answer.chain, None)
         except DisconnectionSetError as error:
             outcomes[name] = (None, None, error)
-    if engine.semiring.name == "shortest_path":
+    if shortest_path:
         try:
             outcomes["engine.route"] = engine.route(source, target)
         except (DisconnectionSetError, DisconnectedError) as error:
@@ -107,10 +107,12 @@ def ask_every_caller(fragmentation, source, target, semiring=None):
     service.cache.clear()
     (answer,) = service.query_batch([(source, target)])
     outcomes["service.query_batch"] = (answer.value, answer.chain, answer.error)
-    try:
-        backbone = -1 in hierarchical.plan(source, target).chains[0].chain
-    except DisconnectionSetError:
-        backbone = False
+    backbone = False
+    if shortest_path:
+        try:
+            backbone = -1 in hierarchical.plan(source, target).chains[0].chain
+        except DisconnectionSetError:
+            pass
     return outcomes, backbone
 
 
@@ -142,6 +144,8 @@ def assert_callers_agree(outcomes, backbone, expected):
     assert outcomes["service.query"][:2] == (value, chain)
     assert type(outcomes["service.query"][2]) is type(error)
     assert outcomes["service.query_batch"] == (value, chain, message)
+    if "hierarchical" not in outcomes:
+        return
     hierarchical_value, hierarchical_chain, hierarchical_error = outcomes["hierarchical"]
     if not backbone:
         assert (hierarchical_value, hierarchical_chain) == (value, chain)

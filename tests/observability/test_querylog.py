@@ -6,10 +6,8 @@ from repro.observability import DEFAULT_SLOW_THRESHOLD_SECONDS, QueryLog, QueryL
 
 
 def push(log, source, target, **fields):
-    """Record one entry with convenient defaults."""
-    entry = QueryLogEntry(source, target, "shortest_path", **fields)
-    log.record(entry)
-    return entry
+    """Record one shortest-path entry with convenient defaults."""
+    log.push(source, target, "shortest_path", **fields)
 
 
 class TestBoundingAndEviction:
@@ -18,7 +16,7 @@ class TestBoundingAndEviction:
         for index in range(5):
             push(log, index, index + 1)
         assert len(log) == 3
-        assert [entry.source for entry in log.entries()] == [2, 3, 4]
+        assert [entry.source for entry in log.recent(5)] == [4, 3, 2]
         assert log.recorded == 5  # the counter keeps the total
 
     def test_recent_returns_newest_first(self):
@@ -110,33 +108,12 @@ class TestWorkloadSignals:
 
 
 class TestEntryRoundTrip:
-    def test_push_and_record_agree(self):
-        via_record = QueryLog()
-        via_push = QueryLog()
-        entry = QueryLogEntry(
-            "a",
-            "b",
-            "shortest_path",
-            fragments=(1, 2),
-            latency=0.02,
-            cached=True,
-            batched=True,
-            trace_id="t-1",
-            error=None,
-            timestamp=123.0,
-        )
-        via_record.record(entry)
-        via_push.push(
-            "a", "b", "shortest_path", (1, 2), 0.02, True, True, "t-1", None, 123.0
-        )
-        assert via_record.entries()[0].as_dict() == via_push.entries()[0].as_dict()
-
     def test_entry_dict_is_json_shaped(self):
         import json
 
         log = QueryLog()
         push(log, 0, 1, fragments=(0,), latency=0.01, trace_id="t-1")
-        [payload] = [entry.as_dict() for entry in log.entries()]
+        [payload] = [entry.as_dict() for entry in log.recent()]
         json.dumps(payload)
         assert payload["source"] == 0
         assert payload["fragments"] == [0]

@@ -1,8 +1,8 @@
 """Tracer: span parenting, trace identity, remote spans, toggling, bounding."""
 
-import pytest
+from repro.observability import NULL_SPAN, TraceContext, Tracer, tracing
 
-from repro.observability import NULL_SPAN, TraceContext, Tracer
+from tests.tracing_helpers import spans_named
 
 
 class TestSpanParenting:
@@ -60,7 +60,7 @@ class TestRemoteAndAttachedSpans:
         assert attached.duration == 0.25
         assert attached.attributes["fragment"] == 3
         assert not attached.remote
-        assert trace.find("kernel") == [attached]
+        assert spans_named(trace, "kernel") == [attached]
 
     def test_remote_span_under_explicit_parent(self):
         tracer = Tracer()
@@ -70,7 +70,7 @@ class TestRemoteAndAttachedSpans:
         assert worker.remote and kernel.remote
         assert kernel.parent_id == worker.span_id
         [trace] = tracer.recent(1)
-        assert trace.find("kernel") == [kernel]
+        assert spans_named(trace, "kernel") == [kernel]
 
     def test_attach_outside_any_trace_returns_none(self):
         tracer = Tracer()
@@ -109,8 +109,9 @@ class TestToggling:
 
 
 class TestBoundedRing:
-    def test_oldest_traces_are_evicted(self):
-        tracer = Tracer(capacity=3)
+    def test_oldest_traces_are_evicted(self, monkeypatch):
+        monkeypatch.setattr(tracing, "TRACE_CAPACITY", 3)
+        tracer = Tracer()
         for index in range(5):
             with tracer.span(f"call_{index}"):
                 pass
@@ -123,23 +124,12 @@ class TestBoundedRing:
         assert tracer.traces_finished == 5
         assert tracer.traces_dropped == 2
 
-    def test_find_by_trace_id(self):
-        tracer = Tracer()
-        with tracer.span("wanted") as span:
-            pass
-        assert tracer.find(span.trace_id).root_name == "wanted"
-        assert tracer.find("no-such-trace") is None
-
     def test_clear_drops_retained_traces(self):
         tracer = Tracer()
         with tracer.span("a"):
             pass
         assert tracer.clear() == 1
         assert tracer.recent() == []
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
 
 
 class TestTraceContext:
@@ -222,8 +212,8 @@ class TestRequestSpanPropagation:
             "serving_quantum",
             "kernel",
         ]
-        request_span = merged.find("request")[0]
-        quanta = merged.find("serving_quantum")
+        request_span = spans_named(merged, "request")[0]
+        quanta = spans_named(merged, "serving_quantum")
         assert all(span.parent_id == request_span.span_id for span in quanta)
         # Suspension gaps are excluded: only the request root is top-level.
         assert merged.duration == request_span.duration

@@ -6,6 +6,14 @@ from repro.exceptions import SchedulingError
 from repro.parallel import assign_fragments, one_processor_per_fragment
 
 
+def processor_loads(assignment, costs):
+    """The summed fragment cost on each processor."""
+    loads = [0.0] * assignment.processor_count
+    for fragment_id, processor in assignment.processor_of.items():
+        loads[processor] += costs[fragment_id]
+    return loads
+
+
 class TestAssignment:
     def test_round_robin(self):
         assignment = assign_fragments({0: 5.0, 1: 1.0, 2: 3.0, 3: 2.0}, 2, policy="round_robin")
@@ -17,13 +25,13 @@ class TestAssignment:
     def test_lpt_balances_loads(self):
         costs = {0: 10.0, 1: 9.0, 2: 2.0, 3: 1.0}
         assignment = assign_fragments(costs, 2, policy="lpt")
-        loads = assignment.processor_loads(costs)
+        loads = processor_loads(assignment, costs)
         assert max(loads) <= 12.0  # LPT puts 10+2 or 10+1 together, never 10+9
 
     def test_lpt_beats_or_ties_round_robin_makespan(self):
         costs = {0: 8.0, 1: 7.0, 2: 6.0, 3: 1.0, 4: 1.0, 5: 1.0}
-        lpt = max(assign_fragments(costs, 3, policy="lpt").processor_loads(costs))
-        rr = max(assign_fragments(costs, 3, policy="round_robin").processor_loads(costs))
+        lpt = max(processor_loads(assign_fragments(costs, 3, policy="lpt"), costs))
+        rr = max(processor_loads(assign_fragments(costs, 3, policy="round_robin"), costs))
         assert lpt <= rr
 
     def test_invalid_processor_count(self):
@@ -43,7 +51,3 @@ class TestAssignment:
         assignment = one_processor_per_fragment([3, 1, 2])
         assert assignment.processor_count == 3
         assert assignment.processor_of == {1: 0, 2: 1, 3: 2}
-
-    def test_loads_with_missing_costs_default_to_zero(self):
-        assignment = one_processor_per_fragment([0, 1])
-        assert assignment.processor_loads({0: 4.0}) == [4.0, 0.0]

@@ -7,6 +7,7 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.graph import DiGraph
 from repro.incremental import VersionVector
+from repro.observability import MetricsRegistry
 from repro.service import CachedAnswer, CacheKey, LRUCache, QueryService
 
 
@@ -101,7 +102,7 @@ class TestTypedCacheKey:
         assert not entry.depends_on({0})
 
     def test_evict_where_and_discard(self):
-        cache = LRUCache(8)
+        cache = LRUCache(8, registry=MetricsRegistry())
         key_a = CacheKey("a", "b", "shortest_path", "v")
         key_b = CacheKey("b", "c", "shortest_path", "v")
         cache.put(key_a, CachedAnswer(1.0, (0,), fragment_versions=((0, 1),)))

@@ -158,7 +158,7 @@ class TestLiveRefragmentUnderPlacedPool:
         fragmentation = GroundTruthFragmenter([set(b) for b in node_blocks]).fragment(graph)
         plan = PlacementPlan(owner_of={0: 0, 1: 1, 2: 0}, worker_count=2)
         with QueryService(fragmentation, placement=plan) as service:
-            assert service.refragment("hash", fragment_count=4) is None
+            assert service.refragment(HashFragmenter(4)) is None
             remapped = service.placement_plan
             assert sorted(remapped.owner_of) == [0, 1, 2, 3]
             assert remapped.owner_of[0] == 0 and remapped.owner_of[1] == 1

@@ -9,6 +9,7 @@ from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
 from repro.service import QueryService
 
+from tests.service.test_cache import cache_events
 from tests.transit_layouts import grid_layout, ring_layout
 
 
@@ -37,7 +38,7 @@ class TestQuery:
         assert second.chain == first.chain
         assert service.stats.cache_hits == 1
         # The cache hit did no local work: the evaluation count is unchanged.
-        assert service.stats.local_evaluations == service.cache.misses + 1
+        assert service.stats.local_evaluations == cache_events(service.registry, "miss") + 1
 
     def test_same_node_query_is_trivial(self, service):
         answer = service.query(3, 3)
@@ -162,7 +163,7 @@ class TestCacheBounds:
         service.query(1, 7)
         service.query(2, 7)
         assert len(service.cache) == 2
-        assert service.cache.evictions == 1
+        assert cache_events(service.registry, "eviction") == 1
         # The evicted (0, 7) answer is recomputed, not served stale.
         answer = service.query(0, 7)
         assert not answer.cached
@@ -205,7 +206,7 @@ class TestFailedPairAccounting:
         assert service.stats.cache_misses == 0
         assert service.stats.evaluated_latency == 0.0
         assert set(service.stats.latency_quantiles("evaluated").values()) == {0.0}
-        (entry,) = service.query_log.entries()
+        (entry,) = service.query_log.recent()
         assert entry.target == "nowhere" and not entry.cached
         assert "not stored in any fragment" in entry.error
 

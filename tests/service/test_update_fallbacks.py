@@ -12,7 +12,7 @@ from repro.disconnection.maintenance import UpdateEvent
 from repro.fragmentation import GroundTruthFragmenter
 from repro.graph import DiGraph
 from repro.incremental.maintainer import IncrementalMaintainer
-from repro.service import QueryService, ServiceStatistics
+from repro.service import QueryService
 
 from tests.transit_layouts import interior, ring_layout
 
@@ -101,8 +101,6 @@ class TestService:
         exposition = service.metrics("prometheus")
         assert 'repro_update_fallbacks_total{stage="complete"} 1' in exposition
         assert 'repro_update_fallbacks_total{stage="unsupported"} 1' in exposition
-        restored = ServiceStatistics.from_dict(service.stats.as_dict())
-        assert restored.update_fallbacks() == expected
         assert service.query("a", "b").value == 4.0
 
     def test_the_repair_report_carries_its_decision_inputs(self):

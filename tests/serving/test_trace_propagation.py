@@ -25,6 +25,7 @@ from tests.serving.test_server import (
     tiny_config,
     uninterrupted_rows,
 )
+from tests.tracing_helpers import spans_named
 
 
 async def drain_call(client, **payload):
@@ -78,13 +79,13 @@ class TestPointQueryPropagation:
             merged = service.tracer.assemble(response["trace"])
             assert merged is not None
             assert merged.root_name == "request"
-            [root] = merged.find("request")
+            [root] = spans_named(merged, "request")
             assert root.attributes["op"] == "query"
-            [wait] = merged.find("admission_wait")
+            [wait] = spans_named(merged, "admission_wait")
             assert wait.parent_id == root.span_id
             # The service-side query span nests under the request root, so
             # the whole evaluation shares the client's trace id.
-            [query_span] = merged.find("query")
+            [query_span] = spans_named(merged, "query")
             assert query_span.trace_id == merged.trace_id
 
         asyncio.run(scenario())
@@ -100,7 +101,7 @@ class TestPointQueryPropagation:
                     )
             assert response["trace"] == "ab" * 16
             merged = service.tracer.assemble("ab" * 16)
-            [root] = merged.find("request")
+            [root] = spans_named(merged, "request")
             # The client's wire span id parents the server-side root; it
             # matches no local span, so the root stays top-level.
             assert root.parent_id == "cd" * 8
@@ -178,7 +179,7 @@ class TestClosurePropagation:
         # One request-root segment per call, chained: the opener is the only
         # top-level span and each resume's root parents under the segment
         # that suspended it (the context rides the pickled saved state).
-        requests = merged.find("request")
+        requests = spans_named(merged, "request")
         assert len(requests) == calls
         assert requests[0].parent_id is None
         for previous, current in zip(requests, requests[1:]):
@@ -188,8 +189,8 @@ class TestClosurePropagation:
 
         # Each call paid admission and ran exactly one quantum
         # (quanta_per_call=1); every quantum parents under its call's root.
-        assert len(merged.find("admission_wait")) == calls
-        quanta = merged.find("serving_quantum")
+        assert len(spans_named(merged, "admission_wait")) == calls
+        quanta = spans_named(merged, "serving_quantum")
         assert len(quanta) == calls
         request_ids = {span.span_id for span in requests}
         assert all(span.parent_id in request_ids for span in quanta)
@@ -212,7 +213,7 @@ class TestClosurePropagation:
         rows, traces, calls = self._run_closure(service, traceparent=header)
         assert set(traces) == {"12" * 16}
         merged = service.tracer.assemble("12" * 16)
-        requests = merged.find("request")
+        requests = spans_named(merged, "request")
         assert len(requests) == calls
         # The opener parents under the client's wire span (top-level in the
         # merged view); the resumes chain locally as usual.
@@ -253,7 +254,7 @@ class TestClosurePropagation:
         service, rows, trace, calls = asyncio.run(scenario())
         assert rows == uninterrupted_rows(service)
         merged = service.tracer.assemble(trace)
-        requests = merged.find("request")
+        requests = spans_named(merged, "request")
         assert len(requests) == calls
         assert [span for span in merged.spans if span.parent_id is None] == [
             requests[0]
@@ -286,7 +287,7 @@ class TestPlacedPoolPropagation:
                 # the workers' echo on every remote evaluate span.
                 ran_tasks = service._pool.last_task_workers
                 assert ran_tasks, "the batch must have dispatched routed tasks"
-                worker_spans = merged.find("worker_evaluate")
+                worker_spans = spans_named(merged, "worker_evaluate")
                 assert worker_spans
                 assert all(span.remote for span in worker_spans)
                 assert {
@@ -294,7 +295,7 @@ class TestPlacedPoolPropagation:
                 } == {trace_id}
                 # Every worker kernel span parents under its worker span and
                 # names the kernel backend that ran the fragment.
-                kernels = merged.find("kernel")
+                kernels = spans_named(merged, "kernel")
                 assert len(kernels) == len(ran_tasks)
                 worker_ids = {span.span_id for span in worker_spans}
                 assert all(span.parent_id in worker_ids for span in kernels)
