@@ -78,6 +78,29 @@ class TestBasicShapes:
             two_cluster_dumbbell(3, bridge_nodes=9)
 
 
+GENERATED = {
+    "chain": lambda: chain_graph(5),
+    "cycle": lambda: cycle_graph(6),
+    "grid": lambda: grid_graph(3, 3),
+    "star": lambda: star_graph(4),
+    "complete": lambda: complete_graph(4),
+    "layered_dag": lambda: layered_dag(3, 2),
+    "dumbbell": lambda: two_cluster_dumbbell(3, bridge_nodes=2),
+}
+
+
+class TestWeightsAndDirections:
+    @pytest.mark.parametrize("shape", sorted(GENERATED))
+    def test_every_edge_has_unit_weight(self, shape):
+        graph = GENERATED[shape]()
+        assert {weight for _, _, weight in graph.weighted_edges()} == {1.0}
+
+    @pytest.mark.parametrize("shape", ["complete", "dumbbell", "grid", "star"])
+    def test_every_edge_has_its_reverse(self, shape):
+        graph = GENERATED[shape]()
+        assert all(graph.has_edge(target, source) for source, target in graph.edges())
+
+
 class TestEuropeanRailway:
     def test_structure(self):
         graph, countries = european_railway_example()
