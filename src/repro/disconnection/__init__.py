@@ -3,15 +3,24 @@ the fragmentations of this package are designed for.
 
 Complementary-information precomputation, the distributed catalog, query
 planning over the fragmentation graph, independent per-fragment local queries,
-final assembly joins, the query core (:func:`answer_pairs`) the engines and
-the service answer through, the end-to-end :class:`DisconnectionSetEngine`,
+final assembly joins, the query core's two pipelines (:func:`answer_chains`
+behind the engines, :func:`answer_pairs` over the border graph behind the
+service), the end-to-end :class:`DisconnectionSetEngine`,
 and the Parallel Hierarchical Evaluation extension.
 """
 
 from .assembly import AssemblyResult, assemble_chain, collect_task_keys
 from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation, precompute_complementary_information
-from .core import CoreResult, PairAnswer, answer_pairs, assemble_best_chain, plan_pairs
+from .core import (
+    BorderRun,
+    CoreResult,
+    PairAnswer,
+    answer_chains,
+    answer_pairs,
+    assemble_best_chain,
+    plan_pairs,
+)
 from .engine import (
     DisconnectionSetEngine,
     ExecutionReport,
@@ -29,6 +38,7 @@ from .routes import RoutedAnswer
 __all__ = [
     "AssemblyResult",
     "BackboneStatistics",
+    "BorderRun",
     "ChainPlan",
     "CompactFragmentSite",
     "ComplementaryInformation",
@@ -50,8 +60,9 @@ __all__ = [
     "SiteWork",
     "UpdateEvent",
     "UpdateStatistics",
-    "assemble_best_chain",
+    "answer_chains",
     "answer_pairs",
+    "assemble_best_chain",
     "assemble_chain",
     "collect_task_keys",
     "plan_pairs",

@@ -603,5 +603,9 @@ class DistributedCatalog:
         return self._sites[fragment_id]
 
     def sites_storing_node(self, node: Node) -> List[int]:
-        """Return the ids of the sites whose fragment contains ``node``."""
-        return [fragment_id for fragment_id, site in sorted(self._sites.items()) if site.stores_node(node)]
+        """Return the ids of the sites whose fragment contains ``node``, ascending.
+
+        An index read on the deployed fragmentation, which every write and
+        redraw replaces together with the sites it moved.
+        """
+        return self._fragmentation.fragments_of_node(node)

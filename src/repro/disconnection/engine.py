@@ -3,7 +3,8 @@
 This ties the pieces together: the :class:`DisconnectionSetEngine` owns a
 :class:`~repro.disconnection.catalog.DistributedCatalog` (fragments +
 complementary information), and answers each query through the query core
-(:mod:`repro.disconnection.core`): plan, evaluate the per-fragment subqueries
+(:func:`~repro.disconnection.core.answer_chains`, the paper's chain
+pipeline): plan, evaluate the per-fragment subqueries
 in-process (no communication between them), assemble with small joins.
 :meth:`DisconnectionSetEngine.route` answers a shortest-path query with its
 route from the same single core call.
@@ -27,7 +28,7 @@ from ..fragmentation import Fragmentation
 from .assembly import AssemblyResult, TaskKey
 from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation
-from .core import answer_pairs
+from .core import answer_chains
 from .local_query import LocalQueryEvaluator, LocalQueryResult
 from .planner import LocalQuerySpec, QueryPlanner
 from .routes import RoutedAnswer, trace_route
@@ -153,11 +154,6 @@ class DisconnectionSetEngine:
         """The path problem being answered."""
         return self._semiring
 
-    @property
-    def planner(self) -> QueryPlanner:
-        """The chain planner over :attr:`catalog` (reads the catalog live)."""
-        return self._planner
-
     # ------------------------------------------------------------- updates
 
     def apply_incremental_update(
@@ -238,7 +234,7 @@ class DisconnectionSetEngine:
         if self._semiring.name != "shortest_path":
             raise ValueError("route requires an engine built with the shortest-path semiring")
         evaluate = _in_process(self._evaluator, self._catalog.site)
-        run = answer_pairs(self._catalog, self._planner, [(source, target)], evaluate, self._semiring)
+        run = answer_chains(self._catalog, self._planner, [(source, target)], evaluate, self._semiring)
         answer = run.answers[(source, target)]
         if answer.error is not None:
             raise answer.error
@@ -305,7 +301,7 @@ def answer_in_process(
     fills the :class:`ExecutionReport`; a planning failure is re-raised.
     """
     evaluate = _in_process(evaluator, site_of)
-    run = answer_pairs(catalog, planner, [(source, target)], evaluate, evaluator.semiring)
+    run = answer_chains(catalog, planner, [(source, target)], evaluate, evaluator.semiring)
     answer = run.answers[(source, target)]
     if answer.error is not None:
         raise answer.error

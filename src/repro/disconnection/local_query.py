@@ -444,9 +444,12 @@ class LocalQueryEvaluator:
         # A side inside the border set: read the rows rooted there.  Root at
         # the smaller side when both sides are (or neither is, and the
         # searches run on the spot) — backward from the exits when there are
-        # fewer exits than entries.  A function of the spec and the border
-        # set alone, so a replayed result reports the direction it was found
-        # in.
+        # fewer exits than entries, and for rows also when there are as many:
+        # the border graph's arcs, one border set on both sides, read the
+        # backward rows its source rows read in the same fragment, so a
+        # write's dropped rows refill once for both.  A function of the spec
+        # and the border set alone, so a replayed result reports the
+        # direction it was found in.
         border = site.border_nodes if shortest else None
         exits_on_border = border is not None and spec.exit_nodes <= border
         entries_on_border = border is not None and spec.entry_nodes <= border
@@ -454,7 +457,10 @@ class LocalQueryEvaluator:
         if exits_on_border != entries_on_border:
             result.backward = exits_on_border
         else:
-            result.backward = shortest and len(spec.exit_nodes) < len(spec.entry_nodes)
+            result.backward = shortest and (
+                len(spec.exit_nodes) < len(spec.entry_nodes)
+                or (from_rows and len(spec.exit_nodes) == len(spec.entry_nodes))
+            )
         if self._replay(graph, key, result):
             return
         result.overlay = graph.has_overlay()

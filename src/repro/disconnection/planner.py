@@ -97,7 +97,13 @@ class QueryPlanner:
     ``max_chains`` caps the chains enumerated between one source fragment and
     one target fragment.  A pair with more chains than that raises
     :class:`~repro.exceptions.PlanTruncatedError` rather than planning a
-    subset: the chain left out might carry the best path.
+    subset: the chain left out might carry the best path.  So does a pair
+    whose enumeration runs past its work budget, so planning always ends.
+
+    This is the paper's chain algorithm (Sec. 2.1), behind the engines, the
+    paper scripts and the chain pipeline
+    (:func:`~repro.disconnection.core.answer_chains`); ``QueryService``
+    answers through the border graph instead.
     """
 
     def __init__(self, catalog: DistributedCatalog, *, max_chains: Optional[int] = 32) -> None:
@@ -112,7 +118,8 @@ class QueryPlanner:
                 ``source`` with a fragment storing ``target`` (or one of the
                 endpoints is stored nowhere).
             PlanTruncatedError: if more than ``max_chains`` chains connect one
-                of those fragment pairs.
+                of those fragment pairs, or enumerating them runs past
+                :data:`~repro.fragmentation.fragmentation_graph.CHAIN_EXPANSION_BUDGET`.
         """
         source_fragments = self._catalog.sites_storing_node(source)
         target_fragments = self._catalog.sites_storing_node(target)
@@ -128,9 +135,12 @@ class QueryPlanner:
         for start in source_fragments:
             for end in target_fragments:
                 # One chain past the cap tells a complete list from a cut one.
-                chains = fragmentation_graph.chains(
-                    start, end, max_chains=None if cap is None else cap + 1
-                )
+                try:
+                    chains = fragmentation_graph.chains(
+                        start, end, max_chains=None if cap is None else cap + 1
+                    )
+                except PlanTruncatedError as cut:  # names fragments, not the endpoints
+                    raise PlanTruncatedError(source, target, cap, cut.budget) from None
                 if cap is not None and len(chains) > cap:
                     raise PlanTruncatedError(source, target, cap)
                 for chain in chains:

@@ -71,17 +71,27 @@ class PlanTruncatedError(DisconnectionSetError):
     A plan cut at the cap may miss the chain the best path runs through, so
     its value could be a plain wrong answer; the query fails instead.  Not a
     :class:`NoChainError`: chains do exist, so "not connected" would be wrong
-    too.
+    too.  ``budget`` is set when the enumeration stopped at its work budget
+    (that many expanded partial chains) before it could tell.
     """
 
-    def __init__(self, source: object, target: object, max_chains: int) -> None:
+    def __init__(
+        self, source: object, target: object, max_chains: object, budget: object = None
+    ) -> None:
+        if budget is None:
+            cut = f"more than {max_chains} fragment chains connect {source!r} and {target!r}"
+        else:
+            cut = (
+                f"enumerating the fragment chains that connect {source!r} and {target!r} "
+                f"expanded more than {budget} partial chains"
+            )
         super().__init__(
-            f"more than {max_chains} fragment chains connect {source!r} and {target!r}; "
-            "a plan cut at that cap could miss the best path, so the query is not answered"
+            f"{cut}; a plan cut there could miss the best path, so the query is not answered"
         )
         self.source = source
         self.target = target
         self.max_chains = max_chains
+        self.budget = budget
 
 
 class ParallelError(ReproError):

@@ -1,12 +1,15 @@
-"""Batch planning: the query core's planning step plus owner grouping.
+"""Owner grouping, and batch planning for the chain pipeline.
+
+Under a shared-nothing placement, :func:`group_by_owner` groups a batch's
+task list per *owner worker*, so the routed pool ships one message per
+owner; the service does so for every round of its border-graph tasks.
 
 Queries whose chains share a fragment pair share the *identical*
-border-to-border subquery, so the core's planning step
+border-to-border subquery, so the chain pipeline's planning step
 (:func:`~repro.disconnection.core.plan_pairs`) pools a batch's subqueries
-into one duplicate-free task list.  Under a shared-nothing placement,
-:func:`group_by_owner` groups that list per *owner worker*, so the routed
-pool ships one message per owner.  :class:`BatchPlanner` is both steps as
-one plan object, for code that composes the layers by hand.
+into one duplicate-free task list.  :class:`BatchPlanner` is that step and
+the owner grouping as one plan object, for code that composes the chain
+pipeline's layers by hand.
 """
 
 from __future__ import annotations

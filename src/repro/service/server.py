@@ -15,8 +15,11 @@ pieces of this package:
   subqueries and re-pins to its owner worker, and
   :meth:`QueryService.migrate` / :meth:`QueryService.rebalance` move
   fragments between live workers,
-* the query core (:func:`~repro.disconnection.core.answer_pairs`) behind
-  the cache, which answers a call's misses with one evaluation round,
+* the query core's border graph
+  (:func:`~repro.disconnection.core.answer_pairs`) behind the cache, which
+  answers a call's misses with one evaluation round (and one more per round
+  of border-graph arcs not yet held) and one search over border nodes per
+  pair,
 * the update hooks of
   :class:`~repro.disconnection.maintenance.FragmentedDatabase`: an update is
   absorbed in place by the :mod:`repro.incremental` subsystem — only the
@@ -530,11 +533,15 @@ class QueryService:
     def query(self, source: Node, target: Node) -> ServiceAnswer:
         """Answer one best-path query, consulting the result cache first.
 
+        A miss is answered through the border graph
+        (:func:`~repro.disconnection.core.answer_pairs`): the endpoints' rows
+        to their fragments' border nodes, one search over the border nodes,
+        exact on any layout.
+
         Raises:
             NoChainError: if an endpoint is stored nowhere or no fragment
-                chain connects the endpoints (mirrors the engine contract).
-            PlanTruncatedError: if more chains connect the endpoints than
-                the planner enumerates; nothing is cached.
+                chain connects the endpoints (mirrors the engine contract);
+                nothing is cached.
         """
         started = time.perf_counter()
         with self._tracer.span("query", source=source, target=target) as root:
@@ -561,7 +568,6 @@ class QueryService:
                 )
             run = answer_pairs(
                 engine.catalog,
-                engine.planner,
                 [(source, target)],
                 self._evaluate_tasks,
                 self._semiring,
@@ -595,10 +601,11 @@ class QueryService:
     def query_batch(self, queries: Sequence[Query]) -> List[ServiceAnswer]:
         """Answer a batch of queries, sharing duplicated and overlapping work.
 
-        Unlike :meth:`query`, planning failures do not raise: the affected
-        answers carry an ``error`` message (an unknown endpoint, no
-        connecting chain, or a plan cut at the chain cap), so one bad pair
-        cannot poison a batch.
+        The misses share one border-graph call: one task list (pairs with a
+        common endpoint share its row) and one search per pair.  Unlike
+        :meth:`query`, failures do not raise: the affected answers carry an
+        ``error`` message (an unknown endpoint, or no connecting chain of
+        fragments), so one bad pair cannot poison a batch.
         """
         started = time.perf_counter()
         submitted = [tuple(query) for query in queries]
@@ -631,7 +638,6 @@ class QueryService:
             if pending:
                 run = answer_pairs(
                     engine.catalog,
-                    engine.planner,
                     pending,
                     lambda tasks: self._evaluate_tasks(tasks, grouped=True),
                     self._semiring,

@@ -45,7 +45,11 @@ def rooted_at_exits(site, spec):
             return True
         if spec.entry_nodes <= border:
             return False
-    return len(spec.exit_nodes) < len(spec.entry_nodes)
+    if len(spec.exit_nodes) < len(spec.entry_nodes):
+        return True
+    # Rows (both sides inside the border set) are read backward on a tie too.
+    on_border = spec.entry_nodes <= border and spec.exit_nodes <= border
+    return on_border and len(spec.exit_nodes) == len(spec.entry_nodes)
 
 
 def forward_search_values(site, spec):

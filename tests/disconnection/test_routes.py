@@ -3,7 +3,11 @@
 import pytest
 
 from repro.closure import reachability_semiring, shortest_path_cost
-from repro.disconnection import DisconnectionSetEngine, precompute_complementary_information
+from repro.disconnection import (
+    DisconnectionSetEngine,
+    QueryPlanner,
+    precompute_complementary_information,
+)
 from repro.exceptions import DisconnectedError, NoChainError
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter, LinearFragmenter
 from repro.generators import cross_cluster_queries, european_railway_example, two_cluster_dumbbell
@@ -165,13 +169,13 @@ class TestRoutesAreTheQueryAnswer:
 
         _, engine = setup
         calls = []
-        real = engine_module.answer_pairs
+        real = engine_module.answer_chains
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "answer_pairs", counted)
+        monkeypatch.setattr(engine_module, "answer_chains", counted)
         engine.route(0, 7)
         assert len(calls) == 1
-        assert calls[0][0] is engine.catalog and calls[0][1] is engine.planner
+        assert calls[0][0] is engine.catalog and isinstance(calls[0][1], QueryPlanner)

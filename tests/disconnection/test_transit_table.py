@@ -218,7 +218,9 @@ class TestWhatDropsIt:
         a, b = interior(layout, 2)[:2]
         site.compact().apply_delta(CompactDelta(reweights=((a, b, 1.0),)))
         assert table_of(site) is None
-        assert not evaluator.evaluate(site, spec).memoized
+        hits = evaluator.transit_hits
+        evaluator.evaluate(site, spec)  # refilled from rows, not replayed
+        assert evaluator.transit_hits == hits and table_of(site) is not None
 
     def test_compaction_keeps_the_table(self, ring_engine):
         engine, layout = ring_engine

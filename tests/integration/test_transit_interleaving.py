@@ -7,11 +7,14 @@ against one long-lived ``QueryService`` — in-process and behind a placed pool
 of two workers, for shortest paths on a ring and on 3 x 3 and 4 x 4 grids of
 blocks, and reachability on a one-way chain.  After every step each answer
 must equal a whole-graph search over the service's current edge list
-(``transit_layouts.oracle_value``), which knows nothing of fragments or
-transit tables, so a table that outlived the adjacency it was computed from
-shows up as a wrong answer here.  On a grid a query may instead be flagged:
-a plan the chain cap would cut raises ``PlanTruncatedError`` (or carries its
-message in a batch), and a flagged answer is never a value.
+(``transit_layouts.oracle_value``), which knows nothing of fragments,
+transit tables or border-graph arcs, so a table or an arc that outlived the
+adjacency it was computed from shows up as a wrong answer here.  The service
+answers through the border graph, so no answer is ever flagged, whatever the
+cycles: deletes may cut a grid block in two and redraws move nodes between
+blocks, so a best path may leave its fragment and come back.  After every
+write and redraw the catalog's owner-index read of the fragments storing a
+node must equal a scan of every site.
 """
 
 import tempfile
@@ -22,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.closure import reachability_semiring, shortest_path_semiring
-from repro.exceptions import NoChainError, PlanTruncatedError
+from repro.exceptions import NoChainError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.service import QueryService
 
@@ -38,7 +41,6 @@ from tests.transit_layouts import (
 BLOCKS, SIZE = 5, 6
 GRIDS = {"grid": 3, "grid-4x4": 4}  # blocks a side
 GRID_SIZE = 8
-FLAGGED = "flagged"
 PICK = st.integers(min_value=0, max_value=10**6)
 
 UPDATE = st.tuples(
@@ -76,7 +78,6 @@ class Deployment:
         else:
             fragmentation, layout = chain_layout(BLOCKS, SIZE)
             self.neighbours = None
-        self.flagged = 0
         self.layout = layout  # the initial partition: never redrawn
         self.blocks = [list(block) for block in layout]  # the service's, redrawn live
         self.options = service_options
@@ -98,20 +99,14 @@ class Deployment:
 
         After deletes have parted two fragments the service may see no chain
         at all where a path merely does not exist.  Either way there is no path.
-        A plan the chain cap would cut is ``FLAGGED``.
         """
         try:
             return self.service.query(source, target).value
         except NoChainError:
             return None
-        except PlanTruncatedError:
-            return FLAGGED
 
     def expect(self, value, source, target):
-        """``value`` is the whole-graph answer, or a flagged one (grids only)."""
-        if value == FLAGGED and self.side is not None:
-            self.flagged += 1
-            return
+        """``value`` is the whole-graph answer."""
         assert value == oracle_value(self.service, source, target), (source, target)
 
     def check(self, pairs):
@@ -140,24 +135,33 @@ class Deployment:
             pairs = [(self.node(a), self.node(b)) for a, b in step[1]]
             for (source, target), answer in zip(pairs, self.service.query_batch(pairs)):
                 if answer.error:
-                    # The batch recorded a planning error: the same query must
-                    # fail alone too — no chain (no path) or flagged.
+                    # The batch recorded an error: the same query must fail
+                    # alone too — no chain, so no path.
                     assert answer.value is None
-                    alone = self.ask(source, target)
-                    assert alone is None or (alone == FLAGGED and self.side is not None)
-                    self.expect(alone, source, target)
+                    assert self.ask(source, target) is None
+                    self.expect(None, source, target)
                 else:
                     self.expect(answer.value, source, target)
         elif kind == "update":
             self.update(*step[1:])
+            self.check_owner_index()
         elif kind == "refragment":
             self.refragment(step[1])
+            self.check_owner_index()
         else:
             self.restore()
         self.check(self.probes())
         # No step here leaves the incremental envelope: a fallback would mean
         # the in-place write path raised and the rebuild covered for it.
         assert self.service.database.statistics.incremental_fallbacks == 0
+
+    def check_owner_index(self):
+        """Every node's storing sites, read off the live owner index, are those a scan finds."""
+        catalog = self.service.engine().catalog
+        sites = catalog.sites()
+        for node in self.nodes:
+            scanned = [site.fragment_id for site in sites if site.stores_node(node)]
+            assert catalog.sites_storing_node(node) == scanned, node
 
     def candidates(self, where):
         """Node pairs of one location class, in the order a chain allows."""
@@ -179,8 +183,6 @@ class Deployment:
             pairs = [pair for pair in pairs if graph.has_edge(*pair)]
         if action == "delete":
             pairs = [pair for pair in pairs if self.deletable(graph, block_of, *pair)]
-            if self.side is not None:
-                pairs = [pair for pair in pairs if self.block_stays_whole(graph, block_of, *pair)]
         if not pairs:
             return
         source, target = pairs[pick % len(pairs)]
@@ -205,41 +207,7 @@ class Deployment:
         ]
         return bool(others)
 
-    @staticmethod
-    def block_stays_whole(graph, block_of, source, target):
-        """Without ``source -> target`` every node of their block still reaches every other inside it.
-
-        A grid keeps every answer exact only while a path between two nodes
-        of one block never gains by leaving it: a block cut in two would send
-        the path out through one disconnection set and back in through
-        another, the case ``test_a_path_that_leaves_and_re_enters_its_fragment``
-        pins.
-        """
-        block = block_of[source]
-        if block != block_of[target]:
-            return True
-        members = {node for node, owner in block_of.items() if owner == block}
-        start = min(members)
-        for forward in (True, False):
-            seen, frontier = {start}, [start]
-            while frontier:
-                node = frontier.pop()
-                for other in graph.successors(node) if forward else graph.predecessors(node):
-                    edge = (node, other) if forward else (other, node)
-                    if other in members and other not in seen and edge != (source, target):
-                        seen.add(other)
-                        frontier.append(other)
-            if seen != members:
-                return False
-        return True
-
     def refragment(self, pick):
-        if self.side is not None:
-            # Moving a node across a grid boundary turns its cheap inside edges
-            # into connecting ones and lets a path leave and re-enter its
-            # fragment; redraw the blocks as they are instead.
-            self.service.refragment(GroundTruthFragmenter([set(block) for block in self.blocks]))
-            return
         index = pick % (len(self.blocks) - 1)
         giver, taker = self.blocks[index], self.blocks[index + 1]
         if len(giver) < len(taker):
@@ -284,6 +252,11 @@ def test_pooled_answers_match_the_whole_graph_oracle(kind, steps):
     run_interleaving(kind, steps, workers=2)
 
 
-def test_the_3x3_probes_are_answered_and_the_4x4_probes_flagged():
-    assert run_interleaving("grid", []).flagged == 0  # 12 chains at most: under the cap
-    assert run_interleaving("grid-4x4", []).flagged >= 2  # corner to corner, both ways
+def test_the_grid_probes_are_answered_on_3x3_and_4x4_blocks():
+    # Chain planning flagged the 4 x 4 corner-to-corner probes (184 chains).
+    for kind in ("grid", "grid-4x4"):
+        deployment = Deployment(kind)
+        for source, target in deployment.probes():
+            value = deployment.service.query(source, target).value
+            assert value is not None
+            assert value == oracle_value(deployment.service, source, target)

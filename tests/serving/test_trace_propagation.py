@@ -17,6 +17,7 @@ from repro.service import QueryService
 from tests.observability.test_service_telemetry import (
     clique_line_fragmentation,
     cross_fragment_queries,
+    warm_border_graph,
 )
 from tests.serving.test_server import (
     Client,
@@ -275,6 +276,7 @@ class TestPlacedPoolPropagation:
             with QueryService(
                 fragmentation, placement="round_robin", workers=3
             ) as service:
+                warm_border_graph(service, cross_fragment_queries())
                 async with ClosureServer(service, tiny_config()) as server:
                     async with Client(*server.address) as client:
                         response = await client.rpc(op="batch", args=pairs)

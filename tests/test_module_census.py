@@ -38,8 +38,8 @@ CALLER_ROOTS = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
 
 ALLOWLIST = {
     "repro.closure.semiring.widest_path_semiring": "the one semiring that exercises the custom-semiring fallback",
+    "repro.disconnection.catalog.FragmentSite.stores_node": "oracle: the catalog's owner-index read equals a scan of every site",
     "repro.fragmentation.base.Fragmentation.edge_fragment": "oracle: a write-derived layout owns each edge as a fresh build does",
-    "repro.fragmentation.base.Fragmentation.fragments_of_node": "oracle: a write-derived layout owns each node as a fresh build does",
     "repro.generators.structured.chain_graph": "fixture graph of the closure, graph, fragmentation and planner tests",
     "repro.generators.structured.complete_graph": "fixture graph of the connectivity, metrics and k-connectivity tests",
     "repro.generators.structured.cycle_graph": "fixture graph of the closure, traversal and connectivity tests",
