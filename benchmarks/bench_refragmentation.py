@@ -145,6 +145,11 @@ def bench_scoped_redraw(network, queries):
         result = service.refragment(GroundTruthFragmenter(shifted))
         assert result is not None, "the redraw must be absorbed in place"
         assert pool.worker_pids() == pids_before, "workers must keep their PIDs"
+        owners = {pool.plan.owner(fragment_id) for fragment_id in result.changed}
+        assert set(pool.last_repin_workers) <= owners, (
+            f"the redraw re-pinned workers {pool.last_repin_workers}; only the "
+            f"owners {sorted(owners)} of the rebuilt fragments may receive one"
+        )
         for fragment_id in result.unchanged:
             assert (
                 service.engine().catalog.site(fragment_id).compact()

@@ -95,7 +95,6 @@ from .placement import (
     plan_placement,
 )
 from .refragmentation import (
-    LiveRefragmenter,
     RefragmentResult,
     RefragmentationAdvisor,
     measure_layout,
@@ -140,7 +139,6 @@ __all__ = [
     "KConnectivityFragmenter",
     "LRUCache",
     "LinearFragmenter",
-    "LiveRefragmenter",
     "MetricsRegistry",
     "Migration",
     "NoChainError",

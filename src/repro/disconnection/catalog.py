@@ -461,9 +461,8 @@ class DistributedCatalog:
         """Construct one site's full per-fragment state from a fragmentation.
 
         The single place site field wiring lives: initial catalog
-        construction and the scoped refragmentation rebuild both go through
-        it, so a freshly-redrawn site can never diverge from a freshly-built
-        one.
+        construction and a redraw's site rebuild both go through it, so a
+        freshly-redrawn site can never diverge from a freshly-built one.
         """
         borders = self._site_borders(fragment_id, fragmentation)
         return FragmentSite(
@@ -506,32 +505,6 @@ class DistributedCatalog:
             for fragment_id, site in sorted(self._sites.items())
         }
 
-    def apply_refragmentation(
-        self,
-        fragmentation: Fragmentation,
-        *,
-        rebuilt: List[int],
-        dropped: List[int],
-    ) -> None:
-        """Adopt a redrawn fragment layout, rebuilding only the named sites.
-
-        The live refragmenter has already aligned the new layout's fragment
-        ids to the deployed ones and repaired the complementary information
-        in place; this swaps in the new fragmentation metadata, builds fresh
-        :class:`FragmentSite` objects for exactly the ``rebuilt`` fragments
-        (including ids that are new in this layout), removes the ``dropped``
-        ids, and leaves every other site — with its cached compact kernels —
-        object-identical.  This is the scoped replacement for the old
-        "any refragmentation rebuilds the world" path: the catalog object,
-        and with it the engine, survives the redraw.
-        """
-        self._fragmentation = fragmentation
-        self._fragmentation_graph = FragmentationGraph(fragmentation)
-        for fragment_id in dropped:
-            self._sites.pop(fragment_id, None)
-        for fragment_id in rebuilt:
-            self._sites[fragment_id] = self._build_site(fragment_id, fragmentation)
-
     def apply_incremental_update(
         self,
         fragmentation: Fragmentation,
@@ -540,27 +513,37 @@ class DistributedCatalog:
         changes: Sequence["EdgeChange"],
         pairs_changed: Iterable[FragmentPair],
     ) -> Dict[int, Optional[CompactDelta]]:
-        """Refresh the dirty sites in place after an incremental update.
+        """Absorb an already-repaired layout change: patch or rebuild the dirty sites.
 
         The caller (the incremental maintainer) has already repaired the
         complementary information and knows exactly what moved: the edge
         ``changes`` (each names its owning fragment) and the disconnection
         sets whose values or membership changed (``pairs_changed``).  This
-        method swaps in the new fragmentation metadata and hands every dirty
-        site its own changes, plus fresh borders when one of its pairs is
-        among the changed ones; every other :class:`FragmentSite` object —
-        including its cached compact form — stays untouched and
-        object-identical.
+        method swaps in the new fragmentation metadata and, for a write,
+        hands every dirty site its own changes, plus fresh borders when one
+        of its pairs is among the changed ones.  No ``changes`` means a
+        redraw: the layout moved edges between fragments over an unchanged
+        graph, so each dirty site is rebuilt from its new fragment, and the
+        sites of ids past the new fragment count are dropped.  Every other
+        :class:`FragmentSite` object — including its cached compact form —
+        stays untouched and object-identical.
 
         Returns each dirty fragment's compact delta (``None`` when the site
-        had no compact form yet), which the worker pool re-pins with.
+        had no compact form yet, or was rebuilt), which the worker pool
+        re-pins with.
         """
         if fragmentation is not self._fragmentation:
             self._fragmentation = fragmentation
             self._fragmentation_graph = FragmentationGraph(fragmentation)
+        for fragment_id in range(fragmentation.fragment_count(), len(self._sites)):
+            del self._sites[fragment_id]
         repaired = {fragment_id for pair in pairs_changed for fragment_id in pair}
         site_deltas: Dict[int, Optional[CompactDelta]] = {}
         for fragment_id in dirty_fragments:
+            if not changes:
+                self._sites[fragment_id] = self._build_site(fragment_id, fragmentation)
+                site_deltas[fragment_id] = None
+                continue
             site_deltas[fragment_id] = self._sites[fragment_id].apply_update(
                 [change for change in changes if change.fragment_id == fragment_id],
                 coordinates=fragmentation.graph,

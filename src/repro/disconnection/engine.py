@@ -164,15 +164,16 @@ class DisconnectionSetEngine:
         changes: Sequence["EdgeChange"],
         pairs_changed: Iterable[Tuple[int, int]],
     ) -> Dict[int, object]:
-        """Absorb an already-repaired update without rebuilding the engine.
+        """Absorb an already-repaired write or redraw without rebuilding the engine.
 
         The incremental maintainer calls this after patching the catalog's
         complementary information in place: the engine keeps its identity (so
         a serving layer neither re-plans from scratch nor restarts its worker
         pool), the catalog patches only the dirty fragments' sites — with
         the edge ``changes`` each owns and the ``pairs_changed`` it takes
-        part in — and the planner picks up the new fragmentation on its next
-        ``plan`` call because it reads the catalog live.
+        part in — or, for a redraw (no ``changes``), rebuilds them and drops
+        the removed ids, and the planner picks up the new fragmentation on
+        its next ``plan`` call because it reads the catalog live.
 
         Returns the per-fragment compact deltas the catalog produced.
         """
@@ -181,25 +182,6 @@ class DisconnectionSetEngine:
             dirty_fragments=dirty_fragments,
             changes=changes,
             pairs_changed=pairs_changed,
-        )
-
-    def apply_refragmentation(
-        self,
-        fragmentation: "Fragmentation",
-        *,
-        rebuilt: List[int],
-        dropped: List[int],
-    ) -> None:
-        """Adopt a redrawn fragment layout without rebuilding the engine.
-
-        The live refragmenter calls this after repairing the complementary
-        information in place: the engine keeps its identity (so the serving
-        layer's planner and worker pool survive the redraw), the catalog
-        rebuilds only the named sites, and every untouched site — compact
-        kernels included — stays object-identical.
-        """
-        self._catalog.apply_refragmentation(
-            fragmentation, rebuilt=rebuilt, dropped=dropped
         )
 
     # ------------------------------------------------------------- queries

@@ -343,25 +343,6 @@ class LocalQueryEvaluator:
 
     # --------------------------------------------------------- transit table
 
-    def recall(self, site: FragmentSite, spec: LocalQuerySpec) -> Optional[LocalQueryResult]:
-        """Answer ``spec`` from the site's transit table, or return ``None``.
-
-        ``None`` means the subquery is not border-to-border, has not been
-        evaluated since the site graph last changed, or the semiring is a
-        custom one.  The coordinator of a worker pool asks
-        this before it routes a task.
-        """
-        key = self._transit_key(site, spec)
-        if key is None or not self._runs_compact(site):
-            return None
-        started = perf_counter()
-        result = LocalQueryResult(fragment_id=site.fragment_id)
-        graph = site.compact(use_shortcuts=self._use_shortcuts)
-        if not self._replay(graph, key, result):
-            return None
-        result.statistics.elapsed_seconds = perf_counter() - started
-        return result
-
     def remember(self, site: FragmentSite, spec: LocalQuerySpec, result: LocalQueryResult) -> None:
         """File a result evaluated elsewhere (a pool worker's reply) in the site's table.
 

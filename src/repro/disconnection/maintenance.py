@@ -27,11 +27,13 @@ update: the paper treats fragmentation design as an offline decision, and
 re-fragmenting per update would defeat the amortisation argument.
 ``refragment()`` is the explicit reorganisation entry point — and it is no
 longer catastrophic: with a live engine and a standard semiring the new
-layout is applied *in place* by :class:`~repro.refragmentation.live.LiveRefragmenter`
-(ids aligned so surviving fragments keep their sites, complementary
-information repaired per disconnection set, only changed fragments rebuilt),
-and the applied layout is recorded in the delta log so replicas can replay
-across the reorganisation instead of resnapshotting.
+layout is absorbed *in place* through the same maintainer as a write (ids
+aligned so surviving fragments keep their sites, disconnection sets whose
+membership moved repaired, only changed fragments rebuilt).  A write and a
+redraw share one tail — version bumps, the delta-log append (a redraw's
+record carries the applied layout, so replicas can replay across the
+reorganisation instead of resnapshotting) and the listener notification —
+and one classic fallback.
 """
 
 from __future__ import annotations
@@ -198,8 +200,9 @@ class FragmentedDatabase:
         self._mirror: Optional[CompactGraph] = None  # resident whole-graph compact mirror
         self.version_vector = version_vector.copy() if version_vector else VersionVector()
         self.delta_log = DeltaLog()
-        self.last_delta = None  # the AppliedDelta of the newest incremental update
-        self.last_refragment = None  # the RefragmentResult of the newest scoped redraw
+        # The AppliedDelta of the newest change absorbed in place (a
+        # RefragmentResult for a redraw); None after a classic rebuild.
+        self.last_delta = None
         if complementary is not None:
             self._engine = DisconnectionSetEngine(
                 fragmentation,
@@ -265,8 +268,8 @@ class FragmentedDatabase:
         """Return the resident whole-graph compact mirror (built lazily once).
 
         One :class:`CompactGraph` of the entire base graph, shared by the
-        incremental maintainer's repair searches, complementary
-        precomputation, and :class:`~repro.refragmentation.live.LiveRefragmenter`.
+        incremental maintainer's repair searches (after a write and after a
+        redraw) and complementary precomputation.
         After every applied update the database splices the change into it as
         an O(delta) overlay patch — consumers never pay a whole-graph
         recompile again.
@@ -449,18 +452,23 @@ class FragmentedDatabase:
         replay path), or a raw proposal to be aligned here
         (``aligned=False`` — how a caller executes exactly the layout an
         advisor already computed and judged, without re-running the
-        fragmenter).  With a live engine and a standard semiring the redraw is
-        applied *in place* by the :class:`~repro.refragmentation.live.LiveRefragmenter`:
-        fragment ids are aligned to the deployed layout by edge overlap, only
-        the fragments whose edges or neighbourhood moved are rebuilt, the
-        complementary information is repaired per disconnection set, and
+        fragmenter).  Fragment ids are aligned to the deployed layout by edge
+        overlap.  With a live engine and a standard semiring the redraw is
+        absorbed *in place* the way a write is, by the incremental
+        maintainer (:meth:`~repro.incremental.maintainer.IncrementalMaintainer.redraw`):
+        only the fragments whose edges or neighbourhood moved are rebuilt,
+        the disconnection sets whose membership moved are repaired, and
         listeners receive a scoped (``event.incremental``) event naming exactly
-        the dirty fragments.  Outside that envelope the classic full rebuild
-        applies (everything stale, epoch advanced).
+        the dirty fragments; ``last_delta`` holds the
+        :class:`~repro.incremental.maintainer.RefragmentResult`.  Outside that
+        envelope the classic full rebuild applies (everything stale, epoch
+        advanced).
 
-        Both paths append a ``refragment`` delta record carrying the aligned
-        fragment edge lists, so a replica replaying this database's log
-        follows the reorganisation instead of falling off it.
+        Both paths share the write path's tail: they append a ``refragment``
+        delta record carrying the aligned fragment edge lists, so a replica
+        replaying this database's log follows the reorganisation instead of
+        falling off it, and the database keeps the one
+        :class:`Fragmentation` it handed the catalog.
 
         Raises:
             ValueError: when neither ``fragmenter`` nor ``layout`` is given.
@@ -481,79 +489,36 @@ class FragmentedDatabase:
         else:
             raise ValueError("refragment needs a fragmenter or an explicit layout")
         self.statistics.refragments += 1
-        recorded_layout = tuple(
-            tuple(sorted(edges, key=repr)) for edges in new_layout
-        )
-
-        result = self._refragment_in_place(new_layout, new_algorithm)
-        if result is not None:
-            dirty = result.dirty_fragments
-            self._adopt_layout([set(edges) for edges in new_layout])
-            self._algorithm = new_algorithm
-            self.last_delta = None
-            self.last_refragment = result
-            self._maintainer = None  # rebind to the new fragmentation lazily
-            self.statistics.scoped_refragments += 1
-            self.statistics.affected_fragment_pairs += result.pairs_recomputed
-            self.statistics.rows_recomputed += result.report.rows_recomputed
-            self.version_vector.bump_all(dirty)
-            self.delta_log.append(
-                "refragment",
-                dirty_fragments=dirty,
-                incremental=True,
-                versions={fid: self.version_vector.version_of(fid) for fid in dirty},
-                epoch=self.version_vector.epoch,
-                layout=recorded_layout,
-                algorithm=new_algorithm,
-            )
-            self._notify(
-                UpdateEvent(
-                    kind="refragment", dirty_fragments=dirty, incremental=True
-                )
-            )
-            return self.fragmentation()
-
-        # Classic path: everything is stale, the next engine() call rebuilds.
+        new_fragmentation = None
+        if all(new_layout):  # an empty slot would violate the Fragmentation contract
+            new_fragmentation = Fragmentation(self._graph, new_layout, algorithm=new_algorithm)
+        maintainer = self._ensure_maintainer()
+        applied = None
+        if maintainer is not None and new_fragmentation is not None:
+            try:
+                applied = maintainer.redraw(new_fragmentation)
+            except Exception:
+                # A failure mid-apply may have half-patched the complementary
+                # information; the classic path discards it with the engine,
+                # so correctness never depends on the scoped apply.
+                applied = None
         self._adopt_layout([set(edges) for edges in new_layout])
         self._algorithm = new_algorithm
-        self._stale = True
-        self._maintainer = None
-        self.last_delta = None
-        self.last_refragment = None
-        self.version_vector.advance_epoch()
-        self.delta_log.append(
+        if new_fragmentation is not None:
+            # The catalog adopted this object (or the rebuild will): one
+            # layout, one Fragmentation.
+            self._snapshot = new_fragmentation
+        if applied is not None:
+            self.statistics.scoped_refragments += 1
+        self._commit(
             "refragment",
-            incremental=False,
-            epoch=self.version_vector.epoch,
-            layout=recorded_layout,
-            algorithm=new_algorithm,
+            [],
+            applied,
+            None,
+            tuple(tuple(sorted(edges, key=repr)) for edges in new_layout),
+            new_algorithm,
         )
-        self._notify(UpdateEvent(kind="refragment"))
         return self.fragmentation()
-
-    def _refragment_in_place(
-        self, new_layout: List[Set[Edge]], algorithm: str
-    ) -> Optional["RefragmentResult"]:
-        """Try the scoped redraw against the live engine; ``None`` means fall back."""
-        if self._stale or self._engine is None:
-            return None
-        if any(not edges for edges in new_layout):
-            return None  # an empty slot would violate the Fragmentation contract
-        from ..refragmentation.live import IncrementalFallback, LiveRefragmenter
-
-        try:
-            refragmenter = LiveRefragmenter(self._engine, mirror=self.compact_mirror())
-            new_fragmentation = Fragmentation(
-                self._graph, new_layout, algorithm=algorithm
-            )
-            return refragmenter.apply(new_fragmentation)
-        except IncrementalFallback:
-            return None
-        except Exception:
-            # A failure mid-apply may have half-patched the complementary
-            # information; the classic path below discards it with the
-            # engine, so correctness never depends on the scoped apply.
-            return None
 
     # ------------------------------------------------------------- internals
 
@@ -581,8 +546,7 @@ class FragmentedDatabase:
         it cannot is named (``UpdateEvent.fallback``) and counted
         (``statistics.incremental_fallbacks``) before the classic rebuild
         takes over — the answers stay right either way, so nothing else
-        would show that the in-place path had stopped running.  The event's
-        edge and owner are those of the first change.
+        would show that the in-place path had stopped running.
 
         Returns the dirty fragment ids.
         """
@@ -596,7 +560,6 @@ class FragmentedDatabase:
                 # routes this update through the classic rebuild.
                 fallback = "begin"
                 maintainer = None
-                self._maintainer = None
         for change in changes:
             self._mutate(change)
         self._sync_mirror(changes)
@@ -611,27 +574,11 @@ class FragmentedDatabase:
                 # classic path below marks it stale, and the rebuild discards
                 # any half-patched complementary state.
                 fallback = "complete"
-                self._maintainer = None
         if applied is not None:
-            dirty = applied.dirty_fragments
-            self.version_vector.bump_all(dirty)
-            self.last_delta = applied
             self.statistics.incremental_updates += 1
             self.statistics.pairs_repaired += len(applied.pairs_changed)
-            self.statistics.rows_recomputed += applied.report.rows_recomputed
-            self.statistics.affected_fragment_pairs += len(applied.pairs_changed)
-            self.delta_log.append(
-                kind,
-                changes=tuple(changes),
-                dirty_fragments=dirty,
-                incremental=True,
-                versions={fid: self.version_vector.version_of(fid) for fid in dirty},
-                epoch=self.version_vector.epoch,
-            )
         else:
-            # Classic path: mark everything stale and let engine() rebuild.
             self.statistics.incremental_fallbacks += 1
-            dirty = tuple(sorted({change.fragment_id for change in changes}))
             if any(not edges for edges in self._fragment_edges):
                 # A fragment emptied out.  fragmentation() renumbers the
                 # surviving fragments densely, so the raw edge-set list must
@@ -639,24 +586,58 @@ class FragmentedDatabase:
                 # lookup would hand out indices the rebuilt catalog does not
                 # have.
                 self._adopt_layout([edges for edges in self._fragment_edges if edges])
-            for fragment_id in dirty:
+            for fragment_id in sorted({change.fragment_id for change in changes}):
                 self._mark_affected(fragment_id)
-            self.last_delta = None
+        return self._commit(kind, changes, applied, fallback, None, None)
+
+    def _commit(
+        self,
+        kind: str,
+        changes: List[EdgeChange],
+        applied: Optional["AppliedDelta"],
+        fallback: Optional[str],
+        layout: Optional[Tuple[Tuple[Edge, ...], ...]],
+        algorithm: Optional[str],
+    ) -> Tuple[int, ...]:
+        """Record one applied layout change and tell the listeners; returns the dirty ids.
+
+        The shared tail of a write and a redraw.  Absorbed in place
+        (``applied``): the dirty fragments' versions move and the record
+        names them.  Otherwise the engine is marked stale for the classic
+        rebuild and the epoch advances; the dirty fragments are then the
+        written ones (none for a redraw, which affects every fragment).
+        A redraw's record carries its ``layout`` and ``algorithm`` (``None``
+        for a write).  The event's edge and owner are those of the first
+        change.
+        """
+        self.last_delta = applied
+        versions = None
+        if applied is not None:
+            dirty = applied.dirty_fragments
+            self.version_vector.bump_all(dirty)
+            self.statistics.rows_recomputed += applied.report.rows_recomputed
+            self.statistics.affected_fragment_pairs += len(applied.pairs_changed)
+            versions = {fid: self.version_vector.version_of(fid) for fid in dirty}
+        else:
+            dirty = tuple(sorted({change.fragment_id for change in changes}))
+            self._stale = True
+            self._maintainer = None
             self.version_vector.advance_epoch()
-            self.delta_log.append(
-                kind,
-                changes=tuple(changes),
-                dirty_fragments=dirty,
-                incremental=False,
-                epoch=self.version_vector.epoch,
-            )
-        first = changes[0]
+        self.delta_log.append(
+            kind,
+            changes=tuple(changes),
+            dirty_fragments=dirty,
+            incremental=applied is not None,
+            versions=versions,
+            epoch=self.version_vector.epoch,
+            layout=layout,
+            algorithm=algorithm,
+        )
+        edge = changes[0] if changes else None
         self._notify(
             UpdateEvent(
-                kind=kind,
-                source=first.source,
-                target=first.target,
-                fragment_id=first.fragment_id,
+                kind,
+                *((edge.source, edge.target, edge.fragment_id) if edge else ()),
                 dirty_fragments=dirty,
                 incremental=applied is not None,
                 fallback=fallback,

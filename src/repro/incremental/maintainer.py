@@ -1,35 +1,39 @@
-"""The incremental maintainer: updates proportional to their locality.
+"""The incremental maintainer: layout changes proportional to their locality.
 
-Without this subsystem an :class:`~repro.disconnection.maintenance.UpdateEvent`
-is catastrophic: the engine is torn down, every disconnection set's
-complementary information is recomputed from scratch, every fragment's compact
-CSR state is rebuilt and re-shipped.  :class:`IncrementalMaintainer` replaces
-that with the paper's locality contract — a change touches one fragment and
-the disconnection sets it borders:
+Without this subsystem a change to the fragmented database is catastrophic:
+the engine is torn down, every disconnection set's complementary information
+is recomputed from scratch, every fragment's compact CSR state is rebuilt and
+re-shipped.  :class:`IncrementalMaintainer` replaces that with the paper's
+locality contract — a change touches one fragment and the disconnection sets
+it borders.  It absorbs two kinds of layout change through one path:
 
-1. **before** the base graph mutates, it probes the *old* graph for the
-   stored border-to-border values whose optimal paths ran through the changed
-   edge (the only values a delete or weight increase can degrade); the
-   probe searches only as far from the edge as the largest stored value
-   reaches,
-2. the database's resident whole-graph compact mirror absorbs the edge delta
-   as an O(delta) overlay splice (the same mirror backs precompute and live
-   refragmentation),
-3. disconnection sets whose *membership* changed (a fragment gained or lost a
-   node) are recomputed wholesale; for everything else only the probed rows
-   plus the rows an insert provably improves are re-searched,
-4. the engine's catalog hands each dirty fragment's site the edge changes it
-   owns (and fresh borders when one of its disconnection sets was repaired)
-   to patch itself with — every other site object, including its compact
-   kernels, stays identical, and so does every other ``Fragment`` of the
-   derived post-write :class:`~repro.fragmentation.Fragmentation`,
-5. the caller receives an :class:`AppliedDelta` naming the dirty fragments
-   and their compact deltas, which drives per-fragment version bumps, scoped
-   cache eviction, and worker re-pinning upstream.
+* a **write** (:meth:`~IncrementalMaintainer.begin` /
+  :meth:`~IncrementalMaintainer.complete`) changes edges: before the base
+  graph mutates, the *old* graph is probed for the stored border-to-border
+  values whose optimal paths ran through the changed edge (the only values a
+  delete or weight increase can degrade; the probe searches only as far from
+  the edge as the largest stored value reaches), and after it mutated the
+  probed rows plus the rows an insert provably improves are re-searched;
+* a **redraw** (:meth:`~IncrementalMaintainer.redraw`) moves boundaries over
+  an unchanged graph, so a disconnection set whose membership survived keeps
+  its values verbatim.
 
-When an update falls outside the supported envelope (custom semiring, a
-fragment emptied out, refragmentation) the maintainer raises
-:class:`IncrementalFallback` and the database performs the classic full
+Both then run the same steps:
+
+1. disconnection sets whose *membership* changed (a fragment gained or lost a
+   node) are recomputed wholesale over the database's resident whole-graph
+   compact mirror,
+2. the engine's catalog patches (a write) or rebuilds (a redraw) the dirty
+   fragments' sites and drops the ids a shrinking redraw removed — every
+   other site object, including its compact kernels, stays identical,
+3. the caller receives an :class:`AppliedDelta` (a :class:`RefragmentResult`
+   for a redraw) naming the dirty fragments and their compact deltas, which
+   drives per-fragment version bumps, scoped cache eviction, and worker
+   re-pinning upstream.
+
+When a change falls outside the supported envelope (custom semiring, a
+fragment emptied out) the maintainer is not used or raises
+:class:`IncrementalFallback`, and the database performs the classic full
 rebuild — correctness never depends on the fast path applying.  Routes are
 inside the envelope because nothing route-specific is stored: the engine
 traces a route from the repaired values and the live graph when asked.
@@ -38,10 +42,11 @@ traces a route from the repaired values and the live graph when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..disconnection.engine import DisconnectionSetEngine
 from ..fragmentation import Fragmentation
+from ..fragmentation.metrics import total_border_nodes
 from ..graph.compact import CompactDelta
 from .delta import EdgeChange
 from .repair import REPAIRABLE_SEMIRINGS, ComplementaryRepairer, RepairReport
@@ -59,18 +64,19 @@ class IncrementalFallback(Exception):
 
 @dataclass(frozen=True)
 class AppliedDelta:
-    """The outcome of one incrementally absorbed update.
+    """The outcome of one layout change absorbed in place.
 
     Attributes:
-        kind: the high-level update kind (``insert`` / ``delete`` /
-            ``reweight``).
-        changes: the elementary edge changes applied.
-        dirty_fragments: fragments whose site state was patched (sorted).
+        kind: the high-level change kind (``insert`` / ``delete`` /
+            ``reweight`` / ``refragment``).
+        changes: the elementary edge changes applied (none for a redraw).
+        dirty_fragments: every fragment whose prepared state moved — patched,
+            rebuilt or dropped (sorted).
         pairs_changed: disconnection-set pairs whose complementary values or
             membership changed.
-        site_deltas: per dirty fragment, the compact delta its augmented
-            graph absorbed (``None`` when that site had no compact form yet)
-            — the scoped payload the worker pool re-pins with.
+        site_deltas: per patched fragment, the compact delta its augmented
+            graph absorbed (``None`` when that site had no compact form yet,
+            or was rebuilt) — the scoped payload the worker pool re-pins with.
         report: the repair accounting (rows recomputed, searches run).
     """
 
@@ -80,6 +86,46 @@ class AppliedDelta:
     pairs_changed: Tuple[FragmentPair, ...]
     site_deltas: Dict[int, Optional[CompactDelta]] = field(default_factory=dict)
     report: RepairReport = field(default_factory=RepairReport)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RefragmentResult(AppliedDelta):
+    """A boundary redraw absorbed in place (``kind == "refragment"``).
+
+    ``dirty_fragments`` are the :attr:`changed` fragments plus the
+    ``dropped`` ones.
+
+    Attributes:
+        created: fragment ids that did not exist before the redraw.
+        dropped: old fragment ids that no longer exist (layout shrank).
+        unchanged: fragment ids whose sites stayed object-identical.
+        moved_edges: total directed edges in the rebuilt fragments (the
+            re-pin payload size, and the figure the benchmark compares to a
+            full rebuild's every-edge reshipping).
+        border_nodes_before / border_nodes_after: distinct border nodes
+            before and after — their difference is the locality the redraw
+            recovered.
+    """
+
+    created: Tuple[int, ...]
+    dropped: Tuple[int, ...]
+    unchanged: Tuple[int, ...]
+    moved_edges: int
+    border_nodes_before: int
+    border_nodes_after: int
+
+    @property
+    def changed(self) -> Tuple[int, ...]:
+        """Fragment ids whose site was rebuilt (``created`` included).
+
+        Their edge set or their shortcut / disconnection-set neighbourhood
+        moved.
+        """
+        return tuple(f for f in self.dirty_fragments if f not in self.dropped)
+
+    def border_nodes_recovered(self) -> int:
+        """Return how many border nodes the redraw eliminated (may be negative)."""
+        return self.border_nodes_before - self.border_nodes_after
 
 
 def supports_incremental(database: "FragmentedDatabase") -> bool:
@@ -97,12 +143,12 @@ def supports_incremental(database: "FragmentedDatabase") -> bool:
 
 
 class IncrementalMaintainer:
-    """Keeps one engine's catalog consistent under edge updates, in place.
+    """Keeps one engine's catalog consistent under writes and redraws, in place.
 
     Args:
         database: the owning fragmented database (its graph is the source of
-            truth; the maintainer mirrors it as a whole-graph
-            :class:`CompactGraph` for the repair searches).
+            truth; its resident whole-graph :class:`CompactGraph` mirror is
+            what the repair searches run on).
         engine: the live engine to maintain; a maintainer is bound to one
             engine generation and is discarded with it.
     """
@@ -112,10 +158,6 @@ class IncrementalMaintainer:
         self._engine = engine
         self._repairer = ComplementaryRepairer(engine.semiring)
         self._fragmentation = engine.catalog.fragmentation
-        # The database's long-lived resident mirror — shared with precompute
-        # and LiveRefragmenter, kept in sync by the database after every
-        # mutation (an O(delta) overlay splice, never a rebuild).
-        self._full_compact = database.compact_mirror()
         self._pending_suspects: Optional[Dict[FragmentPair, Set[Node]]] = None
         self._pending_report: Optional[RepairReport] = None
 
@@ -136,7 +178,7 @@ class IncrementalMaintainer:
         report = RepairReport()
         self._pending_suspects = self._repairer.affected_sources_before(
             self._engine.catalog.complementary,
-            self._full_compact,
+            self._database.compact_mirror(),
             changes,
             self._fragmentation.disconnection_sets(),
             report,
@@ -145,6 +187,9 @@ class IncrementalMaintainer:
 
     def complete(self, kind: str, changes: List[EdgeChange]) -> AppliedDelta:
         """Repair and re-point everything after the base graph mutated.
+
+        The database has already spliced the edge delta into the shared
+        whole-graph mirror, right after mutating the base graph.
 
         Raises:
             IncrementalFallback: when the post-change state falls outside the
@@ -162,64 +207,127 @@ class IncrementalMaintainer:
             raise IncrementalFallback(
                 "a fragment emptied out; fragment ids would shift under renumbering"
             )
-
-        # The shared whole-graph mirror already absorbed the edge delta: the
-        # database splices it in right after mutating the base graph, before
-        # calling complete().
-
-        info = self._engine.catalog.complementary
-        old_sets = self._fragmentation.disconnection_sets()
-        new_sets = new_fragmentation.disconnection_sets()
-
-        # Structural repair: disconnection sets whose membership changed are
-        # recomputed wholesale (all of them involve the updated fragment —
-        # only its node set can have moved).
-        structural: Set[FragmentPair] = set()
-        for pair in set(old_sets) | set(new_sets):
-            if old_sets.get(pair) != new_sets.get(pair):
-                structural.add(pair)
-                if pair in new_sets:
-                    self._repairer.recompute_pair(
-                        info, self._full_compact, pair, new_sets[pair], report
-                    )
-                else:
-                    self._repairer.remove_pair(info, pair, report)
-                report.pairs_changed.add(pair)  # membership moved: chains differ
+        structural = self._repair_membership(new_fragmentation, report)
 
         # Value repair for the surviving pairs: the probed degradations plus
         # whatever the post-change graph says an insert improved.
-        stable_sets = {pair: border for pair, border in new_sets.items() if pair not in structural}
+        info = self._engine.catalog.complementary
+        mirror = self._database.compact_mirror()
+        stable_sets = {
+            pair: border
+            for pair, border in new_fragmentation.disconnection_sets().items()
+            if pair not in structural
+        }
         rows: Dict[FragmentPair, Set[Node]] = {
             pair: set(sources) for pair, sources in suspects.items() if pair in stable_sets
         }
         improvements = self._repairer.affected_sources_after(
-            info, self._full_compact, changes, stable_sets, report
+            info, mirror, changes, stable_sets, report
         )
         for pair, sources in improvements.items():
             rows.setdefault(pair, set()).update(sources)
-        self._repairer.recompute_rows(info, self._full_compact, rows, stable_sets, report)
+        self._repairer.recompute_rows(info, mirror, rows, stable_sets, report)
 
-        # Scope: the owning fragments plus every fragment whose shortcut set
-        # (or disconnection-set membership) changed.
-        dirty: Set[int] = {change.fragment_id for change in changes if change.fragment_id >= 0}
-        for i, j in report.pairs_changed:
-            dirty.add(i)
-            dirty.add(j)
-        dirty_sorted = sorted(dirty)
-        site_deltas = self._engine.apply_incremental_update(
+        dirty, site_deltas = self._adopt(
             new_fragmentation,
-            dirty_fragments=dirty_sorted,
-            changes=changes,
-            pairs_changed=report.pairs_changed,
+            {change.fragment_id for change in changes if change.fragment_id >= 0},
+            changes,
+            report,
         )
-        self._fragmentation = new_fragmentation
         return AppliedDelta(
             kind=kind,
             changes=tuple(changes),
-            dirty_fragments=tuple(dirty_sorted),
+            dirty_fragments=dirty,
             pairs_changed=tuple(sorted(report.pairs_changed)),
             site_deltas=site_deltas,
             report=report,
         )
 
+    def redraw(self, new_fragmentation: Fragmentation) -> RefragmentResult:
+        """Reorganise the engine's catalog to ``new_fragmentation`` in place.
 
+        ``new_fragmentation`` must already be id-aligned (see
+        :func:`~repro.refragmentation.live.align_layout`) and built over the
+        *same* base graph the engine serves — a redraw moves boundaries, it
+        never changes edges, so only pairs whose membership moved are
+        re-searched.  Unchanged fragments' sites (compact kernels included)
+        survive untouched; everything else is rebuilt and named in the
+        returned :class:`RefragmentResult`.
+        """
+        old_fragmentation = self._fragmentation
+        old_count = old_fragmentation.fragment_count()
+        new_count = new_fragmentation.fragment_count()
+        edges_moved = {
+            fragment.fragment_id
+            for fragment in new_fragmentation.fragments
+            if fragment.fragment_id >= old_count
+            or fragment.edges != old_fragmentation.fragment(fragment.fragment_id).edges
+        }
+        report = RepairReport()
+        self._repair_membership(new_fragmentation, report)
+        changed, _ = self._adopt(new_fragmentation, edges_moved, (), report)
+        dropped = tuple(range(new_count, old_count))
+        return RefragmentResult(
+            kind="refragment",
+            changes=(),
+            dirty_fragments=changed + dropped,
+            pairs_changed=tuple(sorted(report.pairs_changed)),
+            report=report,
+            created=tuple(range(old_count, new_count)),
+            dropped=dropped,
+            unchanged=tuple(f for f in range(new_count) if f not in changed),
+            moved_edges=sum(new_fragmentation.fragment(f).edge_count() for f in changed),
+            border_nodes_before=total_border_nodes(old_fragmentation),
+            border_nodes_after=total_border_nodes(new_fragmentation),
+        )
+
+    # ------------------------------------------------------------- internals
+
+    def _repair_membership(
+        self, new_fragmentation: Fragmentation, report: RepairReport
+    ) -> Set[FragmentPair]:
+        """Recompute every disconnection set whose membership moved; return those pairs.
+
+        After a write all of them involve the written fragment (only its
+        node set can have moved); after a redraw any pair may have.
+        """
+        info = self._engine.catalog.complementary
+        old_sets = self._fragmentation.disconnection_sets()
+        new_sets = new_fragmentation.disconnection_sets()
+        moved: Set[FragmentPair] = set()
+        for pair in set(old_sets) | set(new_sets):
+            if old_sets.get(pair) == new_sets.get(pair):
+                continue
+            moved.add(pair)
+            if pair in new_sets:
+                self._repairer.recompute_pair(
+                    info, self._database.compact_mirror(), pair, new_sets[pair], report
+                )
+            else:
+                self._repairer.remove_pair(info, pair, report)
+        report.pairs_changed.update(moved)  # membership moved: chains differ
+        return moved
+
+    def _adopt(
+        self,
+        new_fragmentation: Fragmentation,
+        dirty: Set[int],
+        changes: Sequence[EdgeChange],
+        report: RepairReport,
+    ) -> Tuple[Tuple[int, ...], Dict[int, Optional[CompactDelta]]]:
+        """Hand the repaired change to the engine; return the dirty ids and site deltas.
+
+        The dirty fragments are the ones whose edges moved plus every
+        fragment whose shortcut set or disconnection-set membership changed.
+        """
+        count = new_fragmentation.fragment_count()
+        dirty.update(f for pair in report.pairs_changed for f in pair if f < count)
+        dirty_sorted = tuple(sorted(dirty))
+        site_deltas = self._engine.apply_incremental_update(
+            new_fragmentation,
+            dirty_fragments=list(dirty_sorted),
+            changes=changes,
+            pairs_changed=report.pairs_changed,
+        )
+        self._fragmentation = new_fragmentation
+        return dirty_sorted, site_deltas

@@ -9,16 +9,19 @@ the boundaries are not.  This package closes the loop:
   watches delta-log / version-vector skew, border growth and cross-fragment
   edge ratio, and recommends a concrete replacement layout (policy-pluggable,
   reusing the :mod:`repro.fragmentation` strategies and metrics),
-* :mod:`~repro.refragmentation.live` — the :class:`LiveRefragmenter` executes
-  a redraw *in place*: ids aligned by edge overlap so surviving fragments
-  keep their sites, complementary information repaired per disconnection set
-  through the :mod:`repro.incremental` kernels, the engine (and with it the
-  serving layer's planner, caches and worker pool) kept alive.
+* :mod:`~repro.refragmentation.live` — :func:`align_layout` matches a
+  proposed layout's fragments to the deployed ids by edge overlap, so
+  surviving fragments keep their sites, caches and owner workers.
 
-``FragmentedDatabase.refragment`` drives the scoped path and records a
-replayable ``refragment`` delta record carrying the new layout, so replicas
-can follow a reorganisation instead of resnapshotting;
-``QueryService.refragment`` / ``auto_refragment=`` wire it into serving.
+A redraw is then absorbed the way a write is: ``FragmentedDatabase.refragment``
+hands the aligned layout to the :mod:`repro.incremental` maintainer, which
+repairs the disconnection sets whose membership moved, rebuilds only the
+changed fragments' sites and keeps the engine (and with it the serving
+layer's caches and worker pool) alive; the database records a replayable
+``refragment`` delta record carrying the new layout, so replicas can follow a
+reorganisation instead of resnapshotting.  ``QueryService.refragment`` /
+``auto_refragment=`` wire it into serving, and the same update listener that
+absorbs a write evicts and re-pins after a redraw.
 """
 
 from .advisor import (
@@ -34,7 +37,8 @@ from .advisor import (
     fragmenter_for,
     measure_layout,
 )
-from .live import LiveRefragmenter, RefragmentResult, align_layout
+from ..incremental.maintainer import RefragmentResult
+from .live import align_layout
 
 __all__ = [
     "DEFAULT_BORDER_GROWTH_THRESHOLD",
@@ -42,7 +46,6 @@ __all__ = [
     "DEFAULT_MIN_BORDER_GAIN",
     "DEFAULT_UPDATE_SKEW_THRESHOLD",
     "LayoutSignals",
-    "LiveRefragmenter",
     "REFRAGMENT_ALGORITHMS",
     "RefragmentResult",
     "RefragmentationAdvice",

@@ -23,9 +23,9 @@ operationalises that for the serving stack:
   when it actually restores locality — a recommendation is a measured
   improvement, never a blind re-run.
 
-The advisor only *recommends*; executing the redraw in place is
-:class:`~repro.refragmentation.live.LiveRefragmenter`'s job, reached through
-``FragmentedDatabase.refragment`` / ``QueryService.refragment``.
+The advisor only *recommends*; ``FragmentedDatabase.refragment`` /
+``QueryService.refragment`` execute the redraw in place, through the
+incremental maintainer's :meth:`~repro.incremental.maintainer.IncrementalMaintainer.redraw`.
 """
 
 from __future__ import annotations

@@ -1,101 +1,30 @@
 """Live refragmentation: redraw fragment boundaries without tearing anything down.
 
-``FragmentedDatabase.refragment`` used to be catastrophic by construction: it
-threw the whole prepared state away — every fragment's compact kernels, every
-disconnection set's complementary information, every pinned worker payload —
-even when the new layout moved a handful of edges between two fragments and
-left the rest of the database untouched.  This module makes refragmentation
-*scoped*, following the same locality discipline the incremental maintainer
-applies to edge updates:
+A redraw is one more kind of layout change the database absorbs in place,
+through the same path as a write (:mod:`repro.incremental.maintainer`).  What
+is particular to a redraw is deciding *which slot* each proposed fragment
+lands in: :func:`align_layout` matches the proposed fragments to the deployed
+ones by edge overlap, so a fragment that survives the redraw keeps its id —
+and with it its site object, compact state, cache entries and owner worker.
 
-1. :func:`align_layout` matches the proposed fragments to the deployed ones by
-   edge overlap, so a fragment that survives the redraw keeps its id (and with
-   it its site object, compact state, cache entries and owner worker),
-2. complementary information is repaired per disconnection set: a
-   refragmentation never changes the base *graph*, so a pair whose border-node
-   membership is unchanged keeps its stored values verbatim, and only pairs
-   whose membership moved are recomputed — through the same
-   :class:`~repro.incremental.repair.ComplementaryRepairer` kernels the edge
-   update path uses,
-3. the engine's catalog swaps in rebuilt sites for exactly the changed
-   fragments (:meth:`~repro.disconnection.catalog.DistributedCatalog.apply_refragmentation`),
-   keeping the engine object — and therefore the serving layer's planner and
-   worker pool — alive,
-4. the caller receives a :class:`RefragmentResult` naming what moved, which
-   drives scoped cache eviction, per-fragment version bumps, placement-plan
-   remapping and owner-only re-pins upstream.
-
-When the configuration falls outside the envelope (custom semiring, no live
-engine) :class:`LiveRefragmenter` raises
-:class:`~repro.incremental.maintainer.IncrementalFallback` and the database
-performs the classic full rebuild — correctness never depends on the scoped
-path applying.  Stored complementary paths are inside the envelope: the
-repairer's pair recomputation rebuilds their route expansions from the same
-searches that refresh the values.
+``FragmentedDatabase.refragment`` aligns the layout here, then hands it to
+:meth:`~repro.incremental.maintainer.IncrementalMaintainer.redraw`: a pair
+whose border-node membership is unchanged keeps its complementary values
+verbatim (the graph did not change), pairs whose membership moved are
+recomputed by the write path's membership repair, only the changed fragments'
+sites are rebuilt, and the returned
+:class:`~repro.incremental.maintainer.RefragmentResult` drives scoped cache
+eviction, per-fragment version bumps, placement-plan remapping and owner-only
+re-pins upstream.  Outside the envelope (custom semiring, no live engine) the
+database performs the classic full rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
-
-from ..disconnection.engine import DisconnectionSetEngine
-from ..fragmentation import Fragmentation
-from ..fragmentation.metrics import total_border_nodes
-from ..graph.compact import CompactGraph
-from ..incremental.maintainer import IncrementalFallback
-from ..incremental.repair import REPAIRABLE_SEMIRINGS, ComplementaryRepairer, RepairReport
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 Node = Hashable
 Edge = Tuple[Node, Node]
-FragmentPair = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RefragmentResult:
-    """The outcome of one scoped, in-place refragmentation.
-
-    Attributes:
-        fragmentation: the new layout, with fragment ids aligned to the old
-            layout (surviving fragments keep their ids).
-        changed: fragment ids whose site state was rebuilt — their edge set
-            or their shortcut/disconnection-set neighbourhood moved (sorted;
-            includes ``created``).
-        created: fragment ids that did not exist before the redraw.
-        dropped: old fragment ids that no longer exist (layout shrank).
-        unchanged: fragment ids whose sites stayed object-identical.
-        moved_edges: total directed edges in the rebuilt fragments (the
-            re-pin payload size, and the figure the benchmark compares to a
-            full rebuild's every-edge reshipping).
-        pairs_recomputed: disconnection-set pairs whose complementary values
-            were re-searched.
-        pairs_kept: pairs whose membership (and therefore values) survived.
-        border_nodes_before / border_nodes_after: distinct border nodes
-            before and after — their difference is the locality the redraw
-            recovered.
-        report: the kernel-level repair accounting.
-    """
-
-    fragmentation: Fragmentation
-    changed: Tuple[int, ...]
-    created: Tuple[int, ...]
-    dropped: Tuple[int, ...]
-    unchanged: Tuple[int, ...]
-    moved_edges: int
-    pairs_recomputed: int
-    pairs_kept: int
-    border_nodes_before: int
-    border_nodes_after: int
-    report: RepairReport = field(default_factory=RepairReport)
-
-    @property
-    def dirty_fragments(self) -> Tuple[int, ...]:
-        """Every fragment id a consumer must invalidate (changed + dropped)."""
-        return tuple(sorted(set(self.changed) | set(self.dropped)))
-
-    def border_nodes_recovered(self) -> int:
-        """Return how many border nodes the redraw eliminated (may be negative)."""
-        return self.border_nodes_before - self.border_nodes_after
 
 
 def align_layout(
@@ -140,120 +69,3 @@ def align_layout(
     for new_index, slot in slot_of.items():
         aligned[slot] = set(proposed[new_index])
     return aligned
-
-
-class LiveRefragmenter:
-    """Applies an aligned new layout to a live engine, rebuilding only what moved.
-
-    Args:
-        engine: the live engine to reorganise in place; its semiring must be
-            one of the standard repairable ones.
-        mirror: the database's resident whole-graph
-            :class:`~repro.graph.compact.CompactGraph` mirror; when provided
-            the repair searches reuse it instead of recompiling the whole
-            graph per redraw (a refragmentation never changes the base
-            graph, so the mirror is always current).
-
-    Raises:
-        IncrementalFallback: at construction when the engine's configuration
-            falls outside the scoped-repair envelope (custom semiring).
-    """
-
-    def __init__(
-        self,
-        engine: DisconnectionSetEngine,
-        *,
-        mirror: Optional[CompactGraph] = None,
-    ) -> None:
-        if engine.semiring.name not in REPAIRABLE_SEMIRINGS:
-            raise IncrementalFallback(
-                f"scoped refragmentation supports the {REPAIRABLE_SEMIRINGS} "
-                f"semirings only, got {engine.semiring.name!r}"
-            )
-        self._engine = engine
-        self._repairer = ComplementaryRepairer(engine.semiring)
-        self._mirror = mirror
-
-    def apply(self, new_fragmentation: Fragmentation) -> RefragmentResult:
-        """Reorganise the engine's catalog to ``new_fragmentation`` in place.
-
-        ``new_fragmentation`` must already be id-aligned (see
-        :func:`align_layout`) and built over the *same* base graph the engine
-        serves — a refragmentation redraws boundaries, it never changes
-        edges.  Unchanged fragments' :class:`FragmentSite` objects (compact
-        kernels included) survive untouched; everything else is rebuilt and
-        named in the returned :class:`RefragmentResult`.
-        """
-        catalog = self._engine.catalog
-        old_fragmentation = catalog.fragmentation
-        old_layout: List[FrozenSet[Edge]] = [
-            fragment.edges for fragment in old_fragmentation.fragments
-        ]
-        new_layout: List[FrozenSet[Edge]] = [
-            fragment.edges for fragment in new_fragmentation.fragments
-        ]
-        old_count, new_count = len(old_layout), len(new_layout)
-        dropped = tuple(range(new_count, old_count))
-        created = tuple(range(old_count, new_count))
-        edge_changed: Set[int] = {
-            fragment_id
-            for fragment_id in range(min(old_count, new_count))
-            if old_layout[fragment_id] != new_layout[fragment_id]
-        }
-        edge_changed.update(created)
-
-        # Complementary repair: the base graph is unchanged, so stored
-        # border-to-border values depend only on the pair's membership — a
-        # pair whose disconnection set survived keeps its values verbatim.
-        old_sets = old_fragmentation.disconnection_sets()
-        new_sets = new_fragmentation.disconnection_sets()
-        info = catalog.complementary
-        report = RepairReport()
-        graph: CompactGraph = (
-            self._mirror
-            if self._mirror is not None
-            else CompactGraph.from_digraph(new_fragmentation.graph)
-        )
-        pairs_kept = 0
-        for pair, border in new_sets.items():
-            if old_sets.get(pair) == border:
-                pairs_kept += 1
-                continue
-            self._repairer.recompute_pair(info, graph, pair, border, report)
-            report.pairs_changed.add(pair)  # membership moved: chains differ
-        for pair in old_sets:
-            if pair not in new_sets:
-                self._repairer.remove_pair(info, pair, report)
-                report.pairs_changed.add(pair)
-
-        # Scope: fragments whose edges moved, plus every fragment whose
-        # shortcut set or neighbourhood changed with a touched pair.
-        dirty: Set[int] = set(edge_changed)
-        for i, j in report.pairs_changed:
-            if i < new_count:
-                dirty.add(i)
-            if j < new_count:
-                dirty.add(j)
-        changed = tuple(sorted(dirty))
-        unchanged = tuple(
-            fragment_id
-            for fragment_id in range(new_count)
-            if fragment_id not in dirty
-        )
-        catalog.apply_refragmentation(
-            new_fragmentation, rebuilt=list(changed), dropped=list(dropped)
-        )
-        moved_edges = sum(len(new_layout[fragment_id]) for fragment_id in changed)
-        return RefragmentResult(
-            fragmentation=new_fragmentation,
-            changed=changed,
-            created=created,
-            dropped=dropped,
-            unchanged=unchanged,
-            moved_edges=moved_edges,
-            pairs_recomputed=len(report.pairs_changed),
-            pairs_kept=pairs_kept,
-            border_nodes_before=total_border_nodes(old_fragmentation),
-            border_nodes_after=total_border_nodes(new_fragmentation),
-            report=report,
-        )

@@ -69,7 +69,7 @@ _POLL_SECONDS = 0.2
 
 @dataclass(frozen=True)
 class PinUpdate:
-    """One fragment's re-pin message after an incremental update.
+    """One fragment's re-pin message after a write or a redraw absorbed in place.
 
     The scoped alternative to restarting the pool: only the dirty fragment
     crosses the process boundary, and when the coordinator knows the exact
@@ -390,7 +390,6 @@ class PlacedWorkerPool:
         # the coordinator mirror on their first routed read.
         self.replica_refreshes = 0
         self.replica_repins_deferred = 0
-        self.refragments = 0
         self._stale_replicas: Dict[int, set] = {}
         self._start(catalog, plan)
 
@@ -463,9 +462,9 @@ class PlacedWorkerPool:
     def restart(self, catalog: DistributedCatalog) -> None:
         """Replace every pinned site with ``catalog``'s under the remapped plan.
 
-        Kept for the full-rebuild path (refragmentation, incremental
-        fallback), where the fragment set itself may have changed; scoped
-        updates go through :meth:`repin` and skew through :meth:`migrate`
+        Kept for the full-rebuild path (a write or redraw that fell back),
+        where the fragment set itself may have changed; scoped writes and
+        redraws go through :meth:`repin` and skew through :meth:`migrate`
         instead.  When the catalog's fragments no longer match the plan it is
         remapped (:meth:`PlacementPlan.remap`): surviving fragments keep
         their owners, new ids land on the least-loaded workers.
@@ -660,67 +659,91 @@ class PlacedWorkerPool:
         return results
 
     def repin(self, updates: Sequence[PinUpdate]) -> None:
-        """Refresh dirty fragments on their owner only — replicas are fenced.
+        """Refresh changed fragments on their owner only — replicas are fenced.
 
-        Instead of a broadcast to every worker holding a copy, each update
-        travels eagerly only to the fragment's *owner* — the worker every
-        read routes to — so a hot fragment's update cost stays O(1) however
-        widely it is replicated.  Replica
-        processes keep serving their old version behind a fence: the
-        coordinator mirror records the new payload, the replica is marked
-        stale, and the first routed read that actually falls back to it
-        (owner death) refreshes it from the mirror before the read runs.
+        The one way a layout change reaches the workers, after a write or a
+        redraw.  Instead of a broadcast to every worker holding a copy, each
+        update travels eagerly only to the fragment's *owner* — the worker
+        every read routes to — so a hot fragment's update cost stays O(1)
+        however widely it is replicated.  Replica processes keep serving
+        their old version behind a fence: the coordinator mirror records the
+        new payload, the replica is marked stale, and the first routed read
+        that actually falls back to it (owner death) refreshes it from the
+        mirror before the read runs.
+
+        The pool adopts the plan remapped onto the fragment ids the updates
+        leave (:meth:`PlacementPlan.remap`: surviving fragments keep their
+        owners, a new id lands on the least-loaded worker).  A ``remove``
+        marker (a fragment a redraw dropped) and a fragment whose owner
+        changed are unpinned from every worker the new plan does not place
+        them on.  Worker processes are never restarted — unchanged
+        fragments stay pinned where they are, warm state and PIDs intact.
+        Dead workers are skipped (their mirrors are refreshed, so the
+        eventual respawn pins current state).
         """
         if not self._running:
             raise WorkerPoolError("the placed worker pool has been closed")
         if not updates:
             return
-        owner_groups: Dict[int, List[PinUpdate]] = {}
+        fragment_ids = set(self._plan.owner_of)
         for update in updates:
-            workers = self._plan.workers_for(update.fragment_id)
-            if len(workers) > 1 and update.payload is None and not update.remove:
+            if update.remove:
+                fragment_ids.discard(update.fragment_id)
+            else:
+                fragment_ids.add(update.fragment_id)
+        plan = self._plan
+        if fragment_ids != set(plan.owner_of):
+            plan = plan.remap(fragment_ids)
+        groups: Dict[int, List[PinUpdate]] = {}
+        for update in updates:
+            fragment_id = update.fragment_id
+            workers = () if update.remove else plan.workers_for(fragment_id)
+            if len(workers) > 1 and update.payload is None:
                 # The fence (and the lazy refresh behind it, and a respawn)
                 # serves from the coordinator mirror, which only a payload
                 # can refresh; applying a bare delta to a possibly-stale
                 # replica would corrupt it silently.
                 raise WorkerPoolError(
-                    f"re-pinning replicated fragment {update.fragment_id} "
+                    f"re-pinning replicated fragment {fragment_id} "
                     "requires a full payload, not just a delta"
                 )
+            for worker_index, handle in enumerate(self._workers):
+                if worker_index in workers:
+                    continue
+                if handle.pinned.pop(fragment_id, None) is not None:
+                    groups.setdefault(worker_index, []).append(
+                        PinUpdate(fragment_id=fragment_id, estimated_iterations=0, remove=True)
+                    )
+                self._stale_replicas.get(worker_index, set()).discard(fragment_id)
+            if not workers:
+                continue
+            # The coordinator mirror is refreshed regardless of process
+            # health: a dead owner respawns from this mirror later.
             owner = workers[0]
-            owner_groups.setdefault(owner, []).append(update)
+            if update.payload is not None:
+                self._workers[owner].pinned[fragment_id] = update.payload
+            self._stale_replicas.get(owner, set()).discard(fragment_id)
+            groups.setdefault(owner, []).append(update)
             for replica in workers[1:]:
                 # Mirror now, process later: the replica's live state is
                 # fenced at its old version until a routed read needs it.
-                if update.remove:
-                    self._workers[replica].pinned.pop(update.fragment_id, None)
-                else:
-                    self._workers[replica].pinned[update.fragment_id] = update.payload
-                self._stale_replicas.setdefault(replica, set()).add(update.fragment_id)
+                self._workers[replica].pinned[fragment_id] = update.payload
+                self._stale_replicas.setdefault(replica, set()).add(fragment_id)
                 self.replica_repins_deferred += 1
         request_id = self._request_id()
         targets: List[int] = []
-        for worker_index, worker_updates in owner_groups.items():
+        for worker_index, worker_updates in groups.items():
             handle = self._workers[worker_index]
-            # The coordinator mirror is refreshed regardless of process
-            # health: a dead owner respawns from this mirror later.
-            for update in worker_updates:
-                if update.remove:
-                    handle.pinned.pop(update.fragment_id, None)
-                elif update.payload is not None:
-                    handle.pinned[update.fragment_id] = update.payload
-            self._stale_replicas.get(worker_index, set()).difference_update(
-                update.fragment_id for update in worker_updates
-            )
             if not handle.is_alive():
                 continue
             handle.queue.put(("repin", request_id, [u.wire() for u in worker_updates]))
             targets.append(worker_index)
         self._collect(request_id, targets, resubmit=None)
+        self._plan = plan
         self.repins += 1
         self.repinned_fragments += len(updates)
         self.repin_messages += len(targets)
-        self.last_repin_workers = tuple(sorted(owner_groups))
+        self.last_repin_workers = tuple(sorted(groups))
 
     def migrate(self, fragment_id: int, to_worker: int) -> bool:
         """Move a fragment's compact state to ``to_worker`` — live, no restart.
@@ -782,78 +805,6 @@ class PlacedWorkerPool:
             self._collect(request_id, [from_worker], resubmit=None)
         self.migrations += 1
         return True
-
-    def apply_refragmentation(
-        self, updates: Sequence[PinUpdate], new_plan: PlacementPlan
-    ) -> None:
-        """Execute a live boundary redraw: scoped pin changes, then the new plan.
-
-        ``updates`` carries the rebuilt fragments' full payloads plus
-        ``remove`` markers for fragments the redraw dropped; ``new_plan`` is
-        the remapped placement (surviving fragments keep their owners — see
-        :meth:`PlacementPlan.remap`).  Each rebuilt fragment ships to its
-        (new) owner only, with replicas fenced exactly like an ordinary
-        repin; dropped fragments are unpinned from every worker holding
-        them.  Worker processes are never restarted — unchanged fragments
-        stay pinned where they are, warm state and PIDs intact.  Dead
-        workers are skipped (their mirrors are refreshed, so the eventual
-        respawn pins current state).
-
-        Raises:
-            WorkerPoolError: when the pool is closed.
-        """
-        if not self._running:
-            raise WorkerPoolError("the placed worker pool has been closed")
-        old_plan = self._plan
-        groups: Dict[int, List[PinUpdate]] = {}
-        for update in updates:
-            fragment_id = update.fragment_id
-            if update.remove:
-                # Unpin everywhere the old plan put it; the fragment id no
-                # longer exists, so there is nothing to fence.
-                for worker_index in range(len(self._workers)):
-                    handle = self._workers[worker_index]
-                    if handle.pinned.pop(fragment_id, None) is not None:
-                        groups.setdefault(worker_index, []).append(update)
-                    stale = self._stale_replicas.get(worker_index)
-                    if stale:
-                        stale.discard(fragment_id)
-                continue
-            workers = new_plan.workers_for(fragment_id)
-            owner = workers[0]
-            self._workers[owner].pinned[fragment_id] = update.payload
-            self._stale_replicas.get(owner, set()).discard(fragment_id)
-            groups.setdefault(owner, []).append(update)
-            for replica in workers[1:]:
-                self._workers[replica].pinned[fragment_id] = update.payload
-                self._stale_replicas.setdefault(replica, set()).add(fragment_id)
-                self.replica_repins_deferred += 1
-            # The redraw may have re-owned the fragment (a created id landing
-            # on a new worker): the old owner no longer pins it.
-            try:
-                previous = old_plan.owner(fragment_id)
-            except PlacementError:
-                previous = None
-            if previous is not None and previous not in workers:
-                handle = self._workers[previous]
-                if handle.pinned.pop(fragment_id, None) is not None:
-                    groups.setdefault(previous, []).append(
-                        PinUpdate(fragment_id=fragment_id, estimated_iterations=0, remove=True)
-                    )
-        request_id = self._request_id()
-        targets: List[int] = []
-        for worker_index, worker_updates in groups.items():
-            handle = self._workers[worker_index]
-            if not handle.is_alive():
-                continue
-            handle.queue.put(("repin", request_id, [u.wire() for u in worker_updates]))
-            targets.append(worker_index)
-        self._collect(request_id, targets, resubmit=None)
-        self._plan = new_plan.copy()
-        self.refragments += 1
-        self.repinned_fragments += len(updates)
-        self.repin_messages += len(targets)
-        self.last_repin_workers = tuple(sorted(groups))
 
     # ------------------------------------------------------------- internals
 

@@ -66,7 +66,7 @@ from ..disconnection.maintenance import UpdateEvent
 from ..disconnection.planner import LocalQuerySpec
 from ..fragmentation import Fragmentation, Fragmenter
 from ..graph.compact import merge_overlay_metrics
-from ..incremental import DeltaLog, VersionVector
+from ..incremental import AppliedDelta, DeltaLog, VersionVector
 from ..observability import DEFAULT_SLOW_THRESHOLD_SECONDS, MetricsRegistry, QueryLog, Tracer
 from ..observability.querylog import DEFAULT_CAPACITY as DEFAULT_QUERY_LOG_CAPACITY
 from ..placement import (
@@ -785,7 +785,7 @@ class QueryService:
                 chosen = fragmenter
             with self._tracer.span("redraw"):
                 database.refragment(chosen)  # the update listener evicts and re-pins
-            result = database.last_refragment
+            result = database.last_delta
             with self._tracer.span("rebuild"):
                 # Full-rebuild path: rebuild (and restart the pool) now.
                 self._refresh_engine()
@@ -804,7 +804,7 @@ class QueryService:
             algorithm=advice.proposed.algorithm,
             aligned=False,
         )
-        result = self._database.last_refragment
+        result = self._database.last_delta
         self._refresh_engine()  # full-rebuild path: rebuild (and restart the pool) now
         return result
 
@@ -1047,13 +1047,21 @@ class QueryService:
         return entry
 
     def _on_update(self, event: UpdateEvent) -> None:
+        """Absorb one applied write or redraw: scoped eviction and re-pins when possible."""
         self._stats.invalidations += 1
-        if event.kind == "refragment":
-            self._on_refragment(event)
-            return
-        self._stats.updates_applied += 1
-        if event.fallback is not None:
-            self._stats.record_update_fallback(event.fallback)
+        redraw = event.kind == "refragment"
+        if redraw:
+            self._stats.refragments += 1
+            if self._refragment_advisor is not None:
+                # The redraw is the new normal: growth is measured against
+                # it.  Re-observing here covers every path a redraw can
+                # arrive by — refragment(), delta-log replay, or a direct
+                # database.refragment().
+                self._refragment_advisor.observe(self._database.fragmentation())
+        else:
+            self._stats.updates_applied += 1
+            if event.fallback is not None:
+                self._stats.record_update_fallback(event.fallback)
         if event.incremental and event.dirty_fragments:
             # Scoped invalidation: the maintainer absorbed the change in
             # place and named exactly the fragments whose state moved — only
@@ -1065,94 +1073,48 @@ class QueryService:
             )
             self._stats.scoped_invalidations += 1
             self._stats.cache_entries_evicted += evicted
-            self._repin_dirty(sorted(dirty))
-            return
-        # Full invalidation: the engine will be rebuilt; every cached answer
-        # and every pinned worker payload is stale (the pool restarts when
-        # _refresh_engine notices the new engine object).
-        self._stats.cache_entries_evicted += self._cache.clear()
-
-    def _on_refragment(self, event: UpdateEvent) -> None:
-        """Absorb a boundary redraw: scoped eviction + live re-pins when possible."""
-        self._stats.refragments += 1
-        if self._refragment_advisor is not None:
-            # The redraw is the new normal: growth is measured against it.
-            # Re-observing here (the update listener) covers every path a
-            # redraw can arrive by — refragment(), delta-log replay, or a
-            # direct database.refragment().
-            self._refragment_advisor.observe(self._database.fragmentation())
-        result = self._database.last_refragment
-        if event.incremental and event.dirty_fragments and result is not None:
-            dirty = set(event.dirty_fragments)
-            evicted = self._cache.evict_where(
-                lambda key, entry: entry.depends_on(dirty)  # type: ignore[union-attr]
-            )
-            self._stats.scoped_invalidations += 1
-            self._stats.cache_entries_evicted += evicted
-            self._stats.scoped_refragments += 1
-            self._stats.refragment_fragments_rebuilt += len(result.changed)
-            self._stats.refragment_fragments_kept += len(result.unchanged)
-            self._stats.refragment_moved_edges += result.moved_edges
-            self._stats.border_nodes_recovered += result.border_nodes_recovered()
-            self._repin_refragment(result)
-            return
-        # Full-rebuild redraw: every answer and every pinned payload is
-        # stale; the pool restarts when _refresh_engine sees the new engine.
-        # A pinned explicit plan must still follow the new fragment ids — a
-        # pool built *after* this redraw starts from self._placement, and a
-        # plan missing the redrawn ids would refuse to start.
+            applied = self._database.last_delta
+            if redraw:
+                self._stats.scoped_refragments += 1
+                self._stats.refragment_fragments_rebuilt += len(applied.changed)
+                self._stats.refragment_fragments_kept += len(applied.unchanged)
+                self._stats.refragment_moved_edges += applied.moved_edges
+                self._stats.border_nodes_recovered += applied.border_nodes_recovered()
+            if self._pool is not None:
+                self._repin(applied)
+                return
+        else:
+            # Full invalidation: the engine will be rebuilt; every cached
+            # answer and every pinned worker payload is stale (the pool
+            # restarts when _refresh_engine notices the new engine object).
+            self._stats.cache_entries_evicted += self._cache.clear()
+        # A pinned explicit plan must still follow the fragment ids — a pool
+        # built *after* this change starts from self._placement, and a plan
+        # missing a fragment id would refuse to start.
         if isinstance(self._placement, PlacementPlan):
             count = self._database.fragmentation().fragment_count()
             self._placement = self._placement.remap(range(count))
-        self._stats.cache_entries_evicted += self._cache.clear()
 
-    def _repin_refragment(self, result: RefragmentResult) -> None:
-        """Push a scoped redraw's rebuilt fragments into the live pool."""
+    def _repin(self, applied: AppliedDelta) -> None:
+        """Push an absorbed change's dirty fragments to their owner workers.
+
+        A dirty fragment the catalog no longer has was dropped by a redraw
+        and is unpinned; every other one ships its refreshed site, as the
+        small delta when one exists.  The pool adopts the plan remapped onto
+        the fragment ids that are left, and so does a pinned explicit plan.
+        """
         engine = self._current_engine
-        assert engine is not None
+        assert engine is not None and self._pool is not None
         catalog = engine.catalog
-        surviving = [site.fragment_id for site in catalog.sites()]
-        if self._pool is None:
-            if isinstance(self._placement, PlacementPlan):
-                # Keep the pinned (not-yet-started) plan shaped like the new
-                # layout, owners of surviving fragments preserved.
-                self._placement = self._placement.remap(surviving)
-            return
+        count = catalog.fragmentation.fragment_count()
         updates: List[PinUpdate] = []
-        for fragment_id in result.changed:
-            site = catalog.site(fragment_id)
-            updates.append(
-                PinUpdate(
-                    fragment_id=fragment_id,
-                    estimated_iterations=site.local_iterations(),
-                    payload=site.to_compact_site(),
+        for fragment_id in applied.dirty_fragments:
+            if fragment_id >= count:
+                updates.append(
+                    PinUpdate(fragment_id=fragment_id, estimated_iterations=0, remove=True)
                 )
-            )
-        for fragment_id in result.dropped:
-            updates.append(
-                PinUpdate(fragment_id=fragment_id, estimated_iterations=0, remove=True)
-            )
-        try:
-            new_plan = self._pool.plan.remap(surviving)
-            self._pool.apply_refragmentation(updates, new_plan)
-            if isinstance(self._placement, PlacementPlan):
-                self._placement = new_plan
-        except Exception:
-            # A broken apply (worker error mid-redraw, reply timeout) must
-            # not leave half-reorganised workers behind.
-            self._pool.restart(engine.catalog)
-
-    def _repin_dirty(self, dirty_fragments: List[int]) -> None:
-        """Push the dirty fragments' new state to their owner workers."""
-        if self._pool is None:
-            return
-        engine = self._current_engine
-        assert engine is not None
-        applied = self._database.last_delta
-        updates: List[PinUpdate] = []
-        for fragment_id in dirty_fragments:
-            site = engine.catalog.site(fragment_id)
-            delta = applied.site_deltas.get(fragment_id) if applied is not None else None
+                continue
+            site = catalog.site(fragment_id)
             # The payload is always supplied: live workers receive the small
             # delta when one exists, but the pool needs the refreshed site to
             # keep its respawn-initialisation list current.
@@ -1160,7 +1122,7 @@ class QueryService:
                 PinUpdate(
                     fragment_id=fragment_id,
                     estimated_iterations=site.local_iterations(),
-                    delta=delta,
+                    delta=applied.site_deltas.get(fragment_id),
                     payload=site.to_compact_site(),
                     border_nodes=site.border_nodes,
                 )
@@ -1168,13 +1130,16 @@ class QueryService:
         deferred_before = self._pool.replica_repins_deferred
         try:
             self._pool.repin(updates)
+            if isinstance(self._placement, PlacementPlan):
+                self._placement = self._pool.plan.copy()
             self._stats.replica_repins_deferred += (
                 self._pool.replica_repins_deferred - deferred_before
             )
         except Exception:
             # A broken re-pin (worker error, reply timeout) must not leave
-            # stale pinned state behind: fall back to a full restart.
-            self._pool.restart(engine.catalog)
+            # stale or half-reorganised pinned state behind: fall back to a
+            # full restart.
+            self._pool.restart(catalog)
 
     def _refresh_engine(self) -> DisconnectionSetEngine:
         engine = self._database.engine()
@@ -1210,31 +1175,17 @@ class QueryService:
         evaluator = self._evaluator
         hits_before = evaluator.transit_hits
         misses_before = evaluator.transit_misses
-        # What was actually sent to a site: everything in-process, in pooled
-        # mode only what the coordinator's transit tables could not answer.
-        dispatched = tasks
         with self._tracer.span("evaluate", tasks=len(tasks)) as espan:
             if self._workers:
                 pool = self._ensure_pool()
-                # Border-to-border tasks the coordinator's own sites remember
-                # never cross the queues; the rest is routed as before.
-                specs = {key: LocalQuerySpec(*key) for key in tasks}
-                served: Dict[TaskKey, LocalQueryResult] = {}
-                for key, spec in specs.items():
-                    remembered = evaluator.recall(catalog.site(key[0]), spec)
-                    if remembered is not None:
-                        served[key] = remembered
-                if served:
-                    espan.set("memoized", len(served))
-                    dispatched = [key for key in tasks if key not in served]
-                owner_groups = group_by_owner(dispatched, pool.plan) if grouped else {}
+                owner_groups = group_by_owner(tasks, pool.plan) if grouped else {}
                 if owner_groups:
                     self._stats.placement_aware_batches += 1
                     self._stats.batch_owner_rounds += len(owner_groups)
                 espan.set("pool", "placed")
                 refreshes_before = pool.replica_refreshes
                 results = pool.evaluate(
-                    dispatched,
+                    tasks,
                     owner_groups=owner_groups or None,
                     trace_id=self._tracer.current_trace_id,
                 )
@@ -1289,10 +1240,10 @@ class QueryService:
                         )
                 espan.set("searches", sum(r.searches for r in results.values()))
                 # The workers evaluated on replicas of the coordinator's site
-                # graphs: their border-to-border replies fill its tables.
+                # graphs: their border-to-border replies fill its tables,
+                # where the border-graph search reads its arcs.
                 for key, result in results.items():
-                    evaluator.remember(catalog.site(key[0]), specs[key], result)
-                results.update(served)
+                    evaluator.remember(catalog.site(key[0]), LocalQuerySpec(*key), result)
             else:
                 espan.set("pool", "in-process")
                 specs = [LocalQuerySpec(*key) for key in tasks]
@@ -1363,7 +1314,7 @@ class QueryService:
         # One dispatch per *task*: a batch of n shared subqueries records n
         # site dispatches, never one per batch.
         per_fragment: Dict[int, int] = {}
-        for key in dispatched:
+        for key in tasks:
             per_fragment[key[0]] = per_fragment.get(key[0], 0) + 1
         for fragment_id, count in per_fragment.items():
             self._stats.record_dispatch(fragment_id, count)

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.exceptions import PlanTruncatedError
+from repro.fragmentation import GroundTruthFragmenter
 from repro.fragmentation.fragmentation_graph import CHAIN_EXPANSION_BUDGET, FragmentationGraph
 from repro.graph.shortest_path import dijkstra
 from repro.service import QueryService
@@ -169,10 +170,14 @@ def test_a_cold_query_dispatches_its_endpoints_and_searches_few_border_nodes():
 # same-fragment pair.  Border-graph arcs read the backward rows the source
 # rows read, so the read from the written node refills them once for both.
 # Dropping every row of a written fragment cost 6.47 rows and 2.65 searches a
-# read; chain planning, 3.97 rows and 1.10 searches.
+# read; chain planning, 3.97 rows and 1.10 searches.  A write inside a block
+# moves no disconnection set, so it patches its own fragment's site, plus a
+# neighbour's when it moves a stored border-to-border value (their shortcuts
+# change): 61 sites over the 60 writes.
 WRITE_BUDGETS = {
     "searches_per_read": 1.00,
     "rows_dropped_per_write": 3.62,
+    "sites_patched_per_write": 1.02,
 }
 
 
@@ -181,7 +186,7 @@ def rows_held(service):
 
 
 def write_stream_work(rounds: int = 60, seed: int = 11):
-    """``(array_dijkstra calls per read, border rows dropped per write)``."""
+    """``(array_dijkstra calls per read, border rows dropped per write, sites patched per write)``."""
     fragmentation, layout = ring_layout(4, 30)
     service = QueryService(fragmentation)
     graph = service.database.graph
@@ -194,7 +199,7 @@ def write_stream_work(rounds: int = 60, seed: int = 11):
     for pair in hot:
         service.query(*pair)  # warm-up: fills the hot set's rows
     inserted = []
-    searches = dropped = 0
+    searches = dropped = patched = 0
     for _ in range(rounds):
         roll = rng.random()
         held = rows_held(service)
@@ -212,6 +217,9 @@ def write_stream_work(rounds: int = 60, seed: int = 11):
             a, b = inserted.pop(rng.randrange(len(inserted)))
             service.update_edge(a, b, delete=True, symmetric=True)
         dropped += held - rows_held(service)
+        applied = service.database.last_delta
+        assert applied is not None, "every write of the stream is absorbed in place"
+        patched += len(applied.dirty_fragments)
         far = layout[(block_of[a] + 2) % len(layout)]
         reads = [(a, rng.choice(far))] + rng.choices(hot, zipf, k=3)
         with counted_searches() as calls:
@@ -219,10 +227,44 @@ def write_stream_work(rounds: int = 60, seed: int = 11):
                 service.cache.clear()
                 service.query(*pair)
         searches += len(calls)
-    return searches / (4 * rounds), dropped / rounds
+    return searches / (4 * rounds), dropped / rounds, patched / rounds
 
 
 def test_reads_after_a_write_search_little_and_writes_drop_few_rows():
-    searches_per_read, rows_dropped_per_write = write_stream_work()
+    searches_per_read, rows_dropped_per_write, _ = write_stream_work()
     assert searches_per_read <= WRITE_BUDGETS["searches_per_read"]
     assert rows_dropped_per_write <= WRITE_BUDGETS["rows_dropped_per_write"]
+
+
+def test_a_write_patches_only_its_own_fragments_site():
+    _, _, sites_patched_per_write = write_stream_work()
+    assert sites_patched_per_write <= WRITE_BUDGETS["sites_patched_per_write"]
+
+
+# A redraw that moves the lowest node of block 3 into block 2 on a ring of
+# four 30-node fragments: only the disconnection set (2, 3) moves, so its two
+# fragments' sites are rebuilt, the other two kept, and a two-worker pool
+# receives one re-pin message per owner of a rebuilt fragment.
+REDRAW_BUDGETS = {
+    "sites_rebuilt": 2,
+    "sites_kept": 2,
+    "repin_messages": 2,
+}
+
+
+def test_a_redraw_rebuilds_and_repins_only_the_fragments_it_moved():
+    fragmentation, layout = ring_layout(4, 30)
+    blocks = [set(block) for block in layout]
+    moved = min(blocks[3])
+    blocks[2].add(moved)
+    blocks[3].discard(moved)
+    with QueryService(fragmentation, workers=2, placement="cost_balanced") as service:
+        service.query(layout[0][5], layout[2][10])  # starts the pool
+        pool = service._pool
+        messages = pool.repin_messages
+        result = service.refragment(GroundTruthFragmenter(blocks))
+        assert result is not None and result.changed == (2, 3)
+        assert len(result.changed) <= REDRAW_BUDGETS["sites_rebuilt"]
+        assert len(result.unchanged) >= REDRAW_BUDGETS["sites_kept"]
+        assert pool.repin_messages - messages <= REDRAW_BUDGETS["repin_messages"]
+        assert set(pool.last_repin_workers) <= {pool.plan.owner(f) for f in result.changed}

@@ -1,4 +1,4 @@
-"""Unit tests for layout alignment and the in-place live refragmenter."""
+"""Unit tests for layout alignment and redraws absorbed in place by the maintainer."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.closure import Semiring, shortest_path_cost, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine, FragmentedDatabase
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
 from repro.graph import DiGraph
-from repro.incremental.maintainer import IncrementalFallback
-from repro.refragmentation import LiveRefragmenter, align_layout
+from repro.incremental.maintainer import supports_incremental
+from repro.refragmentation import align_layout
 
 
 def clique_line(blocks=4, size=4):
@@ -61,28 +61,34 @@ class TestAlignLayout:
         )
 
 
-class TestLiveRefragmenter:
-    def _engine(self, graph, blocks):
+def redraw(database, blocks):
+    """Redraw ``database`` onto node ``blocks`` in place; return the applied result."""
+    database.refragment(GroundTruthFragmenter([set(block) for block in blocks]))
+    result = database.last_delta
+    assert result is not None and result.kind == "refragment", "the redraw must be scoped"
+    return result
+
+
+class TestRedrawThroughTheMaintainer:
+    def _database(self, graph, blocks, **kwargs):
         fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
-        return DisconnectionSetEngine(fragmentation)
+        database = FragmentedDatabase(fragmentation, **kwargs)
+        database.engine()
+        return database
 
     def test_untouched_fragments_stay_object_identical(self):
         graph, blocks = clique_line()
-        engine = self._engine(graph, blocks)
+        database = self._database(graph, blocks)
+        engine = database.engine()
         before = {site.fragment_id: site for site in engine.catalog.sites()}
         compact_before = {fid: site.compact() for fid, site in before.items()}
         # Move one node between the last two blocks; the first two are untouched.
         new_blocks = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | {12}, set(blocks[3]) - {12}]
-        proposed = GroundTruthFragmenter(new_blocks).fragment(graph)
-        aligned = align_layout(
-            [f.edges for f in engine.catalog.fragmentation.fragments],
-            [set(f.edges) for f in proposed.fragments],
-        )
-        result = LiveRefragmenter(engine).apply(
-            Fragmentation(graph, aligned, algorithm=proposed.algorithm)
-        )
+        result = redraw(database, new_blocks)
+        assert database.engine() is engine
         assert set(result.unchanged) == {0, 1}
         assert set(result.changed) == {2, 3}
+        assert result.dirty_fragments == (2, 3) and not result.created and not result.dropped
         for fid in result.unchanged:
             assert engine.catalog.site(fid) is before[fid]
             assert engine.catalog.site(fid).compact() is compact_before[fid]
@@ -91,16 +97,11 @@ class TestLiveRefragmenter:
 
     def test_answers_match_a_fresh_engine_after_the_redraw(self):
         graph, blocks = clique_line()
-        engine = self._engine(graph, blocks)
+        database = self._database(graph, blocks)
         new_blocks = [set(blocks[0]) | {4}, set(blocks[1]) - {4}, set(blocks[2]), set(blocks[3])]
-        proposed = GroundTruthFragmenter(new_blocks).fragment(graph)
-        aligned = align_layout(
-            [f.edges for f in engine.catalog.fragmentation.fragments],
-            [set(f.edges) for f in proposed.fragments],
-        )
-        new_fragmentation = Fragmentation(graph, aligned, algorithm=proposed.algorithm)
-        LiveRefragmenter(engine).apply(new_fragmentation)
-        fresh = DisconnectionSetEngine(new_fragmentation)
+        redraw(database, new_blocks)
+        engine = database.engine()
+        fresh = DisconnectionSetEngine(database.fragmentation())
         for source, target in [(0, 15), (5, 12), (4, 1), (15, 0), (8, 13)]:
             assert engine.query(source, target).value == pytest.approx(
                 fresh.query(source, target).value
@@ -111,35 +112,23 @@ class TestLiveRefragmenter:
 
     def test_unchanged_pairs_keep_their_complementary_values(self):
         graph, blocks = clique_line()
-        engine = self._engine(graph, blocks)
-        info = engine.catalog.complementary
+        database = self._database(graph, blocks)
+        info = database.engine().catalog.complementary
         kept_pair_values = dict(info.values[(0, 1)])
         new_blocks = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | {12}, set(blocks[3]) - {12}]
-        proposed = GroundTruthFragmenter(new_blocks).fragment(graph)
-        aligned = align_layout(
-            [f.edges for f in engine.catalog.fragmentation.fragments],
-            [set(f.edges) for f in proposed.fragments],
-        )
-        result = LiveRefragmenter(engine).apply(
-            Fragmentation(graph, aligned, algorithm=proposed.algorithm)
-        )
-        assert result.pairs_kept >= 1
+        result = redraw(database, new_blocks)
+        assert (0, 1) not in result.pairs_changed
         assert info.values[(0, 1)] == kept_pair_values
-        assert (2, 3) in {pair for pair in result.report.pairs_changed}
+        assert (2, 3) in result.pairs_changed
+        assert result.pairs_changed == tuple(sorted(result.report.pairs_changed))
 
     def test_shrinking_redraw_drops_ids_and_sites(self):
         graph, blocks = clique_line(blocks=3)
-        engine = self._engine(graph, blocks)
-        merged = [set(blocks[0]) | set(blocks[1]), set(blocks[2])]
-        proposed = GroundTruthFragmenter(merged).fragment(graph)
-        aligned = align_layout(
-            [f.edges for f in engine.catalog.fragmentation.fragments],
-            [set(f.edges) for f in proposed.fragments],
-        )
-        result = LiveRefragmenter(engine).apply(
-            Fragmentation(graph, aligned, algorithm=proposed.algorithm)
-        )
+        database = self._database(graph, blocks)
+        engine = database.engine()
+        result = redraw(database, [set(blocks[0]) | set(blocks[1]), set(blocks[2])])
         assert result.dropped == (2,)
+        assert result.dirty_fragments[-1] == 2 and 2 not in result.changed
         assert len(engine.catalog.sites()) == 2
         fresh = DisconnectionSetEngine(engine.catalog.fragmentation)
         for source, target in [(0, 11), (5, 9), (11, 0)]:
@@ -149,7 +138,6 @@ class TestLiveRefragmenter:
 
     def test_custom_semiring_is_outside_the_envelope(self):
         graph, blocks = clique_line(blocks=2)
-        fragmentation = GroundTruthFragmenter([set(b) for b in blocks]).fragment(graph)
         custom = Semiring(
             name="custom",
             zero=float("inf"),
@@ -157,21 +145,20 @@ class TestLiveRefragmenter:
             plus=min,
             times=lambda a, b: a + b,
         )
-        engine = DisconnectionSetEngine(fragmentation, semiring=custom)
-        with pytest.raises(IncrementalFallback):
-            LiveRefragmenter(engine)
+        database = self._database(graph, blocks, semiring=custom)
+        engine = database.engine()
+        assert not supports_incremental(database)
+        database.refragment(GroundTruthFragmenter([set(blocks[0]) | {4}, set(blocks[1]) - {4}]))
+        assert database.last_delta is None
+        assert database.engine() is not engine
 
     def test_routes_cross_the_redrawn_blocks_at_the_whole_graph_cost(self):
         graph, blocks = clique_line()
-        engine = self._engine(graph, blocks)
+        database = self._database(graph, blocks)
+        engine = database.engine()
         engine.route(0, 15)  # warm the sites the redraw keeps
         new_blocks = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | {12}, set(blocks[3]) - {12}]
-        proposed = GroundTruthFragmenter(new_blocks).fragment(graph)
-        aligned = align_layout(
-            [f.edges for f in engine.catalog.fragmentation.fragments],
-            [set(f.edges) for f in proposed.fragments],
-        )
-        LiveRefragmenter(engine).apply(Fragmentation(graph, aligned, algorithm=proposed.algorithm))
+        redraw(database, new_blocks)
         # Node 12 moved from block 3 to block 2: route between both blocks and it.
         for source in blocks[2] + blocks[3]:
             for target in (12, blocks[2][0], blocks[3][-1]):
@@ -180,6 +167,27 @@ class TestLiveRefragmenter:
                 assert routed.route[0] == source and routed.route[-1] == target
                 walked = sum(graph.edge_weight(a, b) for a, b in zip(routed.route, routed.route[1:]))
                 assert walked == pytest.approx(routed.cost)
+
+    def test_a_scoped_redraw_builds_one_fragmentation_the_database_and_catalog_share(
+        self, monkeypatch
+    ):
+        graph, blocks = clique_line(4, 4)
+        database = self._database(graph, blocks)
+        built = []
+        original = Fragmentation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fragmentation, "__init__", counting)
+        shrunk = [set(blocks[0]), set(blocks[1]), set(blocks[2]) | set(blocks[3])]
+        layout = GroundTruthFragmenter(shrunk).fragment(graph)
+        built.clear()
+        database.refragment(layout=[list(f.edges) for f in layout.fragments], aligned=False)
+        assert database.last_delta is not None and database.last_delta.dropped == (3,)
+        assert len(built) == 1
+        assert database.fragmentation() is database.engine().catalog.fragmentation
 
 
 class TestDatabaseRefragment:
@@ -192,7 +200,7 @@ class TestDatabaseRefragment:
         database.refragment(GroundTruthFragmenter(new_blocks))
         assert database.engine() is engine
         assert database.statistics.scoped_refragments == 1
-        assert database.last_refragment is not None
+        assert database.last_delta is not None and database.last_delta.kind == "refragment"
         record = database.delta_log.last()
         assert record.incremental and record.layout is not None
 

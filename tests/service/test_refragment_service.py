@@ -14,9 +14,9 @@ import pytest
 from repro.closure import shortest_path_cost
 from repro.fragmentation import CenterBasedFragmenter, GroundTruthFragmenter, HashFragmenter
 from repro.graph import DiGraph
-from repro.incremental.maintainer import IncrementalFallback
+from repro.incremental.maintainer import IncrementalFallback, IncrementalMaintainer
 from repro.placement import PlacementPlan
-from repro.refragmentation import LiveRefragmenter, RefragmentationAdvisor
+from repro.refragmentation import RefragmentationAdvisor
 from repro.service import PlacedWorkerPool, QueryService, WorkerPoolError
 from repro.service.server import REFRAGMENT_CHECK_INTERVAL
 
@@ -47,7 +47,7 @@ def force_full_rebuild(monkeypatch):
     def give_up(self, new_fragmentation):
         raise IncrementalFallback("forced by the test")
 
-    monkeypatch.setattr(LiveRefragmenter, "apply", give_up)
+    monkeypatch.setattr(IncrementalMaintainer, "redraw", give_up)
 
 
 def shifted_blocks(node_blocks):
