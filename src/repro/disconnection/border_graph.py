@@ -28,9 +28,17 @@ Schwentick's distribution constraints formalise.
 
 A fragment's arcs are nothing but that subquery's entry in the site graph's
 transit table, read where it lies: process-local, never in a worker payload
-or a snapshot, and dropped by every ``apply_delta`` that changes the graph.
-On a worker pool the coordinator files the workers' replies in its own
-tables, so it holds every arc its searches read.
+or a snapshot, and set aside by every ``apply_delta`` that changes the graph
+(the table keeps them as ``previous`` and serves them no more).  On a worker
+pool the coordinator files the workers' replies in its own tables, so it
+holds every arc its searches read.
+
+An answer is a function of its endpoints' rows and the arcs of the
+fragments its search expanded, so a write leaves it standing while those
+read the same.  The service re-reads a written fragment's arcs and compares
+them with ``previous``: *unchanged*, *only worse* (the same arcs, none
+better: an answer whose best path does not cross the fragment keeps its
+value, and nothing it settled gets cheaper) or *moved*.
 """
 
 from __future__ import annotations

@@ -201,12 +201,13 @@ class FragmentSite:
     between the old and the new augmented adjacency (fragment edges *and*
     complementary shortcuts, so a repair caused by a write in a neighbouring
     fragment arrives as a delta too), and ``CompactGraph.apply_delta`` drops
-    what the delta may have changed.  The kernels' indexes and the
-    local-query evaluator's transit table go with any non-empty delta; a
-    border row stays only when the delta provably cannot have moved it (no
-    removed arc lies on one of its shortest paths, no inserted arc shortens
-    one, no new node), and is then the row a fresh search would fill.  An
-    empty delta leaves everything untouched.  The plain (no-shortcut)
+    what the delta may have changed.  The kernels' indexes go with any
+    non-empty delta, and the local-query evaluator's transit table serves
+    nothing it held before one (it keeps those values aside as
+    ``previous``); a border row stays only when the delta provably cannot
+    have moved it (no removed arc lies on one of its shortest paths, no
+    inserted arc shortens one, no new node), and is then the row a fresh
+    search would fill.  An empty delta leaves everything untouched.  The plain (no-shortcut)
     compact form is not patched: a write to the fragment's own edges
     discards it, and one that adds or removes an edge discards the
     iteration estimate with it (a hop diameter does not see weights).  The

@@ -129,7 +129,12 @@ class PairAnswer:
     sites storing the node of a same-node pair, or those a border-graph
     search read (:func:`answer_pairs`).  ``assemblies`` holds one
     :class:`AssemblyResult` per chain of a chain plan; ``error`` is the typed
-    planning failure (``value`` is then ``None``).
+    planning failure (``value`` is then ``None``).  ``inputs`` are the
+    endpoint tasks a border-graph answer read, each with the values it read
+    (the source's rows, the target's rows, the task inside one shared
+    fragment): with these and the arcs of its ``fragments`` unchanged, the
+    search runs the same steps to the same answer.  ``None`` for any other
+    answer.
     """
 
     source: Node
@@ -139,6 +144,7 @@ class PairAnswer:
     fragments: Tuple[int, ...] = ()
     assemblies: List[AssemblyResult] = field(default_factory=list)
     error: Optional[DisconnectionSetError] = None
+    inputs: Optional[Tuple[Tuple[TaskKey, Dict[Pair, object]], ...]] = None
 
 
 @dataclass
@@ -251,7 +257,11 @@ def answer_pairs(
     the target (inside a target fragment, which the write leaves alone)
     costs no less than the answer.  And every segment of the answer's own
     path lies in a fragment storing one of its endpoints or a settled
-    border node, so a write there is in the set.
+    border node, so a write there is in the set.  Even then the answer stands
+    while its ``inputs`` and the arcs of its ``fragments`` read the same (the
+    search is a function of them), or while those arcs only got worse
+    outside its ``chain`` (the best path keeps its value, no other path got
+    cheaper, and what the search settled can only shrink).
     """
     tracer = tracer or _UNTRACED
     run = BorderRun()
@@ -401,7 +411,8 @@ def _inside_answer(
     ):
         return None
     fragment = direct_task[0]
-    return PairAnswer(source, target, inside, (fragment,), (fragment,))
+    inputs = tuple((task, results[task].values) for task in (*source_tasks, direct_task))
+    return PairAnswer(source, target, inside, (fragment,), (fragment,), inputs=inputs)
 
 
 def _search_pair(
@@ -440,4 +451,9 @@ def _search_pair(
     fragments = {*source_fragments, *target_fragments}
     for node in found.settled:
         fragments.update(fragments_of(node))
-    return found, PairAnswer(source, target, found.value, found.chain, tuple(sorted(fragments)))
+    read = (*source_tasks, *target_tasks, *((direct_task,) if direct_task else ()))
+    inputs = tuple((task, results[task].values) for task in read)
+    answer = PairAnswer(
+        source, target, found.value, found.chain, tuple(sorted(fragments)), inputs=inputs
+    )
+    return found, answer

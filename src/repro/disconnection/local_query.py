@@ -31,11 +31,13 @@ path memoizes them in the derived store of the site's compact graph:
 
 ``CompactGraph.apply_delta`` hands the rows the arcs a write removed and
 inserted; a row keeps itself when it provably cannot have moved
-(:meth:`BorderRows.survive_delta`).  The transit table is dropped with every
-other derived structure, and refills from the surviving rows without a
-search.  What still searches is a shortest-path subquery with no side inside
-the border set (a same-fragment query) and the fill of a row a write
-dropped.
+(:meth:`BorderRows.survive_delta`).  The transit table serves nothing it held
+before a write, and refills from the surviving rows without a search; it
+keeps the values it held as :attr:`TransitTable.previous`, which the service
+compares with the refilled ones to tell a write that moved a fragment's
+border-graph arcs from one that did not (:meth:`TransitTable.survive_delta`).
+What still searches is a shortest-path subquery with no side inside the
+border set (a same-fragment query) and the fill of a row a write dropped.
 """
 
 from __future__ import annotations
@@ -86,12 +88,34 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
     asks for, so its size is bounded by the layout: entry and exit sets are
     disconnection sets or single border nodes, at most
     ``(#disconnection sets + #border nodes)²`` pairs per fragment.  There is
-    no capacity and no eviction; the graph's ``apply_delta`` drops the whole
-    table whenever the adjacency it was computed from changes, and the next
-    evaluations refill it from the border rows that survived.
+    no capacity and no eviction.  The graph's ``apply_delta`` calls
+    :meth:`survive_delta` whenever the adjacency the entries were computed
+    from changes: the table then serves nothing it held, and the next
+    evaluations refill it from the border rows that survived.  What it held
+    stays readable as :attr:`previous` until the next change.
     """
 
-    __slots__ = ()
+    __slots__ = ("previous",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        # key -> the values the table held when the adjacency last changed.
+        self.previous: Dict[TransitKey, Dict[Tuple[Node, Node], PathValue]] = {}
+
+    def survive_delta(
+        self,
+        removed: Sequence[Tuple[int, int, float]],
+        inserted: Sequence[Tuple[int, int, float]],
+    ) -> None:
+        """Move every entry to :attr:`previous`: none is served across a change.
+
+        Called for a non-empty delta that interns no node (an empty one
+        leaves the table alone, one that interns a node drops it).  A key
+        missing from :attr:`previous` says nothing about how its values
+        moved: nothing had read them since the change before.
+        """
+        self.previous = {key: entry.values for key, entry in self.items()}
+        self.clear()
 
     def to_state(self) -> None:
         """Process-local: never part of a graph state, payload or snapshot."""
@@ -205,6 +229,33 @@ class LocalQueryResult:
     def is_empty(self) -> bool:
         """Return ``True`` when no entry node reaches any exit node."""
         return not self.values
+
+
+def _direction(
+    border: Optional[frozenset], spec: LocalQuerySpec, shortest: bool
+) -> Tuple[bool, bool]:
+    """``(from_rows, backward)``: whether ``spec`` reads border rows, and which way it runs.
+
+    A side inside the border set reads the rows rooted there.  Root at the
+    smaller side when both sides are (or neither is, and the searches run on
+    the spot) — backward from the exits when there are fewer exits than
+    entries, and for rows also when there are as many: the border graph's
+    arcs, one border set on both sides, read the backward rows its source
+    rows read in the same fragment, so a write's dropped rows refill once for
+    both.  A function of the spec and the border set alone, so a replayed
+    result reports the direction it was found in.  ``border`` is ``None``
+    where no rows are read (another semiring, a site that does not know its
+    borders).
+    """
+    exits_on_border = border is not None and spec.exit_nodes <= border
+    entries_on_border = border is not None and spec.entry_nodes <= border
+    from_rows = exits_on_border or entries_on_border
+    if exits_on_border != entries_on_border:
+        return from_rows, exits_on_border
+    return from_rows, shortest and (
+        len(spec.exit_nodes) < len(spec.entry_nodes)
+        or (from_rows and len(spec.exit_nodes) == len(spec.entry_nodes))
+    )
 
 
 def _book_round(
@@ -323,6 +374,24 @@ class LocalQueryEvaluator:
             result.statistics.elapsed_seconds = perf_counter() - started
         return results
 
+    def rows_kept(self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec) -> bool:
+        """Whether ``spec`` reads border rows only, and ``site`` still holds all of them.
+
+        A delta drops every row it may have moved, so such a spec evaluates
+        to what it did before the site graph's last delta, float for float.
+        ``False`` for any other spec, semiring or site (a coordinator whose
+        rows live in pool workers holds none).
+        """
+        rows = site.derived_get(BORDER_ROWS_KEY) if self._semiring.name == "shortest_path" else None
+        if not rows:
+            return False
+        from_rows, backward = _direction(site.border_nodes, spec, True)
+        if not from_rows:
+            return False
+        graph = site.compact(use_shortcuts=self._use_shortcuts)
+        roots = spec.exit_nodes if backward else spec.entry_nodes
+        return all((graph.try_node_id(root), backward) in rows for root in roots)
+
     def prepare(self, site: FragmentSite | CompactFragmentSite) -> bool:
         """Force the lazy site state :meth:`evaluate` reads; return whether any was missing.
 
@@ -422,26 +491,9 @@ class LocalQueryEvaluator:
         """Answer ``spec`` from a memo, a reachability kernel or its own searches."""
         shortest = self._semiring.name == "shortest_path"
         key = self._transit_key(site, spec)
-        # A side inside the border set: read the rows rooted there.  Root at
-        # the smaller side when both sides are (or neither is, and the
-        # searches run on the spot) — backward from the exits when there are
-        # fewer exits than entries, and for rows also when there are as many:
-        # the border graph's arcs, one border set on both sides, read the
-        # backward rows its source rows read in the same fragment, so a
-        # write's dropped rows refill once for both.  A function of the spec
-        # and the border set alone, so a replayed result reports the
-        # direction it was found in.
-        border = site.border_nodes if shortest else None
-        exits_on_border = border is not None and spec.exit_nodes <= border
-        entries_on_border = border is not None and spec.entry_nodes <= border
-        from_rows = exits_on_border or entries_on_border
-        if exits_on_border != entries_on_border:
-            result.backward = exits_on_border
-        else:
-            result.backward = shortest and (
-                len(spec.exit_nodes) < len(spec.entry_nodes)
-                or (from_rows and len(spec.exit_nodes) == len(spec.entry_nodes))
-            )
+        from_rows, result.backward = _direction(
+            site.border_nodes if shortest else None, spec, shortest
+        )
         if self._replay(graph, key, result):
             return
         result.overlay = graph.has_overlay()

@@ -370,17 +370,24 @@ class FragmentedDatabase:
         return owner
 
     def update_edge_weight(self, source: Node, target: Node, weight: float) -> int:
-        """Change the weight of an existing edge; returns its fragment id."""
+        """Change the weight of an existing edge; returns its fragment id.
+
+        A weight equal to the stored one changes nothing: no version moves,
+        nothing is logged and no listener hears of it.
+        """
         owner = self._owner_of_edge(source, target)
         if owner is None:
             raise FragmentationError(f"edge ({source!r}, {target!r}) is not stored")
+        old_weight = self._graph.edge_weight(source, target)
+        if float(weight) == old_weight:
+            return owner
         changes = [
             EdgeChange(
                 op="reweight",
                 source=source,
                 target=target,
                 weight=float(weight),
-                old_weight=self._graph.edge_weight(source, target),
+                old_weight=old_weight,
                 fragment_id=owner,
             )
         ]

@@ -679,14 +679,15 @@ class CompactGraph:
         Cached successor/predecessor masks are *maintained* per touched row
         rather than invalidated.  A derived value with a
         ``survive_delta(removed, inserted)`` method (the local-query
-        evaluator's border rows) outlives the delta: it is handed the arcs
-        the delta took out and put in, as ``(source id, target id, weight)``
-        with the weights read before the splice, and drops whatever those
-        arcs may have changed.  Every other derived structure — chain index,
-        shape stats, transit table, reloaded-state blobs — is dropped and
-        rebuilt on next use, and so is everything when the delta interns a
-        new node: a kernel query after a delta can never observe a stale
-        cache.
+        evaluator's border rows and transit table) outlives the delta: it is
+        handed the arcs the delta took out and put in, as ``(source id,
+        target id, weight)`` with the weights read before the splice, and
+        drops whatever those arcs may have changed (the transit table keeps
+        its old values aside, serving none of them).  Every other derived
+        structure — chain index, shape stats, reloaded-state blobs — is
+        dropped and rebuilt on next use, and so is everything when the delta
+        interns a new node: a kernel query after a delta can never observe a
+        stale cache.
         """
         if delta.is_empty():
             return

@@ -74,6 +74,9 @@ class AppliedDelta:
             rebuilt or dropped (sorted).
         pairs_changed: disconnection-set pairs whose complementary values or
             membership changed.
+        pairs_reshaped: those of them whose membership changed: a node
+            joined or left one of the two fragments' shared border, so a
+            border-graph search at that node expands other fragments.
         site_deltas: per patched fragment, the compact delta its augmented
             graph absorbed (``None`` when that site had no compact form yet,
             or was rebuilt) — the scoped payload the worker pool re-pins with.
@@ -84,6 +87,7 @@ class AppliedDelta:
     changes: Tuple[EdgeChange, ...]
     dirty_fragments: Tuple[int, ...]
     pairs_changed: Tuple[FragmentPair, ...]
+    pairs_reshaped: Tuple[FragmentPair, ...] = ()
     site_deltas: Dict[int, Optional[CompactDelta]] = field(default_factory=dict)
     report: RepairReport = field(default_factory=RepairReport)
 
@@ -239,6 +243,7 @@ class IncrementalMaintainer:
             changes=tuple(changes),
             dirty_fragments=dirty,
             pairs_changed=tuple(sorted(report.pairs_changed)),
+            pairs_reshaped=tuple(sorted(structural)),
             site_deltas=site_deltas,
             report=report,
         )
@@ -264,7 +269,7 @@ class IncrementalMaintainer:
             or fragment.edges != old_fragmentation.fragment(fragment.fragment_id).edges
         }
         report = RepairReport()
-        self._repair_membership(new_fragmentation, report)
+        reshaped = self._repair_membership(new_fragmentation, report)
         changed, _ = self._adopt(new_fragmentation, edges_moved, (), report)
         dropped = tuple(range(new_count, old_count))
         return RefragmentResult(
@@ -272,6 +277,7 @@ class IncrementalMaintainer:
             changes=(),
             dirty_fragments=changed + dropped,
             pairs_changed=tuple(sorted(report.pairs_changed)),
+            pairs_reshaped=tuple(sorted(reshaped)),
             report=report,
             created=tuple(range(old_count, new_count)),
             dropped=dropped,

@@ -5,12 +5,16 @@ queries cheaply afterwards; a result cache takes the next step and makes the
 *second* identical query free.  Entries are addressed by a typed
 :class:`CacheKey` and carry, in their :class:`CachedAnswer`, the exact
 ``(epoch, fragment -> version)`` slice of the catalog's
-:class:`~repro.incremental.versions.VersionVector` they were computed under.
-An update therefore invalidates *scoped*: the service evicts only the entries
-whose recorded fragments moved (:meth:`LRUCache.evict_where`), and answers
-touching untouched fragments keep serving from cache.  Whole-catalog events
-(refragmentation, a full-rebuild fallback) advance the epoch, which ages
-every entry at once.
+:class:`~repro.incremental.versions.VersionVector` they were computed under,
+and the endpoint values the answer read.  An update therefore invalidates
+*scoped*: only the entries whose recorded fragments moved are candidates
+(:meth:`LRUCache.evict_where`), and answers touching untouched fragments
+keep serving from cache.  Of the candidates the service evicts only those
+an input changed for: an endpoint value (compared with a re-read of the
+task, :meth:`CachedAnswer.inputs_changed`) or the border-graph arcs of one
+of their fragments; the others are re-stamped with the new versions in
+place.  Whole-catalog events (a full-rebuild fallback) advance the epoch,
+which ages every entry at once.
 
 The implementation is a plain ``OrderedDict`` LRU — no external dependencies,
 O(1) get/put — counting hits, misses, evictions and invalidations in a
@@ -20,9 +24,10 @@ metrics registry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
+from ..disconnection.assembly import TaskKey
 from ..observability import MetricsRegistry
 
 Key = Tuple[Hashable, ...]
@@ -30,6 +35,14 @@ Key = Tuple[Hashable, ...]
 # Metric names the cache mirrors its counters into (labeled by event).
 CACHE_EVENTS_COUNTER = "repro_result_cache_events_total"
 CACHE_SIZE_GAUGE = "repro_result_cache_entries"
+
+
+def fragment_mask(fragment_ids: Iterable[int]) -> int:
+    """The bit set of ``fragment_ids``: bit ``f`` for fragment ``f``."""
+    mask = 0
+    for fragment_id in fragment_ids:
+        mask |= 1 << fragment_id
+    return mask
 
 
 @dataclass(frozen=True)
@@ -53,30 +66,96 @@ class CacheKey:
     target: Hashable
     semiring: str
     base_version: str
+    # Hashed once: a write walks every key of the cache, and the ordered
+    # mapping hashes each key it walks.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.source, self.target, self.semiring, self.base_version))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+# One endpoint input of a cached answer: ``(fragment, entry nodes, exit
+# nodes, values)`` of a local task it read.  A side that is just the answer's
+# own source (entry) or target (exit) is ``None``, rebuilt from the key when
+# the task is re-read, so an entry holds no node set of its own.  The values
+# are a tuple over the task's (entry, exit) node pairs, in the order its node
+# sets iterate (``None`` where there is no path).
+Input = Tuple[int, Optional[FrozenSet[Hashable]], Optional[FrozenSet[Hashable]], Tuple[object, ...]]
+Values = Mapping[Tuple[Hashable, Hashable], object]
+
+
+def _row(task: TaskKey, values: Values) -> Tuple[object, ...]:
+    get = values.get
+    return tuple([get((entry, exit_)) for entry in task[1] for exit_ in task[2]])
+
+
+def make_input(task: TaskKey, values: Values, source: Hashable, target: Hashable) -> Input:
+    """The :data:`Input` an answer from ``source`` to ``target`` keeps of a task it read."""
+    fragment, entry_nodes, exit_nodes = task
+    return (
+        fragment,
+        None if len(entry_nodes) == 1 and source in entry_nodes else entry_nodes,
+        None if len(exit_nodes) == 1 and target in exit_nodes else exit_nodes,
+        _row(task, values),
+    )
+
+
+@dataclass(slots=True)
 class CachedAnswer:
-    """One cached answer plus the catalog slice it depends on.
+    """One cached answer plus the catalog slice and the inputs it depends on.
 
     Attributes:
         value: the answer's path value (``None`` when no path exists).
         chain: the fragment chain that produced it.
         epoch: the version-vector epoch the answer was computed under.
         fragment_versions: sorted ``(fragment, version)`` pairs for every
-            fragment the answer's plan involved; the answer is valid exactly
-            while all of them (and the epoch) are current.
+            fragment the answer depends on; the answer is valid while all
+            of them (and the epoch) are current, and a write that moved one
+            of them without changing what the answer read re-stamps them.
+        inputs: the endpoint tasks the answer read, with their values
+            (:func:`make_input`); ``None`` when it recorded none, which
+            leaves only eviction when one of its fragments moves.
+        fragment_mask: :func:`fragment_mask` of the fragments in
+            ``fragment_versions``, which a write tests against its dirty
+            fragments' for every entry.
     """
 
     value: Optional[object]
     chain: Optional[Tuple[int, ...]]
     epoch: int = 0
     fragment_versions: Tuple[Tuple[int, int], ...] = ()
+    inputs: Optional[Tuple[Input, ...]] = None
+    fragment_mask: int = field(init=False, repr=False, compare=False)
 
-    def depends_on(self, fragment_ids: Iterable[int]) -> bool:
-        """Return ``True`` when any of the given fragments backs this answer."""
-        dirty = set(fragment_ids)
-        return any(fragment_id in dirty for fragment_id, _ in self.fragment_versions)
+    def __post_init__(self) -> None:
+        self.fragment_mask = fragment_mask(fragment for fragment, _ in self.fragment_versions)
+
+    def tasks(
+        self, source: Hashable, target: Hashable
+    ) -> Iterator[Tuple[TaskKey, Tuple[object, ...]]]:
+        """Each input as ``(task, values)``, for the answer from ``source`` to ``target``."""
+        for fragment, entry_nodes, exit_nodes, row in self.inputs or ():
+            task = (
+                fragment,
+                entry_nodes or frozenset((source,)),
+                exit_nodes or frozenset((target,)),
+            )
+            yield task, row
+
+    def inputs_changed(
+        self, fresh: Mapping[TaskKey, Values], source: Hashable, target: Hashable
+    ) -> bool:
+        """Whether a re-read of an input task (``fresh``: task -> values) differs from it."""
+        for task, row in self.tasks(source, target):
+            values = fresh.get(task)
+            if values is not None and _row(task, values) != row:
+                return True
+        return False
 
 
 class LRUCache:
@@ -164,12 +243,16 @@ class LRUCache:
             return True
         return False
 
+    def items(self) -> Iterator[Tuple[Key, object]]:
+        """Every ``(key, value)``, least recently used first, without refreshing any."""
+        return iter(self._entries.items())
+
     def evict_where(self, is_stale: Callable[[Key, object], bool]) -> int:
         """Drop every entry whose ``(key, value)`` satisfies ``is_stale``.
 
-        The scoped-invalidation hook: the service passes a predicate testing
-        whether a :class:`CachedAnswer` depends on any dirty fragment, so an
-        update evicts only the answers it could actually have changed.
+        The scoped-invalidation hook: the service passes a predicate naming
+        the :class:`CachedAnswer` objects an update changed, so it evicts
+        only those.  The order of the entries it keeps does not move.
         """
         stale = [key for key, value in self._entries.items() if is_stale(key, value)]
         for key in stale:

@@ -23,10 +23,12 @@ pieces of this package:
 * the update hooks of
   :class:`~repro.disconnection.maintenance.FragmentedDatabase`: an update is
   absorbed in place by the :mod:`repro.incremental` subsystem — only the
-  dirty fragments' versions move, only the answers depending on them are
-  evicted, and only their payloads are re-pinned into the workers; an update
-  outside that envelope is a counted fallback (``stats.update_fallbacks``)
-  into the classic full rebuild, which flushes everything,
+  dirty fragments' versions move, only their payloads are re-pinned into the
+  workers, and of the answers depending on them only those whose endpoint
+  values or border-graph arcs a re-read finds changed are evicted (the
+  others are re-stamped); an update outside that envelope is a counted
+  fallback (``stats.update_fallbacks``) into the classic full rebuild, which
+  flushes everything,
 * :class:`~repro.service.stats.ServiceStatistics` making hit rates, latency
   and per-site load observable — backed by a shared
   :class:`~repro.observability.MetricsRegistry`, alongside a
@@ -61,7 +63,9 @@ from ..disconnection import (
     LocalQueryResult,
     answer_pairs,
 )
-from ..disconnection.local_query import border_rows_held
+from ..disconnection.border_graph import arc_task, improves
+from ..disconnection.core import PairAnswer
+from ..disconnection.local_query import TRANSIT_KEY, border_rows_held
 from ..disconnection.maintenance import UpdateEvent
 from ..disconnection.planner import LocalQuerySpec
 from ..fragmentation import Fragmentation, Fragmenter
@@ -83,10 +87,10 @@ from ..refragmentation import (
     fragmenter_for,
 )
 from .batch import group_by_owner
-from .cache import CachedAnswer, CacheKey, LRUCache
-from .pool import PICKLABLE_SEMIRINGS, PinUpdate, PlacedWorkerPool, TaskKey
+from .cache import CachedAnswer, CacheKey, LRUCache, fragment_mask, make_input
+from .pool import PICKLABLE_SEMIRINGS, PinUpdate, PlacedWorkerPool, TaskKey, WorkerPoolError
 from .snapshot import SnapshotManifest, load_snapshot, save_snapshot
-from .stats import ServiceStatistics
+from .stats import CACHE_DECISIONS, ServiceStatistics
 
 Node = Hashable
 Query = Tuple[Node, Node]
@@ -587,7 +591,7 @@ class QueryService:
                 raise answer.error
             self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
             value, chain, involved = answer.value, answer.chain, answer.fragments
-            self._cache.put(key, self._entry(value, chain, involved))
+            self._cache.put(key, self._entry(answer))
             root.set("outcome", "evaluated")
             latency = time.perf_counter() - started
             self._stats.record_query(latency, cached=False)
@@ -647,10 +651,7 @@ class QueryService:
                 self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
                 for (source, target), answer in run.answers.items():
                     if answer.error is None:
-                        self._cache.put(
-                            self._cache_key(source, target),
-                            self._entry(answer.value, answer.chain, answer.fragments),
-                        )
+                        self._cache.put(self._cache_key(source, target), self._entry(answer))
                         fragments_of[(source, target)] = answer.fragments
                     resolved[(source, target)] = ServiceAnswer(
                         source=source, target=target, value=answer.value, chain=answer.chain,
@@ -714,8 +715,10 @@ class QueryService:
 
         Inserts the edge when it does not exist, reweights it when it does,
         and deletes it with ``delete=True``.  The registered update hook
-        bumps the catalog version and flushes the result cache, so stale
-        answers can never be served.  With ``auto_refragment`` enabled, every
+        bumps the dirty fragments' versions and evicts every cached answer
+        the change could have moved, so stale answers can never be served; a
+        reweight to the stored weight changes nothing.  With
+        ``auto_refragment`` enabled, every
         :data:`REFRAGMENT_CHECK_INTERVAL`-th update also asks the advisor
         whether the layout's locality has eroded enough to redraw.
         """
@@ -995,15 +998,17 @@ class QueryService:
             base_version=self._base_version,
         )
 
-    def _entry(
-        self, value: Optional[object], chain: Optional[Tuple[int, ...]], fragments
-    ) -> CachedAnswer:
+    def _entry(self, answer: PairAnswer) -> CachedAnswer:
         vector = self._database.version_vector
+        inputs = answer.inputs
         return CachedAnswer(
-            value=value,
-            chain=chain,
+            value=answer.value,
+            chain=answer.chain,
             epoch=vector.epoch,
-            fragment_versions=vector.snapshot_of(fragments),
+            fragment_versions=vector.snapshot_of(answer.fragments),
+            inputs=None if inputs is None else tuple(
+                make_input(task, values, answer.source, answer.target) for task, values in inputs
+            ),
         )
 
     def _log_query(
@@ -1065,15 +1070,14 @@ class QueryService:
         if event.incremental and event.dirty_fragments:
             # Scoped invalidation: the maintainer absorbed the change in
             # place and named exactly the fragments whose state moved — only
-            # answers depending on them are dropped, and only their payloads
-            # are re-pinned into their owner workers.
-            dirty = set(event.dirty_fragments)
-            evicted = self._cache.evict_where(
-                lambda key, entry: entry.depends_on(dirty)  # type: ignore[union-attr]
-            )
-            self._stats.scoped_invalidations += 1
-            self._stats.cache_entries_evicted += evicted
+            # their payloads are re-pinned into their owner workers (first,
+            # so the re-read below runs on the new state), and of the answers
+            # depending on them only those an input changed for are dropped.
             applied = self._database.last_delta
+            if self._pool is not None:
+                self._repin(applied)
+            self._stats.scoped_invalidations += 1
+            self._stats.cache_entries_evicted += self._evict_changed(applied)
             if redraw:
                 self._stats.scoped_refragments += 1
                 self._stats.refragment_fragments_rebuilt += len(applied.changed)
@@ -1081,7 +1085,6 @@ class QueryService:
                 self._stats.refragment_moved_edges += applied.moved_edges
                 self._stats.border_nodes_recovered += applied.border_nodes_recovered()
             if self._pool is not None:
-                self._repin(applied)
                 return
         else:
             # Full invalidation: the engine will be rebuilt; every cached
@@ -1094,6 +1097,137 @@ class QueryService:
         if isinstance(self._placement, PlacementPlan):
             count = self._database.fragmentation().fragment_count()
             self._placement = self._placement.remap(range(count))
+
+    def _evict_changed(self, applied: AppliedDelta) -> int:
+        """Evict the cached answers an absorbed change moved an input of; return how many.
+
+        The candidates are the answers depending on a dirty fragment.  One
+        is evicted when it recorded no inputs, when one of its fragments'
+        arcs moved, when arcs on its chain only got worse, or when one of its
+        endpoint values changed (:meth:`_reread`); each other one is
+        re-stamped with the new versions in place, its place in the LRU
+        order kept.  With the same inputs the search runs the same steps to
+        the same answer; with arcs only worse off the best path, that path
+        keeps its value and no other one got cheaper.
+        """
+        dirty = fragment_mask(applied.dirty_fragments)
+        candidates: List[Tuple[CacheKey, CachedAnswer]] = [
+            (key, entry)  # type: ignore[misc]
+            for key, entry in self._cache.items()
+            if entry.fragment_mask & dirty  # type: ignore[union-attr]
+        ]
+        if not candidates:
+            return 0
+        moved, worse, fresh = self._reread(applied, candidates)
+        decisions = dict.fromkeys(CACHE_DECISIONS, 0)
+        stale = set()
+        kept = []
+        for key, entry in candidates:
+            if entry.inputs is None:
+                decision = "no_inputs"
+            elif entry.fragment_mask & moved:
+                decision = "arcs_moved"
+            elif fragment_mask(entry.chain or ()) & worse:
+                decision = "only_worse_on_chain"
+            elif entry.inputs_changed(fresh, key.source, key.target):
+                decision = "endpoint_rows"
+            else:
+                decision = "kept"
+                kept.append(entry)
+            decisions[decision] += 1
+            if decision != "kept":
+                stale.add(key)
+        evicted = self._cache.evict_where(lambda key, entry: key in stale)
+        vector = self._database.version_vector
+        versions = {fragment: vector.version_of(fragment) for fragment in applied.dirty_fragments}
+        for entry in kept:
+            entry.fragment_versions = tuple(
+                [(fragment, versions.get(fragment, version))
+                 for fragment, version in entry.fragment_versions]
+            )
+        self._stats.record_cache_decisions(decisions)
+        return evicted
+
+    def _reread(
+        self, applied: AppliedDelta, candidates: List[Tuple[CacheKey, CachedAnswer]]
+    ) -> Tuple[int, int, Dict[TaskKey, Dict]]:
+        """Classify the dirty fragments' arcs and re-read the candidates' endpoint tasks.
+
+        Returns ``(moved, worse, fresh)``, the first two as
+        :func:`~repro.service.cache.fragment_mask` bit sets.  A dirty
+        fragment's border-graph arcs are *unchanged* (its site took an empty
+        delta, the border rows they are read from all survived it, or a
+        re-read equals what its transit table held before the delta), *only
+        worse* (``worse``: the same arcs, none of them better) or ``moved``:
+        anything else, a rebuilt or dropped site, a table that held no arcs
+        before the delta (an interned node leaves none), and both fragments
+        of every disconnection set whose membership changed (a search at one
+        of its nodes now expands other fragments).  ``fresh`` holds the
+        values of the candidates' endpoint tasks inside written fragments,
+        all re-read with the arcs in one grouped evaluation — except a task
+        whose rows all survived the delta, which reads what it read before.
+        """
+        engine = self._current_engine
+        assert engine is not None
+        catalog = engine.catalog
+        count = catalog.fragmentation.fragment_count()
+        met = 0
+        for _, entry in candidates:
+            met |= entry.fragment_mask
+        moved = {fragment for pair in applied.pairs_reshaped for fragment in pair}
+        written = set()  # fragments whose site graph the change moved
+        tasks: Dict[TaskKey, None] = {}
+        compared: Dict[int, Tuple[TaskKey, Dict]] = {}  # fragment -> (arc task, arcs before)
+        for fragment in applied.dirty_fragments:
+            if not met >> fragment & 1 or fragment in moved:
+                continue
+            delta = applied.site_deltas.get(fragment)
+            if fragment >= count or delta is None:
+                moved.add(fragment)
+                continue
+            if delta.is_empty():
+                continue
+            written.add(fragment)
+            site = catalog.site(fragment)
+            task = arc_task(site)
+            # Arcs whose rows all survived are unchanged: re-read only to
+            # refill the table, so the next write has them to compare with.
+            if not self._evaluator.rows_kept(site, LocalQuerySpec(*task)):
+                table = site.derived_get(TRANSIT_KEY)
+                key = (task[1], task[2], self._semiring.name)
+                before = None if table is None else table.previous.get(key)  # type: ignore[attr-defined]
+                if before is None:
+                    moved.add(fragment)
+                    continue
+                compared[fragment] = (task, before)
+            tasks[task] = None
+        condemned = fragment_mask(moved)
+        for key, entry in candidates:
+            if entry.inputs is not None and not entry.fragment_mask & condemned:
+                for task, _ in entry.tasks(key.source, key.target):
+                    if task[0] in written and task not in tasks and not self._evaluator.rows_kept(
+                        catalog.site(task[0]), LocalQuerySpec(*task)
+                    ):
+                        tasks[task] = None
+        try:
+            results = self._evaluate_tasks(list(tasks), grouped=True) if tasks else {}
+        except WorkerPoolError:
+            # Nothing re-read: every candidate goes, as if all had moved.
+            return fragment_mask(applied.dirty_fragments), 0, {}
+        worse = set()
+        better = improves(self._semiring)
+        for fragment, (task, before) in compared.items():
+            arcs = results[task].values
+            if arcs == before:
+                continue
+            if arcs.keys() == before.keys() and not any(
+                better(value, before[pair]) for pair, value in arcs.items()
+            ):
+                worse.add(fragment)
+            else:
+                moved.add(fragment)
+        fresh = {task: result.values for task, result in results.items()}
+        return fragment_mask(moved), fragment_mask(worse), fresh
 
     def _repin(self, applied: AppliedDelta) -> None:
         """Push an absorbed change's dirty fragments to their owner workers.

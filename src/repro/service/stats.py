@@ -88,6 +88,12 @@ TRANSIT_LOOKUPS_COUNTER = "repro_transit_lookups_total"
 BORDER_ROW_LOOKUPS_COUNTER = "repro_border_row_lookups_total"
 UPDATE_FALLBACKS_COUNTER = "repro_update_fallbacks_total"
 UPDATE_FALLBACK_STAGES = ("begin", "complete", "unsupported")
+CACHE_DECISIONS_COUNTER = "repro_cache_write_decisions_total"
+# What an absorbed write did with each cached answer depending on a fragment
+# it moved: kept it after the re-read, or evicted it because an endpoint
+# value changed, because one of its fragments' arcs moved, because arcs on
+# its chain only got worse, or because it recorded no inputs to compare.
+CACHE_DECISIONS = ("kept", "endpoint_rows", "arcs_moved", "only_worse_on_chain", "no_inputs")
 
 
 def border_row_lookups_counter(registry: MetricsRegistry) -> Counter:
@@ -246,6 +252,15 @@ class ServiceStatistics:
         object.__setattr__(self, "_border_row_lookups", border_row_lookups_counter(reg))
         object.__setattr__(
             self,
+            "_cache_decisions",
+            reg.counter(
+                CACHE_DECISIONS_COUNTER,
+                "Cached answers a write's re-read kept, and those it evicted, by reason.",
+                labelnames=("decision",),
+            ),
+        )
+        object.__setattr__(
+            self,
             "_update_fallbacks",
             reg.counter(
                 UPDATE_FALLBACKS_COUNTER,
@@ -352,6 +367,19 @@ class ServiceStatistics:
             for outcome in ("read", "fill")
         }
 
+    def record_cache_decisions(self, counts: Mapping[str, int]) -> None:
+        """Record what one write decided for the cached answers it could have changed."""
+        for decision, count in counts.items():
+            if count:
+                self._cache_decisions.inc(count, decision=decision)
+
+    def cache_decisions(self) -> Dict[str, int]:
+        """Return the cached answers writes kept and evicted so far, by decision."""
+        return {
+            decision: int(self._cache_decisions.value(decision=decision))
+            for decision in CACHE_DECISIONS
+        }
+
     def record_update_fallback(self, stage: str, count: int = 1) -> None:
         """Record ``count`` updates that took the full rebuild, by the stage that gave up."""
         if count:
@@ -446,6 +474,7 @@ class ServiceStatistics:
             "invalidations": self.invalidations,
             "scoped_invalidations": self.scoped_invalidations,
             "cache_entries_evicted": self.cache_entries_evicted,
+            "cache_decisions": self.cache_decisions(),
             "updates_applied": self.updates_applied,
             "replayed_records": self.replayed_records,
             "snapshots_saved": self.snapshots_saved,

@@ -17,6 +17,7 @@ from repro.graph import DiGraph, Point
 # ``pytest --hypothesis-profile=ci``: the CI workflow's long run of the
 # property tests that leave their example count to the profile
 # (``tests/disconnection/test_row_survival.py``,
+# ``tests/integration/test_cache_survival.py``,
 # ``tests/integration/test_engine_properties.py``).
 settings.register_profile("ci", max_examples=1000)
 

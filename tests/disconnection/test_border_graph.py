@@ -43,7 +43,7 @@ class TestArcs:
         assert 1 in held
         assert 3 not in held
 
-    def test_arcs_are_the_transit_entry_and_go_with_their_graphs_next_write(self, ring):
+    def test_arcs_are_the_transit_entry_and_a_write_re_reads_its_fragments(self, ring):
         service, layout = ring
         service.query(interior(layout, 0)[1], interior(layout, 3)[1])
         held = arcs_held(service)
@@ -60,9 +60,15 @@ class TestArcs:
         a, b = interior(layout, 2)[:2]
         service.update_edge(a, b, 50.0)
         assert service.database.delta_log.last().dirty_fragments == (2,)
+        # The cached answer crossed fragment 2, so the write re-read its arcs
+        # (a fresh entry) to compare them with those it held before.
         after = arcs_held(service)
-        assert set(after) == {1, 4, 5}
-        assert all(after[fragment] is held[fragment] for fragment in after)
+        assert set(after) == {1, 2, 4, 5}
+        assert all(after[fragment] is held[fragment] for fragment in (1, 4, 5))
+        table = catalog.site(2).derived_get(TRANSIT_KEY)
+        border = catalog.site(2).border_nodes
+        assert after[2] is not held[2]
+        assert table.previous[(border, border, "shortest_path")] is held[2]
 
 
 class TestDependencies:

@@ -3,9 +3,9 @@
 A border-to-border local subquery depends on the fragment and its
 disconnection sets only, so ``LocalQueryEvaluator`` remembers its result in
 the derived store of the site's compact graph.  These tests pin the contract
-from below: the table lives and dies with the graph's adjacency (refilling
-after a write from the border rows that survived it), never leaves the
-process, and a replayed result is indistinguishable from an evaluated one
+from below: the table serves only what the graph's current adjacency gives
+(refilling after a write from the border rows that survived it, and keeping
+what it held before as ``previous``), never leaves the process, and a replayed result is indistinguishable from an evaluated one
 apart from ``memoized`` and ``elapsed_seconds``.
 """
 
@@ -207,20 +207,26 @@ class TestWhoStaysOut:
 
 
 class TestWhatDropsIt:
-    def test_a_graph_delta_drops_the_table_and_an_empty_one_does_not(self, ring_engine):
+    def test_a_graph_delta_sets_the_table_aside_and_an_empty_one_does_not(self, ring_engine):
         engine, layout = ring_engine
         evaluator = LocalQueryEvaluator()
         site, spec = engine.catalog.site(2), transit_spec(engine, 2)
-        evaluator.evaluate(site, spec)
+        evaluated = evaluator.evaluate(site, spec)
         table = table_of(site)
+        key = (spec.entry_nodes, spec.exit_nodes, "shortest_path")
         site.compact().apply_delta(CompactDelta())
-        assert table_of(site) is table
+        assert table_of(site) is table and key in table and not table.previous
         a, b = interior(layout, 2)[:2]
         site.compact().apply_delta(CompactDelta(reweights=((a, b, 1.0),)))
-        assert table_of(site) is None
+        # Nothing is served across the delta; what was held stays readable.
+        assert table_of(site) is table and not table
+        assert table.previous == {key: evaluated.values}
         hits = evaluator.transit_hits
         evaluator.evaluate(site, spec)  # refilled from rows, not replayed
-        assert evaluator.transit_hits == hits and table_of(site) is not None
+        assert evaluator.transit_hits == hits and key in table
+        # A delta that interns a node leaves no table, so nothing to compare with.
+        site.compact().apply_delta(CompactDelta(inserts=((a, "new", 1.0),)))
+        assert table_of(site) is None
 
     def test_compaction_keeps_the_table(self, ring_engine):
         engine, layout = ring_engine
@@ -258,7 +264,7 @@ class TestWhatDropsIt:
         a, b = interior(layout, 2)[:2]
         # Heavier than every path in the ring: it can move no row.
         graph.apply_delta(CompactDelta(inserts=((a, b, 1000.0),)))
-        assert table_of(site) is None
+        assert not table_of(site)
         with counted_searches() as calls:
             refilled = evaluator.evaluate(site, spec)
         # A table miss, answered by the rows alone (a memo all the same).

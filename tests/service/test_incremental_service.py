@@ -9,6 +9,8 @@ from repro.graph import DiGraph
 from repro.incremental import VersionVector
 from repro.observability import MetricsRegistry
 from repro.service import CachedAnswer, CacheKey, LRUCache, QueryService
+from repro.service.cache import fragment_mask
+from repro.service.pool import WorkerPoolError
 
 
 def three_fragment_line():
@@ -36,17 +38,70 @@ class TestScopedInvalidation:
         far = service.query(9, 11)      # confined to fragment 2
         crossing = service.query(0, 11)  # crosses every fragment
         assert not far.cached and not crossing.cached
-        service.update_edge(0, 2, 0.5)   # interior to fragment 0
+        service.update_edge(0, 3, 5.0)   # interior to fragment 0: 0 -> 3 now costs 2
         assert service.query(9, 11).cached
         again = service.query(0, 11)
-        assert not again.cached
+        assert not again.cached and again.value == crossing.value + 1
         assert again.value == shortest_path_cost(service.database.graph, 0, 11)
+
+    def test_a_reweight_to_the_current_weight_changes_nothing(self):
+        service = QueryService(three_fragment_line())
+        service.query(0, 11)
+        service.query(1, 3)
+        heard = []
+        service.database.add_update_listener(heard.append)
+        version, vector = service.catalog_version, service.version_vector.copy()
+        log_length = len(service.database.delta_log)
+        cached = [(key, service.cache.get(key)) for key in list(service.cache)]
+        assert service.update_edge(1, 3, 1.0) == 0  # the stored weight; still returns the owner
+        assert heard == [] and service.stats.updates_applied == 0
+        assert service.catalog_version == version and service.version_vector == vector
+        assert len(service.database.delta_log) == log_length
+        assert [(key, service.cache.get(key)) for key in list(service.cache)] == cached
+
+    def test_each_write_records_what_it_decided_for_each_cached_answer(self):
+        service = QueryService(three_fragment_line())
+        service.query(0, 11)  # crosses every fragment
+        service.query(1, 3)   # inside fragment 0
+        service.query(9, 11)  # inside fragment 2
+        service.update_edge(0, 2, 0.5)  # interior to fragment 0, off every row either answer read
+        assert service.stats.cache_decisions() == {
+            "kept": 2,
+            "endpoint_rows": 0,
+            "arcs_moved": 0,
+            "only_worse_on_chain": 0,
+            "no_inputs": 0,
+        }
+        for pair in ((0, 11), (1, 3)):
+            kept = service.query(*pair)
+            assert kept.cached and kept.value == shortest_path_cost(service.database.graph, *pair)
+        service.update_edge(1, 3, 5.0)  # the inside answer's own edge; 0 -> 11 leaves by 0 -> 3
+        decisions = service.stats.cache_decisions()
+        assert decisions["endpoint_rows"] == 1 and decisions["kept"] == 3
+        assert service.stats.as_dict()["cache_decisions"] == decisions
+        exposition = service.metrics("prometheus")
+        assert 'repro_cache_write_decisions_total{decision="kept"} 3' in exposition
+        assert service.query(0, 11).cached and not service.query(1, 3).cached
+
+    def test_a_pool_failure_during_the_re_read_evicts_every_candidate(self, monkeypatch):
+        service = QueryService(three_fragment_line())
+        service.query(0, 11)
+        service.query(9, 11)
+
+        def lost(tasks, grouped=False):
+            raise WorkerPoolError("routed evaluation lost tasks")
+
+        monkeypatch.setattr(service, "_evaluate_tasks", lost)
+        service.update_edge(0, 2, 0.5)  # a write that would keep (0, 11) after a re-read
+        monkeypatch.undo()
+        assert service.stats.cache_decisions()["arcs_moved"] == 1
+        assert not service.query(0, 11).cached and service.query(9, 11).cached
 
     def test_scoped_eviction_counts_are_observable(self):
         service = QueryService(three_fragment_line())
         service.query(9, 11)
         service.query(1, 3)
-        service.update_edge(0, 2, 0.5)
+        service.update_edge(1, 3, 5.0)  # the fragment-0 answer's own edge
         assert service.stats.scoped_invalidations == 1
         assert service.stats.cache_entries_evicted == 1  # only the fragment-0 answer
         assert len(service.cache) == 1
@@ -98,8 +153,8 @@ class TestTypedCacheKey:
         (key,) = list(service.cache)
         entry = service.cache.get(key)
         assert isinstance(entry, CachedAnswer)
-        assert entry.depends_on({2})
-        assert not entry.depends_on({0})
+        assert [fragment for fragment, _ in entry.fragment_versions] == [2]
+        assert entry.fragment_mask == fragment_mask({2})
 
     def test_evict_where_and_discard(self):
         cache = LRUCache(8, registry=MetricsRegistry())
@@ -107,7 +162,7 @@ class TestTypedCacheKey:
         key_b = CacheKey("b", "c", "shortest_path", "v")
         cache.put(key_a, CachedAnswer(1.0, (0,), fragment_versions=((0, 1),)))
         cache.put(key_b, CachedAnswer(2.0, (1,), fragment_versions=((1, 1),)))
-        dropped = cache.evict_where(lambda key, entry: entry.depends_on({0}))
+        dropped = cache.evict_where(lambda key, entry: entry.fragment_mask & fragment_mask({0}))
         assert dropped == 1 and key_a not in cache and key_b in cache
         assert cache.discard(key_b)
         assert not cache.discard(key_b)

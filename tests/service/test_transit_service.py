@@ -1,12 +1,12 @@
 """Transit tables and border rows through the serving stack.
 
-Work-count guards (so neither memo can silently stop working), what a write,
-a shortcut repair and a refragmentation drop, what a snapshot contains, how a
-pool worker's border hint follows a write, and the records the decisions
-leave: the ``memoized`` / ``rows_read`` / ``rows_filled`` span attributes,
-the ``repro_transit_lookups_total`` and ``repro_border_row_lookups_total``
-counters, the rows held per fragment, and dispatch counts that describe only
-what was actually routed.
+Work-count guards (so neither memo can silently stop working), what a write
+and a shortcut repair set aside and a refragmentation drops, what a snapshot
+contains, how a pool worker's border hint follows a write, and the records
+the decisions leave: the ``memoized`` / ``rows_read`` / ``rows_filled`` span
+attributes, the ``repro_transit_lookups_total`` and
+``repro_border_row_lookups_total`` counters, the rows held per fragment, and
+dispatch counts that describe only what was actually routed.
 """
 
 import repro.disconnection.local_query as local_query_module
@@ -200,28 +200,37 @@ class TestTheWorkersBorderHint:
 
 
 class TestWhatAWriteDrops:
-    def test_only_the_dirty_fragments_tables_are_dropped(self):
+    def test_only_the_dirty_fragments_tables_are_set_aside(self):
         fragmentation, layout = ring_layout(BLOCKS)
         service = QueryService(fragmentation)
         warm_ring(service, layout)
         before = tables(service)
         assert all(before.values())
+        held = {fragment_id: dict(table) for fragment_id, table in before.items()}
         a, b = interior(layout, 3)[:2]
         service.update_edge(a, b, 50.0)
         dirty = set(service.database.delta_log.last().dirty_fragments)
         assert 3 in dirty and dirty != set(before)
         after = tables(service)
+        catalog = service.engine().catalog
         for fragment_id, table in before.items():
+            assert after[fragment_id] is table
             if fragment_id in dirty:
-                assert after[fragment_id] is None
+                # What it held is kept aside; it serves only what the write
+                # re-read: the fragment's arcs, for the answers crossing it.
+                assert table.previous == {
+                    key: entry.values for key, entry in held[fragment_id].items()
+                }
+                border = catalog.site(fragment_id).border_nodes
+                assert list(table) == [(border, border, "shortest_path")]
             else:
-                assert after[fragment_id] is table
+                assert table == held[fragment_id] and not table.previous
         for source, target in cold_pairs(layout):
             assert service.query(source, target).value == shortest_path_cost(
                 service.database.graph, source, target
             )
 
-    def test_a_shortcut_repair_alone_drops_the_neighbours_table(self):
+    def test_a_shortcut_repair_alone_sets_the_neighbours_table_aside(self):
         fragmentation, layout = ring_layout(BLOCKS)
         service = QueryService(fragmentation)
         warm_ring(service, layout)
@@ -235,12 +244,14 @@ class TestWhatAWriteDrops:
         edges_before = sorted(catalog.site(1).subgraph.weighted_edges())
         shortcuts_before = sorted(catalog.site(1).shortcuts)
         table_before = tables(service)[1]
+        held = {key: entry.values for key, entry in table_before.items()}
         owner = service.update_edge(a, b, 0.5)
         assert owner == 2
         site = catalog.site(1)
         assert sorted(site.subgraph.weighted_edges()) == edges_before
         assert sorted(site.shortcuts) != shortcuts_before
-        assert table_before and tables(service)[1] is None
+        assert held and tables(service)[1] is table_before
+        assert table_before.previous == held
         for source, target in cold_pairs(layout):
             assert service.query(source, target).value == shortest_path_cost(
                 service.database.graph, source, target
