@@ -20,10 +20,11 @@ Of the three kinds of subquery a chain splits into (Sec. 2.1) none depends on
 more than the fragment, its border nodes and one query node, and the kernel
 path memoizes them in the derived store of the site's compact graph:
 
-* every shortest-path subquery with a side inside the border set is read from
-  :class:`BorderRows`: per border node and direction one row of shortest
-  distances to (or from) every node of the fragment, filled by one untargeted
-  search the first time a subquery is rooted at that border node;
+* every subquery with a side inside the border set is read from
+  :class:`BorderRows`: per border node and direction one row filled by one
+  untargeted search the first time a subquery is rooted at that border node —
+  the shortest distances to (or from) every node of the fragment, or for
+  reachability the int bitset of the nodes it reaches (or that reach it);
 * the middle one — border to border inside an intermediate fragment — does not
   depend on the query at all; its whole result is also remembered in a
   :class:`TransitTable`, which lets the coordinator of a worker pool answer it
@@ -36,8 +37,8 @@ before a write, and refills from the surviving rows without a search; it
 keeps the values it held as :attr:`TransitTable.previous`, which the service
 compares with the refilled ones to tell a write that moved a fragment's
 border-graph arcs from one that did not (:meth:`TransitTable.survive_delta`).
-What still searches is a shortest-path subquery with no side inside the
-border set (a same-fragment query) and the fill of a row a write dropped.
+What still searches is a subquery with no side inside the border set (a
+same-fragment query) and the fill of a row a write dropped.
 """
 
 from __future__ import annotations
@@ -49,12 +50,16 @@ from time import perf_counter
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..closure import (
+    BACKEND_BIGINT,
     ClosureStatistics,
     Semiring,
     array_dijkstra,
+    bitset_reachable,
     reachability_rows,
+    record_selection,
     shortest_path_semiring,
 )
+from ..closure.backends import set_active_backend
 from ..graph import CompactGraph
 from .catalog import CompactFragmentSite, FragmentSite
 from .planner import LocalQuerySpec
@@ -69,6 +74,8 @@ TRANSIT_KEY = "transit_table"
 
 # (entry nodes, exit nodes, semiring name)
 TransitKey = Tuple[frozenset, frozenset, str]
+# (source id, target id, weight): an arc a delta took out or put in.
+Arc = Tuple[int, int, float]
 
 
 class TransitEntry(NamedTuple):
@@ -102,11 +109,7 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
         # key -> the values the table held when the adjacency last changed.
         self.previous: Dict[TransitKey, Dict[Tuple[Node, Node], PathValue]] = {}
 
-    def survive_delta(
-        self,
-        removed: Sequence[Tuple[int, int, float]],
-        inserted: Sequence[Tuple[int, int, float]],
-    ) -> None:
+    def survive_delta(self, removed: Sequence[Arc], inserted: Sequence[Arc]) -> None:
         """Move every entry to :attr:`previous`: none is served across a change.
 
         Called for a non-empty delta that interns no node (an empty one
@@ -122,53 +125,102 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
         return None
 
 
-# Derived-store key of a site graph's border rows.
+# Derived-store keys of a site graph's border rows, by semiring name.
 BORDER_ROWS_KEY = "border_rows"
+ROWS_KEYS = {"shortest_path": BORDER_ROWS_KEY, "reachability": "border_rows_reachability"}
 
 
 class BorderRow(NamedTuple):
-    """The untargeted search from one border node, as every reader replays it."""
+    """The untargeted shortest-path search from one border node, as every reader replays it."""
 
     distances: "array[float]"  # by node id; ``inf`` where there is no path
     settled: int
 
+    def survives(self, removed: Sequence[Arc], inserted: Sequence[Arc]) -> bool:
+        """Whether no removed arc is tight on the row and no inserted arc improves it."""
+        d = self.distances
+        return not (
+            any(d[t] != inf and d[s] + w <= d[t] for s, t, w in removed)
+            or any(d[s] + w < d[t] for s, t, w in inserted)
+        )
 
-class BorderRows(Dict[Tuple[int, bool], BorderRow]):
-    """The memoized endpoint searches of one site graph.
+    def book(self, result: "LocalQueryResult", root: Node, targets: List[Tuple[Node, int]]) -> None:
+        """File the row's finite distances to ``targets`` in ``result``, rooted at ``root``."""
+        _book_round(result, root, targets, self.distances, self.settled)
 
-    ``(b, True)`` holds ``dist(x -> b)`` for every node id ``x`` (one backward
-    search from border node id ``b``), ``(b, False)`` holds ``dist(b -> x)``.
-    A row is a pure function of the graph, filled the first time a subquery
-    is rooted at ``b`` in that direction, so the store is bounded by the
-    layout: at most ``2 * |border nodes|`` rows of ``node_count`` doubles per
-    fragment.  No capacity and no eviction: the graph's ``apply_delta`` calls
-    :meth:`survive_delta`, which drops each row the write may have moved.
+    def nbytes(self) -> int:
+        return len(self.distances) * self.distances.itemsize
+
+
+class BitsetRow(NamedTuple):
+    """The untargeted BFS from one border node: the int bitset of the ids it reaches."""
+
+    reached: int  # bit ``x`` set when the root reaches ``x`` (forward) or ``x`` reaches it
+    settled: int  # the bits set
+
+    def survives(self, removed: Sequence[Arc], inserted: Sequence[Arc]) -> bool:
+        """Whether no removed arc starts in the set and no inserted arc leads out of it."""
+        r = self.reached
+        return not (
+            any(r >> s & 1 for s, _, _ in removed)
+            or any(r >> s & 1 and not r >> t & 1 for s, t, _ in inserted)
+        )
+
+    def book(self, result: "LocalQueryResult", root: Node, targets: List[Tuple[Node, int]]) -> None:
+        """File the ``targets`` the row holds in ``result``, rooted at ``root``."""
+        backward = result.backward
+        reached = self.reached
+        produced = 0
+        for target, target_id in targets:
+            if reached >> target_id & 1:
+                result.values[(target, root) if backward else (root, target)] = True
+                produced += 1
+        result.statistics.record_round(self.settled, produced)
+
+    def nbytes(self) -> int:
+        return (self.reached.bit_length() + 7) // 8
+
+
+class BorderRows(Dict[Tuple[int, bool], "BorderRow | BitsetRow"]):
+    """The memoized endpoint searches of one site graph, for one standard semiring.
+
+    ``(b, True)`` holds the backward search from border node id ``b`` (the
+    ``dist(x -> b)`` of every node id ``x``, or the bitset of the ids that
+    reach ``b``), ``(b, False)`` the forward one (``dist(b -> x)``, or the ids
+    ``b`` reaches).  A row is a pure function of the graph, filled the first
+    time a subquery is rooted at ``b`` in that direction, so the store is
+    bounded by the layout: at most ``2 * |border nodes|`` rows of
+    ``node_count`` doubles (or bits) per fragment.  No capacity and no
+    eviction: the graph's ``apply_delta`` calls :meth:`survive_delta`, which
+    drops each row the write may have moved.
     """
 
     __slots__ = ()
 
-    def survive_delta(
-        self,
-        removed: Sequence[Tuple[int, int, float]],
-        inserted: Sequence[Tuple[int, int, float]],
-    ) -> None:
+    def survive_delta(self, removed: Sequence[Arc], inserted: Sequence[Arc]) -> None:
         """Drop every row the arc changes ``removed`` / ``inserted`` may have moved.
 
-        A row ``d`` rooted at ``b`` (forward: ``d = dist(b -> .)``; backward
-        rows swap each arc's ends) stays a fresh search's answer when every
-        removed arc ``s -> t`` of weight ``w`` is slack (``d[s] + w > d[t]``,
-        or ``d[t]`` is ``inf``: no shortest path uses it) and no inserted
-        arc improves on it (``d[s] + w >= d[t]``).  Float addition is
-        monotone, so a kept row is bit for bit the row a search of the new
-        graph would fill, with the same settled count.
+        Backward rows see each arc with its ends swapped.  A distance row
+        ``d`` stays a fresh search's answer when every removed arc ``s -> t``
+        of weight ``w`` is slack (``d[s] + w > d[t]``, or ``d[t]`` is
+        ``inf``: no shortest path uses it) and no inserted arc improves on it
+        (``d[s] + w >= d[t]``).  Float addition is monotone, so a kept row is
+        bit for bit the row a search of the new graph would fill, with the
+        same settled count.  A bitset row ``R`` stays when no removed arc has
+        its tail in ``R`` and no inserted arc leads from ``R`` out of it: ``R``
+        is then still closed under the arcs and every path that built it is
+        intact.  An arc both removed and inserted (a reweight) still joins its
+        ends, so a bitset row does not count it as removed.
         """
+        if not self:
+            return
+        if isinstance(next(iter(self.values())), BitsetRow):
+            joined = {(s, t) for s, t, _ in inserted}
+            removed = [arc for arc in removed if arc[:2] not in joined]
         flipped = [(t, s, w) for s, t, w in removed], [(t, s, w) for s, t, w in inserted]
         for key, row in list(self.items()):
             out, into = flipped if key[1] else (removed, inserted)
-            d = row.distances
-            if any(d[t] != inf and d[s] + w <= d[t] for s, t, w in out) or any(
-                d[s] + w < d[t] for s, t, w in into
-            ):
+            if not row.survives(out, into):
                 del self[key]
 
     def to_state(self) -> None:
@@ -176,14 +228,19 @@ class BorderRows(Dict[Tuple[int, bool], BorderRow]):
         return None
 
     def nbytes(self) -> int:
-        """The bytes the rows' distance arrays hold."""
-        return sum(len(row.distances) * row.distances.itemsize for row in self.values())
+        """The bytes the rows' distance arrays (or bitsets) hold."""
+        return sum(row.nbytes() for row in self.values())
 
 
 def border_rows_held(site: FragmentSite | CompactFragmentSite) -> Tuple[int, int]:
     """Return ``(rows, bytes)`` of the border rows ``site``'s augmented graph holds."""
-    rows = site.derived_get(BORDER_ROWS_KEY)
-    return (len(rows), rows.nbytes()) if rows else (0, 0)  # type: ignore[arg-type, union-attr]
+    rows = size = 0
+    for key in ROWS_KEYS.values():
+        held = site.derived_get(key)
+        if held:
+            rows += len(held)  # type: ignore[arg-type]
+            size += held.nbytes()  # type: ignore[union-attr]
+    return rows, size
 
 
 @dataclass
@@ -196,7 +253,8 @@ class LocalQueryResult:
         statistics: work counters for the local evaluation.
         backend: which kernel backend served the evaluation (``bigint`` or
             ``chain``, or ``dijkstra``/``dict`` for the shortest-path kernel
-            and the custom-semiring fixpoint); surfaces in worker payloads
+            and the custom-semiring fixpoint); for a result read from border
+            rows, the kernel that filled them.  Surfaces in worker payloads
             and trace spans.
         overlay: whether the site's compact graph carried an uncompacted
             delta overlay at evaluation time — the kernels read straight
@@ -206,11 +264,12 @@ class LocalQueryResult:
             work counters are those of the evaluation that filled the memo —
             a memoized result and the one that searched report the same
             ``statistics`` apart from ``elapsed_seconds``.
-        searches: the shortest-path searches this result ran itself (a border
-            row it had to fill counts as one); 0 when memoized.
-        backward: whether the shortest-path searches — or the border rows
-            read in their place — are rooted at the exit nodes and run
-            against the edges.
+        searches: the searches this result ran itself: each Dijkstra run,
+            and each border row it had to fill (for reachability a full
+            BFS); 0 when memoized.  The keyhole kernel of a reachability
+            subquery that reads no rows counts none.
+        backward: whether the searches — or the border rows read in their
+            place — are rooted at the exit nodes and run against the edges.
         rows_read, rows_filled: the border rows this result found filled, and
             filled itself.
     """
@@ -231,9 +290,7 @@ class LocalQueryResult:
         return not self.values
 
 
-def _direction(
-    border: Optional[frozenset], spec: LocalQuerySpec, shortest: bool
-) -> Tuple[bool, bool]:
+def _direction(border: Optional[frozenset], spec: LocalQuerySpec) -> Tuple[bool, bool]:
     """``(from_rows, backward)``: whether ``spec`` reads border rows, and which way it runs.
 
     A side inside the border set reads the rows rooted there.  Root at the
@@ -244,17 +301,15 @@ def _direction(
     rows read in the same fragment, so a write's dropped rows refill once for
     both.  A function of the spec and the border set alone, so a replayed
     result reports the direction it was found in.  ``border`` is ``None``
-    where no rows are read (another semiring, a site that does not know its
-    borders).
+    where no rows are read (a site that does not know its borders).
     """
     exits_on_border = border is not None and spec.exit_nodes <= border
     entries_on_border = border is not None and spec.entry_nodes <= border
     from_rows = exits_on_border or entries_on_border
     if exits_on_border != entries_on_border:
         return from_rows, exits_on_border
-    return from_rows, shortest and (
-        len(spec.exit_nodes) < len(spec.entry_nodes)
-        or (from_rows and len(spec.exit_nodes) == len(spec.entry_nodes))
+    return from_rows, len(spec.exit_nodes) < len(spec.entry_nodes) or (
+        from_rows and len(spec.exit_nodes) == len(spec.entry_nodes)
     )
 
 
@@ -276,6 +331,22 @@ def _book_round(
     result.statistics.record_round(settled, produced)
 
 
+def _distance_row(graph: CompactGraph, root_id: int, backward: bool) -> BorderRow:
+    distances, _, settled = array_dijkstra(graph, root_id, backward=backward)
+    return BorderRow(array("d", distances), settled)
+
+
+def _bitset_row(graph: CompactGraph, root_id: int, backward: bool) -> BitsetRow:
+    """One full big-int BFS: a recorded kernel selection, as every reachability dispatch is."""
+    record_selection(BACKEND_BIGINT, "local_query")
+    set_active_backend(BACKEND_BIGINT)
+    try:
+        reached = bitset_reachable(graph, root_id, backward=backward)
+    finally:
+        set_active_backend(None)
+    return BitsetRow(reached, reached.bit_count())
+
+
 class LocalQueryEvaluator:
     """Evaluates :class:`LocalQuerySpec` subqueries against a fragment site.
 
@@ -293,13 +364,13 @@ class LocalQueryEvaluator:
     On the kernel path a subquery whose entry and exit sets both consist of
     the site's border nodes is answered from the site's
     :class:`TransitTable` once it has been evaluated; ``transit_hits`` and
-    ``transit_misses`` count those lookups.  A shortest-path subquery with
-    a side inside the border set that the table does not answer reads that
-    side's :class:`BorderRows` (the smaller side's when both are inside); its
-    result's ``rows_read`` and ``rows_filled`` count the rows it found and
-    the rows it had to search for.  Custom semirings and sites that do not
-    know their borders (a hand-built :class:`CompactFragmentSite`) touch
-    neither.
+    ``transit_misses`` count those lookups.  A subquery with a side inside
+    the border set that the table does not answer reads that side's
+    :class:`BorderRows` (the smaller side's when both are inside): distance
+    rows for shortest paths, bitset rows for reachability.  Its result's
+    ``rows_read`` and ``rows_filled`` count the rows it found and the rows it
+    had to search for.  Custom semirings and sites that do not know their
+    borders (a hand-built :class:`CompactFragmentSite`) touch neither.
 
     Callers that hold several subqueries at once — the chains of a query, a
     batch, one routed message — hand them to :meth:`evaluate_many` together.
@@ -313,6 +384,7 @@ class LocalQueryEvaluator:
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._use_shortcuts = use_shortcuts
+        self._rows_key = ROWS_KEYS.get(self._semiring.name)
         self.transit_hits = 0
         self.transit_misses = 0
 
@@ -382,10 +454,10 @@ class LocalQueryEvaluator:
         ``False`` for any other spec, semiring or site (a coordinator whose
         rows live in pool workers holds none).
         """
-        rows = site.derived_get(BORDER_ROWS_KEY) if self._semiring.name == "shortest_path" else None
+        rows = site.derived_get(self._rows_key) if self._rows_key else None
         if not rows:
             return False
-        from_rows, backward = _direction(site.border_nodes, spec, True)
+        from_rows, backward = _direction(site.border_nodes, spec)
         if not from_rows:
             return False
         graph = site.compact(use_shortcuts=self._use_shortcuts)
@@ -488,12 +560,9 @@ class LocalQueryEvaluator:
         spec: LocalQuerySpec,
         result: LocalQueryResult,
     ) -> None:
-        """Answer ``spec`` from a memo, a reachability kernel or its own searches."""
-        shortest = self._semiring.name == "shortest_path"
+        """Answer ``spec`` from a memo, its border rows or its own searches."""
         key = self._transit_key(site, spec)
-        from_rows, result.backward = _direction(
-            site.border_nodes if shortest else None, spec, shortest
-        )
+        from_rows, result.backward = _direction(site.border_nodes, spec)
         if self._replay(graph, key, result):
             return
         result.overlay = graph.has_overlay()
@@ -510,13 +579,11 @@ class LocalQueryEvaluator:
             if node_id >= 0
         ]
         if entries and exits:
-            if shortest:
-                result.backend = "dijkstra"
-                roots, targets = (exits, entries) if result.backward else (entries, exits)
-                if from_rows:
-                    self._read_rows(graph, roots, targets, result)
-                else:
-                    self._search(graph, roots, targets, result)
+            roots, targets = (exits, entries) if result.backward else (entries, exits)
+            if from_rows:
+                self._read_rows(graph, roots, targets, result)
+            elif self._semiring.name == "shortest_path":
+                self._search(graph, roots, targets, result)
             else:
                 self._run_reachability(graph, entries, exits, result)
         self._file(graph, key, result)
@@ -528,6 +595,8 @@ class LocalQueryEvaluator:
         exits: List[Tuple[Node, int]],
         result: LocalQueryResult,
     ) -> None:
+        """One keyhole BFS (or index lookup) per entry, forward: the kernels run no other way."""
+        result.backward = False
         exit_mask = 0
         for _, exit_id in exits:
             exit_mask |= 1 << exit_id
@@ -539,13 +608,7 @@ class LocalQueryEvaluator:
         )
         result.backend = chosen
         for entry, entry_id in entries:
-            visited = rows[entry_id]
-            produced = 0
-            for exit_node, exit_id in exits:
-                if (visited >> exit_id) & 1:
-                    result.values[(entry, exit_node)] = True
-                    produced += 1
-            result.statistics.record_round(visited.bit_count(), produced)
+            BitsetRow(rows[entry_id], rows[entry_id].bit_count()).book(result, entry, exits)
 
     def _search(
         self,
@@ -555,6 +618,7 @@ class LocalQueryEvaluator:
         result: LocalQueryResult,
     ) -> None:
         """One search per root, each stopping once ``targets`` are settled."""
+        result.backend = "dijkstra"
         target_ids = [target_id for _, target_id in targets]
         for root, root_id in roots:
             distances, _, settled = array_dijkstra(
@@ -572,25 +636,32 @@ class LocalQueryEvaluator:
     ) -> None:
         """Per root (a border node), read its row — filling it first when missing.
 
-        A row is the untargeted search from its root, kept as ``array('d')``
-        with that search's settled count.  Every reader books the stored
-        count, so the work counters do not say who filled the row;
-        ``searches`` and ``memoized`` do.
+        A row is the untargeted search from its root with that search's
+        settled count.  Every reader books the stored count, so the work
+        counters do not say who filled the row; ``searches`` and
+        ``memoized`` do.
         """
-        rows = graph.derived_get(BORDER_ROWS_KEY)
+        rows_key = self._rows_key
+        assert rows_key is not None
+        rows = graph.derived_get(rows_key)
         if rows is None:
             rows = BorderRows()
-            graph.derived_set(BORDER_ROWS_KEY, rows)
+            graph.derived_set(rows_key, rows)
         backward = result.backward
+        shortest = self._semiring.name == "shortest_path"
+        result.backend = "dijkstra" if shortest else BACKEND_BIGINT
         for root, root_id in roots:
             row = rows.get((root_id, backward))
             if row is None:
-                distances, _, settled = array_dijkstra(graph, root_id, backward=backward)
-                row = rows[(root_id, backward)] = BorderRow(array("d", distances), settled)
+                row = rows[(root_id, backward)] = (
+                    _distance_row(graph, root_id, backward)
+                    if shortest
+                    else _bitset_row(graph, root_id, backward)
+                )
                 result.rows_filled += 1
             else:
                 result.rows_read += 1
-            _book_round(result, root, targets, row.distances, row.settled)
+            row.book(result, root, targets)
         result.searches = result.rows_filled
         result.memoized = not result.rows_filled
 

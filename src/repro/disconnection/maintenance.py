@@ -326,14 +326,23 @@ class FragmentedDatabase:
         The edge goes to a fragment already containing one of its endpoints
         (preferring a fragment containing both); edges between two previously
         unknown nodes go to the currently smallest fragment.  Inserting an
-        edge that already exists reweights it in its owning fragment.
+        edge that already exists reweights it in its owning fragment; at its
+        stored weight it changes nothing, as in :meth:`update_edge_weight`,
+        and a symmetric insert applies only the half that changes something.
         """
-        changes = [self._insert_change(source, target, weight)]
+        forward = self._insert_change(source, target, weight)
+        changes = [forward]
         if symmetric:
             changes.append(self._insert_change(target, source, weight))
-        self.statistics.edges_inserted += len(changes)
-        self._apply_changes("insert", changes)
-        return changes[0].fragment_id
+        changes = [
+            change
+            for change in changes
+            if change.op != "reweight" or change.weight != change.old_weight
+        ]
+        if changes:
+            self.statistics.edges_inserted += len(changes)
+            self._apply_changes("insert", changes)
+        return forward.fragment_id
 
     def delete_edge(self, source: Node, target: Node, *, symmetric: bool = False) -> int:
         """Delete an edge and return the fragment id it was removed from.

@@ -1210,7 +1210,9 @@ class QueryService:
                     ):
                         tasks[task] = None
         try:
-            results = self._evaluate_tasks(list(tasks), grouped=True) if tasks else {}
+            results = (
+                self._evaluate_tasks(list(tasks), grouped=True, reread=True) if tasks else {}
+            )
         except WorkerPoolError:
             # Nothing re-read: every candidate goes, as if all had moved.
             return fragment_mask(applied.dirty_fragments), 0, {}
@@ -1296,12 +1298,15 @@ class QueryService:
         return self._pool
 
     def _evaluate_tasks(
-        self, tasks: Sequence[TaskKey], grouped: bool = False
+        self, tasks: Sequence[TaskKey], grouped: bool = False, reread: bool = False
     ) -> Dict[TaskKey, LocalQueryResult]:
         """Evaluate ``tasks`` on the pool or in-process: the query core's ``evaluate``.
 
         ``grouped`` (a batch) ships the dispatched tasks as one routed
-        message per owner worker of the live placement.
+        message per owner worker of the live placement.  ``reread`` (a
+        write's re-read) counts the tasks as ``reread_tasks`` instead of
+        query load: the per-site and per-owner dispatch series the placement
+        and rebalance advisors read stay what the queries made them.
         """
         engine = self._current_engine
         assert engine is not None
@@ -1330,8 +1335,9 @@ class QueryService:
                 # (which may differ from plan ownership when a replica or
                 # respawned worker ran a task), accumulated here so it
                 # survives pool restarts.
-                for worker, count in pool.last_route_counts.items():
-                    self._stats.per_owner_dispatch.inc(worker, count)
+                if not reread:
+                    for worker, count in pool.last_route_counts.items():
+                        self._stats.per_owner_dispatch.inc(worker, count)
                 self._stats.observe_owner_queues(
                     owner_count=pool.worker_count,
                     queue_depth_peak=pool.queue_depth_peak,
@@ -1445,6 +1451,9 @@ class QueryService:
             hits=evaluator.transit_hits - hits_before,
             misses=evaluator.transit_misses - misses_before,
         )
+        if reread:
+            self._stats.reread_tasks += len(tasks)
+            return results
         # One dispatch per *task*: a batch of n shared subqueries records n
         # site dispatches, never one per batch.
         per_fragment: Dict[int, int] = {}

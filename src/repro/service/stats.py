@@ -36,6 +36,7 @@ _INT_COUNTERS: Dict[str, tuple] = {
     "cache_hits": ("repro_cache_hits_total", "Result-cache hits (batch duplicates included)."),
     "cache_misses": ("repro_cache_misses_total", "Result-cache misses."),
     "local_evaluations": ("repro_local_evaluations_total", "Per-fragment subqueries actually evaluated."),
+    "reread_tasks": ("repro_reread_tasks_total", "Per-fragment subqueries a write re-read to decide which cached answers stay."),
     "shared_subqueries_saved": ("repro_shared_subqueries_saved_total", "Subquery evaluations avoided by sharing."),
     "duplicate_queries_saved": ("repro_duplicate_queries_saved_total", "Batch queries answered by deduplication."),
     "invalidations": ("repro_invalidations_total", "Cache invalidation passes triggered by updates."),
@@ -469,6 +470,7 @@ class ServiceStatistics:
             "cache_misses": self.cache_misses,
             "hit_rate": round(self.hit_rate(), 4),
             "local_evaluations": self.local_evaluations,
+            "reread_tasks": self.reread_tasks,
             "shared_subqueries_saved": self.shared_subqueries_saved,
             "duplicate_queries_saved": self.duplicate_queries_saved,
             "invalidations": self.invalidations,

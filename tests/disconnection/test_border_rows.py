@@ -51,9 +51,12 @@ def row_roots(site, spec):
     """The side of ``spec`` whose rows answer it, or ``None`` when it searches.
 
     A side inside ``site``'s border set; of two such sides the exits only
-    when there are fewer of them.
+    when there are fewer of them.  ``None`` too when a side is empty (a
+    write can empty a disconnection set): such a spec reads nothing.
     """
     border = site.border_nodes
+    if not spec.entry_nodes or not spec.exit_nodes:
+        return None
     exits, entries = spec.exit_nodes <= border, spec.entry_nodes <= border
     if exits and entries:
         return spec.exit_nodes if len(spec.exit_nodes) < len(spec.entry_nodes) else spec.entry_nodes

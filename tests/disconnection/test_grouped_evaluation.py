@@ -30,6 +30,7 @@ from tests.local_query_oracles import dict_local_query
 from tests.transit_layouts import (
     SPEC,
     WRITE,
+    counted_bfs,
     counted_searches,
     fractional_service,
     interior,
@@ -121,20 +122,39 @@ class TestGroupingChangesNoValue:
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(writes=st.lists(WRITE, max_size=4), draws=st.lists(SPEC, min_size=2, max_size=8))
-    def test_reachability_goes_through_the_grouped_entry_point_unchanged(self, writes, draws):
+    def test_reachability_reads_its_rows_in_the_same_direction_grouped_or_alone(
+        self, writes, draws
+    ):
         grouped_service, layout = fractional_service("chain", reachability_semiring, writes)
         single_service, _ = fractional_service("chain", reachability_semiring, writes)
         specs = specs_of(grouped_service, layout, draws, ring=False)
         semiring = reachability_semiring()
-        grouped = LocalQueryEvaluator(semiring=semiring).evaluate_many(
-            grouped_service.engine().catalog.site, specs
-        )
+        grouped_site = grouped_service.engine().catalog.site
+        with counted_bfs() as grouped_calls:
+            grouped = LocalQueryEvaluator(semiring=semiring).evaluate_many(grouped_site, specs)
         evaluator = LocalQueryEvaluator(semiring=semiring)
-        for spec, together in zip(specs, grouped):
+        with counted_bfs() as single_calls:
+            single = [
+                evaluator.evaluate(single_service.engine().catalog.site(spec.fragment_id), spec)
+                for spec in specs
+            ]
+        for spec, together, alone in zip(specs, grouped, single):
             site = single_service.engine().catalog.site(spec.fragment_id)
-            assert together.values == evaluator.evaluate(site, spec).values
+            assert together.values == alone.values
             assert together.values == dict_local_query(site, spec, semiring).values
-            assert together.searches == 0 and not together.backward
+            # The shortest-path direction rule, rows on a border side included.
+            on_border = spec.entry_nodes <= site.border_nodes or spec.exit_nodes <= site.border_nodes
+            assert together.backward == alone.backward == (
+                on_border and rooted_at_exits(site, spec)
+            )
+            assert (together.searches, together.rows_read, together.rows_filled) == (
+                alone.searches, alone.rows_read, alone.rows_filled
+            )
+            assert together.searches == together.rows_filled
+        # Companions change no BFS: the same roots in the same order, each
+        # row filled once (the rest are the keyhole BFS of row-less specs).
+        assert grouped_calls == single_calls
+        assert sum(result.rows_filled for result in grouped) <= len(grouped_calls)
 
     def test_a_write_leaves_overlay_rows_the_searches_read_through(self):
         service, layout = fractional_service("ring", shortest_path_semiring, [("insert", 2, 9, 0.31)])

@@ -114,7 +114,7 @@ class TestConsistencyAndRefragmentation:
         assert cost == pytest.approx(shortest_path_cost(database.graph, 1, 7))
 
     def test_update_statistics_dictionary(self, database):
-        database.insert_edge(0, 3, 1.0)
+        database.insert_edge(0, 3, 2.0)  # stored at 1.0: at that weight it would change nothing
         stats = database.statistics.as_dict()
         assert stats["edges_inserted"] == 1
         assert "complementary_refreshes" in stats

@@ -1,14 +1,16 @@
 """Border rows that outlive a write are the rows a fresh search would fill.
 
 ``CompactGraph.apply_delta`` hands a site graph's :class:`BorderRows` the arcs
-a delta took out and put in, and each row keeps itself only when no removed
-arc is tight on it and no inserted arc improves it.  These properties fill
-every row of one site — forward and backward, from every border node — apply
-random deltas (inserts, parallel arcs, reweights up and down, deletes, arcs
-between border nodes as a shortcut repair sends them, arcs exactly as long
-as a row's gap, new nodes) and compare every surviving row with a fresh
-``array_dijkstra`` on the written graph: float for float, settled count for
-settled count.
+a delta took out and put in.  A distance row keeps itself only when no
+removed arc is tight on it and no inserted arc improves it; a reachability
+bitset row only when no removed arc leaves its set and no inserted arc leads
+out of it.  These properties fill every row of one site — forward and
+backward, from every border node — apply random deltas (inserts, parallel
+arcs, reweights up and down, deletes, arcs between border nodes as a
+shortcut repair sends them, arcs exactly as long as a row's gap or inside a
+bitset row's set, new nodes) and compare every surviving row with a fresh
+search on the written graph: ``array_dijkstra`` float for float and settled
+count for settled count, ``bitset_reachable`` bit for bit.
 
 The CI workflow runs this module again under the ``ci`` hypothesis profile
 (``--hypothesis-profile=ci``, registered in ``tests/conftest.py``) with ten
@@ -22,9 +24,15 @@ from functools import lru_cache
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.closure import array_dijkstra, shortest_path_semiring
+from repro.closure import (
+    array_dijkstra,
+    bitset_reachable,
+    mask_to_ids,
+    reachability_semiring,
+    shortest_path_semiring,
+)
 from repro.disconnection import DisconnectionSetEngine, LocalQueryEvaluator
-from repro.disconnection.local_query import BORDER_ROWS_KEY
+from repro.disconnection.local_query import ROWS_KEYS, BitsetRow
 from repro.disconnection.planner import LocalQuerySpec
 from repro.exceptions import NoChainError
 from repro.graph import CompactDelta, DiGraph
@@ -40,6 +48,7 @@ from tests.transit_layouts import (
 )
 
 LAYOUTS = {"ring": ring_layout, "chain": chain_layout, "grid": grid_layout}
+SEMIRINGS = {"shortest_path": shortest_path_semiring, "reachability": reachability_semiring}
 
 PICK = st.integers(min_value=0, max_value=10**6)
 OP = st.tuples(
@@ -54,7 +63,7 @@ DELTAS = st.lists(st.lists(OP, min_size=1, max_size=3), min_size=1, max_size=4)
 
 
 @lru_cache(maxsize=None)
-def pickled_sites(kind):
+def pickled_sites(kind, semiring="shortest_path"):
     """Every site of ``kind``'s layout with fractional weights, pickled (no compact form)."""
     fragmentation, layout = LAYOUTS[kind]()
     graph = DiGraph(
@@ -63,11 +72,11 @@ def pickled_sites(kind):
             for a, b, weight in fragmentation.graph.weighted_edges()
         ]
     )
-    catalog = DisconnectionSetEngine(fragment(graph, layout)).catalog
-    return tuple(pickle.dumps(site) for site in catalog.sites())
+    engine = DisconnectionSetEngine(fragment(graph, layout), semiring=SEMIRINGS[semiring]())
+    return tuple(pickle.dumps(site) for site in engine.catalog.sites())
 
 
-def fill_every_row(site, use_shortcuts):
+def fill_every_row(site, use_shortcuts, semiring="shortest_path"):
     """Fill the forward and the backward row of every border node of ``site``."""
     inside = sorted(set(site.subgraph.nodes()) - site.border_nodes)
     specs = []
@@ -75,8 +84,9 @@ def fill_every_row(site, use_shortcuts):
         one, other = frozenset([border_node]), frozenset([inside[0]])
         specs.append(LocalQuerySpec(site.fragment_id, one, other))
         specs.append(LocalQuerySpec(site.fragment_id, other, one))
-    LocalQueryEvaluator(use_shortcuts=use_shortcuts).evaluate_many(lambda _: site, specs)
-    rows = site.compact(use_shortcuts=use_shortcuts).derived_get(BORDER_ROWS_KEY)
+    evaluator = LocalQueryEvaluator(semiring=SEMIRINGS[semiring](), use_shortcuts=use_shortcuts)
+    evaluator.evaluate_many(lambda _: site, specs)
+    rows = site.compact(use_shortcuts=use_shortcuts).derived_get(ROWS_KEYS[semiring])
     assert len(rows) == 2 * len(site.border_nodes)
 
 
@@ -110,9 +120,17 @@ def delta_of(graph, rows, border, ops):
             else:
                 reweights.append((a, b, weight))
         elif op == "tight" and rows:
+            (root_id, backward), row = sorted(rows.items())[pick_a % len(rows)]
+            if isinstance(row, BitsetRow):
+                # An arc between two nodes of the set a row holds: it stays.
+                held = mask_to_ids(row.reached)
+                s, t = held[pick_b % len(held)], held[(pick_b // len(held)) % len(held)]
+                if s != t:
+                    s, t = (t, s) if backward else (s, t)
+                    inserts.append((graph.node_of(s), graph.node_of(t), weight))
+                continue
             # An arc exactly as long as the gap a row sees between its ends:
             # ``d[s] + w`` lands on ``d[t]`` or one rounding step off it.
-            (root_id, backward), row = sorted(rows.items())[pick_a % len(rows)]
             d = row.distances
             s, t = pick_b % len(d), (pick_b // len(d)) % len(d)
             if s != t and d[s] < d[t] < float("inf"):
@@ -129,6 +147,11 @@ def delta_of(graph, rows, border, ops):
 def assert_rows_are_fresh(graph, rows):
     """Every stored row equals the search a fresh evaluation would run."""
     for (root_id, backward), row in rows.items():
+        if isinstance(row, BitsetRow):
+            reached = bitset_reachable(graph, root_id, backward=backward)
+            assert row.reached == reached  # bit for bit
+            assert row.settled == reached.bit_count()
+            continue
         distances, _, settled = array_dijkstra(graph, root_id, backward=backward)
         assert list(row.distances) == distances  # float for float
         assert row.settled == settled
@@ -143,29 +166,47 @@ class TestRowsThatSurviveAreFresh:
         deltas=DELTAS,
     )
     def test_a_kept_row_is_a_fresh_search(self, kind, use_shortcuts, fragment_pick, deltas):
-        sites = pickled_sites(kind)
+        self.check_kept_rows("shortest_path", kind, use_shortcuts, fragment_pick, deltas)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(sorted(LAYOUTS)),
+        use_shortcuts=st.booleans(),
+        fragment_pick=PICK,
+        deltas=DELTAS,
+    )
+    def test_a_kept_bitset_row_is_a_fresh_bfs(self, kind, use_shortcuts, fragment_pick, deltas):
+        self.check_kept_rows("reachability", kind, use_shortcuts, fragment_pick, deltas)
+
+    @staticmethod
+    def check_kept_rows(semiring, kind, use_shortcuts, fragment_pick, deltas):
+        sites = pickled_sites(kind, semiring)
         site = pickle.loads(sites[fragment_pick % len(sites)])
-        fill_every_row(site, use_shortcuts)
+        fill_every_row(site, use_shortcuts, semiring)
         graph = site.compact(use_shortcuts=use_shortcuts)
         for ops in deltas:
-            held = graph.derived_get(BORDER_ROWS_KEY)
+            held = graph.derived_get(ROWS_KEYS[semiring])
             node_count = graph.node_count()
             graph.apply_delta(delta_of(graph, held, site.border_nodes, ops))
-            rows = graph.derived_get(BORDER_ROWS_KEY)
+            rows = graph.derived_get(ROWS_KEYS[semiring])
             if graph.node_count() > node_count:
                 assert rows is None  # a row has no slot for a new node
                 event("a new node: every row dropped")
             else:
                 event(f"{len(rows)} of {2 * len(site.border_nodes)} rows kept")
                 assert_rows_are_fresh(graph, rows)
-            fill_every_row(site, use_shortcuts)  # refill what was dropped
+            fill_every_row(site, use_shortcuts, semiring)  # refill what was dropped
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(kind=st.sampled_from(("ring", "chain")), writes=st.lists(WRITE, min_size=1, max_size=6))
-    def test_writes_through_the_service_keep_only_fresh_rows(self, kind, writes):
+    @given(
+        kind=st.sampled_from(("ring", "chain")),
+        semiring=st.sampled_from(sorted(SEMIRINGS)),
+        writes=st.lists(WRITE, min_size=1, max_size=6),
+    )
+    def test_writes_through_the_service_keep_only_fresh_rows(self, kind, semiring, writes):
         # Service writes reach the site graphs as the repaired shortcut
         # deltas too, and rows filled by real queries are the ones they meet.
-        service, layout = fractional_service(kind, shortest_path_semiring, [])
+        service, layout = fractional_service(kind, SEMIRINGS[semiring], [])
         nodes = sorted(service.database.graph.nodes())
         for write in writes:
             for source, target in zip(nodes[::5], nodes[3::4]):
@@ -173,6 +214,6 @@ class TestRowsThatSurviveAreFresh:
                     service.query(source, target)
             apply_write(service, layout, write, ring=kind == "ring")
             for site in service.engine().catalog.sites():
-                rows = site.derived_get(BORDER_ROWS_KEY)
+                rows = site.derived_get(ROWS_KEYS[semiring])
                 if rows:
                     assert_rows_are_fresh(site.compact(), rows)

@@ -15,15 +15,19 @@ from dataclasses import replace
 import pytest
 
 from repro.closure import (
+    BACKEND_BIGINT,
+    KERNEL_BACKENDS,
+    KERNEL_SELECTIONS_COUNTER,
     Semiring,
+    merge_selection_metrics,
     reachability_semiring,
-    select_kernel,
     shortest_path_semiring,
 )
 from repro.disconnection import CompactFragmentSite, DisconnectionSetEngine, LocalQueryEvaluator
 from repro.disconnection.local_query import TRANSIT_KEY, TransitTable
 from repro.disconnection.planner import LocalQuerySpec
 from repro.graph import CompactDelta
+from repro.observability import MetricsRegistry
 
 from tests.local_query_oracles import dict_local_query
 from tests.transit_layouts import chain_layout, counted_searches, interior, ring_layout
@@ -122,8 +126,8 @@ class TestFillAndReplay:
         assert reach.evaluate(site, spec).values == flags
         assert len(table_of(site)) == 2
 
-    def test_a_replay_reports_the_backend_that_filled_it(self):
-        fragmentation, _ = chain_layout()
+    def test_a_replay_reports_the_kernel_that_filled_its_rows(self):
+        fragmentation, layout = chain_layout()
         engine = DisconnectionSetEngine(fragmentation, semiring=reachability_semiring())
         fragments = engine.catalog.fragmentation
         site = engine.catalog.site(2)
@@ -132,11 +136,26 @@ class TestFillAndReplay:
             entry_nodes=fragments.disconnection_set(1, 2),
             exit_nodes=fragments.disconnection_set(2, 3),
         )
+        # The exits' rows again, from a subquery the table does not hold.
+        reader = LocalQuerySpec(2, frozenset([interior(layout, 2)[0]]), spec.exit_nodes)
         evaluator = LocalQueryEvaluator(semiring=reachability_semiring())
+        merge_selection_metrics(MetricsRegistry())  # drain what earlier work recorded
         first, second = evaluator.evaluate(site, spec), evaluator.evaluate(site, spec)
-        assert first.backend == second.backend == select_kernel(site.compact())
-        assert (first.memoized, second.memoized) == (False, True)
+        third = evaluator.evaluate(site, reader)
+        assert first.backend == second.backend == third.backend == BACKEND_BIGINT
+        assert first.backend in KERNEL_BACKENDS
+        assert (first.memoized, second.memoized, third.memoized) == (False, True, True)
         assert first.values == second.values
+        roots = len(spec.exit_nodes)
+        assert (first.rows_filled, third.rows_read, third.rows_filled) == (roots, roots, 0)
+        # A row fill is one recorded selection; a replay and a row read record none.
+        registry = MetricsRegistry()
+        merge_selection_metrics(registry)
+        series = registry.as_dict()[KERNEL_SELECTIONS_COUNTER]["series"]
+        assert {
+            (entry["labels"]["backend"], entry["labels"]["context"]): entry["value"]
+            for entry in series
+        } == {(BACKEND_BIGINT, "local_query"): roots}
 
 
 class TestWhoStaysOut:

@@ -214,7 +214,7 @@ class TestFallbacks:
         fragmentation = GroundTruthFragmenter([set(range(3)), set(range(3, 6))]).fragment(graph)
         database = FragmentedDatabase(fragmentation)  # no engine built yet
         epoch = database.version_vector.epoch
-        database.insert_edge(0, 2, 1.0)
+        database.insert_edge(0, 2, 2.0)  # stored at 1.0: at that weight it would change nothing
         assert database.version_vector.epoch == epoch + 1
         assert database.delta_log.last().incremental is False
 

@@ -8,8 +8,10 @@ streams of inserts, reweights and deletes (inside a block, at a border node,
 on a connecting edge, between any two nodes; deletes may cut a block in two),
 redraws and queries against one long-lived ``QueryService`` whose cache was
 filled first — in process and behind a placed pool of two workers, for
-shortest paths on a ring and a 3 x 3 grid of blocks and reachability on a
-one-way chain.  After every step each entry still cached must be current,
+shortest paths on a ring and a 3 x 3 grid of blocks, and reachability on a
+one-way chain and on the ring (whose one-way writes make it asymmetric).
+Reachability answers read bitset border rows, and a write re-reads only the
+endpoint tasks whose rows it dropped.  After every step each entry still cached must be current,
 must equal an evaluation of its pair that bypasses the cache exactly, and
 must equal a whole-graph search (``transit_layouts.oracle_value``).
 """
@@ -100,14 +102,14 @@ def test_a_node_joining_another_fragment_evicts_the_answers_that_settled_it():
     assert service.stats.cache_decisions()["arcs_moved"] == 1
 
 
-@pytest.mark.parametrize("kind", ["ring", "chain", "grid"])
+@pytest.mark.parametrize("kind", ["ring", "ring-reach", "chain", "grid"])
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
 def test_every_kept_answer_equals_a_fresh_one_in_process(kind, steps):
     run_stream(kind, steps)
 
 
-@pytest.mark.parametrize("kind", ["ring", "chain", "grid"])
+@pytest.mark.parametrize("kind", ["ring", "ring-reach", "chain", "grid"])
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=STEPS)
 def test_every_kept_answer_equals_a_fresh_one_on_a_pool(kind, steps):

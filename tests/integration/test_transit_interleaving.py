@@ -40,6 +40,8 @@ from tests.transit_layouts import (
 
 BLOCKS, SIZE = 5, 6
 GRIDS = {"grid": 3, "grid-4x4": 4}  # blocks a side
+# Reachability: the one-way chain, and the ring with its one-way writes.
+REACHABILITY_KINDS = ("chain", "ring-reach")
 GRID_SIZE = 8
 PICK = st.integers(min_value=0, max_value=10**6)
 
@@ -68,11 +70,13 @@ class Deployment:
     def __init__(self, kind, **service_options):
         self.side = GRIDS.get(kind)
         self.ring = kind != "chain"  # symmetric edges: ring or grid
-        self.semiring_factory = shortest_path_semiring if self.ring else reachability_semiring
+        self.semiring_factory = (
+            reachability_semiring if kind in REACHABILITY_KINDS else shortest_path_semiring
+        )
         if self.side is not None:
             fragmentation, layout = grid_layout(self.side, self.side, GRID_SIZE)
             self.neighbours = grid_neighbours(self.side, self.side)
-        elif kind == "ring":
+        elif kind in ("ring", "ring-reach"):
             fragmentation, layout = ring_layout(BLOCKS, SIZE)
             self.neighbours = None
         else:

@@ -11,13 +11,20 @@ import random
 
 import pytest
 
+from repro.closure import reachability_semiring
 from repro.exceptions import PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.fragmentation.fragmentation_graph import CHAIN_EXPANSION_BUDGET, FragmentationGraph
 from repro.graph.shortest_path import dijkstra
 from repro.service import QueryService
 from tests.tracing_helpers import spans_named
-from tests.transit_layouts import counted_searches, grid_layout, ring_layout
+from tests.transit_layouts import (
+    chain_layout,
+    counted_bfs,
+    counted_searches,
+    grid_layout,
+    ring_layout,
+)
 
 # Spans one traced call records on a ring of four 30-node fragments.  A cache
 # hit is the root span alone; a cold query from fragment 0 to fragment 2
@@ -125,15 +132,18 @@ def test_every_chain_plan_on_8x8_blocks_ends_inside_its_work_budget():
 # search inside, and the target's rows only when a border node is nearer
 # than the target.  Chain planning dispatched 5.24 tasks a pair.  The
 # search settles 3.24 of the ring's 16 border nodes and relaxes 6.25 arcs.
+# ``array_dijkstra`` runs 0.27 times a pair: the search inside a
+# same-fragment pair, and the fill of a border row no earlier pair read.
 COLD_QUERY_BUDGETS = {
     "tasks": 2.29,
     "settled": 3.24,
     "relaxed": 6.25,
+    "searches": 0.27,
 }
 
 
 def cold_query_work(queries: int = 200, seed: int = 5):
-    """``(local tasks dispatched, border nodes settled, arcs relaxed)`` per cold query."""
+    """Per cold query: local tasks dispatched, border nodes settled, arcs relaxed, searches run."""
     fragmentation, layout = ring_layout(4, 30)
     service = QueryService(fragmentation)
     service.query(layout[1][3], layout[3][7])  # warm-up: blocks 0 and 2 read their arcs,
@@ -141,23 +151,61 @@ def cold_query_work(queries: int = 200, seed: int = 5):
     nodes = sorted(fragmentation.graph.nodes())
     rng = random.Random(seed)
     tasks = settled = relaxed = 0
-    for _ in range(queries):
-        source, target = rng.sample(nodes, 2)
-        service.cache.clear()
-        before = service.stats.local_evaluations
-        service.query(source, target)
-        tasks += service.stats.local_evaluations - before
-        for span in spans_named(service.tracer.recent(1)[0], "search"):
-            settled += span.attributes["settled"]
-            relaxed += span.attributes["relaxed"]
-    return tasks / queries, settled / queries, relaxed / queries
+    with counted_searches() as calls:
+        for _ in range(queries):
+            source, target = rng.sample(nodes, 2)
+            service.cache.clear()
+            before = service.stats.local_evaluations
+            service.query(source, target)
+            tasks += service.stats.local_evaluations - before
+            for span in spans_named(service.tracer.recent(1)[0], "search"):
+                settled += span.attributes["settled"]
+                relaxed += span.attributes["relaxed"]
+    return {
+        "tasks": tasks / queries,
+        "settled": settled / queries,
+        "relaxed": relaxed / queries,
+        "searches": len(calls) / queries,
+    }
 
 
 def test_a_cold_query_dispatches_its_endpoints_and_searches_few_border_nodes():
-    tasks, settled, relaxed = cold_query_work()
-    assert tasks <= COLD_QUERY_BUDGETS["tasks"]
-    assert settled <= COLD_QUERY_BUDGETS["settled"]
-    assert relaxed <= COLD_QUERY_BUDGETS["relaxed"]
+    work = cold_query_work()
+    for figure in ("tasks", "settled", "relaxed", "searches"):
+        assert work[figure] <= COLD_QUERY_BUDGETS[figure], figure
+
+
+# Full or keyhole BFS runs per cold reachability query on a one-way chain of eight
+# 30-node fragments, after one query between each two consecutive blocks:
+# 200 random pairs from seed 5, each past the result cache (about half of
+# them point up the chain and have no path).  An endpoint task reads the
+# bitset rows of its fragment's border nodes, each filled once by one BFS;
+# what still runs is the keyhole BFS inside a same-fragment pair and the
+# fill of a row no earlier pair read.  With a BFS per endpoint task (no
+# rows for reachability) it was 4.73.
+REACH_BUDGETS = {
+    "bfs": 0.095,
+}
+
+
+def cold_reachability_bfs(queries: int = 200, seed: int = 5) -> float:
+    """``bitset_reachable`` calls per cold reachability query on ``chain_layout(8, 30)``."""
+    fragmentation, layout = chain_layout(8, 30)
+    service = QueryService(fragmentation, semiring=reachability_semiring())
+    for block in range(len(layout) - 1):
+        service.query(layout[block][3], layout[block + 1][-3])  # warm-up
+    nodes = sorted(fragmentation.graph.nodes())
+    rng = random.Random(seed)
+    with counted_bfs() as calls:
+        for _ in range(queries):
+            source, target = rng.sample(nodes, 2)
+            service.cache.clear()
+            service.query(source, target)
+    return len(calls) / queries
+
+
+def test_a_cold_reachability_query_reads_bitset_rows_instead_of_searching():
+    assert cold_reachability_bfs() <= REACH_BUDGETS["bfs"]
 
 
 # Local-query searches and border rows under writes, on a ring of four 30-node

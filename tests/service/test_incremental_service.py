@@ -59,6 +59,44 @@ class TestScopedInvalidation:
         assert len(service.database.delta_log) == log_length
         assert [(key, service.cache.get(key)) for key in list(service.cache)] == cached
 
+    def test_inserting_a_stored_edge_at_its_weight_changes_nothing(self):
+        service = QueryService(three_fragment_line())
+        service.query(0, 11)
+        heard = []
+        service.database.add_update_listener(heard.append)
+        version, vector = service.catalog_version, service.version_vector.copy()
+        log_length = len(service.database.delta_log)
+        assert service.database.insert_edge(0, 3, 1.0) == 0
+        assert service.database.insert_edge(0, 3, 1.0, symmetric=True) == 0
+        assert heard == [] and service.stats.updates_applied == 0
+        assert service.catalog_version == version and service.version_vector == vector
+        assert len(service.database.delta_log) == log_length
+
+    def test_a_symmetric_insert_applies_only_the_half_that_changes(self):
+        service = QueryService(three_fragment_line())
+        # 0 -> 3 is stored at 1.0; 3 -> 0 moves to 2.0 only after this one-way write.
+        service.update_edge(3, 0, 2.0)
+        log = service.database.delta_log
+        sequence = log.last_sequence
+        service.database.insert_edge(0, 3, 1.0, symmetric=True)
+        (record,) = log.records_since(sequence)
+        assert [(c.source, c.target, c.weight, c.old_weight) for c in record.changes] == [
+            (3, 0, 1.0, 2.0)
+        ]
+        assert service.database.graph.edge_weight(3, 0) == 1.0
+
+    def test_a_writes_re_read_is_not_query_load(self):
+        service = QueryService(three_fragment_line())
+        service.query(0, 11)
+        service.query(1, 3)
+        load, evaluations = dict(service.stats.per_site_load), service.stats.local_evaluations
+        service.update_edge(0, 2, 0.5)  # re-reads fragment 0's arcs and endpoint rows
+        assert service.database.last_delta is not None  # absorbed in place
+        assert service.stats.reread_tasks > 0
+        assert service.stats.as_dict()["reread_tasks"] == service.stats.reread_tasks
+        assert dict(service.stats.per_site_load) == load
+        assert service.stats.local_evaluations == evaluations
+
     def test_each_write_records_what_it_decided_for_each_cached_answer(self):
         service = QueryService(three_fragment_line())
         service.query(0, 11)  # crosses every fragment
@@ -88,7 +126,7 @@ class TestScopedInvalidation:
         service.query(0, 11)
         service.query(9, 11)
 
-        def lost(tasks, grouped=False):
+        def lost(tasks, grouped=False, reread=False):
             raise WorkerPoolError("routed evaluation lost tasks")
 
         monkeypatch.setattr(service, "_evaluate_tasks", lost)

@@ -6,17 +6,26 @@ contains, how a pool worker's border hint follows a write, and the records
 the decisions leave: the ``memoized`` / ``rows_read`` / ``rows_filled`` span
 attributes, the ``repro_transit_lookups_total`` and
 ``repro_border_row_lookups_total`` counters, the rows held per fragment, and
-dispatch counts that describe only what was actually routed.
+dispatch counts that describe only what was actually routed.  A
+reachability service reads bitset rows, counted the same ways, in process
+and on pool workers.
 """
 
 import repro.disconnection.local_query as local_query_module
-from repro.closure import shortest_path_cost
-from repro.disconnection.local_query import TRANSIT_KEY
+from repro.closure import reachability_semiring, shortest_path_cost
+from repro.disconnection.local_query import BORDER_ROWS_KEY, ROWS_KEYS, TRANSIT_KEY
 from repro.fragmentation import GroundTruthFragmenter
 from repro.service import QueryService
 
 from tests.tracing_helpers import spans_named
-from tests.transit_layouts import interior, is_transit, ring_layout
+from tests.transit_layouts import (
+    chain_layout,
+    counted_bfs,
+    interior,
+    is_transit,
+    oracle_value,
+    ring_layout,
+)
 
 BLOCKS = 6
 
@@ -402,3 +411,48 @@ class TestDecisionRecords:
         service.query(interior(layout, 0)[1], interior(layout, 3)[1])
         assert "site_rederive" not in service.tracer.recent(1)[0].span_names()
 
+
+
+class TestReachabilityRows:
+    def census_after_queries(self, **service_options):
+        fragmentation, layout = chain_layout(BLOCKS, 8)
+        with QueryService(
+            fragmentation, semiring=reachability_semiring(), **service_options
+        ) as service:
+            pairs = [
+                (interior(layout, a)[0], interior(layout, b)[1])
+                for a, b in [(0, 3), (1, 5), (2, 2), (4, 1), (3, 5)]
+            ]
+            for source, target in pairs:
+                assert service.query(source, target).value == oracle_value(service, source, target)
+            with counted_bfs() as calls:
+                for source, target in pairs:
+                    service.cache.clear()
+                    service.query(source, target)
+            lookups = service.stats.border_row_lookups()
+            return service.border_rows(), lookups, calls, service.engine().catalog
+
+    def test_endpoint_tasks_read_bitset_rows_and_the_census_counts_them(self):
+        held, lookups, calls, catalog = self.census_after_queries()
+        # Asked again, the same pairs read only rows: the one BFS left is the
+        # keyhole search inside the same-fragment pair (2, 2).
+        assert len(calls) == 1
+        assert lookups["read"] > 0 and lookups["fill"] == sum(h["rows"] for h in held.values())
+        for site in catalog.sites():
+            rows = site.derived_get(ROWS_KEYS["reachability"]) or {}
+            assert site.derived_get(BORDER_ROWS_KEY) is None
+            assert len(rows) <= 2 * len(site.border_nodes)
+            if rows:
+                assert held[site.fragment_id] == {
+                    "rows": len(rows),
+                    "bytes": sum((row.reached.bit_length() + 7) // 8 for row in rows.values()),
+                }
+
+    def test_pool_workers_hold_the_rows_the_process_would(self):
+        in_process, lookups, _, _ = self.census_after_queries()
+        pooled, pooled_lookups, calls, _ = self.census_after_queries(
+            workers=2, placement="cost_balanced"
+        )
+        assert pooled == in_process and pooled
+        assert pooled_lookups == lookups
+        assert not calls  # the coordinator ran no BFS: the workers did

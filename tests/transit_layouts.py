@@ -16,6 +16,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
+import repro.closure.kernels as kernels_module
 import repro.disconnection.local_query as local_query_module
 from repro.disconnection.planner import LocalQuerySpec
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter
@@ -293,3 +294,25 @@ def counted_searches():
         yield calls
     finally:
         local_query_module.array_dijkstra = real
+
+
+@contextmanager
+def counted_bfs():
+    """Patch every full or keyhole BFS a local query runs; yields each call's root id.
+
+    A bitset row fill calls the evaluator's ``bitset_reachable``; a
+    reachability subquery that reads no rows runs the big-int backend of
+    ``reachability_rows``.
+    """
+    calls = []
+    real = kernels_module.bitset_reachable
+
+    def counting(graph, source_id, **kwargs):
+        calls.append(source_id)
+        return real(graph, source_id, **kwargs)
+
+    kernels_module.bitset_reachable = local_query_module.bitset_reachable = counting
+    try:
+        yield calls
+    finally:
+        kernels_module.bitset_reachable = local_query_module.bitset_reachable = real
