@@ -204,7 +204,7 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         return service
     if source.is_dir():
         raise ReproError(
-            f"{source} is a directory but not a snapshot (missing manifest.json/payload.pkl)"
+            f"{source} is a directory but not a snapshot (missing manifest.json)"
         )
     if not source.is_file():
         raise ReproError(f"{source} does not exist")

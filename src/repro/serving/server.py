@@ -1,6 +1,6 @@
 """The preemptive network serving tier: asyncio TCP over ``QueryService``.
 
-:class:`ClosureServer` is the network front-end ROADMAP item 1 asks for.  It
+:class:`ClosureServer` is the network front-end of the serving layer.  It
 speaks a newline-delimited JSON protocol (one request object in, one or more
 response objects out, every object on its own line) over plain TCP, and
 composes the serving subsystem's parts:

@@ -218,8 +218,8 @@ class TestWhereTheyLive:
             assert rows_of(pickle.loads(pickle.dumps(site))) is None
         assert pickle.dumps(catalog.compact_sites()) == payloads
         service.snapshot(tmp_path / "warm")
-        assert (tmp_path / "warm" / "payload.pkl").read_bytes() == (
-            tmp_path / "cold" / "payload.pkl"
+        assert (tmp_path / "warm" / "payload.bin").read_bytes() == (
+            tmp_path / "cold" / "payload.bin"
         ).read_bytes()
 
     def test_the_ablation_graph_keeps_its_own_rows(self):

@@ -11,12 +11,14 @@ import random
 
 import pytest
 
+import repro.service.snapshot as snapshot_module
 from repro.closure import reachability_semiring
 from repro.exceptions import PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.fragmentation.fragmentation_graph import CHAIN_EXPANSION_BUDGET, FragmentationGraph
 from repro.graph.shortest_path import dijkstra
-from repro.service import QueryService
+from repro.service import QueryService, SnapshotError, load_snapshot
+from repro.service.snapshot import PAYLOAD_FILE
 from tests.tracing_helpers import spans_named
 from tests.transit_layouts import (
     chain_layout,
@@ -354,3 +356,32 @@ def test_a_redraw_rebuilds_and_repins_only_the_fragments_it_moved():
         assert len(result.unchanged) >= REDRAW_BUDGETS["sites_kept"]
         assert pool.repin_messages - messages <= REDRAW_BUDGETS["repin_messages"]
         assert set(pool.last_repin_workers) <= {pool.plan.owner(f) for f in result.changed}
+
+
+# A snapshot of the ring of four 30-node fragments (360 arcs), every site
+# warm, stores 72.6 payload bytes per arc: the graph's arcs as two int32
+# label indices and a float64 weight, each fragment's edge indices, the
+# insertion orders, and each site's CSR arrays in both directions, under a
+# section table of ~2 KB.  The pickled payload it replaced stored 65.3.
+SNAPSHOT_BYTES_PER_ARC = 73.0
+
+
+def test_a_snapshot_stores_few_bytes_per_arc_and_rejects_a_damaged_section(tmp_path, monkeypatch):
+    fragmentation, _ = ring_layout(4, 30)
+    service = QueryService(fragmentation)
+    for site in service.engine().catalog.sites():
+        site.compact()
+    manifest = service.snapshot(tmp_path / "snap")
+    path = tmp_path / "snap" / PAYLOAD_FILE
+    raw = path.read_bytes()
+    assert len(raw) / manifest.edge_count <= SNAPSHOT_BYTES_PER_ARC
+    damaged = bytearray(raw)
+    damaged[-1] ^= 0x10  # inside the last section, a site's weights
+    path.write_bytes(bytes(damaged))
+
+    def no_graph(*args, **kwargs):  # pragma: no cover - the point is it never runs
+        raise AssertionError("a damaged section must be rejected before DiGraph is called")
+
+    monkeypatch.setattr(snapshot_module, "DiGraph", no_graph)
+    with pytest.raises(SnapshotError, match="fails its crc32"):
+        load_snapshot(tmp_path / "snap")

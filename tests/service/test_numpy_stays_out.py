@@ -131,6 +131,6 @@ def test_a_pinned_matrix_never_leaves_the_process(tmp_path):
         assert pickle.loads(pickles[site.fragment_id]).derived_get(PACKED_KEY) is None
     assert pickle.dumps(catalog.compact_sites()) == payloads
     service.snapshot(tmp_path / "warm")
-    assert (tmp_path / "warm" / "payload.pkl").read_bytes() == (
-        tmp_path / "cold" / "payload.pkl"
+    assert (tmp_path / "warm" / "payload.bin").read_bytes() == (
+        tmp_path / "cold" / "payload.bin"
     ).read_bytes()

@@ -298,8 +298,8 @@ class TestSnapshots:
         warm_ring(service, layout)
         assert all(tables(service).values())
         service.snapshot(tmp_path / "warm")
-        assert (tmp_path / "warm" / "payload.pkl").read_bytes() == (
-            tmp_path / "cold" / "payload.pkl"
+        assert (tmp_path / "warm" / "payload.bin").read_bytes() == (
+            tmp_path / "cold" / "payload.bin"
         ).read_bytes()
         restored = QueryService.from_snapshot(tmp_path / "warm")
         assert not any(tables(restored).values())

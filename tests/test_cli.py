@@ -134,7 +134,7 @@ def snapshot_dir(graph_file, tmp_path, capsys):
 class TestSnapshotCommand:
     def test_snapshot_writes_manifest_and_payload(self, snapshot_dir, capsys):
         assert (snapshot_dir / "manifest.json").is_file()
-        assert (snapshot_dir / "payload.pkl").is_file()
+        assert (snapshot_dir / "payload.bin").is_file()
 
     def test_snapshot_prints_characteristics(self, graph_file, tmp_path, capsys):
         exit_code = main(["snapshot", str(graph_file), str(tmp_path / "s"), "--algorithm", "linear"])
@@ -255,6 +255,23 @@ class TestServeCommand:
         )
         assert exit_code == 0
         assert (target / "manifest.json").is_file()
+
+    def test_serve_refuses_a_v1_snapshot_by_its_format_tag(self, snapshot_dir, monkeypatch, capsys):
+        import pickle
+
+        def no_unpickling(*args, **kwargs):  # pragma: no cover - the point is it never runs
+            raise AssertionError("a snapshot load must never unpickle")
+
+        # A directory as the pickle-based format wrote it.
+        manifest = json.loads((snapshot_dir / "manifest.json").read_text())
+        manifest["format"] = "repro-snapshot-v1"
+        (snapshot_dir / "manifest.json").write_text(json.dumps(manifest))
+        (snapshot_dir / "payload.bin").unlink()
+        (snapshot_dir / "payload.pkl").write_bytes(pickle.dumps({"nodes": [0, 1]}))
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        exit_code, captured = self._serve(monkeypatch, capsys, snapshot_dir, "quit\n")
+        assert exit_code == 2
+        assert "repro-snapshot-v1" in captured.err and "Traceback" not in captured.err
 
     def test_serve_placement_names_an_in_process_service_for_what_it_is(
         self, snapshot_dir, monkeypatch, capsys
