@@ -85,7 +85,7 @@ def bench_routing_equivalence(fragmentation, queries, rounds):
     baseline_answers, baseline_seconds = _timed_answers(in_process, queries, rounds)
     with QueryService(fragmentation, placement="cost_balanced", workers=WORKERS) as placed:
         placed_answers, placed_seconds = _timed_answers(placed, queries, rounds)
-        owner_dispatch = dict(placed.stats.per_owner_dispatch)
+        owner_dispatch = placed.stats.counts(placed.stats.per_owner_dispatch)
         dispatch_skew = placed.stats.dispatch_skew()
     assert placed_answers == baseline_answers, (
         "owner-routed and in-process answers must be identical"
@@ -177,15 +177,13 @@ def bench_rebalance(fragmentation, queries):
         answers_before = [placed.query(s, t).value for s, t in queries]
         pool = placed._pool
         pids_before = pool.worker_pids()
-        skew_before = placed.placement_plan.skew(
-            {f: float(placed.stats.per_site_load.get(f, 0)) for f in fragment_ids}
-        )
+        loads = placed.stats.counts(placed.stats.per_site_load)
+        skew_before = placed.placement_plan.skew({f: float(loads.get(f, 0)) for f in fragment_ids})
         migrations = placed.rebalance()
         assert migrations, "the advisor must repair an all-on-one plan"
         plan = placed.placement_plan
-        skew_after = plan.skew(
-            {f: float(placed.stats.per_site_load.get(f, 0)) for f in fragment_ids}
-        )
+        loads = placed.stats.counts(placed.stats.per_site_load)
+        skew_after = plan.skew({f: float(loads.get(f, 0)) for f in fragment_ids})
         assert pool.worker_pids() == pids_before, "rebalancing must not restart the pool"
         assert plan.max_pinned() <= plan.pinned_bound()
         placed.cache.clear()  # force fresh evaluation through the new owners

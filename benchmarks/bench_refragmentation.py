@@ -193,7 +193,7 @@ def bench_replay_parity(network, queries):
             source, target = rng.sample(nodes, 2)
             live.update_edge(source, target, rng.uniform(0.5, 3.0))
         restored = QueryService.from_snapshot(snap, replay_log=live.database.delta_log)
-        replayed = restored.stats.replayed_records
+        replayed = int(restored.stats.replayed_records.value())
         assert replayed == 8, f"expected 8 replayed records, got {replayed}"
         for source, target in queries:
             got = restored.query(source, target).value

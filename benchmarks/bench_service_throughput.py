@@ -115,11 +115,11 @@ def run_throughput_comparison():
     lines.append("")
     lines.append(
         f"warm service: hit rate {warm_stats.hit_rate():.2f}, "
-        f"{warm_stats.local_evaluations} local evaluations"
+        f"{warm_stats.local_evaluations.value():.0f} local evaluations"
     )
     lines.append(
-        f"batched service: {batch_stats.duplicate_queries_saved} duplicates deduped, "
-        f"{batch_stats.shared_subqueries_saved} shared subqueries saved"
+        f"batched service: {batch_stats.duplicate_queries_saved.value():.0f} duplicates deduped, "
+        f"{batch_stats.shared_subqueries_saved.value():.0f} shared subqueries saved"
     )
     print_report("Service throughput: cold engine vs warm service vs batched service", "\n".join(lines))
     return {
@@ -127,8 +127,8 @@ def run_throughput_comparison():
         "warm_qps": count / warm_time,
         "batch_qps": count / batch_time,
         "warm_hit_rate": warm_stats.hit_rate(),
-        "batch_shared_subqueries": batch_stats.shared_subqueries_saved,
-        "batch_duplicates": batch_stats.duplicate_queries_saved,
+        "batch_shared_subqueries": int(batch_stats.shared_subqueries_saved.value()),
+        "batch_duplicates": int(batch_stats.duplicate_queries_saved.value()),
     }
 
 

@@ -62,7 +62,7 @@ def main() -> None:
         answer = service.query(query.source, query.target)
         print(
             f"\nmultiprocessing run: {query.source} -> {query.target} = {answer.value:.1f} "
-            f"({service.stats.local_evaluations} subqueries on "
+            f"({service.stats.local_evaluations.value():.0f} subqueries on "
             f"{service.pool_health()['workers']} worker processes)"
         )
 

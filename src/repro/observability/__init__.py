@@ -20,9 +20,8 @@ is the cross-cutting observability substrate they share:
 * :mod:`~repro.observability.profiler` — the continuous sampling profiler
   tagging hot frames with the active trace/span and kernel backend.
 
-:class:`~repro.service.stats.ServiceStatistics` remains the operator-facing
-counter view, but is now a thin compatibility façade over a registry from
-this package.
+:class:`~repro.service.stats.ServiceStatistics` holds the query service's
+counter and gauge handles on a registry from this package.
 """
 
 from .metrics import (

@@ -124,10 +124,6 @@ class Counter(Metric):
         """Return the series' current total (0.0 when never incremented)."""
         return self._values.get(self._key(labels), 0.0)
 
-    def set_value(self, value: float, **labels: object) -> None:
-        """Overwrite a series (checkpoint restore / compatibility view only)."""
-        self._values[self._key(labels)] = float(value)
-
     def series(self) -> Dict[LabelValues, float]:
         """Return every labeled series' value, keyed by label-value tuple."""
         return dict(self._values)

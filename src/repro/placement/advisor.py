@@ -5,7 +5,7 @@ hot, an owner's queue grows while its neighbours idle, or the update stream
 concentrates on fragments whose re-pins all land on one process.  The
 advisor folds the observable signals together —
 
-* per-fragment dispatch counts (``ServiceStatistics.per_site_load``),
+* per-fragment dispatch counts (``stats.counts(stats.per_site_load)``),
 * per-owner dispatch totals / queue depths (the routed pool's counters),
 * :class:`~repro.incremental.delta.DeltaLog` locality (each dirty-fragment
   entry is a re-pin an owner had to absorb),

@@ -16,8 +16,9 @@ Three pluggable policies compute plans:
 * :data:`POLICY_COST_BALANCED` — LPT over per-fragment costs (edge counts or
   simulated work), delegated to the existing
   :func:`repro.parallel.scheduler.assign_fragments` machinery,
-* :data:`POLICY_WORKLOAD_AWARE` — LPT over observed dispatch counts
-  (:class:`~repro.service.stats.ServiceStatistics` ``per_site_load``), with
+* :data:`POLICY_WORKLOAD_AWARE` — LPT over observed dispatch counts (the
+  service's ``repro_site_dispatch_total`` series, read as
+  :meth:`~repro.service.stats.ServiceStatistics.counts`), with
   the hottest fragments replicated onto the least-loaded workers — the lever
   studied by the query-workload-based allocation literature.
 
@@ -371,8 +372,9 @@ def workload_aware_plan(
     """Balance *observed* dispatch load and replicate the hottest fragments.
 
     Args:
-        dispatch_counts: per-fragment subquery dispatch counts (the
-            ``per_site_load`` of :class:`~repro.service.stats.ServiceStatistics`).
+        dispatch_counts: per-fragment subquery dispatch counts (a
+            :class:`~repro.service.server.QueryService`'s
+            ``stats.counts(stats.per_site_load)``).
         worker_count: worker slots to place onto.
         fragment_ids: the full fragment set; fragments with no recorded
             dispatches are placed at cost zero (LPT puts them on the least

@@ -362,11 +362,11 @@ class QueryService:
             **kwargs,
         )
         service._base_version = loaded.manifest.version
-        service._stats.snapshots_loaded += 1
+        service._stats.snapshots_loaded.inc()
         if replay_log is not None:
             for record in tail:
                 service._database.replay_record(record)
-                service._stats.replayed_records += 1
+                service._stats.replayed_records.inc()
         return service
 
     # ------------------------------------------------------------- accessors
@@ -523,7 +523,7 @@ class QueryService:
             fragment_costs={
                 site.fragment_id: float(site.edge_count()) for site in catalog.sites()
             },
-            dispatch_counts=dict(self._stats.per_site_load),
+            dispatch_counts=self._stats.counts(self._stats.per_site_load),
         )
         self._placement = plan
         return plan
@@ -589,7 +589,7 @@ class QueryService:
                     error=str(answer.error),
                 )
                 raise answer.error
-            self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
+            self._stats.shared_subqueries_saved.inc(run.shared_subqueries_saved())
             value, chain, involved = answer.value, answer.chain, answer.fragments
             self._cache.put(key, self._entry(answer))
             root.set("outcome", "evaluated")
@@ -613,13 +613,13 @@ class QueryService:
         """
         started = time.perf_counter()
         submitted = [tuple(query) for query in queries]
-        self._stats.batches += 1
-        self._stats.batched_queries += len(submitted)
+        self._stats.batches.inc()
+        self._stats.batched_queries.inc(len(submitted))
         with self._tracer.span("query_batch", queries=len(submitted)) as root:
             engine = self._refresh_engine()
 
             distinct = list(dict.fromkeys(submitted))
-            self._stats.duplicate_queries_saved += len(submitted) - len(distinct)
+            self._stats.duplicate_queries_saved.inc(len(submitted) - len(distinct))
 
             resolved: Dict[Query, ServiceAnswer] = {}
             fragments_of: Dict[Query, Tuple[int, ...]] = {}
@@ -648,7 +648,7 @@ class QueryService:
                     tracer=self._tracer,
                 )
                 self._planning_hist.observe(run.planning_seconds)
-                self._stats.shared_subqueries_saved += run.shared_subqueries_saved()
+                self._stats.shared_subqueries_saved.inc(run.shared_subqueries_saved())
                 for (source, target), answer in run.answers.items():
                     if answer.error is None:
                         self._cache.put(self._cache_key(source, target), self._entry(answer))
@@ -818,7 +818,7 @@ class QueryService:
             return
         if self._refragment_advisor is None:
             return
-        applied = self._stats.updates_applied
+        applied = int(self._stats.updates_applied.value())
         if applied - self._updates_at_last_check < REFRAGMENT_CHECK_INTERVAL:
             return
         self._updates_at_last_check = applied
@@ -840,7 +840,7 @@ class QueryService:
         """
         if self._refragment_advisor is None:
             return "disabled"
-        applied = self._stats.updates_applied
+        applied = int(self._stats.updates_applied.value())
         if applied == self._updates_at_last_check:
             return "unchanged"
         self._updates_at_last_check = applied
@@ -887,14 +887,14 @@ class QueryService:
         pool = self._require_pool()
         moved = pool.migrate(fragment_id, to_worker)
         if moved:
-            self._stats.migrations += 1
+            self._stats.migrations.inc()
         return moved
 
     def rebalance(self) -> List[Migration]:
         """Ask a :class:`RebalanceAdvisor` for migrations against the observed load, and apply them.
 
         The advisor folds the per-fragment dispatch counts
-        (``stats.per_site_load``) with the delta log's re-pin locality, and
+        (``stats.counts(stats.per_site_load)``) with the delta log's re-pin locality, and
         recommends moves only while the modelled owner skew exceeds its
         threshold — a balanced pool returns ``[]``.  The recommended
         migrations are executed immediately on the live pool.
@@ -905,13 +905,13 @@ class QueryService:
         pool = self._require_pool()
         migrations = RebalanceAdvisor().recommend(
             pool.plan,
-            dict(self._stats.per_site_load),
+            self._stats.counts(self._stats.per_site_load),
             delta_log=self._database.delta_log,
             query_log=self._query_log,
         )
         for migration in migrations:
             if pool.migrate(migration.fragment_id, migration.to_worker):
-                self._stats.migrations += 1
+                self._stats.migrations.inc()
         return migrations
 
     def _require_pool(self) -> PlacedWorkerPool:
@@ -971,7 +971,7 @@ class QueryService:
             placement=self.placement_plan,
             delta_sequence=self._database.delta_log.last_sequence,
         )
-        self._stats.snapshots_saved += 1
+        self._stats.snapshots_saved.inc()
         return manifest
 
     # ------------------------------------------------------------- lifecycle
@@ -1053,10 +1053,10 @@ class QueryService:
 
     def _on_update(self, event: UpdateEvent) -> None:
         """Absorb one applied write or redraw: scoped eviction and re-pins when possible."""
-        self._stats.invalidations += 1
+        self._stats.invalidations.inc()
         redraw = event.kind == "refragment"
         if redraw:
-            self._stats.refragments += 1
+            self._stats.refragments.inc()
             if self._refragment_advisor is not None:
                 # The redraw is the new normal: growth is measured against
                 # it.  Re-observing here covers every path a redraw can
@@ -1064,7 +1064,7 @@ class QueryService:
                 # database.refragment().
                 self._refragment_advisor.observe(self._database.fragmentation())
         else:
-            self._stats.updates_applied += 1
+            self._stats.updates_applied.inc()
             if event.fallback is not None:
                 self._stats.record_update_fallback(event.fallback)
         if event.incremental and event.dirty_fragments:
@@ -1076,21 +1076,22 @@ class QueryService:
             applied = self._database.last_delta
             if self._pool is not None:
                 self._repin(applied)
-            self._stats.scoped_invalidations += 1
-            self._stats.cache_entries_evicted += self._evict_changed(applied)
+            self._stats.scoped_invalidations.inc()
+            self._stats.cache_entries_evicted.inc(self._evict_changed(applied))
             if redraw:
-                self._stats.scoped_refragments += 1
-                self._stats.refragment_fragments_rebuilt += len(applied.changed)
-                self._stats.refragment_fragments_kept += len(applied.unchanged)
-                self._stats.refragment_moved_edges += applied.moved_edges
-                self._stats.border_nodes_recovered += applied.border_nodes_recovered()
+                self._stats.scoped_refragments.inc()
+                self._stats.refragment_fragments_rebuilt.inc(len(applied.changed))
+                self._stats.refragment_fragments_kept.inc(len(applied.unchanged))
+                self._stats.refragment_moved_edges.inc(applied.moved_edges)
+                recovered = self._stats.border_nodes_recovered
+                recovered.set(recovered.value() + applied.border_nodes_recovered())
             if self._pool is not None:
                 return
         else:
             # Full invalidation: the engine will be rebuilt; every cached
             # answer and every pinned worker payload is stale (the pool
             # restarts when _refresh_engine notices the new engine object).
-            self._stats.cache_entries_evicted += self._cache.clear()
+            self._stats.cache_entries_evicted.inc(self._cache.clear())
         # A pinned explicit plan must still follow the fragment ids — a pool
         # built *after* this change starts from self._placement, and a plan
         # missing a fragment id would refuse to start.
@@ -1268,7 +1269,7 @@ class QueryService:
             self._pool.repin(updates)
             if isinstance(self._placement, PlacementPlan):
                 self._placement = self._pool.plan.copy()
-            self._stats.replica_repins_deferred += (
+            self._stats.replica_repins_deferred.inc(
                 self._pool.replica_repins_deferred - deferred_before
             )
         except Exception:
@@ -1319,8 +1320,8 @@ class QueryService:
                 pool = self._ensure_pool()
                 owner_groups = group_by_owner(tasks, pool.plan) if grouped else {}
                 if owner_groups:
-                    self._stats.placement_aware_batches += 1
-                    self._stats.batch_owner_rounds += len(owner_groups)
+                    self._stats.placement_aware_batches.inc()
+                    self._stats.batch_owner_rounds.inc(len(owner_groups))
                 espan.set("pool", "placed")
                 refreshes_before = pool.replica_refreshes
                 results = pool.evaluate(
@@ -1328,7 +1329,7 @@ class QueryService:
                     owner_groups=owner_groups or None,
                     trace_id=self._tracer.current_trace_id,
                 )
-                self._stats.replica_refreshes += (
+                self._stats.replica_refreshes.inc(
                     pool.replica_refreshes - refreshes_before
                 )
                 # Per-owner load comes from the pool's actual routing
@@ -1337,7 +1338,7 @@ class QueryService:
                 # survives pool restarts.
                 if not reread:
                     for worker, count in pool.last_route_counts.items():
-                        self._stats.per_owner_dispatch.inc(worker, count)
+                        self._stats.per_owner_dispatch.inc(count, worker=worker)
                 self._stats.observe_owner_queues(
                     owner_count=pool.worker_count,
                     queue_depth_peak=pool.queue_depth_peak,
@@ -1452,13 +1453,14 @@ class QueryService:
             misses=evaluator.transit_misses - misses_before,
         )
         if reread:
-            self._stats.reread_tasks += len(tasks)
+            self._stats.reread_tasks.inc(len(tasks))
             return results
         # One dispatch per *task*: a batch of n shared subqueries records n
         # site dispatches, never one per batch.
         per_fragment: Dict[int, int] = {}
         for key in tasks:
             per_fragment[key[0]] = per_fragment.get(key[0], 0) + 1
+        self._stats.local_evaluations.inc(len(tasks))
         for fragment_id, count in per_fragment.items():
-            self._stats.record_dispatch(fragment_id, count)
+            self._stats.per_site_load.inc(count, fragment=fragment_id)
         return results

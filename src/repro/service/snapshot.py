@@ -35,7 +35,6 @@ damage is a :class:`SnapshotError`.  Nothing here unpickles.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import struct
 import sys
@@ -344,6 +343,8 @@ def _content_version(semiring_name: str, algorithm: str, sections: Sequence) -> 
     ``sections`` are ``(name, typecode, count, body)`` in
     :data:`CONTENT_SECTIONS` order, bodies in their on-disk byte order.
     """
+    import hashlib  # here, not at module level: its OpenSSL library costs 3.6 MB resident
+
     digest = hashlib.sha256(_json_bytes([SNAPSHOT_FORMAT, semiring_name, algorithm]))
     for name, typecode, count, body in sections:
         digest.update(f"\0{name}\0{typecode}\0{count}\0".encode("utf-8"))

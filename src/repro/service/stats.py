@@ -6,30 +6,25 @@ the amortisation observable: cache hit rate, per-site dispatch load, the
 subqueries a batch shared instead of recomputing, and the invalidations that
 updates caused.
 
-:class:`ServiceStatistics` is now a thin **compatibility view** over a
-:class:`~repro.observability.metrics.MetricsRegistry`: every field read or
-written here is a labeled metric in the registry (see the ``_INT_COUNTERS``
-/ ``_FLOAT_COUNTERS`` / ``_GAUGES`` tables for the field -> metric-name
-mapping), so the flat counter bag, the Prometheus exposition, and the JSON
-export can never disagree — they are one store.  On top of the flat view the
-registry holds what a counter bag cannot express: the
-``repro_query_latency_seconds`` histogram (split by ``outcome`` into
-``cached`` vs ``evaluated`` series, so a hit-rate change cannot distort the
-evaluated mean) with :meth:`latency_quantiles` p50/p90/p99 estimation.
-
-:meth:`ServiceStatistics.as_dict` reports the raw counters and the
-figures derived from them.
+Every figure is a handle on the service's
+:class:`~repro.observability.metrics.MetricsRegistry` (the tables below map
+each field to its metric name), so the ``stats`` document, the Prometheus
+exposition and the JSON export read one store.  The registry also holds the
+``repro_query_latency_seconds`` histogram, split by ``outcome`` into
+``cached`` and ``evaluated`` series so a hit-rate change cannot distort the
+evaluated quantiles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..observability import MetricsRegistry
 from ..observability.metrics import Counter
 
-# field -> (metric name, help).  Integer counters: monotone event totals.
-_INT_COUNTERS: Dict[str, tuple] = {
+# field -> (metric name, help).  Counters: monotone event totals, then the
+# wall-clock accumulators in seconds.
+_COUNTERS: Dict[str, Tuple[str, str]] = {
     "queries": ("repro_queries_total", "Queries answered, single and batched (cache hits included)."),
     "batches": ("repro_batches_total", "query_batch calls served."),
     "batched_queries": ("repro_batched_queries_total", "Queries submitted through batches."),
@@ -56,10 +51,6 @@ _INT_COUNTERS: Dict[str, tuple] = {
     "refragment_moved_edges": ("repro_refragment_moved_edges_total", "Edges re-shipped by scoped redraws."),
     "replica_refreshes": ("repro_replica_refreshes_total", "Fenced replicas lazily refreshed on first routed read."),
     "replica_repins_deferred": ("repro_replica_repins_deferred_total", "Eager replica re-pins the fencing avoided."),
-}
-
-# Float counters: monotone wall-clock accumulators.
-_FLOAT_COUNTERS: Dict[str, tuple] = {
     "total_latency": ("repro_latency_seconds_total", "Wall-clock seconds answering queries (cached + evaluated)."),
     "cached_latency": ("repro_cached_latency_seconds_total", "Wall-clock seconds spent serving cache hits."),
     "evaluated_latency": ("repro_evaluated_latency_seconds_total", "Wall-clock seconds spent on full evaluations."),
@@ -67,7 +58,7 @@ _FLOAT_COUNTERS: Dict[str, tuple] = {
 
 # Gauges: last-written / high-water values, and the one signed accumulator
 # (border_nodes_recovered counts negative contributions too).
-_GAUGES: Dict[str, tuple] = {
+_GAUGES: Dict[str, Tuple[str, str]] = {
     "owner_count": ("repro_owner_count", "Worker slots behind the per-owner dispatch series."),
     "queue_depth": ("repro_queue_depth", "Tasks enqueued to owner workers in the latest dispatch round (live view)."),
     "queue_depth_peak": ("repro_queue_depth_peak", "Largest per-owner task batch observed."),
@@ -76,11 +67,6 @@ _GAUGES: Dict[str, tuple] = {
     "max_cached_latency": ("repro_max_cached_latency_seconds", "Slowest cache hit observed."),
     "max_evaluated_latency": ("repro_max_evaluated_latency_seconds", "Slowest full evaluation observed."),
 }
-
-# Fields whose compatibility view should read as int.
-_INT_GAUGES = frozenset(
-    {"owner_count", "queue_depth", "queue_depth_peak", "border_nodes_recovered"}
-)
 
 LATENCY_HISTOGRAM = "repro_query_latency_seconds"
 SITE_DISPATCH_COUNTER = "repro_site_dispatch_total"
@@ -96,6 +82,16 @@ CACHE_DECISIONS_COUNTER = "repro_cache_write_decisions_total"
 # its chain only got worse, or because it recorded no inputs to compare.
 CACHE_DECISIONS = ("kept", "endpoint_rows", "arcs_moved", "only_worse_on_chain", "no_inputs")
 
+# field -> (metric name, help, label): the labeled counters.  The dispatch
+# series count tasks per fragment id / worker index; see :meth:`counts`.
+_LABELED_COUNTERS: Dict[str, Tuple[str, str, str]] = {
+    "per_site_load": (SITE_DISPATCH_COUNTER, "Subqueries dispatched to each fragment site.", "fragment"),
+    "per_owner_dispatch": (OWNER_DISPATCH_COUNTER, "Subqueries routed to each owner worker (tasks, not messages).", "worker"),
+    "_transit_lookups": (TRANSIT_LOOKUPS_COUNTER, "Border-to-border subqueries looked up in a fragment's transit table.", "outcome"),
+    "_cache_decisions": (CACHE_DECISIONS_COUNTER, "Cached answers a write's re-read kept, and those it evicted, by reason.", "decision"),
+    "_update_fallbacks": (UPDATE_FALLBACKS_COUNTER, "Updates an incremental database rebuilt for instead of absorbing in place.", "stage"),
+}
+
 
 def border_row_lookups_counter(registry: MetricsRegistry) -> Counter:
     """Register the border-row lookup counter on ``registry``.
@@ -110,79 +106,27 @@ def border_row_lookups_counter(registry: MetricsRegistry) -> Counter:
     )
 
 
-class _LabeledCounterDict:
-    """A dict-of-int view over one labeled counter family (int-keyed).
+def _inc_nonzero(counter: Counter, counts: Mapping[str, int]) -> None:
+    # A zero adds no series: the exposition lists only outcomes that happened.
+    label = counter.labelnames[0]
+    for value, count in counts.items():
+        if count:
+            counter.inc(count, **{label: value})
 
-    Keeps the historical ``stats.per_site_load[fragment] += n`` idiom working
-    while the registry's labeled series stay the single store: reads convert
-    the counter's label values back to int keys, writes go straight to the
-    series.
-    """
 
-    __slots__ = ("_counter", "_label")
-
-    def __init__(self, counter: Counter, label: str) -> None:
-        self._counter = counter
-        self._label = label
-
-    def _snapshot(self) -> Dict[int, int]:
-        return {int(key[0]): int(value) for key, value in self._counter.series().items()}
-
-    def __getitem__(self, key: int) -> int:
-        return int(self._counter.value(**{self._label: key}))
-
-    def __setitem__(self, key: int, value: int) -> None:
-        self._counter.set_value(float(value), **{self._label: key})
-
-    def inc(self, key: int, amount: int = 1) -> None:
-        """Add ``amount`` to one series without reading the others."""
-        self._counter.inc(amount, **{self._label: key})
-
-    def get(self, key: int, default: int = 0) -> int:
-        snapshot = self._snapshot()
-        return snapshot.get(int(key), default)
-
-    def keys(self):
-        return self._snapshot().keys()
-
-    def values(self):
-        return self._snapshot().values()
-
-    def items(self):
-        return self._snapshot().items()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._snapshot())
-
-    def __len__(self) -> int:
-        return len(self._counter.series())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._snapshot()
-
-    def __bool__(self) -> bool:
-        return bool(self._counter.series())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LabeledCounterDict):
-            return self._snapshot() == other._snapshot()
-        if isinstance(other, Mapping):
-            return self._snapshot() == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._snapshot())
+def _by_label(counter: Counter, values: Sequence[str]) -> Dict[str, int]:
+    label = counter.labelnames[0]
+    return {value: int(counter.value(**{label: value})) for value in values}
 
 
 class ServiceStatistics:
-    """Counters accumulated by a :class:`~repro.service.server.QueryService`.
+    """Metric handles of a :class:`~repro.service.server.QueryService`.
 
-    The attribute API is unchanged from the original dataclass (every field
-    documented in the module tables reads and writes like a plain int/float
-    attribute, ``per_site_load`` / ``per_owner_dispatch`` like plain dicts)
-    — but the storage is the given
-    :class:`~repro.observability.metrics.MetricsRegistry`, which other
-    components (result cache, tracer, worker metrics merges) share.
+    Each field of the module tables is a :class:`Counter` or
+    :class:`~repro.observability.metrics.Gauge` attribute the service writes
+    directly (``stats.batches.inc()``, ``stats.max_latency.max_of(latency)``)
+    and readers read with ``.value()``.  Other components (result cache,
+    tracer, worker metrics merges) share the same registry.
 
     Latency accounting is asymmetric on purpose: cached hits and full
     evaluations accumulate into *separate* series (``cached_latency`` /
@@ -192,248 +136,108 @@ class ServiceStatistics:
     remain as the combined view.
 
     Args:
-        registry: the metrics registry to back the counters (a private one
-            is created when not given — every counter still works, it is
-            just not shared).
+        registry: the metrics registry the handles are registered on.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        object.__setattr__(self, "_registry", reg)
-        metrics: Dict[str, object] = {}
-        for field, (name, help_text) in _INT_COUNTERS.items():
-            metrics[field] = reg.counter(name, help_text)
-        for field, (name, help_text) in _FLOAT_COUNTERS.items():
-            metrics[field] = reg.counter(name, help_text)
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        for field, (name, help_text) in _COUNTERS.items():
+            setattr(self, field, registry.counter(name, help_text))
         for field, (name, help_text) in _GAUGES.items():
-            metrics[field] = reg.gauge(name, help_text)
-        object.__setattr__(self, "_metrics", metrics)
-        object.__setattr__(
-            self,
-            "_latency",
-            reg.histogram(
-                LATENCY_HISTOGRAM,
-                "Per-query wall-clock latency, split by cache outcome.",
-                labelnames=("outcome",),
-            ),
+            setattr(self, field, registry.gauge(name, help_text))
+        for field, (name, help_text, label) in _LABELED_COUNTERS.items():
+            setattr(self, field, registry.counter(name, help_text, labelnames=(label,)))
+        self._border_row_lookups = border_row_lookups_counter(registry)
+        self._latency = registry.histogram(
+            LATENCY_HISTOGRAM,
+            "Per-query wall-clock latency, split by cache outcome.",
+            labelnames=("outcome",),
         )
-        object.__setattr__(
-            self,
-            "per_site_load",
-            _LabeledCounterDict(
-                reg.counter(
-                    SITE_DISPATCH_COUNTER,
-                    "Subqueries dispatched to each fragment site.",
-                    labelnames=("fragment",),
-                ),
-                "fragment",
-            ),
-        )
-        object.__setattr__(
-            self,
-            "per_owner_dispatch",
-            _LabeledCounterDict(
-                reg.counter(
-                    OWNER_DISPATCH_COUNTER,
-                    "Subqueries routed to each owner worker (tasks, not messages).",
-                    labelnames=("worker",),
-                ),
-                "worker",
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_transit_lookups",
-            reg.counter(
-                TRANSIT_LOOKUPS_COUNTER,
-                "Border-to-border subqueries looked up in a fragment's transit table.",
-                labelnames=("outcome",),
-            ),
-        )
-        object.__setattr__(self, "_border_row_lookups", border_row_lookups_counter(reg))
-        object.__setattr__(
-            self,
-            "_cache_decisions",
-            reg.counter(
-                CACHE_DECISIONS_COUNTER,
-                "Cached answers a write's re-read kept, and those it evicted, by reason.",
-                labelnames=("decision",),
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_update_fallbacks",
-            reg.counter(
-                UPDATE_FALLBACKS_COUNTER,
-                "Updates an incremental database rebuilt for instead of absorbing in place.",
-                labelnames=("stage",),
-            ),
-        )
-
-    # ----------------------------------------------------- attribute routing
-
-    def __getattr__(self, name: str):
-        # Only called when normal lookup fails: the registry-backed fields.
-        metrics = object.__getattribute__(self, "_metrics")
-        metric = metrics.get(name)
-        if metric is None:
-            raise AttributeError(name)
-        value = metric.value()
-        if name in _FLOAT_COUNTERS or (name in _GAUGES and name not in _INT_GAUGES):
-            return value
-        return int(value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        metrics = object.__getattribute__(self, "_metrics")
-        metric = metrics.get(name)
-        if metric is None:
-            object.__setattr__(self, name, value)
-        elif name in _GAUGES:
-            metric.set(float(value))  # type: ignore[union-attr, arg-type]
-        else:
-            # Counters arrive as absolute values (the += idiom reads first);
-            # set_value keeps the view exact.
-            metric.set_value(float(value))  # type: ignore[union-attr, arg-type]
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry backing (and superseding) these counters."""
-        return self._registry
-
-    # ------------------------------------------------------------- recording
 
     def record_query(self, latency: float, *, cached: bool) -> None:
-        """Record one answered query and its wall-clock latency.
-
-        Cached hits and full evaluations land in separate latency series
-        (and separate histogram outcomes); the combined ``total_latency`` /
-        ``max_latency`` aggregates are kept for the historical view.
-        """
-        self.queries += 1
+        """Record one answered query and its wall-clock latency, in its outcome's series and the combined ones."""
+        self.queries.inc()
         if cached:
-            self.cache_hits += 1
-            self.cached_latency += latency
-            if latency > self.max_cached_latency:
-                self.max_cached_latency = latency
+            self.cache_hits.inc()
+            self.cached_latency.inc(latency)
+            self.max_cached_latency.max_of(latency)
             self._latency.observe(latency, outcome="cached")
         else:
-            self.cache_misses += 1
-            self.evaluated_latency += latency
-            if latency > self.max_evaluated_latency:
-                self.max_evaluated_latency = latency
+            self.cache_misses.inc()
+            self.evaluated_latency.inc(latency)
+            self.max_evaluated_latency.max_of(latency)
             self._latency.observe(latency, outcome="evaluated")
-        self.total_latency += latency
-        self.max_latency = max(self.max_latency, latency)
-
-    def record_dispatch(self, fragment_id: int, count: int = 1) -> None:
-        """Record ``count`` subqueries dispatched to one fragment site.
-
-        Dispatch accounting is always per *task*: a batch of ``n`` subqueries
-        shipped to a site (or routed to an owner worker in one message) must
-        be recorded with ``count=n``, never as a single dispatch — the
-        advisor's skew model would otherwise undercount exactly the hot,
-        heavily-batched fragments it exists to find.  ``per_owner_dispatch``
-        is fed separately from the routed pool's actual routing counts,
-        which attribute tasks to the worker that really ran them (a replica
-        or a respawned owner, not necessarily the plan's owner).
-        """
-        self._metrics["local_evaluations"].inc(count)
-        self.per_site_load.inc(fragment_id, count)
+        self.total_latency.inc(latency)
+        self.max_latency.max_of(latency)
 
     def record_transit_lookups(self, *, hits: int, misses: int) -> None:
         """Record transit-table outcomes: ``hits`` replayed, ``misses`` searched and filed."""
-        if hits:
-            self._transit_lookups.inc(hits, outcome="hit")
-        if misses:
-            self._transit_lookups.inc(misses, outcome="miss")
+        _inc_nonzero(self._transit_lookups, {"hit": hits, "miss": misses})
 
     def transit_lookups(self) -> Dict[str, int]:
         """Return the transit-table lookups so far, by outcome."""
-        return {
-            outcome: int(self._transit_lookups.value(outcome=outcome))
-            for outcome in ("hit", "miss")
-        }
+        return _by_label(self._transit_lookups, ("hit", "miss"))
 
     def record_border_row_lookups(self, *, reads: int, fills: int) -> None:
         """Record border-row outcomes: ``reads`` found filled, ``fills`` searched for."""
-        if reads:
-            self._border_row_lookups.inc(reads, outcome="read")
-        if fills:
-            self._border_row_lookups.inc(fills, outcome="fill")
+        _inc_nonzero(self._border_row_lookups, {"read": reads, "fill": fills})
 
     def border_row_lookups(self) -> Dict[str, int]:
         """Return the border-row lookups so far (pool workers' included), by outcome."""
-        return {
-            outcome: int(self._border_row_lookups.value(outcome=outcome))
-            for outcome in ("read", "fill")
-        }
+        return _by_label(self._border_row_lookups, ("read", "fill"))
 
     def record_cache_decisions(self, counts: Mapping[str, int]) -> None:
         """Record what one write decided for the cached answers it could have changed."""
-        for decision, count in counts.items():
-            if count:
-                self._cache_decisions.inc(count, decision=decision)
+        _inc_nonzero(self._cache_decisions, counts)
 
     def cache_decisions(self) -> Dict[str, int]:
         """Return the cached answers writes kept and evicted so far, by decision."""
-        return {
-            decision: int(self._cache_decisions.value(decision=decision))
-            for decision in CACHE_DECISIONS
-        }
+        return _by_label(self._cache_decisions, CACHE_DECISIONS)
 
-    def record_update_fallback(self, stage: str, count: int = 1) -> None:
-        """Record ``count`` updates that took the full rebuild, by the stage that gave up."""
-        if count:
-            self._update_fallbacks.inc(count, stage=stage)
+    def record_update_fallback(self, stage: str) -> None:
+        """Record one update that took the full rebuild, by the stage that gave up."""
+        self._update_fallbacks.inc(stage=stage)
 
     def update_fallbacks(self) -> Dict[str, int]:
         """Return the updates that were not absorbed in place so far, by stage."""
-        return {
-            stage: int(self._update_fallbacks.value(stage=stage))
-            for stage in UPDATE_FALLBACK_STAGES
-        }
+        return _by_label(self._update_fallbacks, UPDATE_FALLBACK_STAGES)
 
-    def observe_owner_queues(
-        self,
-        *,
-        owner_count: int,
-        queue_depth_peak: int,
-        queue_depth: Optional[int] = None,
-    ) -> None:
-        """Fold the routed pool's queue observability into the counters.
+    def observe_owner_queues(self, *, owner_count: int, queue_depth_peak: int, queue_depth: int) -> None:
+        """Fold the routed pool's queue observability into the gauges.
 
         ``queue_depth`` is the *live* view — the largest per-owner task
         batch of the most recent dispatch round, overwritten every round —
         while ``queue_depth_peak`` is its monotone high-water mark.
         """
-        self.owner_count = max(self.owner_count, owner_count)
-        self.queue_depth_peak = max(self.queue_depth_peak, queue_depth_peak)
-        if queue_depth is not None:
-            self.queue_depth = queue_depth
+        self.owner_count.max_of(owner_count)
+        self.queue_depth_peak.max_of(queue_depth_peak)
+        self.queue_depth.set(queue_depth)
 
-    # ------------------------------------------------------------- reporting
+    @staticmethod
+    def counts(counter: Counter) -> Dict[int, int]:
+        """Return ``per_site_load`` or ``per_owner_dispatch`` as ``{fragment or worker: tasks}``."""
+        return {int(key[0]): int(value) for key, value in counter.series().items()}
 
     def hit_rate(self) -> float:
         """Return the cache hit rate over all answered queries (0.0 when idle)."""
-        answered = self.cache_hits + self.cache_misses
-        return self.cache_hits / answered if answered else 0.0
+        hits = self.cache_hits.value()
+        answered = hits + self.cache_misses.value()
+        return hits / answered if answered else 0.0
 
     def average_latency(self) -> float:
         """Return the mean per-query latency in seconds (0.0 when idle)."""
-        return self.total_latency / self.queries if self.queries else 0.0
+        queries = self.queries.value()
+        return self.total_latency.value() / queries if queries else 0.0
 
     def average_cached_latency(self) -> float:
         """Return the mean cache-hit latency (0.0 when no hit was served)."""
-        return self.cached_latency / self.cache_hits if self.cache_hits else 0.0
+        hits = self.cache_hits.value()
+        return self.cached_latency.value() / hits if hits else 0.0
 
     def average_evaluated_latency(self) -> float:
-        """Return the mean full-evaluation latency (0.0 when none ran).
-
-        This is the series :meth:`average_latency` used to distort: a rising
-        hit rate pulls the combined mean down without a single evaluation
-        getting faster.
-        """
-        return self.evaluated_latency / self.cache_misses if self.cache_misses else 0.0
+        """Return the mean full-evaluation latency (0.0 when none ran), undistorted by the hit rate."""
+        misses = self.cache_misses.value()
+        return self.evaluated_latency.value() / misses if misses else 0.0
 
     def latency_quantiles(self, outcome: str = "evaluated") -> Dict[str, float]:
         """Return p50/p90/p99 latency estimates from the histogram registry.
@@ -442,9 +246,7 @@ class ServiceStatistics:
         ``"cached"``.  All zeros when the series has no observations.
         """
         return {
-            "p50": self._latency.quantile(0.50, outcome=outcome),
-            "p90": self._latency.quantile(0.90, outcome=outcome),
-            "p99": self._latency.quantile(0.99, outcome=outcome),
+            f"p{round(q * 100)}": self._latency.quantile(q, outcome=outcome) for q in (0.50, 0.90, 0.99)
         }
 
     def dispatch_skew(self) -> float:
@@ -454,62 +256,63 @@ class ServiceStatistics:
         ``owner_count``): a pool where one of four owners does all the work
         skews 4.0, not 1.0.
         """
-        if not self.per_owner_dispatch:
+        loads = self.counts(self.per_owner_dispatch)
+        if not loads:
             return 0.0
-        owners = max(self.owner_count, len(self.per_owner_dispatch))
-        mean = sum(self.per_owner_dispatch.values()) / owners
-        return max(self.per_owner_dispatch.values()) / mean if mean else 0.0
+        owners = max(int(self.owner_count.value()), len(loads))
+        mean = sum(loads.values()) / owners
+        return max(loads.values()) / mean if mean else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         """Return the counters, and the figures derived from them, as a flat dictionary."""
         return {
-            "queries": self.queries,
-            "batches": self.batches,
-            "batched_queries": self.batched_queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            "queries": int(self.queries.value()),
+            "batches": int(self.batches.value()),
+            "batched_queries": int(self.batched_queries.value()),
+            "cache_hits": int(self.cache_hits.value()),
+            "cache_misses": int(self.cache_misses.value()),
             "hit_rate": round(self.hit_rate(), 4),
-            "local_evaluations": self.local_evaluations,
-            "reread_tasks": self.reread_tasks,
-            "shared_subqueries_saved": self.shared_subqueries_saved,
-            "duplicate_queries_saved": self.duplicate_queries_saved,
-            "invalidations": self.invalidations,
-            "scoped_invalidations": self.scoped_invalidations,
-            "cache_entries_evicted": self.cache_entries_evicted,
+            "local_evaluations": int(self.local_evaluations.value()),
+            "reread_tasks": int(self.reread_tasks.value()),
+            "shared_subqueries_saved": int(self.shared_subqueries_saved.value()),
+            "duplicate_queries_saved": int(self.duplicate_queries_saved.value()),
+            "invalidations": int(self.invalidations.value()),
+            "scoped_invalidations": int(self.scoped_invalidations.value()),
+            "cache_entries_evicted": int(self.cache_entries_evicted.value()),
             "cache_decisions": self.cache_decisions(),
-            "updates_applied": self.updates_applied,
-            "replayed_records": self.replayed_records,
-            "snapshots_saved": self.snapshots_saved,
-            "snapshots_loaded": self.snapshots_loaded,
+            "updates_applied": int(self.updates_applied.value()),
+            "replayed_records": int(self.replayed_records.value()),
+            "snapshots_saved": int(self.snapshots_saved.value()),
+            "snapshots_loaded": int(self.snapshots_loaded.value()),
             "transit_lookups": self.transit_lookups(),
             "border_row_lookups": self.border_row_lookups(),
             "update_fallbacks": self.update_fallbacks(),
-            "per_site_load": dict(sorted(self.per_site_load.items())),
-            "per_owner_dispatch": dict(sorted(self.per_owner_dispatch.items())),
-            "owner_count": self.owner_count,
+            "per_site_load": dict(sorted(self.counts(self.per_site_load).items())),
+            "per_owner_dispatch": dict(sorted(self.counts(self.per_owner_dispatch).items())),
+            "owner_count": int(self.owner_count.value()),
             "dispatch_skew": round(self.dispatch_skew(), 4),
-            "queue_depth": self.queue_depth,
-            "queue_depth_peak": self.queue_depth_peak,
-            "migrations": self.migrations,
-            "placement_aware_batches": self.placement_aware_batches,
-            "batch_owner_rounds": self.batch_owner_rounds,
-            "refragments": self.refragments,
-            "scoped_refragments": self.scoped_refragments,
-            "refragment_fragments_rebuilt": self.refragment_fragments_rebuilt,
-            "refragment_fragments_kept": self.refragment_fragments_kept,
-            "refragment_moved_edges": self.refragment_moved_edges,
-            "border_nodes_recovered": self.border_nodes_recovered,
-            "replica_refreshes": self.replica_refreshes,
-            "replica_repins_deferred": self.replica_repins_deferred,
-            "total_latency": self.total_latency,
-            "cached_latency": self.cached_latency,
-            "evaluated_latency": self.evaluated_latency,
+            "queue_depth": int(self.queue_depth.value()),
+            "queue_depth_peak": int(self.queue_depth_peak.value()),
+            "migrations": int(self.migrations.value()),
+            "placement_aware_batches": int(self.placement_aware_batches.value()),
+            "batch_owner_rounds": int(self.batch_owner_rounds.value()),
+            "refragments": int(self.refragments.value()),
+            "scoped_refragments": int(self.scoped_refragments.value()),
+            "refragment_fragments_rebuilt": int(self.refragment_fragments_rebuilt.value()),
+            "refragment_fragments_kept": int(self.refragment_fragments_kept.value()),
+            "refragment_moved_edges": int(self.refragment_moved_edges.value()),
+            "border_nodes_recovered": int(self.border_nodes_recovered.value()),
+            "replica_refreshes": int(self.replica_refreshes.value()),
+            "replica_repins_deferred": int(self.replica_repins_deferred.value()),
+            "total_latency": self.total_latency.value(),
+            "cached_latency": self.cached_latency.value(),
+            "evaluated_latency": self.evaluated_latency.value(),
             "average_latency": self.average_latency(),
             "average_cached_latency": self.average_cached_latency(),
             "average_evaluated_latency": self.average_evaluated_latency(),
-            "max_latency": self.max_latency,
-            "max_cached_latency": self.max_cached_latency,
-            "max_evaluated_latency": self.max_evaluated_latency,
+            "max_latency": self.max_latency.value(),
+            "max_cached_latency": self.max_cached_latency.value(),
+            "max_evaluated_latency": self.max_evaluated_latency.value(),
         }
 
     def __repr__(self) -> str:

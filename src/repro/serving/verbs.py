@@ -189,11 +189,11 @@ def _rebalance(service: QueryService, request: Request, **_: object) -> Document
 def _refragment(service: QueryService, request: Request, **_: object) -> Document:
     # ``refragment`` returns None both for a full rebuild and for "the
     # advisor found nothing worthwhile"; the redraw counter tells them apart.
-    redraws_before = service.stats.refragments
+    redraws_before = service.stats.refragments.value()
     result = service.refragment(request.text(0))
     document: Document = {
         "ok": True,
-        "refragmented": result is not None or service.stats.refragments > redraws_before,
+        "refragmented": result is not None or service.stats.refragments.value() > redraws_before,
         "scoped": result is not None,
         "version": service.catalog_version,
     }

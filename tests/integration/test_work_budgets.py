@@ -8,6 +8,7 @@ with the change.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.exceptions import PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
 from repro.fragmentation.fragmentation_graph import CHAIN_EXPANSION_BUDGET, FragmentationGraph
 from repro.graph.shortest_path import dijkstra
+from repro.observability.metrics import Counter, Gauge, Histogram
 from repro.service import QueryService, SnapshotError, load_snapshot
 from repro.service.snapshot import PAYLOAD_FILE
 from tests.tracing_helpers import spans_named
@@ -157,9 +159,9 @@ def cold_query_work(queries: int = 200, seed: int = 5):
         for _ in range(queries):
             source, target = rng.sample(nodes, 2)
             service.cache.clear()
-            before = service.stats.local_evaluations
+            before = service.stats.local_evaluations.value()
             service.query(source, target)
-            tasks += service.stats.local_evaluations - before
+            tasks += service.stats.local_evaluations.value() - before
             for span in spans_named(service.tracer.recent(1)[0], "search"):
                 settled += span.attributes["settled"]
                 relaxed += span.attributes["relaxed"]
@@ -175,6 +177,78 @@ def test_a_cold_query_dispatches_its_endpoints_and_searches_few_border_nodes():
     work = cold_query_work()
     for figure in ("tasks", "settled", "relaxed", "searches"):
         assert work[figure] <= COLD_QUERY_BUDGETS[figure], figure
+
+
+# Metric calls per query on the same ring, warm-up and 200 pairs from seed
+# 5: each pair past the result cache (cold), then, once every pair is
+# cached, the same pairs again (cached).  A call is a ``Counter.inc`` /
+# ``.value``, ``Gauge.set`` / ``.value`` / ``.max_of`` or
+# ``Histogram.observe`` by any writer sharing the service's registry
+# (statistics, result cache, tracer).  A cold query writes the cache's
+# events and entries (5), each evaluation's per-site series and task total
+# (3.1), the row and transit lookups (1.3) and 8 query figures; a cached one
+# the cache's two and 7 query figures.  Through the attribute view that read each
+# counter before overwriting it (``Counter.set_value``), a cold query made
+# 24.27 calls and a cached one 14.01.
+METRIC_CALL_BUDGETS = {
+    "cold": 17.4,
+    "cached": 9.0,
+}
+METRIC_METHODS = (
+    (Counter, ("inc", "value")),
+    (Gauge, ("set", "value", "max_of")),
+    (Histogram, ("observe",)),
+)
+
+
+@contextmanager
+def counted_metric_calls():
+    """Patch every metric write and read; yields a one-item list holding the call count."""
+    calls = [0]
+    patched = []
+    for cls, names in METRIC_METHODS:
+        for name in names:
+            real = getattr(cls, name)
+
+            def counting(*args, _real=real, **kwargs):
+                calls[0] += 1
+                return _real(*args, **kwargs)
+
+            setattr(cls, name, counting)
+            patched.append((cls, name, real))
+    try:
+        yield calls
+    finally:
+        for cls, name, real in patched:
+            setattr(cls, name, real)
+
+
+def metric_calls_per_query(queries: int = 200, seed: int = 5):
+    """Metric calls per cold and per cached query on ``ring_layout(4, 30)``."""
+    fragmentation, layout = ring_layout(4, 30)
+    service = QueryService(fragmentation)
+    service.query(layout[1][3], layout[3][7])  # warm-up, as for the cold-query work
+    service.query(layout[0][3], layout[2][7])
+    nodes = sorted(fragmentation.graph.nodes())
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(queries)]
+    with counted_metric_calls() as calls:
+        for pair in pairs:
+            service.cache.clear()
+            service.query(*pair)
+    cold = calls[0]
+    for pair in pairs:
+        service.query(*pair)  # fills the cache with every pair
+    with counted_metric_calls() as calls:
+        for pair in pairs:
+            assert service.query(*pair).cached
+    return {"cold": cold / queries, "cached": calls[0] / queries}
+
+
+def test_a_query_makes_few_metric_calls():
+    calls = metric_calls_per_query()
+    for kind in ("cold", "cached"):
+        assert calls[kind] <= METRIC_CALL_BUDGETS[kind], kind
 
 
 # Full or keyhole BFS runs per cold reachability query on a one-way chain of eight
@@ -264,7 +338,7 @@ def write_stream_work(rounds: int = 60, seed: int = 11, clear_cache: bool = True
     for _ in range(rounds):
         roll = rng.random()
         held = rows_held(service)
-        evicted -= service.stats.cache_entries_evicted
+        evicted -= service.stats.cache_entries_evicted.value()
         if roll < 0.4 or not inserted:
             block = layout[rng.randrange(len(layout))]
             a, b = rng.sample(block, 2)
@@ -279,7 +353,7 @@ def write_stream_work(rounds: int = 60, seed: int = 11, clear_cache: bool = True
             a, b = inserted.pop(rng.randrange(len(inserted)))
             service.update_edge(a, b, delete=True, symmetric=True)
         dropped += held - rows_held(service)
-        evicted += service.stats.cache_entries_evicted
+        evicted += service.stats.cache_entries_evicted.value()
         applied = service.database.last_delta
         assert applied is not None, "every write of the stream is absorbed in place"
         patched += len(applied.dirty_fragments)

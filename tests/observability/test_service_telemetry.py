@@ -196,7 +196,7 @@ class TestAdvisorsConsumeQueryLog:
                 service.cache.clear()
                 service.query_batch(cross_fragment_queries())
             advisor = RebalanceAdvisor()
-            dispatch = dict(service.stats.per_site_load)
+            dispatch = service.stats.counts(service.stats.per_site_load)
             plain = advisor.fragment_loads(service.placement_plan, dispatch)
             informed = advisor.fragment_loads(
                 service.placement_plan, dispatch, query_log=service.query_log
@@ -222,27 +222,36 @@ class TestAdvisorsConsumeQueryLog:
         assert 0 in service.query_log.fragment_frequencies()
 
 
-class TestStatisticsCompatibilityView:
-    def test_record_dispatch_adds_to_one_series_and_every_view_reads_it(self):
-        stats = ServiceStatistics()
-        stats.record_dispatch(3, 2)
-        stats.record_dispatch(5)
-        stats.record_dispatch(3, 4)
-        assert dict(stats.per_site_load) == {3: 6, 5: 1}
-        assert stats.local_evaluations == 7
-        stats.per_owner_dispatch.inc(0, 6)
-        stats.per_owner_dispatch.inc(1)
+class TestStatisticsHandles:
+    def test_dispatch_series_read_as_int_keyed_counts(self):
+        stats = ServiceStatistics(MetricsRegistry())
+        stats.per_site_load.inc(2, fragment=3)
+        stats.per_site_load.inc(fragment=5)
+        stats.per_site_load.inc(4, fragment=3)
+        assert stats.counts(stats.per_site_load) == {3: 6, 5: 1}
+        stats.per_owner_dispatch.inc(6, worker=0)
+        stats.per_owner_dispatch.inc(worker=1)
         assert stats.dispatch_skew() == pytest.approx(6 / 3.5)
+        stats.owner_count.max_of(4)  # two idle owners count in the mean
+        assert stats.dispatch_skew() == pytest.approx(6 / 1.75)
         assert stats.as_dict()["per_site_load"] == {3: 6, 5: 1}
+        assert stats.as_dict()["per_owner_dispatch"] == {0: 6, 1: 1}
+
+    def test_every_dispatched_task_counts_once_per_site_and_in_total(self):
+        service = QueryService(clique_line_fragmentation())
+        service.query(0, 11)
+        service.query_batch(cross_fragment_queries())
+        loads = service.stats.counts(service.stats.per_site_load)
+        assert loads and sum(loads.values()) == service.stats.local_evaluations.value()
 
     def test_cached_and_evaluated_latency_series_are_split(self):
         service = QueryService(clique_line_fragmentation())
         service.query(0, 11)  # evaluated
         service.query(0, 11)  # cached
         stats = service.stats
-        assert stats.cache_hits == 1 and stats.cache_misses == 1
-        assert stats.evaluated_latency > 0
-        assert stats.cached_latency > 0
+        assert stats.cache_hits.value() == 1 and stats.cache_misses.value() == 1
+        assert stats.evaluated_latency.value() > 0
+        assert stats.cached_latency.value() > 0
         assert stats.average_evaluated_latency() > stats.average_cached_latency()
         assert stats.latency_quantiles("evaluated")["p50"] > 0
         assert stats.latency_quantiles("cached")["p50"] > 0

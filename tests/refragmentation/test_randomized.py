@@ -99,7 +99,7 @@ def test_interleaved_stream_matches_from_scratch_rebuilds(seed, make_semiring):
             probes = [tuple(rng.sample(nodes, 2)) for _ in range(6)]
             assert_matches_fresh(service, semiring, probes)
     assert refragments_applied > 0
-    assert service.stats.refragments == refragments_applied
+    assert service.stats.refragments.value() == refragments_applied
     probes = [tuple(rng.sample(nodes, 2)) for _ in range(10)]
     assert_matches_fresh(service, semiring, probes)
 

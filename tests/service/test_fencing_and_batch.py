@@ -72,7 +72,7 @@ class TestReplicaVersionFencing:
             )
             assert pool.replica_fallbacks >= 1
             assert pool.replica_refreshes >= 1
-            assert service.stats.replica_refreshes >= 1
+            assert service.stats.replica_refreshes.value() >= 1
 
     def test_repeated_updates_defer_repeatedly_but_refresh_once(self):
         fragmentation = clique_line()
@@ -127,8 +127,8 @@ class TestPlacementAwareBatches:
             service.query(0, 11)  # starts the pool; plan is live
             answers = service.query_batch([(0, 11), (4, 9), (11, 0), (5, 2)])
             assert all(answer.error is None for answer in answers)
-            assert service.stats.placement_aware_batches == 1
-            assert 1 <= service.stats.batch_owner_rounds <= 3
+            assert service.stats.placement_aware_batches.value() == 1
+            assert 1 <= service.stats.batch_owner_rounds.value() <= 3
             for answer in answers:
                 source, target = answer.source, answer.target
                 assert answer.value == pytest.approx(
@@ -166,7 +166,7 @@ class TestPlacementAwareBatches:
     def test_in_process_batches_stay_placement_blind(self):
         service = QueryService(clique_line())
         service.query_batch([(0, 11), (4, 9)])
-        assert service.stats.placement_aware_batches == 0
+        assert service.stats.placement_aware_batches.value() == 0
 
     def test_batches_regroup_after_a_migration(self):
         fragmentation = clique_line()
@@ -181,4 +181,4 @@ class TestPlacementAwareBatches:
                         service.database.graph, answer.source, answer.target
                     )
                 )
-            assert service.stats.placement_aware_batches >= 1
+            assert service.stats.placement_aware_batches.value() >= 1

@@ -54,7 +54,7 @@ class TestScopedInvalidation:
         log_length = len(service.database.delta_log)
         cached = [(key, service.cache.get(key)) for key in list(service.cache)]
         assert service.update_edge(1, 3, 1.0) == 0  # the stored weight; still returns the owner
-        assert heard == [] and service.stats.updates_applied == 0
+        assert heard == [] and service.stats.updates_applied.value() == 0
         assert service.catalog_version == version and service.version_vector == vector
         assert len(service.database.delta_log) == log_length
         assert [(key, service.cache.get(key)) for key in list(service.cache)] == cached
@@ -68,7 +68,7 @@ class TestScopedInvalidation:
         log_length = len(service.database.delta_log)
         assert service.database.insert_edge(0, 3, 1.0) == 0
         assert service.database.insert_edge(0, 3, 1.0, symmetric=True) == 0
-        assert heard == [] and service.stats.updates_applied == 0
+        assert heard == [] and service.stats.updates_applied.value() == 0
         assert service.catalog_version == version and service.version_vector == vector
         assert len(service.database.delta_log) == log_length
 
@@ -89,13 +89,13 @@ class TestScopedInvalidation:
         service = QueryService(three_fragment_line())
         service.query(0, 11)
         service.query(1, 3)
-        load, evaluations = dict(service.stats.per_site_load), service.stats.local_evaluations
+        load, evaluations = service.stats.counts(service.stats.per_site_load), service.stats.local_evaluations.value()
         service.update_edge(0, 2, 0.5)  # re-reads fragment 0's arcs and endpoint rows
         assert service.database.last_delta is not None  # absorbed in place
-        assert service.stats.reread_tasks > 0
-        assert service.stats.as_dict()["reread_tasks"] == service.stats.reread_tasks
-        assert dict(service.stats.per_site_load) == load
-        assert service.stats.local_evaluations == evaluations
+        assert service.stats.reread_tasks.value() > 0
+        assert service.stats.as_dict()["reread_tasks"] == service.stats.reread_tasks.value()
+        assert service.stats.counts(service.stats.per_site_load) == load
+        assert service.stats.local_evaluations.value() == evaluations
 
     def test_each_write_records_what_it_decided_for_each_cached_answer(self):
         service = QueryService(three_fragment_line())
@@ -140,8 +140,8 @@ class TestScopedInvalidation:
         service.query(9, 11)
         service.query(1, 3)
         service.update_edge(1, 3, 5.0)  # the fragment-0 answer's own edge
-        assert service.stats.scoped_invalidations == 1
-        assert service.stats.cache_entries_evicted == 1  # only the fragment-0 answer
+        assert service.stats.scoped_invalidations.value() == 1
+        assert service.stats.cache_entries_evicted.value() == 1  # only the fragment-0 answer
         assert len(service.cache) == 1
 
     def test_an_update_outside_the_envelope_flushes_everything(self):
@@ -152,7 +152,7 @@ class TestScopedInvalidation:
         service.query(1, 3)
         service.update_edge(0, 2, 0.5)
         assert len(service.cache) == 0
-        assert service.stats.scoped_invalidations == 0
+        assert service.stats.scoped_invalidations.value() == 0
         assert service.stats.update_fallbacks()["unsupported"] == 1
         assert not service.query(9, 11).cached
 

@@ -68,6 +68,8 @@ def drive(service, workers):
 
 
 def main(workers):
+    # hashlib maps OpenSSL (3.6 MB resident): only hashing a snapshot loads it.
+    assert "hashlib" not in sys.modules, "importing the service imported hashlib"
     for semiring in (reachability_semiring, shortest_path_semiring):
         options = {"workers": workers} if workers else {}
         with QueryService(fragmentation(), semiring=semiring(), **options) as service:

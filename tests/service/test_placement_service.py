@@ -79,13 +79,13 @@ class TestOwnerRouting:
         fragmentation = clique_line_fragmentation()
         with QueryService(fragmentation, placement="round_robin", workers=3) as service:
             service.query(0, 11)
-            before = dict(service.stats.per_owner_dispatch)
+            before = service.stats.counts(service.stats.per_owner_dispatch)
             answers = service.query_batch([("ghost", "phantom")])
             assert answers[0].error is not None
-            assert service.stats.per_owner_dispatch == before
+            assert service.stats.counts(service.stats.per_owner_dispatch) == before
             assert (
-                sum(service.stats.per_owner_dispatch.values())
-                == service.stats.local_evaluations
+                sum(service.stats.counts(service.stats.per_owner_dispatch).values())
+                == service.stats.local_evaluations.value()
             )
 
     def test_explicit_plan_is_respected(self):
@@ -147,7 +147,7 @@ class TestLiveMigration:
             assert service.query(0, 11).value == pytest.approx(
                 shortest_path_cost(service.database.graph, 0, 11)
             )
-            assert service.stats.migrations == 1
+            assert service.stats.migrations.value() == 1
 
     def test_destination_death_mid_migration_self_heals(self):
         # The destination's mirror is updated before the pin is sent: if the
@@ -198,7 +198,7 @@ class TestLiveMigration:
                 with pytest.raises(PlacementError):
                     service.migrate(0, bad_worker)
             assert pool.pinned_census() == census_before
-            assert service.stats.migrations == 0
+            assert service.stats.migrations.value() == 0
 
     def test_rebalance_repairs_a_forced_skew(self):
         fragmentation = clique_line_fragmentation()

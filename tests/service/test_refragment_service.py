@@ -98,8 +98,8 @@ class TestLiveRefragmentUnderPlacedPool:
                 assert service.query(source, target).value == pytest.approx(
                     shortest_path_cost(service.database.graph, source, target)
                 )
-            assert service.stats.scoped_refragments == 1
-            assert service.stats.refragment_fragments_kept == 2
+            assert service.stats.scoped_refragments.value() == 1
+            assert service.stats.refragment_fragments_kept.value() == 2
 
     def test_shrinking_redraw_unpins_dropped_fragments(self):
         graph, node_blocks = clique_line(blocks=3)
@@ -233,7 +233,7 @@ class TestSnapshotAndReplayAcrossRefragment:
         restored = QueryService.from_snapshot(
             tmp_path / "snap", replay_log=live.database.delta_log
         )
-        assert restored.stats.replayed_records == 3
+        assert restored.stats.replayed_records.value() == 3
         fresh_nodes = sorted(graph.nodes())
         rng = random.Random(1)
         for _ in range(12):
@@ -275,13 +275,13 @@ class TestAutoRefragment:
             ),
         )
         service = QueryService(eroded, auto_refragment=advisor)
-        before = service.stats.refragments
+        before = service.stats.refragments.value()
         for step in range(REFRAGMENT_CHECK_INTERVAL - 1):
             service.update_edge(0, 2 + step % 2, 1.5 + step)
-        assert service.stats.refragments == before  # no assessment before the 32nd update
+        assert service.stats.refragments.value() == before  # no assessment before the 32nd update
         service.update_edge(0, 2, 0.5)
-        assert service.stats.refragments == before + 1
-        assert service.stats.scoped_refragments >= 1
+        assert service.stats.refragments.value() == before + 1
+        assert service.stats.scoped_refragments.value() >= 1
         # The redrawn layout is the clustered one the factory proposed.
         signals = RefragmentationAdvisor().signals(service.database.fragmentation())
         assert signals.border_nodes <= 4
@@ -296,7 +296,7 @@ class TestAutoRefragment:
         service = QueryService(fragmentation, auto_refragment=True)
         for step in range(2 * REFRAGMENT_CHECK_INTERVAL):  # two assessments
             service.update_edge(0, 2, 1.0 + step * 0.125)
-        assert service.stats.refragments == 0
+        assert service.stats.refragments.value() == 0
 
     def test_auto_refragment_true_installs_a_default_advisor(self):
         graph, node_blocks = clique_line(blocks=3)
@@ -318,5 +318,5 @@ class TestAutoRefragment:
             )
         )
         assert service.refragment(advisor=advisor) is None
-        assert service.stats.refragments == 0
+        assert service.stats.refragments.value() == 0
         assert [f.edges for f in service.database.fragmentation().fragments] == layout_before

@@ -35,7 +35,7 @@ class TestReplayOnRestore:
         restored = QueryService.from_snapshot(
             tmp_path / "snap", replay_log=live.database.delta_log
         )
-        assert restored.stats.replayed_records == 3
+        assert restored.stats.replayed_records.value() == 3
         assert restored.version_vector == live.version_vector
         assert restored.database.delta_log.last_sequence == live.database.delta_log.last_sequence
         for probe in [(0, 11), (9, 11), (5, 1), (8, 3)]:
@@ -77,7 +77,7 @@ class TestReplayOnRestore:
         restored = QueryService.from_snapshot(
             tmp_path / "snap", replay_log=live.database.delta_log
         )
-        assert restored.stats.replayed_records == 0
+        assert restored.stats.replayed_records.value() == 0
 
     def test_replay_crosses_a_refragmentation(self, tmp_path):
         # A refragment record carries the complete aligned layout, so a
@@ -92,7 +92,7 @@ class TestReplayOnRestore:
         restored = QueryService.from_snapshot(
             tmp_path / "snap", replay_log=live.database.delta_log
         )
-        assert restored.stats.replayed_records == 2
+        assert restored.stats.replayed_records.value() == 2
         live_frag = live.database.fragmentation()
         restored_frag = restored.database.fragmentation()
         assert [f.edges for f in restored_frag.fragments] == [

@@ -31,16 +31,16 @@ class TestQuery:
 
     def test_repeated_query_hits_the_cache(self, service):
         first = service.query(1, 7)
-        evaluations = service.stats.local_evaluations
+        evaluations = service.stats.local_evaluations.value()
         second = service.query(1, 7)
         assert not first.cached
         assert second.cached
         assert second.value == first.value
         assert second.chain == first.chain
-        assert service.stats.cache_hits == 1
+        assert service.stats.cache_hits.value() == 1
         assert cache_events(service.registry, "miss") == 1
         # The cache hit did no local work: the evaluation count is unchanged.
-        assert evaluations > 0 and service.stats.local_evaluations == evaluations
+        assert evaluations > 0 and service.stats.local_evaluations.value() == evaluations
 
     def test_same_node_query_is_trivial(self, service):
         answer = service.query(3, 3)
@@ -54,10 +54,10 @@ class TestQuery:
     def test_latency_and_hit_rate_are_tracked(self, service):
         service.query(0, 7)
         service.query(0, 7)
-        assert service.stats.queries == 2
+        assert service.stats.queries.value() == 2
         assert service.stats.hit_rate() == 0.5
         assert service.stats.average_latency() > 0.0
-        assert service.stats.max_latency >= service.stats.average_latency()
+        assert service.stats.max_latency.value() >= service.stats.average_latency()
 
 
 class TestCacheInvalidation:
@@ -68,8 +68,8 @@ class TestCacheInvalidation:
         after = service.query(0, 4)
         assert not after.cached
         assert after.value == pytest.approx(0.25)
-        assert service.stats.invalidations == 1
-        assert service.stats.updates_applied == 1
+        assert service.stats.invalidations.value() == 1
+        assert service.stats.updates_applied.value() == 1
 
     def test_update_bumps_catalog_version(self, service):
         version = service.catalog_version
@@ -105,10 +105,10 @@ class TestBatch:
         answers = service.query_batch([(0, 7), (0, 7), (0, 7)])
         assert len(answers) == 3
         assert len({answer.value for answer in answers}) == 1
-        assert service.stats.duplicate_queries_saved == 2
+        assert service.stats.duplicate_queries_saved.value() == 2
         # Dedup-served duplicates count as hits: one computation, two free rides.
-        assert service.stats.cache_misses == 1
-        assert service.stats.cache_hits == 2
+        assert service.stats.cache_misses.value() == 1
+        assert service.stats.cache_hits.value() == 2
 
     def test_batch_shares_local_subqueries(self, service):
         pairs = [(0, 7), (1, 7), (2, 7)]
@@ -117,7 +117,7 @@ class TestBatch:
             oracle_value(service, source, target) for source, target in pairs
         ]
         # The three pairs share the target's row: two evaluations saved.
-        assert service.stats.shared_subqueries_saved == 2
+        assert service.stats.shared_subqueries_saved.value() == 2
 
     def test_batch_tolerates_unknown_endpoints(self, service):
         answers = service.query_batch([(0, "missing"), (0, 7)])
@@ -150,7 +150,7 @@ class TestWorkerPool:
         with QueryService(make_fragmentation(), workers=2) as pooled:
             for source, target in [(0, 7), (2, 5)]:
                 assert pooled.query(source, target).value == inline.query(source, target).value
-            assert sum(pooled.stats.per_site_load.values()) > 0
+            assert sum(pooled.stats.counts(pooled.stats.per_site_load).values()) > 0
 
     def test_pool_survives_updates(self):
         with QueryService(make_fragmentation(), workers=2) as pooled:
@@ -215,9 +215,9 @@ class TestFailedPairAccounting:
 
     @staticmethod
     def assert_no_answer_counted(service):
-        assert service.stats.queries == 0
-        assert service.stats.cache_misses == 0
-        assert service.stats.evaluated_latency == 0.0
+        assert service.stats.queries.value() == 0
+        assert service.stats.cache_misses.value() == 0
+        assert service.stats.evaluated_latency.value() == 0.0
         assert set(service.stats.latency_quantiles("evaluated").values()) == {0.0}
         (entry,) = service.query_log.recent()
         assert entry.target == "nowhere" and not entry.cached

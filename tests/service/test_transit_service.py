@@ -115,8 +115,8 @@ class TestWorkCountGuards:
                 return real(tasks, **kwargs)
 
             pool.evaluate = recording
-            routed_before = sum(service.stats.per_owner_dispatch.values())
-            evaluations_before = service.stats.local_evaluations
+            routed_before = sum(service.stats.counts(service.stats.per_owner_dispatch).values())
+            evaluations_before = service.stats.local_evaluations.value()
             lookups_before = service.stats.transit_lookups()
             pairs = cold_pairs(layout)
             answers = service.query_batch(pairs)
@@ -129,8 +129,8 @@ class TestWorkCountGuards:
             assert not [task for task in shipped if is_transit(catalog.site(task[0]), task)]
             # Dispatch accounting describes what was routed, nothing more.
             routed = len(set(shipped))
-            assert sum(service.stats.per_owner_dispatch.values()) - routed_before == routed
-            assert service.stats.local_evaluations - evaluations_before == routed
+            assert sum(service.stats.counts(service.stats.per_owner_dispatch).values()) - routed_before == routed
+            assert service.stats.local_evaluations.value() - evaluations_before == routed
             # The coordinator's transit tables hold every fragment's
             # border-graph arcs since the warm-up, and the search reads them
             # there: no task of the batch is border-to-border, so no task
