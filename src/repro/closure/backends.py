@@ -187,7 +187,6 @@ def merge_selection_metrics(registry: MetricsRegistry) -> None:
     Drain-and-merge keeps the delta semantics of the worker metric pipeline:
     a resident worker folds before shipping its own drained registry, the
     coordinator folds before serving a scrape, and nothing double-counts.
+    A fold with nothing recorded since the last one is skipped.
     """
-    payload = _selection_registry.drain()
-    if payload:
-        registry.merge_dict(payload)
+    _selection_registry.drain_into(registry)

@@ -24,6 +24,7 @@ from .complementary import ComplementaryInformation, precompute_complementary_in
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..incremental.delta import EdgeChange
+    from .border_graph import BorderGraph
 
 Node = Hashable
 FragmentPair = Tuple[int, int]
@@ -381,7 +382,10 @@ class FragmentSite:
                 self._local_iterations = None
         if borders is not None:
             touched += [(source, target) for source, target, _ in self.shortcuts]
-            self.border_nodes = borders.border_nodes
+            if borders.border_nodes != self.border_nodes:
+                # An equal set keeps its object, and with it the iteration
+                # order the compiled border-graph arcs follow.
+                self.border_nodes = borders.border_nodes
             self.shortcuts = borders.shortcuts
             self.neighbours = borders.neighbours
             self.disconnection_sets = borders.disconnection_sets
@@ -457,6 +461,9 @@ class DistributedCatalog:
             fragmentation, semiring=self._semiring
         )
         self._sites = self._build_sites(compact_sites or {})
+        # Semiring name -> the compiled border graph the query core searches
+        # (:func:`~repro.disconnection.border_graph.compiled_border_graph`).
+        self.border_graphs: Dict[str, "BorderGraph"] = {}
 
     def _build_site(self, fragment_id: int, fragmentation: Fragmentation) -> FragmentSite:
         """Construct one site's full per-fragment state from a fragmentation.
@@ -532,6 +539,11 @@ class DistributedCatalog:
         Returns each dirty fragment's compact delta (``None`` when the site
         had no compact form yet, or was rebuilt), which the worker pool
         re-pins with.
+
+        The compiled border graphs go with what moved: all of them when
+        border membership moved (a redraw, or a site whose border set
+        changed), else each dirty fragment's arcs and the rows of the states
+        at its border nodes.
         """
         if fragmentation is not self._fragmentation:
             self._fragmentation = fragmentation
@@ -540,20 +552,31 @@ class DistributedCatalog:
             del self._sites[fragment_id]
         repaired = {fragment_id for pair in pairs_changed for fragment_id in pair}
         site_deltas: Dict[int, Optional[CompactDelta]] = {}
+        reshaped = not changes
         for fragment_id in dirty_fragments:
             if not changes:
                 self._sites[fragment_id] = self._build_site(fragment_id, fragmentation)
                 site_deltas[fragment_id] = None
                 continue
-            site_deltas[fragment_id] = self._sites[fragment_id].apply_update(
+            site = self._sites[fragment_id]
+            borders = (
+                self._site_borders(fragment_id, fragmentation)
+                if fragment_id in repaired
+                else None
+            )
+            reshaped = reshaped or (
+                borders is not None and borders.border_nodes != site.border_nodes
+            )
+            site_deltas[fragment_id] = site.apply_update(
                 [change for change in changes if change.fragment_id == fragment_id],
                 coordinates=fragmentation.graph,
-                borders=(
-                    self._site_borders(fragment_id, fragmentation)
-                    if fragment_id in repaired
-                    else None
-                ),
+                borders=borders,
             )
+        if reshaped:
+            self.border_graphs.clear()
+        for graph in self.border_graphs.values():
+            for fragment_id in dirty_fragments:
+                graph.drop(fragment_id)
         return site_deltas
 
     # ------------------------------------------------------------ accessors

@@ -47,15 +47,7 @@ from ..closure import Semiring, shortest_path_semiring
 from ..exceptions import DisconnectionSetError, NoChainError
 from ..observability import Tracer
 from .assembly import AssemblyResult, TaskKey, assemble_chain, best_chain, collect_task_keys
-from .border_graph import (
-    Arcs,
-    BorderSearch,
-    State,
-    arc_task,
-    held_arcs,
-    improves,
-    search,
-)
+from .border_graph import BorderGraph, BorderSearch, arc_task, compiled_border_graph, improves, search
 from .catalog import DistributedCatalog
 from .local_query import LocalQueryResult
 from .planner import QueryPlan
@@ -298,13 +290,7 @@ def answer_pairs(
     if not pending:
         return run
     results = evaluate(run.tasks) if run.tasks else {}
-    held: Dict[int, Optional[Arcs]] = {}
-
-    def arcs_of(fragment: int) -> Optional[Arcs]:
-        if fragment not in held:
-            held[fragment] = held_arcs(catalog.site(fragment), semiring)
-        return held[fragment]
-
+    graph = compiled_border_graph(catalog, semiring)
     with tracer.span("search", pairs=len(pending)) as span:
         # A search that stopped for arcs nobody held yet is run again once
         # they are read: one more evaluate call per round, for every pair's
@@ -327,8 +313,8 @@ def answer_pairs(
                         retry.append(entry)
                     continue
                 found, answer = _search_pair(
-                    catalog, source, source_fragments, target, target_fragments, endpoint,
-                    results, arcs_of, fragments_of, semiring,
+                    graph, source, source_fragments, target, target_fragments, endpoint,
+                    results, semiring,
                 )
                 run.settled += len(found.settled)
                 run.relaxed += found.relaxed
@@ -343,7 +329,7 @@ def answer_pairs(
                 run.spec_references += len(fetch) + len(rows)
                 fetched = evaluate(fetch + list(rows))
                 for task in fetch:
-                    held[task[0]] = fetched[task].values
+                    graph.adopt(task[0], fetched[task].values)
                 results.update((task, fetched[task]) for task in rows)
             pending = retry
         span.set("settled", run.settled)
@@ -416,41 +402,37 @@ def _inside_answer(
 
 
 def _search_pair(
-    catalog, source, source_fragments, target, target_fragments, endpoint, results, arcs_of,
-    fragments_of, semiring,
+    graph: BorderGraph, source, source_fragments, target, target_fragments, endpoint, results,
+    semiring,
 ) -> Tuple[BorderSearch, Optional[PairAnswer]]:
     """Seed, search and close the border graph for one pair (its tasks are in ``results``).
 
     No answer while the search is missing arcs.
     """
     source_tasks, target_tasks, direct_task = endpoint
-    seeds: Dict[State, object] = {}
+    ids, count = graph.ids, graph.count
+    seeds: Dict[int, object] = {}
     for task in source_tasks:
+        fragment = task[0]
         for (_, node), value in results[task].values.items():
-            seeds[(node, task[0])] = value
-    closing: Dict[Node, List[Tuple[object, int]]] = {}
+            seeds[ids[node] * count + fragment] = value
+    closing: Dict[int, List[Tuple[object, int]]] = {}
     for task in target_tasks:
+        fragment = task[0]
         for (node, _), value in results[task].values.items():
-            closing.setdefault(node, []).append((value, task[0]))
+            closing.setdefault(ids[node], []).append((value, fragment))
     direct = None
     if direct_task is not None:
         value = results[direct_task].values.get((source, target))
         if value is not None:
             direct = (value, direct_task[0])
-    found = search(
-        semiring,
-        seeds,
-        closing,
-        arcs_of,
-        fragments_of,
-        lambda fragment: catalog.site(fragment).border_nodes,
-        direct,
-    )
+    found = search(graph, semiring, seeds, closing, direct)
     if found.missing:
         return found, None
     fragments = {*source_fragments, *target_fragments}
+    stored = graph.fragments
     for node in found.settled:
-        fragments.update(fragments_of(node))
+        fragments.update(stored[node])
     read = (*source_tasks, *target_tasks, *((direct_task,) if direct_task else ()))
     inputs = tuple((task, results[task].values) for task in read)
     answer = PairAnswer(

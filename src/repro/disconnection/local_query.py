@@ -28,7 +28,10 @@ path memoizes them in the derived store of the site's compact graph:
 * the middle one — border to border inside an intermediate fragment — does not
   depend on the query at all; its whole result is also remembered in a
   :class:`TransitTable`, which lets the coordinator of a worker pool answer it
-  without routing.
+  without routing.  The entry whose sides are both the site's border nodes
+  holds the fragment's border-graph arcs, and is compiled as it is filed
+  (:attr:`TransitEntry.arcs`, :func:`compile_arcs`): the form the
+  border-graph search builds its successor rows from, dropped with the entry.
 
 ``CompactGraph.apply_delta`` hands the rows the arcs a write removed and
 inserted; a row keeps itself when it provably cannot have moved
@@ -78,14 +81,44 @@ TransitKey = Tuple[frozenset, frozenset, str]
 Arc = Tuple[int, int, float]
 
 
+# A fragment's border-graph arcs per source border node: each successor with
+# its value, in the iteration order of the site's border nodes.
+CompiledArcs = Dict[Node, Tuple[Tuple[Node, PathValue], ...]]
+
+
 class TransitEntry(NamedTuple):
-    """What one border-to-border evaluation produced, as a hit replays it."""
+    """What one border-to-border evaluation produced, as a hit replays it.
+
+    ``arcs`` is set on the entry whose entry and exit sets are both the
+    site's border nodes: its values compiled once, as filed, into what the
+    border-graph search reads (:func:`compile_arcs`).
+    """
 
     values: Dict[Tuple[Node, Node], PathValue]
     iterations: int
     tuples_produced: int
     delta_sizes: Tuple[int, ...]
     backend: Optional[str]
+    arcs: Optional[CompiledArcs] = None
+
+
+def compile_arcs(values: Dict[Tuple[Node, Node], PathValue], border: frozenset) -> CompiledArcs:
+    """``values`` of a fragment's border-to-border subquery, per source, successors in ``border``'s order.
+
+    The order is the one the border-graph search pushes successors in, so a
+    search over compiled arcs settles in the order a search probing
+    ``values`` for every border node did.
+    """
+    compiled: CompiledArcs = {}
+    for source in border:
+        out = tuple(
+            (target, value)
+            for target in border
+            if (value := values.get((source, target))) is not None
+        )
+        if out:
+            compiled[source] = out
+    return compiled
 
 
 class TransitTable(Dict[TransitKey, TransitEntry]):
@@ -115,7 +148,9 @@ class TransitTable(Dict[TransitKey, TransitEntry]):
         Called for a non-empty delta that interns no node (an empty one
         leaves the table alone, one that interns a node drops it).  A key
         missing from :attr:`previous` says nothing about how its values
-        moved: nothing had read them since the change before.
+        moved: nothing had read them since the change before.  The compiled
+        arcs go with their entries; the catalog drops the border-graph rows
+        built from them (:meth:`~repro.disconnection.border_graph.BorderGraph.drop`).
         """
         self.previous = {key: entry.values for key, entry in self.items()}
         self.clear()
@@ -493,7 +528,7 @@ class LocalQueryEvaluator:
         """
         if self._runs_compact(site):
             graph = site.compact(use_shortcuts=self._use_shortcuts)
-            self._file(graph, self._transit_key(site, spec), result)
+            self._file(graph, self._transit_key(site, spec), result, site.border_nodes)
 
     def _transit_key(
         self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
@@ -533,8 +568,13 @@ class LocalQueryEvaluator:
         return True
 
     def _file(
-        self, graph: CompactGraph, key: Optional[TransitKey], result: LocalQueryResult
+        self,
+        graph: CompactGraph,
+        key: Optional[TransitKey],
+        result: LocalQueryResult,
+        border: Optional[frozenset],
     ) -> None:
+        """File ``result`` under ``key``; the border-graph arcs entry also compiled."""
         if key is None:
             return
         self.transit_misses += 1
@@ -543,12 +583,14 @@ class LocalQueryEvaluator:
             table = TransitTable()
             graph.derived_set(TRANSIT_KEY, table)
         statistics = result.statistics
+        values = dict(result.values)
         table[key] = TransitEntry(
-            values=dict(result.values),
+            values=values,
             iterations=statistics.iterations,
             tuples_produced=statistics.tuples_produced,
             delta_sizes=tuple(statistics.delta_sizes),
             backend=result.backend,
+            arcs=compile_arcs(values, border) if key[0] == key[1] == border else None,
         )
 
     # ----------------------------------------------------------- kernel path
@@ -586,7 +628,7 @@ class LocalQueryEvaluator:
                 self._search(graph, roots, targets, result)
             else:
                 self._run_reachability(graph, entries, exits, result)
-        self._file(graph, key, result)
+        self._file(graph, key, result, site.border_nodes)
 
     def _run_reachability(
         self,

@@ -130,11 +130,10 @@ def merge_overlay_metrics(registry: MetricsRegistry) -> None:
     Mirrors the kernel-selection pipeline: resident workers fold before
     shipping their drained registries, the coordinator folds before serving
     a scrape, and nothing double-counts.  The depth gauge merges as a
-    high-water mark; the compaction counter sums.
+    high-water mark; the compaction counter sums.  A fold with nothing
+    recorded since the last one is skipped.
     """
-    payload = _overlay_registry.drain()
-    if payload:
-        registry.merge_dict(payload)
+    _overlay_registry.drain_into(registry)
 
 
 # A replacement adjacency row: the full effective row for one node, in the

@@ -101,7 +101,8 @@ class Metric:
     def _labels_of(self, key: LabelValues) -> Dict[str, str]:
         return dict(zip(self.labelnames, key))
 
-    # Subclasses implement: series_dicts, merge_series, reset, prometheus_lines.
+    # Subclasses implement: series_dicts, merge_series, reset, recorded,
+    # prometheus_lines.
 
 
 class Counter(Metric):
@@ -142,6 +143,10 @@ class Counter(Metric):
 
     def reset(self) -> None:
         self._values.clear()
+
+    def recorded(self) -> bool:
+        """Whether any series holds a value."""
+        return bool(self._values)
 
     def prometheus_lines(self) -> List[str]:
         lines = []
@@ -191,6 +196,10 @@ class Gauge(Metric):
 
     def reset(self) -> None:
         self._values.clear()
+
+    def recorded(self) -> bool:
+        """Whether any series holds a value."""
+        return bool(self._values)
 
     def prometheus_lines(self) -> List[str]:
         lines = []
@@ -327,6 +336,10 @@ class Histogram(Metric):
 
     def reset(self) -> None:
         self._series.clear()
+
+    def recorded(self) -> bool:
+        """Whether any series holds an observation."""
+        return bool(self._series)
 
     def prometheus_lines(self) -> List[str]:
         lines = []
@@ -505,6 +518,18 @@ class MetricsRegistry:
         payload = self.as_dict()
         self.reset()
         return payload
+
+    def drain_into(self, target: "MetricsRegistry") -> None:
+        """:meth:`drain` into ``target`` (:meth:`merge_dict`), skipped when it would add nothing.
+
+        Nothing to add: no series recorded since the last drain, and every
+        metric here already registered in ``target``.
+        """
+        metrics = self._metrics
+        if any(metric.recorded() for metric in metrics.values()) or any(
+            name not in target._metrics for name in metrics
+        ):
+            target.merge_dict(self.drain())
 
     def reset(self) -> None:
         """Zero every registered metric (the metrics stay registered)."""

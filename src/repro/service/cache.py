@@ -180,11 +180,15 @@ class LRUCache:
             labelnames=("event",),
         )
         self._size_gauge = registry.gauge(CACHE_SIZE_GAUGE, "Entries resident in the result cache.")
+        self._size_reported = -1  # the entry count the gauge last got; none yet
 
     def _observe(self, event: str, amount: int = 1) -> None:
         if amount:
             self._events.inc(amount, event=event)
-        self._size_gauge.set(len(self._entries))
+        size = len(self._entries)
+        if size != self._size_reported:
+            self._size_gauge.set(size)
+            self._size_reported = size
 
     # -------------------------------------------------------------- protocol
 

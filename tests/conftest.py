@@ -18,6 +18,7 @@ from repro.graph import DiGraph, Point
 # property tests that leave their example count to the profile
 # (``tests/disconnection/test_row_survival.py``,
 # ``tests/integration/test_cache_survival.py``,
+# ``tests/integration/test_compiled_search.py``,
 # ``tests/integration/test_engine_properties.py``,
 # ``tests/service/test_snapshot.py``, whose bit-flip test also reads the
 # profile's 1 000 examples as the cue to flip every bit).

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.closure import shortest_path_semiring
-from repro.disconnection.border_graph import held_arcs
+from repro.disconnection import answer_pairs
+from tests.border_search_oracle import held_arcs
 from repro.disconnection.local_query import TRANSIT_KEY
 from repro.exceptions import NoChainError
 from repro.fragmentation import Fragmentation
@@ -69,6 +70,52 @@ class TestArcs:
         border = catalog.site(2).border_nodes
         assert after[2] is not held[2]
         assert table.previous[(border, border, "shortest_path")] is held[2]
+
+
+    def test_arcs_an_evaluation_does_not_file_are_compiled_from_its_reply(self, ring):
+        service, layout = ring
+        catalog = service.engine().catalog
+
+        def evaluate_unfiled(tasks):
+            results = service._evaluate_tasks(tasks)
+            for site in catalog.sites():
+                table = site.derived_get(TRANSIT_KEY)
+                if table:
+                    table.clear()
+            return results
+
+        source, target = interior(layout, 0)[1], interior(layout, 3)[1]
+        run = answer_pairs(catalog, [(source, target)], evaluate_unfiled, service.semiring)
+        assert run.answers[(source, target)].value == oracle_value(service, source, target)
+        assert set(catalog.border_graphs["shortest_path"].arcs) == {1, 2, 4, 5}
+
+
+class TestCompiledRows:
+    def test_a_write_drops_its_fragments_rows_and_a_moved_border_drops_the_graph(self, ring):
+        service, layout = ring
+        service.query(interior(layout, 0)[1], interior(layout, 3)[1])
+        catalog = service.engine().catalog
+        graph = catalog.border_graphs["shortest_path"]
+        count = graph.count
+        borders = graph.borders
+        at = {
+            fragment: {state for state in graph.rows if state // count in borders[fragment]}
+            for fragment in range(count)
+        }
+        assert graph.arcs and at[2]
+        a, b = interior(layout, 2)[:2]
+        service.update_edge(a, b, 50.0)
+        assert service.database.delta_log.last().dirty_fragments == (2,)
+        assert catalog.border_graphs["shortest_path"] is graph  # the ids stand
+        assert 2 not in graph.arcs and not set(graph.rows) & at[2]
+        assert set(graph.rows) == set().union(*at.values()) - at[2]
+        # An edge from fragment 0 to an interior node of fragment 3 makes
+        # that node a border node: the ids are rebuilt on the next query.
+        service.update_edge(interior(layout, 0)[0], interior(layout, 3)[0], 5.0)
+        assert "shortest_path" not in catalog.border_graphs
+        source, target = interior(layout, 1)[1], interior(layout, 4)[1]
+        assert service.query(source, target).value == oracle_value(service, source, target)
+        assert catalog.border_graphs["shortest_path"] is not graph
 
 
 class TestDependencies:

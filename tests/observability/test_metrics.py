@@ -192,6 +192,27 @@ class TestMergeAcrossProcesses:
         assert series["bucket_counts"] == [1, 0, 1]
         assert series["count"] == 2
 
+    def test_drain_into_registers_once_and_then_folds_only_what_was_recorded(self):
+        module = MetricsRegistry()  # what a module-level registry holds
+        selections = module.counter("repro_selections_total", labelnames=("backend",))
+        depth = module.gauge("repro_depth")
+        coordinator = MetricsRegistry()
+        merges = []
+        merge = coordinator.merge_dict
+        coordinator.merge_dict = lambda payload: merges.append(payload) or merge(payload)
+        module.drain_into(coordinator)  # nothing recorded, but the metrics are new there
+        assert len(merges) == 1 and coordinator.names() == module.names()
+        module.drain_into(coordinator)  # nothing recorded, every metric registered
+        assert len(merges) == 1
+        selections.inc(backend="bigint")
+        depth.set(3)
+        module.drain_into(coordinator)
+        module.drain_into(coordinator)
+        assert len(merges) == 2
+        assert coordinator.get("repro_selections_total").value(backend="bigint") == 1
+        assert coordinator.get("repro_depth").value() == 3
+        assert not selections.recorded() and not depth.recorded()
+
     def test_merge_rejects_bucket_mismatch(self):
         a = MetricsRegistry()
         a.histogram("repro_latency_seconds", buckets=(0.001, 0.1)).observe(0.01)

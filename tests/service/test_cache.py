@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.service import LRUCache
-from repro.service.cache import CACHE_EVENTS_COUNTER
+from repro.service.cache import CACHE_EVENTS_COUNTER, CACHE_SIZE_GAUGE
 
 
 def cache_events(registry: MetricsRegistry, event: str) -> int:
@@ -64,6 +64,25 @@ class TestLRUCache:
         cache.put(("a",), 10)  # update, not insert: nothing is evicted
         assert cache_events(registry, "eviction") == 0
         assert cache.get(("a",)) == 10
+
+    def test_the_entry_gauge_is_set_only_when_the_count_moves(self):
+        registry = MetricsRegistry()
+        cache = LRUCache(2, registry=registry)
+        gauge = registry.get(CACHE_SIZE_GAUGE)
+        sets = []
+        real = gauge.set
+        gauge.set = lambda value: sets.append(value) or real(value)
+        cache.get(("a",))  # the first call reports the empty cache
+        cache.get(("a",))
+        cache.put(("a",), 1)
+        cache.get(("a",))
+        cache.put(("a",), 2)  # same key: the count stays
+        cache.put(("b",), 3)
+        cache.put(("c",), 4)  # an eviction: the count stays at capacity
+        cache.discard(("b",))
+        cache.clear()
+        assert sets == [0, 1, 2, 1, 0]
+        assert gauge.value() == len(cache) == 0
 
     def test_clear_counts_invalidations(self):
         registry = MetricsRegistry()
