@@ -13,7 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.closure import shortest_path_cost
-from repro.disconnection import DisconnectionSetEngine, precompute_complementary_information
+from repro.disconnection import (
+    DisconnectionSetEngine,
+    LocalQueryEvaluator,
+    QueryPlanner,
+    answer_in_process,
+    precompute_complementary_information,
+)
 from repro.exceptions import DisconnectedError, NoChainError
 from repro.fragmentation import (
     BondEnergyFragmenter,
@@ -45,15 +51,19 @@ def test_ablation_shortcuts_affect_intra_fragment_answers(table1_network):
     """Without complementary information, answers that detour outside a fragment degrade."""
     network = table1_network
     fragmentation = GroundTruthFragmenter(network.clusters).fragment(network.graph)
-    with_info = DisconnectionSetEngine(fragmentation, use_shortcuts=True)
-    without_info = DisconnectionSetEngine(fragmentation, use_shortcuts=False)
+    with_info = DisconnectionSetEngine(fragmentation)
+    # The ablated arm: the paper's chain pipeline on the bare fragment graphs.
+    catalog = with_info.catalog
+    planner, bare = QueryPlanner(catalog), LocalQueryEvaluator(use_shortcuts=False)
     queries = intra_cluster_queries(network.clusters, 20, seed=11)
     degraded = 0
     for query in queries:
         reference = shortest_path_cost(network.graph, query.source, query.target)
         assert with_info.query(query.source, query.target).value == pytest.approx(reference)
         try:
-            ablated_value = without_info.query(query.source, query.target).value
+            ablated_value = answer_in_process(
+                catalog, planner, bare, catalog.site, query.source, query.target
+            ).value
         except (DisconnectedError, NoChainError):
             ablated_value = None
         if ablated_value is None or ablated_value > reference + 1e-9:

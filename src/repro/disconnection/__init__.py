@@ -3,10 +3,11 @@ the fragmentations of this package are designed for.
 
 Complementary-information precomputation, the distributed catalog, query
 planning over the fragmentation graph, independent per-fragment local queries,
-final assembly joins, the query core's two pipelines (:func:`answer_chains`
-behind the engines, :func:`answer_pairs` over the border graph behind the
-service), the end-to-end :class:`DisconnectionSetEngine`,
-and the Parallel Hierarchical Evaluation extension.
+final assembly joins, the query core's two pipelines (:func:`answer_pairs`
+over the border graph behind the service and the end-to-end
+:class:`DisconnectionSetEngine`; :func:`answer_chains`, the paper's fragment
+chains, behind the parallel simulator, the hierarchical engine and the paper
+scripts), and the Parallel Hierarchical Evaluation extension.
 """
 
 from .assembly import AssemblyResult, assemble_chain, collect_task_keys
@@ -26,6 +27,7 @@ from .engine import (
     ExecutionReport,
     QueryAnswer,
     SiteWork,
+    answer_in_process,
     reachability_engine,
     shortest_path_engine,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "UpdateEvent",
     "UpdateStatistics",
     "answer_chains",
+    "answer_in_process",
     "answer_pairs",
     "assemble_best_chain",
     "assemble_chain",

@@ -214,9 +214,10 @@ def compiled_border_graph(catalog: DistributedCatalog, semiring: Semiring) -> Bo
 class BorderSearch:
     """One search's outcome.
 
-    ``value`` is the best path value (``None``: no path) and ``chain`` the
-    fragments of its segments in path order.  ``settled`` are the ids of the
-    border nodes the search settled (shortest paths) or labelled (any other
+    ``value`` is the best path value (``None``: no path), ``chain`` the
+    fragments of its segments in path order and ``borders`` the border
+    nodes between them (``len(chain) == len(borders) + 1``).  ``settled``
+    are the ids of the border nodes the search settled (shortest paths) or labelled (any other
     semiring), in that order: every border node whose value can bear on the
     answer.  ``relaxed`` counts the arcs it looked at.  ``missing`` are the
     fragments whose arcs it stopped for: while there are any, the rest is no
@@ -225,6 +226,7 @@ class BorderSearch:
 
     value: Optional[PathValue] = None
     chain: Optional[Tuple[int, ...]] = None
+    borders: Tuple[Node, ...] = ()
     settled: Dict[int, None] = field(default_factory=dict)
     relaxed: int = 0
     missing: Dict[int, None] = field(default_factory=dict)
@@ -264,13 +266,17 @@ def search(
     if end is None:  # the direct path inside the one shared fragment
         found.chain = (direct[1],)  # type: ignore[index]
         return found
-    count = graph.count
+    count, nodes = graph.count, graph.nodes
     state, closing_fragment = end
-    fragments = [closing_fragment, state % count]
+    node, fragment = divmod(state, count)
+    fragments, borders = [closing_fragment, fragment], [nodes[node]]
     while state in pred:
         state = pred[state]
-        fragments.append(state % count)
+        node, fragment = divmod(state, count)
+        fragments.append(fragment)
+        borders.append(nodes[node])
     found.chain = tuple(reversed(fragments))
+    found.borders = tuple(reversed(borders))
     return found
 
 

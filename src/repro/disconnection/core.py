@@ -8,18 +8,20 @@ LocalQueryResult}`` callable its caller supplies (in-process, or on a worker
 pool), one call for all of a call's pairs:
 
 * :func:`answer_pairs`, the border graph (:mod:`.border_graph`), behind
-  ``QueryService``.  A pair's tasks are its endpoints' rows: the source's
-  row to its fragment's border nodes and that fragment's border rows to the
-  target (one of each per fragment storing a border-node endpoint); two
-  endpoints inside one fragment add the task inside it, and ask for the
-  target's rows only when a border node is nearer than the target.  One
-  search over the border nodes joins them.  A fragment the search crosses
-  whose border-to-border arcs are not held yet costs one more round: its
-  arc task, then the search again.  Exact on any layout, and its work does
-  not depend on how many chains connect the endpoints' fragments.
-* :func:`answer_chains`, the paper's algorithm, behind the
-  :class:`~repro.disconnection.engine.DisconnectionSetEngine` (and its
-  routes), the hierarchical engine and the paper scripts:
+  ``QueryService`` and the
+  :class:`~repro.disconnection.engine.DisconnectionSetEngine` (its queries
+  and routes, and so ``repro query``).  A pair's tasks are its endpoints'
+  rows: the source's row to its fragment's border nodes and that fragment's
+  border rows to the target (one of each per fragment storing a border-node
+  endpoint); two endpoints inside one fragment add the task inside it, and
+  ask for the target's rows only when a border node is nearer than the
+  target.  One search over the border nodes joins them.  A fragment the
+  search crosses whose border-to-border arcs are not held yet costs one more
+  round: its arc task, then the search again.  Exact on any layout, and its
+  work does not depend on how many chains connect the endpoints' fragments.
+* :func:`answer_chains`, the paper's algorithm, behind the parallel
+  simulator, the hierarchical engine and the paper scripts
+  (:func:`~repro.disconnection.engine.answer_in_process`):
 
   1. a pair ``(x, x)`` of a stored node is answered with the semiring's one;
   2. the other pairs are deduplicated and planned into fragment chains; a
@@ -34,7 +36,7 @@ pool), one call for all of a call's pairs:
   It enumerates simple fragment chains, so it fails closed on a layout with
   too many of them (:class:`~repro.exceptions.PlanTruncatedError`) and
   misses a path that leaves its fragment and re-enters it; it stays as the
-  paper's algorithm, the parallel simulator's input and a test oracle.
+  paper's model, the parallel simulator's input and a test oracle.
 """
 
 from __future__ import annotations
@@ -119,20 +121,23 @@ class PairAnswer:
 
     ``fragments`` are the fragments the answer depends on: the plan's, the
     sites storing the node of a same-node pair, or those a border-graph
-    search read (:func:`answer_pairs`).  ``assemblies`` holds one
-    :class:`AssemblyResult` per chain of a chain plan; ``error`` is the typed
-    planning failure (``value`` is then ``None``).  ``inputs`` are the
-    endpoint tasks a border-graph answer read, each with the values it read
-    (the source's rows, the target's rows, the task inside one shared
-    fragment): with these and the arcs of its ``fragments`` unchanged, the
-    search runs the same steps to the same answer.  ``None`` for any other
-    answer.
+    search read (:func:`answer_pairs`).  A border-graph answer's ``borders``
+    are the border nodes its best path passes between the segments of its
+    ``chain``, in order (``()`` for a path inside one fragment).
+    ``assemblies`` holds one :class:`AssemblyResult` per chain of a chain
+    plan; ``error`` is the typed planning failure (``value`` is then
+    ``None``).  ``inputs`` are the endpoint tasks a border-graph answer
+    read, each with the values it read (the source's rows, the target's
+    rows, the task inside one shared fragment): with these and the arcs of
+    its ``fragments`` unchanged, the search runs the same steps to the same
+    answer.  ``None`` for any other answer.
     """
 
     source: Node
     target: Node
     value: Optional[object] = None
     chain: Optional[Tuple[int, ...]] = None
+    borders: Tuple[Node, ...] = ()
     fragments: Tuple[int, ...] = ()
     assemblies: List[AssemblyResult] = field(default_factory=list)
     error: Optional[DisconnectionSetError] = None
@@ -141,10 +146,9 @@ class PairAnswer:
 
 @dataclass
 class CoreResult(PlannedPairs):
-    """One :func:`answer_chains` call: its planning step, ``answers`` and task ``results``."""
+    """One :func:`answer_chains` call: its planning step and ``answers``."""
 
     answers: Dict[Pair, PairAnswer] = field(default_factory=dict)
-    results: Dict[TaskKey, LocalQueryResult] = field(default_factory=dict)
 
 
 def answer_chains(
@@ -180,9 +184,10 @@ def answer_chains(
             continue
         value, chain, assemblies = _assemble(plan, results, semiring)
         answers[(source, target)] = PairAnswer(
-            source, target, value, chain, tuple(plan.fragments_involved()), assemblies
+            source, target, value, chain, fragments=tuple(plan.fragments_involved()),
+            assemblies=assemblies,
         )
-    return CoreResult(**vars(planned), answers=answers, results=results)
+    return CoreResult(**vars(planned), answers=answers)
 
 
 def _assemble(
@@ -398,7 +403,7 @@ def _inside_answer(
         return None
     fragment = direct_task[0]
     inputs = tuple((task, results[task].values) for task in (*source_tasks, direct_task))
-    return PairAnswer(source, target, inside, (fragment,), (fragment,), inputs=inputs)
+    return PairAnswer(source, target, inside, (fragment,), fragments=(fragment,), inputs=inputs)
 
 
 def _search_pair(
@@ -436,6 +441,7 @@ def _search_pair(
     read = (*source_tasks, *target_tasks, *((direct_task,) if direct_task else ()))
     inputs = tuple((task, results[task].values) for task in read)
     answer = PairAnswer(
-        source, target, found.value, found.chain, tuple(sorted(fragments)), inputs=inputs
+        source, target, found.value, found.chain, found.borders, tuple(sorted(fragments)),
+        inputs=inputs,
     )
     return found, answer

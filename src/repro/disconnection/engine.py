@@ -2,19 +2,21 @@
 
 This ties the pieces together: the :class:`DisconnectionSetEngine` owns a
 :class:`~repro.disconnection.catalog.DistributedCatalog` (fragments +
-complementary information), and answers each query through the query core
-(:func:`~repro.disconnection.core.answer_chains`, the paper's chain
-pipeline): plan, evaluate the per-fragment subqueries
-in-process (no communication between them), assemble with small joins.
-:meth:`DisconnectionSetEngine.route` answers a shortest-path query with its
-route from the same single core call.
+complementary information), and answers each query through the query core's
+border graph (:func:`~repro.disconnection.core.answer_pairs`), as
+``QueryService`` does: the per-fragment subqueries are evaluated in-process
+(no communication between them) and one search over the border nodes joins
+them.  :meth:`DisconnectionSetEngine.route` answers a shortest-path query
+with its route from the same single core call.
 
 The engine records an :class:`ExecutionReport` for every query: which sites
-did how much work, how many iterations their local fixpoints needed, and how
-much assembly work the coordinator did.  The parallel simulator turns such a
-report into makespan and speed-up figures; the engine itself executes the
-subqueries sequentially (it is the *logical* strategy, independent of the
-physical execution vehicle).
+did how much work and how many iterations their local fixpoints needed.
+:func:`answer_in_process` answers through the paper's fragment chains
+instead (:func:`~repro.disconnection.core.answer_chains`) for a caller with
+its own planner, and its report also counts the coordinator's chain
+assembly; the parallel simulator turns such a report into makespan and
+speed-up figures.  Both execute the subqueries sequentially (the *logical*
+strategy, independent of the physical execution vehicle).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from ..fragmentation import Fragmentation
 from .assembly import AssemblyResult, TaskKey
 from .catalog import CompactFragmentSite, DistributedCatalog, FragmentSite
 from .complementary import ComplementaryInformation
-from .core import answer_chains
+from .core import PairAnswer, answer_chains, answer_pairs
 from .local_query import LocalQueryEvaluator, LocalQueryResult
-from .planner import LocalQuerySpec, QueryPlanner
+from .planner import LocalQuerySpec
 from .routes import RoutedAnswer, trace_route
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -59,7 +61,10 @@ class SiteWork:
 
 @dataclass
 class ExecutionReport:
-    """Cost accounting for one disconnection-set query execution."""
+    """Cost accounting for one query: per-site work, and a fragment-chain answer's joins.
+
+    The assembly counters stay 0 for the engine's border-graph answers.
+    """
 
     site_work: Dict[int, SiteWork] = field(default_factory=dict)
     chains_evaluated: int = 0
@@ -92,7 +97,7 @@ class QueryAnswer:
     Attributes:
         source, target: the queried endpoints.
         value: the best path value (``None`` when no path exists).
-        chain: the fragment chain that produced the best value.
+        chain: the fragments of the best path's segments, in path order.
         report: the execution cost report.
     """
 
@@ -116,9 +121,6 @@ class DisconnectionSetEngine:
         complementary: optionally reuse precomputed complementary information.
         compact_sites: optionally seed the per-fragment compact kernel graphs
             (e.g. from a snapshot), so the engine never rebuilds adjacency.
-        use_shortcuts: disable to measure the effect of dropping the
-            complementary information (the ablation benchmarks use this; the
-            engine then only sees paths that stay inside the fragment chain).
     """
 
     def __init__(
@@ -128,7 +130,6 @@ class DisconnectionSetEngine:
         semiring: Optional[Semiring] = None,
         complementary: Optional[ComplementaryInformation] = None,
         compact_sites: Optional[Dict[int, "CompactFragmentSite"]] = None,
-        use_shortcuts: bool = True,
     ) -> None:
         self._semiring = semiring or shortest_path_semiring()
         self._catalog = DistributedCatalog(
@@ -137,10 +138,7 @@ class DisconnectionSetEngine:
             complementary=complementary,
             compact_sites=compact_sites,
         )
-        self._planner = QueryPlanner(self._catalog)
-        self._evaluator = LocalQueryEvaluator(
-            semiring=self._semiring, use_shortcuts=use_shortcuts
-        )
+        self._evaluator = LocalQueryEvaluator(semiring=self._semiring)
 
     # ------------------------------------------------------------ accessors
 
@@ -172,8 +170,8 @@ class DisconnectionSetEngine:
         pool), the catalog patches only the dirty fragments' sites — with
         the edge ``changes`` each owns and the ``pairs_changed`` it takes
         part in — or, for a redraw (no ``changes``), rebuilds them and drops
-        the removed ids, and the planner picks up the new fragmentation on
-        its next ``plan`` call because it reads the catalog live.
+        the removed ids, and the next query reads the new layout because the
+        core reads the catalog live.
 
         Returns the per-fragment compact deltas the catalog produced.
         """
@@ -189,60 +187,45 @@ class DisconnectionSetEngine:
     def query(self, source: Node, target: Node) -> QueryAnswer:
         """Answer a best-path query from ``source`` to ``target``.
 
+        Exact on every layout; the report counts every subquery evaluated.
+
         Raises:
             NoChainError: if one of the endpoints is stored nowhere or no
                 fragment chain connects them.
-            PlanTruncatedError: if more fragment chains connect them than the
-                planner enumerates (an answer could be wrong).
         """
-        return answer_in_process(
-            self._catalog, self._planner, self._evaluator, self._catalog.site, source, target
-        )
+        answer, report = self._answer(source, target)
+        return QueryAnswer(source, target, answer.value, answer.chain, report)
 
     def route(self, source: Node, target: Node) -> RoutedAnswer:
         """Answer a shortest-path query with the route that realises it.
 
         One query-core call, the one :meth:`query` makes; ``cost`` and
         ``chain`` are :meth:`query`'s value and chain, and
-        :func:`~repro.disconnection.routes.trace_route` walks the best chain
-        on the sites and the live base graph.
+        :func:`~repro.disconnection.routes.trace_route` walks the best
+        path's segments (each chain fragment between the border nodes it
+        passed) on the sites and the live base graph.
 
         Raises:
-            NoChainError, PlanTruncatedError: as :meth:`query` does.
+            NoChainError: as :meth:`query` does.
             DisconnectedError: when no path exists.
             ValueError: when the engine was not built with the shortest-path
                 semiring.
         """
         if self._semiring.name != "shortest_path":
             raise ValueError("route requires an engine built with the shortest-path semiring")
-        evaluate = _in_process(self._evaluator, self._catalog.site)
-        run = answer_chains(self._catalog, self._planner, [(source, target)], evaluate, self._semiring)
-        answer = run.answers[(source, target)]
-        if answer.error is not None:
-            raise answer.error
+        answer, _ = self._answer(source, target)
         if answer.value is None:
             raise DisconnectedError(f"{target!r} is not reachable from {source!r}")
-        if not answer.assemblies:  # a stored node to itself
+        if answer.chain is None:  # a stored node to itself
             return RoutedAnswer(source, target, float(answer.value), [source])
-        (plan,) = run.plans
-        chains = [assembly.chain for assembly in answer.assemblies]
-        best = plan.chains[chains.index(answer.chain)]
+        segments = list(zip(answer.chain, (source, *answer.borders), (*answer.borders, target)))
         route = trace_route(
-            best,
-            [run.results[spec.key()] for spec in best.local_queries],
-            self._catalog.site,
-            self._catalog.fragmentation.graph,
-            self._evaluator,
+            segments, self._catalog.site, self._catalog.fragmentation.graph, self._evaluator
         )
         return RoutedAnswer(source, target, float(answer.value), route, answer.chain)
 
     def is_connected(self, source: Node, target: Node) -> bool:
-        """Answer "is ``source`` connected to ``target``?" (never raises for unknown nodes).
-
-        A truncated plan still raises
-        :class:`~repro.exceptions.PlanTruncatedError`: chains exist, so
-        ``False`` would be a wrong answer.
-        """
+        """Answer "is ``source`` connected to ``target``?" (never raises for unknown nodes)."""
         try:
             answer = self.query(source, target)
         except NoChainError:
@@ -267,6 +250,20 @@ class DisconnectionSetEngine:
             raise DisconnectedError(f"{target!r} is not reachable from {source!r}")
         return float(answer.value)  # type: ignore[arg-type]
 
+    def _answer(self, source: Node, target: Node) -> Tuple[PairAnswer, ExecutionReport]:
+        """One border-graph call for the pair, in-process; its answer and report.
+
+        Raises the pair's typed failure.
+        """
+        report = ExecutionReport()
+        evaluate = _in_process(self._evaluator, self._catalog.site, report)
+        run = answer_pairs(self._catalog, [(source, target)], evaluate, self._semiring)
+        answer = run.answers[(source, target)]
+        if answer.error is not None:
+            raise answer.error
+        report.planned_fragments = len(answer.fragments)
+        return answer, report
+
 
 def answer_in_process(
     catalog: DistributedCatalog,
@@ -276,22 +273,23 @@ def answer_in_process(
     source: Node,
     target: Node,
 ) -> QueryAnswer:
-    """Answer one pair through the query core, evaluating every subquery here.
+    """Answer one pair through the paper's fragment chains, evaluating every subquery here.
 
-    ``planner`` is anything with ``plan(source, target)``; ``site_of`` maps
-    a planned fragment id to the site that evaluates it.  The core's output
-    fills the :class:`ExecutionReport`; a planning failure is re-raised.
+    ``planner`` is anything with ``plan(source, target)`` (a
+    :class:`~repro.disconnection.planner.QueryPlanner`, which may raise
+    :class:`~repro.exceptions.PlanTruncatedError`); ``site_of`` maps a
+    planned fragment id to the site that evaluates it.  The core's output
+    fills the :class:`ExecutionReport`, chain assembly included; a planning
+    failure is re-raised.
     """
-    evaluate = _in_process(evaluator, site_of)
+    report = ExecutionReport()
+    evaluate = _in_process(evaluator, site_of, report)
     run = answer_chains(catalog, planner, [(source, target)], evaluate, evaluator.semiring)
     answer = run.answers[(source, target)]
     if answer.error is not None:
         raise answer.error
-    report = ExecutionReport()
     if answer.assemblies:  # a same-node answer plans nothing
         report.planned_fragments = len(answer.fragments)
-    for key, result in run.results.items():
-        report.record_local(result, site_of(key[0]))
     for assembly in answer.assemblies:
         report.record_assembly(assembly)
     return QueryAnswer(
@@ -300,13 +298,18 @@ def answer_in_process(
 
 
 def _in_process(
-    evaluator: LocalQueryEvaluator, site_of: Callable[[int], FragmentSite]
+    evaluator: LocalQueryEvaluator,
+    site_of: Callable[[int], FragmentSite],
+    report: ExecutionReport,
 ) -> Callable[[List[TaskKey]], Dict[TaskKey, LocalQueryResult]]:
-    """The core's ``evaluate``: every task on ``site_of``'s site, in this process."""
+    """The core's ``evaluate``: every task on ``site_of``'s site, in this process, into ``report``."""
 
     def evaluate(tasks):
         specs = [LocalQuerySpec(*task) for task in tasks]
-        return dict(zip(tasks, evaluator.evaluate_many(site_of, specs)))
+        results = evaluator.evaluate_many(site_of, specs)
+        for task, result in zip(tasks, results):
+            report.record_local(result, site_of(task[0]))
+        return dict(zip(tasks, results))
 
     return evaluate
 

@@ -100,10 +100,11 @@ class QueryPlanner:
     subset: the chain left out might carry the best path.  So does a pair
     whose enumeration runs past its work budget, so planning always ends.
 
-    This is the paper's chain algorithm (Sec. 2.1), behind the engines, the
-    paper scripts and the chain pipeline
-    (:func:`~repro.disconnection.core.answer_chains`); ``QueryService``
-    answers through the border graph instead.
+    This is the paper's chain algorithm (Sec. 2.1), kept as its model behind
+    the chain pipeline (:func:`~repro.disconnection.core.answer_chains`) of
+    the parallel simulator, the hierarchical engine and the paper scripts.
+    ``QueryService``, the engine and ``repro query`` plan no chains: they
+    answer through the border graph, so only this planner flags a pair.
     """
 
     def __init__(self, catalog: DistributedCatalog, *, max_chains: Optional[int] = 32) -> None:

@@ -3,15 +3,15 @@
 The paper's motivating question is not only "what is the *cost* of the
 shortest path between Amsterdam and Milan?" but also which route realises it.
 :meth:`~repro.disconnection.engine.DisconnectionSetEngine.route` answers both
-from the one query-core call that answers the cost, and :func:`trace_route`
-turns that call's output into nodes:
+from the one border-graph call that answers the cost: its answer names the
+fragments of the best path's segments (``chain``) and the border nodes
+between them (``borders``), so segment ``i`` runs inside ``chain[i]`` from
+the source or ``borders[i - 1]`` to ``borders[i]`` or the target.
+:func:`trace_route` turns those segments into nodes:
 
-1. the best chain's join is repeated with back-pointers over the per-fragment
-   results the core returned, so the entry and exit chosen in each fragment
-   are the ones behind the query's value;
-2. each fragment segment is walked by one targeted search on the site graph
-   those results came from;
-3. a hop that a complementary shortcut supplied (no fragment edge, or a
+1. each segment is walked by one targeted search on its fragment's site
+   graph, the graph its value came from;
+2. a hop that a complementary shortcut supplied (no fragment edge, or a
    heavier one) is expanded by a shortest-path search over the whole graph,
    the same kind of search the shortcut's value came from.
 
@@ -22,13 +22,12 @@ sequences next to the complementary values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
-from ..closure import Semiring, array_dijkstra, reconstruct_id_path
+from ..closure import array_dijkstra, reconstruct_id_path
 from ..graph import DiGraph, shortest_path
 from .catalog import FragmentSite
-from .local_query import LocalQueryEvaluator, LocalQueryResult
-from .planner import ChainPlan
+from .local_query import LocalQueryEvaluator
 
 Node = Hashable
 
@@ -42,7 +41,7 @@ class RoutedAnswer:
         cost: the total path cost.
         route: the node sequence from ``source`` to ``target`` in the base
             graph (shortcut edges fully expanded).
-        chain: the fragment chain the route was assembled from (``None`` for
+        chain: the fragments of the route's segments, in order (``None`` for
             a node to itself).
     """
 
@@ -58,21 +57,20 @@ class RoutedAnswer:
 
 
 def trace_route(
-    chain: ChainPlan,
-    results: Sequence[LocalQueryResult],
+    segments: Sequence[Tuple[int, Node, Node]],
     site_of: Callable[[int], FragmentSite],
     graph: DiGraph,
     evaluator: LocalQueryEvaluator,
 ) -> List[Node]:
-    """Return the base-graph node sequence behind ``chain``'s assembled value.
+    """Return the base-graph node sequence along ``segments``.
 
-    ``results`` are the chain's local results in chain order, as
-    ``evaluator`` computed them on ``site_of``'s sites; each segment is walked
-    on the same site graph.  ``graph`` is the whole base graph shortcut hops
-    are expanded over.
+    ``segments`` are ``(fragment, entry, exit)`` triples in path order, each
+    walked on ``site_of(fragment)``'s site graph as ``evaluator`` sees it
+    (with or without its shortcuts); ``graph`` is the whole base graph
+    shortcut hops are expanded over.
     """
-    route = [chain.source]
-    for fragment_id, entry, exit_node in _segments(chain, results, evaluator.semiring):
+    route = [segments[0][1]]
+    for fragment_id, entry, exit_node in segments:
         site = site_of(fragment_id)
         site_graph = site.compact(use_shortcuts=evaluator.use_shortcuts)
         entry_id, exit_id = site_graph.node_id(entry), site_graph.node_id(exit_node)
@@ -85,37 +83,3 @@ def trace_route(
             else:
                 route.extend(shortest_path(graph, a, b)[1][1:])
     return route
-
-
-def _segments(
-    chain: ChainPlan, results: Sequence[LocalQueryResult], semiring: Semiring
-) -> List[Tuple[int, Node, Node]]:
-    """``(fragment, entry, exit)`` per chain fragment on the way to the assembled value.
-
-    The join of :func:`~repro.disconnection.assembly.assemble_chain`, step
-    for step, with a back-pointer per reached exit node.
-    """
-    frontier: Dict[Node, object] = {chain.source: semiring.one}
-    pointers: List[Dict[Node, Node]] = []
-    for result in results:
-        reached: Dict[Node, object] = {}
-        pointer: Dict[Node, Node] = {}
-        for (entry, exit_node), local_value in result.values.items():
-            if entry not in frontier:
-                continue
-            candidate = semiring.times(frontier[entry], local_value)
-            incumbent = reached.get(exit_node)
-            best = candidate if incumbent is None else semiring.plus(incumbent, candidate)
-            if best != incumbent:
-                pointer[exit_node] = entry
-            reached[exit_node] = best
-        frontier = reached
-        pointers.append(pointer)
-    segments = []
-    node = chain.target
-    for result, pointer in zip(reversed(results), reversed(pointers)):
-        entry = pointer[node]
-        segments.append((result.fragment_id, entry, node))
-        node = entry
-    segments.reverse()
-    return segments

@@ -91,12 +91,16 @@ class Metric:
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
 
     def _key(self, labels: Mapping[str, object]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} expects labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # As many labels as names, each name among them: the same names.
+        names = self.labelnames
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[name]) for name in names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"metric {self.name!r} expects labels {names}, got {tuple(sorted(labels))}"
+        )
 
     def _labels_of(self, key: LabelValues) -> Dict[str, str]:
         return dict(zip(self.labelnames, key))

@@ -2,10 +2,13 @@
 
 The paper evaluates the disconnection set approach on the PRISMA/DB machine;
 this simulator substitutes it (see DESIGN.md).  It executes query workloads
-through the :class:`~repro.disconnection.engine.DisconnectionSetEngine`, maps
-fragments to simulated processors (one per fragment, the paper's setting),
-and charges each processor with the work its fragments performed under the
-default :class:`CostModel`.  The outputs
+through the paper's own algorithm, fragment chains
+(:func:`~repro.disconnection.engine.answer_in_process` with a
+:class:`~repro.disconnection.planner.QueryPlanner`), maps fragments to
+simulated processors (one per fragment, the paper's setting), and charges
+each processor with the work its fragments performed — local subqueries and
+the coordinator's chain joins — under the default :class:`CostModel`.  The
+outputs
 are the quantities the paper's performance argument is about: per-processor
 load, parallel makespan, the equivalent single-processor cost, and the
 resulting speed-up.
@@ -17,7 +20,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence
 
 from ..closure import seminaive_transitive_closure
-from ..disconnection import DisconnectionSetEngine, ExecutionReport, QueryAnswer
+from ..disconnection import (
+    DistributedCatalog,
+    ExecutionReport,
+    LocalQueryEvaluator,
+    QueryAnswer,
+    QueryPlanner,
+    answer_in_process,
+)
 from ..fragmentation import Fragmentation
 from ..generators import PathQuery
 from ..graph import DiGraph
@@ -33,7 +43,7 @@ class QuerySimulation:
 
     Attributes:
         query: the query that was executed.
-        answer: the engine's answer (value, chain, report).
+        answer: the chain pipeline's answer (value, chain, report).
         parallel_time: simulated elapsed time with one processor per fragment.
         sequential_time: simulated time executing the same plan on one processor.
         processor_loads: per-processor local work under the active assignment.
@@ -87,23 +97,21 @@ class ParallelSimulator:
     def __init__(self, fragmentation: Fragmentation) -> None:
         self._fragmentation = fragmentation
         self._cost_model = CostModel()
-        self._engine = DisconnectionSetEngine(fragmentation)
+        self._catalog = DistributedCatalog(fragmentation)
+        self._planner = QueryPlanner(self._catalog)
+        self._evaluator = LocalQueryEvaluator()
         self._assignment = one_processor_per_fragment(
             [fragment.fragment_id for fragment in fragmentation.fragments]
         )
-
-    # ------------------------------------------------------------ accessors
-
-    @property
-    def engine(self) -> DisconnectionSetEngine:
-        """The engine used for the logical evaluation."""
-        return self._engine
 
     # ------------------------------------------------------------ simulation
 
     def simulate_query(self, query: PathQuery) -> QuerySimulation:
         """Execute one query and derive its simulated parallel/sequential times."""
-        answer = self._engine.query(query.source, query.target)
+        answer = answer_in_process(
+            self._catalog, self._planner, self._evaluator, self._catalog.site,
+            query.source, query.target,
+        )
         report = answer.report
         processor_loads = self._processor_loads(report)
         slowest = max(processor_loads.values(), default=0.0)

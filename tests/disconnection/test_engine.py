@@ -3,7 +3,14 @@
 import pytest
 
 from repro.closure import shortest_path_cost
-from repro.disconnection import DisconnectionSetEngine, reachability_engine, shortest_path_engine
+from repro.disconnection import (
+    DisconnectionSetEngine,
+    LocalQueryEvaluator,
+    QueryPlanner,
+    answer_in_process,
+    reachability_engine,
+    shortest_path_engine,
+)
 from repro.exceptions import DisconnectedError, NoChainError, PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter, LinearFragmenter
 from repro.generators import (
@@ -12,6 +19,7 @@ from repro.generators import (
     two_cluster_dumbbell,
 )
 from repro.graph import DiGraph
+from repro.graph.shortest_path import shortest_path_length
 
 from tests.transit_layouts import grid_layout
 
@@ -69,7 +77,8 @@ class TestShortestPathQueries:
         assert answer.chain is not None
         assert 0 in answer.chain and 1 in answer.chain
         assert answer.report.site_work
-        assert answer.report.chains_evaluated >= 1
+        assert answer.report.planned_fragments >= 2
+        assert answer.report.chains_evaluated == 0  # no chain is assembled
         assert answer.report.critical_path_iterations() >= 1
 
     def test_wrong_semiring_for_cost_helper(self, dumbbell_engine):
@@ -144,26 +153,35 @@ class TestShortcutAblation:
         for a, b, w in [("a", "x", 1.0), ("x", "b", 1.0), ("a", "b", 10.0)]:
             graph.add_symmetric_edge(a, b, w)
         fragmentation = GroundTruthFragmenter([{"a", "b"}, {"x"}]).fragment(graph)
-        with_info = DisconnectionSetEngine(fragmentation, use_shortcuts=True)
-        without_info = DisconnectionSetEngine(fragmentation, use_shortcuts=False)
+        with_info = DisconnectionSetEngine(fragmentation)
+        catalog = with_info.catalog
+        bare = LocalQueryEvaluator(use_shortcuts=False)
+        without_info = answer_in_process(
+            catalog, QueryPlanner(catalog), bare, catalog.site, "a", "b"
+        )
         assert with_info.shortest_path_cost("a", "b") == 2.0
-        assert without_info.query("a", "b").value >= 2.0
+        assert without_info.value >= 2.0
 
 
 class TestTruncatedPlans:
-    """On 4 x 4 grid blocks, 184 chains join the corner blocks: past the cap of 32."""
+    """On 4 x 4 grid blocks, 184 chains join the corner blocks: past the chain planner's cap of 32.
+
+    The engine plans no chains, so it answers the pair exactly.
+    """
 
     @pytest.fixture(scope="class")
     def fragmentation(self):
         return grid_layout(4, 4)[0]
 
-    def test_query_raises_instead_of_answering_from_a_cut_plan(self, fragmentation):
+    def test_the_engine_answers_a_pair_whose_chain_plan_is_cut(self, fragmentation):
+        expected = shortest_path_length(fragmentation.graph, 0, 126)
+        assert DisconnectionSetEngine(fragmentation).query(0, 126).value == expected
+        catalog = DisconnectionSetEngine(fragmentation).catalog
         with pytest.raises(PlanTruncatedError):
-            DisconnectionSetEngine(fragmentation).query(0, 126)
+            QueryPlanner(catalog).plan(0, 126)
 
-    def test_is_connected_does_not_turn_a_cut_plan_into_false(self, fragmentation):
+    def test_is_connected_answers_a_pair_whose_chain_plan_is_cut(self, fragmentation):
         engine = reachability_engine(fragmentation)
-        with pytest.raises(PlanTruncatedError):
-            engine.is_connected(0, 126)
-        assert engine.is_connected(0, 3)  # one block: one chain
+        assert engine.is_connected(0, 126)
+        assert engine.is_connected(0, 3)  # one block
         assert not engine.is_connected(0, "missing")

@@ -1,13 +1,16 @@
-"""Tests for route reconstruction through the engine's query core."""
+"""Tests for route reconstruction from the engine's border-graph answers."""
 
 import pytest
 
 from repro.closure import reachability_semiring, shortest_path_cost
 from repro.disconnection import (
     DisconnectionSetEngine,
+    LocalQueryEvaluator,
     QueryPlanner,
+    answer_in_process,
     precompute_complementary_information,
 )
+from repro.disconnection.routes import trace_route
 from repro.exceptions import DisconnectedError, NoChainError
 from repro.fragmentation import Fragmentation, GroundTruthFragmenter, LinearFragmenter
 from repro.generators import cross_cluster_queries, european_railway_example, two_cluster_dumbbell
@@ -151,7 +154,7 @@ class TestRoutesAreTheQueryAnswer:
             )
             assert_valid_walk(network.graph, answer, query.source, query.target)
 
-    def test_an_engine_without_shortcuts_routes_on_the_graph_it_queried(self):
+    def test_a_no_shortcut_answer_routes_on_the_graph_it_queried(self):
         # a reaches t cheaply only through the other fragment: a -> c -> x -> b -> t.
         graph = DiGraph(
             [("a", "t", 10.0), ("a", "c", 1.0), ("b", "t", 1.0), ("c", "x", 1.0), ("x", "b", 1.0)]
@@ -159,23 +162,27 @@ class TestRoutesAreTheQueryAnswer:
         fragmentation = Fragmentation(
             graph, [[("a", "t"), ("a", "c"), ("b", "t")], [("c", "x"), ("x", "b")]]
         )
-        assert DisconnectionSetEngine(fragmentation).route("a", "t").route == ["a", "c", "x", "b", "t"]
-        engine = DisconnectionSetEngine(fragmentation, use_shortcuts=False)
-        routed = engine.route("a", "t")
-        assert (routed.cost, routed.route) == (engine.query("a", "t").value, ["a", "t"])
+        engine = DisconnectionSetEngine(fragmentation)
+        assert engine.route("a", "t").route == ["a", "c", "x", "b", "t"]
+        catalog = engine.catalog
+        bare = LocalQueryEvaluator(use_shortcuts=False)
+        answer = answer_in_process(catalog, QueryPlanner(catalog), bare, catalog.site, "a", "t")
+        assert answer.chain == (0,)
+        route = trace_route([(0, "a", "t")], catalog.site, graph, bare)
+        assert (answer.value, route) == (10.0, ["a", "t"])
 
     def test_a_route_makes_one_core_call(self, setup, monkeypatch):
         import repro.disconnection.engine as engine_module
 
         _, engine = setup
         calls = []
-        real = engine_module.answer_chains
+        real = engine_module.answer_pairs
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "answer_chains", counted)
+        monkeypatch.setattr(engine_module, "answer_pairs", counted)
         engine.route(0, 7)
         assert len(calls) == 1
-        assert calls[0][0] is engine.catalog and isinstance(calls[0][1], QueryPlanner)
+        assert calls[0][0] is engine.catalog and calls[0][1] == [(0, 7)]

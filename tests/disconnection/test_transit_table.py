@@ -23,7 +23,13 @@ from repro.closure import (
     reachability_semiring,
     shortest_path_semiring,
 )
-from repro.disconnection import CompactFragmentSite, DisconnectionSetEngine, LocalQueryEvaluator
+from repro.disconnection import (
+    CompactFragmentSite,
+    DisconnectionSetEngine,
+    LocalQueryEvaluator,
+    QueryPlanner,
+    answer_in_process,
+)
 from repro.disconnection.local_query import TRANSIT_KEY, TransitTable
 from repro.disconnection.planner import LocalQuerySpec
 from repro.graph import CompactDelta
@@ -105,13 +111,26 @@ class TestFillAndReplay:
         assert table_of(site) is None
         assert (evaluator.transit_hits, evaluator.transit_misses) == (0, 0)
 
-    def test_engine_query_twice_reports_the_same_work(self, ring_engine):
+    def test_a_chain_answer_twice_reports_the_same_work(self, ring_engine):
+        engine, layout = ring_engine
+        source, target = interior(layout, 0)[0], interior(layout, 3)[0]
+        catalog = engine.catalog
+        planner, evaluator = QueryPlanner(catalog), LocalQueryEvaluator()
+        first, second = (
+            answer_in_process(catalog, planner, evaluator, catalog.site, source, target)
+            for _ in range(2)
+        )
+        assert (second.value, second.chain) == (first.value, first.chain)
+        assert second.report == first.report
+
+    def test_an_engine_query_reports_only_the_subqueries_it_evaluated(self, ring_engine):
         engine, layout = ring_engine
         source, target = interior(layout, 0)[0], interior(layout, 3)[0]
         first = engine.query(source, target)
-        second = engine.query(source, target)
+        second = engine.query(source, target)  # the arcs the first one read are held
         assert (second.value, second.chain) == (first.value, first.chain)
-        assert second.report == first.report
+        assert {f: w.subqueries for f, w in second.report.site_work.items()} == {0: 1, 3: 1}
+        assert sum(w.subqueries for w in first.report.site_work.values()) > 2
 
     def test_both_standard_semirings_keep_their_own_entries(self):
         fragmentation, _ = ring_layout()

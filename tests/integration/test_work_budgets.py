@@ -15,6 +15,7 @@ import pytest
 import repro.disconnection.border_graph as border_graph_module
 import repro.service.snapshot as snapshot_module
 from repro.closure import reachability_semiring
+from repro.disconnection import DisconnectionSetEngine
 from repro.disconnection.local_query import TRANSIT_KEY
 from repro.exceptions import PlanTruncatedError
 from repro.fragmentation import GroundTruthFragmenter
@@ -72,9 +73,11 @@ def test_spans_per_traced_query_stay_within_budget(kind):
 
 # Answers on the cyclic grid layouts, sampled sources to sampled targets
 # (every third node to every fifth; on 8 x 8 blocks every ninth to every
-# seventeenth): a plain wrong value is never allowed, and neither is a
-# flagged one.  Chain planning flagged 1 083 of the 4 x 4 pairs; the border
-# graph answers them all.
+# seventeenth), each asked of the service, of the engine and of
+# ``engine.route``: a plain wrong value (or a route that is no walk of the
+# graph at that cost) is never allowed, and neither is a flagged one.  Chain
+# planning flagged 1 083 of the 4 x 4 pairs; the border graph answers them
+# all.
 GRID_BUDGETS = {
     # blocks a side: (plain wrong, flagged)
     3: (0, 0),
@@ -87,6 +90,9 @@ GRID_STRIDES = {3: (3, 5), 4: (3, 5), 8: (9, 17)}
 def grid_answers(side: int):
     fragmentation, _ = grid_layout(side, side)
     service = QueryService(fragmentation)
+    engine = DisconnectionSetEngine(
+        fragmentation, complementary=service.engine().catalog.complementary
+    )
     graph = service.database.graph
     nodes = sorted(fragmentation.graph.nodes())
     source_stride, target_stride = GRID_STRIDES[side]
@@ -96,12 +102,25 @@ def grid_answers(side: int):
         for target in nodes[1::target_stride]:
             if source == target:
                 continue
+            expected = distances.get(target)
             try:
-                value = service.query(source, target).value
+                values = [service.query(source, target).value, engine.query(source, target).value]
+                routed = engine.route(source, target)
             except PlanTruncatedError:
                 flagged += 1
                 continue
-            wrong += value != distances.get(target)
+            hops = list(zip(routed.route, routed.route[1:]))
+            walked = (
+                sum(graph.edge_weight(a, b) for a, b in hops)
+                if all(graph.has_edge(a, b) for a, b in hops)
+                else None
+            )
+            wrong += any(value != expected for value in values) or not (
+                routed.route[0] == source
+                and routed.route[-1] == target
+                and routed.cost == expected
+                and walked == pytest.approx(expected)
+            )
     return wrong, flagged
 
 
@@ -188,12 +207,16 @@ def test_a_cold_query_dispatches_its_endpoints_and_searches_few_border_nodes():
 # it crossed) and heap pops, per query.  The dict-probing search made 6.25
 # lookups and 4.095 pops a query; the compiled one reads rows only, pushes
 # the same successors in the same order, and pops as often.  The first
-# warm-up query compiles the rows of the 7 states it expands.
+# warm-up query compiles the rows of the 7 states it expands.  On 8 x 8
+# grid blocks (64 fragments, 224 border nodes, 200 pairs from seed 5 after
+# the same warm-up) a cold query pops 263.975 states, reads no arc map and
+# compiles no row once its pairs have been answered; the first warm-up
+# query compiles 23 rows.
 SEARCH_BUDGETS = {
-    "arc_lookups": 0,
-    "rows_compiled": 0,
-    "heap_pops": 4.095,
-    "first_query_rows": 7,
+    "ring": {"arc_lookups": 0, "rows_compiled": 0, "heap_pops": 4.095, "first_query_rows": 7},
+    "grid-8x8": {
+        "arc_lookups": 0, "rows_compiled": 0, "heap_pops": 263.975, "first_query_rows": 23,
+    },
 }
 
 
@@ -207,9 +230,15 @@ class CountedArcs(dict):
         return super().get(key, default)
 
 
-def compiled_search_work(queries: int = 200, seed: int = 5):
-    """Per cold query on ``ring_layout(4, 30)``: arc lookups, rows compiled, heap pops."""
-    fragmentation, layout = ring_layout(4, 30)
+SEARCH_LAYOUTS = {
+    "ring": lambda: ring_layout(4, 30),
+    "grid-8x8": lambda: grid_layout(8, 8),
+}
+
+
+def compiled_search_work(layout_name: str = "ring", queries: int = 200, seed: int = 5):
+    """Per cold query on a ``SEARCH_LAYOUTS`` layout: arc lookups, rows compiled, heap pops."""
+    fragmentation, layout = SEARCH_LAYOUTS[layout_name]()
     service = QueryService(fragmentation)
     catalog = service.engine().catalog
 
@@ -254,10 +283,12 @@ def compiled_search_work(queries: int = 200, seed: int = 5):
     }
 
 
-def test_a_cold_query_searches_compiled_rows_and_probes_no_arc_map():
-    work = compiled_search_work()
-    for figure in SEARCH_BUDGETS:
-        assert work[figure] <= SEARCH_BUDGETS[figure], figure
+@pytest.mark.parametrize("layout_name", sorted(SEARCH_BUDGETS))
+def test_a_cold_query_searches_compiled_rows_and_probes_no_arc_map(layout_name):
+    work = compiled_search_work(layout_name)
+    budgets = SEARCH_BUDGETS[layout_name]
+    for figure in budgets:
+        assert work[figure] <= budgets[figure], figure
     assert work["heap_pops"] > 0  # the patch counted the search's pops
 
 

@@ -41,6 +41,21 @@ class TestCounter:
             counter.inc(1)
 
 
+    def test_a_missing_or_an_extra_label_is_rejected_by_inc_and_set(self):
+        counter = Counter("repro_lookups_total", labelnames=("table", "result"))
+        gauge = Gauge("repro_rows_held", labelnames=("table", "result"))
+        for metric, write in ((counter, counter.inc), (gauge, gauge.set)):
+            message = r"expects labels \('table', 'result'\), got "
+            with pytest.raises(ValueError, match=message + r"\('table',\)"):
+                write(1, table="rows")
+            with pytest.raises(ValueError, match=message + r"\('extra', 'result', 'table'\)"):
+                write(1, table="rows", result="read", extra=0)
+            with pytest.raises(ValueError, match=message + r"\('result', 'tables'\)"):
+                write(1, tables="rows", result="read")
+            write(2, result="read", table="rows")  # any order of the same names
+            assert metric.value(table="rows", result="read") == 2
+
+
 class TestGauge:
     def test_set_overwrites(self):
         gauge = Gauge("repro_pool_workers")

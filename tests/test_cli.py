@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.generators import chain_graph, grid_graph
 from repro.graph import load_json, save_json
+from repro.graph.shortest_path import shortest_path_length
 
 
 @pytest.fixture
@@ -80,16 +81,18 @@ class TestQuery:
         assert "route:" in captured.out
 
     @pytest.mark.parametrize("extra", [[], ["--route"]], ids=["cost", "route"])
-    def test_query_with_a_truncated_plan_fails_with_the_message(self, tmp_path, capsys, extra):
+    def test_query_answers_a_pair_whose_chain_plan_is_cut(self, tmp_path, capsys, extra):
+        # More than 32 fragment chains connect the corners: the border graph
+        # plans none and answers exactly.
+        graph = grid_graph(12, 12)
         path = tmp_path / "grid.json"
-        save_json(grid_graph(12, 12), path)
+        save_json(graph, path)
         exit_code = main(
             ["query", str(path), "0", "143", "--algorithm", "center", "--fragments", "9"] + extra
         )
         captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "cost:" not in captured.out
-        assert "more than 32 fragment chains connect 0 and 143" in captured.err
+        assert exit_code == 0 and captured.err == ""
+        assert f"cost: {shortest_path_length(graph, 0, 143)}" in captured.out
 
     @pytest.mark.parametrize("extra", [[], ["--route"]], ids=["cost", "route"])
     def test_an_unreachable_pair_prints_no_path(self, tmp_path, capsys, extra):
